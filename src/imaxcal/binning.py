@@ -14,6 +14,7 @@ phis (and hence of the closed-form edges between them) is preserved by
 every update.
 """
 
+import bisect
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -67,12 +68,17 @@ class FitTrace:
     (edge update, phi update) pair; it is non-increasing by construction.
     hard_loss is surrogate_loss (label NLL) at the same checkpoints, which
     tracks loss statistically but carries no monotonicity guarantee.
+    final_movement is the largest edge movement of the last pair; the fit
+    converged when it fell below the tolerance, and otherwise stopped at the
+    iteration cap.
     """
 
     loss: np.ndarray
     hard_loss: np.ndarray
     empty_bin_events: int = 0
     init_phis: np.ndarray | None = None
+    final_movement: float = np.inf
+    converged: bool = False
 
 
 @dataclass
@@ -102,7 +108,7 @@ class Binner:
             self.reps = np.asarray(self.reps, dtype=np.float64)
             if self.reps.shape != self.phis.shape:
                 raise FitError("need exactly one representative per bin")
-            if self.reps.min() < 0.0 or self.reps.max() > 1.0:
+            if not np.all((self.reps >= 0.0) & (self.reps <= 1.0)):
                 raise FitError("representatives must lie in [0, 1]")
 
     @property
@@ -138,16 +144,19 @@ class Binner:
         missing = set(_BINNER_JSON_FIELDS) - set(payload)
         if missing:
             raise DataError(f"missing binner fields: {sorted(missing)}")
-        return cls(
-            edges=np.asarray(payload["edges"], dtype=np.float64),
-            phis=np.asarray(payload["phis"], dtype=np.float64),
-            reps=None
-            if payload["reps"] is None
-            else np.asarray(payload["reps"], dtype=np.float64),
-            method=payload["method"],
-            iterations=int(payload["iterations"]),
-            seed=payload["seed"],
-        )
+        try:
+            return cls(
+                edges=np.asarray(payload["edges"], dtype=np.float64),
+                phis=np.asarray(payload["phis"], dtype=np.float64),
+                reps=None
+                if payload["reps"] is None
+                else np.asarray(payload["reps"], dtype=np.float64),
+                method=payload["method"],
+                iterations=int(payload["iterations"]),
+                seed=payload["seed"],
+            )
+        except (TypeError, ValueError, FitError) as exc:
+            raise DataError(f"malformed binner: {exc}") from exc
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())
@@ -301,19 +310,25 @@ def _seed_phis(t_sorted, n_bins, rng):
     divergence-to-nearest-center potential and keeps the candidate that
     shrinks the total potential the most. Returns the chosen t values sorted
     ascending.
+
+    JSD(p, q) grows monotonically as p moves away from q on either side, so
+    on sorted t a candidate can only lower the divergence of the samples
+    between its nearest chosen centers on the left and on the right; only
+    that segment is evaluated. Each candidate's potential is still the sum
+    over the whole divergence vector, so every pick is the one a full
+    evaluation would make.
     """
     p = expit(t_sorted)
     h = _binary_entropy(p)
     n = t_sorted.shape[0]
     n_trials = 2 + int(np.log(n_bins))
 
-    chosen = np.empty(n_bins, dtype=np.float64)
     first = int(rng.integers(n))
-    chosen[0] = t_sorted[first]
+    centers = [first]  # sorted sample positions of the chosen centers
     dist = _jsd_to(p, h, p[first : first + 1], h[first : first + 1])[0]
     pot = float(dist.sum())
 
-    for j in range(1, n_bins):
+    for _ in range(1, n_bins):
         if pot <= 0.0:
             raise FitError(
                 f"fewer than {n_bins} distinct logit values; cannot seed bins"
@@ -321,14 +336,22 @@ def _seed_phis(t_sorted, n_bins, rng):
         draws = rng.random(n_trials) * pot
         cand_ids = np.searchsorted(np.cumsum(dist), draws)
         np.clip(cand_ids, None, n - 1, out=cand_ids)
-        cand_dist = np.minimum(dist, _jsd_to(p, h, p[cand_ids], h[cand_ids]))
-        cand_pot = cand_dist.sum(axis=1)
-        best = int(np.argmin(cand_pot))
-        chosen[j] = t_sorted[cand_ids[best]]
-        dist = cand_dist[best]
-        pot = float(cand_pot[best])
+        best_pot = np.inf
+        for c in cand_ids:
+            k = bisect.bisect_left(centers, c)
+            lo = centers[k - 1] + 1 if k > 0 else 0
+            hi = centers[k] if k < len(centers) else n
+            jsd = _jsd_to(p[lo:hi], h[lo:hi], p[c : c + 1], h[c : c + 1])[0]
+            trial = dist.copy()
+            np.minimum(trial[lo:hi], jsd, out=trial[lo:hi])
+            trial_pot = float(trial.sum())
+            if trial_pot < best_pot:
+                best_id, best_dist, best_pot = int(c), trial, trial_pot
+        bisect.insort(centers, best_id)
+        dist = best_dist
+        pot = best_pot
 
-    phis = np.sort(chosen)
+    phis = np.sort(t_sorted[centers])
     if np.any(np.diff(phis) <= 0):
         raise FitError("seeding produced duplicate phi levels")
     return phis
@@ -369,7 +392,7 @@ def fit_imax(
         init_phis = _seed_phis(t, cfg.n_bins, rng)
 
     try:
-        edges, phis, loss, hard_loss, n_pairs, empties = kernels.alternate(
+        edges, phis, loss, hard_loss, n_pairs, empties, movement = kernels.alternate(
             lam,
             expit(t),
             expit(-t),
@@ -395,6 +418,8 @@ def fit_imax(
             hard_loss=hard_loss,
             empty_bin_events=empties,
             init_phis=init_phis,
+            final_movement=movement,
+            converged=movement < cfg.tolerance,
         ),
     )
 

@@ -38,8 +38,7 @@ from .data import (
     group_by_prior,
     group_singletons,
     logit_of_prob,
-    merge_sets,
-    ovr_decompose,
+    ovr_set,
 )
 from .errors import DataError, FitError
 from .scaling import (
@@ -204,10 +203,6 @@ class CalibratorBundle:
         )
 
 
-def _group_set(data: PredictionMatrix, classes):
-    return merge_sets([ovr_decompose(data, k) for k in classes])
-
-
 def resolve_grouping(
     data: PredictionMatrix, strategy: str, groups_spec=None
 ) -> ClassGrouping:
@@ -256,13 +251,15 @@ def fit_bundle(
             provenance=provenance,
         )
 
+    lam = data.ovr_logits()
+
     if method == METHOD_PLATT:
         if strategy == STRATEGY_CW:
             raise DataError("platt scaling is fitted on the merged shared set only")
         grouping = resolve_grouping(data, STRATEGY_SCW, groups_spec)
         calibrators = [
             GroupCalibrator(
-                classes=g, scaler=fit_platt(_group_set(data, g), shared=True)
+                classes=g, scaler=fit_platt(ovr_set(lam, data.labels, g), shared=True)
             )
             for g in grouping.groups
         ]
@@ -284,7 +281,7 @@ def fit_bundle(
             shared_scaler = fit_temperature(data)
         elif scaler_kind == KIND_PLATT:
             shared_scaler = fit_platt(
-                _group_set(data, range(data.n_classes)), shared=True
+                ovr_set(lam, data.labels, range(data.n_classes)), shared=True
             )
         else:
             raise DataError("imax_with_scaler needs --scaler temperature or platt")
@@ -292,7 +289,7 @@ def fit_bundle(
 
     calibrators = []
     for g in grouping.groups:
-        cal_set = _group_set(data, g)
+        cal_set = ovr_set(lam, data.labels, g)
         if method == METHOD_IMAX_WITH_SCALER:
             binner = fit_imax(cal_set, cfg)
             binner = set_representatives(

@@ -20,8 +20,7 @@ from .data import (
     PROBABILITIES,
     RAW_LOGITS,
     PredictionMatrix,
-    merge_sets,
-    ovr_decompose,
+    ovr_set,
 )
 from .errors import DataError, FitError
 from .metrics import (
@@ -284,6 +283,17 @@ def cmd_fit(
         rep_strategy=rep,
         scaler_kind=None if scaler == "none" else scaler,
     )
+    for i, cal in enumerate(fitted.calibrators):
+        trace = None if cal.binner is None else cal.binner.diagnostics
+        if trace is not None:
+            diag(
+                event="fit_group",
+                group=i,
+                n=data.n_samples * len(cal.classes),
+                iterations=cal.binner.iterations,
+                converged=int(trace.converged),
+                movement=f"{trace.final_movement:.3g}",
+            )
     with open(out, "w") as fh:
         fh.write(fitted.to_json())
     diag(event="fit", method=method, strategy=fitted.strategy, out=out)
@@ -565,9 +575,7 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     scores = _read_matrix(scores_csv)
     labels = _read_labels(labels_csv, scores.shape[0])
     data = PredictionMatrix(scores, labels, _KIND_BY_FLAG[input_kind])
-    cal_set = merge_sets(
-        [ovr_decompose(data, k) for k in range(data.n_classes)]
-    )
+    cal_set = ovr_set(data.ovr_logits(), data.labels, range(data.n_classes))
 
     named = []
     for m in bins_list:

@@ -123,6 +123,11 @@ class PredictionMatrix:
             return self.scores
         return softmax(self.scores)
 
+    def ovr_logits(self):
+        """N x K one-vs-rest log-odds: column k is class k's logit, from a
+        single softmax over the whole matrix."""
+        return logit_of_prob(self.probabilities())
+
     def class_priors(self):
         """Empirical label frequencies, shape (K,)."""
         return np.bincount(self.labels, minlength=self.n_classes) / self.n_samples
@@ -156,16 +161,26 @@ class BinaryCalibrationSet:
         return self.logits.shape[0]
 
 
+def ovr_set(lam, labels, classes) -> BinaryCalibrationSet:
+    """Merged one-vs-rest set of the given classes, class after class.
+
+    lam is the N x K matrix of PredictionMatrix.ovr_logits and labels the N
+    integer labels. The result equals merge_sets of the per-class
+    ovr_decompose sets, without a softmax or a copy per class.
+    """
+    classes = np.asarray(tuple(classes), dtype=np.int64)
+    return BinaryCalibrationSet(
+        logits=lam[:, classes].T.ravel(),
+        targets=(labels[None, :] == classes[:, None]).astype(np.int8).ravel(),
+        source_classes=frozenset(int(c) for c in classes),
+    )
+
+
 def ovr_decompose(data: PredictionMatrix, class_k: int) -> BinaryCalibrationSet:
     """One-vs-rest binary set for class k on the log-odds scale."""
     if not 0 <= class_k < data.n_classes:
         raise DataError(f"class index {class_k} out of range")
-    q = data.probabilities()[:, class_k]
-    return BinaryCalibrationSet(
-        logits=logit_of_prob(q),
-        targets=(data.labels == class_k).astype(np.int8),
-        source_classes=frozenset({class_k}),
-    )
+    return ovr_set(data.ovr_logits(), data.labels, (class_k,))
 
 
 def merge_sets(sets) -> BinaryCalibrationSet:

@@ -1,38 +1,129 @@
-"""Kernel backend selection.
+"""The alternating bin-edge/phi-level loop of the iterative fit.
 
-The alternating-update loop exists twice: a compiled Cython extension
-(_alternate_c) and a pure-numpy reference (_alternate_py). The compiled one
-is preferred when importable; set IMAXCAL_PURE_PYTHON=1 to force the
-reference implementation. Both expose alternate() and edges_from_phis()
-with identical contracts.
+Domain conventions: logits lam are sorted ascending; t = scale * (lam + bias)
+is the transformed logit the sigmoid model operates on; phis live in the t
+domain while edges live in the lam domain.
+
+Because lam is sorted, every bin is a contiguous run of samples, so the
+per-bin sums the phi update needs are differences of prefix sums built once
+before the loop. An iteration then costs M binary searches into lam, that is
+O(M log N), instead of a pass over all N samples.
 """
 
-import os
-
-from . import _alternate_py
-
-if os.environ.get("IMAXCAL_PURE_PYTHON"):
-    _impl = _alternate_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _alternate_c as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _alternate_py
-        BACKEND = "python"
-
-alternate = _impl.alternate
-edges_from_phis = _impl.edges_from_phis
+import numpy as np
 
 
-def get_backend(name):
-    """Return (alternate, edges_from_phis) for an explicit backend name."""
-    if name == "python":
-        return _alternate_py.alternate, _alternate_py.edges_from_phis
-    if name == "compiled":
-        from . import _alternate_c
+def _softplus(x):
+    return np.logaddexp(0.0, x)
 
-        return _alternate_c.alternate, _alternate_c.edges_from_phis
-    raise ValueError(f"unknown kernel backend {name!r}")
+
+def edges_from_phis(phis, scale, bias):
+    """Closed-form loss-indifference edges between adjacent phi levels.
+
+    For each adjacent pair the returned edge is the logit where assigning a
+    sample to either bin incurs the same model loss, which is
+
+        g_m = (1/scale) * log( (sp(phi_m) - sp(phi_{m-1}))
+                             / (sp(-phi_{m-1}) - sp(-phi_m)) ) - bias
+
+    with sp the softplus. Requires strictly increasing phis.
+    """
+    phis = np.asarray(phis, dtype=np.float64)
+    sp_pos = _softplus(phis)
+    sp_neg = _softplus(-phis)
+    num = sp_pos[1:] - sp_pos[:-1]
+    den = sp_neg[:-1] - sp_neg[1:]
+    return (np.log(num) - np.log(den)) / scale - bias
+
+
+def alternate(lam, sig_pos, sig_neg, is_pos, phis0, scale, bias, max_iter, tol):
+    """Run the alternating edge/phi updates until movement stalls.
+
+    Parameters
+    ----------
+    lam : float64 (N,), sorted ascending
+    sig_pos, sig_neg : sigmoid(+t) and sigmoid(-t) for t = scale*(lam+bias)
+    is_pos : float64 0/1 targets, aligned with lam
+    phis0 : float64 (M,), strictly increasing initial phi levels
+    scale, bias : sigmoid-model transform parameters
+    max_iter : maximum number of (edge update, phi update) pairs
+    tol : early stop once the largest edge movement drops below this
+
+    Returns
+    -------
+    (edges, phis, loss, hard_loss, n_pairs, empty_events, movement)
+        loss is the sigmoid-model weighted NLL after each completed pair
+        (non-increasing by construction); hard_loss is the label NLL after
+        each pair; empty_events counts phi updates skipped on empty bins;
+        movement is the largest edge movement of the last pair (inf when
+        only one pair ran), so the fit converged iff movement < tol.
+    """
+    lam = np.ascontiguousarray(lam, dtype=np.float64)
+    phis = np.array(phis0, dtype=np.float64, copy=True)
+    n = lam.shape[0]
+    m = phis.shape[0]
+    if np.any(np.diff(phis) <= 0.0):
+        raise ValueError("initial phis not strictly increasing")
+
+    # cum_pos[i] = sum(sig_pos[:i]) and cum_pos_y[i] = sum(is_pos[:i]);
+    # tail_neg[i] = sum(sig_neg[i:]). sig_pos is tiny at the low end and
+    # sig_neg at the high end, so accumulating each from its tiny end keeps
+    # small bins from being differences of large totals.
+    zero = np.zeros(1)
+    cum_pos = np.concatenate([zero, np.cumsum(sig_pos)])
+    tail_neg = np.concatenate([np.cumsum(sig_neg[::-1])[::-1], zero])
+    cum_pos_y = np.concatenate([zero, np.cumsum(is_pos)])
+
+    loss = np.empty(max_iter)
+    hard_loss = np.empty(max_iter)
+    edges = None
+    movement = np.inf
+    empty_events = 0
+    n_pairs = 0
+
+    for it in range(max_iter):
+        new_edges = edges_from_phis(phis, scale, bias)
+        movement = np.inf if edges is None else float(np.max(np.abs(new_edges - edges)))
+        edges = new_edges
+
+        # Half-open bins [g_m, g_{m+1}); a sample exactly on an edge goes right.
+        bounds = np.empty(m + 1, dtype=np.intp)
+        bounds[0] = 0
+        bounds[1:m] = np.searchsorted(lam, edges, side="left")
+        bounds[m] = n
+        lo, hi = bounds[:-1], bounds[1:]
+        counts = (hi - lo).astype(np.float64)
+        sum_pos = cum_pos[hi] - cum_pos[lo]
+        sum_neg = tail_neg[lo] - tail_neg[hi]
+        n_pos = cum_pos_y[hi] - cum_pos_y[lo]
+
+        occupied = counts > 0.0
+        empty_events += int(m - np.count_nonzero(occupied))
+        phis = np.where(
+            occupied,
+            np.log(np.where(occupied, sum_pos, 1.0))
+            - np.log(np.where(occupied, sum_neg, 1.0)),
+            phis,
+        )
+        if np.any(np.diff(phis) <= 0.0):
+            raise ValueError("phi levels lost strict monotonicity mid-iteration")
+
+        sp_pos = _softplus(phis)
+        sp_neg = _softplus(-phis)
+        loss[it] = float(np.dot(sum_pos, sp_neg) + np.dot(sum_neg, sp_pos)) / n
+        hard_loss[it] = (
+            float(np.dot(n_pos, sp_neg) + np.dot(counts - n_pos, sp_pos)) / n
+        )
+        n_pairs = it + 1
+        if movement < tol:
+            break
+
+    return (
+        edges,
+        phis,
+        loss[:n_pairs].copy(),
+        hard_loss[:n_pairs].copy(),
+        n_pairs,
+        empty_events,
+        movement,
+    )

@@ -118,6 +118,27 @@ def test_binner_validation():
         )
 
 
+def test_binner_rejects_nan_reps():
+    with pytest.raises(FitError):
+        Binner(
+            edges=np.array([0.0]),
+            phis=np.array([-1.0, 1.0]),
+            reps=np.array([np.nan, np.nan]),
+            method=METHOD_IMAX,
+        )
+
+
+@pytest.mark.parametrize(
+    "field,value", [("iterations", None), ("edges", ["a"]), ("reps", [0.2, 1.5])]
+)
+def test_binner_from_dict_raises_data_errors(field, value):
+    payload = binner_from_edges(np.array([0.0]), METHOD_EQ_SIZE).to_dict()
+    payload["reps"] = [0.2, 0.8]
+    payload[field] = value
+    with pytest.raises(DataError):
+        Binner.from_dict(payload)
+
+
 def test_binner_reps_bounds_are_inclusive():
     Binner(
         edges=np.array([0.0]),

@@ -105,6 +105,35 @@ def test_fit_writes_a_versioned_bundle(workdir, capsys):
     assert any(line.startswith("event=fit") for line in err.splitlines())
 
 
+def test_fit_reports_convergence_per_imax_group(workdir, tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "cw.json"
+    assert main(
+        [
+            "fit", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
+            "-o", str(out), "--bins", "4", "--strategy", "cw",
+        ]
+    ) == 0
+    lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("event=fit_group")]
+    doc = json.loads(out.read_text())
+    assert len(lines) == len(doc["calibrators"]) == 5
+    for i, (line, cal) in enumerate(zip(lines, doc["calibrators"])):
+        assert DIAG_LINE.match(line), line
+        fields = dict(token.split("=", 1) for token in line.split())
+        assert fields["group"] == str(i)
+        assert fields["n"] == "400"
+        assert fields["iterations"] == str(cal["binner"]["iterations"])
+        assert fields["converged"] == str(int(float(fields["movement"]) < 1e-10))
+    # baseline binners have no iterative fit to report
+    assert main(
+        [
+            "fit", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
+            "-o", str(tmp_path / "eq.json"), "--method", "eq_mass",
+        ]
+    ) == 0
+    assert "event=fit_group" not in capsys.readouterr().err
+
+
 def test_fit_is_reproducible(workdir, tmp_path):
     a = _fit_bundle(workdir, name="a.json")
     args = [
@@ -250,6 +279,28 @@ def test_apply_error_paths(workdir, tmp_path):
             "-o", out, "--input-kind", "probs",
         ]
     ) == 3
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("reps", [float("nan")] * 8), ("iterations", None), ("edges", ["a"] * 7)],
+)
+def test_a_malformed_binner_is_a_data_error(workdir, tmp_path, capsys, field, value):
+    bundle = _fit_bundle(workdir)
+    doc = json.loads(bundle.read_text())
+    doc["calibrators"][0]["binner"][field] = value
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(
+        [
+            "eval", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
+            "--bundle", str(tampered),
+        ]
+    ) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "top1_ece" not in captured.out
 
 
 # --- eval ------------------------------------------------------------------

@@ -1,15 +1,97 @@
-"""Backend selection and parity between the compiled and numpy loops."""
-
-import os
-import subprocess
-import sys
+"""The prefix-sum alternation kernel and the segment-local seeding, each
+against its direct O(N)-per-step reference, and the one-softmax decomposition
+against the per-class one."""
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from imaxcal import kernels
-from imaxcal.synth import BinaryMixtureSpec, gen_binary_mixture
+from imaxcal.binning import _binary_entropy, _jsd_to, _seed_phis
+from imaxcal.bundle import resolve_grouping
+from imaxcal.data import (
+    PROBABILITIES,
+    BinaryCalibrationSet,
+    PredictionMatrix,
+    logit_of_prob,
+    merge_sets,
+    ovr_decompose,
+    ovr_set,
+)
+from imaxcal.synth import (
+    BinaryMixtureSpec,
+    MulticlassSynthSpec,
+    gen_binary_mixture,
+    gen_multiclass,
+)
+
+
+def _alternate_oracle(lam, sig_pos, sig_neg, is_pos, phis0, scale, bias, max_iter, tol):
+    """The alternation with per-bin sums from a bincount pass over all N
+    samples in every iteration."""
+    phis = np.array(phis0, dtype=np.float64, copy=True)
+    n = lam.shape[0]
+    m = phis.shape[0]
+    loss, hard_loss = [], []
+    edges = None
+    empty_events = 0
+    for _ in range(max_iter):
+        new_edges = kernels.edges_from_phis(phis, scale, bias)
+        movement = np.inf if edges is None else float(np.max(np.abs(new_edges - edges)))
+        edges = new_edges
+        bin_idx = np.searchsorted(edges, lam, side="right")
+        counts = np.bincount(bin_idx, minlength=m).astype(np.float64)
+        sum_pos = np.bincount(bin_idx, weights=sig_pos, minlength=m)
+        sum_neg = np.bincount(bin_idx, weights=sig_neg, minlength=m)
+        n_pos = np.bincount(bin_idx, weights=is_pos, minlength=m)
+        occupied = counts > 0.0
+        empty_events += int(m - np.count_nonzero(occupied))
+        phis = np.where(
+            occupied,
+            np.log(np.where(occupied, sum_pos, 1.0))
+            - np.log(np.where(occupied, sum_neg, 1.0)),
+            phis,
+        )
+        sp_pos = np.logaddexp(0.0, phis)
+        sp_neg = np.logaddexp(0.0, -phis)
+        loss.append(float(np.dot(sum_pos, sp_neg) + np.dot(sum_neg, sp_pos)) / n)
+        hard_loss.append(float(np.dot(n_pos, sp_neg) + np.dot(counts - n_pos, sp_pos)) / n)
+        if movement < tol:
+            break
+    return edges, phis, np.array(loss), np.array(hard_loss), len(loss), empty_events, movement
+
+
+def _seed_oracle(t_sorted, n_bins, rng):
+    """k-means++ seeding that evaluates every candidate against all samples."""
+    p = expit(t_sorted)
+    h = _binary_entropy(p)
+    n = t_sorted.shape[0]
+    n_trials = 2 + int(np.log(n_bins))
+    chosen = np.empty(n_bins)
+    first = int(rng.integers(n))
+    chosen[0] = t_sorted[first]
+    dist = _jsd_to(p, h, p[first : first + 1], h[first : first + 1])[0]
+    pot = float(dist.sum())
+    for j in range(1, n_bins):
+        draws = rng.random(n_trials) * pot
+        cand_ids = np.searchsorted(np.cumsum(dist), draws)
+        np.clip(cand_ids, None, n - 1, out=cand_ids)
+        cand_dist = np.minimum(dist, _jsd_to(p, h, p[cand_ids], h[cand_ids]))
+        cand_pot = cand_dist.sum(axis=1)
+        best = int(np.argmin(cand_pot))
+        chosen[j] = t_sorted[cand_ids[best]]
+        dist = cand_dist[best]
+        pot = float(cand_pot[best])
+    return np.sort(chosen)
+
+
+def _ovr_decompose_oracle(data, class_k):
+    """Class k's one-vs-rest set from its own softmax column."""
+    return BinaryCalibrationSet(
+        logits=logit_of_prob(data.probabilities()[:, class_k]),
+        targets=(data.labels == class_k).astype(np.int8),
+        source_classes=frozenset({class_k}),
+    )
 
 
 def _problem(seed, n=500, m=4):
@@ -23,48 +105,52 @@ def _problem(seed, n=500, m=4):
     return lam, expit(t), expit(-t), is_pos, phis0
 
 
-def test_backend_is_one_of_the_two():
-    assert kernels.BACKEND in ("compiled", "python")
+def _assert_matches_oracle(args, scale, bias, max_iter, tol):
+    got = kernels.alternate(*args, scale, bias, max_iter, tol)
+    want = _alternate_oracle(*args, scale, bias, max_iter, tol)
+    assert got[4] == want[4]  # n_pairs
+    assert got[5] == want[5]  # empty-bin events
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got[3], want[3], rtol=1e-12, atol=0)
+    assert (got[6] < tol) == (want[6] < tol)
+    return got
 
 
-def test_get_backend_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        kernels.get_backend("fortran")
+@pytest.mark.parametrize("m", [2, 4, 15])
+@pytest.mark.parametrize("seed", range(5))
+def test_alternate_matches_the_bincount_oracle(seed, m):
+    _assert_matches_oracle(_problem(seed, n=2000, m=m), 1.0, 0.0, 200, 1e-10)
 
 
-def test_env_var_forces_the_numpy_loop():
-    code = "import imaxcal.kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, IMAXCAL_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "python"
+def test_alternate_matches_the_oracle_with_scale_and_bias():
+    lam, _, _, is_pos, _ = _problem(4, n=1500, m=6)
+    t = 1.7 * (lam - 0.4)
+    phis0 = np.quantile(t, np.linspace(0.1, 0.9, 6))
+    _assert_matches_oracle((lam, expit(t), expit(-t), is_pos, phis0), 1.7, -0.4, 200, 1e-10)
 
 
-@pytest.mark.skipif(kernels.BACKEND != "compiled", reason="compiled kernel not built")
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_backends_agree(seed):
-    py_alt, _ = kernels.get_backend("python")
-    cc_alt, _ = kernels.get_backend("compiled")
-    args = _problem(seed)
-    e1, p1, l1, h1, n1, z1 = py_alt(*args, 1.0, 0.0, 200, 1e-10)
-    e2, p2, l2, h2, n2, z2 = cc_alt(*args, 1.0, 0.0, 200, 1e-10)
-    assert n1 == n2
-    assert z1 == z2
-    np.testing.assert_allclose(e1, e2, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(p1, p2, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(l1, l2, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(h1, h2, rtol=1e-12, atol=0)
+def test_alternate_matches_the_oracle_with_empty_bins():
+    # all mass far to the right of the lower phi levels leaves those bins empty
+    lam = np.linspace(5.0, 6.0, 50)
+    y = (np.arange(50) % 3 == 0).astype(np.float64)
+    phis0 = np.array([-8.0, -6.0, 5.2, 5.8])
+    got = _assert_matches_oracle((lam, expit(lam), expit(-lam), y, phis0), 1.0, 0.0, 20, 1e-10)
+    assert got[5] > 0
 
 
-@pytest.mark.skipif(kernels.BACKEND != "compiled", reason="compiled kernel not built")
-def test_edges_from_phis_agrees_across_backends():
-    phis = np.array([-2.0, -0.3, 0.1, 1.7])
-    _, py_edges = kernels.get_backend("python")
-    _, cc_edges = kernels.get_backend("compiled")
-    np.testing.assert_allclose(
-        py_edges(phis, 2.0, 0.25), cc_edges(phis, 2.0, 0.25), rtol=0, atol=1e-14
-    )
+def test_a_sample_on_an_edge_goes_right():
+    lam, sp, sn, y, phis0 = _problem(1, n=300, m=3)
+    edges = kernels.edges_from_phis(phis0, 1.0, 0.0)
+    # put samples exactly on the first-pair edges, keeping lam sorted
+    on_edge = np.sort(np.concatenate([lam, edges, edges]))
+    t = on_edge
+    y = np.concatenate([y, [1.0, 0.0, 0.0, 1.0]])
+    args = (on_edge, expit(t), expit(-t), y, phis0)
+    one = _assert_matches_oracle(args, 1.0, 0.0, 1, 1e-10)
+    np.testing.assert_array_equal(one[0], edges)
+    _assert_matches_oracle(args, 1.0, 0.0, 200, 1e-10)
 
 
 def test_edges_scale_and_bias_transform():
@@ -84,15 +170,25 @@ def test_alternate_rejects_unsorted_phis():
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_weighted_loss_trace_never_increases(seed):
     args = _problem(seed, n=800, m=6)
-    _, _, loss, _, n_pairs, _ = kernels.alternate(*args, 1.0, 0.0, 200, 1e-10)
+    _, _, loss, _, n_pairs, _, _ = kernels.alternate(*args, 1.0, 0.0, 200, 1e-10)
     assert n_pairs == loss.size
     assert np.all(np.diff(loss) <= 1e-12 + 1e-10 * np.abs(loss[:-1]))
 
 
 def test_stops_well_before_the_iteration_cap():
     args = _problem(2, n=2000, m=4)
-    _, _, loss, _, n_pairs, _ = kernels.alternate(*args, 1.0, 0.0, 200, 1e-10)
+    _, _, loss, _, n_pairs, _, movement = kernels.alternate(*args, 1.0, 0.0, 200, 1e-10)
     assert n_pairs < 200
+    assert movement < 1e-10
+
+
+def test_final_movement_reports_a_fit_stopped_at_the_cap():
+    args = _problem(2, n=2000, m=4)
+    *_, n_pairs, _, movement = kernels.alternate(*args, 1.0, 0.0, 3, 1e-10)
+    assert n_pairs == 3
+    assert 1e-10 <= movement < np.inf
+    *_, movement = kernels.alternate(*args, 1.0, 0.0, 1, 1e-10)
+    assert movement == np.inf
 
 
 def test_empty_bin_keeps_its_phi():
@@ -100,8 +196,52 @@ def test_empty_bin_keeps_its_phi():
     lam = np.linspace(5.0, 6.0, 50)
     t = lam
     phis0 = np.array([-8.0, -6.0, 5.5])
-    _, phis, _, _, _, empties = kernels.alternate(
+    _, phis, _, _, _, empties, _ = kernels.alternate(
         lam, expit(t), expit(-t), np.ones(50), phis0, 1.0, 0.0, 1, 1e-10
     )
     assert empties == 2
     assert phis[0] == -8.0 and phis[1] == -6.0
+
+
+# --- seeding ---------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [2, 4, 8, 15])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_seeding_picks_what_a_full_evaluation_picks(seed, m):
+    data = gen_multiclass(MulticlassSynthSpec(n_classes=6, n=800, t_gen=0.5, seed=seed))
+    t = np.sort(ovr_set(data.ovr_logits(), data.labels, range(6)).logits)
+    got = _seed_phis(t, m, np.random.default_rng(seed))
+    want = _seed_oracle(t, m, np.random.default_rng(seed))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_seeding_with_tied_logits_matches_the_oracle():
+    # clamped probabilities tie many logits at the same value
+    rng = np.random.default_rng(5)
+    t = np.sort(np.concatenate([np.full(300, -27.6), rng.normal(0.0, 2.0, 700)]))
+    for seed in range(3):
+        got = _seed_phis(t, 8, np.random.default_rng(seed))
+        want = _seed_oracle(t, 8, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+
+
+# --- decomposition -----------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["logits", "probs"])
+@pytest.mark.parametrize("strategy,groups", [("cw", None), ("scw", None), ("scw", 3)])
+def test_one_softmax_decomposition_is_bit_identical(kind, strategy, groups):
+    data = gen_multiclass(MulticlassSynthSpec(n_classes=7, n=600, t_gen=0.5, seed=3))
+    if kind == "probs":
+        data = PredictionMatrix(data.probabilities(), data.labels, PROBABILITIES)
+    lam = data.ovr_logits()
+    for g in resolve_grouping(data, strategy, groups).groups:
+        got = ovr_set(lam, data.labels, g)
+        want = merge_sets([_ovr_decompose_oracle(data, k) for k in g])
+        np.testing.assert_array_equal(got.logits, want.logits)
+        np.testing.assert_array_equal(got.targets, want.targets)
+        assert got.targets.dtype == want.targets.dtype
+        assert got.source_classes == want.source_classes
+    for k in range(data.n_classes):
+        np.testing.assert_array_equal(
+            ovr_decompose(data, k).logits, _ovr_decompose_oracle(data, k).logits
+        )
