@@ -144,6 +144,8 @@ class Binner:
         missing = set(_BINNER_JSON_FIELDS) - set(payload)
         if missing:
             raise DataError(f"missing binner fields: {sorted(missing)}")
+        if payload["method"] not in (METHOD_EQ_SIZE, METHOD_EQ_MASS, METHOD_IMAX):
+            raise DataError(f"unknown binning method {payload['method']!r}")
         try:
             return cls(
                 edges=np.asarray(payload["edges"], dtype=np.float64),

@@ -164,13 +164,18 @@ class CalibratorBundle:
             _GROUPING_FIELDS
         ):
             raise DataError("bundle grouping must have exactly mode and groups")
-        grouping = ClassGrouping(
-            groups=tuple(tuple(g) for g in grouping_payload["groups"]),
-            mode=grouping_payload["mode"],
-            n_classes=int(payload["n_classes"]),
-        )
+        try:
+            n_classes = int(payload["n_classes"])
+            grouping = ClassGrouping(
+                groups=tuple(tuple(g) for g in grouping_payload["groups"]),
+                mode=grouping_payload["mode"],
+                n_classes=n_classes,
+            )
+            calibrator_payloads = list(payload["calibrators"])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed bundle: {exc}") from exc
         calibrators = []
-        for cal in payload["calibrators"]:
+        for cal in calibrator_payloads:
             if not isinstance(cal, dict):
                 raise DataError("calibrator entries must be objects")
             unknown = set(cal) - set(_CALIBRATOR_FIELDS)
@@ -179,9 +184,13 @@ class CalibratorBundle:
             missing = set(_CALIBRATOR_FIELDS) - set(cal)
             if missing:
                 raise DataError(f"missing calibrator fields: {sorted(missing)}")
+            try:
+                classes = tuple(int(c) for c in cal["classes"])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"malformed calibrator classes: {exc}") from exc
             calibrators.append(
                 GroupCalibrator(
-                    classes=tuple(cal["classes"]),
+                    classes=classes,
                     binner=None
                     if cal["binner"] is None
                     else Binner.from_dict(cal["binner"]),
@@ -195,7 +204,7 @@ class CalibratorBundle:
             raise DataError("bundle provenance must be an object")
         return cls(
             strategy=payload["strategy"],
-            n_classes=int(payload["n_classes"]),
+            n_classes=n_classes,
             input_kind=payload["input_kind"],
             grouping=grouping,
             calibrators=calibrators,

@@ -8,6 +8,7 @@ failure. Diagnostics go to stderr as single-line key=value records.
 
 import json
 import sys
+import time
 
 import click
 import numpy as np
@@ -33,6 +34,7 @@ from .metrics import (
     THRESHOLD_ZERO,
     TIE_CLASS_INDEX,
     TIE_RAW_LOGIT,
+    RowStats,
     build_report,
 )
 
@@ -98,12 +100,25 @@ def _read_labels(path, n_expected=None) -> np.ndarray:
     return labels
 
 
+_WRITE_BLOCK_CELLS = 1 << 16
+
+
 def _write_matrix(path, matrix):
+    """Headerless CSV with every value written by repr, so it round-trips.
+
+    Each block of rows formats each distinct value once: calibrated
+    matrices hold few distinct values. Values are told apart by their bits,
+    so -0.0 keeps its own text.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
+    block = max(1, _WRITE_BLOCK_CELLS // max(1, matrix.shape[1]))
     with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        for start in range(0, matrix.shape[0], block):
+            bits = np.ascontiguousarray(matrix[start : start + block]).view(np.uint64)
+            keys, inverse = np.unique(bits, return_inverse=True)
+            text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+            rows = text[inverse.reshape(bits.shape)].tolist()
+            fh.write("".join([",".join(row) + "\n" for row in rows]))
 
 
 def _write_labels(path, labels):
@@ -415,9 +430,9 @@ def cmd_eval(
             scheme = SCHEME_EXACT if fitted.has_binners() else SCHEME_EQ_SIZE
     else:
         calibrated = scores
-        if calibrated.min() < 0.0 or calibrated.max() > 1.0:
+        if not np.all((calibrated >= 0.0) & (calibrated <= 1.0)):
             raise DataError(
-                "scores outside [0, 1]; pass --bundle to calibrate raw scores"
+                "scores non-finite or outside [0, 1]; pass --bundle to calibrate raw scores"
             )
         if raw_scores is not None:
             raw = _read_matrix(raw_scores)
@@ -427,9 +442,8 @@ def cmd_eval(
     if tie == TIE_RAW_LOGIT and raw is None:
         raise DataError("raw-logit tie break needs --bundle or --raw-scores")
 
-    reports = []
-    for nb in bins_list:
-        cfg = EvalConfig(
+    configs = [
+        EvalConfig(
             eval_scheme=scheme,
             n_eval_bins=nb,
             cw_thresholds=tuple(thresholds),
@@ -438,7 +452,24 @@ def cmd_eval(
             bootstrap=bootstrap,
             seed=seed,
         )
-        reports.append(build_report(calibrated, labels, cfg, raw_scores=raw))
+        for nb in bins_list
+    ]
+    started = time.perf_counter()
+    stats = RowStats(calibrated, labels, tie, raw)
+    stats.ranking()  # once, for every report below
+    ranked = time.perf_counter()
+    reports = [
+        build_report(calibrated, labels, cfg, raw_scores=raw, stats=stats) for cfg in configs
+    ]
+    diag(
+        event="eval",
+        n=stats.n,
+        k=stats.k,
+        reports=",".join(str(nb) for nb in bins_list),
+        bootstrap=bootstrap,
+        rank_s=f"{ranked - started:.3f}",
+        report_s=f"{time.perf_counter() - ranked:.3f}",
+    )
 
     for rep in reports:
         if len(reports) > 1:

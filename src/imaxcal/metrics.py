@@ -7,13 +7,14 @@ the reported number is the kept-count-weighted mean absolute gap between
 group accuracy and group confidence.
 """
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import xlogy
 
-from .data import logit_of_prob
+from .data import PROB_EPS, logit_of_prob
 from .errors import DataError, FitError
 
 SCHEME_EQ_SIZE = "eq_size"
@@ -72,7 +73,7 @@ class EvalConfig:
 
 
 def _check_calibrated(calibrated, labels):
-    calibrated = np.asarray(calibrated, dtype=np.float64)
+    calibrated = np.ascontiguousarray(calibrated, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if calibrated.ndim != 2:
         raise DataError("calibrated scores must be 2-D")
@@ -80,9 +81,84 @@ def _check_calibrated(calibrated, labels):
         raise DataError("labels length does not match calibrated scores")
     if calibrated.shape[0] == 0:
         raise DataError("empty evaluation set")
-    if calibrated.min() < 0.0 or calibrated.max() > 1.0:
-        raise DataError("calibrated scores must lie in [0, 1]")
+    if not np.all((calibrated >= 0.0) & (calibrated <= 1.0)):
+        raise DataError("calibrated scores must be finite and lie in [0, 1]")
+    if labels.min() < 0 or labels.max() >= calibrated.shape[1]:
+        raise DataError(f"labels must lie in [0, {calibrated.shape[1]})")
     return calibrated, labels
+
+
+class RowStats:
+    """Per-row statistics of one calibrated matrix, computed once.
+
+    A metric pass reads them at the pass's rows: every row for the full
+    pass, the draws of a resample for a bootstrap replicate (see take).
+    Sums whose order matters gather per-row arrays at the rows, in draw
+    order. Exact grouping needs only how often each row is drawn. A row's
+    ranking does not depend on which rows are drawn, so the matrix is ranked
+    at most once, on first use, and each column is sorted into its distinct
+    values at most once; every RowStats made by take shares those results.
+    """
+
+    def __init__(self, calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
+        self.calibrated, self.labels = _check_calibrated(calibrated, labels)
+        self.n, self.k = self.calibrated.shape
+        self.tie_break = tie_break
+        self.raw_scores = raw_scores
+        self.rows = np.arange(self.n)
+        q_true = self.calibrated[self.rows, self.labels]
+        self.nll_terms = -np.log(np.clip(q_true, PROB_EPS, 1.0))
+        self.brier_terms = np.sum(self.calibrated**2, axis=1) - 2.0 * q_true + 1.0
+        self._weights = None
+        self._shared = {}
+
+    def take(self, rows):
+        """The same statistics over rows, indices into the full matrix."""
+        sample = copy.copy(self)
+        sample.rows = rows
+        sample._weights = None
+        return sample
+
+    def weights(self):
+        """How often each row of the full matrix is drawn in this pass."""
+        if self._weights is None:
+            self._weights = np.bincount(self.rows, minlength=self.n).astype(np.float64)
+        return self._weights
+
+    def ranking(self):
+        """(top-1 confidence, top-1 correct as 0/1, rank of the true label)
+        for every row of the full matrix."""
+        if "ranking" not in self._shared:
+            order = ranked_classes(self.calibrated, self.tie_break, self.raw_scores)
+            top = order[:, 0]
+            self._shared["ranking"] = (
+                self.calibrated[np.arange(self.n), top],
+                (top == self.labels).astype(np.float64),
+                np.argmax(order == self.labels[:, None], axis=1),
+            )
+        return self._shared["ranking"]
+
+    def exact_groups(self, key):
+        """Exact grouping of class key's column against the label being key,
+        or of the top-1 confidence against top-1 correctness for key "top1":
+        (distinct values ascending, np.unique inverse, rows whose target is
+        1, their inverse)."""
+        if key not in self._shared:
+            if key == "top1":
+                conf, correct, _ = self.ranking()
+                values, hit = conf, correct > 0.0
+            else:
+                values, hit = self.calibrated[:, key], self.labels == key
+            distinct, inverse = np.unique(values, return_inverse=True)
+            hit_rows = np.flatnonzero(hit)
+            self._shared[key] = (distinct, inverse, hit_rows, inverse[hit_rows])
+        return self._shared[key]
+
+
+def _row_stats(calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
+    if isinstance(calibrated, RowStats):
+        return calibrated
+    return RowStats(calibrated, labels, tie_break, raw_scores)
 
 
 def ranked_classes(calibrated, tie_break=TIE_CLASS_INDEX, raw_scores=None):
@@ -110,12 +186,14 @@ def ranked_classes(calibrated, tie_break=TIE_CLASS_INDEX, raw_scores=None):
 def accuracy_topk(
     calibrated, labels, k=1, tie_break=TIE_CLASS_INDEX, raw_scores=None
 ) -> float:
-    """Fraction of samples whose label ranks in the top k classes."""
-    calibrated, labels = _check_calibrated(calibrated, labels)
-    order = ranked_classes(calibrated, tie_break, raw_scores)
-    kk = min(int(k), calibrated.shape[1])
-    hits = np.any(order[:, :kk] == labels[:, None], axis=1)
-    return float(np.mean(hits))
+    """Fraction of samples whose label ranks in the top k classes.
+
+    calibrated may also be a RowStats, which carries its labels and ranking
+    and scores its own rows.
+    """
+    stats = _row_stats(calibrated, labels, tie_break, raw_scores)
+    label_rank = stats.ranking()[2][stats.rows]
+    return float(np.mean(label_rank < min(int(k), stats.k)))
 
 
 def _kmeans_1d(values, n_bins, seed, max_iter=100, tol=1e-10):
@@ -191,40 +269,59 @@ def eval_bin_edges(values, scheme, n_bins, seed=0, targets=None):
     raise DataError(f"unknown eval scheme {scheme!r}")
 
 
-def _grouped_gap(conf, correct, cfg, targets_for_edges=None):
-    """Weighted mean |group accuracy - group confidence| under cfg's scheme."""
-    n = conf.shape[0]
-    if cfg.eval_scheme == SCHEME_EXACT:
-        _, inverse, counts = np.unique(conf, return_inverse=True, return_counts=True)
-        acc = np.bincount(inverse, weights=correct) / counts
-        avg_conf = np.bincount(inverse, weights=conf) / counts
-    else:
-        edges = eval_bin_edges(
-            conf,
-            cfg.eval_scheme,
-            cfg.n_eval_bins,
-            seed=cfg.seed,
-            targets=correct if targets_for_edges is None else targets_for_edges,
-        )
-        idx = np.searchsorted(edges, conf, side="right")
-        m = len(edges) + 1
-        counts = np.bincount(idx, minlength=m)
-        keep = counts > 0
-        acc = (np.bincount(idx, weights=correct, minlength=m) / np.maximum(counts, 1))[keep]
-        avg_conf = (np.bincount(idx, weights=conf, minlength=m) / np.maximum(counts, 1))[keep]
-        counts = counts[keep]
-    return float(np.sum(counts / n * np.abs(acc - avg_conf)))
+def _binned_gap(conf, correct, cfg):
+    """Weighted mean |bin accuracy - bin confidence| between cfg's edges."""
+    edges = eval_bin_edges(
+        conf, cfg.eval_scheme, cfg.n_eval_bins, seed=cfg.seed, targets=correct
+    )
+    idx = np.searchsorted(edges, conf, side="right")
+    counts = np.bincount(idx)
+    keep = counts > 0
+    counts = counts[keep]
+    acc = np.bincount(idx, weights=correct)[keep] / counts
+    avg_conf = np.bincount(idx, weights=conf)[keep] / counts
+    return float(np.sum(counts / conf.shape[0] * np.abs(acc - avg_conf)))
+
+
+def _exact_gap(stats, key, threshold=None):
+    """Exact-grouping gap of stats' pass over the values of key (see
+    RowStats.exact_groups) strictly above threshold, and how many drawn
+    rows that keeps.
+
+    Counts come from the pass's draw counts and are exact integers. Every
+    member of a group has the group's value, so summing a group's
+    confidences in draw order adds that one value once per member: the sum
+    depends only on value and count, and is formed here the same way.
+    """
+    values, inverse, hit_rows, hit_inverse = stats.exact_groups(key)
+    first = 0 if threshold is None else np.searchsorted(values, threshold, side="right")
+    w = stats.weights()
+    counts = np.bincount(inverse, weights=w, minlength=values.size)[first:]
+    hits = np.bincount(hit_inverse, weights=w[hit_rows], minlength=values.size)[first:]
+    keep = counts > 0
+    counts, hits, values = counts[keep], hits[keep], values[first:][keep]
+    n_kept = counts.sum()
+    if n_kept == 0:
+        return 0.0, 0
+    members = counts.astype(np.int64)
+    conf_sums = np.bincount(
+        np.repeat(np.arange(members.size), members), weights=np.repeat(values, members)
+    )
+    gap = np.sum(counts / n_kept * np.abs(hits / counts - conf_sums / counts))
+    return float(gap), int(n_kept)
 
 
 def top1_ece(calibrated, labels, cfg: EvalConfig | None = None, raw_scores=None) -> float:
-    """ECE of the top-label confidence under the configured scheme."""
+    """ECE of the top-label confidence under the configured scheme.
+
+    calibrated may also be a RowStats, as in accuracy_topk.
+    """
     cfg = cfg if cfg is not None else EvalConfig()
-    calibrated, labels = _check_calibrated(calibrated, labels)
-    order = ranked_classes(calibrated, cfg.tie_break, raw_scores)
-    top = order[:, 0]
-    conf = calibrated[np.arange(calibrated.shape[0]), top]
-    correct = (top == labels).astype(np.float64)
-    return _grouped_gap(conf, correct, cfg)
+    stats = _row_stats(calibrated, labels, cfg.tie_break, raw_scores)
+    if cfg.eval_scheme == SCHEME_EXACT:
+        return _exact_gap(stats, "top1")[0]
+    conf, correct, _ = stats.ranking()
+    return _binned_gap(conf[stats.rows], correct[stats.rows], cfg)
 
 
 def resolve_threshold(thr, class_k, n_classes, priors):
@@ -260,51 +357,55 @@ def cw_ece(calibrated, labels, cfg: EvalConfig | None = None, threshold=None) ->
     the threshold are kept and grouped under cfg's scheme; the class ECE
     normalizes by the kept count. Classes with nothing kept contribute 0
     to the mean over all K classes and are counted in the diagnostics.
+    calibrated may also be a RowStats, as in accuracy_topk.
     """
     cfg = cfg if cfg is not None else EvalConfig()
-    calibrated, labels = _check_calibrated(calibrated, labels)
+    stats = _row_stats(calibrated, labels)
     if threshold is None:
         threshold = cfg.cw_thresholds[0]
-    n, k = calibrated.shape
-    priors = np.array([np.mean(labels == c) for c in range(k)])
+    rows = stats.rows
+    k = stats.k
+    labels = stats.labels[rows]
+    priors = np.bincount(labels, minlength=k) / rows.size
 
     per_class = np.zeros(k)
     kept_counts = np.zeros(k, dtype=np.int64)
-    zero_kept = 0
     for c in range(k):
         thr = resolve_threshold(threshold, c, k, priors)
-        conf = calibrated[:, c]
-        kept = conf > thr
-        kept_counts[c] = int(kept.sum())
-        if kept_counts[c] == 0:
-            zero_kept += 1
+        if cfg.eval_scheme == SCHEME_EXACT:
+            per_class[c], kept_counts[c] = _exact_gap(stats, c, thr)
             continue
-        hit = (labels[kept] == c).astype(np.float64)
-        per_class[c] = _grouped_gap(conf[kept], hit, cfg)
+        conf = stats.calibrated[:, c][rows]
+        kept = conf > thr
+        kept_counts[c] = np.count_nonzero(kept)
+        if kept_counts[c]:
+            hit = (labels[kept] == c).astype(np.float64)
+            per_class[c] = _binned_gap(conf[kept], hit, cfg)
     return CwEceResult(
         mean=float(per_class.mean()),
         per_class=per_class,
         kept_counts=kept_counts,
-        zero_kept_classes=zero_kept,
+        zero_kept_classes=int(np.count_nonzero(kept_counts == 0)),
         threshold=threshold,
     )
 
 
 def nll(calibrated, labels) -> float:
-    """Mean negative log-likelihood of the labeled class (clamped)."""
-    from .data import PROB_EPS
+    """Mean negative log-likelihood of the labeled class (clamped).
 
-    calibrated, labels = _check_calibrated(calibrated, labels)
-    q = np.clip(calibrated[np.arange(calibrated.shape[0]), labels], PROB_EPS, 1.0)
-    return float(np.mean(-np.log(q)))
+    calibrated may also be a RowStats, as in accuracy_topk.
+    """
+    stats = _row_stats(calibrated, labels)
+    return float(np.mean(stats.nll_terms[stats.rows]))
 
 
 def brier(calibrated, labels) -> float:
-    """Mean squared distance to the one-hot label, rows not renormalized."""
-    calibrated, labels = _check_calibrated(calibrated, labels)
-    n = calibrated.shape[0]
-    q_true = calibrated[np.arange(n), labels]
-    return float(np.mean(np.sum(calibrated**2, axis=1) - 2.0 * q_true + 1.0))
+    """Mean squared distance to the one-hot label, rows not renormalized.
+
+    calibrated may also be a RowStats, as in accuracy_topk.
+    """
+    stats = _row_stats(calibrated, labels)
+    return float(np.mean(stats.brier_terms[stats.rows]))
 
 
 def mi_from_joint(joint) -> float:
@@ -339,6 +440,20 @@ class BootstrapResult:
     degenerate: bool = False
 
 
+def _resample(metric_fn, n_samples, n_resamples, seed):
+    """metric_fn's value on each of n_resamples draws with replacement.
+
+    The one bootstrap draw path: resample i is the i-th
+    rng.integers(0, n_samples, size=n_samples) of default_rng(seed).
+    """
+    if n_resamples < 1:
+        raise DataError("need at least one bootstrap resample")
+    rng = np.random.default_rng(seed)
+    return [
+        metric_fn(rng.integers(0, n_samples, size=n_samples)) for _ in range(n_resamples)
+    ]
+
+
 def bootstrap_metric(metric_fn, n_samples, n_resamples, seed=0) -> BootstrapResult:
     """Resample-with-replacement dispersion of a metric closure.
 
@@ -346,15 +461,7 @@ def bootstrap_metric(metric_fn, n_samples, n_resamples, seed=0) -> BootstrapResu
     single resample the std is undefined and reported as 0 with the
     degenerate flag set.
     """
-    if n_resamples < 1:
-        raise DataError("need at least one bootstrap resample")
-    rng = np.random.default_rng(seed)
-    vals = np.array(
-        [
-            float(metric_fn(rng.integers(0, n_samples, size=n_samples)))
-            for _ in range(n_resamples)
-        ]
-    )
+    vals = np.array([float(v) for v in _resample(metric_fn, n_samples, n_resamples, seed)])
     if n_resamples == 1:
         return BootstrapResult(float(vals[0]), 0.0, 1, degenerate=True)
     return BootstrapResult(float(vals.mean()), float(vals.std(ddof=1)), n_resamples)
@@ -440,47 +547,52 @@ def threshold_label(thr) -> str:
     return thr if isinstance(thr, str) else repr(float(thr))
 
 
-def build_report(calibrated, labels, cfg: EvalConfig, raw_scores=None) -> MetricReport:
-    """Compute the full metric set, with optional bootstrap dispersion."""
-    calibrated, labels = _check_calibrated(calibrated, labels)
-    raw = None if raw_scores is None else np.asarray(raw_scores, dtype=np.float64)
+def _metric_pass(stats, cfg):
+    """Every metric of one pass over stats' rows, by report name, plus the
+    class-wise results by threshold label."""
+    values = {f"acc_top{k}": accuracy_topk(stats, None, k) for k in cfg.top_k}
+    values["top1_ece"] = top1_ece(stats, None, cfg)
+    cw = {threshold_label(thr): cw_ece(stats, None, cfg, thr) for thr in cfg.cw_thresholds}
+    for label, res in cw.items():
+        values[f"cw_ece[{label}]"] = res.mean
+    values["nll"] = nll(stats, None)
+    values["brier"] = brier(stats, None)
+    return values, cw
 
-    def compute(idx):
-        cal = calibrated[idx]
-        lab = labels[idx]
-        rw = None if raw is None else raw[idx]
-        rep = {}
-        for k in cfg.top_k:
-            rep[f"acc_top{k}"] = accuracy_topk(cal, lab, k, cfg.tie_break, rw)
-        rep["top1_ece"] = top1_ece(cal, lab, cfg, rw)
-        for thr in cfg.cw_thresholds:
-            rep[f"cw_ece[{threshold_label(thr)}]"] = cw_ece(cal, lab, cfg, thr).mean
-        rep["nll"] = nll(cal, lab)
-        rep["brier"] = brier(cal, lab)
-        return rep
 
+def build_report(
+    calibrated, labels, cfg: EvalConfig, raw_scores=None, stats: RowStats | None = None
+) -> MetricReport:
+    """Compute the full metric set, with optional bootstrap dispersion.
+
+    stats, when given, is the RowStats of calibrated and labels under cfg's
+    tie break; reports that differ only in other settings can share it, and
+    with it one ranking.
+    """
+    if stats is None:
+        stats = RowStats(calibrated, labels, cfg.tie_break, raw_scores)
+    values, cw = _metric_pass(stats, cfg)
     report = MetricReport(
-        n_samples=calibrated.shape[0], n_classes=calibrated.shape[1], config=cfg
+        n_samples=stats.n,
+        n_classes=stats.k,
+        config=cfg,
+        accuracy={k: values[f"acc_top{k}"] for k in cfg.top_k},
+        top1=values["top1_ece"],
+        cw=cw,
+        nll_value=values["nll"],
+        brier_value=values["brier"],
     )
-    for k in cfg.top_k:
-        report.accuracy[k] = accuracy_topk(calibrated, labels, k, cfg.tie_break, raw)
-    report.top1 = top1_ece(calibrated, labels, cfg, raw)
-    for thr in cfg.cw_thresholds:
-        report.cw[threshold_label(thr)] = cw_ece(calibrated, labels, cfg, thr)
-    report.nll_value = nll(calibrated, labels)
-    report.brier_value = brier(calibrated, labels)
-
     if cfg.bootstrap > 0:
-        rng = np.random.default_rng(cfg.seed)
-        n = calibrated.shape[0]
-        samples = {}
-        for _ in range(cfg.bootstrap):
-            idx = rng.integers(0, n, size=n)
-            for name, val in compute(idx).items():
-                samples.setdefault(name, []).append(val)
-        degenerate = cfg.bootstrap == 1
+        replicates = _resample(
+            lambda rows: _metric_pass(stats.take(rows), cfg)[0],
+            stats.n,
+            cfg.bootstrap,
+            cfg.seed,
+        )
         report.bootstrap_std = {
-            name: (0.0 if degenerate else float(np.std(vals, ddof=1)))
-            for name, vals in samples.items()
+            name: 0.0
+            if cfg.bootstrap == 1
+            else float(np.std([rep[name] for rep in replicates], ddof=1))
+            for name in replicates[0]
         }
     return report

@@ -283,7 +283,12 @@ def test_apply_error_paths(workdir, tmp_path):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("reps", [float("nan")] * 8), ("iterations", None), ("edges", ["a"] * 7)],
+    [
+        ("reps", [float("nan")] * 8),
+        ("iterations", None),
+        ("edges", ["a"] * 7),
+        ("method", "bogus"),
+    ],
 )
 def test_a_malformed_binner_is_a_data_error(workdir, tmp_path, capsys, field, value):
     bundle = _fit_bundle(workdir)
@@ -301,6 +306,28 @@ def test_a_malformed_binner_is_a_data_error(workdir, tmp_path, capsys, field, va
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert "top1_ece" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda doc: doc.update(n_classes="x"), id="n_classes"),
+        pytest.param(lambda doc: doc.update(calibrators=None), id="calibrators"),
+        pytest.param(lambda doc: doc["grouping"].update(groups=3), id="groups"),
+        pytest.param(lambda doc: doc["calibrators"][0].update(classes=3), id="classes"),
+    ],
+)
+def test_a_malformed_bundle_is_a_data_error(workdir, tmp_path, capsys, mutate):
+    doc = json.loads(_fit_bundle(workdir).read_text())
+    mutate(doc)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(
+        ["apply", str(tampered), str(workdir / "mc-scores.csv"), "-o", str(tmp_path / "c.csv")]
+    ) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 # --- eval ------------------------------------------------------------------
@@ -322,10 +349,19 @@ def test_eval_defaults_without_a_bundle(workdir, tmp_path, capsys):
     assert set(doc["accuracy"]) == {"top1", "top5"}
 
 
-def test_eval_rejects_uncalibrated_scores(workdir, tmp_path):
+def test_eval_rejects_uncalibrated_scores(workdir, tmp_path, capsys):
     assert main(
         ["eval", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
     ) == 3
+    # one NaN cell in otherwise calibrated scores
+    cal = np.full((400, 5), 0.2)
+    cal[7, 2] = np.nan
+    np.savetxt(tmp_path / "nan.csv", cal, delimiter=",")
+    capsys.readouterr()
+    assert main(["eval", str(tmp_path / "nan.csv"), str(workdir / "mc-labels.csv")]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "top1_ece" not in captured.out
 
 
 def test_eval_through_a_bundle_defaults_to_exact_grouping(workdir, tmp_path):
@@ -354,6 +390,43 @@ def test_eval_bin_sweep_is_flat_under_exact_grouping(workdir, tmp_path, capsys):
     assert isinstance(docs, list) and len(docs) == 2
     assert docs[0]["top1_ece"] == docs[1]["top1_ece"]
     assert "# eval_bins=10" in capsys.readouterr().out
+
+
+def test_eval_bin_sweep_equals_single_bin_runs(workdir, tmp_path):
+    bundle = _fit_bundle(workdir)
+    cal = tmp_path / "cal.csv"
+    assert main(["apply", str(bundle), str(workdir / "mc-scores.csv"), "-o", str(cal)]) == 0
+    common = ["eval", str(cal), str(workdir / "mc-labels.csv"), "--bootstrap", "3",
+              "--cw-threshold", "prior,zero"]
+    assert main([*common, "-o", str(tmp_path / "sweep.json"),
+                 "--eval-bins", "10", "--eval-bins", "100"]) == 0
+    singles = []
+    for bins in ("10", "100"):
+        assert main([*common, "-o", str(tmp_path / "one.json"), "--eval-bins", bins]) == 0
+        singles.append(json.loads((tmp_path / "one.json").read_text()))
+    assert json.loads((tmp_path / "sweep.json").read_text()) == singles
+
+
+def test_eval_reports_its_timing_on_stderr(workdir, tmp_path, capsys):
+    bundle = _fit_bundle(workdir)
+    capsys.readouterr()
+    assert main(
+        [
+            "eval", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
+            "--bundle", str(bundle), "--bootstrap", "2",
+            "--eval-bins", "10", "--eval-bins", "100",
+        ]
+    ) == 0
+    captured = capsys.readouterr()
+    lines = [l for l in captured.err.splitlines() if l.startswith("event=eval ")]
+    assert len(lines) == 1 and DIAG_LINE.match(lines[0]), captured.err
+    fields = dict(token.split("=", 1) for token in lines[0].split())
+    assert set(fields) == {"event", "n", "k", "reports", "bootstrap", "rank_s", "report_s"}
+    assert (fields["n"], fields["k"], fields["reports"], fields["bootstrap"]) == (
+        "400", "5", "10,100", "2",
+    )
+    assert float(fields["rank_s"]) >= 0.0 and float(fields["report_s"]) >= 0.0
+    assert "rank_s" not in captured.out
 
 
 def test_eval_threshold_and_topk_flags(workdir, tmp_path):
@@ -458,6 +531,31 @@ def test_mi_report_file_output(workdir, tmp_path):
 
 
 # --- plumbing --------------------------------------------------------------------
+
+def _write_matrix_by_rows(path, matrix):
+    """The row loop the block writer replaced, kept as its reference."""
+    with open(path, "w") as fh:
+        for row in np.asarray(matrix, dtype=np.float64):
+            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write("\n")
+
+
+def test_matrix_writer_matches_the_row_loop(tmp_path, monkeypatch):
+    from imaxcal import cli
+
+    special = np.array([-0.0, 0.0, 5e-324, 1e-300, 0.1 + 0.2, 0.3, 1.0, -1.5e16, 2.0**-1074])
+    tricky = special[np.random.default_rng(0).integers(0, special.size, size=(25, 3))]
+    tricky[0] = [-0.0, 0.0, 5e-324]
+    distinct = np.random.default_rng(1).normal(size=(30_000, 3)) * 10.0 ** np.arange(-3, 3, 2)
+    for name, matrix, cells in (("tricky", tricky, 7), ("distinct", distinct, None)):
+        if cells is not None:
+            monkeypatch.setattr(cli, "_WRITE_BLOCK_CELLS", cells)  # blocks of 2 rows
+        cli._write_matrix(tmp_path / f"{name}.csv", matrix)
+        _write_matrix_by_rows(tmp_path / f"{name}-rows.csv", matrix)
+        written = (tmp_path / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}-rows.csv").read_bytes()
+        monkeypatch.undo()
+    assert (tmp_path / "tricky.csv").read_text().startswith("-0.0,0.0,5e-324\n")
 
 def test_stderr_stays_machine_readable(workdir, tmp_path, capsys):
     capsys.readouterr()  # drop anything buffered so far

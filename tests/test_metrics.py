@@ -20,6 +20,7 @@ from imaxcal.metrics import (
     THRESHOLD_ZERO,
     TIE_CLASS_INDEX,
     TIE_RAW_LOGIT,
+    RowStats,
     accuracy_topk,
     bootstrap_metric,
     brier,
@@ -30,6 +31,8 @@ from imaxcal.metrics import (
     mi_of_quantizer,
     nll,
     ranked_classes,
+    resolve_threshold,
+    threshold_label,
     top1_ece,
 )
 from imaxcal.synth import BinaryMixtureSpec, gen_binary_mixture
@@ -353,3 +356,185 @@ def test_report_text_mentions_the_headline_metrics():
     text = build_report(cal, labels, EvalConfig()).to_text()
     for needle in ("top1_ece", "nll", "brier", "acc_top1"):
         assert needle in text
+
+
+# --- oracle: the per-resample report that ranked every resample's matrix ----
+
+def _oracle_check(calibrated, labels):
+    calibrated = np.asarray(calibrated, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    return calibrated, labels
+
+
+def _oracle_accuracy(calibrated, labels, k, tie_break, raw_scores):
+    calibrated, labels = _oracle_check(calibrated, labels)
+    order = ranked_classes(calibrated, tie_break, raw_scores)
+    kk = min(int(k), calibrated.shape[1])
+    return float(np.mean(np.any(order[:, :kk] == labels[:, None], axis=1)))
+
+
+def _oracle_grouped_gap(conf, correct, cfg):
+    n = conf.shape[0]
+    if cfg.eval_scheme == SCHEME_EXACT:
+        _, inverse, counts = np.unique(conf, return_inverse=True, return_counts=True)
+        acc = np.bincount(inverse, weights=correct) / counts
+        avg_conf = np.bincount(inverse, weights=conf) / counts
+    else:
+        edges = eval_bin_edges(
+            conf, cfg.eval_scheme, cfg.n_eval_bins, seed=cfg.seed, targets=correct
+        )
+        idx = np.searchsorted(edges, conf, side="right")
+        m = len(edges) + 1
+        counts = np.bincount(idx, minlength=m)
+        keep = counts > 0
+        acc = (np.bincount(idx, weights=correct, minlength=m) / np.maximum(counts, 1))[keep]
+        avg_conf = (np.bincount(idx, weights=conf, minlength=m) / np.maximum(counts, 1))[keep]
+        counts = counts[keep]
+    return float(np.sum(counts / n * np.abs(acc - avg_conf)))
+
+
+def _oracle_top1(calibrated, labels, cfg, raw_scores):
+    calibrated, labels = _oracle_check(calibrated, labels)
+    top = ranked_classes(calibrated, cfg.tie_break, raw_scores)[:, 0]
+    conf = calibrated[np.arange(calibrated.shape[0]), top]
+    return _oracle_grouped_gap(conf, (top == labels).astype(np.float64), cfg)
+
+
+def _oracle_cw(calibrated, labels, cfg, threshold):
+    calibrated, labels = _oracle_check(calibrated, labels)
+    k = calibrated.shape[1]
+    priors = np.array([np.mean(labels == c) for c in range(k)])
+    per_class = np.zeros(k)
+    kept_counts = np.zeros(k, dtype=np.int64)
+    for c in range(k):
+        conf = calibrated[:, c]
+        kept = conf > resolve_threshold(threshold, c, k, priors)
+        kept_counts[c] = int(kept.sum())
+        if kept_counts[c]:
+            hit = (labels[kept] == c).astype(np.float64)
+            per_class[c] = _oracle_grouped_gap(conf[kept], hit, cfg)
+    return float(per_class.mean()), per_class, kept_counts
+
+
+def _oracle_report(calibrated, labels, cfg, raw=None):
+    """Every point value and bootstrap std, each resample ranked afresh."""
+
+    def compute(idx):
+        cal, lab = calibrated[idx], labels[idx]
+        rw = None if raw is None else raw[idx]
+        rep = {}
+        for k in cfg.top_k:
+            rep[f"acc_top{k}"] = _oracle_accuracy(cal, lab, k, cfg.tie_break, rw)
+        rep["top1_ece"] = _oracle_top1(cal, lab, cfg, rw)
+        for thr in cfg.cw_thresholds:
+            rep[f"cw_ece[{threshold_label(thr)}]"] = _oracle_cw(cal, lab, cfg, thr)[0]
+        q_true = cal[np.arange(len(lab)), lab]
+        rep["nll"] = float(np.mean(-np.log(np.clip(q_true, 1e-12, 1.0))))
+        rep["brier"] = float(np.mean(np.sum(cal**2, axis=1) - 2.0 * q_true + 1.0))
+        return rep
+
+    point = compute(np.arange(len(labels)))
+    cw = {
+        threshold_label(thr): _oracle_cw(calibrated, labels, cfg, thr)
+        for thr in cfg.cw_thresholds
+    }
+    std = {}
+    if cfg.bootstrap > 0:
+        rng = np.random.default_rng(cfg.seed)
+        samples = {}
+        for _ in range(cfg.bootstrap):
+            idx = rng.integers(0, len(labels), size=len(labels))
+            for name, val in compute(idx).items():
+                samples.setdefault(name, []).append(val)
+        std = {
+            name: (0.0 if cfg.bootstrap == 1 else float(np.std(vals, ddof=1)))
+            for name, vals in samples.items()
+        }
+    return point, cw, std
+
+
+def _oracle_inputs(tied):
+    rng = np.random.default_rng(21)
+    n, k = 600, 6
+    raw = rng.normal(size=(n, k))
+    labels = rng.integers(0, k, size=n)
+    if tied:
+        # few distinct levels, as a binning calibrator outputs, with ties
+        # inside rows, exact zeros and a negative zero
+        levels = np.array([-0.0, 0.0, 0.05, 0.1, 0.1 + 0.2, 0.5, 0.9, 1.0])
+        cal = levels[rng.integers(0, levels.size, size=(n, k))]
+        cal[:, 1] = cal[:, 2]
+    else:
+        cal = rng.dirichlet(np.ones(k), size=n)
+    return cal, labels, raw
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+@pytest.mark.parametrize("scheme", [SCHEME_EQ_SIZE, SCHEME_EQ_MASS, SCHEME_KMEANS, SCHEME_EXACT])
+@pytest.mark.parametrize("tie_break", [TIE_CLASS_INDEX, TIE_RAW_LOGIT])
+@pytest.mark.parametrize("bootstrap", [1, 2, 7])
+def test_report_equals_the_per_resample_oracle(tied, scheme, tie_break, bootstrap):
+    cal, labels, raw = _oracle_inputs(tied)
+    cfg = EvalConfig(
+        eval_scheme=scheme,
+        n_eval_bins=7,
+        cw_thresholds=(THRESHOLD_CLASS_PRIOR, THRESHOLD_ONE_OVER_K, THRESHOLD_ZERO, 0.3),
+        top_k=(1, 5, 9),
+        tie_break=tie_break,
+        bootstrap=bootstrap,
+        seed=3,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # eq_mass collapses tied edges
+        report = build_report(cal, labels, cfg, raw_scores=raw)
+        point, cw, std = _oracle_report(cal, labels, cfg, raw)
+    assert {f"acc_top{k}": v for k, v in report.accuracy.items()} == {
+        f"acc_top{k}": point[f"acc_top{k}"] for k in cfg.top_k
+    }
+    assert report.top1 == point["top1_ece"]
+    assert report.nll_value == point["nll"] and report.brier_value == point["brier"]
+    for label, (mean, per_class, kept_counts) in cw.items():
+        assert report.cw[label].mean == mean
+        assert report.cw[label].per_class.tolist() == per_class.tolist()
+        assert report.cw[label].kept_counts.tolist() == kept_counts.tolist()
+        assert report.cw[label].zero_kept_classes == int(np.sum(kept_counts == 0))
+    assert report.bootstrap_std == std
+    assert list(report.bootstrap_std) == list(std)
+
+
+def test_one_ranking_serves_every_report(monkeypatch):
+    import imaxcal.metrics as metrics_mod
+
+    cal, labels, raw = _oracle_inputs(tied=True)
+    ranked_rows = []
+    real = metrics_mod.ranked_classes
+
+    def counting(calibrated, *args):
+        ranked_rows.append(len(calibrated))
+        return real(calibrated, *args)
+
+    monkeypatch.setattr(metrics_mod, "ranked_classes", counting)
+    stats = RowStats(cal, labels)
+    for n_bins in (10, 100):
+        build_report(cal, labels, EvalConfig(n_eval_bins=n_bins, bootstrap=5), stats=stats)
+    build_report(cal, labels, EvalConfig(eval_scheme=SCHEME_EXACT, bootstrap=5), stats=stats)
+    assert ranked_rows == [len(labels)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
+def test_every_metric_rejects_scores_outside_the_unit_interval(bad):
+    cal, labels = _report_inputs(n=20)
+    cal[3, 1] = bad
+    for metric in (accuracy_topk, top1_ece, cw_ece, nll, brier):
+        with pytest.raises(DataError):
+            metric(cal, labels)
+    with pytest.raises(DataError):
+        build_report(cal, labels, EvalConfig(bootstrap=2))
+
+
+def test_labels_must_index_a_class():
+    cal, labels = _report_inputs(n=20, k=4)
+    for bad in (-1, 4):
+        labels[0] = bad
+        with pytest.raises(DataError):
+            build_report(cal, labels, EvalConfig())
