@@ -108,6 +108,10 @@ class CalibratorBundle:
         covered = sorted(c for cal in self.calibrators for c in cal.classes)
         if covered != list(range(self.n_classes)):
             raise DataError("calibrators must cover every class exactly once")
+        if self.grouping.n_classes != self.n_classes or self.grouping.groups != tuple(
+            tuple(sorted(cal.classes)) for cal in self.calibrators
+        ):
+            raise DataError("grouping must list the calibrators' classes, in order")
 
     def calibrator_of(self, class_k: int) -> GroupCalibrator:
         for cal in self.calibrators:

@@ -299,19 +299,24 @@ def cmd_fit(
         scaler_kind=None if scaler == "none" else scaler,
     )
     for i, cal in enumerate(fitted.calibrators):
-        trace = None if cal.binner is None else cal.binner.diagnostics
-        if trace is not None:
-            diag(
-                event="fit_group",
-                group=i,
-                n=data.n_samples * len(cal.classes),
-                iterations=cal.binner.iterations,
-                converged=int(trace.converged),
-                movement=f"{trace.final_movement:.3g}",
-            )
+        if cal.binner is not None:
+            _diag_fit_group(cal.binner, group=i, n=data.n_samples * len(cal.classes))
     with open(out, "w") as fh:
         fh.write(fitted.to_json())
     diag(event="fit", method=method, strategy=fitted.strategy, out=out)
+
+
+def _diag_fit_group(binner, **where):
+    """One event=fit_group line for an iteratively fitted binner."""
+    trace = binner.diagnostics
+    if trace is not None:
+        diag(
+            event="fit_group",
+            **where,
+            iterations=binner.iterations,
+            converged=int(trace.converged),
+            movement=f"{trace.final_movement:.3g}",
+        )
 
 
 def _class_balanced_split(labels, frac, seed):
@@ -608,12 +613,14 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     data = PredictionMatrix(scores, labels, _KIND_BY_FLAG[input_kind])
     cal_set = ovr_set(data.ovr_logits(), data.labels, range(data.n_classes))
 
+    started = time.perf_counter()
     named = []
     for m in bins_list:
         for method in method_list:
             cfg = ImaxConfig(n_bins=m, seed=seed)
             if method == "imax":
                 binner = fit_imax(cal_set, cfg)
+                _diag_fit_group(binner, bins=m, n=len(cal_set))
             elif method == "eq_size":
                 binner = binner_from_edges(fit_eq_size(m), method, seed=seed)
             else:
@@ -621,14 +628,24 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
                     fit_eq_mass(cal_set, m), method, seed=seed
                 )
             named.append((method, binner))
-    rows = info_mod.mi_report(cal_set, named)
+    fitted = time.perf_counter()
+    bound = info_mod.mi_bound_of_set(cal_set)
+    bounded = time.perf_counter()
+    rows = info_mod.mi_report(cal_set, named, bound=bound)
     text = info_mod.mi_report_csv(rows)
     if out is None:
         click.echo(text, nl=False)
     else:
         with open(out, "w") as fh:
             fh.write(text)
-    diag(event="mi_report", set="fit", n=len(cal_set), rows=len(rows))
+    diag(
+        event="mi_report",
+        set="fit",
+        n=len(cal_set),
+        rows=len(rows),
+        fit_s=f"{fitted - started:.3f}",
+        bound_s=f"{bounded - fitted:.3f}",
+    )
 
 
 def _error_line(kind, exc):

@@ -4,6 +4,11 @@ The bound is I(y; lam) computed from Gaussian kernel density estimates of
 the two class-conditional logit densities: no quantizer can carry more
 label information than the continuous logit does, so the bound calibrates
 how much of the available information a binner's empirical MI captures.
+
+The bound evaluates each density on its quadrature grid by linear binning
+onto a 16 times finer grid and one FFT convolution with the sampled kernel
+(Silverman 1982, AS 176; Wand 1994), within 1e-8 nats of the exact sum.
+``kde_density`` stays the exact evaluator at arbitrary points.
 """
 
 from dataclasses import dataclass
@@ -21,6 +26,9 @@ _KERNEL_WINDOW = 39.0
 _GRID_POINTS = 4096
 _GRID_MARGIN = 5.0
 _DENSITY_FLOOR = 1e-300
+# Fine grid points per quadrature step: every _REFINE-th fine point is a
+# quadrature point.
+_REFINE = 16
 
 
 @dataclass
@@ -37,8 +45,8 @@ class Kde1D:
             raise DataError("KDE needs at least two samples")
         if not np.all(np.isfinite(self.samples)):
             raise DataError("KDE samples must be finite")
-        if not self.bandwidth > 0:
-            raise DataError("KDE bandwidth must be positive")
+        if not (self.bandwidth > 0 and np.isfinite(self.bandwidth)):
+            raise DataError("KDE bandwidth must be positive and finite")
 
 
 def kde_fit(samples, bandwidth=None) -> Kde1D:
@@ -96,14 +104,53 @@ def kde_density(kde: Kde1D, x):
     return float(result[0]) if scalar else result
 
 
+def _linear_bins(samples, lo, step, size):
+    """Linear-binning weights of the samples on the grid lo + step * i.
+
+    Each sample splits its unit mass between its two neighbouring grid
+    points in proportion to closeness, so the weights sum to the sample
+    count and keep each sample's mean position.
+    """
+    pos = (samples - lo) / step
+    left = np.clip(np.floor(pos).astype(np.intp), 0, size - 2)
+    frac = pos - left
+    return np.bincount(left, 1.0 - frac, size) + np.bincount(left + 1, frac, size)
+
+
+def _density_on_grid(kde: Kde1D, lo: float, hi: float) -> np.ndarray:
+    """The KDE at the _GRID_POINTS uniform points of [lo, hi].
+
+    The samples are linearly binned onto a grid _REFINE times finer and
+    convolved with the Gaussian kernel sampled on it, truncated at +/- 39
+    bandwidths, by one zero-padded real FFT; the padding is at least the
+    kernel's half-width, so nothing wraps around. Round-off below zero is
+    clipped to 0.
+    """
+    size = (_GRID_POINTS - 1) * _REFINE + 1
+    step = (hi - lo) / (size - 1)
+    h = kde.bandwidth
+    weights = _linear_bins(kde.samples, lo, step, size)
+    half = min(int(_KERNEL_WINDOW * h / step), size - 1)
+    offsets = np.arange(half + 1) * (step / h)
+    kernel = np.exp(-0.5 * offsets * offsets)
+    nfft = 1 << (size + half - 1).bit_length()
+    padded = np.zeros(nfft)
+    padded[: half + 1] = kernel
+    padded[nfft - half :] = kernel[:0:-1]
+    conv = np.fft.irfft(np.fft.rfft(weights, nfft) * np.fft.rfft(padded), nfft)
+    density = conv[: size : _REFINE] / (kde.samples.size * h * _SQRT_2PI)
+    return np.maximum(density, 0.0)
+
+
 def mi_upper_bound(
     kde_pos: Kde1D, kde_neg: Kde1D, prior: float, unit: str = "nats"
 ) -> float:
     """I(y; lam) from the two class-conditional KDEs, by trapezoid quadrature.
 
     The grid spans [min - 5h, max + 5h] of the pooled samples with
-    h = max of the two bandwidths, 4096 uniform points. Grid points where
-    the mixture density underflows below 1e-300 are skipped.
+    h = max of the two bandwidths, 4096 uniform points, where
+    ``_density_on_grid`` evaluates each density. Grid points where the
+    mixture density underflows below 1e-300 are skipped.
     """
     if not 0.0 < prior < 1.0:
         raise DataError("prior must lie strictly inside (0, 1)")
@@ -114,8 +161,8 @@ def mi_upper_bound(
     hi = max(kde_pos.samples[-1], kde_neg.samples[-1]) + _GRID_MARGIN * h
     grid = np.linspace(lo, hi, _GRID_POINTS)
 
-    p1 = kde_density(kde_pos, grid)
-    p0 = kde_density(kde_neg, grid)
+    p1 = _density_on_grid(kde_pos, lo, hi)
+    p0 = _density_on_grid(kde_neg, lo, hi)
     mix = prior * p1 + (1.0 - prior) * p0
     ok = mix >= _DENSITY_FLOOR
 
@@ -143,13 +190,17 @@ def mi_bound_of_set(cal_set: BinaryCalibrationSet, unit: str = "nats") -> float:
     return mi_upper_bound(kde_fit(pos), kde_fit(neg), prior, unit)
 
 
-def mi_report(cal_set: BinaryCalibrationSet, named_binners, unit: str = "nats"):
+def mi_report(
+    cal_set: BinaryCalibrationSet, named_binners, unit: str = "nats", bound=None
+):
     """Rows of (name, n_bins, mi, upper_bound, ratio) for fitted binners.
 
     The bound is computed once on the given set, which should be the set
-    the binners were fitted on.
+    the binners were fitted on, unless the caller passes that set's
+    ``mi_bound_of_set`` in the same unit as ``bound``.
     """
-    bound = mi_bound_of_set(cal_set, unit)
+    if bound is None:
+        bound = mi_bound_of_set(cal_set, unit)
     scale = 1.0 if unit == "nats" else 1.0 / float(np.log(2.0))
     rows = []
     for name, binner in named_binners:

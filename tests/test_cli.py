@@ -315,6 +315,16 @@ def test_a_malformed_binner_is_a_data_error(workdir, tmp_path, capsys, field, va
         pytest.param(lambda doc: doc.update(calibrators=None), id="calibrators"),
         pytest.param(lambda doc: doc["grouping"].update(groups=3), id="groups"),
         pytest.param(lambda doc: doc["calibrators"][0].update(classes=3), id="classes"),
+        pytest.param(
+            lambda doc: doc.update(
+                calibrators=[dict(doc["calibrators"][0], classes=[c]) for c in range(5)]
+            ),
+            id="per-class-calibrators-one-group",
+        ),
+        pytest.param(
+            lambda doc: doc["grouping"].update(groups=[[0, 1], [2, 3, 4]]),
+            id="two-groups-one-calibrator",
+        ),
     ],
 )
 def test_a_malformed_bundle_is_a_data_error(workdir, tmp_path, capsys, mutate):
@@ -528,6 +538,59 @@ def test_mi_report_file_output(workdir, tmp_path):
             "--method", "kmeans",
         ]
     ) == 2
+
+
+def test_mi_report_diagnostics_leave_the_csv_alone(workdir, tmp_path, capsys):
+    from imaxcal import info
+    from imaxcal.binning import ImaxConfig, fit_imax
+    from imaxcal.data import RAW_LOGITS, PredictionMatrix, ovr_set
+
+    args = [
+        "mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
+        "--bins", "2,4", "--method", "imax", "--method", "eq_size",
+    ]
+    capsys.readouterr()
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert main([*args, "-o", str(tmp_path / "mi.csv")]) == 0
+    assert (tmp_path / "mi.csv").read_text() == captured.out
+
+    # the CSV is the library's report on the merged one-vs-rest set
+    scores = np.loadtxt(workdir / "bin-scores.csv", delimiter=",")
+    labels = np.loadtxt(workdir / "bin-labels.csv", dtype=np.int64)
+    data = PredictionMatrix(scores, labels, RAW_LOGITS)
+    cal_set = ovr_set(data.ovr_logits(), data.labels, range(2))
+    binners = {m: fit_imax(cal_set, ImaxConfig(n_bins=m, seed=0)) for m in (2, 4)}
+    rows = info.mi_report(cal_set, [("imax", b) for b in binners.values()])
+    expected = info.mi_report_csv(rows).splitlines()
+    assert [l for l in captured.out.splitlines() if l.startswith("imax,")] == expected[1:]
+
+    lines = captured.err.splitlines()
+    assert all(DIAG_LINE.match(line) for line in lines), lines
+    fits = [dict(t.split("=", 1) for t in l.split()) for l in lines if l.startswith("event=fit_group")]
+    assert [f["bins"] for f in fits] == ["2", "4"]  # one line per imax fit only
+    for f in fits:
+        binner = binners[int(f["bins"])]
+        assert f["n"] == str(len(cal_set))
+        assert f["iterations"] == str(binner.iterations)
+        assert f["converged"] == str(int(binner.diagnostics.converged))
+        assert float(f["movement"]) == pytest.approx(binner.diagnostics.final_movement, rel=1e-2)
+    (report,) = [l for l in lines if l.startswith("event=mi_report")]
+    fields = dict(t.split("=", 1) for t in report.split())
+    assert fields["rows"] == "4"
+    assert float(fields["fit_s"]) >= 0.0 and float(fields["bound_s"]) >= 0.0
+
+
+def test_importing_the_cli_leaves_heavy_scipy_modules_out():
+    code = (
+        "import sys, imaxcal.cli; "
+        "print(' '.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.ndimage')"
+        " if m in sys.modules))"
+    )
+    # a fresh interpreter: this one may have imported them for other tests
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
 
 
 # --- plumbing --------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from imaxcal import BinaryCalibrationSet, DataError
+from imaxcal import BinaryCalibrationSet, DataError, info
 from imaxcal.binning import (
     ImaxConfig,
     METHOD_EQ_MASS,
@@ -55,6 +55,9 @@ def test_kde_fit_rejections():
     with pytest.raises(DataError):
         kde_fit(np.full(10, 2.0))  # zero spread needs an explicit bandwidth
     kde_fit(np.full(10, 2.0), bandwidth=0.3)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DataError):
+            kde_fit(np.array([0.0, 1.0]), bandwidth=bad)
 
 
 def test_kde_density_matches_the_direct_sum():
@@ -175,6 +178,60 @@ def test_kde_bound_agrees_with_quadrature_at_scale():
     spec = BinaryMixtureSpec(n=1_000_000, seed=3)
     cal, _ = gen_binary_mixture(spec)
     assert mi_bound_of_set(cal) == pytest.approx(analytic_mi(spec), abs=2e-3)
+
+
+# --- the binned FFT densities against the exact sum ---------------------------
+
+def _exact_bound(monkeypatch, kde_pos, kde_neg, prior):
+    """The same quadrature with every density from the exact kde_density."""
+    with monkeypatch.context() as m:
+        m.setattr(
+            info,
+            "_density_on_grid",
+            lambda kde, lo, hi: kde_density(kde, np.linspace(lo, hi, info._GRID_POINTS)),
+        )
+        return mi_upper_bound(kde_pos, kde_neg, prior)
+
+
+@pytest.mark.parametrize("prior", [0.01, 0.5])
+@pytest.mark.parametrize("n", [2_000, 20_000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fft_bound_matches_the_exact_sum(monkeypatch, seed, n, prior):
+    rng = np.random.default_rng(seed)
+    y = rng.random(n) < prior
+    lam = rng.normal(np.where(y, 1.0, -1.0), 1.0)
+    for bandwidth in (None, 0.05, 5.0, 50.0):
+        kp = kde_fit(lam[y], bandwidth)
+        kn = kde_fit(lam[~y], bandwidth)
+        fast = mi_upper_bound(kp, kn, prior)
+        assert fast == pytest.approx(_exact_bound(monkeypatch, kp, kn, prior), abs=1e-8)
+
+
+def test_linear_binning_keeps_every_sample():
+    rng = np.random.default_rng(7)
+    for n in (2, 1_000, 100_000):
+        x = np.sort(rng.normal(size=n))
+        size = 513
+        step = (x[-1] - x[0] + 2.0) / (size - 1)
+        weights = info._linear_bins(x, x[0] - 1.0, step, size)
+        assert weights.shape == (size,)
+        assert np.all(weights >= 0.0)
+        assert weights.sum() == pytest.approx(n, rel=1e-12)
+        # each sample's mass stays centred on it
+        centres = x[0] - 1.0 + step * np.arange(size)
+        assert weights @ centres == pytest.approx(x.sum(), abs=1e-9 * n)
+
+
+def test_a_kernel_wider_than_the_grid_does_not_wrap_around():
+    # h = 50 on samples spanning 1: the +/- 39h kernel window is about four
+    # times the grid's width, so a circular convolution would fold mass
+    # back in at the ends and flatten the density there
+    k = kde_fit(np.linspace(-0.5, 0.5, 200), bandwidth=50.0)
+    lo, hi = -0.5 - 250.0, 0.5 + 250.0
+    fast = info._density_on_grid(k, lo, hi)
+    exact = kde_density(k, np.linspace(lo, hi, info._GRID_POINTS))
+    np.testing.assert_allclose(fast, exact, rtol=1e-6)
+    assert fast[0] < 0.5 * fast[info._GRID_POINTS // 2]
 
 
 # --- the comparison report ---------------------------------------------------
