@@ -20,10 +20,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from . import kernels
-from .data import PROB_EPS, BinaryCalibrationSet, logit_of_prob
+from .data import PROB_EPS, BinaryCalibrationSet, logit_of_prob, prob_of_logit, xlogy
 from .errors import DataError, FitError
 
 METHOD_EQ_SIZE = "eq_size"
@@ -248,8 +247,8 @@ def imax_update_phis(
     n_bins = edges.shape[0] + 1
     t = scale * (cal_set.logits + bias)
     bin_idx = np.searchsorted(edges, cal_set.logits, side="right")
-    sum_pos = np.bincount(bin_idx, weights=expit(t), minlength=n_bins)
-    sum_neg = np.bincount(bin_idx, weights=expit(-t), minlength=n_bins)
+    sum_pos = np.bincount(bin_idx, weights=prob_of_logit(t), minlength=n_bins)
+    sum_neg = np.bincount(bin_idx, weights=prob_of_logit(-t), minlength=n_bins)
     occupied = np.bincount(bin_idx, minlength=n_bins) > 0
 
     if prev_phis is not None:
@@ -285,9 +284,8 @@ def weighted_surrogate_loss(
     phis = np.asarray(phis, dtype=np.float64)
     per_bin = phis[quantize(np.asarray(edges), cal_set.logits)]
     t = scale * (cal_set.logits + bias)
-    loss = expit(t) * np.logaddexp(0.0, -per_bin) + expit(-t) * np.logaddexp(
-        0.0, per_bin
-    )
+    loss = prob_of_logit(t) * np.logaddexp(0.0, -per_bin)
+    loss += prob_of_logit(-t) * np.logaddexp(0.0, per_bin)
     return float(np.mean(loss))
 
 
@@ -320,7 +318,7 @@ def _seed_phis(t_sorted, n_bins, rng):
     over the whole divergence vector, so every pick is the one a full
     evaluation would make.
     """
-    p = expit(t_sorted)
+    p = prob_of_logit(t_sorted)
     h = _binary_entropy(p)
     n = t_sorted.shape[0]
     n_trials = 2 + int(np.log(n_bins))
@@ -396,8 +394,8 @@ def fit_imax(
     try:
         edges, phis, loss, hard_loss, n_pairs, empties, movement = kernels.alternate(
             lam,
-            expit(t),
-            expit(-t),
+            prob_of_logit(t),
+            prob_of_logit(-t),
             is_pos,
             init_phis,
             cfg.scale,
@@ -475,23 +473,23 @@ def set_representatives(
             bin_idx, weights=cal_set.targets.astype(np.float64), minlength=m
         )
     elif strategy == REP_RAW_PROB_MEAN:
-        mass = np.bincount(bin_idx, weights=expit(cal_set.logits), minlength=m)
+        mass = np.bincount(bin_idx, weights=prob_of_logit(cal_set.logits), minlength=m)
     else:
         if scaler is None:
             raise DataError("scaled_prob_mean needs a fitted scaler")
         from .scaling import apply_scaler
 
         mass = np.bincount(
-            bin_idx, weights=expit(apply_scaler(scaler, cal_set.logits)), minlength=m
+            bin_idx, weights=prob_of_logit(apply_scaler(scaler, cal_set.logits)), minlength=m
         )
 
     occupied = counts > 0
     reps = np.where(occupied, mass / np.where(occupied, counts, 1.0), np.nan)
     if not np.all(occupied):
-        fallback = expit(binner.phis)
+        fallback = prob_of_logit(binner.phis)
         if m > 2:
             interior_mid = (binner.edges[:-1] + binner.edges[1:]) / 2.0
-            fallback[1:-1] = expit(interior_mid)
+            fallback[1:-1] = prob_of_logit(interior_mid)
         reps = np.where(occupied, reps, fallback)
     if clamp:
         reps = np.clip(reps, PROB_EPS, 1.0 - PROB_EPS)

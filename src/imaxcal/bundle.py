@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .binning import (
     METHOD_EQ_MASS,
@@ -39,6 +38,7 @@ from .data import (
     group_singletons,
     logit_of_prob,
     ovr_set,
+    prob_of_logit,
 )
 from .errors import DataError, FitError
 from .scaling import (
@@ -350,5 +350,5 @@ def apply_bundle(bundle: CalibratorBundle, scores, kind: str) -> np.ndarray:
                     np.searchsorted(cal.binner.edges, lam, side="right")
                 ]
             else:
-                out[:, c] = expit(apply_scaler(cal.scaler, lam))
+                out[:, c] = prob_of_logit(apply_scaler(cal.scaler, lam))
     return out

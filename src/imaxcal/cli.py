@@ -21,6 +21,7 @@ from .data import (
     PROBABILITIES,
     RAW_LOGITS,
     PredictionMatrix,
+    integer_labels,
     ovr_set,
 )
 from .errors import DataError, FitError
@@ -89,10 +90,10 @@ def _read_labels(path, n_expected=None) -> np.ndarray:
     arr = _read_matrix(path)
     if arr.shape[1] != 1:
         raise DataError(f"labels file {path} must have one column")
-    col = arr[:, 0]
-    labels = col.astype(np.int64)
-    if np.any(labels != col):
-        raise DataError(f"labels in {path} must be integers")
+    try:
+        labels = integer_labels(arr[:, 0])
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     if n_expected is not None and labels.shape[0] != n_expected:
         raise DataError(
             f"row count mismatch: {labels.shape[0]} labels vs {n_expected} score rows"

@@ -9,7 +9,6 @@ calibrators consume those binary sets. Probabilities are clamped away from
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError
 
@@ -43,31 +42,82 @@ def logit_of_prob(q):
 
 
 def prob_of_logit(lam):
-    """Sigmoid, the inverse of logit_of_prob away from the clamp bounds."""
-    return expit(np.asarray(lam, dtype=np.float64))
+    """Sigmoid 1 / (1 + exp(-lam)), the inverse of logit_of_prob away from
+    the clamp bounds.
+
+    This is the package's one sigmoid, the formula of scipy.special.expit.
+    Below lam = -709 exp(-lam) overflows to inf and the result is the
+    correct limit 0, so that overflow is not reported.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-lam))
 
 
-def as_probabilities(scores, kind):
-    """Validate a bare score matrix and return it as probabilities.
+def xlogy(x, y):
+    """x * log(y), taken as 0 where x == 0 and y is not NaN.
 
-    Label-free twin of PredictionMatrix validation, for apply-time paths.
+    The convention of scipy.special.xlogy, so 0 * log(0) terms of entropies
+    vanish; log(0) = -inf and log of a negative number = NaN otherwise.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x * np.log(y)
+    return np.where((x == 0) & ~np.isnan(y), 0.0, out)
+
+
+def _check_scores(scores, kind):
+    """Validate an N x K score matrix of the given kind; return it as float64.
+
+    The one score check behind PredictionMatrix and as_probabilities: N >= 1,
+    K >= 2, every value finite, a known kind, and probability rows inside
+    [0, 1] that sum to 1.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise DataError(f"scores must be 2-D, got shape {scores.shape}")
-    if scores.shape[0] < 1 or scores.shape[1] < 2:
-        raise DataError("scores must be N x K with N >= 1, K >= 2")
+    n, k = scores.shape
+    if n < 1:
+        raise DataError("need at least one sample")
+    if k < 2:
+        raise DataError(f"need at least two classes, got {k}")
+    if kind not in (RAW_LOGITS, PROBABILITIES):
+        raise DataError(f"unknown score kind {kind!r}")
     if not np.all(np.isfinite(scores)):
         raise DataError("scores contain non-finite values")
-    if kind == RAW_LOGITS:
-        return softmax(scores)
     if kind == PROBABILITIES:
         if scores.min() < 0.0 or scores.max() > 1.0:
             raise DataError("probability scores outside [0, 1]")
         if np.max(np.abs(scores.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
             raise DataError("probability rows do not sum to 1")
-        return scores
-    raise DataError(f"unknown score kind {kind!r}")
+    return scores
+
+
+def integer_labels(labels):
+    """Labels as int64. NaN, inf and non-integral values are rejected before
+    the cast, which would otherwise truncate them or warn."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":
+        if not np.all(np.isfinite(labels)):
+            raise DataError("labels contain non-finite values")
+        if np.any(np.floor(labels) != labels):
+            raise DataError("labels must be integers")
+        if np.any(np.abs(labels) >= 2.0**63):
+            raise DataError("labels out of the int64 range")
+    try:
+        return np.asarray(labels, dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"labels must be integers: {exc}") from exc
+
+
+def as_probabilities(scores, kind):
+    """Validate a bare score matrix and return it as probabilities.
+
+    Label-free twin of PredictionMatrix, for apply-time paths.
+    """
+    scores = _check_scores(scores, kind)
+    return softmax(scores) if kind == RAW_LOGITS else scores
 
 
 @dataclass
@@ -83,31 +133,15 @@ class PredictionMatrix:
     kind: str = RAW_LOGITS
 
     def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.scores.ndim != 2:
-            raise DataError(f"scores must be 2-D, got shape {self.scores.shape}")
+        self.scores = _check_scores(self.scores, self.kind)
+        self.labels = integer_labels(self.labels)
         n, k = self.scores.shape
-        if n < 1:
-            raise DataError("need at least one sample")
-        if k < 2:
-            raise DataError(f"need at least two classes, got {k}")
         if self.labels.shape != (n,):
             raise DataError(
                 f"labels shape {self.labels.shape} does not match {n} samples"
             )
         if self.labels.min() < 0 or self.labels.max() >= k:
             raise DataError("labels out of range [0, K)")
-        if not np.all(np.isfinite(self.scores)):
-            raise DataError("scores contain non-finite values")
-        if self.kind not in (RAW_LOGITS, PROBABILITIES):
-            raise DataError(f"unknown score kind {self.kind!r}")
-        if self.kind == PROBABILITIES:
-            if self.scores.min() < 0.0 or self.scores.max() > 1.0:
-                raise DataError("probability scores outside [0, 1]")
-            sums = self.scores.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > _ROW_SUM_TOL:
-                raise DataError("probability rows do not sum to 1")
 
     @property
     def n_samples(self):

@@ -12,9 +12,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
-from .data import PROB_EPS, logit_of_prob
+from .data import PROB_EPS, logit_of_prob, xlogy
 from .errors import DataError, FitError
 
 SCHEME_EQ_SIZE = "eq_size"

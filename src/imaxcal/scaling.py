@@ -8,11 +8,9 @@ representatives are means of scaled probabilities instead of raw ones.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import expit, logsumexp, softmax as _softmax_rows
 
 from .binning import REP_SCALED_PROB_MEAN, Binner, ImaxConfig, fit_imax, set_representatives
-from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix
+from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, prob_of_logit
 from .errors import DataError, FitError
 
 KIND_TEMPERATURE = "temperature"
@@ -65,9 +63,14 @@ class Scaler:
         if set(payload) != allowed:
             off = sorted(set(payload) ^ allowed)
             raise DataError(f"scaler fields do not match {kind!r}: {off}")
-        if kind == KIND_TEMPERATURE:
-            return cls(kind=kind, temperature=float(payload["temperature"]))
-        return cls(kind=kind, a=float(payload["a"]), b=float(payload["b"]))
+        params = {name: payload[name] for name in sorted(allowed - {"kind"})}
+        for name, value in params.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DataError(f"scaler field {name!r} must be a number, got {value!r}")
+        try:
+            return cls(kind=kind, **{name: float(v) for name, v in params.items()})
+        except (OverflowError, FitError) as exc:
+            raise DataError(f"malformed scaler: {exc}") from exc
 
 
 def apply_scaler(scaler: Scaler, lam):
@@ -78,13 +81,6 @@ def apply_scaler(scaler: Scaler, lam):
     return scaler.a * lam + scaler.b
 
 
-def _nll_of_inverse_temp(u, scores, labels):
-    scaled = u * scores
-    return float(
-        np.mean(logsumexp(scaled, axis=1) - scaled[np.arange(len(labels)), labels])
-    )
-
-
 def fit_temperature(data: PredictionMatrix) -> Scaler:
     """Fit T by minimizing the multiclass softmax NLL of scores / T.
 
@@ -92,17 +88,24 @@ def fit_temperature(data: PredictionMatrix) -> Scaler:
     temperature, whose NLL is convex, followed by a couple of Newton polish
     steps. T is confined to [1e-2, 1e2].
     """
+    # scipy is imported here, not at module level, so that commands fitting
+    # no temperature scaler start without loading it.
+    from scipy.optimize import minimize_scalar
+    from scipy.special import logsumexp, softmax
+
     if data.kind != RAW_LOGITS:
         raise DataError("temperature scaling needs raw logits, not probabilities")
     if data.n_samples < 2:
         raise FitError("temperature scaling needs at least two samples")
     scores = data.scores - data.scores.max(axis=1, keepdims=True)
-    labels = data.labels
+    z_true = scores[np.arange(data.n_samples), data.labels]
     lo, hi = TEMPERATURE_BOUNDS
 
+    def nll_of_inverse_temp(u):
+        return float(np.mean(logsumexp(u * scores, axis=1) - u * z_true))
+
     res = minimize_scalar(
-        _nll_of_inverse_temp,
-        args=(scores, labels),
+        nll_of_inverse_temp,
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": 1e-8},
@@ -110,9 +113,8 @@ def fit_temperature(data: PredictionMatrix) -> Scaler:
     u = float(res.x)
 
     # Newton polish on the inverse temperature (analytic first two derivatives).
-    z_true = scores[np.arange(len(labels)), labels]
     for _ in range(3):
-        p = _softmax_rows(u * scores, axis=1)
+        p = softmax(u * scores, axis=1)
         s1 = np.sum(p * scores, axis=1)
         s2 = np.sum(p * scores**2, axis=1)
         grad = float(np.mean(s1 - z_true))
@@ -153,7 +155,7 @@ def fit_platt(cal_set: BinaryCalibrationSet, shared: bool = False) -> Scaler:
     obj = _platt_objective(a, b, lam, targets)
     for _ in range(_PLATT_MAX_ITER):
         t = a * lam + b
-        p = expit(t)
+        p = prob_of_logit(t)
         resid = p - targets
         grad = np.array([np.mean(resid * lam), np.mean(resid)])
         if float(np.linalg.norm(grad)) < _PLATT_GRAD_TOL:

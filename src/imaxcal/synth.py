@@ -14,9 +14,8 @@ stream 1 for its logit noise).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix
+from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, prob_of_logit
 from .errors import DataError
 
 
@@ -75,7 +74,7 @@ def analytic_posterior(spec: BinaryMixtureSpec, lam):
     lam = np.asarray(lam, dtype=np.float64)
     log_pos = np.log(spec.prior) + _log_normal_pdf(lam, spec.mu_pos, spec.sigma_pos)
     log_neg = np.log1p(-spec.prior) + _log_normal_pdf(lam, spec.mu_neg, spec.sigma_neg)
-    return expit(log_pos - log_neg)
+    return prob_of_logit(log_pos - log_neg)
 
 
 def gen_binary_mixture(spec: BinaryMixtureSpec):

@@ -214,6 +214,21 @@ def test_fit_data_and_fit_errors(workdir, tmp_path):
     ) == 4
 
 
+@pytest.mark.parametrize("bad", ["1.5", "nan", "inf", "1e30"])
+def test_a_bad_label_file_is_a_data_error(workdir, tmp_path, capsys, bad):
+    labels = (workdir / "mc-labels.csv").read_text().splitlines()
+    labels[3] = bad
+    (tmp_path / "labels.csv").write_text("\n".join(labels) + "\n")
+    capsys.readouterr()
+    assert main(
+        ["fit", str(workdir / "mc-scores.csv"), str(tmp_path / "labels.csv"),
+         "-o", str(tmp_path / "x.json")]
+    ) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    assert all(DIAG_LINE.match(line) for line in err.splitlines()), err
+
+
 def test_fit_holdout_split(workdir, tmp_path, capsys):
     out = tmp_path / "hold.json"
     assert main(
@@ -324,6 +339,28 @@ def test_a_malformed_binner_is_a_data_error(workdir, tmp_path, capsys, field, va
         pytest.param(
             lambda doc: doc["grouping"].update(groups=[[0, 1], [2, 3, 4]]),
             id="two-groups-one-calibrator",
+        ),
+        *(
+            pytest.param(
+                lambda doc, scaler=scaler: doc["calibrators"][0].update(
+                    binner=None, scaler=scaler
+                ),
+                id=f"scaler-{name}",
+            )
+            for name, scaler in [
+                ("temperature-text", {"kind": "temperature", "temperature": "x"}),
+                ("temperature-numeric-text", {"kind": "temperature", "temperature": "1.5"}),
+                ("temperature-null", {"kind": "temperature", "temperature": None}),
+                ("temperature-list", {"kind": "temperature", "temperature": [1.0]}),
+                ("temperature-bool", {"kind": "temperature", "temperature": True}),
+                ("temperature-negative", {"kind": "temperature", "temperature": -1.0}),
+                ("temperature-zero", {"kind": "temperature", "temperature": 0}),
+                ("temperature-nan", {"kind": "temperature", "temperature": float("nan")}),
+                ("temperature-huge-int", {"kind": "temperature", "temperature": 10**400}),
+                ("platt-text", {"kind": "platt", "a": "x", "b": 0.0}),
+                ("platt-null", {"kind": "platt", "a": 1.0, "b": None}),
+                ("platt-inf", {"kind": "platt", "a": float("inf"), "b": 0.0}),
+            ]
         ),
     ],
 )
@@ -581,16 +618,44 @@ def test_mi_report_diagnostics_leave_the_csv_alone(workdir, tmp_path, capsys):
     assert float(fields["fit_s"]) >= 0.0 and float(fields["bound_s"]) >= 0.0
 
 
-def test_importing_the_cli_leaves_heavy_scipy_modules_out():
+def _scipy_modules_after(argvs):
+    """Names of the scipy modules a fresh interpreter holds after importing
+    the CLI and running argvs through main; each command must exit 0."""
     code = (
-        "import sys, imaxcal.cli; "
-        "print(' '.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.ndimage')"
-        " if m in sys.modules))"
+        "import json, sys\n"
+        "from imaxcal.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('scipy:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    # a fresh interpreter: this one may have imported them for other tests
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # a fresh interpreter: this one has imported scipy for other tests
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True
+    )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    return done.stdout.splitlines()[-1].split()[1:]
+
+
+def test_importing_the_cli_leaves_heavy_scipy_modules_out():
+    assert _scipy_modules_after([]) == []
+
+
+def test_commands_that_fit_no_temperature_scaler_load_no_scipy(workdir, tmp_path):
+    mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
+    bundle, cal = str(tmp_path / "b.json"), str(tmp_path / "cal.csv")
+    argvs = [
+        ["fit", *mc, "-o", bundle, "--method", "imax", "--bins", "6", "--seed", "0"],
+        ["apply", bundle, mc[0], "-o", cal],
+        ["eval", *mc, "--bundle", bundle, "--bootstrap", "2", "-o", str(tmp_path / "r.json")],
+        ["eval", cal, mc[1]],
+        ["mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
+         "--bins", "2,4", "-o", str(tmp_path / "mi.csv")],
+        ["fit", *mc, "-o", str(tmp_path / "platt.json"), "--method", "platt"],
+        ["synth", "--n", "50", "--seed", "1", "--out-prefix", str(tmp_path / "s")],
+    ]
+    assert _scipy_modules_after(argvs) == []
+    temperature = ["fit", *mc, "-o", str(tmp_path / "t.json"), "--method", "temperature"]
+    assert "scipy.optimize" in _scipy_modules_after([temperature])
 
 
 # --- plumbing --------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Containers, score conversions, and one-vs-rest plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from imaxcal import (
     BinaryCalibrationSet,
@@ -13,6 +16,7 @@ from imaxcal import (
     RAW_LOGITS,
 )
 from imaxcal.data import (
+    as_probabilities,
     group_all,
     group_by_prior,
     group_singletons,
@@ -21,6 +25,7 @@ from imaxcal.data import (
     ovr_decompose,
     prob_of_logit,
     softmax,
+    xlogy,
 )
 
 
@@ -78,6 +83,46 @@ def test_prob_of_logit_basics():
     assert prob_of_logit(np.array(1.0)) == pytest.approx(0.7310585786300049, abs=1e-15)
 
 
+# scipy.special is the test-only oracle: the package computes both on numpy.
+# Relative tolerance 1e-15, about 4.5 ulp; denormal results get the same
+# tolerance in absolute terms, scaled from the smallest normal double.
+_SCIPY_RTOL = 1e-15
+_SCIPY_ATOL = np.finfo(np.float64).tiny * _SCIPY_RTOL
+
+
+def test_prob_of_logit_matches_scipy_expit():
+    rng = np.random.default_rng(0)
+    lam = np.concatenate(
+        [rng.uniform(-745.0, 745.0, 200_000), rng.normal(0.0, 5.0, 200_000)]
+    )
+    np.testing.assert_allclose(
+        prob_of_logit(lam), special.expit(lam), rtol=_SCIPY_RTOL, atol=_SCIPY_ATOL
+    )
+
+
+def test_xlogy_matches_scipy_xlogy():
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0.0, 1.0, 200_000)
+    x[::7] = 0.0
+    for y in (rng.uniform(0.0, 1.0, x.size), np.exp(rng.uniform(-700.0, 700.0, x.size))):
+        np.testing.assert_allclose(
+            xlogy(x, y), special.xlogy(x, y), rtol=_SCIPY_RTOL, atol=_SCIPY_ATOL
+        )
+
+
+def test_sigmoid_and_xlogy_special_values_equal_scipy_exactly():
+    lam = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 1000.0, -1000.0, 745.0, -745.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning at +/-1000
+        got = prob_of_logit(lam)
+        x = np.array([0.0, 0.0, 0.0, -0.0, np.nan, 1.0, 0.0, 1.0, 2.0, 0.0])
+        y = np.array([0.0, np.inf, np.nan, 1.0, 0.0, 0.0, -1.0, -1.0, np.inf, 1000.0])
+        got_xlogy = xlogy(x, y)
+    np.testing.assert_array_equal(got, special.expit(lam))
+    np.testing.assert_array_equal(got_xlogy, special.xlogy(x, y))
+    assert xlogy(0.0, 0.0) == 0.0 and np.isnan(xlogy(0.0, np.nan))
+
+
 @given(st.floats(1e-9, 1.0 - 1e-9))
 @settings(max_examples=100, deadline=None)
 def test_logit_prob_roundtrip(p):
@@ -114,6 +159,45 @@ def test_prediction_matrix_rejections():
         PredictionMatrix(good, np.array([0, 1]), kind="scores")
     with pytest.raises(DataError):
         PredictionMatrix(np.array([[1.0], [0.5]]), np.array([0, 0]), kind=PROBABILITIES)  # K < 2
+
+
+@pytest.mark.parametrize(
+    "scores,kind",
+    [
+        (np.array([0.5, 0.5]), PROBABILITIES),
+        (np.zeros((0, 3)), RAW_LOGITS),
+        (np.array([[1.0], [0.5]]), RAW_LOGITS),
+        (np.array([[0.0, np.nan], [1.0, 2.0]]), RAW_LOGITS),
+        (np.array([[0.5, 0.5], [0.1, 0.9]]), "scores"),
+        (np.array([[1.5, -0.5], [0.1, 0.9]]), PROBABILITIES),
+        (np.array([[0.6, 0.6], [0.1, 0.9]]), PROBABILITIES),
+    ],
+)
+def test_scores_are_checked_the_same_way_with_and_without_labels(scores, kind):
+    with pytest.raises(DataError) as bare:
+        as_probabilities(scores, kind)
+    labels = np.zeros(scores.shape[0] if scores.ndim == 2 else 1, dtype=np.int64)
+    with pytest.raises(DataError) as labelled:
+        PredictionMatrix(scores, labels, kind=kind)
+    assert str(bare.value) == str(labelled.value)
+
+
+def test_non_integral_labels_are_rejected_not_truncated():
+    good = np.array([[0.5, 0.5], [0.1, 0.9]])
+    with pytest.raises(DataError, match="integers"):
+        PredictionMatrix(good, np.array([0.0, 1.5]), kind=PROBABILITIES)
+    data = PredictionMatrix(good, np.array([0.0, 1.0]), kind=PROBABILITIES)
+    assert data.labels.dtype == np.int64
+    np.testing.assert_array_equal(data.labels, [0, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30])
+def test_nan_and_huge_labels_are_rejected_before_the_cast(bad):
+    good = np.array([[0.5, 0.5], [0.1, 0.9]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an invalid-cast RuntimeWarning would raise here
+        with pytest.raises(DataError):
+            PredictionMatrix(good, np.array([0.0, bad]), kind=PROBABILITIES)
 
 
 # --- BinaryCalibrationSet and one-vs-rest ------------------------------
