@@ -17,12 +17,12 @@ every update.
 import bisect
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .data import PROB_EPS, BinaryCalibrationSet, logit_of_prob, prob_of_logit, xlogy
+from .data import PROB_EPS, BinaryCalibrationSet, prob_of_logit, xlogy
 from .errors import DataError, FitError
 
 METHOD_EQ_SIZE = "eq_size"
@@ -169,6 +169,20 @@ def quantize(binner, lam):
     return np.searchsorted(edges, np.asarray(lam, dtype=np.float64), side="right")
 
 
+def bin_sums(edges, x, *weights):
+    """Per-bin count of x and per-bin sum of each weight array, for the
+    len(edges) + 1 bins between edges; values exactly on an edge go right.
+
+    Returns (counts, *sums), counts as integers.
+    """
+    idx = quantize(edges, x)
+    m = len(edges) + 1
+    return (
+        np.bincount(idx, minlength=m),
+        *(np.bincount(idx, weights=w, minlength=m) for w in weights),
+    )
+
+
 def apply_binner(binner: Binner, lam):
     """Map logits to their bin's probability representative."""
     if binner.reps is None:
@@ -244,28 +258,20 @@ def imax_update_phis(
     returns a strictly increasing vector.
     """
     edges = np.asarray(edges, dtype=np.float64)
-    n_bins = edges.shape[0] + 1
     t = scale * (cal_set.logits + bias)
-    bin_idx = np.searchsorted(edges, cal_set.logits, side="right")
-    sum_pos = np.bincount(bin_idx, weights=prob_of_logit(t), minlength=n_bins)
-    sum_neg = np.bincount(bin_idx, weights=prob_of_logit(-t), minlength=n_bins)
-    occupied = np.bincount(bin_idx, minlength=n_bins) > 0
+    counts, sum_pos, sum_neg = bin_sums(
+        edges, cal_set.logits, prob_of_logit(t), prob_of_logit(-t)
+    )
 
     if prev_phis is not None:
         fallback = np.asarray(prev_phis, dtype=np.float64)
-        if fallback.shape[0] != n_bins:
+        if fallback.shape != counts.shape:
             raise FitError("prev_phis length must match bin count")
-    elif occupied.all():
-        fallback = np.zeros(n_bins)
+    elif counts.all():
+        fallback = np.zeros(counts.shape)
     else:
         fallback = _midpoint_phis(edges, scale, bias)
-    phis = np.where(
-        occupied,
-        np.log(np.where(occupied, sum_pos, 1.0))
-        - np.log(np.where(occupied, sum_neg, 1.0)),
-        fallback,
-    )
-    return phis
+    return kernels.phis_from_sums(counts, sum_pos, sum_neg, fallback)
 
 
 def surrogate_loss(cal_set: BinaryCalibrationSet, edges, phis) -> float:
@@ -464,30 +470,23 @@ def set_representatives(
     """
     if strategy not in REP_STRATEGIES:
         raise DataError(f"unknown representative strategy {strategy!r}")
-    m = binner.n_bins
-    bin_idx = quantize(binner, cal_set.logits)
-    counts = np.bincount(bin_idx, minlength=m).astype(np.float64)
-
     if strategy == REP_EMPIRICAL_FREQ:
-        mass = np.bincount(
-            bin_idx, weights=cal_set.targets.astype(np.float64), minlength=m
-        )
+        weights = cal_set.targets.astype(np.float64)
     elif strategy == REP_RAW_PROB_MEAN:
-        mass = np.bincount(bin_idx, weights=prob_of_logit(cal_set.logits), minlength=m)
+        weights = prob_of_logit(cal_set.logits)
     else:
         if scaler is None:
             raise DataError("scaled_prob_mean needs a fitted scaler")
         from .scaling import apply_scaler
 
-        mass = np.bincount(
-            bin_idx, weights=prob_of_logit(apply_scaler(scaler, cal_set.logits)), minlength=m
-        )
+        weights = prob_of_logit(apply_scaler(scaler, cal_set.logits))
+    counts, mass = bin_sums(binner.edges, cal_set.logits, weights)
 
     occupied = counts > 0
     reps = np.where(occupied, mass / np.where(occupied, counts, 1.0), np.nan)
     if not np.all(occupied):
         fallback = prob_of_logit(binner.phis)
-        if m > 2:
+        if binner.n_bins > 2:
             interior_mid = (binner.edges[:-1] + binner.edges[1:]) / 2.0
             fallback[1:-1] = prob_of_logit(interior_mid)
         reps = np.where(occupied, reps, fallback)
@@ -505,6 +504,17 @@ def set_representatives(
     )
 
 
+def fit_edges(cal_set: BinaryCalibrationSet, method: str, cfg: ImaxConfig) -> Binner:
+    """Edges and phi levels by method, with no representatives yet."""
+    if method == METHOD_EQ_SIZE:
+        return binner_from_edges(fit_eq_size(cfg.n_bins), method, seed=cfg.seed)
+    if method == METHOD_EQ_MASS:
+        return binner_from_edges(fit_eq_mass(cal_set, cfg.n_bins), method, seed=cfg.seed)
+    if method == METHOD_IMAX:
+        return fit_imax(cal_set, cfg)
+    raise DataError(f"unknown binning method {method!r}")
+
+
 def fit_binner(
     cal_set: BinaryCalibrationSet,
     method: str,
@@ -514,14 +524,4 @@ def fit_binner(
 ) -> Binner:
     """Fit edges by method, then attach representatives. Convenience wrapper."""
     cfg = config if config is not None else ImaxConfig()
-    if method == METHOD_EQ_SIZE:
-        binner = binner_from_edges(fit_eq_size(cfg.n_bins), method, seed=cfg.seed)
-    elif method == METHOD_EQ_MASS:
-        binner = binner_from_edges(
-            fit_eq_mass(cal_set, cfg.n_bins), method, seed=cfg.seed
-        )
-    elif method == METHOD_IMAX:
-        binner = fit_imax(cal_set, cfg)
-    else:
-        raise DataError(f"unknown binning method {method!r}")
-    return set_representatives(binner, cal_set, strategy, scaler=scaler)
+    return set_representatives(fit_edges(cal_set, method, cfg), cal_set, strategy, scaler=scaler)

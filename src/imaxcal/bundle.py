@@ -23,9 +23,8 @@ from .binning import (
     REP_SCALED_PROB_MEAN,
     Binner,
     ImaxConfig,
+    apply_binner,
     fit_binner,
-    set_representatives,
-    fit_imax,
 )
 from .data import (
     PROBABILITIES,
@@ -40,7 +39,7 @@ from .data import (
     ovr_set,
     prob_of_logit,
 )
-from .errors import DataError, FitError
+from .errors import DataError
 from .scaling import (
     KIND_PLATT,
     KIND_TEMPERATURE,
@@ -247,80 +246,50 @@ def fit_bundle(
     if method not in FIT_METHODS:
         raise DataError(f"unknown method {method!r}")
     cfg = config if config is not None else ImaxConfig()
+    provenance = {"seed": cfg.seed, "method": method}
+    scaler = None
 
     if method == METHOD_TEMPERATURE:
         if strategy == STRATEGY_CW:
             raise DataError("temperature scaling is fitted on all classes jointly")
-        scaler = fit_temperature(data)
         grouping = group_all(data.n_classes)
-        calibrators = [GroupCalibrator(classes=grouping.groups[0], scaler=scaler)]
-        provenance = {"seed": cfg.seed, "method": method, "n_fit_samples": data.n_samples}
-        return CalibratorBundle(
-            strategy=STRATEGY_SCW,
-            n_classes=data.n_classes,
-            input_kind=data.kind,
-            grouping=grouping,
-            calibrators=calibrators,
-            provenance=provenance,
-        )
-
-    lam = data.ovr_logits()
-
-    if method == METHOD_PLATT:
+        calibrators = [GroupCalibrator(classes=grouping.groups[0], scaler=fit_temperature(data))]
+    elif method == METHOD_PLATT:
         if strategy == STRATEGY_CW:
             raise DataError("platt scaling is fitted on the merged shared set only")
-        grouping = resolve_grouping(data, STRATEGY_SCW, groups_spec)
+        lam = data.ovr_logits()
+        grouping = resolve_grouping(data, strategy, groups_spec)
+        calibrators = [
+            GroupCalibrator(classes=g, scaler=fit_platt(ovr_set(lam, data.labels, g)))
+            for g in grouping.groups
+        ]
+    else:
+        lam = data.ovr_logits()
+        grouping = resolve_grouping(data, strategy, groups_spec)
+        binning_method = method
+        if method == METHOD_IMAX_WITH_SCALER:
+            if scaler_kind == KIND_TEMPERATURE:
+                scaler = fit_temperature(data)
+            elif scaler_kind == KIND_PLATT:
+                scaler = fit_platt(ovr_set(lam, data.labels, range(data.n_classes)))
+            else:
+                raise DataError("imax_with_scaler needs --scaler temperature or platt")
+            binning_method = METHOD_IMAX
+            rep_strategy = REP_SCALED_PROB_MEAN
         calibrators = [
             GroupCalibrator(
-                classes=g, scaler=fit_platt(ovr_set(lam, data.labels, g), shared=True)
+                classes=g,
+                binner=fit_binner(
+                    ovr_set(lam, data.labels, g), binning_method, cfg, rep_strategy, scaler
+                ),
             )
             for g in grouping.groups
         ]
-        provenance = {"seed": cfg.seed, "method": method, "n_fit_samples": data.n_samples}
-        return CalibratorBundle(
-            strategy=STRATEGY_SCW,
-            n_classes=data.n_classes,
-            input_kind=data.kind,
-            grouping=grouping,
-            calibrators=calibrators,
-            provenance=provenance,
-        )
+        provenance.update(n_bins=cfg.n_bins, rep_strategy=rep_strategy)
 
-    grouping = resolve_grouping(data, strategy, groups_spec)
-
-    shared_scaler = None
-    if method == METHOD_IMAX_WITH_SCALER:
-        if scaler_kind == KIND_TEMPERATURE:
-            shared_scaler = fit_temperature(data)
-        elif scaler_kind == KIND_PLATT:
-            shared_scaler = fit_platt(
-                ovr_set(lam, data.labels, range(data.n_classes)), shared=True
-            )
-        else:
-            raise DataError("imax_with_scaler needs --scaler temperature or platt")
-        rep_strategy = REP_SCALED_PROB_MEAN
-
-    calibrators = []
-    for g in grouping.groups:
-        cal_set = ovr_set(lam, data.labels, g)
-        if method == METHOD_IMAX_WITH_SCALER:
-            binner = fit_imax(cal_set, cfg)
-            binner = set_representatives(
-                binner, cal_set, REP_SCALED_PROB_MEAN, scaler=shared_scaler
-            )
-        else:
-            binner = fit_binner(cal_set, method, cfg, rep_strategy)
-        calibrators.append(GroupCalibrator(classes=g, binner=binner))
-
-    provenance = {
-        "seed": cfg.seed,
-        "method": method,
-        "n_bins": cfg.n_bins,
-        "rep_strategy": rep_strategy,
-        "n_fit_samples": data.n_samples,
-    }
-    if shared_scaler is not None:
-        provenance["scaler"] = shared_scaler.to_dict()
+    provenance["n_fit_samples"] = data.n_samples
+    if scaler is not None:
+        provenance["scaler"] = scaler.to_dict()
     return CalibratorBundle(
         strategy=strategy,
         n_classes=data.n_classes,
@@ -344,11 +313,7 @@ def apply_bundle(bundle: CalibratorBundle, scores, kind: str) -> np.ndarray:
         for c in cal.classes:
             lam = logit_of_prob(probs[:, c])
             if cal.binner is not None:
-                if cal.binner.reps is None:
-                    raise FitError("bundle binner has no representatives")
-                out[:, c] = cal.binner.reps[
-                    np.searchsorted(cal.binner.edges, lam, side="right")
-                ]
+                out[:, c] = apply_binner(cal.binner, lam)
             else:
                 out[:, c] = prob_of_logit(apply_scaler(cal.scaler, lam))
     return out

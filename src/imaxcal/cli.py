@@ -16,7 +16,7 @@ import numpy as np
 from . import bundle as bundle_mod
 from . import info as info_mod
 from . import synth as synth_mod
-from .binning import ImaxConfig, fit_eq_mass, fit_eq_size, fit_imax, binner_from_edges
+from .binning import ImaxConfig, fit_edges
 from .data import (
     PROBABILITIES,
     RAW_LOGITS,
@@ -618,16 +618,9 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     named = []
     for m in bins_list:
         for method in method_list:
-            cfg = ImaxConfig(n_bins=m, seed=seed)
+            binner = fit_edges(cal_set, method, ImaxConfig(n_bins=m, seed=seed))
             if method == "imax":
-                binner = fit_imax(cal_set, cfg)
                 _diag_fit_group(binner, bins=m, n=len(cal_set))
-            elif method == "eq_size":
-                binner = binner_from_edges(fit_eq_size(m), method, seed=seed)
-            else:
-                binner = binner_from_edges(
-                    fit_eq_mass(cal_set, m), method, seed=seed
-                )
             named.append((method, binner))
     fitted = time.perf_counter()
     bound = info_mod.mi_bound_of_set(cal_set)

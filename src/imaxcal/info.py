@@ -142,6 +142,22 @@ def _density_on_grid(kde: Kde1D, lo: float, hi: float) -> np.ndarray:
     return np.maximum(density, 0.0)
 
 
+def mi_of_densities(grid, p1, p0, prior: float) -> float:
+    """I(y; x) in nats, by trapezoid quadrature on grid, from the class
+    densities p1 = p(x | y=1) and p0 = p(x | y=0) sampled on it and the
+    prior P(y=1). Grid points where the mixture density is below 1e-300 are
+    skipped; a negative total is reported as 0.
+    """
+    mix = prior * p1 + (1.0 - prior) * p0
+    ok = mix >= _DENSITY_FLOOR
+    integrand = np.zeros_like(grid)
+    pos_ok = ok & (p1 > 0)
+    neg_ok = ok & (p0 > 0)
+    integrand[pos_ok] = prior * p1[pos_ok] * np.log(p1[pos_ok] / mix[pos_ok])
+    integrand[neg_ok] += (1.0 - prior) * p0[neg_ok] * np.log(p0[neg_ok] / mix[neg_ok])
+    return max(float(np.trapezoid(integrand, grid)), 0.0)
+
+
 def mi_upper_bound(
     kde_pos: Kde1D, kde_neg: Kde1D, prior: float, unit: str = "nats"
 ) -> float:
@@ -149,8 +165,7 @@ def mi_upper_bound(
 
     The grid spans [min - 5h, max + 5h] of the pooled samples with
     h = max of the two bandwidths, 4096 uniform points, where
-    ``_density_on_grid`` evaluates each density. Grid points where the
-    mixture density underflows below 1e-300 are skipped.
+    ``_density_on_grid`` evaluates each density for ``mi_of_densities``.
     """
     if not 0.0 < prior < 1.0:
         raise DataError("prior must lie strictly inside (0, 1)")
@@ -159,22 +174,12 @@ def mi_upper_bound(
     h = max(kde_pos.bandwidth, kde_neg.bandwidth)
     lo = min(kde_pos.samples[0], kde_neg.samples[0]) - _GRID_MARGIN * h
     hi = max(kde_pos.samples[-1], kde_neg.samples[-1]) + _GRID_MARGIN * h
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-
-    p1 = _density_on_grid(kde_pos, lo, hi)
-    p0 = _density_on_grid(kde_neg, lo, hi)
-    mix = prior * p1 + (1.0 - prior) * p0
-    ok = mix >= _DENSITY_FLOOR
-
-    integrand = np.zeros_like(grid)
-    pos_ok = ok & (p1 > 0)
-    neg_ok = ok & (p0 > 0)
-    integrand[pos_ok] = prior * p1[pos_ok] * np.log(p1[pos_ok] / mix[pos_ok])
-    integrand[neg_ok] += (
-        (1.0 - prior) * p0[neg_ok] * np.log(p0[neg_ok] / mix[neg_ok])
+    value = mi_of_densities(
+        np.linspace(lo, hi, _GRID_POINTS),
+        _density_on_grid(kde_pos, lo, hi),
+        _density_on_grid(kde_neg, lo, hi),
+        prior,
     )
-    value = float(np.trapezoid(integrand, grid))
-    value = max(value, 0.0)
     if unit == "bits":
         value /= float(np.log(2.0))
     return value

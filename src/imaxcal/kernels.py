@@ -36,6 +36,19 @@ def edges_from_phis(phis, scale, bias):
     return (np.log(num) - np.log(den)) / scale - bias
 
 
+def phis_from_sums(counts, sum_pos, sum_neg, fallback):
+    """Closed-form phi update: per-bin log-ratio of the sigmoid sums.
+
+    Empty bins (count 0) take their fallback level instead.
+    """
+    occupied = counts > 0
+    return np.where(
+        occupied,
+        np.log(np.where(occupied, sum_pos, 1.0)) - np.log(np.where(occupied, sum_neg, 1.0)),
+        fallback,
+    )
+
+
 def alternate(lam, sig_pos, sig_neg, is_pos, phis0, scale, bias, max_iter, tol):
     """Run the alternating edge/phi updates until movement stalls.
 
@@ -97,14 +110,8 @@ def alternate(lam, sig_pos, sig_neg, is_pos, phis0, scale, bias, max_iter, tol):
         sum_neg = tail_neg[lo] - tail_neg[hi]
         n_pos = cum_pos_y[hi] - cum_pos_y[lo]
 
-        occupied = counts > 0.0
-        empty_events += int(m - np.count_nonzero(occupied))
-        phis = np.where(
-            occupied,
-            np.log(np.where(occupied, sum_pos, 1.0))
-            - np.log(np.where(occupied, sum_neg, 1.0)),
-            phis,
-        )
+        empty_events += int(m - np.count_nonzero(counts))
+        phis = phis_from_sums(counts, sum_pos, sum_neg, phis)
         if np.any(np.diff(phis) <= 0.0):
             raise ValueError("phi levels lost strict monotonicity mid-iteration")
 

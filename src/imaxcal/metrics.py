@@ -13,8 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PROB_EPS, logit_of_prob, xlogy
-from .errors import DataError, FitError
+from .binning import ImaxConfig, bin_sums, fit_imax
+from .data import (
+    PROB_EPS,
+    BinaryCalibrationSet,
+    integer_labels,
+    logit_of_prob,
+    prob_of_logit,
+    xlogy,
+)
+from .errors import DataError
 
 SCHEME_EQ_SIZE = "eq_size"
 SCHEME_EQ_MASS = "eq_mass"
@@ -73,7 +81,7 @@ class EvalConfig:
 
 def _check_calibrated(calibrated, labels):
     calibrated = np.ascontiguousarray(calibrated, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = integer_labels(labels)
     if calibrated.ndim != 2:
         raise DataError("calibrated scores must be 2-D")
     if labels.shape != (calibrated.shape[0],):
@@ -217,9 +225,7 @@ def _kmeans_1d(values, n_bins, seed, max_iter=100, tol=1e-10):
     values_sorted = np.sort(values)
     for _ in range(max_iter):
         cuts = (centers[:-1] + centers[1:]) / 2.0
-        idx = np.searchsorted(cuts, values_sorted, side="right")
-        sums = np.bincount(idx, weights=values_sorted, minlength=centers.size)
-        cnts = np.bincount(idx, minlength=centers.size)
+        cnts, sums = bin_sums(cuts, values_sorted, values_sorted)
         occupied = cnts > 0
         new_centers = np.where(occupied, sums / np.maximum(cnts, 1), centers)
         movement = float(np.max(np.abs(new_centers - centers)))
@@ -255,9 +261,6 @@ def eval_bin_edges(values, scheme, n_bins, seed=0, targets=None):
     if scheme == SCHEME_IMAX:
         if targets is None:
             raise DataError("imax_eval scheme needs 0/1 targets")
-        from .binning import ImaxConfig, fit_imax
-        from .data import BinaryCalibrationSet, prob_of_logit
-
         cal = BinaryCalibrationSet(
             logits=logit_of_prob(values), targets=np.asarray(targets, dtype=np.int8)
         )
@@ -273,12 +276,11 @@ def _binned_gap(conf, correct, cfg):
     edges = eval_bin_edges(
         conf, cfg.eval_scheme, cfg.n_eval_bins, seed=cfg.seed, targets=correct
     )
-    idx = np.searchsorted(edges, conf, side="right")
-    counts = np.bincount(idx)
+    counts, hits, conf_sums = bin_sums(edges, conf, correct, conf)
     keep = counts > 0
     counts = counts[keep]
-    acc = np.bincount(idx, weights=correct)[keep] / counts
-    avg_conf = np.bincount(idx, weights=conf)[keep] / counts
+    acc = hits[keep] / counts
+    avg_conf = conf_sums[keep] / counts
     return float(np.sum(counts / conf.shape[0] * np.abs(acc - avg_conf)))
 
 
@@ -421,14 +423,13 @@ def mi_from_joint(joint) -> float:
 
 
 def mi_of_quantizer(binner, cal_set) -> float:
-    """Empirical MI (nats) between bin index and binary target."""
-    from .binning import quantize
+    """Empirical MI (nats) between bin index and binary target.
 
-    idx = quantize(binner, cal_set.logits)
-    m = binner.n_bins if hasattr(binner, "n_bins") else int(idx.max()) + 1
-    joint = np.zeros((m, 2))
-    np.add.at(joint, (idx, cal_set.targets.astype(np.int64)), 1.0)
-    return mi_from_joint(joint)
+    binner is a Binner or its bare interior edges.
+    """
+    edges = np.asarray(getattr(binner, "edges", binner), dtype=np.float64)
+    counts, n_pos = bin_sums(edges, cal_set.logits, cal_set.targets.astype(np.float64))
+    return mi_from_joint(np.column_stack([counts - n_pos, n_pos]))
 
 
 @dataclass

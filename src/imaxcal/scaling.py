@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import REP_SCALED_PROB_MEAN, Binner, ImaxConfig, fit_imax, set_representatives
+from .binning import METHOD_IMAX, REP_SCALED_PROB_MEAN, Binner, ImaxConfig, fit_binner
 from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, prob_of_logit
 from .errors import DataError, FitError
 
@@ -137,12 +137,11 @@ def _platt_objective(a, b, lam, targets):
     return float(np.mean(np.logaddexp(0.0, t) - targets * t))
 
 
-def fit_platt(cal_set: BinaryCalibrationSet, shared: bool = False) -> Scaler:
+def fit_platt(cal_set: BinaryCalibrationSet) -> Scaler:
     """Fit (a, b) by damped Newton on the binary NLL of sigmoid(a lam + b).
 
     The objective is convex; iteration stops when the gradient 2-norm drops
-    below 1e-8. `shared` is bookkeeping only (records that the set was the
-    merged shared-class-wise pool); the optimization is identical.
+    below 1e-8.
     """
     lam = cal_set.logits
     targets = cal_set.targets.astype(np.float64)
@@ -186,7 +185,6 @@ def fit_platt(cal_set: BinaryCalibrationSet, shared: bool = False) -> Scaler:
         obj = cand
     else:
         raise FitError("platt Newton did not converge")
-    _ = shared
     return Scaler(kind=KIND_PLATT, a=float(a), b=float(b))
 
 
@@ -195,5 +193,4 @@ def bin_with_scaler(
 ) -> Binner:
     """Hybrid calibrator: edges and phis from the iterative fit on raw
     logits, representatives from per-bin means of scaled probabilities."""
-    binner = fit_imax(cal_set, config)
-    return set_representatives(binner, cal_set, REP_SCALED_PROB_MEAN, scaler=scaler)
+    return fit_binner(cal_set, METHOD_IMAX, config, REP_SCALED_PROB_MEAN, scaler)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, prob_of_logit
 from .errors import DataError
+from .info import mi_of_densities
 
 
 def _streams(seed, count):
@@ -119,14 +120,7 @@ def analytic_mi(spec: BinaryMixtureSpec, n_grid: int = 32_769) -> float:
     grid = np.linspace(lo, hi, n_grid)
     p1 = np.exp(_log_normal_pdf(grid, spec.mu_pos, spec.sigma_pos))
     p0 = np.exp(_log_normal_pdf(grid, spec.mu_neg, spec.sigma_neg))
-    mix = spec.prior * p1 + (1.0 - spec.prior) * p0
-    ok = mix > 0
-    integrand = np.zeros_like(grid)
-    sel = ok & (p1 > 0)
-    integrand[sel] = spec.prior * p1[sel] * np.log(p1[sel] / mix[sel])
-    sel = ok & (p0 > 0)
-    integrand[sel] += (1.0 - spec.prior) * p0[sel] * np.log(p0[sel] / mix[sel])
-    return float(max(np.trapezoid(integrand, grid), 0.0))
+    return mi_of_densities(grid, p1, p0, spec.prior)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from imaxcal import (
     FitError,
     GroupCalibrator,
     ImaxConfig,
+    KIND_PLATT,
     KIND_TEMPERATURE,
     PROBABILITIES,
     PredictionMatrix,
@@ -106,6 +107,41 @@ def test_hybrid_needs_a_scaler_kind():
         scaler_kind=KIND_TEMPERATURE,
     )
     assert b.provenance["scaler"]["kind"] == KIND_TEMPERATURE
+
+
+_BINNER_PROVENANCE = ["seed", "method", "n_bins", "rep_strategy", "n_fit_samples"]
+_SCALER_PROVENANCE = ["seed", "method", "n_fit_samples"]
+
+
+@pytest.mark.parametrize(
+    "method, kwargs, strategy, keys",
+    [
+        ("eq_size", {}, STRATEGY_SCW, _BINNER_PROVENANCE),
+        (METHOD_EQ_MASS, {"strategy": STRATEGY_CW}, STRATEGY_CW, _BINNER_PROVENANCE),
+        (METHOD_IMAX, {"strategy": STRATEGY_CW}, STRATEGY_CW, _BINNER_PROVENANCE),
+        (METHOD_IMAX, {"groups_spec": 2}, STRATEGY_SCW, _BINNER_PROVENANCE),
+        (METHOD_TEMPERATURE, {}, STRATEGY_SCW, _SCALER_PROVENANCE),
+        (METHOD_PLATT, {"groups_spec": 2}, STRATEGY_SCW, _SCALER_PROVENANCE),
+        (
+            METHOD_IMAX_WITH_SCALER,
+            {"scaler_kind": KIND_TEMPERATURE},
+            STRATEGY_SCW,
+            _BINNER_PROVENANCE + ["scaler"],
+        ),
+        (
+            METHOD_IMAX_WITH_SCALER,
+            {"scaler_kind": KIND_PLATT},
+            STRATEGY_SCW,
+            _BINNER_PROVENANCE + ["scaler"],
+        ),
+    ],
+)
+def test_provenance_keys_and_strategy_per_method(method, kwargs, strategy, keys):
+    # the bundle bytes follow the provenance key order
+    b = _quiet_fit(_data(), method, config=ImaxConfig(n_bins=5, seed=2), **kwargs)
+    assert list(b.provenance) == keys
+    assert b.strategy == strategy
+    assert b.provenance["method"] == method
 
 
 def test_unknown_method_is_rejected():

@@ -265,6 +265,41 @@ def test_mi_is_invariant_to_bin_relabeling():
     )
 
 
+def _add_at_joint_mi(binner, cal):
+    """The former joint table: one np.add.at per sample, with a row per bin
+    of a Binner, or as many rows as the highest occupied bin needs for bare
+    edges."""
+    edges = getattr(binner, "edges", binner)
+    idx = np.searchsorted(edges, cal.logits, side="right")
+    rows = binner.n_bins if hasattr(binner, "n_bins") else int(idx.max()) + 1
+    joint = np.zeros((rows, 2))
+    np.add.at(joint, (idx, cal.targets.astype(np.int64)), 1.0)
+    return mi_from_joint(joint)
+
+
+def _random_quantizer_case(rng):
+    n = int(rng.integers(2, 300))
+    # few distinct levels give tied logits; some samples sit on an edge
+    levels = rng.normal(size=int(rng.integers(1, 40)))
+    logits = rng.choice(levels, size=n)
+    targets = (rng.random(n) < rng.random()).astype(np.int8)
+    pool = np.concatenate([levels, rng.normal(scale=3.0, size=20)])
+    edges = np.unique(rng.choice(pool, size=int(rng.integers(1, 20))))
+    return edges, BinaryCalibrationSet(logits=logits, targets=targets)
+
+
+def test_mi_of_quantizer_matches_the_add_at_joint_table():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        edges, cal = _random_quantizer_case(rng)
+        binner = binner_from_edges(edges, METHOD_EQ_SIZE)
+        assert mi_of_quantizer(binner, cal) == _add_at_joint_mi(binner, cal)
+        # bare edges now get every bin's row; the trailing empty rows change
+        # only the order of the summation
+        oracle = _add_at_joint_mi(edges, cal)
+        assert mi_of_quantizer(edges, cal) == pytest.approx(oracle, rel=5e-16, abs=1e-300)
+
+
 # --- bootstrap -------------------------------------------------------------------
 
 def test_bootstrap_single_resample_is_degenerate():
@@ -534,7 +569,13 @@ def test_every_metric_rejects_scores_outside_the_unit_interval(bad):
 
 def test_labels_must_index_a_class():
     cal, labels = _report_inputs(n=20, k=4)
-    for bad in (-1, 4):
-        labels[0] = bad
+    for bad in (-1, 4, 1.7, np.nan, np.inf):
+        bad_labels = labels.astype(np.float64)
+        bad_labels[0] = bad
+        for metric in (accuracy_topk, top1_ece, cw_ece, nll, brier):
+            with pytest.raises(DataError):
+                metric(cal, bad_labels)
         with pytest.raises(DataError):
-            build_report(cal, labels, EvalConfig())
+            build_report(cal, bad_labels, EvalConfig())
+    with pytest.raises(DataError, match="integers"):
+        accuracy_topk(np.array([[0.9, 0.1], [0.2, 0.8]]), [0.0, 1.7])
