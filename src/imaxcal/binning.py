@@ -15,15 +15,22 @@ every update.
 """
 
 import bisect
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .data import PROB_EPS, BinaryCalibrationSet, prob_of_logit, xlogy
+from .data import (
+    PROB_EPS,
+    BinaryCalibrationSet,
+    json_count,
+    json_number,
+    prob_of_logit,
+    xlogy,
+)
 from .errors import DataError, FitError
+from .scaling import apply_scaler
 
 METHOD_EQ_SIZE = "eq_size"
 METHOD_EQ_MASS = "eq_mass"
@@ -36,14 +43,15 @@ REP_STRATEGIES = (REP_EMPIRICAL_FREQ, REP_RAW_PROB_MEAN, REP_SCALED_PROB_MEAN)
 
 _BINNER_JSON_FIELDS = ("method", "edges", "phis", "reps", "seed", "iterations")
 
+MAX_ITERATIONS = 200
+TOLERANCE = 1e-10
+
 
 @dataclass
 class ImaxConfig:
     """Knobs for the iterative fit."""
 
     n_bins: int = 15
-    max_iterations: int = 200
-    tolerance: float = 1e-10
     seed: int = 0
     scale: float = 1.0
     bias: float = 0.0
@@ -51,10 +59,6 @@ class ImaxConfig:
     def __post_init__(self):
         if self.n_bins < 2:
             raise DataError(f"n_bins must be >= 2, got {self.n_bins}")
-        if self.max_iterations < 1:
-            raise DataError("max_iterations must be >= 1")
-        if self.tolerance < 0:
-            raise DataError("tolerance must be >= 0")
         if not self.scale > 0:
             raise DataError("scale must be > 0")
 
@@ -68,8 +72,8 @@ class FitTrace:
     hard_loss is surrogate_loss (label NLL) at the same checkpoints, which
     tracks loss statistically but carries no monotonicity guarantee.
     final_movement is the largest edge movement of the last pair; the fit
-    converged when it fell below the tolerance, and otherwise stopped at the
-    iteration cap.
+    converged when it fell below TOLERANCE, and otherwise stopped at
+    MAX_ITERATIONS.
     """
 
     loss: np.ndarray
@@ -114,8 +118,8 @@ class Binner:
     def n_bins(self):
         return self.phis.shape[0]
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "method": self.method,
             "edges": [float(v) for v in self.edges],
             "phis": [float(v) for v in self.phis],
@@ -123,15 +127,6 @@ class Binner:
             "seed": self.seed,
             "iterations": self.iterations,
         }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Binner":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"binner JSON is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Binner":
@@ -145,22 +140,25 @@ class Binner:
             raise DataError(f"missing binner fields: {sorted(missing)}")
         if payload["method"] not in (METHOD_EQ_SIZE, METHOD_EQ_MASS, METHOD_IMAX):
             raise DataError(f"unknown binning method {payload['method']!r}")
+
+        def numbers(name):
+            if not isinstance(payload[name], list):
+                raise DataError(f"binner {name} must be a list of numbers")
+            return [json_number(v, f"binner {name}") for v in payload[name]]
+
         try:
             return cls(
-                edges=np.asarray(payload["edges"], dtype=np.float64),
-                phis=np.asarray(payload["phis"], dtype=np.float64),
-                reps=None
-                if payload["reps"] is None
-                else np.asarray(payload["reps"], dtype=np.float64),
+                edges=numbers("edges"),
+                phis=numbers("phis"),
+                reps=None if payload["reps"] is None else numbers("reps"),
                 method=payload["method"],
-                iterations=int(payload["iterations"]),
-                seed=payload["seed"],
+                iterations=json_count(payload["iterations"], "binner iterations"),
+                seed=None
+                if payload["seed"] is None
+                else json_count(payload["seed"], "binner seed"),
             )
-        except (TypeError, ValueError, FitError) as exc:
+        except FitError as exc:
             raise DataError(f"malformed binner: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
 
 
 def quantize(binner, lam):
@@ -245,32 +243,19 @@ def _midpoint_phis(edges, scale, bias):
 
 
 def imax_update_phis(
-    cal_set: BinaryCalibrationSet,
-    edges,
-    scale: float = 1.0,
-    bias: float = 0.0,
-    prev_phis=None,
+    cal_set: BinaryCalibrationSet, edges, scale: float = 1.0, bias: float = 0.0
 ):
     """Closed-form phi update: per-bin log-ratio of sigmoid sums.
 
-    Empty bins keep their previous phi when prev_phis is given; otherwise
-    they fall back to the bin's midpoint proxy so a standalone call still
-    returns a strictly increasing vector.
+    Empty bins fall back to the bin's midpoint proxy, so the result is still
+    strictly increasing.
     """
     edges = np.asarray(edges, dtype=np.float64)
     t = scale * (cal_set.logits + bias)
     counts, sum_pos, sum_neg = bin_sums(
         edges, cal_set.logits, prob_of_logit(t), prob_of_logit(-t)
     )
-
-    if prev_phis is not None:
-        fallback = np.asarray(prev_phis, dtype=np.float64)
-        if fallback.shape != counts.shape:
-            raise FitError("prev_phis length must match bin count")
-    elif counts.all():
-        fallback = np.zeros(counts.shape)
-    else:
-        fallback = _midpoint_phis(edges, scale, bias)
+    fallback = np.zeros(counts.shape) if counts.all() else _midpoint_phis(edges, scale, bias)
     return kernels.phis_from_sums(counts, sum_pos, sum_neg, fallback)
 
 
@@ -363,17 +348,14 @@ def _seed_phis(t_sorted, n_bins, rng):
     return phis
 
 
-def fit_imax(
-    cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None, init_edges=None
-) -> Binner:
+def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) -> Binner:
     """Iteratively fit bin edges that maximize label information.
 
     Alternates the closed-form edge update (loss-indifference points between
     adjacent phi levels) with the closed-form phi update (per-bin log-ratio
-    of sigmoid sums), starting from seeded phi levels or, when init_edges is
-    given, from the phi levels those edges induce. Stops after the phi
-    update of the first pair whose maximum edge movement falls below the
-    tolerance, or after max_iterations pairs.
+    of sigmoid sums), starting from seeded phi levels. Stops after the phi
+    update of the first pair whose maximum edge movement falls below
+    TOLERANCE, or after MAX_ITERATIONS pairs.
     """
     cfg = config if config is not None else ImaxConfig()
     n = len(cal_set)
@@ -389,13 +371,7 @@ def fit_imax(
     is_pos = cal_set.targets[order].astype(np.float64)
     t = cfg.scale * (lam + cfg.bias)
 
-    if init_edges is not None:
-        init_phis = imax_update_phis(cal_set, init_edges, cfg.scale, cfg.bias)
-        if np.any(np.diff(init_phis) <= 0):
-            raise FitError("init_edges induce non-increasing phi levels")
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        init_phis = _seed_phis(t, cfg.n_bins, rng)
+    init_phis = _seed_phis(t, cfg.n_bins, np.random.default_rng(cfg.seed))
 
     try:
         edges, phis, loss, hard_loss, n_pairs, empties, movement = kernels.alternate(
@@ -406,8 +382,8 @@ def fit_imax(
             init_phis,
             cfg.scale,
             cfg.bias,
-            cfg.max_iterations,
-            cfg.tolerance,
+            MAX_ITERATIONS,
+            TOLERANCE,
         )
     except ValueError as exc:
         raise FitError(str(exc)) from exc
@@ -425,14 +401,12 @@ def fit_imax(
             empty_bin_events=empties,
             init_phis=init_phis,
             final_movement=movement,
-            converged=movement < cfg.tolerance,
+            converged=movement < TOLERANCE,
         ),
     )
 
 
-def binner_from_edges(
-    edges, method: str, cal_set: BinaryCalibrationSet | None = None, seed=None
-) -> Binner:
+def binner_from_edges(edges, method: str, seed=None) -> Binner:
     """Wrap fixed edges (eq_size / eq_mass) into a Binner.
 
     Baseline binners carry midpoint-proxy phi levels: only the empty-bin
@@ -477,8 +451,6 @@ def set_representatives(
     else:
         if scaler is None:
             raise DataError("scaled_prob_mean needs a fitted scaler")
-        from .scaling import apply_scaler
-
         weights = prob_of_logit(apply_scaler(scaler, cal_set.logits))
     counts, mass = bin_sums(binner.edges, cal_set.logits, weights)
 

@@ -35,6 +35,7 @@ from .data import (
     group_all,
     group_by_prior,
     group_singletons,
+    json_count,
     logit_of_prob,
     ovr_set,
     prob_of_logit,
@@ -167,18 +168,18 @@ class CalibratorBundle:
             _GROUPING_FIELDS
         ):
             raise DataError("bundle grouping must have exactly mode and groups")
-        try:
-            n_classes = int(payload["n_classes"])
-            grouping = ClassGrouping(
-                groups=tuple(tuple(g) for g in grouping_payload["groups"]),
-                mode=grouping_payload["mode"],
-                n_classes=n_classes,
-            )
-            calibrator_payloads = list(payload["calibrators"])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"malformed bundle: {exc}") from exc
+        n_classes = json_count(payload["n_classes"], "bundle n_classes")
+        if not isinstance(grouping_payload["groups"], list):
+            raise DataError("bundle grouping groups must be a list")
+        grouping = ClassGrouping(
+            groups=tuple(_classes(g) for g in grouping_payload["groups"]),
+            mode=grouping_payload["mode"],
+            n_classes=n_classes,
+        )
+        if not isinstance(payload["calibrators"], list):
+            raise DataError("bundle calibrators must be a list")
         calibrators = []
-        for cal in calibrator_payloads:
+        for cal in payload["calibrators"]:
             if not isinstance(cal, dict):
                 raise DataError("calibrator entries must be objects")
             unknown = set(cal) - set(_CALIBRATOR_FIELDS)
@@ -187,13 +188,9 @@ class CalibratorBundle:
             missing = set(_CALIBRATOR_FIELDS) - set(cal)
             if missing:
                 raise DataError(f"missing calibrator fields: {sorted(missing)}")
-            try:
-                classes = tuple(int(c) for c in cal["classes"])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"malformed calibrator classes: {exc}") from exc
             calibrators.append(
                 GroupCalibrator(
-                    classes=classes,
+                    classes=_classes(cal["classes"]),
                     binner=None
                     if cal["binner"] is None
                     else Binner.from_dict(cal["binner"]),
@@ -213,6 +210,13 @@ class CalibratorBundle:
             calibrators=calibrators,
             provenance=provenance,
         )
+
+
+def _classes(values) -> tuple:
+    """A JSON list of class indices."""
+    if not isinstance(values, list):
+        raise DataError(f"class lists must be lists, got {values!r}")
+    return tuple(json_count(c, "class index") for c in values)
 
 
 def resolve_grouping(

@@ -9,6 +9,7 @@ failure. Diagnostics go to stderr as single-line key=value records.
 import json
 import sys
 import time
+import warnings
 
 import click
 import numpy as np
@@ -16,7 +17,15 @@ import numpy as np
 from . import bundle as bundle_mod
 from . import info as info_mod
 from . import synth as synth_mod
-from .binning import ImaxConfig, fit_edges
+from .binning import (
+    METHOD_EQ_MASS,
+    METHOD_EQ_SIZE,
+    METHOD_IMAX,
+    REP_EMPIRICAL_FREQ,
+    REP_RAW_PROB_MEAN,
+    ImaxConfig,
+    fit_edges,
+)
 from .data import (
     PROBABILITIES,
     RAW_LOGITS,
@@ -26,13 +35,13 @@ from .data import (
 )
 from .errors import DataError, FitError
 from .metrics import (
+    EVAL_SCHEMES,
+    NAMED_THRESHOLDS,
     EvalConfig,
     SCHEME_EQ_SIZE,
     SCHEME_EXACT,
+    SCHEME_IMAX,
     THRESHOLD_CLASS_PRIOR,
-    THRESHOLD_HALF,
-    THRESHOLD_ONE_OVER_K,
-    THRESHOLD_ZERO,
     TIE_CLASS_INDEX,
     TIE_RAW_LOGIT,
     RowStats,
@@ -41,28 +50,6 @@ from .metrics import (
 
 _KIND_BY_FLAG = {"logits": RAW_LOGITS, "probs": PROBABILITIES}
 _TIE_BY_FLAG = {"class-index": TIE_CLASS_INDEX, "raw-logit": TIE_RAW_LOGIT}
-_THRESHOLD_NAMES = {
-    "zero": THRESHOLD_ZERO,
-    "one-over-k": THRESHOLD_ONE_OVER_K,
-    "one_over_k": THRESHOLD_ONE_OVER_K,
-    "prior": THRESHOLD_CLASS_PRIOR,
-    "class-prior": THRESHOLD_CLASS_PRIOR,
-    "class_prior": THRESHOLD_CLASS_PRIOR,
-    "half": THRESHOLD_HALF,
-}
-_SCHEME_NAMES = {
-    "eq-size": "eq_size",
-    "eq_size": "eq_size",
-    "eq-mass": "eq_mass",
-    "eq_mass": "eq_mass",
-    "kmeans": "kmeans",
-    "imax": "imax_eval",
-    "imax-eval": "imax_eval",
-    "imax_eval": "imax_eval",
-    "exact": "exact_grouping",
-    "exact-grouping": "exact_grouping",
-    "exact_grouping": "exact_grouping",
-}
 
 
 def diag(**kv):
@@ -143,16 +130,25 @@ def _parse_multi(values, cast, what):
     return out
 
 
+def _name(token, allowed, what, aliases=None):
+    """The name in allowed that a flag value spells: '-' reads as '_', and
+    aliases maps the flag's short names to full ones."""
+    name = token.replace("-", "_")
+    name = (aliases or {}).get(name, name)
+    if name not in allowed:
+        raise click.UsageError(f"unknown {what} {token!r}")
+    return name
+
+
 def _parse_thresholds(values):
     out = []
     for token in _parse_multi(values, str, "threshold"):
-        if token in _THRESHOLD_NAMES:
-            out.append(_THRESHOLD_NAMES[token])
-        else:
-            try:
-                out.append(float(token))
-            except ValueError:
-                raise click.UsageError(f"unknown threshold {token!r}") from None
+        try:
+            out.append(float(token))
+        except ValueError:
+            out.append(
+                _name(token, NAMED_THRESHOLDS, "threshold", {"prior": THRESHOLD_CLASS_PRIOR})
+            )
     return out or [THRESHOLD_CLASS_PRIOR]
 
 
@@ -182,14 +178,6 @@ def _parse_groups(text):
     if not groups:
         raise click.UsageError(f"empty group spec {text!r}")
     return groups
-
-
-def _scheme_of(flag):
-    if flag == "auto":
-        return None
-    if flag not in _SCHEME_NAMES:
-        raise click.UsageError(f"unknown eval scheme {flag!r}")
-    return _SCHEME_NAMES[flag]
 
 
 @click.group()
@@ -226,7 +214,7 @@ def cli():
     show_default=True,
     help="Scaler for imax_with_scaler representatives.",
 )
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option(
     "--input-kind",
     default="logits",
@@ -256,12 +244,8 @@ def cmd_fit(
     rep_strategy,
 ):
     """Fit a calibrator bundle from scores and labels."""
-    method = method.replace("-", "_")
-    if method not in bundle_mod.FIT_METHODS:
-        raise click.UsageError(f"unknown method {method!r}")
-    rep = rep_strategy.replace("-", "_")
-    if rep not in ("empirical_freq", "raw_prob_mean"):
-        raise click.UsageError(f"unknown rep strategy {rep_strategy!r}")
+    method = _name(method, bundle_mod.FIT_METHODS, "method")
+    rep = _name(rep_strategy, (REP_EMPIRICAL_FREQ, REP_RAW_PROB_MEAN), "rep strategy")
     if not 0.0 <= holdout_frac < 1.0:
         raise click.UsageError("--holdout-frac must lie in [0, 1)")
     if method == "imax" and scaler != "none":
@@ -391,7 +375,7 @@ def _load_bundle(path):
 @click.option("--bootstrap", default=0, show_default=True, help="Resample count B.")
 @click.option("--tie-break", default="class-index",
               type=click.Choice(["class-index", "raw-logit"]), show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option(
     "--input-kind",
     default=None,
@@ -417,7 +401,9 @@ def cmd_eval(
     raw_scores,
 ):
     """Evaluate calibrated scores (or scores through a bundle)."""
-    scheme = _scheme_of(eval_scheme)
+    scheme = None if eval_scheme == "auto" else _name(
+        eval_scheme, EVAL_SCHEMES, "eval scheme", {"imax": SCHEME_IMAX, "exact": SCHEME_EXACT}
+    )
     bins_list = _parse_multi(eval_bins, int, "--eval-bins") or [100]
     thresholds = _parse_thresholds(cw_threshold)
     ks = _parse_multi(top_k, int, "--top-k") or [1, 5]
@@ -511,7 +497,7 @@ def cmd_eval(
 @click.option("--sigma-pos", default=1.0, show_default=True)
 @click.option("--sigma-neg", default=1.0, show_default=True)
 @click.option("--n", default=10_000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option("--out-prefix", required=True, type=click.Path())
 def cmd_synth(
     preset,
@@ -589,7 +575,7 @@ def cmd_synth(
 @click.option("--bins", multiple=True, help="Repeatable bin counts; default 2,4,8,16.")
 @click.option("--method", "methods", multiple=True,
               help="Repeatable: imax | eq_size | eq_mass; default all three.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option(
     "--input-kind",
     default="logits",
@@ -600,14 +586,10 @@ def cmd_synth(
 def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     """Empirical binner MI against the KDE upper bound, on the fit set."""
     bins_list = _parse_multi(bins, int, "--bins") or [2, 4, 8, 16]
-    method_list = [m.replace("-", "_") for m in _parse_multi(methods, str, "--method")] or [
-        "imax",
-        "eq_size",
-        "eq_mass",
-    ]
-    for m in method_list:
-        if m not in ("imax", "eq_size", "eq_mass"):
-            raise click.UsageError(f"unknown method {m!r}")
+    binning_methods = (METHOD_IMAX, METHOD_EQ_SIZE, METHOD_EQ_MASS)
+    method_list = [
+        _name(m, binning_methods, "method") for m in _parse_multi(methods, str, "--method")
+    ] or list(binning_methods)
 
     scores = _read_matrix(scores_csv)
     labels = _read_labels(labels_csv, scores.shape[0])
@@ -619,7 +601,7 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     for m in bins_list:
         for method in method_list:
             binner = fit_edges(cal_set, method, ImaxConfig(n_bins=m, seed=seed))
-            if method == "imax":
+            if method == METHOD_IMAX:
                 _diag_fit_group(binner, bins=m, n=len(cal_set))
             named.append((method, binner))
     fitted = time.perf_counter()
@@ -647,8 +629,16 @@ def _error_line(kind, exc):
     print(f'error={kind} msg="{msg}"', file=sys.stderr)
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """Display hook for Python warnings: one event=warning diagnostic."""
+    diag(event="warning", category=category.__name__, msg=message)
+
+
 def main(argv=None):
-    """Console entry point with the documented exit-code mapping."""
+    """Console entry point with the documented exit-code mapping; Python
+    warnings that pass the warning filters show as event=warning lines."""
+    shown = warnings.showwarning
+    warnings.showwarning = _warning_line
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
@@ -666,6 +656,8 @@ def main(argv=None):
     except FitError as exc:
         _error_line("fit", exc)
         return 4
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

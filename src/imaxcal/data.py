@@ -111,6 +111,25 @@ def integer_labels(labels):
         raise DataError(f"labels must be integers: {exc}") from exc
 
 
+def json_number(value, what):
+    """A number read from JSON, as a float. Text, null, bool, containers and
+    integers beyond the float range are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise DataError(f"{what} is out of the float range") from exc
+
+
+def json_count(value, what):
+    """A non-negative integer read from JSON. Text, bool and any float,
+    even an integral one, are rejected rather than cast."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DataError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def as_probabilities(scores, kind):
     """Validate a bare score matrix and return it as probabilities.
 
@@ -243,6 +262,8 @@ class ClassGrouping:
     n_classes: int = 0
 
     def __post_init__(self):
+        if self.mode not in (MODE_ONE_FOR_ALL, MODE_BY_PRIOR, MODE_EXPLICIT):
+            raise DataError(f"unknown grouping mode {self.mode!r}")
         groups = tuple(tuple(sorted(int(c) for c in g)) for g in self.groups)
         if not groups or any(len(g) == 0 for g in groups):
             raise DataError("grouping needs non-empty groups")
@@ -250,7 +271,7 @@ class ClassGrouping:
         if len(flat) != len(set(flat)):
             raise DataError("groups overlap")
         k = self.n_classes or (max(flat) + 1)
-        if sorted(flat) != list(range(k)):
+        if len(flat) != k or sorted(flat) != list(range(k)):
             raise DataError(f"groups must cover classes 0..{k - 1} exactly")
         self.groups = groups
         self.n_classes = k

@@ -37,7 +37,6 @@ class Kde1D:
 
     samples: np.ndarray
     bandwidth: float
-    rule: str = "scott"
 
     def __post_init__(self):
         self.samples = np.sort(np.asarray(self.samples, dtype=np.float64))
@@ -57,7 +56,7 @@ def kde_fit(samples, bandwidth=None) -> Kde1D:
     """
     samples = np.asarray(samples, dtype=np.float64)
     if bandwidth is not None:
-        return Kde1D(samples=samples, bandwidth=float(bandwidth), rule="fixed")
+        return Kde1D(samples=samples, bandwidth=float(bandwidth))
     if samples.size < 2:
         raise DataError("KDE needs at least two samples")
     sigma = float(np.std(samples, ddof=1))
@@ -158,9 +157,7 @@ def mi_of_densities(grid, p1, p0, prior: float) -> float:
     return max(float(np.trapezoid(integrand, grid)), 0.0)
 
 
-def mi_upper_bound(
-    kde_pos: Kde1D, kde_neg: Kde1D, prior: float, unit: str = "nats"
-) -> float:
+def mi_upper_bound(kde_pos: Kde1D, kde_neg: Kde1D, prior: float) -> float:
     """I(y; lam) from the two class-conditional KDEs, by trapezoid quadrature.
 
     The grid spans [min - 5h, max + 5h] of the pooled samples with
@@ -169,55 +166,47 @@ def mi_upper_bound(
     """
     if not 0.0 < prior < 1.0:
         raise DataError("prior must lie strictly inside (0, 1)")
-    if unit not in ("nats", "bits"):
-        raise DataError(f"unknown unit {unit!r}")
     h = max(kde_pos.bandwidth, kde_neg.bandwidth)
     lo = min(kde_pos.samples[0], kde_neg.samples[0]) - _GRID_MARGIN * h
     hi = max(kde_pos.samples[-1], kde_neg.samples[-1]) + _GRID_MARGIN * h
-    value = mi_of_densities(
+    return mi_of_densities(
         np.linspace(lo, hi, _GRID_POINTS),
         _density_on_grid(kde_pos, lo, hi),
         _density_on_grid(kde_neg, lo, hi),
         prior,
     )
-    if unit == "bits":
-        value /= float(np.log(2.0))
-    return value
 
 
-def mi_bound_of_set(cal_set: BinaryCalibrationSet, unit: str = "nats") -> float:
+def mi_bound_of_set(cal_set: BinaryCalibrationSet) -> float:
     """Convenience wrapper: split a set by target, fit the two KDEs, bound."""
     pos = cal_set.logits[cal_set.targets == 1]
     neg = cal_set.logits[cal_set.targets == 0]
     if pos.size < 2 or neg.size < 2:
         raise DataError("MI bound needs at least two samples of each label")
     prior = float(cal_set.targets.mean())
-    return mi_upper_bound(kde_fit(pos), kde_fit(neg), prior, unit)
+    return mi_upper_bound(kde_fit(pos), kde_fit(neg), prior)
 
 
-def mi_report(
-    cal_set: BinaryCalibrationSet, named_binners, unit: str = "nats", bound=None
-):
-    """Rows of (name, n_bins, mi, upper_bound, ratio) for fitted binners.
+def mi_report(cal_set: BinaryCalibrationSet, named_binners, bound=None):
+    """Rows of (name, n_bins, mi, upper_bound, ratio) for fitted binners, in
+    nats.
 
     The bound is computed once on the given set, which should be the set
     the binners were fitted on, unless the caller passes that set's
-    ``mi_bound_of_set`` in the same unit as ``bound``.
+    ``mi_bound_of_set`` as ``bound``.
     """
     if bound is None:
-        bound = mi_bound_of_set(cal_set, unit)
-    scale = 1.0 if unit == "nats" else 1.0 / float(np.log(2.0))
+        bound = mi_bound_of_set(cal_set)
     rows = []
     for name, binner in named_binners:
-        mi = mi_of_quantizer(binner, cal_set) * scale
+        mi = mi_of_quantizer(binner, cal_set)
         ratio = mi / bound if bound > 0 else float("nan")
         rows.append((name, binner.n_bins, mi, bound, ratio))
     return rows
 
 
-def mi_report_csv(rows, unit: str = "nats") -> str:
-    header = f"name,n_bins,mi_{unit},upper_bound_{unit},ratio"
-    lines = [header]
+def mi_report_csv(rows) -> str:
+    lines = ["name,n_bins,mi_nats,upper_bound_nats,ratio"]
     for name, m, mi, bound, ratio in rows:
         lines.append(f"{name},{m},{repr(float(mi))},{repr(float(bound))},{repr(float(ratio))}")
     return "\n".join(lines) + "\n"

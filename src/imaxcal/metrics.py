@@ -16,7 +16,9 @@ import numpy as np
 from .binning import ImaxConfig, bin_sums, fit_imax
 from .data import (
     PROB_EPS,
+    RAW_LOGITS,
     BinaryCalibrationSet,
+    _check_scores,
     integer_labels,
     logit_of_prob,
     prob_of_logit,
@@ -181,7 +183,7 @@ def ranked_classes(calibrated, tie_break=TIE_CLASS_INDEX, raw_scores=None):
     elif tie_break == TIE_RAW_LOGIT:
         if raw_scores is None:
             raise DataError("tie_break=raw_logit needs the raw score matrix")
-        raw_scores = np.asarray(raw_scores, dtype=np.float64)
+        raw_scores = _check_scores(raw_scores, RAW_LOGITS)
         if raw_scores.shape != calibrated.shape:
             raise DataError("raw score shape does not match calibrated scores")
         secondary = -raw_scores
@@ -206,10 +208,6 @@ def accuracy_topk(
 def _kmeans_1d(values, n_bins, seed, max_iter=100, tol=1e-10):
     """Plain 1-D Lloyd iteration with squared-distance ++-style seeding."""
     rng = np.random.default_rng(seed)
-    uniq = np.unique(values)
-    if uniq.size <= n_bins:
-        return uniq.astype(np.float64)
-
     centers = np.empty(n_bins)
     centers[0] = values[rng.integers(values.size)]
     d2 = (values - centers[0]) ** 2
@@ -239,7 +237,8 @@ def eval_bin_edges(values, scheme, n_bins, seed=0, targets=None):
     """Interior edges over [0, 1] for the named evaluation scheme.
 
     targets (0/1 correctness or label indicators) is required by imax_eval,
-    which reuses the iterative fit on the logit of the confidences.
+    which reuses the iterative fit on the logit of the confidences. kmeans
+    and imax_eval give each value its own bin when no more than n_bins differ.
     """
     values = np.asarray(values, dtype=np.float64)
     if scheme == SCHEME_EQ_SIZE:
@@ -255,17 +254,18 @@ def eval_bin_edges(values, scheme, n_bins, seed=0, targets=None):
                 stacklevel=2,
             )
         return uniq
-    if scheme == SCHEME_KMEANS:
-        centers = _kmeans_1d(values, n_bins, seed)
-        return (centers[:-1] + centers[1:]) / 2.0
-    if scheme == SCHEME_IMAX:
-        if targets is None:
+    if scheme in (SCHEME_KMEANS, SCHEME_IMAX):
+        if scheme == SCHEME_IMAX and targets is None:
             raise DataError("imax_eval scheme needs 0/1 targets")
-        cal = BinaryCalibrationSet(
-            logits=logit_of_prob(values), targets=np.asarray(targets, dtype=np.int8)
-        )
-        binner = fit_imax(cal, ImaxConfig(n_bins=n_bins, seed=seed))
-        return prob_of_logit(binner.edges)
+        centers = np.unique(values)
+        if centers.size > n_bins:
+            if scheme == SCHEME_IMAX:
+                cal = BinaryCalibrationSet(
+                    logits=logit_of_prob(values), targets=np.asarray(targets, dtype=np.int8)
+                )
+                return prob_of_logit(fit_imax(cal, ImaxConfig(n_bins=n_bins, seed=seed)).edges)
+            centers = _kmeans_1d(values, n_bins, seed)
+        return (centers[:-1] + centers[1:]) / 2.0
     if scheme == SCHEME_EXACT:
         raise DataError("exact_grouping groups by value and has no edges")
     raise DataError(f"unknown eval scheme {scheme!r}")
@@ -433,41 +433,6 @@ def mi_of_quantizer(binner, cal_set) -> float:
 
 
 @dataclass
-class BootstrapResult:
-    mean: float
-    std: float
-    n_resamples: int
-    degenerate: bool = False
-
-
-def _resample(metric_fn, n_samples, n_resamples, seed):
-    """metric_fn's value on each of n_resamples draws with replacement.
-
-    The one bootstrap draw path: resample i is the i-th
-    rng.integers(0, n_samples, size=n_samples) of default_rng(seed).
-    """
-    if n_resamples < 1:
-        raise DataError("need at least one bootstrap resample")
-    rng = np.random.default_rng(seed)
-    return [
-        metric_fn(rng.integers(0, n_samples, size=n_samples)) for _ in range(n_resamples)
-    ]
-
-
-def bootstrap_metric(metric_fn, n_samples, n_resamples, seed=0) -> BootstrapResult:
-    """Resample-with-replacement dispersion of a metric closure.
-
-    metric_fn receives an index array into the evaluation set. With a
-    single resample the std is undefined and reported as 0 with the
-    degenerate flag set.
-    """
-    vals = np.array([float(v) for v in _resample(metric_fn, n_samples, n_resamples, seed)])
-    if n_resamples == 1:
-        return BootstrapResult(float(vals[0]), 0.0, 1, degenerate=True)
-    return BootstrapResult(float(vals.mean()), float(vals.std(ddof=1)), n_resamples)
-
-
-@dataclass
 class MetricReport:
     """One evaluation pass: ranking, calibration, and proper-score metrics."""
 
@@ -565,6 +530,11 @@ def build_report(
 ) -> MetricReport:
     """Compute the full metric set, with optional bootstrap dispersion.
 
+    The bootstrap draws cfg.bootstrap resamples of the rows with
+    replacement: resample i is the i-th rng.integers(0, n, size=n) of
+    default_rng(cfg.seed). Each metric's std is over the resamples
+    (ddof=1), and 0 for a single resample, where it is undefined.
+
     stats, when given, is the RowStats of calibrated and labels under cfg's
     tie break; reports that differ only in other settings can share it, and
     with it one ranking.
@@ -583,12 +553,11 @@ def build_report(
         brier_value=values["brier"],
     )
     if cfg.bootstrap > 0:
-        replicates = _resample(
-            lambda rows: _metric_pass(stats.take(rows), cfg)[0],
-            stats.n,
-            cfg.bootstrap,
-            cfg.seed,
-        )
+        rng = np.random.default_rng(cfg.seed)
+        replicates = [
+            _metric_pass(stats.take(rng.integers(0, stats.n, size=stats.n)), cfg)[0]
+            for _ in range(cfg.bootstrap)
+        ]
         report.bootstrap_std = {
             name: 0.0
             if cfg.bootstrap == 1

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binning import METHOD_IMAX, REP_SCALED_PROB_MEAN, Binner, ImaxConfig, fit_binner
-from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, prob_of_logit
+from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, json_number, prob_of_logit
 from .errors import DataError, FitError
 
 KIND_TEMPERATURE = "temperature"
@@ -63,13 +62,13 @@ class Scaler:
         if set(payload) != allowed:
             off = sorted(set(payload) ^ allowed)
             raise DataError(f"scaler fields do not match {kind!r}: {off}")
-        params = {name: payload[name] for name in sorted(allowed - {"kind"})}
-        for name, value in params.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DataError(f"scaler field {name!r} must be a number, got {value!r}")
+        params = {
+            name: json_number(payload[name], f"scaler field {name!r}")
+            for name in sorted(allowed - {"kind"})
+        }
         try:
-            return cls(kind=kind, **{name: float(v) for name, v in params.items()})
-        except (OverflowError, FitError) as exc:
+            return cls(kind=kind, **params)
+        except FitError as exc:
             raise DataError(f"malformed scaler: {exc}") from exc
 
 
@@ -187,10 +186,3 @@ def fit_platt(cal_set: BinaryCalibrationSet) -> Scaler:
         raise FitError("platt Newton did not converge")
     return Scaler(kind=KIND_PLATT, a=float(a), b=float(b))
 
-
-def bin_with_scaler(
-    cal_set: BinaryCalibrationSet, config: ImaxConfig, scaler: Scaler
-) -> Binner:
-    """Hybrid calibrator: edges and phis from the iterative fit on raw
-    logits, representatives from per-bin means of scaled probabilities."""
-    return fit_binner(cal_set, METHOD_IMAX, config, REP_SCALED_PROB_MEAN, scaler)

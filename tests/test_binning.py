@@ -23,7 +23,10 @@ from imaxcal import (
     Scaler,
     KIND_TEMPERATURE,
 )
+from imaxcal import kernels
 from imaxcal.binning import (
+    MAX_ITERATIONS,
+    TOLERANCE,
     apply_binner,
     binner_from_edges,
     fit_binner,
@@ -148,10 +151,14 @@ def test_binner_reps_bounds_are_inclusive():
     )
 
 
+def _through_json(binner):
+    return Binner.from_dict(json.loads(json.dumps(binner.to_dict())))
+
+
 def test_binner_json_round_trip_is_exact():
     cal = _mixture(n=1000, seed=3)
     b = fit_binner(cal, METHOD_IMAX, ImaxConfig(n_bins=5, seed=0))
-    back = Binner.from_json(b.to_json())
+    back = _through_json(b)
     np.testing.assert_array_equal(back.edges, b.edges)
     np.testing.assert_array_equal(back.phis, b.phis)
     np.testing.assert_array_equal(back.reps, b.reps)
@@ -162,21 +169,21 @@ def test_binner_json_round_trip_is_exact():
 
 def test_binner_json_none_reps_survive():
     b = binner_from_edges(np.array([-0.5, 0.5]), METHOD_EQ_SIZE)
-    assert Binner.from_json(b.to_json()).reps is None
+    assert _through_json(b).reps is None
 
 
 def test_binner_json_is_strict():
     b = binner_from_edges(np.array([0.0]), METHOD_EQ_SIZE)
-    doc = json.loads(b.to_json())
+    doc = b.to_dict()
     doc["extra"] = 1
     with pytest.raises(DataError):
-        Binner.from_json(json.dumps(doc))
+        Binner.from_dict(doc)
     del doc["extra"]
     del doc["phis"]
     with pytest.raises(DataError):
-        Binner.from_json(json.dumps(doc))
+        Binner.from_dict(doc)
     with pytest.raises(DataError):
-        Binner.from_json("{not json")
+        Binner.from_dict(["not", "an", "object"])
 
 
 # --- baseline edges -----------------------------------------------------
@@ -277,13 +284,6 @@ def test_phi_update_known_pair():
     assert imax_update_phis(cal2, np.array([]))[0] == 0.0
 
 
-def test_phi_update_keeps_previous_on_empty_bins():
-    cal = BinaryCalibrationSet(np.array([0.0, 0.2]), np.array([0, 1]))
-    prev = np.array([-5.0, 0.1, 5.0])
-    phis = imax_update_phis(cal, np.array([-1.0, 1.0]), prev_phis=prev)
-    assert phis[0] == -5.0 and phis[2] == 5.0
-
-
 def test_phi_update_midpoint_fallback_without_prev():
     cal = BinaryCalibrationSet(np.array([0.0, 0.2]), np.array([0, 1]))
     phis = imax_update_phis(cal, np.array([-1.0, 1.0]))
@@ -344,11 +344,16 @@ def test_fit_imax_diagnostics_trace():
 def test_fit_imax_weighted_loss_never_worse_than_its_init():
     for params in ({}, PRESETS["fig2-imbalanced"]):
         cal = _mixture(n=10_000, seed=0, **params)
-        cfg = ImaxConfig(n_bins=15, seed=0)
+        order = np.argsort(cal.logits, kind="stable")
+        lam = cal.logits[order]
         for edges0 in (fit_eq_size(15), fit_eq_mass(cal, 15)):
-            at_init = weighted_surrogate_loss(cal, edges0, imax_update_phis(cal, edges0))
-            fitted = fit_imax(cal, cfg, init_edges=edges0)
-            at_end = weighted_surrogate_loss(cal, fitted.edges, fitted.phis)
+            phis0 = imax_update_phis(cal, edges0)
+            at_init = weighted_surrogate_loss(cal, edges0, phis0)
+            edges, phis, *_ = kernels.alternate(
+                lam, expit(lam), expit(-lam), cal.targets[order].astype(np.float64), phis0,
+                1.0, 0.0, MAX_ITERATIONS, TOLERANCE,
+            )
+            at_end = weighted_surrogate_loss(cal, edges, phis)
             assert at_end <= at_init + 1e-12
 
 
@@ -392,11 +397,7 @@ def test_imax_config_validation():
     with pytest.raises(DataError):
         ImaxConfig(n_bins=1)
     with pytest.raises(DataError):
-        ImaxConfig(max_iterations=0)
-    with pytest.raises(DataError):
         ImaxConfig(scale=0.0)
-    with pytest.raises(DataError):
-        ImaxConfig(tolerance=-1.0)
 
 
 # --- representatives ----------------------------------------------------

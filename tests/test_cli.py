@@ -91,6 +91,7 @@ def test_synth_flag_errors(tmp_path):
     assert main(["synth", "--preset", "fig2-imbalanced", "--multiclass", "--out-prefix", out]) == 2
     assert main(["synth", "--n", "0", "--out-prefix", out]) == 2
     assert main(["synth", "--prior", "1.5", "--out-prefix", out]) == 2
+    assert main(["synth", "--seed", "-1", "--out-prefix", out]) == 2
 
 
 # --- fit -------------------------------------------------------------------
@@ -196,6 +197,7 @@ def test_fit_usage_errors(workdir, tmp_path):
     assert main(base + ["--method", "isotonic"]) == 2
     assert main(base + ["--rep-strategy", "mode"]) == 2
     assert main(base + ["--holdout-frac", "1.0"]) == 2
+    assert main(base + ["--seed", "-1"]) == 2
 
 
 def test_fit_data_and_fit_errors(workdir, tmp_path):
@@ -327,6 +329,31 @@ def test_a_malformed_binner_is_a_data_error(workdir, tmp_path, capsys, field, va
     "mutate",
     [
         pytest.param(lambda doc: doc.update(n_classes="x"), id="n_classes"),
+        pytest.param(lambda doc: doc.update(n_classes="5"), id="n_classes-numeric-text"),
+        pytest.param(lambda doc: doc.update(n_classes=5.9), id="n_classes-float"),
+        pytest.param(lambda doc: doc.update(n_classes=10**12), id="n_classes-huge"),
+        pytest.param(lambda doc: doc["calibrators"][0]["classes"].__setitem__(1, 1.9),
+                     id="class-float"),
+        pytest.param(lambda doc: doc["calibrators"][0]["classes"].__setitem__(2, "2"),
+                     id="class-text"),
+        pytest.param(lambda doc: doc["grouping"]["groups"][0].__setitem__(1, 1.9),
+                     id="group-class-float"),
+        pytest.param(lambda doc: doc["grouping"].update(mode="bogus"), id="grouping-mode"),
+        *(
+            pytest.param(
+                lambda doc, field=field, value=value: doc["calibrators"][0]["binner"].update(
+                    {field: value(doc["calibrators"][0]["binner"][field])}
+                ),
+                id=f"binner-{name}",
+            )
+            for name, field, value in [
+                ("iterations-text", "iterations", str),
+                ("iterations-float", "iterations", lambda n: n + 0.9),
+                ("iterations-negative", "iterations", lambda n: -3),
+                ("seed-object", "seed", lambda s: {"x": [1]}),
+                ("edges-text", "edges", lambda edges: [repr(v) for v in edges]),
+            ]
+        ),
         pytest.param(lambda doc: doc.update(calibrators=None), id="calibrators"),
         pytest.param(lambda doc: doc["grouping"].update(groups=3), id="groups"),
         pytest.param(lambda doc: doc["calibrators"][0].update(classes=3), id="classes"),
@@ -511,6 +538,16 @@ def test_eval_tie_break_needs_raw_scores(workdir, tmp_path):
             "--tie-break", "raw-logit", "--raw-scores", str(workdir / "mc-scores.csv"),
         ]
     ) == 0
+    for bad in ("nan", "inf"):
+        raw = np.loadtxt(workdir / "mc-scores.csv", delimiter=",")
+        raw[7, 2] = float(bad)
+        np.savetxt(tmp_path / "raw.csv", raw, delimiter=",")
+        assert main(
+            [
+                "eval", str(cal), str(workdir / "mc-labels.csv"),
+                "--tie-break", "raw-logit", "--raw-scores", str(tmp_path / "raw.csv"),
+            ]
+        ) == 3
     assert main(
         [
             "eval", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
@@ -532,12 +569,77 @@ def test_eval_bootstrap_block(workdir, tmp_path):
     assert doc["bootstrap"]["n_resamples"] == 3
 
 
+@pytest.mark.parametrize("eval_bins", [["--eval-bins", "15"], []], ids=["15-bins", "default"])
+def test_imax_eval_scheme_scores_a_binning_bundle(workdir, tmp_path, eval_bins):
+    # a 15-bin calibrator outputs at most 15 distinct values, one eval bin each
+    bundle = tmp_path / "b15.json"
+    mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
+    assert main(["fit", *mc, "-o", str(bundle), "--bins", "15", "--seed", "0"]) == 0
+    reports = {}
+    for scheme in ("imax_eval", "exact_grouping"):
+        out = tmp_path / f"{scheme}.json"
+        assert main(
+            ["eval", *mc, "--bundle", str(bundle), "--eval-scheme", scheme, "-o", str(out),
+             *eval_bins]
+        ) == 0
+        reports[scheme] = json.loads(out.read_text())
+    imax, exact = reports["imax_eval"], reports["exact_grouping"]
+    assert imax["top1_ece"] == pytest.approx(exact["top1_ece"], rel=0, abs=1e-12)
+    assert imax["cw_ece"]["class_prior"]["mean"] == pytest.approx(
+        exact["cw_ece"]["class_prior"]["mean"], rel=0, abs=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "command,extra,flag,spelling,name",
+    [
+        *(("eval", [], "--eval-scheme", s, n) for s, n in [
+            ("eq-size", "eq_size"), ("eq-mass", "eq_mass"), ("imax", "imax_eval"),
+            ("imax-eval", "imax_eval"), ("exact", "exact_grouping"),
+            ("exact-grouping", "exact_grouping"),
+        ]),
+        *(("eval", [], "--cw-threshold", s, n) for s, n in [
+            ("one-over-k", "one_over_k"), ("prior", "class_prior"), ("class-prior", "class_prior"),
+        ]),
+        ("fit", [], "--method", "eq-size", "eq_size"),
+        ("fit", [], "--method", "eq-mass", "eq_mass"),
+        ("fit", ["--scaler", "platt"], "--method", "imax-with-scaler", "imax_with_scaler"),
+        ("fit", [], "--rep-strategy", "empirical-freq", "empirical_freq"),
+        ("fit", [], "--rep-strategy", "raw-prob-mean", "raw_prob_mean"),
+        ("mi-report", [], "--method", "eq-size", "eq_size"),
+        ("mi-report", [], "--method", "eq-mass", "eq_mass"),
+    ],
+)
+def test_every_flag_spelling_gives_what_its_name_gives(
+    workdir, tmp_path, command, extra, flag, spelling, name
+):
+    mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
+    if command == "eval":
+        # a scaling bundle, so every scheme sees continuous confidences
+        bundle = str(tmp_path / "platt.json")
+        assert main(["fit", *mc, "-o", bundle, "--method", "platt"]) == 0
+        head = ["eval", *mc, "--bundle", bundle, "--bootstrap", "2", "--eval-bins", "5"]
+    elif command == "fit":
+        head = ["fit", *mc, "--bins", "6"]
+    else:
+        head = ["mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
+                "--bins", "2,4"]
+    outputs = []
+    for i, value in enumerate((spelling, name)):
+        out = tmp_path / f"{i}.out"
+        assert main([*head, *extra, flag, value, "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_eval_usage_errors(workdir):
     cal = str(workdir / "mc-scores.csv")
     labels = str(workdir / "mc-labels.csv")
     assert main(["eval", cal, labels, "--eval-scheme", "voronoi"]) == 2
     assert main(["eval", cal, labels, "--cw-threshold", "median"]) == 2
     assert main(["eval", cal, labels, "--eval-bins", "ten"]) == 2
+    bundle = str(_fit_bundle(workdir))
+    assert main(["eval", cal, labels, "--bundle", bundle, "--bootstrap", "2", "--seed", "-1"]) == 2
 
 
 # --- mi-report ----------------------------------------------------------------
@@ -573,6 +675,12 @@ def test_mi_report_file_output(workdir, tmp_path):
         [
             "mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
             "--method", "kmeans",
+        ]
+    ) == 2
+    assert main(
+        [
+            "mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
+            "--seed", "-1",
         ]
     ) == 2
 
@@ -696,11 +804,17 @@ def test_stderr_stays_machine_readable(workdir, tmp_path, capsys):
     ) == 0
     assert main(["fit", str(workdir / "missing.csv"), str(workdir / "mc-labels.csv"),
                  "-o", str(bundle)]) == 3
+    # class 4 absent: its per-class set has a single label, which warns
+    labels = np.loadtxt(workdir / "mc-labels.csv", dtype=np.int64)
+    np.savetxt(tmp_path / "absent.csv", np.where(labels == 4, 0, labels), fmt="%d")
+    assert main(["fit", str(workdir / "mc-scores.csv"), str(tmp_path / "absent.csv"),
+                 "-o", str(bundle), "--bins", "4", "--strategy", "cw"]) == 0
     err = capsys.readouterr().err
     lines = [l for l in err.splitlines() if l.strip()]
     assert lines, "expected diagnostics on stderr"
     for line in lines:
         assert DIAG_LINE.match(line), line
+    assert 'event=warning category=UserWarning msg="calibration set contains a single label"' in lines
 
 
 def test_console_script_is_installed():

@@ -22,7 +22,6 @@ from imaxcal.metrics import (
     TIE_RAW_LOGIT,
     RowStats,
     accuracy_topk,
-    bootstrap_metric,
     brier,
     build_report,
     cw_ece,
@@ -302,36 +301,33 @@ def test_mi_of_quantizer_matches_the_add_at_joint_table():
 
 # --- bootstrap -------------------------------------------------------------------
 
-def test_bootstrap_single_resample_is_degenerate():
-    res = bootstrap_metric(lambda idx: 1.0, 100, 1, seed=0)
-    assert res.degenerate
-    assert res.std == 0.0
-
-
 def test_bootstrap_constant_metric_has_zero_std():
-    res = bootstrap_metric(lambda idx: 0.25, 100, 20, seed=0)
-    assert res.std == 0.0 and not res.degenerate
+    # every row identical, so every resample gives every metric the same
+    # value; the values are exact in binary, so their mean is too
+    cal = np.tile([0.75, 0.25], (100, 1))
+    labels = np.zeros(100, dtype=np.int64)
+    for scheme in (SCHEME_EQ_SIZE, SCHEME_KMEANS, SCHEME_EXACT):
+        cfg = EvalConfig(
+            eval_scheme=scheme, cw_thresholds=(THRESHOLD_CLASS_PRIOR, THRESHOLD_ZERO),
+            top_k=(1, 2), bootstrap=20,
+        )
+        report = build_report(cal, labels, cfg)
+        assert report.top1 == 0.25
+        assert len(report.bootstrap_std) == 7
+        assert set(report.bootstrap_std.values()) == {0.0}
 
 
 def test_bootstrap_std_shrinks_with_sample_size():
-    def make(n):
-        x = np.random.default_rng(0).normal(size=n)
-        return lambda idx: float(np.mean(x[idx]))
+    def std_of_nll(n):
+        rng = np.random.default_rng(0)
+        cal = rng.dirichlet(np.ones(4), size=n)
+        labels = rng.integers(0, 4, size=n)
+        cfg = EvalConfig(eval_scheme=SCHEME_EXACT, top_k=(1,), bootstrap=40, seed=1)
+        return build_report(cal, labels, cfg).bootstrap_std["nll"]
 
-    small = bootstrap_metric(make(500), 500, 40, seed=1)
-    big = bootstrap_metric(make(50_000), 50_000, 40, seed=1)
-    ratio = small.std / big.std
+    ratio = std_of_nll(500) / std_of_nll(50_000)
     # sqrt(100) = 10 up to resampling noise
     assert 3.0 < ratio < 33.0
-
-
-def test_bootstrap_is_deterministic_in_the_seed():
-    metric = lambda idx: float(np.mean(idx))
-    a = bootstrap_metric(metric, 50, 10, seed=3)
-    b = bootstrap_metric(metric, 50, 10, seed=3)
-    assert a.mean == b.mean and a.std == b.std
-    with pytest.raises(DataError):
-        bootstrap_metric(metric, 50, 0, seed=3)
 
 
 # --- report ------------------------------------------------------------------------

@@ -15,8 +15,14 @@ from imaxcal import (
     PredictionMatrix,
     Scaler,
 )
-from imaxcal.binning import REP_RAW_PROB_MEAN, fit_binner, METHOD_IMAX, set_representatives
-from imaxcal.scaling import apply_scaler, bin_with_scaler, fit_platt, fit_temperature
+from imaxcal.binning import (
+    METHOD_IMAX,
+    REP_RAW_PROB_MEAN,
+    REP_SCALED_PROB_MEAN,
+    fit_binner,
+    set_representatives,
+)
+from imaxcal.scaling import apply_scaler, fit_platt, fit_temperature
 from imaxcal.synth import MulticlassSynthSpec, gen_multiclass
 
 
@@ -159,7 +165,7 @@ def test_identity_scaler_reproduces_raw_prob_means():
     cal = BinaryCalibrationSet(lam, y)
     cfg = ImaxConfig(n_bins=6, seed=0)
     ident = Scaler(kind=KIND_TEMPERATURE, temperature=1.0)
-    hybrid = bin_with_scaler(cal, cfg, ident)
+    hybrid = fit_binner(cal, METHOD_IMAX, cfg, REP_SCALED_PROB_MEAN, ident)
     plain = set_representatives(
         fit_binner(cal, METHOD_IMAX, cfg, strategy=REP_RAW_PROB_MEAN), cal,
         strategy=REP_RAW_PROB_MEAN,
@@ -174,7 +180,11 @@ def test_edges_do_not_depend_on_the_scaler():
     y = (rng.random(1500) < expit(lam)).astype(np.int64)
     cal = BinaryCalibrationSet(lam, y)
     cfg = ImaxConfig(n_bins=6, seed=0)
-    sharp = bin_with_scaler(cal, cfg, Scaler(kind=KIND_TEMPERATURE, temperature=3.0))
-    soft = bin_with_scaler(cal, cfg, Scaler(kind=KIND_PLATT, a=0.2, b=0.4))
+    sharp = fit_binner(
+        cal, METHOD_IMAX, cfg, REP_SCALED_PROB_MEAN, Scaler(kind=KIND_TEMPERATURE, temperature=3.0)
+    )
+    soft = fit_binner(
+        cal, METHOD_IMAX, cfg, REP_SCALED_PROB_MEAN, Scaler(kind=KIND_PLATT, a=0.2, b=0.4)
+    )
     np.testing.assert_array_equal(sharp.edges, soft.edges)
     assert not np.array_equal(sharp.reps, soft.reps)
