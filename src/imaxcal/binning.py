@@ -25,7 +25,9 @@ from .data import (
     PROB_EPS,
     BinaryCalibrationSet,
     json_count,
+    json_list,
     json_number,
+    json_object,
     prob_of_logit,
     xlogy,
 )
@@ -130,21 +132,13 @@ class Binner:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Binner":
-        if not isinstance(payload, dict):
-            raise DataError("binner JSON must be an object")
-        unknown = set(payload) - set(_BINNER_JSON_FIELDS)
-        if unknown:
-            raise DataError(f"unknown binner fields: {sorted(unknown)}")
-        missing = set(_BINNER_JSON_FIELDS) - set(payload)
-        if missing:
-            raise DataError(f"missing binner fields: {sorted(missing)}")
+        payload = json_object(payload, _BINNER_JSON_FIELDS, "binner")
         if payload["method"] not in (METHOD_EQ_SIZE, METHOD_EQ_MASS, METHOD_IMAX):
             raise DataError(f"unknown binning method {payload['method']!r}")
 
         def numbers(name):
-            if not isinstance(payload[name], list):
-                raise DataError(f"binner {name} must be a list of numbers")
-            return [json_number(v, f"binner {name}") for v in payload[name]]
+            what = f"binner {name}"
+            return [json_number(v, what) for v in json_list(payload[name], what)]
 
         try:
             return cls(

@@ -36,6 +36,8 @@ from .data import (
     group_by_prior,
     group_singletons,
     json_count,
+    json_list,
+    json_object,
     logit_of_prob,
     ovr_set,
     prob_of_logit,
@@ -113,12 +115,6 @@ class CalibratorBundle:
         ):
             raise DataError("grouping must list the calibrators' classes, in order")
 
-    def calibrator_of(self, class_k: int) -> GroupCalibrator:
-        for cal in self.calibrators:
-            if class_k in cal.classes:
-                return cal
-        raise DataError(f"class {class_k} has no calibrator")
-
     def has_binners(self) -> bool:
         return any(cal.binner is not None for cal in self.calibrators)
 
@@ -150,44 +146,24 @@ class CalibratorBundle:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"bundle is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise DataError("bundle JSON must be an object")
-        unknown = set(payload) - set(_BUNDLE_FIELDS)
-        if unknown:
-            raise DataError(f"unknown bundle fields: {sorted(unknown)}")
-        missing = set(_BUNDLE_FIELDS) - set(payload)
-        if missing:
-            raise DataError(f"missing bundle fields: {sorted(missing)}")
+        payload = json_object(payload, _BUNDLE_FIELDS, "bundle")
         if payload["version"] != BUNDLE_VERSION:
             raise DataError(
                 f"unsupported bundle version {payload['version']!r}"
                 f" (expected {BUNDLE_VERSION!r})"
             )
-        grouping_payload = payload["grouping"]
-        if not isinstance(grouping_payload, dict) or set(grouping_payload) != set(
-            _GROUPING_FIELDS
-        ):
-            raise DataError("bundle grouping must have exactly mode and groups")
+        grouping_payload = json_object(payload["grouping"], _GROUPING_FIELDS, "bundle grouping")
         n_classes = json_count(payload["n_classes"], "bundle n_classes")
-        if not isinstance(grouping_payload["groups"], list):
-            raise DataError("bundle grouping groups must be a list")
         grouping = ClassGrouping(
-            groups=tuple(_classes(g) for g in grouping_payload["groups"]),
+            groups=tuple(
+                _classes(g) for g in json_list(grouping_payload["groups"], "bundle grouping groups")
+            ),
             mode=grouping_payload["mode"],
             n_classes=n_classes,
         )
-        if not isinstance(payload["calibrators"], list):
-            raise DataError("bundle calibrators must be a list")
         calibrators = []
-        for cal in payload["calibrators"]:
-            if not isinstance(cal, dict):
-                raise DataError("calibrator entries must be objects")
-            unknown = set(cal) - set(_CALIBRATOR_FIELDS)
-            if unknown:
-                raise DataError(f"unknown calibrator fields: {sorted(unknown)}")
-            missing = set(_CALIBRATOR_FIELDS) - set(cal)
-            if missing:
-                raise DataError(f"missing calibrator fields: {sorted(missing)}")
+        for cal in json_list(payload["calibrators"], "bundle calibrators"):
+            cal = json_object(cal, _CALIBRATOR_FIELDS, "calibrator")
             calibrators.append(
                 GroupCalibrator(
                     classes=_classes(cal["classes"]),
@@ -214,9 +190,7 @@ class CalibratorBundle:
 
 def _classes(values) -> tuple:
     """A JSON list of class indices."""
-    if not isinstance(values, list):
-        raise DataError(f"class lists must be lists, got {values!r}")
-    return tuple(json_count(c, "class index") for c in values)
+    return tuple(json_count(c, "class index") for c in json_list(values, "class list"))
 
 
 def resolve_grouping(

@@ -10,6 +10,7 @@ import json
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -30,7 +31,6 @@ from .data import (
     PROBABILITIES,
     RAW_LOGITS,
     PredictionMatrix,
-    integer_labels,
     ovr_set,
 )
 from .errors import DataError, FitError
@@ -73,19 +73,12 @@ def _read_matrix(path) -> np.ndarray:
     return arr
 
 
-def _read_labels(path, n_expected=None) -> np.ndarray:
+def _read_labels(path) -> np.ndarray:
+    """The one column of a labels file; data.check_labels checks its values."""
     arr = _read_matrix(path)
     if arr.shape[1] != 1:
         raise DataError(f"labels file {path} must have one column")
-    try:
-        labels = integer_labels(arr[:, 0])
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if n_expected is not None and labels.shape[0] != n_expected:
-        raise DataError(
-            f"row count mismatch: {labels.shape[0]} labels vs {n_expected} score rows"
-        )
-    return labels
+    return arr[:, 0]
 
 
 _WRITE_BLOCK_CELLS = 1 << 16
@@ -128,6 +121,15 @@ def _parse_multi(values, cast, what):
             except ValueError as exc:
                 raise click.UsageError(f"bad {what} value {token!r}") from exc
     return out
+
+
+def _flag_config(build, **flags):
+    """build(**flags), a config made of flag values: the DataError its
+    range checks raise is a usage error."""
+    try:
+        return build(**flags)
+    except DataError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _name(token, allowed, what, aliases=None):
@@ -252,10 +254,16 @@ def cmd_fit(
         method = bundle_mod.METHOD_IMAX_WITH_SCALER
     if method == bundle_mod.METHOD_IMAX_WITH_SCALER and scaler == "none":
         raise click.UsageError("imax_with_scaler needs --scaler temperature or platt")
+    if method != bundle_mod.METHOD_IMAX_WITH_SCALER and scaler != "none":
+        raise click.UsageError(f"--scaler applies to imax only, not to {method}")
+    if method == bundle_mod.METHOD_TEMPERATURE and groups is not None:
+        raise click.UsageError("--groups does not apply to temperature, which fits one scaler")
+    groups_spec = _parse_groups(groups)
+    cfg = _flag_config(ImaxConfig, n_bins=bins, seed=seed)
 
     scores = _read_matrix(scores_csv)
-    labels = _read_labels(labels_csv, scores.shape[0])
-    data = PredictionMatrix(scores, labels, _KIND_BY_FLAG[input_kind])
+    data = PredictionMatrix(scores, _read_labels(labels_csv), _KIND_BY_FLAG[input_kind])
+    labels = data.labels
 
     if holdout_frac > 0.0:
         fit_idx, hold_idx = _class_balanced_split(labels, holdout_frac, seed)
@@ -273,12 +281,11 @@ def cmd_fit(
             scores[fit_idx], labels[fit_idx], _KIND_BY_FLAG[input_kind]
         )
 
-    cfg = ImaxConfig(n_bins=bins, seed=seed)
     fitted = bundle_mod.fit_bundle(
         data,
         method,
         strategy=strategy,
-        groups_spec=_parse_groups(groups),
+        groups_spec=groups_spec,
         config=cfg,
         rep_strategy=rep,
         scaler_kind=None if scaler == "none" else scaler,
@@ -404,39 +411,22 @@ def cmd_eval(
     scheme = None if eval_scheme == "auto" else _name(
         eval_scheme, EVAL_SCHEMES, "eval scheme", {"imax": SCHEME_IMAX, "exact": SCHEME_EXACT}
     )
+    tie = _TIE_BY_FLAG[tie_break]
+    if bundle_json is None and input_kind is not None:
+        raise click.UsageError("--input-kind applies only with --bundle")
+    if bundle_json is not None and raw_scores is not None:
+        raise click.UsageError(
+            "--raw-scores applies only without --bundle; with it, scores_csv is the raw scores"
+        )
+    if tie == TIE_RAW_LOGIT and bundle_json is None and raw_scores is None:
+        raise DataError("raw-logit tie break needs --bundle or --raw-scores")
     bins_list = _parse_multi(eval_bins, int, "--eval-bins") or [100]
     thresholds = _parse_thresholds(cw_threshold)
     ks = _parse_multi(top_k, int, "--top-k") or [1, 5]
-    tie = _TIE_BY_FLAG[tie_break]
-
-    scores = _read_matrix(scores_csv)
-    labels = _read_labels(labels_csv, scores.shape[0])
-
-    raw = None
-    if bundle_json is not None:
-        fitted = _load_bundle(bundle_json)
-        kind = fitted.input_kind if input_kind is None else _KIND_BY_FLAG[input_kind]
-        calibrated = bundle_mod.apply_bundle(fitted, scores, kind)
-        raw = scores
-        if scheme is None:
-            scheme = SCHEME_EXACT if fitted.has_binners() else SCHEME_EQ_SIZE
-    else:
-        calibrated = scores
-        if not np.all((calibrated >= 0.0) & (calibrated <= 1.0)):
-            raise DataError(
-                "scores non-finite or outside [0, 1]; pass --bundle to calibrate raw scores"
-            )
-        if raw_scores is not None:
-            raw = _read_matrix(raw_scores)
-        if scheme is None:
-            scheme = SCHEME_EQ_SIZE
-
-    if tie == TIE_RAW_LOGIT and raw is None:
-        raise DataError("raw-logit tie break needs --bundle or --raw-scores")
-
     configs = [
-        EvalConfig(
-            eval_scheme=scheme,
+        _flag_config(
+            EvalConfig,
+            eval_scheme=scheme or SCHEME_EQ_SIZE,
             n_eval_bins=nb,
             cw_thresholds=tuple(thresholds),
             top_k=tuple(ks),
@@ -446,6 +436,20 @@ def cmd_eval(
         )
         for nb in bins_list
     ]
+
+    scores = _read_matrix(scores_csv)
+    labels = _read_labels(labels_csv)
+    if bundle_json is None:
+        calibrated = scores
+        raw = None if raw_scores is None else _read_matrix(raw_scores)
+    else:
+        fitted = _load_bundle(bundle_json)
+        kind = fitted.input_kind if input_kind is None else _KIND_BY_FLAG[input_kind]
+        calibrated = bundle_mod.apply_bundle(fitted, scores, kind)
+        raw = scores
+        if scheme is None and fitted.has_binners():
+            configs = [replace(cfg, eval_scheme=SCHEME_EXACT) for cfg in configs]
+
     started = time.perf_counter()
     stats = RowStats(calibrated, labels, tie, raw)
     stats.ranking()  # once, for every report below
@@ -514,30 +518,19 @@ def cmd_synth(
     out_prefix,
 ):
     """Generate synthetic scores/labels with a ground-truth sidecar."""
-    try:
-        if preset is not None:
-            if multiclass:
-                raise click.UsageError("--preset and --multiclass are exclusive")
-            params = dict(synth_mod.PRESETS[preset])
-            spec = synth_mod.BinaryMixtureSpec(n=n, seed=seed, **params)
-            family = "binary"
-        elif multiclass:
-            family = "multiclass"
-            spec = synth_mod.MulticlassSynthSpec(n_classes=k, n=n, t_gen=tgen, seed=seed)
-        else:
-            family = "binary"
-            spec = synth_mod.BinaryMixtureSpec(
-                prior=prior,
-                mu_pos=mu_pos,
-                sigma_pos=sigma_pos,
-                mu_neg=mu_neg,
-                sigma_neg=sigma_neg,
-                n=n,
-                seed=seed,
-            )
-    except DataError as exc:
-        # A bad generator spec is a flag problem, not a data-file problem.
-        raise click.UsageError(str(exc)) from exc
+    if preset is not None:
+        if multiclass:
+            raise click.UsageError("--preset and --multiclass are exclusive")
+        family, build, flags = "binary", synth_mod.BinaryMixtureSpec, synth_mod.PRESETS[preset]
+    elif multiclass:
+        family, build = "multiclass", synth_mod.MulticlassSynthSpec
+        flags = dict(n_classes=k, t_gen=tgen)
+    else:
+        family, build = "binary", synth_mod.BinaryMixtureSpec
+        flags = dict(
+            prior=prior, mu_pos=mu_pos, sigma_pos=sigma_pos, mu_neg=mu_neg, sigma_neg=sigma_neg
+        )
+    spec = _flag_config(build, n=n, seed=seed, **flags)
 
     if family == "binary":
         cal_set, _ = synth_mod.gen_binary_mixture(spec)
@@ -585,24 +578,27 @@ def cmd_synth(
 @click.option("-o", "--out", default=None, type=click.Path(), help="CSV path (default stdout).")
 def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     """Empirical binner MI against the KDE upper bound, on the fit set."""
-    bins_list = _parse_multi(bins, int, "--bins") or [2, 4, 8, 16]
+    configs = [
+        _flag_config(ImaxConfig, n_bins=m, seed=seed)
+        for m in _parse_multi(bins, int, "--bins") or [2, 4, 8, 16]
+    ]
     binning_methods = (METHOD_IMAX, METHOD_EQ_SIZE, METHOD_EQ_MASS)
     method_list = [
         _name(m, binning_methods, "method") for m in _parse_multi(methods, str, "--method")
     ] or list(binning_methods)
 
-    scores = _read_matrix(scores_csv)
-    labels = _read_labels(labels_csv, scores.shape[0])
-    data = PredictionMatrix(scores, labels, _KIND_BY_FLAG[input_kind])
+    data = PredictionMatrix(
+        _read_matrix(scores_csv), _read_labels(labels_csv), _KIND_BY_FLAG[input_kind]
+    )
     cal_set = ovr_set(data.ovr_logits(), data.labels, range(data.n_classes))
 
     started = time.perf_counter()
     named = []
-    for m in bins_list:
+    for cfg in configs:
         for method in method_list:
-            binner = fit_edges(cal_set, method, ImaxConfig(n_bins=m, seed=seed))
+            binner = fit_edges(cal_set, method, cfg)
             if method == METHOD_IMAX:
-                _diag_fit_group(binner, bins=m, n=len(cal_set))
+                _diag_fit_group(binner, bins=cfg.n_bins, n=len(cal_set))
             named.append((method, binner))
     fitted = time.perf_counter()
     bound = info_mod.mi_bound_of_set(cal_set)

@@ -130,6 +130,37 @@ def json_count(value, what):
     return value
 
 
+def check_labels(labels, n, k):
+    """n integer labels, one per score row, each in [0, k); returned as
+    int64. n is at least 1."""
+    labels = integer_labels(labels)
+    if labels.shape != (n,):
+        raise DataError(f"labels shape {labels.shape} does not match {n} score rows")
+    if labels.min() < 0 or labels.max() >= k:
+        raise DataError(f"labels must lie in [0, {k})")
+    return labels
+
+
+def json_object(value, fields, what):
+    """A JSON object with exactly the given fields, returned as it is."""
+    if not isinstance(value, dict):
+        raise DataError(f"{what} must be a JSON object")
+    unknown = set(value) - set(fields)
+    if unknown:
+        raise DataError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(fields) - set(value)
+    if missing:
+        raise DataError(f"missing {what} fields: {sorted(missing)}")
+    return value
+
+
+def json_list(value, what):
+    """A JSON list, returned as it is."""
+    if not isinstance(value, list):
+        raise DataError(f"{what} must be a list")
+    return value
+
+
 def as_probabilities(scores, kind):
     """Validate a bare score matrix and return it as probabilities.
 
@@ -153,14 +184,7 @@ class PredictionMatrix:
 
     def __post_init__(self):
         self.scores = _check_scores(self.scores, self.kind)
-        self.labels = integer_labels(self.labels)
-        n, k = self.scores.shape
-        if self.labels.shape != (n,):
-            raise DataError(
-                f"labels shape {self.labels.shape} does not match {n} samples"
-            )
-        if self.labels.min() < 0 or self.labels.max() >= k:
-            raise DataError("labels out of range [0, K)")
+        self.labels = check_labels(self.labels, *self.scores.shape)
 
     @property
     def n_samples(self):
@@ -275,12 +299,6 @@ class ClassGrouping:
             raise DataError(f"groups must cover classes 0..{k - 1} exactly")
         self.groups = groups
         self.n_classes = k
-
-    def group_of(self, class_k: int) -> int:
-        for i, g in enumerate(self.groups):
-            if class_k in g:
-                return i
-        raise DataError(f"class {class_k} not in grouping")
 
 
 def group_all(n_classes: int) -> ClassGrouping:

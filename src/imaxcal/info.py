@@ -48,15 +48,13 @@ class Kde1D:
             raise DataError("KDE bandwidth must be positive and finite")
 
 
-def kde_fit(samples, bandwidth=None) -> Kde1D:
-    """Fit a Gaussian KDE; Scott's rule sigma * n^(-1/5) unless overridden.
+def kde_fit(samples) -> Kde1D:
+    """Fit a Gaussian KDE with Scott's rule bandwidth sigma * n^(-1/5).
 
     The sample standard deviation uses ddof=1. All-identical samples have
-    no scale and are rejected.
+    no scale and are rejected; Kde1D takes a fixed bandwidth directly.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if bandwidth is not None:
-        return Kde1D(samples=samples, bandwidth=float(bandwidth))
     if samples.size < 2:
         raise DataError("KDE needs at least two samples")
     sigma = float(np.std(samples, ddof=1))

@@ -19,7 +19,7 @@ from .data import (
     RAW_LOGITS,
     BinaryCalibrationSet,
     _check_scores,
-    integer_labels,
+    check_labels,
     logit_of_prob,
     prob_of_logit,
     xlogy,
@@ -83,18 +83,16 @@ class EvalConfig:
 
 def _check_calibrated(calibrated, labels):
     calibrated = np.ascontiguousarray(calibrated, dtype=np.float64)
-    labels = integer_labels(labels)
     if calibrated.ndim != 2:
         raise DataError("calibrated scores must be 2-D")
-    if labels.shape != (calibrated.shape[0],):
-        raise DataError("labels length does not match calibrated scores")
     if calibrated.shape[0] == 0:
         raise DataError("empty evaluation set")
     if not np.all((calibrated >= 0.0) & (calibrated <= 1.0)):
-        raise DataError("calibrated scores must be finite and lie in [0, 1]")
-    if labels.min() < 0 or labels.max() >= calibrated.shape[1]:
-        raise DataError(f"labels must lie in [0, {calibrated.shape[1]})")
-    return calibrated, labels
+        raise DataError(
+            "calibrated scores must be finite and lie in [0, 1];"
+            " raw scores need a bundle applied first"
+        )
+    return calibrated, check_labels(labels, *calibrated.shape)
 
 
 class RowStats:

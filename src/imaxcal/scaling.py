@@ -9,7 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, json_number, prob_of_logit
+from .data import (
+    RAW_LOGITS,
+    BinaryCalibrationSet,
+    PredictionMatrix,
+    json_number,
+    json_object,
+    prob_of_logit,
+)
 from .errors import DataError, FitError
 
 KIND_TEMPERATURE = "temperature"
@@ -50,22 +57,12 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Scaler":
-        if not isinstance(payload, dict) or "kind" not in payload:
-            raise DataError("scaler JSON must be an object with a kind")
-        kind = payload["kind"]
-        if kind == KIND_TEMPERATURE:
-            allowed = {"kind", "temperature"}
-        elif kind == KIND_PLATT:
-            allowed = {"kind", "a", "b"}
-        else:
-            raise DataError(f"unknown scaler kind {kind!r}")
-        if set(payload) != allowed:
-            off = sorted(set(payload) ^ allowed)
-            raise DataError(f"scaler fields do not match {kind!r}: {off}")
-        params = {
-            name: json_number(payload[name], f"scaler field {name!r}")
-            for name in sorted(allowed - {"kind"})
-        }
+        kind = payload.get("kind") if isinstance(payload, dict) else None
+        if kind not in (KIND_TEMPERATURE, KIND_PLATT):
+            raise DataError(f"scaler must be a JSON object with a known kind, got {kind!r}")
+        names = ("temperature",) if kind == KIND_TEMPERATURE else ("a", "b")
+        json_object(payload, ("kind", *names), f"{kind} scaler")
+        params = {name: json_number(payload[name], f"scaler field {name!r}") for name in names}
         try:
             return cls(kind=kind, **params)
         except FitError as exc:

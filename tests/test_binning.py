@@ -65,7 +65,7 @@ def test_quantize_accepts_binner_or_edges():
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=40))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 def test_quantize_is_monotone(values):
     lam = np.sort(np.asarray(values, dtype=np.float64))
     idx = quantize(np.array([-10.0, -1.0, 2.0]), lam)
@@ -262,7 +262,7 @@ def test_edge_lies_strictly_between_its_phis():
     st.floats(1e-5, 10.0),
     st.floats(1e-5, 10.0),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_edge_bracket_property(phi0, gap1, gap2):
     phis = np.array([phi0, phi0 + gap1, phi0 + gap1 + gap2])
     edges = imax_update_edges(phis)

@@ -1,10 +1,12 @@
 """Multi-class calibrator bundles: fitting, serialization, application."""
 
+import copy
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imaxcal import (
     CalibratorBundle,
@@ -12,6 +14,7 @@ from imaxcal import (
     EvalConfig,
     FitError,
     GroupCalibrator,
+    ImaxcalError,
     ImaxConfig,
     KIND_PLATT,
     KIND_TEMPERATURE,
@@ -37,7 +40,7 @@ from imaxcal.bundle import (
     fit_bundle,
     resolve_grouping,
 )
-from imaxcal.data import group_all
+from imaxcal.data import group_all, softmax
 from imaxcal.metrics import SCHEME_EXACT, THRESHOLD_ZERO, cw_ece, top1_ece
 from imaxcal.synth import MulticlassSynthSpec, gen_multiclass
 
@@ -215,13 +218,12 @@ def test_group_calibrator_wants_exactly_one_payload():
         GroupCalibrator(classes=(0,), binner=binner, scaler=scaler)
 
 
-def test_calibrator_of_covers_every_class():
-    data = _data(k=4)
-    b = fit_bundle(data, METHOD_IMAX, groups_spec=2, config=ImaxConfig(n_bins=4, seed=0))
-    seen = {id(b.calibrator_of(k)) for k in range(4)}
-    assert len(seen) == 2
-    with pytest.raises(DataError):
-        b.calibrator_of(4)
+def test_calibrators_cover_every_class_once():
+    b = fit_bundle(_data(k=4), METHOD_IMAX, groups_spec=2, config=ImaxConfig(n_bins=4, seed=0))
+    assert len(b.calibrators) == 2
+    assert sorted(c for cal in b.calibrators for c in cal.classes) == [0, 1, 2, 3]
+    with pytest.raises(DataError):  # class 4 would have no calibrator
+        CalibratorBundle(b.strategy, 5, b.input_kind, b.grouping, b.calibrators)
 
 
 # --- application ----------------------------------------------------------------------
@@ -304,3 +306,83 @@ def test_scaled_representatives_beat_raw_means_on_sharpened_scores():
         e_raw = top1_ece(apply_bundle(raw, d.scores, RAW_LOGITS), d.labels, exact)
         wins += e_hybrid < e_raw
     assert wins >= 16
+
+
+# --- mutated bundle JSON ------------------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**20), 10**20)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["eq_mass", "imax", "temperature", "platt", "cw", "explicit", "1"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=2),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def valid_bundle_docs():
+    data = _data(n=300, k=3, seed=4)
+    cfg = ImaxConfig(n_bins=4, seed=0)
+    bundles = [
+        _quiet_fit(data, METHOD_IMAX, groups_spec=2, config=cfg),
+        _quiet_fit(data, METHOD_EQ_MASS, strategy=STRATEGY_CW, config=cfg),
+        _quiet_fit(data, METHOD_IMAX_WITH_SCALER, config=cfg, scaler_kind=KIND_PLATT),
+        _quiet_fit(data, METHOD_TEMPERATURE),
+        _quiet_fit(data, METHOD_PLATT, groups_spec=2),
+    ]
+    return [json.loads(b.to_json()) for b in bundles]
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, as key/index paths from the root."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, (*path, key))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, (*path, i))
+
+
+def _mutate(doc, draw):
+    """Change a value, add a field or element, or delete one, somewhere in doc."""
+    path = draw(st.sampled_from(list(_paths(doc))))
+    action = draw(st.sampled_from(["replace", "add", "delete"]))
+    if not path:
+        return draw(_JSON_VALUES) if action == "replace" else doc
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    node = parent[path[-1]]
+    if action == "delete":
+        del parent[path[-1]]
+    elif action == "add" and isinstance(node, dict):
+        node[draw(st.text(max_size=6))] = draw(_JSON_VALUES)
+    elif action == "add" and isinstance(node, list):
+        node.insert(draw(st.integers(0, len(node))), draw(_JSON_VALUES))
+    else:
+        parent[path[-1]] = draw(_JSON_VALUES)
+    return doc
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_a_mutated_bundle_loads_or_is_a_data_error(valid_bundle_docs, data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(valid_bundle_docs)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data.draw)
+    try:
+        bundle = CalibratorBundle.from_json(json.dumps(doc))
+    except DataError:
+        return
+    logits = np.random.default_rng(0).normal(0.0, 20.0, size=(50, max(bundle.n_classes, 1)))
+    scores = logits if bundle.input_kind == RAW_LOGITS else softmax(logits)
+    try:
+        out = apply_bundle(bundle, scores, bundle.input_kind)
+    except ImaxcalError:
+        return
+    assert np.all((out >= 0.0) & (out <= 1.0))

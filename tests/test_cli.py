@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imaxcal.cli import main
 from imaxcal.synth import BinaryMixtureSpec, analytic_mi
@@ -198,6 +199,14 @@ def test_fit_usage_errors(workdir, tmp_path):
     assert main(base + ["--rep-strategy", "mode"]) == 2
     assert main(base + ["--holdout-frac", "1.0"]) == 2
     assert main(base + ["--seed", "-1"]) == 2
+    # flags a method would ignore
+    for method in ("platt", "eq_size", "eq_mass", "temperature"):
+        assert main(base + ["--method", method, "--scaler", "temperature"]) == 2
+    assert main(base + ["--method", "temperature", "--groups", "2"]) == 2
+    # flag values are checked before any file is read
+    missing = ["fit", str(tmp_path / "missing.csv"), str(workdir / "mc-labels.csv"), "-o", out]
+    assert main(missing + ["--bins", "1"]) == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_fit_data_and_fit_errors(workdir, tmp_path):
@@ -632,7 +641,7 @@ def test_every_flag_spelling_gives_what_its_name_gives(
     assert outputs[0] == outputs[1]
 
 
-def test_eval_usage_errors(workdir):
+def test_eval_usage_errors(workdir, tmp_path):
     cal = str(workdir / "mc-scores.csv")
     labels = str(workdir / "mc-labels.csv")
     assert main(["eval", cal, labels, "--eval-scheme", "voronoi"]) == 2
@@ -640,6 +649,15 @@ def test_eval_usage_errors(workdir):
     assert main(["eval", cal, labels, "--eval-bins", "ten"]) == 2
     bundle = str(_fit_bundle(workdir))
     assert main(["eval", cal, labels, "--bundle", bundle, "--bootstrap", "2", "--seed", "-1"]) == 2
+    # flags eval would ignore
+    assert main(["eval", cal, labels, "--input-kind", "probs"]) == 2
+    missing = str(tmp_path / "missing.csv")
+    assert main(["eval", cal, labels, "--bundle", bundle, "--raw-scores", missing]) == 2
+    # flag values are checked before any file is read
+    for flag, value in [
+        ("--bootstrap", "-1"), ("--eval-bins", "0"), ("--top-k", "0"), ("--cw-threshold", "1.5"),
+    ]:
+        assert main(["eval", missing, labels, "--bundle", bundle, flag, value]) == 2
 
 
 # --- mi-report ----------------------------------------------------------------
@@ -671,18 +689,15 @@ def test_mi_report_file_output(workdir, tmp_path):
         ]
     ) == 0
     assert out.read_text().startswith("name,n_bins,")
-    assert main(
-        [
-            "mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
-            "--method", "kmeans",
-        ]
-    ) == 2
-    assert main(
-        [
-            "mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
-            "--seed", "-1",
-        ]
-    ) == 2
+
+
+def test_mi_report_usage_errors(workdir, tmp_path):
+    base = ["mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv")]
+    assert main(base + ["--method", "kmeans"]) == 2
+    assert main(base + ["--seed", "-1"]) == 2
+    # flag values are checked before any file is read
+    missing = ["mi-report", str(tmp_path / "missing.csv"), str(workdir / "bin-labels.csv")]
+    assert main(missing + ["--bins", "1"]) == 2
 
 
 def test_mi_report_diagnostics_leave_the_csv_alone(workdir, tmp_path, capsys):
@@ -815,6 +830,81 @@ def test_stderr_stays_machine_readable(workdir, tmp_path, capsys):
     for line in lines:
         assert DIAG_LINE.match(line), line
     assert 'event=warning category=UserWarning msg="calibration set contains a single label"' in lines
+
+
+# --- mutated CSV input -----------------------------------------------------------
+
+_CELLS = st.sampled_from(
+    ["", " ", "x", "nan", "inf", "-inf", "1e400", "1e308", "-1e308", "5e-324",
+     "0", "1", "2", "3", "-1", "0.5", "1.5", "1,2"]
+)
+
+
+def _mutate_csv(text, draw):
+    """Change a cell, add a column, delete, repeat or insert a row, or cut
+    the text short."""
+    lines = text.split("\n")
+    row = draw(st.integers(0, len(lines) - 1))
+    action = draw(st.sampled_from(["cell", "column", "delete", "repeat", "insert", "cut"]))
+    if action == "cell":
+        cells = lines[row].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_CELLS)
+        lines[row] = ",".join(cells)
+    elif action == "column":
+        lines[row] += "," + draw(_CELLS)
+    elif action == "delete":
+        del lines[row]
+    elif action == "repeat":
+        lines.insert(row, lines[row])
+    elif action == "insert":
+        lines.insert(row, draw(_CELLS))
+    else:
+        return text[: draw(st.integers(0, len(text)))]
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    """A small dataset, a bundle fitted on it and its calibrated scores."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(
+        ["synth", "--multiclass", "--k", "3", "--n", "40", "--seed", "1",
+         "--out-prefix", str(root / "d")]
+    ) == 0
+    scores, labels = str(root / "d-scores.csv"), str(root / "d-labels.csv")
+    assert main(["fit", scores, labels, "-o", str(root / "b.json"), "--bins", "3"]) == 0
+    assert main(["apply", str(root / "b.json"), scores, "-o", str(root / "d-cal.csv")]) == 0
+    return root
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_fit_and_eval_of_mutated_csv_exit_with_a_documented_code(fuzzdir, data):
+    command, files = data.draw(st.sampled_from([
+        ("fit", ("scores", "labels")),
+        ("eval", ("scores", "labels")),
+        ("eval-calibrated", ("cal", "labels", "scores")),
+    ]))
+    paths = {name: str(fuzzdir / f"d-{name}.csv") for name in files}
+    mutated = data.draw(st.sampled_from(files))
+    text = (fuzzdir / f"d-{mutated}.csv").read_text()
+    for _ in range(data.draw(st.integers(1, 2))):
+        text = _mutate_csv(text, data.draw)
+    paths[mutated] = str(fuzzdir / "mutated.csv")
+    (fuzzdir / "mutated.csv").write_text(text)
+    out = str(fuzzdir / "out")
+    if command == "fit":
+        argv = ["fit", paths["scores"], paths["labels"], "-o", out, "--bins", "3"]
+    elif command == "eval":
+        argv = ["eval", paths["scores"], paths["labels"], "--bundle", str(fuzzdir / "b.json"),
+                "--bootstrap", "2", "-o", out]
+    else:
+        argv = ["eval", paths["cal"], paths["labels"], "--tie-break", "raw-logit",
+                "--raw-scores", paths["scores"], "-o", out]
+    code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert "NaN" not in (fuzzdir / "out").read_text()
 
 
 def test_console_script_is_installed():

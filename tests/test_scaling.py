@@ -57,6 +57,11 @@ def test_scaler_dict_round_trip():
         Scaler.from_dict({"kind": KIND_TEMPERATURE, "temperature": 1.0, "junk": 0})
     with pytest.raises(DataError):
         Scaler.from_dict({"kind": KIND_TEMPERATURE})
+    for kind in ([1], {"a": 1}, None, "logistic"):
+        with pytest.raises(DataError):
+            Scaler.from_dict({"kind": kind, "temperature": 1.0})
+    with pytest.raises(DataError):
+        Scaler.from_dict([KIND_TEMPERATURE, 1.0])
 
 
 def test_apply_scaler_formulas():
