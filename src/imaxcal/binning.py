@@ -47,6 +47,7 @@ _BINNER_JSON_FIELDS = ("method", "edges", "phis", "reps", "seed", "iterations")
 
 MAX_ITERATIONS = 200
 TOLERANCE = 1e-10
+SEED_CHUNK = 1 << 16
 
 
 @dataclass
@@ -286,6 +287,11 @@ def _jsd_to(p, h, q, hq):
     return np.maximum(out, 0.0)
 
 
+def _chunks(lo, hi):
+    """[a, b) pieces of [lo, hi), each at most SEED_CHUNK long."""
+    return ((a, min(a + SEED_CHUNK, hi)) for a in range(lo, hi, SEED_CHUNK))
+
+
 def _seed_phis(t_sorted, n_bins, rng):
     """Greedy k-means++-style seeding of phi levels on the transformed logits.
 
@@ -298,20 +304,35 @@ def _seed_phis(t_sorted, n_bins, rng):
 
     JSD(p, q) grows monotonically as p moves away from q on either side, so
     on sorted t a candidate can only lower the divergence of the samples
-    between its nearest chosen centers on the left and on the right; only
-    that segment is evaluated. Each candidate's potential is still the sum
-    over the whole divergence vector, so every pick is the one a full
-    evaluation would make.
+    between its nearest chosen centers on the left and on the right. Each
+    candidate is scored by how much it lowers the potential over that
+    segment, sum(max(dist - jsd, 0)), evaluated in pieces of SEED_CHUNK
+    samples; only the winner's divergences are written into dist, and the
+    potential is then summed over all of dist again. dist, the potential and
+    every draw are therefore those of a full evaluation bit for bit. Only the
+    comparison between candidates sums in another order, so a pick can
+    differ from a full evaluation's only where two distinct candidates'
+    potentials agree to about 1e-15 relative.
     """
-    p = prob_of_logit(t_sorted)
-    h = _binary_entropy(p)
     n = t_sorted.shape[0]
-    n_trials = 2 + int(np.log(n_bins))
+    p = np.empty(n)
+    h = np.empty(n)
+    dist = np.empty(n)
+    for a, b in _chunks(0, n):
+        p[a:b] = prob_of_logit(t_sorted[a:b])
+        h[a:b] = _binary_entropy(p[a:b])
 
+    def jsd_chunks(c, lo, hi):
+        for a, b in _chunks(lo, hi):
+            yield a, b, _jsd_to(p[a:b], h[a:b], p[c : c + 1], h[c : c + 1])[0]
+
+    n_trials = 2 + int(np.log(n_bins))
     first = int(rng.integers(n))
     centers = [first]  # sorted sample positions of the chosen centers
-    dist = _jsd_to(p, h, p[first : first + 1], h[first : first + 1])[0]
+    for a, b, jsd in jsd_chunks(first, 0, n):
+        dist[a:b] = jsd
     pot = float(dist.sum())
+    cum_dist = np.empty(n)
 
     for _ in range(1, n_bins):
         if pot <= 0.0:
@@ -319,22 +340,23 @@ def _seed_phis(t_sorted, n_bins, rng):
                 f"fewer than {n_bins} distinct logit values; cannot seed bins"
             )
         draws = rng.random(n_trials) * pot
-        cand_ids = np.searchsorted(np.cumsum(dist), draws)
+        cand_ids = np.searchsorted(np.cumsum(dist, out=cum_dist), draws)
         np.clip(cand_ids, None, n - 1, out=cand_ids)
-        best_pot = np.inf
+        best_gain = -np.inf
         for c in cand_ids:
             k = bisect.bisect_left(centers, c)
             lo = centers[k - 1] + 1 if k > 0 else 0
             hi = centers[k] if k < len(centers) else n
-            jsd = _jsd_to(p[lo:hi], h[lo:hi], p[c : c + 1], h[c : c + 1])[0]
-            trial = dist.copy()
-            np.minimum(trial[lo:hi], jsd, out=trial[lo:hi])
-            trial_pot = float(trial.sum())
-            if trial_pot < best_pot:
-                best_id, best_dist, best_pot = int(c), trial, trial_pot
+            gain = 0.0
+            for a, b, jsd in jsd_chunks(c, lo, hi):
+                np.subtract(dist[a:b], jsd, out=jsd)
+                gain += float(np.maximum(jsd, 0.0, out=jsd).sum())
+            if gain > best_gain:
+                best_id, best_lo, best_hi, best_gain = int(c), lo, hi, gain
+        for a, b, jsd in jsd_chunks(best_id, best_lo, best_hi):
+            np.minimum(dist[a:b], jsd, out=dist[a:b])
         bisect.insort(centers, best_id)
-        dist = best_dist
-        pot = best_pot
+        pot = float(dist.sum())
 
     phis = np.sort(t_sorted[centers])
     if np.any(np.diff(phis) <= 0):
@@ -350,6 +372,12 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     of sigmoid sums), starting from seeded phi levels. Stops after the phi
     update of the first pair whose maximum edge movement falls below
     TOLERANCE, or after MAX_ITERATIONS pairs.
+
+    Memory: besides its input the fit holds at most five length-N float64
+    arrays: the sorted logits plus, while seeding, the sigmoid, entropy,
+    divergence and cumulative divergence arrays, then the two prefix sums.
+    t adds one when scale != 1 or bias != 0, and the sorted logits of the
+    positive samples one of their length.
     """
     cfg = config if config is not None else ImaxConfig()
     n = len(cal_set)
@@ -360,19 +388,20 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     if cal_set.targets.min() == cal_set.targets.max():
         warnings.warn("calibration set contains a single label", stacklevel=2)
 
-    order = np.argsort(cal_set.logits, kind="stable")
-    lam = cal_set.logits[order]
-    is_pos = cal_set.targets[order].astype(np.float64)
-    t = cfg.scale * (lam + cfg.bias)
-
+    lam = np.sort(cal_set.logits)
+    t = lam if cfg.scale == 1.0 and cfg.bias == 0.0 else cfg.scale * (lam + cfg.bias)
     init_phis = _seed_phis(t, cfg.n_bins, np.random.default_rng(cfg.seed))
+    cum_pos, tail_neg = kernels.prefix_sums(t)
+    del t
+    pos_lam = cal_set.logits[cal_set.targets == 1]
+    pos_lam.sort()
 
     try:
         edges, phis, loss, hard_loss, n_pairs, empties, movement = kernels.alternate(
             lam,
-            prob_of_logit(t),
-            prob_of_logit(-t),
-            is_pos,
+            cum_pos,
+            tail_neg,
+            pos_lam,
             init_phis,
             cfg.scale,
             cfg.bias,

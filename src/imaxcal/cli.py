@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import bundle as bundle_mod
 from . import info as info_mod
@@ -63,7 +64,13 @@ def diag(**kv):
 
 def _read_matrix(path) -> np.ndarray:
     try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below as a data error, not also as
+            # numpy's warning
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -258,6 +265,13 @@ def cmd_fit(
         raise click.UsageError(f"--scaler applies to imax only, not to {method}")
     if method == bundle_mod.METHOD_TEMPERATURE and groups is not None:
         raise click.UsageError("--groups does not apply to temperature, which fits one scaler")
+    ctx = click.get_current_context()
+    given = lambda param: ctx.get_parameter_source(param) is not ParameterSource.DEFAULT
+    scalers = (bundle_mod.METHOD_TEMPERATURE, bundle_mod.METHOD_PLATT)
+    if method in scalers and given("bins"):
+        raise click.UsageError(f"--bins does not apply to {method}, which fits no bins")
+    if method in (*scalers, bundle_mod.METHOD_IMAX_WITH_SCALER) and given("rep_strategy"):
+        raise click.UsageError(f"--rep-strategy does not apply to {method}")
     groups_spec = _parse_groups(groups)
     cfg = _flag_config(ImaxConfig, n_bins=bins, seed=seed)
 
@@ -308,6 +322,8 @@ def _diag_fit_group(binner, **where):
             iterations=binner.iterations,
             converged=int(trace.converged),
             movement=f"{trace.final_movement:.3g}",
+            loss=f"{trace.loss[-1]:.10g}",
+            empty_bins=trace.empty_bin_events,
         )
 
 

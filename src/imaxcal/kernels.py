@@ -6,8 +6,11 @@ domain while edges live in the lam domain.
 
 Because lam is sorted, every bin is a contiguous run of samples, so the
 per-bin sums the phi update needs are differences of prefix sums built once
-before the loop. An iteration then costs M binary searches into lam, that is
-O(M log N), instead of a pass over all N samples.
+before the loop: prefix_sums gives the sigmoid(t) and sigmoid(-t) sums, and
+a bin's positive count is the difference of two binary searches into the
+sorted logits of the positive samples. An iteration then costs O(M log N)
+for M bins, instead of a pass over all N samples, and the loop holds no
+per-sample label array.
 """
 
 import numpy as np
@@ -49,14 +52,47 @@ def phis_from_sums(counts, sum_pos, sum_neg, fallback):
     )
 
 
-def alternate(lam, sig_pos, sig_neg, is_pos, phis0, scale, bias, max_iter, tol):
+def prefix_sums(t):
+    """Prefix sums of sigmoid(t) and suffix sums of sigmoid(-t) over sorted t.
+
+    Returns (cum_pos, tail_neg), each of length N + 1, with
+    cum_pos[i] = sum(sigmoid(t[:i])) and tail_neg[i] = sum(sigmoid(-t[i:])).
+    sigmoid(t) is tiny at the low end and sigmoid(-t) at the high end, so
+    accumulating each from its tiny end keeps small bins from being
+    differences of large totals. Each sigmoid is written into its output
+    buffer by the formula of data.prob_of_logit, 1 / (1 + exp(-t)), and
+    summed there, so the values are those of cumsum(prob_of_logit(t)) and
+    of the reversed cumsum of prob_of_logit(-t), bit for bit, with no
+    further length-N array.
+    """
+    n = t.shape[0]
+    cum_pos = np.empty(n + 1)
+    tail_neg = np.empty(n + 1)
+    cum_pos[0] = 0.0
+    tail_neg[n] = 0.0
+    sig_pos = cum_pos[1:]
+    sig_neg = tail_neg[:n]
+    with np.errstate(over="ignore"):
+        np.negative(t, out=sig_pos)
+        np.exp(sig_pos, out=sig_pos)
+        np.exp(t, out=sig_neg)
+    for sig in (sig_pos, sig_neg):
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+    np.cumsum(cum_pos, out=cum_pos)
+    backwards = tail_neg[::-1]
+    np.cumsum(backwards, out=backwards)
+    return cum_pos, tail_neg
+
+
+def alternate(lam, cum_pos, tail_neg, pos_lam, phis0, scale, bias, max_iter, tol):
     """Run the alternating edge/phi updates until movement stalls.
 
     Parameters
     ----------
     lam : float64 (N,), sorted ascending
-    sig_pos, sig_neg : sigmoid(+t) and sigmoid(-t) for t = scale*(lam+bias)
-    is_pos : float64 0/1 targets, aligned with lam
+    cum_pos, tail_neg : prefix_sums(t) for t = scale*(lam+bias)
+    pos_lam : float64, the sorted logits of the positive samples
     phis0 : float64 (M,), strictly increasing initial phi levels
     scale, bias : sigmoid-model transform parameters
     max_iter : maximum number of (edge update, phi update) pairs
@@ -78,21 +114,15 @@ def alternate(lam, sig_pos, sig_neg, is_pos, phis0, scale, bias, max_iter, tol):
     if np.any(np.diff(phis) <= 0.0):
         raise ValueError("initial phis not strictly increasing")
 
-    # cum_pos[i] = sum(sig_pos[:i]) and cum_pos_y[i] = sum(is_pos[:i]);
-    # tail_neg[i] = sum(sig_neg[i:]). sig_pos is tiny at the low end and
-    # sig_neg at the high end, so accumulating each from its tiny end keeps
-    # small bins from being differences of large totals.
-    zero = np.zeros(1)
-    cum_pos = np.concatenate([zero, np.cumsum(sig_pos)])
-    tail_neg = np.concatenate([np.cumsum(sig_neg[::-1])[::-1], zero])
-    cum_pos_y = np.concatenate([zero, np.cumsum(is_pos)])
-
     loss = np.empty(max_iter)
     hard_loss = np.empty(max_iter)
     edges = None
     movement = np.inf
     empty_events = 0
     n_pairs = 0
+    pos_bounds = np.empty(m + 1, dtype=np.intp)
+    pos_bounds[0] = 0
+    pos_bounds[m] = pos_lam.shape[0]
 
     for it in range(max_iter):
         new_edges = edges_from_phis(phis, scale, bias)
@@ -108,7 +138,9 @@ def alternate(lam, sig_pos, sig_neg, is_pos, phis0, scale, bias, max_iter, tol):
         counts = (hi - lo).astype(np.float64)
         sum_pos = cum_pos[hi] - cum_pos[lo]
         sum_neg = tail_neg[lo] - tail_neg[hi]
-        n_pos = cum_pos_y[hi] - cum_pos_y[lo]
+        # positives in [g_m, g_{m+1}), counted exactly; ties go right as above
+        pos_bounds[1:m] = np.searchsorted(pos_lam, edges, side="left")
+        n_pos = np.diff(pos_bounds).astype(np.float64)
 
         empty_events += int(m - np.count_nonzero(counts))
         phis = phis_from_sums(counts, sum_pos, sum_neg, phis)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,17 +345,34 @@ def test_fit_imax_diagnostics_trace():
 def test_fit_imax_weighted_loss_never_worse_than_its_init():
     for params in ({}, PRESETS["fig2-imbalanced"]):
         cal = _mixture(n=10_000, seed=0, **params)
-        order = np.argsort(cal.logits, kind="stable")
-        lam = cal.logits[order]
+        lam = np.sort(cal.logits)
+        cum_pos, tail_neg = kernels.prefix_sums(lam)
+        pos_lam = np.sort(cal.logits[cal.targets == 1])
         for edges0 in (fit_eq_size(15), fit_eq_mass(cal, 15)):
             phis0 = imax_update_phis(cal, edges0)
             at_init = weighted_surrogate_loss(cal, edges0, phis0)
             edges, phis, *_ = kernels.alternate(
-                lam, expit(lam), expit(-lam), cal.targets[order].astype(np.float64), phis0,
-                1.0, 0.0, MAX_ITERATIONS, TOLERANCE,
+                lam, cum_pos, tail_neg, pos_lam, phis0, 1.0, 0.0, MAX_ITERATIONS, TOLERANCE
             )
             at_end = weighted_surrogate_loss(cal, edges, phis)
             assert at_end <= at_init + 1e-12
+
+
+def test_fit_imax_peak_memory_per_merged_sample():
+    # the shared fit's set is N*K samples: its working arrays bound the memory
+    # a large fit needs (about 120 B per sample before the fit sorted without
+    # a permutation and seeded without full-length copies)
+    n = 1 << 20
+    rng = np.random.default_rng(0)
+    lam = rng.normal(0.0, 3.0, n)
+    cal = BinaryCalibrationSet(lam, (rng.random(n) < expit(lam)).astype(np.int8))
+    tracemalloc.start()
+    try:
+        fit_imax(cal, ImaxConfig(n_bins=15, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 48.0
 
 
 def test_fit_imax_symmetric_mixture_splits_near_zero():

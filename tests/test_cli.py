@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from imaxcal.binning import ImaxConfig
+from imaxcal.bundle import fit_bundle
 from imaxcal.cli import main
+from imaxcal.data import RAW_LOGITS, PredictionMatrix
 from imaxcal.synth import BinaryMixtureSpec, analytic_mi
 
 
@@ -136,6 +139,28 @@ def test_fit_reports_convergence_per_imax_group(workdir, tmp_path, capsys):
     assert "event=fit_group" not in capsys.readouterr().err
 
 
+def test_fit_group_reports_the_final_loss_and_the_empty_bins(workdir, tmp_path, capsys):
+    scores, labels = workdir / "mc-scores.csv", workdir / "mc-labels.csv"
+    capsys.readouterr()
+    assert main(
+        ["fit", str(scores), str(labels), "-o", str(tmp_path / "cw.json"), "--bins", "6",
+         "--strategy", "cw", "--seed", "3"]
+    ) == 0
+    lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("event=fit_group")]
+    data = PredictionMatrix(
+        np.loadtxt(scores, delimiter=","), np.loadtxt(labels), RAW_LOGITS
+    )
+    fitted = fit_bundle(data, "imax", strategy="cw", config=ImaxConfig(n_bins=6, seed=3))
+    assert len(lines) == len(fitted.calibrators) == 5
+    for line, cal in zip(lines, fitted.calibrators):
+        assert DIAG_LINE.match(line), line
+        fields = dict(token.split("=", 1) for token in line.split())
+        trace = cal.binner.diagnostics
+        assert fields["loss"] == f"{trace.loss[-1]:.10g}"
+        assert float(fields["loss"]) == pytest.approx(trace.loss[-1], rel=1e-9)
+        assert int(fields["empty_bins"]) == trace.empty_bin_events
+
+
 def test_fit_is_reproducible(workdir, tmp_path):
     a = _fit_bundle(workdir, name="a.json")
     args = [
@@ -203,10 +228,29 @@ def test_fit_usage_errors(workdir, tmp_path):
     for method in ("platt", "eq_size", "eq_mass", "temperature"):
         assert main(base + ["--method", method, "--scaler", "temperature"]) == 2
     assert main(base + ["--method", "temperature", "--groups", "2"]) == 2
+    for extra in (
+        ["--method", "platt", "--rep-strategy", "raw-prob-mean"],
+        ["--method", "platt", "--rep-strategy", "empirical-freq"],  # the default, but given
+        ["--method", "platt", "--bins", "15"],
+        ["--method", "temperature", "--bins", "7"],
+        ["--method", "temperature", "--rep-strategy", "raw-prob-mean"],
+        ["--method", "imax", "--scaler", "platt", "--rep-strategy", "raw-prob-mean"],
+        ["--method", "imax-with-scaler", "--scaler", "temperature", "--rep-strategy",
+         "empirical-freq"],
+    ):
+        assert main(base + extra) == 2, extra
     # flag values are checked before any file is read
     missing = ["fit", str(tmp_path / "missing.csv"), str(workdir / "mc-labels.csv"), "-o", out]
     assert main(missing + ["--bins", "1"]) == 2
+    assert main(missing + ["--method", "platt", "--bins", "7"]) == 2
     assert not (tmp_path / "x.json").exists()
+    # defaults stay silent, and the flags still apply where a method uses them
+    for extra in (
+        ["--method", "platt"],
+        ["--method", "imax", "--scaler", "platt", "--bins", "6"],
+        ["--method", "eq_mass", "--bins", "6", "--rep-strategy", "raw-prob-mean"],
+    ):
+        assert main(base + extra) == 0, extra
 
 
 def test_fit_data_and_fit_errors(workdir, tmp_path):
@@ -223,6 +267,18 @@ def test_fit_data_and_fit_errors(workdir, tmp_path):
     assert main(
         ["fit", str(tmp_path / "tiny-scores.csv"), str(tmp_path / "tiny-labels.csv"), "-o", out]
     ) == 4
+
+
+@pytest.mark.parametrize("empty", ["scores", "labels"])
+def test_an_empty_csv_prints_one_data_error_line(workdir, tmp_path, capsys, empty):
+    files = {"scores": str(workdir / "mc-scores.csv"), "labels": str(workdir / "mc-labels.csv")}
+    (tmp_path / "empty.csv").write_text("")
+    files[empty] = str(tmp_path / "empty.csv")
+    for command in (["eval"], ["fit", "-o", str(tmp_path / "x.json")]):
+        capsys.readouterr()
+        assert main([*command, files["scores"], files["labels"]]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error=data "), err
 
 
 @pytest.mark.parametrize("bad", ["1.5", "nan", "inf", "1e30"])

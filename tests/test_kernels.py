@@ -7,7 +7,15 @@ import pytest
 from scipy.special import expit
 
 from imaxcal import kernels
-from imaxcal.binning import _binary_entropy, _jsd_to, _seed_phis
+from imaxcal.binning import (
+    MAX_ITERATIONS,
+    TOLERANCE,
+    ImaxConfig,
+    _binary_entropy,
+    _jsd_to,
+    _seed_phis,
+    fit_imax,
+)
 from imaxcal.bundle import resolve_grouping
 from imaxcal.data import (
     PROBABILITIES,
@@ -17,6 +25,7 @@ from imaxcal.data import (
     merge_sets,
     ovr_decompose,
     ovr_set,
+    prob_of_logit,
 )
 from imaxcal.synth import (
     BinaryMixtureSpec,
@@ -95,19 +104,27 @@ def _ovr_decompose_oracle(data, class_k):
 
 
 def _problem(seed, n=500, m=4):
+    """(lam, t, is_pos, phis0): sorted logits, their transform at scale 1 and
+    bias 0, float 0/1 targets and initial phi levels."""
     spec = BinaryMixtureSpec(n=n, seed=seed)
     cal, _ = gen_binary_mixture(spec)
     order = np.argsort(cal.logits, kind="stable")
     lam = cal.logits[order]
     is_pos = cal.targets[order].astype(np.float64)
-    t = lam  # scale 1, bias 0
-    phis0 = np.quantile(t, np.linspace(0.1, 0.9, m))
-    return lam, expit(t), expit(-t), is_pos, phis0
+    phis0 = np.quantile(lam, np.linspace(0.1, 0.9, m))
+    return lam, lam, is_pos, phis0
 
 
-def _assert_matches_oracle(args, scale, bias, max_iter, tol):
-    got = kernels.alternate(*args, scale, bias, max_iter, tol)
-    want = _alternate_oracle(*args, scale, bias, max_iter, tol)
+def _kernel_args(lam, t, is_pos, phis0):
+    """kernels.alternate's leading inputs for a problem."""
+    cum_pos, tail_neg = kernels.prefix_sums(t)
+    return lam, cum_pos, tail_neg, np.sort(lam[is_pos == 1.0]), phis0
+
+
+def _assert_matches_oracle(problem, scale, bias, max_iter, tol):
+    lam, t, is_pos, phis0 = problem
+    got = kernels.alternate(*_kernel_args(*problem), scale, bias, max_iter, tol)
+    want = _alternate_oracle(lam, expit(t), expit(-t), is_pos, phis0, scale, bias, max_iter, tol)
     assert got[4] == want[4]  # n_pairs
     assert got[5] == want[5]  # empty-bin events
     np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
@@ -125,10 +142,10 @@ def test_alternate_matches_the_bincount_oracle(seed, m):
 
 
 def test_alternate_matches_the_oracle_with_scale_and_bias():
-    lam, _, _, is_pos, _ = _problem(4, n=1500, m=6)
+    lam, _, is_pos, _ = _problem(4, n=1500, m=6)
     t = 1.7 * (lam - 0.4)
     phis0 = np.quantile(t, np.linspace(0.1, 0.9, 6))
-    _assert_matches_oracle((lam, expit(t), expit(-t), is_pos, phis0), 1.7, -0.4, 200, 1e-10)
+    _assert_matches_oracle((lam, t, is_pos, phis0), 1.7, -0.4, 200, 1e-10)
 
 
 def test_alternate_matches_the_oracle_with_empty_bins():
@@ -136,18 +153,17 @@ def test_alternate_matches_the_oracle_with_empty_bins():
     lam = np.linspace(5.0, 6.0, 50)
     y = (np.arange(50) % 3 == 0).astype(np.float64)
     phis0 = np.array([-8.0, -6.0, 5.2, 5.8])
-    got = _assert_matches_oracle((lam, expit(lam), expit(-lam), y, phis0), 1.0, 0.0, 20, 1e-10)
+    got = _assert_matches_oracle((lam, lam, y, phis0), 1.0, 0.0, 20, 1e-10)
     assert got[5] > 0
 
 
 def test_a_sample_on_an_edge_goes_right():
-    lam, sp, sn, y, phis0 = _problem(1, n=300, m=3)
+    lam, _, y, phis0 = _problem(1, n=300, m=3)
     edges = kernels.edges_from_phis(phis0, 1.0, 0.0)
     # put samples exactly on the first-pair edges, keeping lam sorted
     on_edge = np.sort(np.concatenate([lam, edges, edges]))
-    t = on_edge
     y = np.concatenate([y, [1.0, 0.0, 0.0, 1.0]])
-    args = (on_edge, expit(t), expit(-t), y, phis0)
+    args = (on_edge, on_edge, y, phis0)
     one = _assert_matches_oracle(args, 1.0, 0.0, 1, 1e-10)
     np.testing.assert_array_equal(one[0], edges)
     _assert_matches_oracle(args, 1.0, 0.0, 200, 1e-10)
@@ -162,28 +178,30 @@ def test_edges_scale_and_bias_transform():
 
 
 def test_alternate_rejects_unsorted_phis():
-    lam, sp, sn, y, _ = _problem(0)
+    lam, cum_pos, tail_neg, pos_lam, _ = _kernel_args(*_problem(0))
     with pytest.raises(ValueError):
-        kernels.alternate(lam, sp, sn, y, np.array([0.5, 0.5, 1.0]), 1.0, 0.0, 10, 1e-10)
+        kernels.alternate(
+            lam, cum_pos, tail_neg, pos_lam, np.array([0.5, 0.5, 1.0]), 1.0, 0.0, 10, 1e-10
+        )
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_weighted_loss_trace_never_increases(seed):
-    args = _problem(seed, n=800, m=6)
+    args = _kernel_args(*_problem(seed, n=800, m=6))
     _, _, loss, _, n_pairs, _, _ = kernels.alternate(*args, 1.0, 0.0, 200, 1e-10)
     assert n_pairs == loss.size
     assert np.all(np.diff(loss) <= 1e-12 + 1e-10 * np.abs(loss[:-1]))
 
 
 def test_stops_well_before_the_iteration_cap():
-    args = _problem(2, n=2000, m=4)
+    args = _kernel_args(*_problem(2, n=2000, m=4))
     _, _, loss, _, n_pairs, _, movement = kernels.alternate(*args, 1.0, 0.0, 200, 1e-10)
     assert n_pairs < 200
     assert movement < 1e-10
 
 
 def test_final_movement_reports_a_fit_stopped_at_the_cap():
-    args = _problem(2, n=2000, m=4)
+    args = _kernel_args(*_problem(2, n=2000, m=4))
     *_, n_pairs, _, movement = kernels.alternate(*args, 1.0, 0.0, 3, 1e-10)
     assert n_pairs == 3
     assert 1e-10 <= movement < np.inf
@@ -194,10 +212,9 @@ def test_final_movement_reports_a_fit_stopped_at_the_cap():
 def test_empty_bin_keeps_its_phi():
     # all mass far to the right of the lower phi levels leaves those bins empty
     lam = np.linspace(5.0, 6.0, 50)
-    t = lam
     phis0 = np.array([-8.0, -6.0, 5.5])
     _, phis, _, _, _, empties, _ = kernels.alternate(
-        lam, expit(t), expit(-t), np.ones(50), phis0, 1.0, 0.0, 1, 1e-10
+        *_kernel_args(lam, lam, np.ones(50), phis0), 1.0, 0.0, 1, 1e-10
     )
     assert empties == 2
     assert phis[0] == -8.0 and phis[1] == -6.0
@@ -223,6 +240,42 @@ def test_seeding_with_tied_logits_matches_the_oracle():
         got = _seed_phis(t, 8, np.random.default_rng(seed))
         want = _seed_oracle(t, 8, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
+
+
+# --- the whole fit -----------------------------------------------------------
+
+@pytest.mark.parametrize("scale,bias", [(1.0, 0.0), (1.7, -0.4)])
+def test_fit_imax_matches_the_oracles(scale, bias):
+    # the fit sorts without a permutation and counts positives by binary
+    # search; the oracles take the stable argsort and a 0/1 target array
+    data = gen_multiclass(MulticlassSynthSpec(n_classes=6, n=800, t_gen=0.5, seed=2))
+    cal = ovr_set(data.ovr_logits(), data.labels, range(6))
+    got = fit_imax(cal, ImaxConfig(n_bins=8, seed=5, scale=scale, bias=bias))
+
+    order = np.argsort(cal.logits, kind="stable")
+    lam = cal.logits[order]
+    t = scale * (lam + bias)
+    init_phis = _seed_oracle(t, 8, np.random.default_rng(5))
+    edges, phis, loss, _, n_pairs, empties, _ = _alternate_oracle(
+        lam, expit(t), expit(-t), cal.targets[order].astype(np.float64), init_phis,
+        scale, bias, MAX_ITERATIONS, TOLERANCE,
+    )
+    np.testing.assert_array_equal(got.diagnostics.init_phis, init_phis)
+    assert got.iterations == n_pairs
+    assert got.diagnostics.empty_bin_events == empties
+    np.testing.assert_allclose(got.edges, edges, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.phis, phis, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.diagnostics.loss, loss, rtol=1e-12, atol=0)
+
+
+def test_prefix_sums_accumulate_each_sigmoid_from_its_tiny_end():
+    t = np.sort(np.random.default_rng(3).normal(0.0, 8.0, 1001))
+    cum_pos, tail_neg = kernels.prefix_sums(t)
+    zero = np.zeros(1)
+    want_pos = np.concatenate([zero, np.cumsum(prob_of_logit(t))])
+    want_neg = np.concatenate([np.cumsum(prob_of_logit(-t)[::-1])[::-1], zero])
+    np.testing.assert_array_equal(cum_pos, want_pos)
+    np.testing.assert_array_equal(tail_neg, want_neg)
 
 
 # --- decomposition -----------------------------------------------------------
