@@ -15,6 +15,7 @@ every update.
 """
 
 import bisect
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +30,6 @@ from .data import (
     json_number,
     json_object,
     prob_of_logit,
-    xlogy,
 )
 from .errors import DataError, FitError
 from .scaling import apply_scaler
@@ -48,6 +48,9 @@ _BINNER_JSON_FIELDS = ("method", "edges", "phis", "reps", "seed", "iterations")
 MAX_ITERATIONS = 200
 TOLERANCE = 1e-10
 SEED_CHUNK = 1 << 16
+DRAW_BLOCK = 1 << 12
+CELL_PROBES = 256
+_SMALLEST_SUBNORMAL = 5e-324
 
 
 @dataclass
@@ -62,8 +65,10 @@ class ImaxConfig:
     def __post_init__(self):
         if self.n_bins < 2:
             raise DataError(f"n_bins must be >= 2, got {self.n_bins}")
-        if not self.scale > 0:
-            raise DataError("scale must be > 0")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise DataError(f"scale must be finite and > 0, got {self.scale}")
+        if not np.isfinite(self.bias):
+            raise DataError(f"bias must be finite, got {self.bias}")
 
 
 @dataclass
@@ -76,7 +81,8 @@ class FitTrace:
     tracks loss statistically but carries no monotonicity guarantee.
     final_movement is the largest edge movement of the last pair; the fit
     converged when it fell below TOLERANCE, and otherwise stopped at
-    MAX_ITERATIONS.
+    MAX_ITERATIONS. seed_s is the wall time of the seeding in seconds, a
+    timing for diagnostics that Binner.to_dict leaves out.
     """
 
     loss: np.ndarray
@@ -85,6 +91,7 @@ class FitTrace:
     init_phis: np.ndarray | None = None
     final_movement: float = np.inf
     converged: bool = False
+    seed_s: float = 0.0
 
 
 @dataclass
@@ -275,21 +282,111 @@ def weighted_surrogate_loss(
     return float(np.mean(loss))
 
 
-def _binary_entropy(p):
-    return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
+def _xlogx(x, out):
+    """x * log(x) of each x >= 0 into out (not x itself), with 0 * log(0) = 0.
+
+    max(x, 5e-324) is x itself for every x > 0, subnormals included, so the
+    result equals xlogy(x, x) bit for bit there; at x == 0 it is -0.0, which
+    equals 0.0 and vanishes in the entropy sums below. It allocates nothing.
+    """
+    np.maximum(x, _SMALLEST_SUBNORMAL, out=out)
+    np.log(out, out=out)
+    return np.multiply(out, x, out=out)
 
 
-def _jsd_to(p, h, q, hq):
-    """Jensen-Shannon divergence rows between Bernoulli(q[i]) and every
-    Bernoulli(p[j]); JSD(p, q) = H((p+q)/2) - (H(p)+H(q))/2, nats."""
-    mid = (p[None, :] + q[:, None]) / 2.0
-    out = _binary_entropy(mid) - (h[None, :] + hq[:, None]) / 2.0
-    return np.maximum(out, 0.0)
+def _entropy_into(x, out, scratch):
+    """Binary entropy -(x log x + (1-x) log(1-x)) of each x into out, nats.
+
+    scratch has x's length; x is left intact. The value is that of
+    -(xlogy(x, x) + xlogy(1 - x, 1 - x)) bit for bit.
+    """
+    np.subtract(1.0, x, out=scratch)
+    _xlogx(scratch, out)
+    _xlogx(x, scratch)
+    out += scratch
+    return np.negative(out, out=out)
+
+
+def _jsd_into(p, h, pc, hc, bufs):
+    """Jensen-Shannon divergence between each Bernoulli(p[i]) and
+    Bernoulli(pc), H((p+pc)/2) - (h + hc)/2 clamped at 0, in nats.
+
+    h are the entropies of p and hc that of pc. bufs are three buffers at
+    least as long as p; the result is a view of the third. Each value equals
+    the direct formula evaluated with xlogy bit for bit.
+    """
+    mid, scratch, out = (buf[: p.shape[0]] for buf in bufs)
+    np.add(p, pc, out=mid)
+    mid *= 0.5
+    _entropy_into(mid, out, scratch)
+    np.add(h, hc, out=mid)
+    mid *= 0.5
+    out -= mid
+    return np.maximum(out, 0.0, out=out)
 
 
 def _chunks(lo, hi):
     """[a, b) pieces of [lo, hi), each at most SEED_CHUNK long."""
     return ((a, min(a + SEED_CHUNK, hi)) for a in range(lo, hi, SEED_CHUNK))
+
+
+def _voronoi_cell(p, h, dist, c, lo, hi, bufs):
+    """The samples of [lo, hi) that center c would take over: [L, R).
+
+    A sample i joins c's cell when JSD(p[i], p[c]) < dist[i]. For p below
+    and above p[c] the difference JSD(p, p[c]) - JSD(p, z) to any other
+    center z is monotone in p, because the binary entropy is strictly
+    concave, so on sorted p the cell is one contiguous run around c. Each
+    side's edge is bracketed between a sample known to be inside and one
+    known to be outside (or the segment end), and the bracket is narrowed
+    by probing at most CELL_PROBES evenly spaced samples at a time. A sample
+    with dist[c] == 0 (a center, or tied with one) takes over nothing.
+    """
+    if not dist[c] > 0.0:
+        return c, c
+    pc, hc = p[c], h[c]
+    ends = []
+    for step, stop in ((-1, lo - 1), (1, hi)):
+        inside, outside = c, stop
+        while abs(outside - inside) > 1:
+            stride = -(-(abs(outside - inside) - 1) // CELL_PROBES)
+            idx = inside + step * stride * np.arange(1, (abs(outside - inside) - 1) // stride + 1)
+            taken = _jsd_into(p[idx], h[idx], pc, hc, bufs) < dist[idx]
+            if taken.all():
+                inside = int(idx[-1])
+            else:
+                first = int(np.argmin(taken))
+                outside = int(idx[first])
+                if first:
+                    inside = int(idx[first - 1])
+        ends.append(outside)
+    return ends[0] + 1, ends[1]
+
+
+def _block_sums(dist, lo, hi, blocks):
+    """Write the sums of dist over every DRAW_BLOCK block that meets [lo, hi)
+    into blocks."""
+    j = lo // DRAW_BLOCK
+    a, b = j * DRAW_BLOCK, min(-(-hi // DRAW_BLOCK) * DRAW_BLOCK, dist.shape[0])
+    if a < b:
+        sums = np.add.reduceat(dist[a:b], np.arange(0, b - a, DRAW_BLOCK))
+        blocks[j : j + sums.shape[0]] = sums
+
+
+def _drawn_sample(draw, dist, block_cum, buf):
+    """The first sample whose cumulative dist reaches draw, clipped to the
+    last one: block_cum is the cumulative sum of dist's DRAW_BLOCK block
+    sums, so only the block it points into is summed sample by sample, in
+    buf."""
+    n = dist.shape[0]
+    j = int(np.searchsorted(block_cum, draw))
+    a = j * DRAW_BLOCK
+    if a >= n:
+        return n - 1
+    b = min(a + DRAW_BLOCK, n)
+    cum = np.cumsum(dist[a:b], out=buf[: b - a])
+    rest = draw - block_cum[j - 1] if j else draw
+    return min(a + int(np.searchsorted(cum, rest)), n - 1)
 
 
 def _seed_phis(t_sorted, n_bins, rng):
@@ -302,59 +399,80 @@ def _seed_phis(t_sorted, n_bins, rng):
     shrinks the total potential the most. Returns the chosen t values sorted
     ascending.
 
-    JSD(p, q) grows monotonically as p moves away from q on either side, so
-    on sorted t a candidate can only lower the divergence of the samples
-    between its nearest chosen centers on the left and on the right. Each
-    candidate is scored by how much it lowers the potential over that
-    segment, sum(max(dist - jsd, 0)), evaluated in pieces of SEED_CHUNK
-    samples; only the winner's divergences are written into dist, and the
-    potential is then summed over all of dist again. dist, the potential and
-    every draw are therefore those of a full evaluation bit for bit. Only the
-    comparison between candidates sums in another order, so a pick can
-    differ from a full evaluation's only where two distinct candidates'
-    potentials agree to about 1e-15 relative.
+    A candidate lowers the divergence only of the samples in its Voronoi
+    cell (_voronoi_cell), a contiguous run of sorted samples between its
+    nearest chosen centers. Each candidate is scored by its gain
+    sum(dist - jsd) over that cell, and only the winner's cell is written
+    into dist, with every divergence from the in-place kernel _jsd_into.
+    Candidates are scored in decreasing order of their cell's dist sum,
+    which bounds the gain, and scoring stops once that bound falls below
+    the best gain; ties go to the earlier draw, so no pick changes. Draws
+    search the sums of dist over DRAW_BLOCK-sample blocks, then the
+    cumulative sum of one block, so no step takes a full-length cumsum. The
+    potential is summed over all of dist after each step, as a full
+    evaluation does.
+
+    Tolerance to a full evaluation: dist and every divergence are the same
+    bit for bit except where a sample sits at a cell edge with its
+    divergence and dist equal to rounding; a draw can differ only within
+    rounding of the cumulative sum, because block sums and the full cumsum
+    add in another order; and candidates compare by gain, so a pick can
+    differ only where two distinct candidates' potentials agree to about
+    1e-15 relative.
     """
     n = t_sorted.shape[0]
-    p = np.empty(n)
+    p = prob_of_logit(t_sorted, out=np.empty(n))
     h = np.empty(n)
     dist = np.empty(n)
+    bufs = np.empty((3, min(n, SEED_CHUNK)))
     for a, b in _chunks(0, n):
-        p[a:b] = prob_of_logit(t_sorted[a:b])
-        h[a:b] = _binary_entropy(p[a:b])
+        _entropy_into(p[a:b], h[a:b], bufs[0, : b - a])
 
     def jsd_chunks(c, lo, hi):
         for a, b in _chunks(lo, hi):
-            yield a, b, _jsd_to(p[a:b], h[a:b], p[c : c + 1], h[c : c + 1])[0]
+            yield a, b, _jsd_into(p[a:b], h[a:b], p[c], h[c], bufs)
 
     n_trials = 2 + int(np.log(n_bins))
     first = int(rng.integers(n))
     centers = [first]  # sorted sample positions of the chosen centers
     for a, b, jsd in jsd_chunks(first, 0, n):
         dist[a:b] = jsd
+    blocks = np.empty(-(-n // DRAW_BLOCK))
+    _block_sums(dist, 0, n, blocks)
     pot = float(dist.sum())
-    cum_dist = np.empty(n)
 
     for _ in range(1, n_bins):
-        if pot <= 0.0:
+        if not pot > 0.0:
             raise FitError(
-                f"fewer than {n_bins} distinct logit values; cannot seed bins"
+                f"fewer than {n_bins} distinct values of sigmoid(scale * (logit + bias));"
+                " cannot seed bins"
             )
         draws = rng.random(n_trials) * pot
-        cand_ids = np.searchsorted(np.cumsum(dist, out=cum_dist), draws)
-        np.clip(cand_ids, None, n - 1, out=cand_ids)
-        best_gain = -np.inf
-        for c in cand_ids:
+        block_cum = np.cumsum(blocks)
+        scored = []
+        for i, draw in enumerate(draws):
+            c = _drawn_sample(draw, dist, block_cum, bufs[0])
             k = bisect.bisect_left(centers, c)
             lo = centers[k - 1] + 1 if k > 0 else 0
             hi = centers[k] if k < len(centers) else n
+            cell = _voronoi_cell(p, h, dist, c, lo, hi, bufs)
+            bound = sum(float(dist[a:b].sum()) for a, b in _chunks(*cell))
+            scored.append((-bound, i, c, cell))
+        # a gain never exceeds its cell's dist sum, so in decreasing order of
+        # that bound the rest cannot win once it falls below the best gain
+        best_gain = -np.inf
+        for neg_bound, i, c, cell in sorted(scored):
+            if -neg_bound < best_gain:
+                break
             gain = 0.0
-            for a, b, jsd in jsd_chunks(c, lo, hi):
+            for a, b, jsd in jsd_chunks(c, *cell):
                 np.subtract(dist[a:b], jsd, out=jsd)
                 gain += float(np.maximum(jsd, 0.0, out=jsd).sum())
-            if gain > best_gain:
-                best_id, best_lo, best_hi, best_gain = int(c), lo, hi, gain
-        for a, b, jsd in jsd_chunks(best_id, best_lo, best_hi):
+            if gain > best_gain or (gain == best_gain and i < best_draw):
+                best_id, best_cell, best_gain, best_draw = c, cell, gain, i
+        for a, b, jsd in jsd_chunks(best_id, *best_cell):
             np.minimum(dist[a:b], jsd, out=dist[a:b])
+        _block_sums(dist, *best_cell, blocks)
         bisect.insort(centers, best_id)
         pot = float(dist.sum())
 
@@ -373,11 +491,14 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     update of the first pair whose maximum edge movement falls below
     TOLERANCE, or after MAX_ITERATIONS pairs.
 
-    Memory: besides its input the fit holds at most five length-N float64
-    arrays: the sorted logits plus, while seeding, the sigmoid, entropy,
-    divergence and cumulative divergence arrays, then the two prefix sums.
-    t adds one when scale != 1 or bias != 0, and the sorted logits of the
-    positive samples one of their length.
+    Memory: besides its input the fit holds at most four length-N float64
+    arrays: the sorted logits plus, while seeding, the sigmoid, entropy and
+    divergence arrays, then the two prefix sums. t adds one when scale != 1
+    or bias != 0, and the sorted logits of the positive samples one of their
+    length; the seeding's three SEED_CHUNK buffers add 1.5 MB.
+
+    The seeding's wall time goes into the trace's seed_s; it is reported,
+    never serialized, so a refit stays byte-identical.
     """
     cfg = config if config is not None else ImaxConfig()
     n = len(cal_set)
@@ -389,8 +510,13 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
         warnings.warn("calibration set contains a single label", stacklevel=2)
 
     lam = np.sort(cal_set.logits)
-    t = lam if cfg.scale == 1.0 and cfg.bias == 0.0 else cfg.scale * (lam + cfg.bias)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        t = lam if cfg.scale == 1.0 and cfg.bias == 0.0 else cfg.scale * (lam + cfg.bias)
+    if not (np.isfinite(t[0]) and np.isfinite(t[-1])):
+        raise FitError("scale * (logit + bias) is not finite for every logit")
+    started = time.perf_counter()
     init_phis = _seed_phis(t, cfg.n_bins, np.random.default_rng(cfg.seed))
+    seed_s = time.perf_counter() - started
     cum_pos, tail_neg = kernels.prefix_sums(t)
     del t
     pos_lam = cal_set.logits[cal_set.targets == 1]
@@ -425,6 +551,7 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
             init_phis=init_phis,
             final_movement=movement,
             converged=movement < TOLERANCE,
+            seed_s=seed_s,
         ),
     )
 

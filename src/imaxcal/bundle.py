@@ -254,15 +254,16 @@ def fit_bundle(
                 raise DataError("imax_with_scaler needs --scaler temperature or platt")
             binning_method = METHOD_IMAX
             rep_strategy = REP_SCALED_PROB_MEAN
-        calibrators = [
-            GroupCalibrator(
-                classes=g,
-                binner=fit_binner(
-                    ovr_set(lam, data.labels, g), binning_method, cfg, rep_strategy, scaler
-                ),
-            )
-            for g in grouping.groups
-        ]
+        # the merged sets hold every log-odds the fits read, so the N x K
+        # matrix goes before the first fit and each set once it is fitted
+        sets = [ovr_set(lam, data.labels, g) for g in reversed(grouping.groups)]
+        del lam
+        calibrators = []
+        for g in grouping.groups:
+            cal_set = sets.pop()
+            binner = fit_binner(cal_set, binning_method, cfg, rep_strategy, scaler)
+            del cal_set
+            calibrators.append(GroupCalibrator(classes=g, binner=binner))
         provenance.update(n_bins=cfg.n_bins, rep_strategy=rep_strategy)
 
     provenance["n_fit_samples"] = data.n_samples

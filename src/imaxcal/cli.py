@@ -324,6 +324,7 @@ def _diag_fit_group(binner, **where):
             movement=f"{trace.final_movement:.3g}",
             loss=f"{trace.loss[-1]:.10g}",
             empty_bins=trace.empty_bin_events,
+            seed_s=f"{trace.seed_s:.3f}",
         )
 
 

@@ -41,17 +41,24 @@ def logit_of_prob(q):
     return np.log(q) - np.log1p(-q)
 
 
-def prob_of_logit(lam):
+def prob_of_logit(lam, out=None):
     """Sigmoid 1 / (1 + exp(-lam)), the inverse of logit_of_prob away from
     the clamp bounds.
 
     This is the package's one sigmoid, the formula of scipy.special.expit.
     Below lam = -709 exp(-lam) overflows to inf and the result is the
-    correct limit 0, so that overflow is not reported.
+    correct limit 0, so that overflow is not reported. Given out, a float64
+    array of lam's shape (lam itself allowed), the same values are written
+    there step by step with no temporary array.
     """
     lam = np.asarray(lam, dtype=np.float64)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-lam))
+        if out is None:
+            return 1.0 / (1.0 + np.exp(-lam))
+        np.negative(lam, out=out)
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def xlogy(x, y):

@@ -15,6 +15,8 @@ per-sample label array.
 
 import numpy as np
 
+from .data import prob_of_logit
+
 
 def _softplus(x):
     return np.logaddexp(0.0, x)
@@ -60,25 +62,18 @@ def prefix_sums(t):
     sigmoid(t) is tiny at the low end and sigmoid(-t) at the high end, so
     accumulating each from its tiny end keeps small bins from being
     differences of large totals. Each sigmoid is written into its output
-    buffer by the formula of data.prob_of_logit, 1 / (1 + exp(-t)), and
-    summed there, so the values are those of cumsum(prob_of_logit(t)) and
-    of the reversed cumsum of prob_of_logit(-t), bit for bit, with no
-    further length-N array.
+    buffer by data.prob_of_logit and summed there, so the values are those
+    of cumsum(prob_of_logit(t)) and of the reversed cumsum of
+    prob_of_logit(-t), bit for bit, with no further length-N array.
     """
     n = t.shape[0]
     cum_pos = np.empty(n + 1)
     tail_neg = np.empty(n + 1)
     cum_pos[0] = 0.0
     tail_neg[n] = 0.0
-    sig_pos = cum_pos[1:]
-    sig_neg = tail_neg[:n]
-    with np.errstate(over="ignore"):
-        np.negative(t, out=sig_pos)
-        np.exp(sig_pos, out=sig_pos)
-        np.exp(t, out=sig_neg)
-    for sig in (sig_pos, sig_neg):
-        sig += 1.0
-        np.divide(1.0, sig, out=sig)
+    prob_of_logit(t, out=cum_pos[1:])
+    sig_neg = np.negative(t, out=tail_neg[:n])
+    prob_of_logit(sig_neg, out=sig_neg)
     np.cumsum(cum_pos, out=cum_pos)
     backwards = tail_neg[::-1]
     np.cumsum(backwards, out=backwards)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -158,6 +159,20 @@ def test_refit_is_byte_identical():
     a = fit_bundle(data, METHOD_IMAX, config=cfg).to_json()
     b = fit_bundle(data, METHOD_IMAX, config=cfg).to_json()
     assert a == b
+
+
+def test_scw_imax_fit_peak_memory_per_merged_sample():
+    # the N x K log-odds matrix is dropped once the merged set is built, so
+    # the fit's peak is the merged set plus fit_imax's working arrays (about
+    # 49 B per merged sample here; 76 B while the matrix stayed alive)
+    data = _data(n=2000, k=100, seed=0)
+    tracemalloc.start()
+    try:
+        fit_bundle(data, METHOD_IMAX, config=ImaxConfig(n_bins=15, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (data.n_samples * data.n_classes) <= 56.0
 
 
 # --- serialization ----------------------------------------------------------------

@@ -142,23 +142,29 @@ def test_fit_reports_convergence_per_imax_group(workdir, tmp_path, capsys):
 def test_fit_group_reports_the_final_loss_and_the_empty_bins(workdir, tmp_path, capsys):
     scores, labels = workdir / "mc-scores.csv", workdir / "mc-labels.csv"
     capsys.readouterr()
-    assert main(
-        ["fit", str(scores), str(labels), "-o", str(tmp_path / "cw.json"), "--bins", "6",
-         "--strategy", "cw", "--seed", "3"]
-    ) == 0
+    outs = [tmp_path / "cw.json", tmp_path / "cw-again.json"]
+    for out in outs:
+        assert main(
+            ["fit", str(scores), str(labels), "-o", str(out), "--bins", "6",
+             "--strategy", "cw", "--seed", "3"]
+        ) == 0
+    # the seeding time is reported on stderr and kept out of the bundle
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert b"seed_s" not in outs[0].read_bytes()
     lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("event=fit_group")]
     data = PredictionMatrix(
         np.loadtxt(scores, delimiter=","), np.loadtxt(labels), RAW_LOGITS
     )
     fitted = fit_bundle(data, "imax", strategy="cw", config=ImaxConfig(n_bins=6, seed=3))
-    assert len(lines) == len(fitted.calibrators) == 5
-    for line, cal in zip(lines, fitted.calibrators):
+    assert len(lines) == 2 * len(fitted.calibrators) == 10
+    for line, cal in zip(lines, 2 * fitted.calibrators):
         assert DIAG_LINE.match(line), line
         fields = dict(token.split("=", 1) for token in line.split())
         trace = cal.binner.diagnostics
         assert fields["loss"] == f"{trace.loss[-1]:.10g}"
         assert float(fields["loss"]) == pytest.approx(trace.loss[-1], rel=1e-9)
         assert int(fields["empty_bins"]) == trace.empty_bin_events
+        assert re.fullmatch(r"\d+\.\d{3}", fields["seed_s"]), fields["seed_s"]
 
 
 def test_fit_is_reproducible(workdir, tmp_path):

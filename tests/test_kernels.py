@@ -1,4 +1,4 @@
-"""The prefix-sum alternation kernel and the segment-local seeding, each
+"""The prefix-sum alternation kernel and the cell-local seeding, each
 against its direct O(N)-per-step reference, and the one-softmax decomposition
 against the per-class one."""
 
@@ -9,11 +9,12 @@ from scipy.special import expit
 from imaxcal import kernels
 from imaxcal.binning import (
     MAX_ITERATIONS,
+    SEED_CHUNK,
     TOLERANCE,
     ImaxConfig,
-    _binary_entropy,
-    _jsd_to,
     _seed_phis,
+    _voronoi_cell,
+    _xlogx,
     fit_imax,
 )
 from imaxcal.bundle import resolve_grouping
@@ -26,6 +27,7 @@ from imaxcal.data import (
     ovr_decompose,
     ovr_set,
     prob_of_logit,
+    xlogy,
 )
 from imaxcal.synth import (
     BinaryMixtureSpec,
@@ -68,6 +70,18 @@ def _alternate_oracle(lam, sig_pos, sig_neg, is_pos, phis0, scale, bias, max_ite
         if movement < tol:
             break
     return edges, phis, np.array(loss), np.array(hard_loss), len(loss), empty_events, movement
+
+
+def _binary_entropy(p):
+    return -(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p))
+
+
+def _jsd_to(p, h, q, hq):
+    """Jensen-Shannon divergence rows between Bernoulli(q[i]) and every
+    Bernoulli(p[j]); JSD(p, q) = H((p+q)/2) - (H(p)+H(q))/2, nats."""
+    mid = (p[None, :] + q[:, None]) / 2.0
+    out = _binary_entropy(mid) - (h[None, :] + hq[:, None]) / 2.0
+    return np.maximum(out, 0.0)
 
 
 def _seed_oracle(t_sorted, n_bins, rng):
@@ -240,6 +254,70 @@ def test_seeding_with_tied_logits_matches_the_oracle():
         got = _seed_phis(t, 8, np.random.default_rng(seed))
         want = _seed_oracle(t, 8, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seeding_matches_the_oracle_across_chunks(seed):
+    # cells run across SEED_CHUNK boundaries and draws go through dozens of
+    # DRAW_BLOCK block sums
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.normal(0.0, 3.0, 3 * SEED_CHUNK + 4321))
+    got = _seed_phis(t, 15, np.random.default_rng(seed))
+    want = _seed_oracle(t, 15, np.random.default_rng(seed))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_seeding_with_saturated_probabilities_matches_the_oracle():
+    # sigmoid(t) is exactly 1 above t = 37 and exactly 0 below t = -745
+    rng = np.random.default_rng(8)
+    t = np.sort(np.concatenate([
+        np.full(40, -800.0), rng.uniform(-60.0, -40.0, 200), rng.normal(0.0, 2.0, 500),
+        rng.uniform(40.0, 60.0, 200), np.full(40, 50.0),
+    ]))
+    for seed in range(3):
+        got = _seed_phis(t, 8, np.random.default_rng(seed))
+        want = _seed_oracle(t, 8, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, want)
+
+
+def test_seeding_with_one_sample_per_bin_picks_every_sample():
+    t = np.array([-3.0, -1.0, -0.5, 0.25, 2.0, 7.0])
+    for seed in range(3):
+        got = _seed_phis(t, t.size, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, t)
+        np.testing.assert_array_equal(got, _seed_oracle(t, t.size, np.random.default_rng(seed)))
+
+
+def test_xlogx_equals_xlogy():
+    x = np.concatenate([
+        [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 0.5, 1.0 - 2**-53, 1.0],
+        np.random.default_rng(4).random(10_000),
+    ])
+    got = _xlogx(x, np.empty_like(x))
+    want = xlogy(x, x)
+    np.testing.assert_array_equal(got, want)
+    nonzero = x > 0  # at x == 0 the kernel gives -0.0, equal to xlogy's 0.0
+    np.testing.assert_array_equal(got[nonzero].view(np.int64), want[nonzero].view(np.int64))
+
+
+def test_voronoi_cell_is_exactly_the_samples_a_candidate_takes():
+    rng = np.random.default_rng(6)
+    t = np.sort(rng.normal(0.0, 3.0, 50_000))
+    p = expit(t)
+    h = _binary_entropy(p)
+    centers = [9_000, 31_000]
+    dist = np.min(_jsd_to(p, h, p[centers], h[centers]), axis=0)
+    bufs = np.empty((3, SEED_CHUNK))
+    segments = [(0, centers[0]), (centers[0] + 1, centers[1]), (centers[1] + 1, t.size)]
+    for lo, hi in segments:
+        for c in [lo, hi - 1, *rng.integers(lo, hi, 5)]:
+            cell = _voronoi_cell(p, h, dist, int(c), lo, hi, bufs)
+            taken = _jsd_to(p[lo:hi], h[lo:hi], p[c : c + 1], h[c : c + 1])[0] < dist[lo:hi]
+            want = np.flatnonzero(taken) + lo
+            assert want.size > 0 and cell == (want[0], want[-1] + 1)
+            assert want.size == want[-1] + 1 - want[0]
+    for c in centers:
+        assert _voronoi_cell(p, h, dist, c, 0, t.size, bufs) == (c, c)
 
 
 # --- the whole fit -----------------------------------------------------------
