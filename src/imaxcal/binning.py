@@ -183,6 +183,22 @@ def bin_sums(edges, x, *weights):
     )
 
 
+def bin_counts(edges, cal_set: BinaryCalibrationSet):
+    """Per-bin count of cal_set's samples and of its positive samples, for
+    the len(edges) + 1 bins between increasing edges; values exactly on an
+    edge go right, as in quantize and bin_sums.
+
+    Each count is a difference of M - 1 binary searches into the set's
+    sorted copies, so after the set's one sort it costs O(M log N) instead of
+    a pass over all N samples. Returns (counts, positives), as integers.
+    """
+    edges = np.asarray(edges, dtype=np.float64)
+    return tuple(
+        np.diff(np.searchsorted(values, edges, side="left"), prepend=0, append=len(values))
+        for values in (cal_set.sorted_logits, cal_set.sorted_pos_logits)
+    )
+
+
 def apply_binner(binner: Binner, lam):
     """Map logits to their bin's probability representative."""
     if binner.reps is None:
@@ -204,12 +220,18 @@ def fit_eq_size(n_bins: int):
 
 
 def fit_eq_mass(cal_set: BinaryCalibrationSet, n_bins: int):
-    """Interior edges at the empirical logit quantiles i / M."""
+    """Interior edges at the empirical logit quantiles i / M.
+
+    They are taken on the set's sorted copy: the same order statistics as on
+    the set itself, so the same edges. Only a zero edge could differ, in its
+    sign, in a set holding both -0.0 and 0.0, which no log-odds from
+    data.logit_of_prob is.
+    """
     if n_bins < 2:
         raise DataError(f"n_bins must be >= 2, got {n_bins}")
     if len(cal_set) < n_bins:
         raise FitError(f"need at least {n_bins} samples, got {len(cal_set)}")
-    edges = np.quantile(cal_set.logits, np.arange(1, n_bins) / n_bins)
+    edges = np.quantile(cal_set.sorted_logits, np.arange(1, n_bins) / n_bins)
     if np.any(np.diff(edges) <= 0):
         raise FitError(
             "degenerate quantile edges (too many tied logits for eq_mass)"
@@ -389,7 +411,19 @@ def _drawn_sample(draw, dist, block_cum, buf):
     return min(a + int(np.searchsorted(cum, rest)), n - 1)
 
 
-def _seed_phis(t_sorted, n_bins, rng):
+def _sigmoid_entropy(t_sorted):
+    """sigmoid(t) and the binary entropy of each sigmoid, the two length-N
+    arrays every seeding on t reads; the entropy is written chunk by chunk."""
+    n = t_sorted.shape[0]
+    p = prob_of_logit(t_sorted, out=np.empty(n))
+    h = np.empty(n)
+    scratch = np.empty(min(n, SEED_CHUNK))
+    for a, b in _chunks(0, n):
+        _entropy_into(p[a:b], h[a:b], scratch[: b - a])
+    return p, h
+
+
+def _seed_phis(t_sorted, n_bins, rng, sigmoid_entropy=None):
     """Greedy k-means++-style seeding of phi levels on the transformed logits.
 
     Distances are Jensen-Shannon divergences between Bernoulli(sigmoid(t))
@@ -397,7 +431,8 @@ def _seed_phis(t_sorted, n_bins, rng):
     Each step draws 2 + floor(log M) candidates proportional to the current
     divergence-to-nearest-center potential and keeps the candidate that
     shrinks the total potential the most. Returns the chosen t values sorted
-    ascending.
+    ascending. sigmoid_entropy is _sigmoid_entropy(t_sorted), built here
+    when not given, so that seedings on one t can share it.
 
     A candidate lowers the divergence only of the samples in its Voronoi
     cell (_voronoi_cell), a contiguous run of sorted samples between its
@@ -421,12 +456,9 @@ def _seed_phis(t_sorted, n_bins, rng):
     1e-15 relative.
     """
     n = t_sorted.shape[0]
-    p = prob_of_logit(t_sorted, out=np.empty(n))
-    h = np.empty(n)
+    p, h = _sigmoid_entropy(t_sorted) if sigmoid_entropy is None else sigmoid_entropy
     dist = np.empty(n)
     bufs = np.empty((3, min(n, SEED_CHUNK)))
-    for a, b in _chunks(0, n):
-        _entropy_into(p[a:b], h[a:b], bufs[0, : b - a])
 
     def jsd_chunks(c, lo, hi):
         for a, b in _chunks(lo, hi):
@@ -489,71 +521,101 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     adjacent phi levels) with the closed-form phi update (per-bin log-ratio
     of sigmoid sums), starting from seeded phi levels. Stops after the phi
     update of the first pair whose maximum edge movement falls below
-    TOLERANCE, or after MAX_ITERATIONS pairs.
+    TOLERANCE, or after MAX_ITERATIONS pairs. This is fit_imax_many with one
+    config.
 
-    Memory: besides its input the fit holds at most four length-N float64
-    arrays: the sorted logits plus, while seeding, the sigmoid, entropy and
-    divergence arrays, then the two prefix sums. t adds one when scale != 1
-    or bias != 0, and the sorted logits of the positive samples one of their
-    length; the seeding's three SEED_CHUNK buffers add 1.5 MB.
+    Memory: the fit reads the set's sorted copies (data.BinaryCalibrationSet),
+    which stay with the set. Besides those it holds at most three length-N
+    float64 arrays: while seeding the sigmoid, entropy and divergence
+    arrays, then the two prefix sums. t adds one when scale != 1 or
+    bias != 0; the seeding's three SEED_CHUNK buffers add 1.5 MB.
 
     The seeding's wall time goes into the trace's seed_s; it is reported,
     never serialized, so a refit stays byte-identical.
     """
-    cfg = config if config is not None else ImaxConfig()
+    return fit_imax_many(cal_set, [config if config is not None else ImaxConfig()])[0]
+
+
+def fit_imax_many(cal_set: BinaryCalibrationSet, configs) -> list:
+    """fit_imax of cal_set with each config, in order, from one preparation.
+
+    The configs may differ in n_bins and seed but must share scale and
+    bias. Every seeding reads one pair of sigmoid and entropy arrays, and
+    every alternation one pair of prefix sums, built after the last seeding
+    has freed its arrays, so the call's peak memory is that of one fit.
+    Each result equals fit_imax's bit for bit: every seeding and every
+    alternation reads the same values. The sigmoid and entropy arrays are
+    timed in the first config's seed_s.
+    """
+    configs = list(configs)
+    if not configs:
+        raise DataError("need at least one imax config")
+    scale, bias = configs[0].scale, configs[0].bias
+    if any((cfg.scale, cfg.bias) != (scale, bias) for cfg in configs):
+        raise DataError("imax configs fitted together must share scale and bias")
     n = len(cal_set)
-    if n < cfg.n_bins:
-        raise FitError(f"need at least {cfg.n_bins} samples, got {n}")
-    if np.ptp(cal_set.logits) == 0.0:
+    for cfg in configs:
+        if n < cfg.n_bins:
+            raise FitError(f"need at least {cfg.n_bins} samples, got {n}")
+    lam = cal_set.sorted_logits
+    if lam[0] == lam[-1]:
         raise FitError("degenerate calibration set: all logits identical")
     if cal_set.targets.min() == cal_set.targets.max():
         warnings.warn("calibration set contains a single label", stacklevel=2)
 
-    lam = np.sort(cal_set.logits)
     with np.errstate(over="ignore"):  # an overflow is reported just below
-        t = lam if cfg.scale == 1.0 and cfg.bias == 0.0 else cfg.scale * (lam + cfg.bias)
+        t = lam if scale == 1.0 and bias == 0.0 else scale * (lam + bias)
     if not (np.isfinite(t[0]) and np.isfinite(t[-1])):
         raise FitError("scale * (logit + bias) is not finite for every logit")
     started = time.perf_counter()
-    init_phis = _seed_phis(t, cfg.n_bins, np.random.default_rng(cfg.seed))
-    seed_s = time.perf_counter() - started
+    sigmoid_entropy = _sigmoid_entropy(t)
+    seeded = []
+    for cfg in configs:
+        init_phis = _seed_phis(t, cfg.n_bins, np.random.default_rng(cfg.seed), sigmoid_entropy)
+        done = time.perf_counter()
+        seeded.append((init_phis, done - started))
+        started = done
+    del sigmoid_entropy
     cum_pos, tail_neg = kernels.prefix_sums(t)
     del t
-    pos_lam = cal_set.logits[cal_set.targets == 1]
-    pos_lam.sort()
+    pos_lam = cal_set.sorted_pos_logits
 
-    try:
-        edges, phis, loss, hard_loss, n_pairs, empties, movement = kernels.alternate(
-            lam,
-            cum_pos,
-            tail_neg,
-            pos_lam,
-            init_phis,
-            cfg.scale,
-            cfg.bias,
-            MAX_ITERATIONS,
-            TOLERANCE,
+    binners = []
+    for cfg, (init_phis, seed_s) in zip(configs, seeded):
+        try:
+            edges, phis, loss, hard_loss, n_pairs, empties, movement = kernels.alternate(
+                lam,
+                cum_pos,
+                tail_neg,
+                pos_lam,
+                init_phis,
+                scale,
+                bias,
+                MAX_ITERATIONS,
+                TOLERANCE,
+            )
+        except ValueError as exc:
+            raise FitError(str(exc)) from exc
+        binners.append(
+            Binner(
+                edges=edges,
+                phis=phis,
+                reps=None,
+                method=METHOD_IMAX,
+                iterations=n_pairs,
+                seed=cfg.seed,
+                diagnostics=FitTrace(
+                    loss=loss,
+                    hard_loss=hard_loss,
+                    empty_bin_events=empties,
+                    init_phis=init_phis,
+                    final_movement=movement,
+                    converged=movement < TOLERANCE,
+                    seed_s=seed_s,
+                ),
+            )
         )
-    except ValueError as exc:
-        raise FitError(str(exc)) from exc
-
-    return Binner(
-        edges=edges,
-        phis=phis,
-        reps=None,
-        method=METHOD_IMAX,
-        iterations=n_pairs,
-        seed=cfg.seed,
-        diagnostics=FitTrace(
-            loss=loss,
-            hard_loss=hard_loss,
-            empty_bin_events=empties,
-            init_phis=init_phis,
-            final_movement=movement,
-            converged=movement < TOLERANCE,
-            seed_s=seed_s,
-        ),
-    )
+    return binners
 
 
 def binner_from_edges(edges, method: str, seed=None) -> Binner:
@@ -583,26 +645,29 @@ def set_representatives(
 ) -> Binner:
     """Assign per-bin probability representatives from a calibration set.
 
-    empirical_freq uses the in-bin positive fraction, raw_prob_mean the
-    in-bin mean of sigmoid(lam), scaled_prob_mean the in-bin mean of
-    sigmoid(scaler(lam)). Empty interior bins fall back to the sigmoid of
-    the bin midpoint, empty outer bins to the sigmoid of their phi level.
-    By default representatives are clamped to [PROB_EPS, 1 - PROB_EPS] so
-    downstream NLL stays finite; clamp=False keeps pure-bin frequencies at
-    exactly 0 or 1, which is what makes training-split calibration error
-    vanish identically.
+    empirical_freq uses the in-bin positive fraction, counted by bin_counts
+    on the set's sorted copies; raw_prob_mean the in-bin mean of
+    sigmoid(lam) and scaled_prob_mean that of sigmoid(scaler(lam)), each
+    summed by bin_sums in the set's row order, since a float sum depends on
+    its order. Empty interior bins fall back to the sigmoid of the bin
+    midpoint, empty outer bins to the sigmoid of their phi level. By default
+    representatives are clamped to [PROB_EPS, 1 - PROB_EPS] so downstream
+    NLL stays finite; clamp=False keeps pure-bin frequencies at exactly 0 or
+    1, which is what makes training-split calibration error vanish
+    identically.
     """
     if strategy not in REP_STRATEGIES:
         raise DataError(f"unknown representative strategy {strategy!r}")
     if strategy == REP_EMPIRICAL_FREQ:
-        weights = cal_set.targets.astype(np.float64)
-    elif strategy == REP_RAW_PROB_MEAN:
-        weights = prob_of_logit(cal_set.logits)
+        counts, mass = bin_counts(binner.edges, cal_set)
     else:
-        if scaler is None:
+        if strategy == REP_RAW_PROB_MEAN:
+            weights = prob_of_logit(cal_set.logits)
+        elif scaler is None:
             raise DataError("scaled_prob_mean needs a fitted scaler")
-        weights = prob_of_logit(apply_scaler(scaler, cal_set.logits))
-    counts, mass = bin_sums(binner.edges, cal_set.logits, weights)
+        else:
+            weights = prob_of_logit(apply_scaler(scaler, cal_set.logits))
+        counts, mass = bin_sums(binner.edges, cal_set.logits, weights)
 
     occupied = counts > 0
     reps = np.where(occupied, mass / np.where(occupied, counts, 1.0), np.nan)

@@ -27,6 +27,7 @@ from .binning import (
     REP_RAW_PROB_MEAN,
     ImaxConfig,
     fit_edges,
+    fit_imax_many,
 )
 from .data import (
     PROBABILITIES,
@@ -609,18 +610,26 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     )
     cal_set = ovr_set(data.ovr_logits(), data.labels, range(data.n_classes))
 
+    # the bound before the fits: after them, its FFT buffers raise the
+    # process's peak resident set (54.6 against 50.5 MB on 200k samples)
     started = time.perf_counter()
-    named = []
-    for cfg in configs:
-        for method in method_list:
-            binner = fit_edges(cal_set, method, cfg)
-            if method == METHOD_IMAX:
-                _diag_fit_group(binner, bins=cfg.n_bins, n=len(cal_set))
-            named.append((method, binner))
-    fitted = time.perf_counter()
     bound = info_mod.mi_bound_of_set(cal_set)
     bounded = time.perf_counter()
+    if not bound > 0:
+        diag(event="zero_bound", msg="the KDE bound is 0 nats, so every ratio is left empty")
+    imax_fits = fit_imax_many(cal_set, configs) if METHOD_IMAX in method_list else None
+    named = []
+    for i, cfg in enumerate(configs):
+        for method in method_list:
+            if method == METHOD_IMAX:
+                binner = imax_fits[i]
+                _diag_fit_group(binner, bins=cfg.n_bins, n=len(cal_set))
+            else:
+                binner = fit_edges(cal_set, method, cfg)
+            named.append((method, binner))
+    fitted = time.perf_counter()
     rows = info_mod.mi_report(cal_set, named, bound=bound)
+    scored = time.perf_counter()
     text = info_mod.mi_report_csv(rows)
     if out is None:
         click.echo(text, nl=False)
@@ -632,8 +641,9 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
         set="fit",
         n=len(cal_set),
         rows=len(rows),
-        fit_s=f"{fitted - started:.3f}",
-        bound_s=f"{bounded - fitted:.3f}",
+        fit_s=f"{fitted - bounded:.3f}",
+        bound_s=f"{bounded - started:.3f}",
+        score_s=f"{scored - fitted:.3f}",
     )
 
 

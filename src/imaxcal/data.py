@@ -7,6 +7,7 @@ calibrators consume those binary sets. Probabilities are clamped away from
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -217,9 +218,21 @@ class PredictionMatrix:
         return np.bincount(self.labels, minlength=self.n_classes) / self.n_samples
 
 
+def _read_only(values):
+    values.flags.writeable = False
+    return values
+
+
 @dataclass
 class BinaryCalibrationSet:
-    """One-vs-rest view of one or more classes: logits plus 0/1 targets."""
+    """One-vs-rest view of one or more classes: logits plus 0/1 targets.
+
+    sorted_logits and sorted_pos_logits are sorted copies, each made on its
+    first use, read-only, and kept as long as the set is: the iterative fit
+    reads them, and binning.bin_counts counts any bins of the set by binary
+    searches into them. The set's arrays are not to be changed in place once
+    a sorted copy exists.
+    """
 
     logits: np.ndarray
     targets: np.ndarray
@@ -243,6 +256,18 @@ class BinaryCalibrationSet:
 
     def __len__(self):
         return self.logits.shape[0]
+
+    @cached_property
+    def sorted_logits(self):
+        """The logits sorted ascending, read-only."""
+        return _read_only(np.sort(self.logits))
+
+    @cached_property
+    def sorted_pos_logits(self):
+        """The logits of the positive samples sorted ascending, read-only."""
+        pos = self.logits[self.targets == 1]
+        pos.sort()
+        return _read_only(pos)
 
 
 def ovr_set(lam, labels, classes) -> BinaryCalibrationSet:

@@ -191,20 +191,23 @@ def mi_report(cal_set: BinaryCalibrationSet, named_binners, bound=None):
 
     The bound is computed once on the given set, which should be the set
     the binners were fitted on, unless the caller passes that set's
-    ``mi_bound_of_set`` as ``bound``.
+    ``mi_bound_of_set`` as ``bound``. The ratio is mi / bound, or None when
+    the bound is 0 and no ratio exists.
     """
     if bound is None:
         bound = mi_bound_of_set(cal_set)
     rows = []
     for name, binner in named_binners:
         mi = mi_of_quantizer(binner, cal_set)
-        ratio = mi / bound if bound > 0 else float("nan")
+        ratio = mi / bound if bound > 0 else None
         rows.append((name, binner.n_bins, mi, bound, ratio))
     return rows
 
 
 def mi_report_csv(rows) -> str:
+    """The report rows as CSV; a ratio of None is an empty field."""
     lines = ["name,n_bins,mi_nats,upper_bound_nats,ratio"]
     for name, m, mi, bound, ratio in rows:
-        lines.append(f"{name},{m},{repr(float(mi))},{repr(float(bound))},{repr(float(ratio))}")
+        ratio = "" if ratio is None else repr(float(ratio))
+        lines.append(f"{name},{m},{repr(float(mi))},{repr(float(bound))},{ratio}")
     return "\n".join(lines) + "\n"

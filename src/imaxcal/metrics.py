@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import ImaxConfig, bin_sums, fit_imax
+from .binning import ImaxConfig, bin_counts, bin_sums, fit_imax
 from .data import (
     PROB_EPS,
     RAW_LOGITS,
@@ -423,10 +423,10 @@ def mi_from_joint(joint) -> float:
 def mi_of_quantizer(binner, cal_set) -> float:
     """Empirical MI (nats) between bin index and binary target.
 
-    binner is a Binner or its bare interior edges.
+    binner is a Binner or its bare interior edges. The joint counts come from
+    bin_counts, binary searches into the set's sorted copies.
     """
-    edges = np.asarray(getattr(binner, "edges", binner), dtype=np.float64)
-    counts, n_pos = bin_sums(edges, cal_set.logits, cal_set.targets.astype(np.float64))
+    counts, n_pos = bin_counts(getattr(binner, "edges", binner), cal_set)
     return mi_from_joint(np.column_stack([counts - n_pos, n_pos]))
 
 

@@ -30,11 +30,14 @@ from imaxcal.binning import (
     TOLERANCE,
     _seed_phis,
     apply_binner,
+    bin_counts,
+    bin_sums,
     binner_from_edges,
     fit_binner,
     fit_eq_mass,
     fit_eq_size,
     fit_imax,
+    fit_imax_many,
     imax_update_edges,
     imax_update_phis,
     quantize,
@@ -42,6 +45,8 @@ from imaxcal.binning import (
     surrogate_loss,
     weighted_surrogate_loss,
 )
+from imaxcal.data import PROB_EPS, prob_of_logit
+from imaxcal.metrics import mi_from_joint, mi_of_quantizer
 from imaxcal.synth import BinaryMixtureSpec, PRESETS, gen_binary_mixture
 
 
@@ -359,22 +364,75 @@ def test_fit_imax_weighted_loss_never_worse_than_its_init():
             assert at_end <= at_init + 1e-12
 
 
+def _fresh_set(n):
+    rng = np.random.default_rng(0)
+    lam = rng.normal(0.0, 3.0, n)
+    return BinaryCalibrationSet(lam, (rng.random(n) < expit(lam)).astype(np.int8))
+
+
+def _peak_bytes(fit, cal):
+    """tracemalloc's peak while fit(cal) runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fit(cal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_fit_imax_peak_memory_per_merged_sample():
     # the shared fit's set is N*K samples: its working arrays bound the memory
     # a large fit needs (about 120 B per sample before the fit sorted without
     # a permutation and seeded without full-length copies, 44 B before the
     # seeding dropped its cumulative divergence array)
     n = 1 << 20
-    rng = np.random.default_rng(0)
-    lam = rng.normal(0.0, 3.0, n)
-    cal = BinaryCalibrationSet(lam, (rng.random(n) < expit(lam)).astype(np.int8))
-    tracemalloc.start()
-    try:
-        fit_imax(cal, ImaxConfig(n_bins=15, seed=0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(lambda c: fit_imax(c, ImaxConfig(n_bins=15, seed=0)), _fresh_set(n))
     assert peak / n <= 40.0
+
+
+def test_fitting_many_configs_peaks_no_higher_than_one_fit():
+    # mi-report fits 2, 4, 8 and 16 bins in one call; it holds one set of
+    # seeding arrays at a time and one pair of prefix sums, so its peak is
+    # that of one fit (holding them for every config would add 4 MB here).
+    # Two identical fits differ by a few kB of allocator bookkeeping.
+    n = 1 << 18
+    single = _peak_bytes(lambda c: fit_imax(c, ImaxConfig(n_bins=16, seed=0)), _fresh_set(n))
+    many = _peak_bytes(
+        lambda c: fit_imax_many(c, [ImaxConfig(n_bins=m, seed=0) for m in (2, 4, 8, 16)]),
+        _fresh_set(n),
+    )
+    assert many <= single + 16 * 1024
+
+
+@pytest.mark.parametrize("scale,bias", [(1.0, 0.0), (1.3, -0.2)])
+def test_fitting_many_configs_equals_separate_fits(scale, bias):
+    cal = _mixture(n=20_000, seed=11)
+    configs = [ImaxConfig(n_bins=m, seed=m % 3, scale=scale, bias=bias) for m in (2, 4, 8, 16)]
+    together = fit_imax_many(cal, configs)
+    for cfg, got in zip(configs, together):
+        # a set of its own, so the fit also makes its own sorted copies
+        alone = fit_imax(BinaryCalibrationSet(cal.logits.copy(), cal.targets.copy()), cfg)
+        assert got.n_bins == cfg.n_bins and got.seed == cfg.seed
+        assert got.iterations == alone.iterations
+        for a, b in (
+            (got.edges, alone.edges),
+            (got.phis, alone.phis),
+            (got.diagnostics.init_phis, alone.diagnostics.init_phis),
+            (got.diagnostics.loss, alone.diagnostics.loss),
+            (set_representatives(got, cal).reps, set_representatives(alone, cal).reps),
+        ):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_fitting_many_configs_rejections():
+    cal = _mixture(n=200, seed=12)
+    with pytest.raises(DataError):
+        fit_imax_many(cal, [])
+    with pytest.raises(DataError, match="share scale and bias"):
+        fit_imax_many(cal, [ImaxConfig(n_bins=2), ImaxConfig(n_bins=4, scale=2.0)])
+    with pytest.raises(FitError, match="at least 300 samples"):
+        fit_imax_many(cal, [ImaxConfig(n_bins=2), ImaxConfig(n_bins=300)])
 
 
 def test_fit_imax_symmetric_mixture_splits_near_zero():
@@ -512,6 +570,79 @@ def test_empty_interior_bins_fall_back_to_the_midpoint():
     reps = set_representatives(b, cal).reps
     assert reps[1] == pytest.approx(expit(-2.0), abs=1e-15)
     assert reps[3] == pytest.approx(expit(2.0), abs=1e-15)
+
+
+# --- counts on the sorted copy -------------------------------------------
+
+# values and edges share these points, so many values sit exactly on an edge
+_GRID = (-3.0, -1.0, 0.0, 0.5, 2.0)
+
+
+@st.composite
+def _binned_sets(draw):
+    value = st.sampled_from(_GRID) | st.floats(-10.0, 10.0)
+    logits = draw(st.lists(value, min_size=1, max_size=60))
+    labels = draw(st.sampled_from(["mixed", "all 0", "all 1"]))
+    if labels == "mixed":
+        targets = draw(st.lists(st.integers(0, 1), min_size=len(logits), max_size=len(logits)))
+    else:
+        targets = [int(labels == "all 1")] * len(logits)
+    # edges reach past the values on both sides
+    edge = st.sampled_from(_GRID) | st.floats(-20.0, 20.0)
+    edges = sorted(set(draw(st.lists(edge, min_size=1, max_size=8))))
+    return BinaryCalibrationSet(np.array(logits), np.array(targets)), np.array(edges)
+
+
+@given(_binned_sets())
+@settings(max_examples=200)
+def test_bin_counts_equals_the_bin_sums_pass(case):
+    cal, edges = case
+    counts, positives = bin_counts(edges, cal)
+    want_counts, want_positives = bin_sums(edges, cal.logits, cal.targets.astype(np.float64))
+    assert counts.dtype.kind == positives.dtype.kind == "i"
+    np.testing.assert_array_equal(counts, want_counts)
+    np.testing.assert_array_equal(positives, want_positives)
+
+
+def _bin_sums_reps(binner, cal, clamp):
+    """set_representatives' empirical_freq as one bin_sums pass over the
+    unsorted set, the way it was computed before bin_counts."""
+    counts, mass = bin_sums(binner.edges, cal.logits, cal.targets.astype(np.float64))
+    occupied = counts > 0
+    reps = np.where(occupied, mass / np.where(occupied, counts, 1.0), np.nan)
+    if not np.all(occupied):
+        fallback = prob_of_logit(binner.phis)
+        if binner.n_bins > 2:
+            fallback[1:-1] = prob_of_logit((binner.edges[:-1] + binner.edges[1:]) / 2.0)
+        reps = np.where(occupied, reps, fallback)
+    return np.clip(reps, PROB_EPS, 1.0 - PROB_EPS) if clamp else reps
+
+
+def _bin_sums_mi(edges, cal):
+    """mi_of_quantizer as one bin_sums pass over the unsorted set."""
+    counts, n_pos = bin_sums(edges, cal.logits, cal.targets.astype(np.float64))
+    return mi_from_joint(np.column_stack([counts - n_pos, n_pos]))
+
+
+@pytest.mark.parametrize("m", [2, 5, 15])
+def test_counts_on_the_sorted_copy_match_the_bin_sums_pass_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    # + 0.0 turns the -0.0 that rounding leaves into 0.0: which of two equal
+    # zeros a quantile picks depends on the sort, and no log-odds is -0.0
+    tied = BinaryCalibrationSet(
+        np.round(rng.normal(0.0, 2.0, 5000), 1) + 0.0, rng.integers(0, 2, 5000)
+    )
+    for cal in (_mixture(n=5000, seed=m), tied):
+        quantile_edges = np.quantile(cal.logits, np.arange(1, m) / m)
+        if np.all(np.diff(quantile_edges) > 0):
+            assert fit_eq_mass(cal, m).tobytes() == quantile_edges.tobytes()
+        # the wide edges leave the outer bins empty
+        for edges in (fit_eq_size(m), 9.0 * fit_eq_size(m), fit_imax(cal, ImaxConfig(m)).edges):
+            binner = binner_from_edges(edges, METHOD_EQ_SIZE)
+            for clamp in (True, False):
+                got = set_representatives(binner, cal, clamp=clamp).reps
+                assert got.tobytes() == _bin_sums_reps(binner, cal, clamp).tobytes()
+            assert mi_of_quantizer(binner, cal).hex() == _bin_sums_mi(edges, cal).hex()
 
 
 def test_fit_binner_dispatch():

@@ -776,6 +776,8 @@ def test_mi_report_diagnostics_leave_the_csv_alone(workdir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert main([*args, "-o", str(tmp_path / "mi.csv")]) == 0
     assert (tmp_path / "mi.csv").read_text() == captured.out
+    assert main([*args, "-o", str(tmp_path / "again.csv")]) == 0
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "mi.csv").read_bytes()
 
     # the CSV is the library's report on the merged one-vs-rest set
     scores = np.loadtxt(workdir / "bin-scores.csv", delimiter=",")
@@ -800,7 +802,28 @@ def test_mi_report_diagnostics_leave_the_csv_alone(workdir, tmp_path, capsys):
     (report,) = [l for l in lines if l.startswith("event=mi_report")]
     fields = dict(t.split("=", 1) for t in report.split())
     assert fields["rows"] == "4"
-    assert float(fields["fit_s"]) >= 0.0 and float(fields["bound_s"]) >= 0.0
+    for timing in ("fit_s", "bound_s", "score_s"):
+        assert float(fields[timing]) >= 0.0
+    assert not any(l.startswith("event=zero_bound") for l in lines)
+
+
+def test_mi_report_leaves_the_ratio_empty_when_the_bound_is_0(tmp_path, capsys):
+    # every logit once with each label: the class densities are equal, so
+    # the KDE bound and every binner's MI are exactly 0
+    lam = np.repeat(np.random.default_rng(0).normal(size=500), 2)
+    np.savetxt(tmp_path / "s.csv", np.column_stack([np.zeros_like(lam), lam]), delimiter=",")
+    np.savetxt(tmp_path / "l.csv", np.tile([0, 1], 500), fmt="%d")
+    capsys.readouterr()
+    assert main(["mi-report", str(tmp_path / "s.csv"), str(tmp_path / "l.csv"), "--bins", "2,4"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert len(rows) == 6
+    for name, n_bins, mi, bound, ratio in rows:
+        assert float(mi) == 0.0 and float(bound) == 0.0 and ratio == ""
+    assert "nan" not in captured.out
+    lines = captured.err.splitlines()
+    assert all(DIAG_LINE.match(line) for line in lines), lines
+    assert len([l for l in lines if l.startswith("event=zero_bound ")]) == 1
 
 
 def _scipy_modules_after(argvs):

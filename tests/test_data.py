@@ -213,6 +213,23 @@ def test_binary_set_validation():
         BinaryCalibrationSet(np.array([np.nan, 0.2]), np.array([1, 0]))
 
 
+def test_sorted_copies_are_made_once_and_read_only():
+    logits = np.array([0.5, -1.0, 2.0, -1.0, 0.0])
+    s = BinaryCalibrationSet(logits, np.array([1, 0, 1, 1, 0]))
+    lam, pos = s.sorted_logits, s.sorted_pos_logits
+    assert s.sorted_logits is lam and s.sorted_pos_logits is pos
+    np.testing.assert_array_equal(lam, [-1.0, -1.0, 0.0, 0.5, 2.0])
+    np.testing.assert_array_equal(pos, [-1.0, 0.5, 2.0])
+    for values in (lam, pos):
+        with pytest.raises(ValueError):
+            values[0] = 3.0
+    # the set itself keeps its row order and stays writable
+    np.testing.assert_array_equal(s.logits, logits)
+    s.logits[0] = 0.5
+    empty = BinaryCalibrationSet(np.array([1.0, 2.0]), np.array([0, 0])).sorted_pos_logits
+    assert empty.shape == (0,) and not empty.flags.writeable
+
+
 def test_ovr_targets_follow_the_labels():
     scores = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0], [0.0, 0.0, 5.0]])
     labels = np.array([2, 0, 2])
