@@ -76,19 +76,17 @@ class FitTrace:
     """Per-pair diagnostics from the iterative fit.
 
     loss is the sigmoid-model weighted NLL after each completed
-    (edge update, phi update) pair; it is non-increasing by construction.
-    hard_loss is surrogate_loss (label NLL) at the same checkpoints, which
-    tracks loss statistically but carries no monotonicity guarantee.
-    final_movement is the largest edge movement of the last pair; the fit
-    converged when it fell below TOLERANCE, and otherwise stopped at
-    MAX_ITERATIONS. seed_s is the wall time of the seeding in seconds, a
-    timing for diagnostics that Binner.to_dict leaves out.
+    (edge update, phi update) pair, the objective both updates lower; it is
+    non-increasing by construction, and the loop keeps no positive counts
+    to compute any other loss. final_movement is the largest edge movement
+    of the last pair; the fit converged when it fell below TOLERANCE, and
+    otherwise stopped at MAX_ITERATIONS. seed_s is the wall time of the
+    seeding in seconds, a timing for diagnostics that Binner.to_dict leaves
+    out.
     """
 
     loss: np.ndarray
-    hard_loss: np.ndarray
     empty_bin_events: int = 0
-    init_phis: np.ndarray | None = None
     final_movement: float = np.inf
     converged: bool = False
     seed_s: float = 0.0
@@ -283,27 +281,6 @@ def imax_update_phis(
     return kernels.phis_from_sums(counts, sum_pos, sum_neg, fallback)
 
 
-def surrogate_loss(cal_set: BinaryCalibrationSet, edges, phis) -> float:
-    """Label NLL of the stepwise sigmoid model: mean -log sigma((2y-1) phi)."""
-    phis = np.asarray(phis, dtype=np.float64)
-    per_bin = phis[quantize(np.asarray(edges), cal_set.logits)]
-    signs = 2.0 * cal_set.targets - 1.0
-    return float(np.mean(np.logaddexp(0.0, -signs * per_bin)))
-
-
-def weighted_surrogate_loss(
-    cal_set: BinaryCalibrationSet, edges, phis, scale: float = 1.0, bias: float = 0.0
-) -> float:
-    """Sigmoid-model weighted NLL, the objective the alternating updates
-    monotonically decrease (labels enter via sigmoid(t) pseudo-weights)."""
-    phis = np.asarray(phis, dtype=np.float64)
-    per_bin = phis[quantize(np.asarray(edges), cal_set.logits)]
-    t = scale * (cal_set.logits + bias)
-    loss = prob_of_logit(t) * np.logaddexp(0.0, -per_bin)
-    loss += prob_of_logit(-t) * np.logaddexp(0.0, per_bin)
-    return float(np.mean(loss))
-
-
 def _xlogx(x, out):
     """x * log(x) of each x >= 0 into out (not x itself), with 0 * log(0) = 0.
 
@@ -423,7 +400,7 @@ def _sigmoid_entropy(t_sorted):
     return p, h
 
 
-def _seed_phis(t_sorted, n_bins, rng, sigmoid_entropy=None):
+def _seed_phis(t_sorted, n_bins, rng, sigmoid_entropy):
     """Greedy k-means++-style seeding of phi levels on the transformed logits.
 
     Distances are Jensen-Shannon divergences between Bernoulli(sigmoid(t))
@@ -431,8 +408,8 @@ def _seed_phis(t_sorted, n_bins, rng, sigmoid_entropy=None):
     Each step draws 2 + floor(log M) candidates proportional to the current
     divergence-to-nearest-center potential and keeps the candidate that
     shrinks the total potential the most. Returns the chosen t values sorted
-    ascending. sigmoid_entropy is _sigmoid_entropy(t_sorted), built here
-    when not given, so that seedings on one t can share it.
+    ascending. sigmoid_entropy is _sigmoid_entropy(t_sorted), which
+    seedings on one t share.
 
     A candidate lowers the divergence only of the samples in its Voronoi
     cell (_voronoi_cell), a contiguous run of sorted samples between its
@@ -456,7 +433,7 @@ def _seed_phis(t_sorted, n_bins, rng, sigmoid_entropy=None):
     1e-15 relative.
     """
     n = t_sorted.shape[0]
-    p, h = _sigmoid_entropy(t_sorted) if sigmoid_entropy is None else sigmoid_entropy
+    p, h = sigmoid_entropy
     dist = np.empty(n)
     bufs = np.empty((3, min(n, SEED_CHUNK)))
 
@@ -524,7 +501,7 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     TOLERANCE, or after MAX_ITERATIONS pairs. This is fit_imax_many with one
     config.
 
-    Memory: the fit reads the set's sorted copies (data.BinaryCalibrationSet),
+    Memory: the fit reads the set's sorted logits (data.BinaryCalibrationSet),
     which stay with the set. Besides those it holds at most three length-N
     float64 arrays: while seeding the sigmoid, entropy and divergence
     arrays, then the two prefix sums. t adds one when scale != 1 or
@@ -571,28 +548,19 @@ def fit_imax_many(cal_set: BinaryCalibrationSet, configs) -> list:
     sigmoid_entropy = _sigmoid_entropy(t)
     seeded = []
     for cfg in configs:
-        init_phis = _seed_phis(t, cfg.n_bins, np.random.default_rng(cfg.seed), sigmoid_entropy)
+        phis0 = _seed_phis(t, cfg.n_bins, np.random.default_rng(cfg.seed), sigmoid_entropy)
         done = time.perf_counter()
-        seeded.append((init_phis, done - started))
+        seeded.append((phis0, done - started))
         started = done
     del sigmoid_entropy
     cum_pos, tail_neg = kernels.prefix_sums(t)
     del t
-    pos_lam = cal_set.sorted_pos_logits
 
     binners = []
-    for cfg, (init_phis, seed_s) in zip(configs, seeded):
+    for cfg, (phis0, seed_s) in zip(configs, seeded):
         try:
-            edges, phis, loss, hard_loss, n_pairs, empties, movement = kernels.alternate(
-                lam,
-                cum_pos,
-                tail_neg,
-                pos_lam,
-                init_phis,
-                scale,
-                bias,
-                MAX_ITERATIONS,
-                TOLERANCE,
+            edges, phis, loss, movement, n_pairs, empties = kernels.alternate(
+                lam, cum_pos, tail_neg, phis0, scale, bias, TOLERANCE, MAX_ITERATIONS
             )
         except ValueError as exc:
             raise FitError(str(exc)) from exc
@@ -606,9 +574,7 @@ def fit_imax_many(cal_set: BinaryCalibrationSet, configs) -> list:
                 seed=cfg.seed,
                 diagnostics=FitTrace(
                     loss=loss,
-                    hard_loss=hard_loss,
                     empty_bin_events=empties,
-                    init_phis=init_phis,
                     final_movement=movement,
                     converged=movement < TOLERANCE,
                     seed_s=seed_s,

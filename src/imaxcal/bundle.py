@@ -193,14 +193,27 @@ def _classes(values) -> tuple:
     return tuple(json_count(c, "class index") for c in json_list(values, "class list"))
 
 
+def check_strategy(strategy: str, groups_spec=None, method: str | None = None):
+    """A DataError unless strategy combines with groups_spec and method: cw
+    fits one calibrator per class, so it takes no groups and neither scaler.
+    fit_bundle and the CLI's flag checks both apply it."""
+    if strategy != STRATEGY_CW:
+        return
+    if groups_spec is not None:
+        raise DataError("cw strategy fits one calibrator per class; no groups")
+    if method == METHOD_TEMPERATURE:
+        raise DataError("temperature scaling is fitted on all classes jointly")
+    if method == METHOD_PLATT:
+        raise DataError("platt scaling is fitted on the merged shared set only")
+
+
 def resolve_grouping(
     data: PredictionMatrix, strategy: str, groups_spec=None
 ) -> ClassGrouping:
     """Grouping for the fit: cw means singletons; scw defaults to one group,
     an int selects prior-quantile blocks, a list gives explicit groups."""
+    check_strategy(strategy, groups_spec)
     if strategy == STRATEGY_CW:
-        if groups_spec is not None:
-            raise DataError("cw strategy fits one calibrator per class; no groups")
         return group_singletons(data.n_classes)
     if groups_spec is None:
         return group_all(data.n_classes)
@@ -223,18 +236,15 @@ def fit_bundle(
     """Fit a complete bundle on a calibration split."""
     if method not in FIT_METHODS:
         raise DataError(f"unknown method {method!r}")
+    check_strategy(strategy, groups_spec, method)
     cfg = config if config is not None else ImaxConfig()
     provenance = {"seed": cfg.seed, "method": method}
     scaler = None
 
     if method == METHOD_TEMPERATURE:
-        if strategy == STRATEGY_CW:
-            raise DataError("temperature scaling is fitted on all classes jointly")
         grouping = group_all(data.n_classes)
         calibrators = [GroupCalibrator(classes=grouping.groups[0], scaler=fit_temperature(data))]
     elif method == METHOD_PLATT:
-        if strategy == STRATEGY_CW:
-            raise DataError("platt scaling is fitted on the merged shared set only")
         lam = data.ovr_logits()
         grouping = resolve_grouping(data, strategy, groups_spec)
         calibrators = [

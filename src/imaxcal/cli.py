@@ -132,8 +132,8 @@ def _parse_multi(values, cast, what):
 
 
 def _flag_config(build, **flags):
-    """build(**flags), a config made of flag values: the DataError its
-    range checks raise is a usage error."""
+    """build(**flags), a config made of flag values or a check of them: the
+    DataError its checks raise is a usage error."""
     try:
         return build(**flags)
     except DataError as exc:
@@ -177,9 +177,12 @@ def _parse_groups(text):
         if "-" in part:
             lo, _, hi = part.partition("-")
             try:
-                groups.append(tuple(range(int(lo), int(hi) + 1)))
+                group = tuple(range(int(lo), int(hi) + 1))
             except ValueError:
-                raise click.UsageError(f"bad group range {part!r}") from None
+                group = ()
+            if not group:
+                raise click.UsageError(f"bad group range {part!r}")
+            groups.append(group)
         else:
             try:
                 groups.append((int(part),))
@@ -274,6 +277,9 @@ def cmd_fit(
     if method in (*scalers, bundle_mod.METHOD_IMAX_WITH_SCALER) and given("rep_strategy"):
         raise click.UsageError(f"--rep-strategy does not apply to {method}")
     groups_spec = _parse_groups(groups)
+    _flag_config(
+        bundle_mod.check_strategy, strategy=strategy, groups_spec=groups_spec, method=method
+    )
     cfg = _flag_config(ImaxConfig, n_bins=bins, seed=seed)
 
     scores = _read_matrix(scores_csv)
@@ -344,6 +350,8 @@ def _class_balanced_split(labels, frac, seed):
     hold_idx = np.sort(np.concatenate(hold_idx))
     if fit_idx.size == 0:
         raise DataError("holdout fraction leaves no fit samples")
+    if hold_idx.size == 0:
+        raise DataError("holdout fraction leaves no holdout samples")
     return fit_idx, hold_idx
 
 

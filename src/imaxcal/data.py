@@ -229,8 +229,8 @@ class BinaryCalibrationSet:
 
     sorted_logits and sorted_pos_logits are sorted copies, each made on its
     first use, read-only, and kept as long as the set is: the iterative fit
-    reads them, and binning.bin_counts counts any bins of the set by binary
-    searches into them. The set's arrays are not to be changed in place once
+    reads sorted_logits, and binning.bin_counts counts any bins of the set
+    by binary searches into both. The set's arrays are not to be changed in place once
     a sorted copy exists.
     """
 

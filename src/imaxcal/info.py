@@ -185,17 +185,14 @@ def mi_bound_of_set(cal_set: BinaryCalibrationSet) -> float:
     return mi_upper_bound(kde_fit(pos), kde_fit(neg), prior)
 
 
-def mi_report(cal_set: BinaryCalibrationSet, named_binners, bound=None):
+def mi_report(cal_set: BinaryCalibrationSet, named_binners, bound):
     """Rows of (name, n_bins, mi, upper_bound, ratio) for fitted binners, in
     nats.
 
-    The bound is computed once on the given set, which should be the set
-    the binners were fitted on, unless the caller passes that set's
-    ``mi_bound_of_set`` as ``bound``. The ratio is mi / bound, or None when
-    the bound is 0 and no ratio exists.
+    bound is mi_bound_of_set(cal_set), of the set the binners were fitted
+    on. The ratio is mi / bound, or None when the bound is 0 and no ratio
+    exists.
     """
-    if bound is None:
-        bound = mi_bound_of_set(cal_set)
     rows = []
     for name, binner in named_binners:
         mi = mi_of_quantizer(binner, cal_set)

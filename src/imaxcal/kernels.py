@@ -6,11 +6,10 @@ domain while edges live in the lam domain.
 
 Because lam is sorted, every bin is a contiguous run of samples, so the
 per-bin sums the phi update needs are differences of prefix sums built once
-before the loop: prefix_sums gives the sigmoid(t) and sigmoid(-t) sums, and
-a bin's positive count is the difference of two binary searches into the
-sorted logits of the positive samples. An iteration then costs O(M log N)
-for M bins, instead of a pass over all N samples, and the loop holds no
-per-sample label array.
+before the loop: prefix_sums gives the sigmoid(t) and sigmoid(-t) sums. An
+iteration then costs O(M log N) for M bins, instead of a pass over all N
+samples. The labels enter only through those sigmoid pseudo-weights, so the
+loop keeps no positive counts and no per-sample label array.
 """
 
 import numpy as np
@@ -80,27 +79,29 @@ def prefix_sums(t):
     return cum_pos, tail_neg
 
 
-def alternate(lam, cum_pos, tail_neg, pos_lam, phis0, scale, bias, max_iter, tol):
+# The argument and result order keeps max_iter at argument 7 and n_pairs,
+# empty_events at results 4, 5, where perfbench/tracer.py reads them.
+def alternate(lam, cum_pos, tail_neg, phis0, scale, bias, tol, max_iter):
     """Run the alternating edge/phi updates until movement stalls.
 
     Parameters
     ----------
     lam : float64 (N,), sorted ascending
     cum_pos, tail_neg : prefix_sums(t) for t = scale*(lam+bias)
-    pos_lam : float64, the sorted logits of the positive samples
     phis0 : float64 (M,), strictly increasing initial phi levels
     scale, bias : sigmoid-model transform parameters
-    max_iter : maximum number of (edge update, phi update) pairs
     tol : early stop once the largest edge movement drops below this
+    max_iter : maximum number of (edge update, phi update) pairs
 
     Returns
     -------
-    (edges, phis, loss, hard_loss, n_pairs, empty_events, movement)
+    (edges, phis, loss, movement, n_pairs, empty_events)
         loss is the sigmoid-model weighted NLL after each completed pair
-        (non-increasing by construction); hard_loss is the label NLL after
-        each pair; empty_events counts phi updates skipped on empty bins;
-        movement is the largest edge movement of the last pair (inf when
-        only one pair ran), so the fit converged iff movement < tol.
+        (non-increasing by construction), the only loss the loop computes:
+        it keeps no positive counts; movement is the largest edge movement
+        of the last pair (inf when only one pair ran), so the fit converged
+        iff movement < tol; empty_events counts phi updates skipped on empty
+        bins.
     """
     lam = np.ascontiguousarray(lam, dtype=np.float64)
     phis = np.array(phis0, dtype=np.float64, copy=True)
@@ -110,14 +111,10 @@ def alternate(lam, cum_pos, tail_neg, pos_lam, phis0, scale, bias, max_iter, tol
         raise ValueError("initial phis not strictly increasing")
 
     loss = np.empty(max_iter)
-    hard_loss = np.empty(max_iter)
     edges = None
     movement = np.inf
     empty_events = 0
     n_pairs = 0
-    pos_bounds = np.empty(m + 1, dtype=np.intp)
-    pos_bounds[0] = 0
-    pos_bounds[m] = pos_lam.shape[0]
 
     for it in range(max_iter):
         new_edges = edges_from_phis(phis, scale, bias)
@@ -130,12 +127,9 @@ def alternate(lam, cum_pos, tail_neg, pos_lam, phis0, scale, bias, max_iter, tol
         bounds[1:m] = np.searchsorted(lam, edges, side="left")
         bounds[m] = n
         lo, hi = bounds[:-1], bounds[1:]
-        counts = (hi - lo).astype(np.float64)
+        counts = hi - lo
         sum_pos = cum_pos[hi] - cum_pos[lo]
         sum_neg = tail_neg[lo] - tail_neg[hi]
-        # positives in [g_m, g_{m+1}), counted exactly; ties go right as above
-        pos_bounds[1:m] = np.searchsorted(pos_lam, edges, side="left")
-        n_pos = np.diff(pos_bounds).astype(np.float64)
 
         empty_events += int(m - np.count_nonzero(counts))
         phis = phis_from_sums(counts, sum_pos, sum_neg, phis)
@@ -145,19 +139,8 @@ def alternate(lam, cum_pos, tail_neg, pos_lam, phis0, scale, bias, max_iter, tol
         sp_pos = _softplus(phis)
         sp_neg = _softplus(-phis)
         loss[it] = float(np.dot(sum_pos, sp_neg) + np.dot(sum_neg, sp_pos)) / n
-        hard_loss[it] = (
-            float(np.dot(n_pos, sp_neg) + np.dot(counts - n_pos, sp_pos)) / n
-        )
         n_pairs = it + 1
         if movement < tol:
             break
 
-    return (
-        edges,
-        phis,
-        loss[:n_pairs].copy(),
-        hard_loss[:n_pairs].copy(),
-        n_pairs,
-        empty_events,
-        movement,
-    )
+    return edges, phis, loss[:n_pairs].copy(), movement, n_pairs, empty_events

@@ -29,6 +29,7 @@ from imaxcal.binning import (
     MAX_ITERATIONS,
     TOLERANCE,
     _seed_phis,
+    _sigmoid_entropy,
     apply_binner,
     bin_counts,
     bin_sums,
@@ -42,8 +43,6 @@ from imaxcal.binning import (
     imax_update_phis,
     quantize,
     set_representatives,
-    surrogate_loss,
-    weighted_surrogate_loss,
 )
 from imaxcal.data import PROB_EPS, prob_of_logit
 from imaxcal.metrics import mi_from_joint, mi_of_quantizer
@@ -297,20 +296,17 @@ def test_phi_update_midpoint_fallback_without_prev():
     assert np.all(np.diff(phis) > 0)
 
 
-# --- surrogate losses ---------------------------------------------------
+# --- the fit's objective --------------------------------------------------
 
-def test_surrogate_loss_known_values():
-    one = BinaryCalibrationSet(np.array([0.3]), np.array([1]))
-    assert surrogate_loss(one, np.array([]), np.array([0.0])) == pytest.approx(
-        math.log(2.0), abs=1e-15
-    )
-    two = BinaryCalibrationSet(np.array([0.1, 0.2]), np.array([1, 0]))
-    assert surrogate_loss(two, np.array([]), np.array([1.0])) == pytest.approx(
-        0.8132616875182228, abs=1e-15
-    )
-    # confident, correct phi levels drive the loss to zero
-    sep = BinaryCalibrationSet(np.array([1.0, -1.0]), np.array([1, 0]))
-    assert surrogate_loss(sep, np.array([0.0]), np.array([-30.0, 30.0])) < 1e-9
+def weighted_surrogate_loss(cal_set, edges, phis, scale=1.0, bias=0.0):
+    """Sigmoid-model weighted NLL of the step function phis over edges, the
+    objective the alternating updates lower (labels enter only through the
+    sigmoid(t) pseudo-weights)."""
+    per_bin = np.asarray(phis, dtype=np.float64)[quantize(np.asarray(edges), cal_set.logits)]
+    t = scale * (cal_set.logits + bias)
+    loss = prob_of_logit(t) * np.logaddexp(0.0, -per_bin)
+    loss += prob_of_logit(-t) * np.logaddexp(0.0, per_bin)
+    return float(np.mean(loss))
 
 
 def test_weighted_loss_matches_direct_computation():
@@ -324,6 +320,16 @@ def test_weighted_loss_matches_direct_computation():
         expit(t) * np.logaddexp(0.0, -per_bin_phi) + expit(-t) * np.logaddexp(0.0, per_bin_phi)
     )
     assert got == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale,bias", [(1.0, 0.0), (1.3, -0.2)])
+def test_the_reported_loss_is_the_weighted_nll_at_the_returned_fit(scale, bias):
+    # event=fit_group prints loss[-1]: it must be the objective at the
+    # edges and phis the fit returns
+    cal = _mixture(n=5000, seed=9)
+    b = fit_imax(cal, ImaxConfig(n_bins=10, seed=1, scale=scale, bias=bias))
+    want = weighted_surrogate_loss(cal, b.edges, b.phis, scale, bias)
+    assert b.diagnostics.loss[-1] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # --- fit_imax -----------------------------------------------------------
@@ -344,7 +350,6 @@ def test_fit_imax_diagnostics_trace():
     trace = b.diagnostics
     assert trace.loss.size == b.iterations
     assert np.all(np.diff(trace.loss) <= 1e-12 + 1e-10 * np.abs(trace.loss[:-1]))
-    assert np.all(np.diff(trace.init_phis) > 0)
     assert b.iterations <= 200
 
 
@@ -353,12 +358,11 @@ def test_fit_imax_weighted_loss_never_worse_than_its_init():
         cal = _mixture(n=10_000, seed=0, **params)
         lam = np.sort(cal.logits)
         cum_pos, tail_neg = kernels.prefix_sums(lam)
-        pos_lam = np.sort(cal.logits[cal.targets == 1])
         for edges0 in (fit_eq_size(15), fit_eq_mass(cal, 15)):
             phis0 = imax_update_phis(cal, edges0)
             at_init = weighted_surrogate_loss(cal, edges0, phis0)
             edges, phis, *_ = kernels.alternate(
-                lam, cum_pos, tail_neg, pos_lam, phis0, 1.0, 0.0, MAX_ITERATIONS, TOLERANCE
+                lam, cum_pos, tail_neg, phis0, 1.0, 0.0, TOLERANCE, MAX_ITERATIONS
             )
             at_end = weighted_surrogate_loss(cal, edges, phis)
             assert at_end <= at_init + 1e-12
@@ -418,7 +422,6 @@ def test_fitting_many_configs_equals_separate_fits(scale, bias):
         for a, b in (
             (got.edges, alone.edges),
             (got.phis, alone.phis),
-            (got.diagnostics.init_phis, alone.diagnostics.init_phis),
             (got.diagnostics.loss, alone.diagnostics.loss),
             (set_representatives(got, cal).reps, set_representatives(alone, cal).reps),
         ):
@@ -475,8 +478,9 @@ def test_fit_imax_rejections():
         setattr(cfg, field, value)
         with pytest.raises(FitError):
             fit_imax(spread, cfg)
+    t = np.full(20, np.nan)
     with pytest.raises(FitError, match="cannot seed"):
-        _seed_phis(np.full(20, np.nan), 3, np.random.default_rng(0))
+        _seed_phis(t, 3, np.random.default_rng(0), _sigmoid_entropy(t))
 
 
 def test_fit_imax_warns_on_single_label():

@@ -202,7 +202,7 @@ def test_fit_grouping_flags(workdir, tmp_path):
             "fit", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
             "-o", str(out), "--strategy", "cw", "--groups", "2",
         ]
-    ) == 3
+    ) == 2
 
 
 def test_fit_scaler_shorthand(workdir, tmp_path):
@@ -249,6 +249,13 @@ def test_fit_usage_errors(workdir, tmp_path):
     missing = ["fit", str(tmp_path / "missing.csv"), str(workdir / "mc-labels.csv"), "-o", out]
     assert main(missing + ["--bins", "1"]) == 2
     assert main(missing + ["--method", "platt", "--bins", "7"]) == 2
+    for extra in (
+        ["--strategy", "cw", "--groups", "2"],
+        ["--method", "temperature", "--strategy", "cw"],
+        ["--method", "platt", "--strategy", "cw"],
+        ["--groups", "2-0"],
+    ):
+        assert main(missing + extra) == 2, extra
     assert not (tmp_path / "x.json").exists()
     # defaults stay silent, and the flags still apply where a method uses them
     for extra in (
@@ -319,6 +326,24 @@ def test_fit_holdout_split(workdir, tmp_path, capsys):
     assert 0 < held_scores.shape[0] < 400
     fit_n = int(re.search(r"fit_n=(\d+)", split_line).group(1))
     assert fit_n + held_scores.shape[0] == 400
+
+
+def test_a_holdout_with_no_samples_is_a_data_error_before_any_file_is_written(tmp_path, capsys):
+    # 1 % of about 15 rows per class rounds to no holdout row at all
+    prefix = str(tmp_path / "small")
+    assert main(["synth", "--n", "30", "--seed", "1", "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    out = tmp_path / "small.json"
+    assert main(
+        ["fit", f"{prefix}-scores.csv", f"{prefix}-labels.csv", "-o", str(out), "--bins", "2",
+         "--holdout-frac", "0.01"]
+    ) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error=data "), err
+    assert "no holdout samples" in err[0]
+    assert not out.exists()
+    assert not (tmp_path / "small.holdout-scores.csv").exists()
+    assert not (tmp_path / "small.holdout-labels.csv").exists()
 
 
 # --- apply -----------------------------------------------------------------
@@ -785,7 +810,9 @@ def test_mi_report_diagnostics_leave_the_csv_alone(workdir, tmp_path, capsys):
     data = PredictionMatrix(scores, labels, RAW_LOGITS)
     cal_set = ovr_set(data.ovr_logits(), data.labels, range(2))
     binners = {m: fit_imax(cal_set, ImaxConfig(n_bins=m, seed=0)) for m in (2, 4)}
-    rows = info.mi_report(cal_set, [("imax", b) for b in binners.values()])
+    rows = info.mi_report(
+        cal_set, [("imax", b) for b in binners.values()], info.mi_bound_of_set(cal_set)
+    )
     expected = info.mi_report_csv(rows).splitlines()
     assert [l for l in captured.out.splitlines() if l.startswith("imax,")] == expected[1:]
 

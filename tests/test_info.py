@@ -236,7 +236,7 @@ def _fig2_report(n=10_000, m=15):
         (method, fit_binner(cal, method, ImaxConfig(n_bins=m, seed=0)))
         for method in (METHOD_IMAX, METHOD_EQ_SIZE, METHOD_EQ_MASS)
     ]
-    return cal, mi_report(cal, named)
+    return cal, mi_report(cal, named, mi_bound_of_set(cal))
 
 
 def test_report_rows_are_consistent():
@@ -273,7 +273,7 @@ def test_report_on_label_independent_logits():
     y = rng.integers(0, 2, size=4000)
     cal = BinaryCalibrationSet(lam, y)
     named = [("imax", fit_binner(cal, METHOD_IMAX, ImaxConfig(n_bins=8, seed=0)))]
-    rows = mi_report(cal, named)
+    rows = mi_report(cal, named, mi_bound_of_set(cal))
     assert rows[0][2] < 0.01
     assert rows[0][3] < 0.01
 

@@ -13,6 +13,7 @@ from imaxcal.binning import (
     TOLERANCE,
     ImaxConfig,
     _seed_phis,
+    _sigmoid_entropy,
     _voronoi_cell,
     _xlogx,
     fit_imax,
@@ -37,13 +38,13 @@ from imaxcal.synth import (
 )
 
 
-def _alternate_oracle(lam, sig_pos, sig_neg, is_pos, phis0, scale, bias, max_iter, tol):
+def _alternate_oracle(lam, sig_pos, sig_neg, phis0, scale, bias, tol, max_iter):
     """The alternation with per-bin sums from a bincount pass over all N
-    samples in every iteration."""
+    samples in every iteration; returns what kernels.alternate returns."""
     phis = np.array(phis0, dtype=np.float64, copy=True)
     n = lam.shape[0]
     m = phis.shape[0]
-    loss, hard_loss = [], []
+    loss = []
     edges = None
     empty_events = 0
     for _ in range(max_iter):
@@ -54,7 +55,6 @@ def _alternate_oracle(lam, sig_pos, sig_neg, is_pos, phis0, scale, bias, max_ite
         counts = np.bincount(bin_idx, minlength=m).astype(np.float64)
         sum_pos = np.bincount(bin_idx, weights=sig_pos, minlength=m)
         sum_neg = np.bincount(bin_idx, weights=sig_neg, minlength=m)
-        n_pos = np.bincount(bin_idx, weights=is_pos, minlength=m)
         occupied = counts > 0.0
         empty_events += int(m - np.count_nonzero(occupied))
         phis = np.where(
@@ -66,10 +66,9 @@ def _alternate_oracle(lam, sig_pos, sig_neg, is_pos, phis0, scale, bias, max_ite
         sp_pos = np.logaddexp(0.0, phis)
         sp_neg = np.logaddexp(0.0, -phis)
         loss.append(float(np.dot(sum_pos, sp_neg) + np.dot(sum_neg, sp_pos)) / n)
-        hard_loss.append(float(np.dot(n_pos, sp_neg) + np.dot(counts - n_pos, sp_pos)) / n)
         if movement < tol:
             break
-    return edges, phis, np.array(loss), np.array(hard_loss), len(loss), empty_events, movement
+    return edges, phis, np.array(loss), movement, len(loss), empty_events
 
 
 def _binary_entropy(p):
@@ -118,69 +117,65 @@ def _ovr_decompose_oracle(data, class_k):
 
 
 def _problem(seed, n=500, m=4):
-    """(lam, t, is_pos, phis0): sorted logits, their transform at scale 1 and
-    bias 0, float 0/1 targets and initial phi levels."""
+    """(lam, t, phis0): sorted logits, their transform at scale 1 and bias 0
+    and initial phi levels. The labels enter the alternation only through
+    the sigmoid pseudo-weights of t, so a problem needs none."""
     spec = BinaryMixtureSpec(n=n, seed=seed)
     cal, _ = gen_binary_mixture(spec)
-    order = np.argsort(cal.logits, kind="stable")
-    lam = cal.logits[order]
-    is_pos = cal.targets[order].astype(np.float64)
+    lam = np.sort(cal.logits)
     phis0 = np.quantile(lam, np.linspace(0.1, 0.9, m))
-    return lam, lam, is_pos, phis0
+    return lam, lam, phis0
 
 
-def _kernel_args(lam, t, is_pos, phis0):
+def _kernel_args(lam, t, phis0):
     """kernels.alternate's leading inputs for a problem."""
     cum_pos, tail_neg = kernels.prefix_sums(t)
-    return lam, cum_pos, tail_neg, np.sort(lam[is_pos == 1.0]), phis0
+    return lam, cum_pos, tail_neg, phis0
 
 
-def _assert_matches_oracle(problem, scale, bias, max_iter, tol):
-    lam, t, is_pos, phis0 = problem
-    got = kernels.alternate(*_kernel_args(*problem), scale, bias, max_iter, tol)
-    want = _alternate_oracle(lam, expit(t), expit(-t), is_pos, phis0, scale, bias, max_iter, tol)
+def _assert_matches_oracle(problem, scale, bias, tol, max_iter):
+    lam, t, phis0 = problem
+    got = kernels.alternate(*_kernel_args(*problem), scale, bias, tol, max_iter)
+    want = _alternate_oracle(lam, expit(t), expit(-t), phis0, scale, bias, tol, max_iter)
     assert got[4] == want[4]  # n_pairs
     assert got[5] == want[5]  # empty-bin events
     np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
     np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got[3], want[3], rtol=1e-12, atol=0)
-    assert (got[6] < tol) == (want[6] < tol)
+    assert (got[3] < tol) == (want[3] < tol)
     return got
 
 
 @pytest.mark.parametrize("m", [2, 4, 15])
 @pytest.mark.parametrize("seed", range(5))
 def test_alternate_matches_the_bincount_oracle(seed, m):
-    _assert_matches_oracle(_problem(seed, n=2000, m=m), 1.0, 0.0, 200, 1e-10)
+    _assert_matches_oracle(_problem(seed, n=2000, m=m), 1.0, 0.0, 1e-10, 200)
 
 
 def test_alternate_matches_the_oracle_with_scale_and_bias():
-    lam, _, is_pos, _ = _problem(4, n=1500, m=6)
+    lam, _, _ = _problem(4, n=1500, m=6)
     t = 1.7 * (lam - 0.4)
     phis0 = np.quantile(t, np.linspace(0.1, 0.9, 6))
-    _assert_matches_oracle((lam, t, is_pos, phis0), 1.7, -0.4, 200, 1e-10)
+    _assert_matches_oracle((lam, t, phis0), 1.7, -0.4, 1e-10, 200)
 
 
 def test_alternate_matches_the_oracle_with_empty_bins():
     # all mass far to the right of the lower phi levels leaves those bins empty
     lam = np.linspace(5.0, 6.0, 50)
-    y = (np.arange(50) % 3 == 0).astype(np.float64)
     phis0 = np.array([-8.0, -6.0, 5.2, 5.8])
-    got = _assert_matches_oracle((lam, lam, y, phis0), 1.0, 0.0, 20, 1e-10)
+    got = _assert_matches_oracle((lam, lam, phis0), 1.0, 0.0, 1e-10, 20)
     assert got[5] > 0
 
 
 def test_a_sample_on_an_edge_goes_right():
-    lam, _, y, phis0 = _problem(1, n=300, m=3)
+    lam, _, phis0 = _problem(1, n=300, m=3)
     edges = kernels.edges_from_phis(phis0, 1.0, 0.0)
     # put samples exactly on the first-pair edges, keeping lam sorted
     on_edge = np.sort(np.concatenate([lam, edges, edges]))
-    y = np.concatenate([y, [1.0, 0.0, 0.0, 1.0]])
-    args = (on_edge, on_edge, y, phis0)
-    one = _assert_matches_oracle(args, 1.0, 0.0, 1, 1e-10)
+    args = (on_edge, on_edge, phis0)
+    one = _assert_matches_oracle(args, 1.0, 0.0, 1e-10, 1)
     np.testing.assert_array_equal(one[0], edges)
-    _assert_matches_oracle(args, 1.0, 0.0, 200, 1e-10)
+    _assert_matches_oracle(args, 1.0, 0.0, 1e-10, 200)
 
 
 def test_edges_scale_and_bias_transform():
@@ -192,34 +187,32 @@ def test_edges_scale_and_bias_transform():
 
 
 def test_alternate_rejects_unsorted_phis():
-    lam, cum_pos, tail_neg, pos_lam, _ = _kernel_args(*_problem(0))
+    lam, cum_pos, tail_neg, _ = _kernel_args(*_problem(0))
     with pytest.raises(ValueError):
-        kernels.alternate(
-            lam, cum_pos, tail_neg, pos_lam, np.array([0.5, 0.5, 1.0]), 1.0, 0.0, 10, 1e-10
-        )
+        kernels.alternate(lam, cum_pos, tail_neg, np.array([0.5, 0.5, 1.0]), 1.0, 0.0, 1e-10, 10)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_weighted_loss_trace_never_increases(seed):
     args = _kernel_args(*_problem(seed, n=800, m=6))
-    _, _, loss, _, n_pairs, _, _ = kernels.alternate(*args, 1.0, 0.0, 200, 1e-10)
+    _, _, loss, _, n_pairs, _ = kernels.alternate(*args, 1.0, 0.0, 1e-10, 200)
     assert n_pairs == loss.size
     assert np.all(np.diff(loss) <= 1e-12 + 1e-10 * np.abs(loss[:-1]))
 
 
 def test_stops_well_before_the_iteration_cap():
     args = _kernel_args(*_problem(2, n=2000, m=4))
-    _, _, loss, _, n_pairs, _, movement = kernels.alternate(*args, 1.0, 0.0, 200, 1e-10)
+    _, _, _, movement, n_pairs, _ = kernels.alternate(*args, 1.0, 0.0, 1e-10, 200)
     assert n_pairs < 200
     assert movement < 1e-10
 
 
 def test_final_movement_reports_a_fit_stopped_at_the_cap():
     args = _kernel_args(*_problem(2, n=2000, m=4))
-    *_, n_pairs, _, movement = kernels.alternate(*args, 1.0, 0.0, 3, 1e-10)
+    _, _, _, movement, n_pairs, _ = kernels.alternate(*args, 1.0, 0.0, 1e-10, 3)
     assert n_pairs == 3
     assert 1e-10 <= movement < np.inf
-    *_, movement = kernels.alternate(*args, 1.0, 0.0, 1, 1e-10)
+    _, _, _, movement, _, _ = kernels.alternate(*args, 1.0, 0.0, 1e-10, 1)
     assert movement == np.inf
 
 
@@ -227,8 +220,8 @@ def test_empty_bin_keeps_its_phi():
     # all mass far to the right of the lower phi levels leaves those bins empty
     lam = np.linspace(5.0, 6.0, 50)
     phis0 = np.array([-8.0, -6.0, 5.5])
-    _, phis, _, _, _, empties, _ = kernels.alternate(
-        *_kernel_args(lam, lam, np.ones(50), phis0), 1.0, 0.0, 1, 1e-10
+    _, phis, _, _, _, empties = kernels.alternate(
+        *_kernel_args(lam, lam, phis0), 1.0, 0.0, 1e-10, 1
     )
     assert empties == 2
     assert phis[0] == -8.0 and phis[1] == -6.0
@@ -241,7 +234,7 @@ def test_empty_bin_keeps_its_phi():
 def test_seeding_picks_what_a_full_evaluation_picks(seed, m):
     data = gen_multiclass(MulticlassSynthSpec(n_classes=6, n=800, t_gen=0.5, seed=seed))
     t = np.sort(ovr_set(data.ovr_logits(), data.labels, range(6)).logits)
-    got = _seed_phis(t, m, np.random.default_rng(seed))
+    got = _seed_phis(t, m, np.random.default_rng(seed), _sigmoid_entropy(t))
     want = _seed_oracle(t, m, np.random.default_rng(seed))
     np.testing.assert_array_equal(got, want)
 
@@ -251,7 +244,7 @@ def test_seeding_with_tied_logits_matches_the_oracle():
     rng = np.random.default_rng(5)
     t = np.sort(np.concatenate([np.full(300, -27.6), rng.normal(0.0, 2.0, 700)]))
     for seed in range(3):
-        got = _seed_phis(t, 8, np.random.default_rng(seed))
+        got = _seed_phis(t, 8, np.random.default_rng(seed), _sigmoid_entropy(t))
         want = _seed_oracle(t, 8, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
 
@@ -262,7 +255,7 @@ def test_seeding_matches_the_oracle_across_chunks(seed):
     # DRAW_BLOCK block sums
     rng = np.random.default_rng(seed)
     t = np.sort(rng.normal(0.0, 3.0, 3 * SEED_CHUNK + 4321))
-    got = _seed_phis(t, 15, np.random.default_rng(seed))
+    got = _seed_phis(t, 15, np.random.default_rng(seed), _sigmoid_entropy(t))
     want = _seed_oracle(t, 15, np.random.default_rng(seed))
     np.testing.assert_array_equal(got, want)
 
@@ -275,7 +268,7 @@ def test_seeding_with_saturated_probabilities_matches_the_oracle():
         rng.uniform(40.0, 60.0, 200), np.full(40, 50.0),
     ]))
     for seed in range(3):
-        got = _seed_phis(t, 8, np.random.default_rng(seed))
+        got = _seed_phis(t, 8, np.random.default_rng(seed), _sigmoid_entropy(t))
         want = _seed_oracle(t, 8, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
 
@@ -283,7 +276,7 @@ def test_seeding_with_saturated_probabilities_matches_the_oracle():
 def test_seeding_with_one_sample_per_bin_picks_every_sample():
     t = np.array([-3.0, -1.0, -0.5, 0.25, 2.0, 7.0])
     for seed in range(3):
-        got = _seed_phis(t, t.size, np.random.default_rng(seed))
+        got = _seed_phis(t, t.size, np.random.default_rng(seed), _sigmoid_entropy(t))
         np.testing.assert_array_equal(got, t)
         np.testing.assert_array_equal(got, _seed_oracle(t, t.size, np.random.default_rng(seed)))
 
@@ -324,21 +317,18 @@ def test_voronoi_cell_is_exactly_the_samples_a_candidate_takes():
 
 @pytest.mark.parametrize("scale,bias", [(1.0, 0.0), (1.7, -0.4)])
 def test_fit_imax_matches_the_oracles(scale, bias):
-    # the fit sorts without a permutation and counts positives by binary
-    # search; the oracles take the stable argsort and a 0/1 target array
+    # the fit sorts without a permutation, seeds cell by cell and sums bins
+    # by prefix sums; the oracles evaluate every sample in every step
     data = gen_multiclass(MulticlassSynthSpec(n_classes=6, n=800, t_gen=0.5, seed=2))
     cal = ovr_set(data.ovr_logits(), data.labels, range(6))
     got = fit_imax(cal, ImaxConfig(n_bins=8, seed=5, scale=scale, bias=bias))
 
-    order = np.argsort(cal.logits, kind="stable")
-    lam = cal.logits[order]
+    lam = np.sort(cal.logits)
     t = scale * (lam + bias)
-    init_phis = _seed_oracle(t, 8, np.random.default_rng(5))
-    edges, phis, loss, _, n_pairs, empties, _ = _alternate_oracle(
-        lam, expit(t), expit(-t), cal.targets[order].astype(np.float64), init_phis,
-        scale, bias, MAX_ITERATIONS, TOLERANCE,
+    phis0 = _seed_oracle(t, 8, np.random.default_rng(5))
+    edges, phis, loss, _, n_pairs, empties = _alternate_oracle(
+        lam, expit(t), expit(-t), phis0, scale, bias, TOLERANCE, MAX_ITERATIONS
     )
-    np.testing.assert_array_equal(got.diagnostics.init_phis, init_phis)
     assert got.iterations == n_pairs
     assert got.diagnostics.empty_bin_events == empties
     np.testing.assert_allclose(got.edges, edges, rtol=0, atol=1e-12)

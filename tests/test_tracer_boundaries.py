@@ -63,7 +63,7 @@ def test_the_tracer_reads_the_kernel_by_position(tracer, monkeypatch):
     # the empty-bin count, on a pair whose two lower bins are empty
     lam = np.linspace(5.0, 6.0, 50)
     cum_pos, tail_neg = kernels.prefix_sums(lam)
-    result = original(lam, cum_pos, tail_neg, lam[::2], np.array([-8.0, -6.0, 5.5]), 1.0, 0.0, 1, 0.0)
+    result = original(lam, cum_pos, tail_neg, np.array([-8.0, -6.0, 5.5]), 1.0, 0.0, 0.0, 1)
     assert tracer._counts_after("binning.alternate", (), result) == {
         "iterations": 1,
         "empty_bin_events": 2,
