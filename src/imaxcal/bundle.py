@@ -31,14 +31,13 @@ from .data import (
     RAW_LOGITS,
     ClassGrouping,
     PredictionMatrix,
-    as_probabilities,
     group_all,
     group_by_prior,
     group_singletons,
     json_count,
     json_list,
     json_object,
-    logit_of_prob,
+    ovr_logits,
     ovr_set,
     prob_of_logit,
 )
@@ -290,19 +289,16 @@ def fit_bundle(
 
 
 def apply_bundle(bundle: CalibratorBundle, scores, kind: str) -> np.ndarray:
-    """Per-class calibrated probabilities, rows not renormalized."""
-    probs = as_probabilities(scores, kind)
-    n, k = probs.shape
-    if k != bundle.n_classes:
-        raise DataError(
-            f"bundle was fitted for {bundle.n_classes} classes, scores have {k}"
-        )
-    out = np.empty_like(probs)
+    """Per-class calibrated probabilities, rows not renormalized: the scores'
+    log-odds, each column overwritten with its calibrator's values."""
+    shape = np.shape(scores)
+    if len(shape) == 2 and shape[1] != bundle.n_classes:
+        raise DataError(f"bundle was fitted for {bundle.n_classes} classes, scores have {shape[1]}")
+    lam = ovr_logits(scores, kind)
     for cal in bundle.calibrators:
         for c in cal.classes:
-            lam = logit_of_prob(probs[:, c])
             if cal.binner is not None:
-                out[:, c] = apply_binner(cal.binner, lam)
+                lam[:, c] = apply_binner(cal.binner, lam[:, c])
             else:
-                out[:, c] = prob_of_logit(apply_scaler(cal.scaler, lam))
-    return out
+                lam[:, c] = prob_of_logit(apply_scaler(cal.scaler, lam[:, c]))
+    return lam

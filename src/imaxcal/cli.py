@@ -33,6 +33,7 @@ from .data import (
     PROBABILITIES,
     RAW_LOGITS,
     PredictionMatrix,
+    check_group_spec,
     ovr_set,
 )
 from .errors import DataError, FitError
@@ -138,6 +139,13 @@ def _flag_config(build, **flags):
         return build(**flags)
     except DataError as exc:
         raise click.UsageError(str(exc)) from exc
+
+
+def _given(param):
+    """Whether the current command's flag param was given, not left at its
+    default."""
+    source = click.get_current_context().get_parameter_source(param)
+    return source is not ParameterSource.DEFAULT
 
 
 def _name(token, allowed, what, aliases=None):
@@ -269,17 +277,16 @@ def cmd_fit(
         raise click.UsageError(f"--scaler applies to imax only, not to {method}")
     if method == bundle_mod.METHOD_TEMPERATURE and groups is not None:
         raise click.UsageError("--groups does not apply to temperature, which fits one scaler")
-    ctx = click.get_current_context()
-    given = lambda param: ctx.get_parameter_source(param) is not ParameterSource.DEFAULT
     scalers = (bundle_mod.METHOD_TEMPERATURE, bundle_mod.METHOD_PLATT)
-    if method in scalers and given("bins"):
+    if method in scalers and _given("bins"):
         raise click.UsageError(f"--bins does not apply to {method}, which fits no bins")
-    if method in (*scalers, bundle_mod.METHOD_IMAX_WITH_SCALER) and given("rep_strategy"):
+    if method in (*scalers, bundle_mod.METHOD_IMAX_WITH_SCALER) and _given("rep_strategy"):
         raise click.UsageError(f"--rep-strategy does not apply to {method}")
     groups_spec = _parse_groups(groups)
     _flag_config(
         bundle_mod.check_strategy, strategy=strategy, groups_spec=groups_spec, method=method
     )
+    _flag_config(check_group_spec, groups_spec=groups_spec)
     cfg = _flag_config(ImaxConfig, n_bins=bins, seed=seed)
 
     scores = _read_matrix(scores_csv)
@@ -544,9 +551,15 @@ def cmd_synth(
     out_prefix,
 ):
     """Generate synthetic scores/labels with a ground-truth sidecar."""
+    if preset is not None and multiclass:
+        raise click.UsageError("--preset and --multiclass are exclusive")
+    mixture = ("prior", "mu_pos", "mu_neg", "sigma_pos", "sigma_neg")
+    unused = mixture if multiclass else ("k", "tgen") + (mixture if preset else ())
+    mode = "--multiclass" if multiclass else f"--preset {preset}" if preset else "a binary mixture"
+    for param in unused:
+        if _given(param):
+            raise click.UsageError(f"--{param.replace('_', '-')} does not apply to {mode}")
     if preset is not None:
-        if multiclass:
-            raise click.UsageError("--preset and --multiclass are exclusive")
         family, build, flags = "binary", synth_mod.BinaryMixtureSpec, synth_mod.PRESETS[preset]
     elif multiclass:
         family, build = "multiclass", synth_mod.MulticlassSynthSpec

@@ -2,8 +2,11 @@
 
 Multi-class calibration here works one class at a time: a score matrix is
 decomposed into K one-vs-rest binary problems on the log-odds scale, and
-calibrators consume those binary sets. Probabilities are clamped away from
-{0, 1} before the log-odds transform so every logit is finite.
+calibrators consume those binary sets. ovr_logits is the one transform from
+a score matrix to those log-odds, for fitting and applying alike; it works
+in blocks of rows, so its only N x K array is its output. Probabilities are
+clamped away from {0, 1} before the log-odds transform so every logit is
+finite.
 """
 
 from dataclasses import dataclass, field
@@ -78,7 +81,7 @@ def xlogy(x, y):
 def _check_scores(scores, kind):
     """Validate an N x K score matrix of the given kind; return it as float64.
 
-    The one score check behind PredictionMatrix and as_probabilities: N >= 1,
+    The one score check, behind PredictionMatrix and ovr_logits: N >= 1,
     K >= 2, every value finite, a known kind, and probability rows inside
     [0, 1] that sum to 1.
     """
@@ -169,13 +172,21 @@ def json_list(value, what):
     return value
 
 
-def as_probabilities(scores, kind):
-    """Validate a bare score matrix and return it as probabilities.
+_OVR_BLOCK_ENTRIES = 1 << 16
 
-    Label-free twin of PredictionMatrix, for apply-time paths.
-    """
+
+def ovr_logits(scores, kind):
+    """N x K one-vs-rest log-odds of checked scores: logit_of_prob of the
+    softmax of raw logits, or of the probabilities. Blocks of rows, about
+    _OVR_BLOCK_ENTRIES values each, are transformed into the one N x K
+    output; rows are independent, so no value depends on the block size."""
     scores = _check_scores(scores, kind)
-    return softmax(scores) if kind == RAW_LOGITS else scores
+    out = np.empty(scores.shape)
+    rows = max(1, _OVR_BLOCK_ENTRIES // scores.shape[1])
+    for start in range(0, len(scores), rows):
+        block = scores[start : start + rows]
+        out[start : start + rows] = logit_of_prob(softmax(block) if kind == RAW_LOGITS else block)
+    return out
 
 
 @dataclass
@@ -202,16 +213,9 @@ class PredictionMatrix:
     def n_classes(self):
         return self.scores.shape[1]
 
-    def probabilities(self):
-        """Scores as probabilities, applying softmax to raw logits."""
-        if self.kind == PROBABILITIES:
-            return self.scores
-        return softmax(self.scores)
-
     def ovr_logits(self):
-        """N x K one-vs-rest log-odds: column k is class k's logit, from a
-        single softmax over the whole matrix."""
-        return logit_of_prob(self.probabilities())
+        """N x K one-vs-rest log-odds of the scores (data.ovr_logits)."""
+        return ovr_logits(self.scores, self.kind)
 
     def class_priors(self):
         """Empirical label frequencies, shape (K,)."""
@@ -273,9 +277,9 @@ class BinaryCalibrationSet:
 def ovr_set(lam, labels, classes) -> BinaryCalibrationSet:
     """Merged one-vs-rest set of the given classes, class after class.
 
-    lam is the N x K matrix of PredictionMatrix.ovr_logits and labels the N
-    integer labels. The result equals merge_sets of the per-class
-    ovr_decompose sets, without a softmax or a copy per class.
+    lam is the N x K matrix of ovr_logits and labels the N integer labels.
+    The result equals merge_sets of the per-class ovr_decompose sets,
+    without a softmax or a copy per class.
     """
     classes = np.asarray(tuple(classes), dtype=np.int64)
     return BinaryCalibrationSet(
@@ -304,6 +308,27 @@ def merge_sets(sets) -> BinaryCalibrationSet:
     )
 
 
+def check_group_spec(groups_spec):
+    """A DataError unless groups_spec could group some classes: None, a
+    prior-group count of at least 1, or non-empty groups that do not overlap.
+
+    These rules need no class count, so the CLI applies them before it reads
+    a file. ClassGrouping and group_by_prior apply them too, and add the
+    rules that need K: at most K groups, and groups that cover 0..K-1.
+    """
+    if groups_spec is None:
+        return
+    if isinstance(groups_spec, (int, np.integer)):
+        if groups_spec < 1:
+            raise DataError(f"n_groups must be at least 1, got {groups_spec}")
+        return
+    if not groups_spec or any(len(g) == 0 for g in groups_spec):
+        raise DataError("grouping needs non-empty groups")
+    flat = [int(c) for g in groups_spec for c in g]
+    if len(flat) != len(set(flat)):
+        raise DataError("groups overlap")
+
+
 MODE_ONE_FOR_ALL = "one_for_all"
 MODE_BY_PRIOR = "by_prior_quantile"
 MODE_EXPLICIT = "explicit"
@@ -321,11 +346,8 @@ class ClassGrouping:
         if self.mode not in (MODE_ONE_FOR_ALL, MODE_BY_PRIOR, MODE_EXPLICIT):
             raise DataError(f"unknown grouping mode {self.mode!r}")
         groups = tuple(tuple(sorted(int(c) for c in g)) for g in self.groups)
-        if not groups or any(len(g) == 0 for g in groups):
-            raise DataError("grouping needs non-empty groups")
+        check_group_spec(groups)
         flat = [c for g in groups for c in g]
-        if len(flat) != len(set(flat)):
-            raise DataError("groups overlap")
         k = self.n_classes or (max(flat) + 1)
         if len(flat) != k or sorted(flat) != list(range(k)):
             raise DataError(f"groups must cover classes 0..{k - 1} exactly")
@@ -356,7 +378,8 @@ def group_by_prior(data: PredictionMatrix, n_groups: int) -> ClassGrouping:
     class index so the grouping is deterministic.
     """
     k = data.n_classes
-    if not 1 <= n_groups <= k:
+    check_group_spec(n_groups)
+    if n_groups > k:
         raise DataError(f"n_groups must be in [1, {k}], got {n_groups}")
     priors = data.class_priors()
     order = np.lexsort((np.arange(k), priors))

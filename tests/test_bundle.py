@@ -28,6 +28,7 @@ from imaxcal.binning import (
     METHOD_EQ_MASS,
     METHOD_IMAX,
     REP_RAW_PROB_MEAN,
+    apply_binner,
     binner_from_edges,
 )
 from imaxcal.bundle import (
@@ -41,13 +42,25 @@ from imaxcal.bundle import (
     fit_bundle,
     resolve_grouping,
 )
-from imaxcal.data import group_all, softmax
+from imaxcal.data import group_all, logit_of_prob, prob_of_logit, softmax
 from imaxcal.metrics import SCHEME_EXACT, THRESHOLD_ZERO, cw_ece, top1_ece
+from imaxcal.scaling import apply_scaler
 from imaxcal.synth import MulticlassSynthSpec, gen_multiclass
 
 
 def _data(n=1200, k=6, t_gen=0.5, seed=0):
     return gen_multiclass(MulticlassSynthSpec(n_classes=k, n=n, t_gen=t_gen, seed=seed))
+
+
+def _peak_bytes(run):
+    """tracemalloc's peak while run() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def _quiet_fit(*args, **kwargs):
@@ -166,12 +179,7 @@ def test_scw_imax_fit_peak_memory_per_merged_sample():
     # the fit's peak is the merged set plus fit_imax's working arrays (about
     # 49 B per merged sample here; 76 B while the matrix stayed alive)
     data = _data(n=2000, k=100, seed=0)
-    tracemalloc.start()
-    try:
-        fit_bundle(data, METHOD_IMAX, config=ImaxConfig(n_bins=15, seed=0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(lambda: fit_bundle(data, METHOD_IMAX, config=ImaxConfig(n_bins=15, seed=0)))
     assert peak / (data.n_samples * data.n_classes) <= 56.0
 
 
@@ -252,7 +260,7 @@ def test_apply_checks_the_class_count():
 
 def test_identity_temperature_bundle_reproduces_probabilities():
     data = _data(k=4, seed=7)
-    probs = data.probabilities()
+    probs = softmax(data.scores)
     b = CalibratorBundle(
         strategy=STRATEGY_SCW,
         n_classes=4,
@@ -267,6 +275,56 @@ def test_identity_temperature_bundle_reproduces_probabilities():
     )
     out = apply_bundle(b, probs, PROBABILITIES)
     np.testing.assert_allclose(out, probs, atol=1e-9)
+
+
+def _apply_per_column(bundle, scores, kind):
+    """The column-at-a-time oracle: probabilities first, then each column's
+    own log-odds through its group's calibrator, into a second matrix."""
+    probs = softmax(scores) if kind == RAW_LOGITS else scores
+    out = np.empty_like(probs)
+    for cal in bundle.calibrators:
+        for c in cal.classes:
+            lam = logit_of_prob(probs[:, c])
+            if cal.binner is not None:
+                out[:, c] = apply_binner(cal.binner, lam)
+            else:
+                out[:, c] = prob_of_logit(apply_scaler(cal.scaler, lam))
+    return out
+
+
+@pytest.mark.parametrize(
+    "method, kwargs, kind",
+    [
+        (METHOD_IMAX, {}, RAW_LOGITS),
+        (METHOD_IMAX, {}, PROBABILITIES),
+        (METHOD_IMAX, {"strategy": STRATEGY_CW}, RAW_LOGITS),
+        (METHOD_IMAX, {"groups_spec": 3}, RAW_LOGITS),
+        (METHOD_TEMPERATURE, {}, RAW_LOGITS),
+        (METHOD_PLATT, {}, RAW_LOGITS),
+        (METHOD_IMAX_WITH_SCALER, {"scaler_kind": KIND_PLATT}, RAW_LOGITS),
+    ],
+)
+def test_apply_equals_the_per_column_formula_bit_for_bit(method, kwargs, kind):
+    # 38k rows of K=6 are three and a half blocks of the log-odds transform
+    fit_on, test = _data(seed=3), _data(n=38_230, seed=4)
+    to_kind = (lambda s: s) if kind == RAW_LOGITS else softmax
+    fit_on = PredictionMatrix(to_kind(fit_on.scores), fit_on.labels, kind)
+    b = _quiet_fit(fit_on, method, config=ImaxConfig(n_bins=8, seed=0), **kwargs)
+    scores = to_kind(test.scores)
+    got, want = apply_bundle(b, scores, kind), _apply_per_column(b, scores, kind)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_log_odds_and_apply_hold_one_n_by_k_array():
+    # the log-odds transform works in blocks of rows into its one N x K
+    # output, and apply calibrates that output in place; a transform of the
+    # whole matrix at once peaked at 32 B per entry, and an apply with a
+    # probability matrix and a second output at about 3.1 N*K*8 bytes
+    data = _data(n=200_000, k=10, seed=0)
+    entries = data.scores.size
+    assert _peak_bytes(data.ovr_logits) <= 12.0 * entries
+    b = fit_bundle(data, METHOD_IMAX, config=ImaxConfig(n_bins=15, seed=0))
+    assert _peak_bytes(lambda: apply_bundle(b, data.scores, RAW_LOGITS)) <= 1.5 * 8 * entries
 
 
 def test_binned_outputs_take_few_values_and_skip_renormalization():

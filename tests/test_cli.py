@@ -96,6 +96,19 @@ def test_synth_flag_errors(tmp_path):
     assert main(["synth", "--n", "0", "--out-prefix", out]) == 2
     assert main(["synth", "--prior", "1.5", "--out-prefix", out]) == 2
     assert main(["synth", "--seed", "-1", "--out-prefix", out]) == 2
+    # flags the chosen generator would ignore, even at their default values
+    mixture = [["--prior", "0.3"], ["--mu-pos", "2"], ["--mu-neg", "-2"],
+               ["--sigma-pos", "1.5"], ["--sigma-neg", "1.0"]]
+    for extra in (
+        *(["--multiclass", *flag] for flag in mixture),
+        *(["--preset", "fig2-imbalanced", *flag] for flag in mixture),
+        ["--k", "5"],
+        ["--tgen", "0.5"],
+        ["--k", "10"],
+        ["--preset", "fig2-imbalanced", "--tgen", "1.0"],
+    ):
+        assert main(["synth", *extra, "--out-prefix", out]) == 2, extra
+    assert not (tmp_path / "x-scores.csv").exists()
 
 
 # --- fit -------------------------------------------------------------------
@@ -254,6 +267,10 @@ def test_fit_usage_errors(workdir, tmp_path):
         ["--method", "temperature", "--strategy", "cw"],
         ["--method", "platt", "--strategy", "cw"],
         ["--groups", "2-0"],
+        ["--groups", "0"],
+        ["--groups=-1"],
+        ["--groups", "0-3,2-5"],
+        ["--groups", "0,0"],
     ):
         assert main(missing + extra) == 2, extra
     assert not (tmp_path / "x.json").exists()
@@ -273,6 +290,10 @@ def test_fit_data_and_fit_errors(workdir, tmp_path):
     assert main(["fit", scores, str(workdir / "bin-labels.csv"), "-o", out]) == 3  # length mismatch
     assert main(["fit", str(workdir / "missing.csv"), labels, "-o", out]) == 3
     assert main(["fit", scores, labels, "-o", out, "--input-kind", "probs"]) == 3
+    # group specs that need the class count K=5: more groups than classes,
+    # and groups that miss class 4
+    for groups in ("6", "0-1,2-3"):
+        assert main(["fit", scores, labels, "-o", out, "--groups", groups]) == 3, groups
     # four rows merged over three classes cannot feed fifteen bins
     assert main(
         ["synth", "--multiclass", "--k", "3", "--n", "4", "--out-prefix", str(tmp_path / "tiny")]

@@ -16,13 +16,15 @@ from imaxcal import (
     RAW_LOGITS,
 )
 from imaxcal.data import (
-    as_probabilities,
+    _OVR_BLOCK_ENTRIES,
+    check_group_spec,
     group_all,
     group_by_prior,
     group_singletons,
     logit_of_prob,
     merge_sets,
     ovr_decompose,
+    ovr_logits,
     prob_of_logit,
     softmax,
     xlogy,
@@ -138,13 +140,13 @@ def test_prediction_matrix_shapes_and_priors():
     assert data.n_samples == 4
     assert data.n_classes == 3
     np.testing.assert_allclose(data.class_priors(), [0.5, 0.25, 0.25])
-    np.testing.assert_allclose(data.probabilities().sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(prob_of_logit(data.ovr_logits()).sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_prediction_matrix_probabilities_passthrough():
     q = np.array([[0.7, 0.3], [0.2, 0.8]])
     data = PredictionMatrix(q, np.array([0, 1]), kind=PROBABILITIES)
-    np.testing.assert_array_equal(data.probabilities(), q)
+    np.testing.assert_array_equal(data.ovr_logits(), logit_of_prob(q))
 
 
 def test_prediction_matrix_rejections():
@@ -175,7 +177,7 @@ def test_prediction_matrix_rejections():
 )
 def test_scores_are_checked_the_same_way_with_and_without_labels(scores, kind):
     with pytest.raises(DataError) as bare:
-        as_probabilities(scores, kind)
+        ovr_logits(scores, kind)
     labels = np.zeros(scores.shape[0] if scores.ndim == 2 else 1, dtype=np.int64)
     with pytest.raises(DataError) as labelled:
         PredictionMatrix(scores, labels, kind=kind)
@@ -247,6 +249,25 @@ def test_ovr_logits_come_from_the_normalized_row():
     assert ovr_decompose(data, 0).logits[0] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", [RAW_LOGITS, PROBABILITIES])
+@pytest.mark.parametrize("k", [10, 2, _OVR_BLOCK_ENTRIES + 7])
+def test_log_odds_in_row_blocks_equal_the_whole_matrix_formula_bit_for_bit(kind, k):
+    # three and a half blocks of rows; K above the block size leaves one row
+    # per block. A spread of 10 puts some entries on the probability clamp.
+    rows = max(1, _OVR_BLOCK_ENTRIES // k)
+    scores = np.random.default_rng(k).normal(0.0, 10.0, size=(3 * rows + rows // 2 + 1, k))
+    if kind == PROBABILITIES:
+        scores = softmax(scores)
+        want = logit_of_prob(scores)
+    else:
+        want = logit_of_prob(softmax(scores))
+    got = ovr_logits(scores, kind)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    got = PredictionMatrix(scores, np.zeros(len(scores), dtype=np.int64), kind).ovr_logits()
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_ovr_positive_counts_match_label_counts():
     rng = np.random.default_rng(4)
     data = PredictionMatrix(
@@ -308,6 +329,25 @@ def test_group_by_prior_uniform_falls_back_to_index_order():
     data = PredictionMatrix(np.zeros((4, 4)), labels, kind=RAW_LOGITS)
     g = group_by_prior(data, 2)
     assert g.groups == ((0, 1), (2, 3))
+
+
+@pytest.mark.parametrize(
+    "spec", [0, -1, np.int64(0), [], [(0, 1), ()], [(0, 3), (2, 3)], [(0,), (0,)]]
+)
+def test_group_specs_are_checked_without_a_class_count(spec):
+    with pytest.raises(DataError):
+        check_group_spec(spec)
+    data = PredictionMatrix(np.zeros((4, 4)), np.array([0, 1, 2, 3]), kind=RAW_LOGITS)
+    with pytest.raises(DataError):
+        if isinstance(spec, (int, np.integer)):
+            group_by_prior(data, spec)
+        else:
+            ClassGrouping(groups=spec, n_classes=4)
+
+
+@pytest.mark.parametrize("spec", [None, 1, 7, [(0, 1), (2,)], [(5,)]])
+def test_group_specs_that_fit_some_class_count_pass(spec):
+    check_group_spec(spec)
 
 
 def test_group_by_prior_rejects_too_many_groups():

@@ -28,6 +28,7 @@ from imaxcal.data import (
     ovr_decompose,
     ovr_set,
     prob_of_logit,
+    softmax,
     xlogy,
 )
 from imaxcal.synth import (
@@ -109,8 +110,9 @@ def _seed_oracle(t_sorted, n_bins, rng):
 
 def _ovr_decompose_oracle(data, class_k):
     """Class k's one-vs-rest set from its own softmax column."""
+    probs = data.scores if data.kind == PROBABILITIES else softmax(data.scores)
     return BinaryCalibrationSet(
-        logits=logit_of_prob(data.probabilities()[:, class_k]),
+        logits=logit_of_prob(probs[:, class_k]),
         targets=(data.labels == class_k).astype(np.int8),
         source_classes=frozenset({class_k}),
     )
@@ -353,7 +355,7 @@ def test_prefix_sums_accumulate_each_sigmoid_from_its_tiny_end():
 def test_one_softmax_decomposition_is_bit_identical(kind, strategy, groups):
     data = gen_multiclass(MulticlassSynthSpec(n_classes=7, n=600, t_gen=0.5, seed=3))
     if kind == "probs":
-        data = PredictionMatrix(data.probabilities(), data.labels, PROBABILITIES)
+        data = PredictionMatrix(softmax(data.scores), data.labels, PROBABILITIES)
     lam = data.ovr_logits()
     for g in resolve_grouping(data, strategy, groups).groups:
         got = ovr_set(lam, data.labels, g)

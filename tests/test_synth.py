@@ -7,6 +7,7 @@ import pytest
 from scipy.special import expit
 
 from imaxcal import DataError, EvalConfig
+from imaxcal.data import softmax
 from imaxcal.metrics import SCHEME_EQ_SIZE, accuracy_topk, top1_ece
 from imaxcal.synth import (
     BinaryMixtureSpec,
@@ -133,14 +134,14 @@ def test_softmax_of_tempered_scores_is_the_posterior():
     spec = MulticlassSynthSpec(n_classes=10, n=100_000, t_gen=1.0, seed=0)
     data = gen_multiclass(spec)
     cfg = EvalConfig(eval_scheme=SCHEME_EQ_SIZE, n_eval_bins=100)
-    assert top1_ece(data.probabilities(), data.labels, cfg) < 0.015
+    assert top1_ece(softmax(data.scores), data.labels, cfg) < 0.015
 
 
 def test_sharpened_scores_are_overconfident():
     gaps = []
     for seed in range(3):
         data = gen_multiclass(MulticlassSynthSpec(n_classes=10, n=5000, t_gen=0.5, seed=seed))
-        probs = data.probabilities()
+        probs = softmax(data.scores)
         conf = probs.max(axis=1).mean()
         acc = accuracy_topk(probs, data.labels, k=1)
         gaps.append(conf - acc)
