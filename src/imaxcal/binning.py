@@ -94,7 +94,8 @@ class FitTrace:
 
 @dataclass
 class Binner:
-    """Monotone step-function calibrator over logit bins."""
+    """Step-function calibrator over logit bins: one representative per bin,
+    not forced to increase with the logit."""
 
     edges: np.ndarray
     phis: np.ndarray

@@ -192,10 +192,21 @@ def _classes(values) -> tuple:
     return tuple(json_count(c, "class index") for c in json_list(values, "class list"))
 
 
-def check_strategy(strategy: str, groups_spec=None, method: str | None = None):
-    """A DataError unless strategy combines with groups_spec and method: cw
-    fits one calibrator per class, so it takes no groups and neither scaler.
-    fit_bundle and the CLI's flag checks both apply it."""
+def check_strategy(
+    strategy: str, groups_spec=None, method: str | None = None, scaler_kind: str | None = None
+):
+    """A DataError unless strategy, groups_spec, method and scaler_kind
+    combine: temperature fits one scaler on all classes jointly, so it takes
+    no groups and no cw; cw fits one calibrator per class, so it takes no
+    groups and no platt; a scaler kind goes with imax_with_scaler, which
+    needs one. fit_bundle and the CLI's flag checks both apply it."""
+    if method == METHOD_IMAX_WITH_SCALER:
+        if scaler_kind not in (KIND_TEMPERATURE, KIND_PLATT):
+            raise DataError("imax_with_scaler needs a temperature or platt scaler")
+    elif scaler_kind is not None:
+        raise DataError(f"a scaler applies to imax_with_scaler only, not to {method}")
+    if method == METHOD_TEMPERATURE and groups_spec is not None:
+        raise DataError("temperature scaling fits one scaler on all classes; no groups")
     if strategy != STRATEGY_CW:
         return
     if groups_spec is not None:
@@ -235,7 +246,7 @@ def fit_bundle(
     """Fit a complete bundle on a calibration split."""
     if method not in FIT_METHODS:
         raise DataError(f"unknown method {method!r}")
-    check_strategy(strategy, groups_spec, method)
+    check_strategy(strategy, groups_spec, method, scaler_kind)
     cfg = config if config is not None else ImaxConfig()
     provenance = {"seed": cfg.seed, "method": method}
     scaler = None
@@ -257,10 +268,8 @@ def fit_bundle(
         if method == METHOD_IMAX_WITH_SCALER:
             if scaler_kind == KIND_TEMPERATURE:
                 scaler = fit_temperature(data)
-            elif scaler_kind == KIND_PLATT:
-                scaler = fit_platt(ovr_set(lam, data.labels, range(data.n_classes)))
             else:
-                raise DataError("imax_with_scaler needs --scaler temperature or platt")
+                scaler = fit_platt(ovr_set(lam, data.labels, range(data.n_classes)))
             binning_method = METHOD_IMAX
             rep_strategy = REP_SCALED_PROB_MEAN
         # the merged sets hold every log-odds the fits read, so the N x K

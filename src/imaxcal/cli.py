@@ -271,20 +271,19 @@ def cmd_fit(
         raise click.UsageError("--holdout-frac must lie in [0, 1)")
     if method == "imax" and scaler != "none":
         method = bundle_mod.METHOD_IMAX_WITH_SCALER
-    if method == bundle_mod.METHOD_IMAX_WITH_SCALER and scaler == "none":
-        raise click.UsageError("imax_with_scaler needs --scaler temperature or platt")
-    if method != bundle_mod.METHOD_IMAX_WITH_SCALER and scaler != "none":
-        raise click.UsageError(f"--scaler applies to imax only, not to {method}")
-    if method == bundle_mod.METHOD_TEMPERATURE and groups is not None:
-        raise click.UsageError("--groups does not apply to temperature, which fits one scaler")
     scalers = (bundle_mod.METHOD_TEMPERATURE, bundle_mod.METHOD_PLATT)
     if method in scalers and _given("bins"):
         raise click.UsageError(f"--bins does not apply to {method}, which fits no bins")
     if method in (*scalers, bundle_mod.METHOD_IMAX_WITH_SCALER) and _given("rep_strategy"):
         raise click.UsageError(f"--rep-strategy does not apply to {method}")
     groups_spec = _parse_groups(groups)
+    scaler_kind = None if scaler == "none" else scaler
     _flag_config(
-        bundle_mod.check_strategy, strategy=strategy, groups_spec=groups_spec, method=method
+        bundle_mod.check_strategy,
+        strategy=strategy,
+        groups_spec=groups_spec,
+        method=method,
+        scaler_kind=scaler_kind,
     )
     _flag_config(check_group_spec, groups_spec=groups_spec)
     cfg = _flag_config(ImaxConfig, n_bins=bins, seed=seed)
@@ -316,7 +315,7 @@ def cmd_fit(
         groups_spec=groups_spec,
         config=cfg,
         rep_strategy=rep,
-        scaler_kind=None if scaler == "none" else scaler,
+        scaler_kind=scaler_kind,
     )
     for i, cal in enumerate(fitted.calibrators):
         if cal.binner is not None:

@@ -3,6 +3,8 @@
 Scalers act on one-vs-rest logits (lam -> lam / T, lam -> a * lam + b) and
 double as the smoothing stage of the hybrid binner, where bin
 representatives are means of scaled probabilities instead of raw ones.
+Both fits are Newton solves of a convex NLL in numpy: T by a bracketed
+Newton search on the slope in 1 / T, (a, b) by damped Newton.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ from .data import (
     json_number,
     json_object,
     prob_of_logit,
+    softmax,
 )
 from .errors import DataError, FitError
 
@@ -23,6 +26,7 @@ KIND_TEMPERATURE = "temperature"
 KIND_PLATT = "platt"
 
 TEMPERATURE_BOUNDS = (1e-2, 1e2)
+_TEMPERATURE_MAX_ITER = 100
 _PLATT_GRAD_TOL = 1e-8
 _PLATT_MAX_ITER = 200
 
@@ -77,18 +81,24 @@ def apply_scaler(scaler: Scaler, lam):
     return scaler.a * lam + scaler.b
 
 
+def _nll_derivatives(u, scores, z_true):
+    """First and second derivative in u of the mean NLL of softmax(u * scores)."""
+    p = softmax(u * scores)
+    s1 = np.sum(p * scores, axis=1)
+    s2 = np.sum(p * scores**2, axis=1)
+    return float(np.mean(s1 - z_true)), float(np.mean(s2 - s1**2))
+
+
 def fit_temperature(data: PredictionMatrix) -> Scaler:
     """Fit T by minimizing the multiclass softmax NLL of scores / T.
 
-    Bounded 1-D search (scipy's bounded scalar minimizer) over the inverse
-    temperature, whose NLL is convex, followed by a couple of Newton polish
-    steps. T is confined to [1e-2, 1e2].
+    The NLL is convex in the inverse temperature u = 1 / T, so its slope
+    increases with u. If the slope keeps one sign over u in [1e-2, 1e2], T is
+    that bound's inverse, exactly. Otherwise Newton steps on the slope, which
+    bisect the sign-change bracket whenever a step would leave it or fails to
+    halve the previous step, run until a step is at most 1e-12 u. Bisection
+    keeps the step cap, a FitError, out of reach on valid input.
     """
-    # scipy is imported here, not at module level, so that commands fitting
-    # no temperature scaler start without loading it.
-    from scipy.optimize import minimize_scalar
-    from scipy.special import logsumexp, softmax
-
     if data.kind != RAW_LOGITS:
         raise DataError("temperature scaling needs raw logits, not probabilities")
     if data.n_samples < 2:
@@ -96,36 +106,26 @@ def fit_temperature(data: PredictionMatrix) -> Scaler:
     scores = data.scores - data.scores.max(axis=1, keepdims=True)
     z_true = scores[np.arange(data.n_samples), data.labels]
     lo, hi = TEMPERATURE_BOUNDS
+    if _nll_derivatives(lo, scores, z_true)[0] >= 0:
+        return Scaler(kind=KIND_TEMPERATURE, temperature=1.0 / lo)
+    if _nll_derivatives(hi, scores, z_true)[0] <= 0:
+        return Scaler(kind=KIND_TEMPERATURE, temperature=1.0 / hi)
 
-    def nll_of_inverse_temp(u):
-        return float(np.mean(logsumexp(u * scores, axis=1) - u * z_true))
-
-    res = minimize_scalar(
-        nll_of_inverse_temp,
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    u = float(res.x)
-
-    # Newton polish on the inverse temperature (analytic first two derivatives).
-    for _ in range(3):
-        p = softmax(u * scores, axis=1)
-        s1 = np.sum(p * scores, axis=1)
-        s2 = np.sum(p * scores**2, axis=1)
-        grad = float(np.mean(s1 - z_true))
-        curv = float(np.mean(s2 - s1**2))
-        if curv <= 0:
-            break
-        step = grad / curv
-        u_new = min(max(u - step, lo), hi)
-        if abs(u_new - u) < 1e-12:
-            u = u_new
-            break
-        u = u_new
-
-    temperature = min(max(1.0 / u, lo), hi)
-    return Scaler(kind=KIND_TEMPERATURE, temperature=temperature)
+    u, step = 1.0, hi - lo
+    for _ in range(_TEMPERATURE_MAX_ITER):
+        grad, curv = _nll_derivatives(u, scores, z_true)
+        if grad < 0:
+            lo = u
+        else:
+            hi = u
+        if curv > 0 and lo <= u - grad / curv <= hi and abs(grad / curv) <= abs(step) / 2:
+            step = grad / curv
+        else:
+            step = u - (lo + hi) / 2
+        u -= step
+        if abs(step) <= 1e-12 * u:
+            return Scaler(kind=KIND_TEMPERATURE, temperature=1.0 / u)
+    raise FitError("temperature fit did not converge")
 
 
 def _platt_objective(a, b, lam, targets):

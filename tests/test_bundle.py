@@ -115,10 +115,25 @@ def test_temperature_bundle_has_a_single_shared_scaler():
         fit_bundle(data, METHOD_PLATT, strategy=STRATEGY_CW)
 
 
+def test_temperature_takes_no_groups():
+    data = _data()
+    for groups_spec in (3, [[0, 1, 2], [3, 4, 5]]):
+        with pytest.raises(DataError, match="no groups"):
+            fit_bundle(data, METHOD_TEMPERATURE, groups_spec=groups_spec)
+
+
+def test_only_the_hybrid_takes_a_scaler_kind():
+    data = _data()
+    for method in (METHOD_IMAX, METHOD_EQ_MASS, METHOD_TEMPERATURE, METHOD_PLATT):
+        with pytest.raises(DataError, match="imax_with_scaler only"):
+            fit_bundle(data, method, scaler_kind=KIND_PLATT)
+
+
 def test_hybrid_needs_a_scaler_kind():
     data = _data()
-    with pytest.raises(DataError):
-        fit_bundle(data, METHOD_IMAX_WITH_SCALER)
+    for scaler_kind in (None, "beta"):
+        with pytest.raises(DataError, match="needs a temperature or platt scaler"):
+            fit_bundle(data, METHOD_IMAX_WITH_SCALER, scaler_kind=scaler_kind)
     b = fit_bundle(
         data, METHOD_IMAX_WITH_SCALER, config=ImaxConfig(n_bins=8, seed=0),
         scaler_kind=KIND_TEMPERATURE,

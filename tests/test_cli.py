@@ -266,6 +266,9 @@ def test_fit_usage_errors(workdir, tmp_path):
         ["--strategy", "cw", "--groups", "2"],
         ["--method", "temperature", "--strategy", "cw"],
         ["--method", "platt", "--strategy", "cw"],
+        ["--method", "temperature", "--groups", "2"],
+        ["--method", "platt", "--scaler", "temperature"],
+        ["--method", "imax_with_scaler"],
         ["--groups", "2-0"],
         ["--groups", "0"],
         ["--groups=-1"],
@@ -896,7 +899,7 @@ def test_importing_the_cli_leaves_heavy_scipy_modules_out():
     assert _scipy_modules_after([]) == []
 
 
-def test_commands_that_fit_no_temperature_scaler_load_no_scipy(workdir, tmp_path):
+def test_no_command_loads_scipy(workdir, tmp_path):
     mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
     bundle, cal = str(tmp_path / "b.json"), str(tmp_path / "cal.csv")
     argvs = [
@@ -907,11 +910,11 @@ def test_commands_that_fit_no_temperature_scaler_load_no_scipy(workdir, tmp_path
         ["mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
          "--bins", "2,4", "-o", str(tmp_path / "mi.csv")],
         ["fit", *mc, "-o", str(tmp_path / "platt.json"), "--method", "platt"],
+        ["fit", *mc, "-o", str(tmp_path / "t.json"), "--method", "temperature"],
+        ["fit", *mc, "-o", str(tmp_path / "ts.json"), "--scaler", "temperature"],
         ["synth", "--n", "50", "--seed", "1", "--out-prefix", str(tmp_path / "s")],
     ]
     assert _scipy_modules_after(argvs) == []
-    temperature = ["fit", *mc, "-o", str(tmp_path / "t.json"), "--method", "temperature"]
-    assert "scipy.optimize" in _scipy_modules_after([temperature])
 
 
 # --- plumbing --------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""The package's public names: __all__ lists exactly what __init__ imports."""
+"""The package's public names: __all__ lists exactly what __init__ imports;
+and the third-party modules the package imports: exactly its dependencies."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import imaxcal
 
 INIT_PATH = Path(imaxcal.__file__)
+PYPROJECT = INIT_PATH.parents[2] / "pyproject.toml"
 
 
 def _imported_public_names():
@@ -32,3 +36,23 @@ def test_all_is_exactly_the_public_names_init_imports():
     imported = _imported_public_names()
     assert imported, "no relative imports found in __init__"
     assert set(imaxcal.__all__) == imported
+
+
+def _declared_dependencies():
+    """Distribution names in pyproject's [project] dependencies list."""
+    block = re.search(r"^dependencies = \[(.*?)\]", PYPROJECT.read_text(), re.M | re.S)
+    return set(re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1)))
+
+
+def test_the_package_imports_exactly_its_declared_dependencies():
+    third_party = set()
+    for path in INIT_PATH.parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            third_party |= {n.split(".")[0] for n in names} - set(sys.stdlib_module_names)
+    assert third_party == _declared_dependencies() == {"numpy", "click"}

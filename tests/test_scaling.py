@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.optimize import minimize_scalar
+from scipy.special import expit, logsumexp, softmax
 
 from imaxcal import (
     BinaryCalibrationSet,
@@ -12,6 +13,7 @@ from imaxcal import (
     KIND_PLATT,
     KIND_TEMPERATURE,
     PROBABILITIES,
+    RAW_LOGITS,
     PredictionMatrix,
     Scaler,
 )
@@ -104,6 +106,89 @@ def test_temperature_improves_the_multiclass_nll():
         return -logq[np.arange(data.n_samples), data.labels].mean()
 
     assert nll_at(s.temperature) <= nll_at(1.0)
+
+
+def _bounded_search_temperature(data):
+    """The bounded Brent search plus Newton polish that fit_temperature
+    replaced, kept as its reference."""
+    scores = data.scores - data.scores.max(axis=1, keepdims=True)
+    z_true = scores[np.arange(data.n_samples), data.labels]
+    lo, hi = 1e-2, 1e2
+
+    def nll_of_inverse_temp(u):
+        return float(np.mean(logsumexp(u * scores, axis=1) - u * z_true))
+
+    res = minimize_scalar(
+        nll_of_inverse_temp,
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-8},
+    )
+    u = float(res.x)
+
+    # Newton polish on the inverse temperature (analytic first two derivatives).
+    for _ in range(3):
+        p = softmax(u * scores, axis=1)
+        s1 = np.sum(p * scores, axis=1)
+        s2 = np.sum(p * scores**2, axis=1)
+        grad = float(np.mean(s1 - z_true))
+        curv = float(np.mean(s2 - s1**2))
+        if curv <= 0:
+            break
+        step = grad / curv
+        u_new = min(max(u - step, lo), hi)
+        if abs(u_new - u) < 1e-12:
+            u = u_new
+            break
+        u = u_new
+
+    return min(max(1.0 / u, lo), hi)
+
+
+def test_temperature_matches_the_bounded_search_it_replaced():
+    identical = 0
+    for k in (2, 3, 10, 100):
+        for t_gen in (0.05, 0.3, 0.5, 1.0, 2.0, 5.0, 50.0):
+            for seed in range(3):
+                data = gen_multiclass(
+                    MulticlassSynthSpec(n_classes=k, n=2000, t_gen=t_gen, seed=seed)
+                )
+                want = _bounded_search_temperature(data)
+                got = fit_temperature(data).temperature
+                assert abs(got - want) <= 1e-12 * want, (k, t_gen, seed, got, want)
+                identical += got == want
+    assert identical >= 80
+
+
+def _slope_at(data, temperature):
+    """d/du of the mean NLL of softmax(u * scores) at u = 1 / temperature."""
+    p = softmax(data.scores / temperature, axis=1)
+    z_true = data.scores[np.arange(data.n_samples), data.labels]
+    return float(np.mean(np.sum(p * data.scores, axis=1) - z_true))
+
+
+def test_temperature_zeroes_the_slope_at_an_interior_optimum():
+    for t_gen in (0.3, 2.0):
+        data = gen_multiclass(MulticlassSynthSpec(n_classes=10, n=5000, t_gen=t_gen, seed=4))
+        t = fit_temperature(data).temperature
+        assert 1e-2 < t < 1e2
+        assert abs(_slope_at(data, t)) <= 1e-10
+
+
+def test_temperature_edge_cases_land_on_the_bounds():
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 5, size=300)
+    # every top margin is +50 on the true class: the NLL falls all the way
+    # to the smallest temperature (the bounded search stopped at 0.0100000002)
+    separable = np.zeros((300, 5))
+    separable[np.arange(300), labels] = 50.0
+    assert fit_temperature(PredictionMatrix(separable, labels, RAW_LOGITS)).temperature == 0.01
+    # scores unrelated to the labels: the flattest softmax wins
+    noise = rng.normal(size=(300, 5))
+    assert fit_temperature(PredictionMatrix(noise, labels, RAW_LOGITS)).temperature == 100.0
+    # equal scores: the NLL does not depend on T, and the fit takes the upper bound
+    equal = np.ones((300, 5))
+    assert fit_temperature(PredictionMatrix(equal, labels, RAW_LOGITS)).temperature == 100.0
 
 
 def test_temperature_input_requirements():
