@@ -27,6 +27,7 @@ from .binning import (
     fit_binner,
 )
 from .data import (
+    _OVR_BLOCK_ENTRIES,
     PROBABILITIES,
     RAW_LOGITS,
     ClassGrouping,
@@ -299,15 +300,21 @@ def fit_bundle(
 
 def apply_bundle(bundle: CalibratorBundle, scores, kind: str) -> np.ndarray:
     """Per-class calibrated probabilities, rows not renormalized: the scores'
-    log-odds, each column overwritten with its calibrator's values."""
+    log-odds, each column overwritten with its calibrator's values. A binning
+    calibrator looks up all of its columns at once, in blocks of rows of
+    about _OVR_BLOCK_ENTRIES values."""
     shape = np.shape(scores)
     if len(shape) == 2 and shape[1] != bundle.n_classes:
         raise DataError(f"bundle was fitted for {bundle.n_classes} classes, scores have {shape[1]}")
     lam = ovr_logits(scores, kind)
     for cal in bundle.calibrators:
-        for c in cal.classes:
-            if cal.binner is not None:
-                lam[:, c] = apply_binner(cal.binner, lam[:, c])
-            else:
+        columns = list(cal.classes)
+        if cal.binner is None:
+            for c in columns:
                 lam[:, c] = prob_of_logit(apply_scaler(cal.scaler, lam[:, c]))
+            continue
+        rows = max(1, _OVR_BLOCK_ENTRIES // len(columns))
+        for start in range(0, len(lam), rows):
+            block = (slice(start, start + rows), columns)
+            lam[block] = apply_binner(cal.binner, lam[block])
     return lam

@@ -6,6 +6,7 @@ JSON bundles. Exit codes: 0 success, 2 usage error, 3 data error, 4 fit
 failure. Diagnostics go to stderr as single-line key=value records.
 """
 
+import contextlib
 import json
 import sys
 import time
@@ -93,26 +94,42 @@ def _read_labels(path) -> np.ndarray:
 _WRITE_BLOCK_CELLS = 1 << 16
 
 
+@contextlib.contextmanager
+def _output(path):
+    """path opened for writing text; a path that cannot be opened or written
+    is a DataError."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_matrix(path, matrix):
     """Headerless CSV with every value written by repr, so it round-trips.
 
     Each block of rows formats each distinct value once: calibrated
     matrices hold few distinct values. Values are told apart by their bits,
-    so -0.0 keeps its own text.
+    so -0.0 keeps its own text. Each token of a block's table carries the
+    separator that follows it, a comma or, in the last column, a newline, so
+    the block is written by one join.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     block = max(1, _WRITE_BLOCK_CELLS // max(1, matrix.shape[1]))
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         for start in range(0, matrix.shape[0], block):
             bits = np.ascontiguousarray(matrix[start : start + block]).view(np.uint64)
             keys, inverse = np.unique(bits, return_inverse=True)
-            text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-            rows = text[inverse.reshape(bits.shape)].tolist()
-            fh.write("".join([",".join(row) + "\n" for row in rows]))
+            at = inverse.reshape(bits.shape)
+            last_keys, last_at = np.unique(at[:, -1], return_inverse=True)
+            at[:, -1] = keys.size + last_at
+            text = list(map(repr, keys.view(np.float64).tolist()))
+            tokens = [t + "," for t in text] + [text[i] + "\n" for i in last_keys.tolist()]
+            fh.write("".join(np.array(tokens, dtype=object)[at].ravel().tolist()))
 
 
 def _write_labels(path, labels):
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         for v in labels:
             fh.write(f"{int(v)}\n")
 
@@ -320,7 +337,7 @@ def cmd_fit(
     for i, cal in enumerate(fitted.calibrators):
         if cal.binner is not None:
             _diag_fit_group(cal.binner, group=i, n=data.n_samples * len(cal.classes))
-    with open(out, "w") as fh:
+    with _output(out) as fh:
         fh.write(fitted.to_json())
     diag(event="fit", method=method, strategy=fitted.strategy, out=out)
 
@@ -391,10 +408,12 @@ def cmd_apply(bundle_json, scores_csv, out, input_kind, raw_sidecar):
 
 def _load_bundle(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"bundle {path} is not UTF-8 text: {exc}") from exc
     return bundle_mod.CalibratorBundle.from_json(text)
 
 
@@ -505,11 +524,11 @@ def cmd_eval(
         click.echo(rep.to_text())
     if out is not None:
         payload = [rep.to_dict() for rep in reports]
-        with open(out, "w") as fh:
+        with _output(out) as fh:
             json.dump(payload[0] if len(payload) == 1 else payload, fh, indent=2)
             fh.write("\n")
     if csv_out is not None:
-        with open(csv_out, "w") as fh:
+        with _output(csv_out) as fh:
             for rep in reports:
                 fh.write(rep.to_csv())
     for rep in reports:
@@ -594,7 +613,7 @@ def cmd_synth(
 
     _write_matrix(f"{out_prefix}-scores.csv", scores)
     _write_labels(f"{out_prefix}-labels.csv", labels)
-    with open(f"{out_prefix}-spec.json", "w") as fh:
+    with _output(f"{out_prefix}-spec.json") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
     diag(event="synth", family=family, n=len(labels), out_prefix=out_prefix)
@@ -654,7 +673,7 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     if out is None:
         click.echo(text, nl=False)
     else:
-        with open(out, "w") as fh:
+        with _output(out) as fh:
             fh.write(text)
     diag(
         event="mi_report",

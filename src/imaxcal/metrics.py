@@ -101,10 +101,12 @@ class RowStats:
     A metric pass reads them at the pass's rows: every row for the full
     pass, the draws of a resample for a bootstrap replicate (see take).
     Sums whose order matters gather per-row arrays at the rows, in draw
-    order. Exact grouping needs only how often each row is drawn. A row's
+    order. Counts need only how often each row is drawn: the accuracies, the
+    class priors and exact grouping read the pass's draw counts. A row's
     ranking does not depend on which rows are drawn, so the matrix is ranked
     at most once, on first use, and each column is sorted into its distinct
-    values at most once; every RowStats made by take shares those results.
+    values at most once (see ExactGroups); every RowStats made by take
+    shares those results.
     """
 
     def __init__(self, calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
@@ -127,9 +129,10 @@ class RowStats:
         return sample
 
     def weights(self):
-        """How often each row of the full matrix is drawn in this pass."""
+        """How often each row of the full matrix is drawn in this pass, as
+        integers."""
         if self._weights is None:
-            self._weights = np.bincount(self.rows, minlength=self.n).astype(np.float64)
+            self._weights = np.bincount(self.rows, minlength=self.n)
         return self._weights
 
     def ranking(self):
@@ -146,20 +149,40 @@ class RowStats:
         return self._shared["ranking"]
 
     def exact_groups(self, key):
-        """Exact grouping of class key's column against the label being key,
-        or of the top-1 confidence against top-1 correctness for key "top1":
-        (distinct values ascending, np.unique inverse, rows whose target is
-        1, their inverse)."""
+        """ExactGroups of class key's column against the label being key, or
+        of the top-1 confidence against top-1 correctness for key "top1"."""
         if key not in self._shared:
             if key == "top1":
                 conf, correct, _ = self.ranking()
-                values, hit = conf, correct > 0.0
+                self._shared[key] = ExactGroups(conf, correct > 0.0)
             else:
-                values, hit = self.calibrated[:, key], self.labels == key
-            distinct, inverse = np.unique(values, return_inverse=True)
-            hit_rows = np.flatnonzero(hit)
-            self._shared[key] = (distinct, inverse, hit_rows, inverse[hit_rows])
+                self._shared[key] = ExactGroups(self.calibrated[:, key], self.labels == key)
         return self._shared[key]
+
+
+class ExactGroups:
+    """One key's rows grouped by exact value, from one sort.
+
+    values holds the distinct values ascending; group g's rows are
+    order[starts[g]:starts[g + 1]]. hit_rows lists the rows whose target is
+    1 in group order, and hit_groups their groups, so the rows of the groups
+    from any index on are suffixes of order and of hit_rows.
+    """
+
+    def __init__(self, values, hit):
+        # a column of the matrix is strided: one copy, and the sort and the
+        # gather below read contiguous memory
+        values = np.ascontiguousarray(values)
+        self.order = np.argsort(values)
+        ordered = values[self.order]
+        new = np.empty(ordered.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        self.starts = np.flatnonzero(new)
+        self.values = ordered[self.starts]
+        hit_at = np.flatnonzero(hit[self.order])
+        self.hit_rows = self.order[hit_at]
+        self.hit_groups = np.searchsorted(self.starts, hit_at, side="right") - 1
 
 
 def _row_stats(calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
@@ -199,8 +222,9 @@ def accuracy_topk(
     and scores its own rows.
     """
     stats = _row_stats(calibrated, labels, tie_break, raw_scores)
-    label_rank = stats.ranking()[2][stats.rows]
-    return float(np.mean(label_rank < min(int(k), stats.k)))
+    label_rank = stats.ranking()[2]
+    hits = np.dot(stats.weights(), label_rank < min(int(k), stats.k))
+    return float(hits / stats.rows.size)
 
 
 def _kmeans_1d(values, n_bins, seed, max_iter=100, tol=1e-10):
@@ -287,25 +311,34 @@ def _exact_gap(stats, key, threshold=None):
     RowStats.exact_groups) strictly above threshold, and how many drawn
     rows that keeps.
 
-    Counts come from the pass's draw counts and are exact integers. Every
-    member of a group has the group's value, so summing a group's
-    confidences in draw order adds that one value once per member: the sum
-    depends only on value and count, and is formed here the same way.
+    The groups above threshold are a suffix of the sorted groups, so the pass
+    reads only their rows: one reduceat of the draw counts gives each group's
+    count and one bincount its hits, both exact integers. Every member of a
+    group has the group's value, so summing a group's confidences in draw
+    order adds that one value once per member: the sum depends only on value
+    and count, and is formed here the same way.
     """
-    values, inverse, hit_rows, hit_inverse = stats.exact_groups(key)
-    first = 0 if threshold is None else np.searchsorted(values, threshold, side="right")
+    groups = stats.exact_groups(key)
+    first = 0 if threshold is None else np.searchsorted(groups.values, threshold, side="right")
+    if first == groups.values.size:
+        return 0.0, 0
     w = stats.weights()
-    counts = np.bincount(inverse, weights=w, minlength=values.size)[first:]
-    hits = np.bincount(hit_inverse, weights=w[hit_rows], minlength=values.size)[first:]
-    keep = counts > 0
-    counts, hits, values = counts[keep], hits[keep], values[first:][keep]
+    start = groups.starts[first]
+    counts = np.add.reduceat(w[groups.order[start:]], groups.starts[first:] - start)
+    hit_start = np.searchsorted(groups.hit_groups, first)
+    hits = np.bincount(
+        groups.hit_groups[hit_start:] - first,
+        weights=w[groups.hit_rows[hit_start:]],
+        minlength=counts.size,
+    )
+    kept = np.flatnonzero(counts)
+    counts, hits = counts[kept], hits[kept]
     n_kept = counts.sum()
     if n_kept == 0:
         return 0.0, 0
-    members = counts.astype(np.int64)
-    conf_sums = np.bincount(
-        np.repeat(np.arange(members.size), members), weights=np.repeat(values, members)
-    )
+    values = groups.values[first + kept]
+    members = np.repeat(np.arange(kept.size), counts)
+    conf_sums = np.bincount(members, weights=np.repeat(values, counts))
     gap = np.sum(counts / n_kept * np.abs(hits / counts - conf_sums / counts))
     return float(gap), int(n_kept)
 
@@ -364,8 +397,8 @@ def cw_ece(calibrated, labels, cfg: EvalConfig | None = None, threshold=None) ->
         threshold = cfg.cw_thresholds[0]
     rows = stats.rows
     k = stats.k
-    labels = stats.labels[rows]
-    priors = np.bincount(labels, minlength=k) / rows.size
+    priors = np.bincount(stats.labels, weights=stats.weights(), minlength=k) / rows.size
+    labels = None if cfg.eval_scheme == SCHEME_EXACT else stats.labels[rows]
 
     per_class = np.zeros(k)
     kept_counts = np.zeros(k, dtype=np.int64)

@@ -524,6 +524,18 @@ def test_a_malformed_bundle_is_a_data_error(workdir, tmp_path, capsys, mutate):
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_a_bundle_that_is_not_utf8_is_a_data_error(workdir, tmp_path, capsys):
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe" + _fit_bundle(workdir).read_bytes())
+    capsys.readouterr()
+    assert main(
+        ["apply", str(raw), str(workdir / "mc-scores.csv"), "-o", str(tmp_path / "c.csv")]
+    ) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error=data" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
 # --- eval ------------------------------------------------------------------
 
 def test_eval_defaults_without_a_bundle(workdir, tmp_path, capsys):
@@ -931,18 +943,63 @@ def test_matrix_writer_matches_the_row_loop(tmp_path, monkeypatch):
     from imaxcal import cli
 
     special = np.array([-0.0, 0.0, 5e-324, 1e-300, 0.1 + 0.2, 0.3, 1.0, -1.5e16, 2.0**-1074])
-    tricky = special[np.random.default_rng(0).integers(0, special.size, size=(25, 3))]
+    rng = np.random.default_rng(0)
+    tricky = special[rng.integers(0, special.size, size=(25, 3))]
     tricky[0] = [-0.0, 0.0, 5e-324]
     distinct = np.random.default_rng(1).normal(size=(30_000, 3)) * 10.0 ** np.arange(-3, 3, 2)
-    for name, matrix, cells in (("tricky", tricky, 7), ("distinct", distinct, None)):
+    # one column, where every separator is a newline
+    one_column = np.concatenate([special, rng.normal(size=20)])[:, None]
+    # a last column that takes its values from the other columns
+    tied_last = special[rng.integers(0, special.size, size=(25, 4))]
+    tied_last[:, -1] = tied_last[np.arange(25), rng.integers(0, 3, size=25)]
+    for name, matrix, cells in (
+        ("tricky", tricky, 7),  # blocks of 2 rows
+        ("distinct", distinct, None),
+        ("one-column", one_column, 7),
+        ("tied-last", tied_last, 9),
+    ):
         if cells is not None:
-            monkeypatch.setattr(cli, "_WRITE_BLOCK_CELLS", cells)  # blocks of 2 rows
+            monkeypatch.setattr(cli, "_WRITE_BLOCK_CELLS", cells)
         cli._write_matrix(tmp_path / f"{name}.csv", matrix)
         _write_matrix_by_rows(tmp_path / f"{name}-rows.csv", matrix)
         written = (tmp_path / f"{name}.csv").read_bytes()
         assert written == (tmp_path / f"{name}-rows.csv").read_bytes()
         monkeypatch.undo()
     assert (tmp_path / "tricky.csv").read_text().startswith("-0.0,0.0,5e-324\n")
+
+
+def _unwritable_output_commands(workdir, bundle, ok, bad):
+    mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
+    binary = [str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv")]
+    return {
+        "fit": ["fit", *mc, "-o", str(bad / "b.json"), "--bins", "6"],
+        "fit-holdout": ["fit", *mc, "-o", str(bad / "b.json"), "--holdout-frac", "0.2"],
+        "apply": ["apply", str(bundle), mc[0], "-o", str(bad / "c.csv")],
+        "apply-raw-sidecar": [
+            "apply", str(bundle), mc[0], "-o", str(ok / "c.csv"), "--raw-sidecar", str(bad / "r.csv"),
+        ],
+        "eval-json": ["eval", *mc, "--bundle", str(bundle), "-o", str(bad / "r.json")],
+        "eval-csv": ["eval", *mc, "--bundle", str(bundle), "--csv", str(bad / "r.csv")],
+        "mi-report": ["mi-report", *binary, "--bins", "2", "-o", str(bad / "mi.csv")],
+        "synth": ["synth", "--n", "50", "--out-prefix", str(bad / "s")],
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["fit", "fit-holdout", "apply", "apply-raw-sidecar", "eval-json", "eval-csv", "mi-report", "synth"],
+)
+def test_an_output_that_cannot_be_written_is_a_data_error(workdir, tmp_path, capsys, command):
+    bad = tmp_path / "missing"
+    argv = _unwritable_output_commands(workdir, _fit_bundle(workdir), tmp_path, bad)[command]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error=")]
+    assert len(errors) == 1 and errors[0].startswith("error=data")
+    assert f"cannot write {bad}" in errors[0]
+
 
 def test_stderr_stays_machine_readable(workdir, tmp_path, capsys):
     capsys.readouterr()  # drop anything buffered so far

@@ -484,28 +484,32 @@ def _oracle_report(calibrated, labels, cfg, raw=None):
     return point, cw, std
 
 
-def _oracle_inputs(tied):
+def _oracle_inputs(inputs):
     rng = np.random.default_rng(21)
-    n, k = 600, 6
+    n, k = (3000, 3) if inputs == "levels" else (600, 6)
     raw = rng.normal(size=(n, k))
     labels = rng.integers(0, k, size=n)
-    if tied:
+    if inputs == "tied":
         # few distinct levels, as a binning calibrator outputs, with ties
         # inside rows, exact zeros and a negative zero
         levels = np.array([-0.0, 0.0, 0.05, 0.1, 0.1 + 0.2, 0.5, 0.9, 1.0])
         cal = levels[rng.integers(0, levels.size, size=(n, k))]
         cal[:, 1] = cal[:, 2]
+    elif inputs == "levels":
+        # groups of about a thousand rows over three levels, one of them the
+        # custom threshold 0.3, which keeps only the groups above it
+        cal = np.array([0.1, 0.3, 0.6])[rng.integers(0, 3, size=(n, k))]
     else:
         cal = rng.dirichlet(np.ones(k), size=n)
     return cal, labels, raw
 
 
-@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+@pytest.mark.parametrize("inputs", ["distinct", "tied", "levels"])
 @pytest.mark.parametrize("scheme", [SCHEME_EQ_SIZE, SCHEME_EQ_MASS, SCHEME_KMEANS, SCHEME_EXACT])
 @pytest.mark.parametrize("tie_break", [TIE_CLASS_INDEX, TIE_RAW_LOGIT])
 @pytest.mark.parametrize("bootstrap", [1, 2, 7])
-def test_report_equals_the_per_resample_oracle(tied, scheme, tie_break, bootstrap):
-    cal, labels, raw = _oracle_inputs(tied)
+def test_report_equals_the_per_resample_oracle(inputs, scheme, tie_break, bootstrap):
+    cal, labels, raw = _oracle_inputs(inputs)
     cfg = EvalConfig(
         eval_scheme=scheme,
         n_eval_bins=7,
@@ -536,7 +540,7 @@ def test_report_equals_the_per_resample_oracle(tied, scheme, tie_break, bootstra
 def test_one_ranking_serves_every_report(monkeypatch):
     import imaxcal.metrics as metrics_mod
 
-    cal, labels, raw = _oracle_inputs(tied=True)
+    cal, labels, raw = _oracle_inputs("tied")
     ranked_rows = []
     real = metrics_mod.ranked_classes
 
