@@ -311,19 +311,7 @@ def cmd_fit(
 
     if holdout_frac > 0.0:
         fit_idx, hold_idx = _class_balanced_split(labels, holdout_frac, seed)
-        stem = out[:-5] if out.endswith(".json") else out
-        _write_matrix(f"{stem}.holdout-scores.csv", scores[hold_idx])
-        _write_labels(f"{stem}.holdout-labels.csv", labels[hold_idx])
-        diag(
-            event="holdout_split",
-            fit_n=len(fit_idx),
-            holdout_n=len(hold_idx),
-            holdout_scores=f"{stem}.holdout-scores.csv",
-            holdout_labels=f"{stem}.holdout-labels.csv",
-        )
-        data = PredictionMatrix(
-            scores[fit_idx], labels[fit_idx], _KIND_BY_FLAG[input_kind]
-        )
+        data = PredictionMatrix(scores[fit_idx], labels[fit_idx], _KIND_BY_FLAG[input_kind])
 
     fitted = bundle_mod.fit_bundle(
         data,
@@ -334,6 +322,13 @@ def cmd_fit(
         rep_strategy=rep,
         scaler_kind=scaler_kind,
     )
+    if holdout_frac > 0.0:  # written only once the fit has succeeded
+        stem = out[:-5] if out.endswith(".json") else out
+        held_scores, held_labels = f"{stem}.holdout-scores.csv", f"{stem}.holdout-labels.csv"
+        _write_matrix(held_scores, scores[hold_idx])
+        _write_labels(held_labels, labels[hold_idx])
+        diag(event="holdout_split", fit_n=len(fit_idx), holdout_n=len(hold_idx),
+             holdout_scores=held_scores, holdout_labels=held_labels)
     for i, cal in enumerate(fitted.calibrators):
         if cal.binner is not None:
             _diag_fit_group(cal.binner, group=i, n=data.n_samples * len(cal.classes))

@@ -139,13 +139,9 @@ class RowStats:
         """(top-1 confidence, top-1 correct as 0/1, rank of the true label)
         for every row of the full matrix."""
         if "ranking" not in self._shared:
-            order = ranked_classes(self.calibrated, self.tie_break, self.raw_scores)
-            top = order[:, 0]
-            self._shared["ranking"] = (
-                self.calibrated[np.arange(self.n), top],
-                (top == self.labels).astype(np.float64),
-                np.argmax(order == self.labels[:, None], axis=1),
-            )
+            rank = ranked_classes(self.calibrated, self.labels, self.tie_break, self.raw_scores)
+            top = self.calibrated.max(axis=1)
+            self._shared["ranking"] = (top, (rank == 0).astype(np.float64), rank)
         return self._shared["ranking"]
 
     def exact_groups(self, key):
@@ -166,14 +162,15 @@ class ExactGroups:
     values holds the distinct values ascending; group g's rows are
     order[starts[g]:starts[g + 1]]. hit_rows lists the rows whose target is
     1 in group order, and hit_groups their groups, so the rows of the groups
-    from any index on are suffixes of order and of hit_rows.
+    from any index on are suffixes of order and of hit_rows, both in the
+    smallest signed type that holds N; hit_groups stays intp for np.bincount.
     """
 
     def __init__(self, values, hit):
         # a column of the matrix is strided: one copy, and the sort and the
         # gather below read contiguous memory
         values = np.ascontiguousarray(values)
-        self.order = np.argsort(values)
+        self.order = np.argsort(values).astype(np.min_scalar_type(-values.size))
         ordered = values[self.order]
         new = np.empty(ordered.size, dtype=bool)
         new[:1] = True
@@ -191,26 +188,33 @@ def _row_stats(calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
     return RowStats(calibrated, labels, tie_break, raw_scores)
 
 
-def ranked_classes(calibrated, tie_break=TIE_CLASS_INDEX, raw_scores=None):
-    """Per-row class ranking by calibrated probability, descending.
-
-    Ties are resolved by ascending class index or by descending raw score;
-    the raw-score rule needs the original score matrix.
+def ranked_classes(calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
+    """Each row's rank of its label by calibrated probability, descending:
+    the count of classes above the label's probability, or level with it and
+    winning the tie by a lower class index or, under raw_logit, by a higher
+    raw score and then a lower index. The raw-score rule needs the original
+    score matrix. O(N·K) comparisons; no row is sorted.
     """
     calibrated = np.asarray(calibrated, dtype=np.float64)
     n, k = calibrated.shape
-    if tie_break == TIE_CLASS_INDEX:
-        secondary = np.broadcast_to(np.arange(k), (n, k))
-    elif tie_break == TIE_RAW_LOGIT:
+    label = check_labels(labels, n, k)[:, None]
+    # the classes that win a tie in calibrated probability against the label
+    wins = np.arange(k) < label
+    if tie_break == TIE_RAW_LOGIT:
         if raw_scores is None:
             raise DataError("tie_break=raw_logit needs the raw score matrix")
         raw_scores = _check_scores(raw_scores, RAW_LOGITS)
         if raw_scores.shape != calibrated.shape:
             raise DataError("raw score shape does not match calibrated scores")
-        secondary = -raw_scores
-    else:
+        raw_own = np.take_along_axis(raw_scores, label, axis=1)
+        wins &= raw_scores == raw_own
+        wins |= raw_scores > raw_own
+    elif tie_break != TIE_CLASS_INDEX:
         raise DataError(f"unknown tie break {tie_break!r}")
-    return np.lexsort((secondary, -calibrated), axis=-1)
+    own = np.take_along_axis(calibrated, label, axis=1)
+    wins &= calibrated == own
+    wins |= calibrated > own
+    return np.count_nonzero(wins, axis=1)
 
 
 def accuracy_topk(

@@ -370,6 +370,20 @@ def test_a_holdout_with_no_samples_is_a_data_error_before_any_file_is_written(tm
     assert not (tmp_path / "small.holdout-labels.csv").exists()
 
 
+def test_a_fit_that_fails_after_the_holdout_split_writes_no_file(tmp_path, capsys):
+    # two fit rows over two classes merge into four samples, too few for the
+    # default bins: the fit fails (exit 4) after the holdout is split off
+    np.savetxt(tmp_path / "s.csv", [[0.5, -0.5], [-1.0, 1.0], [2.0, 0.0]], delimiter=",")
+    np.savetxt(tmp_path / "l.csv", [0, 1, 0], fmt="%d")
+    out = tmp_path / "few.json"
+    assert main(
+        ["fit", str(tmp_path / "s.csv"), str(tmp_path / "l.csv"), "-o", str(out),
+         "--holdout-frac", "0.5"]
+    ) == 4
+    assert "need at least" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "s.csv"]
+
+
 # --- apply -----------------------------------------------------------------
 
 def test_apply_quantizes_each_column(workdir, tmp_path):

@@ -1,6 +1,7 @@
 """ECE variants, ranking metrics, mutual information, and the report object."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -59,19 +60,97 @@ def test_eval_config_validation():
 
 # --- ranking and accuracy -------------------------------------------------
 
+def _lexsort_order(calibrated, tie_break=TIE_CLASS_INDEX, raw_scores=None):
+    """Every row's classes in rank order, by one full sort: the oracle for
+    ranked_classes. A stable lexsort on descending probability, then on
+    descending raw score when tie_break is raw_logit, leaves the remaining
+    ties in ascending class index."""
+    calibrated = np.asarray(calibrated, dtype=np.float64)
+    keys = (-calibrated,)
+    if tie_break == TIE_RAW_LOGIT:
+        keys = (-np.asarray(raw_scores, dtype=np.float64), *keys)
+    return np.lexsort(keys, axis=-1)
+
+
 def test_ranked_classes_tie_goes_to_the_lower_index():
-    cal = np.array([[0.4, 0.4, 0.2]])
-    top = ranked_classes(cal)[:, 0]
-    assert top[0] == 0
+    cal = np.array([[0.4, 0.4, 0.2]] * 3)
+    assert ranked_classes(cal, [0, 1, 2]).tolist() == [0, 1, 2]
+    stats = RowStats(cal, [0, 1, 2])
+    assert stats.ranking()[1].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_raw_logit_tie_break_consults_the_raw_scores():
-    cal = np.array([[0.4, 0.4, 0.2]])
-    raw = np.array([[1.0, 3.0, 0.0]])
-    top = ranked_classes(cal, tie_break=TIE_RAW_LOGIT, raw_scores=raw)[:, 0]
-    assert top[0] == 1
+    cal = np.array([[0.4, 0.4, 0.2]] * 3)
+    raw = np.array([[1.0, 3.0, 0.0]] * 3)
+    rank = ranked_classes(cal, [0, 1, 2], tie_break=TIE_RAW_LOGIT, raw_scores=raw)
+    assert rank.tolist() == [1, 0, 2]
+    stats = RowStats(cal, [0, 1, 2], TIE_RAW_LOGIT, raw)
+    assert stats.ranking()[1].tolist() == [0.0, 1.0, 0.0]
     with pytest.raises(DataError):
-        ranked_classes(cal, tie_break=TIE_RAW_LOGIT)
+        ranked_classes(cal, [0, 1, 2], tie_break=TIE_RAW_LOGIT)
+
+
+def _ranking_inputs(k, seed):
+    """Few distinct probabilities, so most classes tie with the label, and
+    integer raw scores, so many of those also tie in raw score. Row 0 is all
+    zeros of both signs, in the probabilities and in the raw scores."""
+    rng = np.random.default_rng(seed)
+    n = 300
+    levels = np.array([0.0, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0])
+    cal = levels[rng.integers(0, levels.size, size=(n, k))]
+    raw = rng.integers(-2, 3, size=(n, k)).astype(np.float64)
+    cal[0] = 0.0
+    cal[0, ::2] = -0.0
+    raw[0] = 0.0
+    raw[0, ::3] = -0.0
+    labels = rng.integers(0, k, size=n)
+    labels[0] = k - 1
+    return cal, labels, raw
+
+
+@pytest.mark.parametrize("k", [2, 10, 100, 1000])
+@pytest.mark.parametrize("tie_break", [TIE_CLASS_INDEX, TIE_RAW_LOGIT])
+def test_ranked_classes_equals_the_label_position_in_a_full_sort(k, tie_break):
+    cal, labels, raw = _ranking_inputs(k, seed=k)
+    order = _lexsort_order(cal, tie_break, raw)
+    rank = ranked_classes(cal, labels, tie_break, raw)
+    assert rank.tolist() == np.argmax(order == labels[:, None], axis=1).tolist()
+
+    conf, correct, stats_rank = RowStats(cal, labels, tie_break, raw).ranking()
+    top_conf = cal[np.arange(len(labels)), order[:, 0]]
+    assert stats_rank.tolist() == rank.tolist()
+    assert correct.tolist() == (order[:, 0] == labels).astype(np.float64).tolist()
+    # equal as numbers; the bits differ at most in the sign of a zero
+    assert conf.tolist() == top_conf.tolist()
+    assert np.all((conf.view(np.uint64) == top_conf.view(np.uint64)) | (conf == 0.0))
+
+    cfg = EvalConfig(
+        eval_scheme=SCHEME_EXACT, top_k=(1, 5), tie_break=tie_break, bootstrap=2, seed=1
+    )
+    report = build_report(cal, labels, cfg, raw_scores=raw)
+    point, cw, std = _oracle_report(cal, labels, cfg, raw)
+    assert report.accuracy == {k_: point[f"acc_top{k_}"] for k_ in cfg.top_k}
+    assert report.top1 == point["top1_ece"]
+    per_class = cw[THRESHOLD_CLASS_PRIOR][1]
+    assert report.cw[THRESHOLD_CLASS_PRIOR].per_class.tolist() == per_class.tolist()
+    assert report.bootstrap_std == std
+
+
+@pytest.mark.parametrize("n,k", [(20_000, 100), (5_000, 1000)])
+@pytest.mark.parametrize("tie_break", [TIE_CLASS_INDEX, TIE_RAW_LOGIT])
+def test_ranking_holds_no_matrix_of_class_indices(n, k, tie_break):
+    rng = np.random.default_rng(5)
+    cal = rng.random(7)[rng.integers(0, 7, size=(n, k))]
+    raw = rng.normal(size=(n, k))
+    stats = RowStats(cal, rng.integers(0, k, size=n), tie_break, raw)
+    tracemalloc.start()
+    try:
+        stats.ranking()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a full int64 order of every row alone would take 8 bytes per entry
+    assert peak <= 6 * n * k
 
 
 def test_accuracy_topk_basics():
@@ -399,7 +478,7 @@ def _oracle_check(calibrated, labels):
 
 def _oracle_accuracy(calibrated, labels, k, tie_break, raw_scores):
     calibrated, labels = _oracle_check(calibrated, labels)
-    order = ranked_classes(calibrated, tie_break, raw_scores)
+    order = _lexsort_order(calibrated, tie_break, raw_scores)
     kk = min(int(k), calibrated.shape[1])
     return float(np.mean(np.any(order[:, :kk] == labels[:, None], axis=1)))
 
@@ -426,7 +505,7 @@ def _oracle_grouped_gap(conf, correct, cfg):
 
 def _oracle_top1(calibrated, labels, cfg, raw_scores):
     calibrated, labels = _oracle_check(calibrated, labels)
-    top = ranked_classes(calibrated, cfg.tie_break, raw_scores)[:, 0]
+    top = _lexsort_order(calibrated, cfg.tie_break, raw_scores)[:, 0]
     conf = calibrated[np.arange(calibrated.shape[0]), top]
     return _oracle_grouped_gap(conf, (top == labels).astype(np.float64), cfg)
 

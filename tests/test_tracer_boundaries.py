@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imaxcal import kernels
+from imaxcal import kernels, metrics
 from imaxcal.binning import MAX_ITERATIONS, ImaxConfig, fit_imax
 from imaxcal.synth import BinaryMixtureSpec, gen_binary_mixture
 
@@ -68,3 +68,25 @@ def test_the_tracer_reads_the_kernel_by_position(tracer, monkeypatch):
         "iterations": 1,
         "empty_bin_events": 2,
     }
+
+
+def test_the_tracer_counts_the_ranked_rows(tracer, monkeypatch):
+    names = list(inspect.signature(metrics.ranked_classes).parameters)
+    assert names[0] == "calibrated"
+
+    calls = []
+    original = metrics.ranked_classes
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "ranked_classes", spy)
+    rng = np.random.default_rng(4)
+    cal = rng.dirichlet(np.ones(5), size=37)
+    stats = metrics.RowStats(cal, rng.integers(0, 5, size=37))
+    stats.ranking()
+    ((args, kwargs),) = calls
+    assert kwargs == {}, "the ranking must pass ranked_classes its arguments by position"
+    assert args[0] is stats.calibrated
+    assert tracer._counts_before("metrics.ranked_classes", args) == {"rows": 37}
