@@ -17,7 +17,7 @@ every update.
 import bisect
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -647,15 +647,7 @@ def set_representatives(
     if clamp:
         reps = np.clip(reps, PROB_EPS, 1.0 - PROB_EPS)
 
-    return Binner(
-        edges=binner.edges,
-        phis=binner.phis,
-        reps=reps,
-        method=binner.method,
-        iterations=binner.iterations,
-        seed=binner.seed,
-        diagnostics=binner.diagnostics,
-    )
+    return replace(binner, reps=reps)
 
 
 def fit_edges(cal_set: BinaryCalibrationSet, method: str, cfg: ImaxConfig) -> Binner:

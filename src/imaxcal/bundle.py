@@ -194,11 +194,16 @@ def _classes(values) -> tuple:
 
 
 def check_strategy(
-    strategy: str, groups_spec=None, method: str | None = None, scaler_kind: str | None = None
+    strategy: str,
+    groups_spec=None,
+    method: str | None = None,
+    scaler_kind: str | None = None,
+    input_kind: str | None = None,
 ):
-    """A DataError unless strategy, groups_spec, method and scaler_kind
-    combine: temperature fits one scaler on all classes jointly, so it takes
-    no groups and no cw; cw fits one calibrator per class, so it takes no
+    """A DataError unless strategy, groups_spec, method, scaler_kind and
+    input_kind combine: temperature fits one scaler on all classes jointly,
+    so it takes no groups and no cw, and it scales raw logits, so it takes
+    no probabilities; cw fits one calibrator per class, so it takes no
     groups and no platt; a scaler kind goes with imax_with_scaler, which
     needs one. fit_bundle and the CLI's flag checks both apply it."""
     if method == METHOD_IMAX_WITH_SCALER:
@@ -206,6 +211,9 @@ def check_strategy(
             raise DataError("imax_with_scaler needs a temperature or platt scaler")
     elif scaler_kind is not None:
         raise DataError(f"a scaler applies to imax_with_scaler only, not to {method}")
+    temperature = method == METHOD_TEMPERATURE or scaler_kind == KIND_TEMPERATURE
+    if temperature and input_kind == PROBABILITIES:
+        raise DataError("temperature scaling needs raw logits, not probabilities")
     if method == METHOD_TEMPERATURE and groups_spec is not None:
         raise DataError("temperature scaling fits one scaler on all classes; no groups")
     if strategy != STRATEGY_CW:
@@ -247,24 +255,16 @@ def fit_bundle(
     """Fit a complete bundle on a calibration split."""
     if method not in FIT_METHODS:
         raise DataError(f"unknown method {method!r}")
-    check_strategy(strategy, groups_spec, method, scaler_kind)
+    check_strategy(strategy, groups_spec, method, scaler_kind, data.kind)
     cfg = config if config is not None else ImaxConfig()
+    grouping = resolve_grouping(data, strategy, groups_spec)
     provenance = {"seed": cfg.seed, "method": method}
     scaler = None
 
     if method == METHOD_TEMPERATURE:
-        grouping = group_all(data.n_classes)
         calibrators = [GroupCalibrator(classes=grouping.groups[0], scaler=fit_temperature(data))]
-    elif method == METHOD_PLATT:
-        lam = data.ovr_logits()
-        grouping = resolve_grouping(data, strategy, groups_spec)
-        calibrators = [
-            GroupCalibrator(classes=g, scaler=fit_platt(ovr_set(lam, data.labels, g)))
-            for g in grouping.groups
-        ]
     else:
         lam = data.ovr_logits()
-        grouping = resolve_grouping(data, strategy, groups_spec)
         binning_method = method
         if method == METHOD_IMAX_WITH_SCALER:
             if scaler_kind == KIND_TEMPERATURE:
@@ -279,11 +279,14 @@ def fit_bundle(
         del lam
         calibrators = []
         for g in grouping.groups:
-            cal_set = sets.pop()
-            binner = fit_binner(cal_set, binning_method, cfg, rep_strategy, scaler)
-            del cal_set
-            calibrators.append(GroupCalibrator(classes=g, binner=binner))
-        provenance.update(n_bins=cfg.n_bins, rep_strategy=rep_strategy)
+            if method == METHOD_PLATT:
+                cal = GroupCalibrator(classes=g, scaler=fit_platt(sets.pop()))
+            else:
+                binner = fit_binner(sets.pop(), binning_method, cfg, rep_strategy, scaler)
+                cal = GroupCalibrator(classes=g, binner=binner)
+            calibrators.append(cal)
+        if method != METHOD_PLATT:
+            provenance.update(n_bins=cfg.n_bins, rep_strategy=rep_strategy)
 
     provenance["n_fit_samples"] = data.n_samples
     if scaler is not None:
@@ -300,21 +303,20 @@ def fit_bundle(
 
 def apply_bundle(bundle: CalibratorBundle, scores, kind: str) -> np.ndarray:
     """Per-class calibrated probabilities, rows not renormalized: the scores'
-    log-odds, each column overwritten with its calibrator's values. A binning
-    calibrator looks up all of its columns at once, in blocks of rows of
-    about _OVR_BLOCK_ENTRIES values."""
+    log-odds, each column overwritten with its calibrator's values. Each
+    calibrator maps all of its columns at once, in blocks of rows of about
+    _OVR_BLOCK_ENTRIES values."""
     shape = np.shape(scores)
     if len(shape) == 2 and shape[1] != bundle.n_classes:
         raise DataError(f"bundle was fitted for {bundle.n_classes} classes, scores have {shape[1]}")
     lam = ovr_logits(scores, kind)
     for cal in bundle.calibrators:
         columns = list(cal.classes)
-        if cal.binner is None:
-            for c in columns:
-                lam[:, c] = prob_of_logit(apply_scaler(cal.scaler, lam[:, c]))
-            continue
         rows = max(1, _OVR_BLOCK_ENTRIES // len(columns))
         for start in range(0, len(lam), rows):
             block = (slice(start, start + rows), columns)
-            lam[block] = apply_binner(cal.binner, lam[block])
+            if cal.binner is None:
+                lam[block] = prob_of_logit(apply_scaler(cal.scaler, lam[block]))
+            else:
+                lam[block] = apply_binner(cal.binner, lam[block])
     return lam

@@ -301,6 +301,7 @@ def cmd_fit(
         groups_spec=groups_spec,
         method=method,
         scaler_kind=scaler_kind,
+        input_kind=_KIND_BY_FLAG[input_kind],
     )
     _flag_config(check_group_spec, groups_spec=groups_spec)
     cfg = _flag_config(ImaxConfig, n_bins=bins, seed=seed)
@@ -464,6 +465,8 @@ def cmd_eval(
         raise click.UsageError(
             "--raw-scores applies only without --bundle; with it, scores_csv is the raw scores"
         )
+    if raw_scores is not None and tie != TIE_RAW_LOGIT:
+        raise click.UsageError("--raw-scores applies only with --tie-break raw-logit")
     if tie == TIE_RAW_LOGIT and bundle_json is None and raw_scores is None:
         raise DataError("raw-logit tie break needs --bundle or --raw-scores")
     bins_list = _parse_multi(eval_bins, int, "--eval-bins") or [100]

@@ -85,9 +85,10 @@ def _check_calibrated(calibrated, labels):
     calibrated = np.ascontiguousarray(calibrated, dtype=np.float64)
     if calibrated.ndim != 2:
         raise DataError("calibrated scores must be 2-D")
-    if calibrated.shape[0] == 0:
+    if calibrated.size == 0:
         raise DataError("empty evaluation set")
-    if not np.all((calibrated >= 0.0) & (calibrated <= 1.0)):
+    # a NaN makes min() NaN, so it fails the comparison as a value out of range does
+    if not (calibrated.min() >= 0.0 and calibrated.max() <= 1.0):
         raise DataError(
             "calibrated scores must be finite and lie in [0, 1];"
             " raw scores need a bundle applied first"
@@ -160,10 +161,10 @@ class ExactGroups:
     """One key's rows grouped by exact value, from one sort.
 
     values holds the distinct values ascending; group g's rows are
-    order[starts[g]:starts[g + 1]]. hit_rows lists the rows whose target is
-    1 in group order, and hit_groups their groups, so the rows of the groups
-    from any index on are suffixes of order and of hit_rows, both in the
-    smallest signed type that holds N; hit_groups stays intp for np.bincount.
+    order[starts[g]:starts[g + 1]], in the smallest signed type that holds N,
+    and hit[i] says whether row order[i]'s target is 1. The rows of the
+    groups from any index on are a suffix of order, and their targets the
+    same suffix of hit.
     """
 
     def __init__(self, values, hit):
@@ -177,9 +178,7 @@ class ExactGroups:
         np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
         self.starts = np.flatnonzero(new)
         self.values = ordered[self.starts]
-        hit_at = np.flatnonzero(hit[self.order])
-        self.hit_rows = self.order[hit_at]
-        self.hit_groups = np.searchsorted(self.starts, hit_at, side="right") - 1
+        self.hit = hit[self.order]
 
 
 def _row_stats(calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
@@ -297,17 +296,25 @@ def eval_bin_edges(values, scheme, n_bins, seed=0, targets=None):
     raise DataError(f"unknown eval scheme {scheme!r}")
 
 
+def _gap(counts, hits, conf_sums):
+    """Kept-count-weighted mean |group accuracy - group confidence| over the
+    groups with a nonzero count, and that kept count; (0.0, 0) when every
+    group is empty."""
+    keep = counts > 0
+    counts = counts[keep]
+    n_kept = counts.sum()
+    if n_kept == 0:
+        return 0.0, 0
+    gap = np.sum(counts / n_kept * np.abs(hits[keep] / counts - conf_sums[keep] / counts))
+    return float(gap), int(n_kept)
+
+
 def _binned_gap(conf, correct, cfg):
-    """Weighted mean |bin accuracy - bin confidence| between cfg's edges."""
+    """Gap of conf against 0/1 correct between cfg's edges, and conf's size."""
     edges = eval_bin_edges(
         conf, cfg.eval_scheme, cfg.n_eval_bins, seed=cfg.seed, targets=correct
     )
-    counts, hits, conf_sums = bin_sums(edges, conf, correct, conf)
-    keep = counts > 0
-    counts = counts[keep]
-    acc = hits[keep] / counts
-    avg_conf = conf_sums[keep] / counts
-    return float(np.sum(counts / conf.shape[0] * np.abs(acc - avg_conf)))
+    return _gap(*bin_sums(edges, conf, correct, conf))
 
 
 def _exact_gap(stats, key, threshold=None):
@@ -316,35 +323,27 @@ def _exact_gap(stats, key, threshold=None):
     rows that keeps.
 
     The groups above threshold are a suffix of the sorted groups, so the pass
-    reads only their rows: one reduceat of the draw counts gives each group's
-    count and one bincount its hits, both exact integers. Every member of a
-    group has the group's value, so summing a group's confidences in draw
-    order adds that one value once per member: the sum depends only on value
-    and count, and is formed here the same way.
+    reads only their rows: two reduceats of their draw counts, the second
+    masked by hit, give each group's count and hits, both exact integers.
+    Every member of a group has the group's value, so summing a group's
+    confidences in draw order adds that one value once per member: the sum
+    depends only on value and count, and is formed here the same way.
     """
     groups = stats.exact_groups(key)
     first = 0 if threshold is None else np.searchsorted(groups.values, threshold, side="right")
     if first == groups.values.size:
         return 0.0, 0
-    w = stats.weights()
     start = groups.starts[first]
-    counts = np.add.reduceat(w[groups.order[start:]], groups.starts[first:] - start)
-    hit_start = np.searchsorted(groups.hit_groups, first)
-    hits = np.bincount(
-        groups.hit_groups[hit_start:] - first,
-        weights=w[groups.hit_rows[hit_start:]],
-        minlength=counts.size,
+    offsets = groups.starts[first:] - start
+    drawn = stats.weights()[groups.order[start:]]
+    counts = np.add.reduceat(drawn, offsets)
+    drawn *= groups.hit[start:]
+    hits = np.add.reduceat(drawn, offsets)
+    members = np.repeat(np.arange(counts.size), counts)
+    conf_sums = np.bincount(
+        members, weights=np.repeat(groups.values[first:], counts), minlength=counts.size
     )
-    kept = np.flatnonzero(counts)
-    counts, hits = counts[kept], hits[kept]
-    n_kept = counts.sum()
-    if n_kept == 0:
-        return 0.0, 0
-    values = groups.values[first + kept]
-    members = np.repeat(np.arange(kept.size), counts)
-    conf_sums = np.bincount(members, weights=np.repeat(values, counts))
-    gap = np.sum(counts / n_kept * np.abs(hits / counts - conf_sums / counts))
-    return float(gap), int(n_kept)
+    return _gap(counts, hits, conf_sums)
 
 
 def top1_ece(calibrated, labels, cfg: EvalConfig | None = None, raw_scores=None) -> float:
@@ -357,7 +356,7 @@ def top1_ece(calibrated, labels, cfg: EvalConfig | None = None, raw_scores=None)
     if cfg.eval_scheme == SCHEME_EXACT:
         return _exact_gap(stats, "top1")[0]
     conf, correct, _ = stats.ranking()
-    return _binned_gap(conf[stats.rows], correct[stats.rows], cfg)
+    return _binned_gap(conf[stats.rows], correct[stats.rows], cfg)[0]
 
 
 def resolve_threshold(thr, class_k, n_classes, priors):
@@ -413,10 +412,8 @@ def cw_ece(calibrated, labels, cfg: EvalConfig | None = None, threshold=None) ->
             continue
         conf = stats.calibrated[:, c][rows]
         kept = conf > thr
-        kept_counts[c] = np.count_nonzero(kept)
-        if kept_counts[c]:
-            hit = (labels[kept] == c).astype(np.float64)
-            per_class[c] = _binned_gap(conf[kept], hit, cfg)
+        if np.any(kept):
+            per_class[c], kept_counts[c] = _binned_gap(conf[kept], labels[kept] == c, cfg)
     return CwEceResult(
         mean=float(per_class.mean()),
         per_class=per_class,

@@ -236,7 +236,7 @@ def test_fit_scaler_shorthand(workdir, tmp_path):
     ) == 2
 
 
-def test_fit_usage_errors(workdir, tmp_path):
+def test_fit_usage_errors(workdir, tmp_path, capsys):
     out = str(tmp_path / "x.json")
     base = ["fit", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"), "-o", out]
     assert main(base + ["--method", "isotonic"]) == 2
@@ -274,8 +274,17 @@ def test_fit_usage_errors(workdir, tmp_path):
         ["--groups=-1"],
         ["--groups", "0-3,2-5"],
         ["--groups", "0,0"],
+        ["--method", "temperature", "--input-kind", "probs"],
+        ["--scaler", "temperature", "--input-kind", "probs"],
     ):
         assert main(missing + extra) == 2, extra
+    for extra, message in (
+        (["--groups", "a"], "bad group index"),
+        (["--groups", ","], "empty group spec"),
+    ):
+        capsys.readouterr()
+        assert main(missing + extra) == 2, extra
+        assert message in capsys.readouterr().err, extra
     assert not (tmp_path / "x.json").exists()
     # defaults stay silent, and the flags still apply where a method uses them
     for extra in (
@@ -286,11 +295,14 @@ def test_fit_usage_errors(workdir, tmp_path):
         assert main(base + extra) == 0, extra
 
 
-def test_fit_data_and_fit_errors(workdir, tmp_path):
+def test_fit_data_and_fit_errors(workdir, tmp_path, capsys):
     out = str(tmp_path / "x.json")
     scores = str(workdir / "mc-scores.csv")
     labels = str(workdir / "mc-labels.csv")
     assert main(["fit", scores, str(workdir / "bin-labels.csv"), "-o", out]) == 3  # length mismatch
+    capsys.readouterr()
+    assert main(["fit", scores, str(workdir / "bin-scores.csv"), "-o", out]) == 3  # two columns
+    assert "must have one column" in capsys.readouterr().err
     assert main(["fit", str(workdir / "missing.csv"), labels, "-o", out]) == 3
     assert main(["fit", scores, labels, "-o", out, "--input-kind", "probs"]) == 3
     # group specs that need the class count K=5: more groups than classes,
@@ -649,7 +661,7 @@ def test_eval_reports_its_timing_on_stderr(workdir, tmp_path, capsys):
     assert "rank_s" not in captured.out
 
 
-def test_eval_threshold_and_topk_flags(workdir, tmp_path):
+def test_eval_threshold_and_topk_flags(workdir, tmp_path, capsys):
     bundle = _fit_bundle(workdir)
     cal = tmp_path / "cal.csv"
     assert main(["apply", str(bundle), str(workdir / "mc-scores.csv"), "-o", str(cal)]) == 0
@@ -669,6 +681,16 @@ def test_eval_threshold_and_topk_flags(workdir, tmp_path):
     doc = json.loads(report.read_text())
     assert set(doc["accuracy"]) == {"top1", "top3"}
     assert set(doc["cw_ece"]) == {"zero", "one_over_k", "class_prior", "half"}
+    # no calibrated probability of any class lies above 0.99
+    capsys.readouterr()
+    assert main(
+        [
+            "eval", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
+            "--bundle", str(bundle), "--cw-threshold", "0.99",
+        ]
+    ) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "event=zero_kept_classes threshold=0.99 count=5" in err, err
 
 
 def test_eval_tie_break_needs_raw_scores(workdir, tmp_path):
@@ -795,6 +817,7 @@ def test_eval_usage_errors(workdir, tmp_path):
         ("--bootstrap", "-1"), ("--eval-bins", "0"), ("--top-k", "0"), ("--cw-threshold", "1.5"),
     ]:
         assert main(["eval", missing, labels, "--bundle", bundle, flag, value]) == 2
+    assert main(["eval", missing, labels, "--raw-scores", missing]) == 2  # class-index tie break
 
 
 # --- mi-report ----------------------------------------------------------------
