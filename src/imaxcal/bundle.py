@@ -164,12 +164,15 @@ class CalibratorBundle:
         calibrators = []
         for cal in json_list(payload["calibrators"], "bundle calibrators"):
             cal = json_object(cal, _CALIBRATOR_FIELDS, "calibrator")
+            binner = None if cal["binner"] is None else Binner.from_dict(cal["binner"])
+            # applying a binner maps each bin to its representative, and every
+            # bundle fit writes them, so one without is malformed
+            if binner is not None and binner.reps is None:
+                raise DataError("bundle binner has no representatives")
             calibrators.append(
                 GroupCalibrator(
                     classes=_classes(cal["classes"]),
-                    binner=None
-                    if cal["binner"] is None
-                    else Binner.from_dict(cal["binner"]),
+                    binner=binner,
                     scaler=None
                     if cal["scaler"] is None
                     else Scaler.from_dict(cal["scaler"]),

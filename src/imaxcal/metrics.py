@@ -15,6 +15,7 @@ import numpy as np
 
 from .binning import ImaxConfig, bin_counts, bin_sums, fit_imax
 from .data import (
+    _OVR_BLOCK_ENTRIES,
     PROB_EPS,
     RAW_LOGITS,
     BinaryCalibrationSet,
@@ -118,7 +119,14 @@ class RowStats:
         self.rows = np.arange(self.n)
         q_true = self.calibrated[self.rows, self.labels]
         self.nll_terms = -np.log(np.clip(q_true, PROB_EPS, 1.0))
-        self.brier_terms = np.sum(self.calibrated**2, axis=1) - 2.0 * q_true + 1.0
+        # each row's sum of squares, in blocks of rows of about
+        # _OVR_BLOCK_ENTRIES values rather than through an N x K square
+        sq_sums = np.empty(self.n)
+        step = max(1, _OVR_BLOCK_ENTRIES // self.k)
+        for start in range(0, self.n, step):
+            block = self.calibrated[start : start + step]
+            np.sum(block * block, axis=1, out=sq_sums[start : start + step])
+        self.brier_terms = sq_sums - 2.0 * q_true + 1.0
         self._weights = None
         self._shared = {}
 
@@ -382,7 +390,6 @@ class CwEceResult:
     per_class: np.ndarray
     kept_counts: np.ndarray
     zero_kept_classes: int
-    threshold: object = THRESHOLD_CLASS_PRIOR
 
 
 def cw_ece(calibrated, labels, cfg: EvalConfig | None = None, threshold=None) -> CwEceResult:
@@ -419,7 +426,6 @@ def cw_ece(calibrated, labels, cfg: EvalConfig | None = None, threshold=None) ->
         per_class=per_class,
         kept_counts=kept_counts,
         zero_kept_classes=int(np.count_nonzero(kept_counts == 0)),
-        threshold=threshold,
     )
 
 
@@ -466,35 +472,28 @@ def mi_of_quantizer(binner, cal_set) -> float:
 
 @dataclass
 class MetricReport:
-    """One evaluation pass: ranking, calibration, and proper-score metrics."""
+    """One evaluation pass: ranking, calibration, and proper-score metrics.
+
+    values maps each report name to its value, in report order: acc_top<k>
+    per top-k, top1_ece, cw_ece[<label>] per threshold label, nll and brier.
+    cw holds the class-wise results behind the cw_ece entries, by threshold
+    label, and bootstrap_std each name's std over the resamples, if any.
+    """
 
     n_samples: int
     n_classes: int
     config: EvalConfig
-    accuracy: dict = field(default_factory=dict)
-    top1: float = 0.0
+    values: dict = field(default_factory=dict)
     cw: dict = field(default_factory=dict)
-    nll_value: float = 0.0
-    brier_value: float = 0.0
     bootstrap_std: dict = field(default_factory=dict)
 
     def rows(self):
-        """(metric, threshold, value, std) rows; one row per threshold."""
+        """(metric, threshold, value, std) rows, one per entry of values; a
+        name cw_ece[<label>] splits into metric cw_ece and threshold label."""
         out = []
-        for k, v in self.accuracy.items():
-            out.append((f"acc_top{k}", "", v, self.bootstrap_std.get(f"acc_top{k}")))
-        out.append(("top1_ece", "", self.top1, self.bootstrap_std.get("top1_ece")))
-        for label, res in self.cw.items():
-            out.append(
-                (
-                    "cw_ece",
-                    label,
-                    res.mean,
-                    self.bootstrap_std.get(f"cw_ece[{label}]"),
-                )
-            )
-        out.append(("nll", "", self.nll_value, self.bootstrap_std.get("nll")))
-        out.append(("brier", "", self.brier_value, self.bootstrap_std.get("brier")))
+        for name, value in self.values.items():
+            metric, _, label = name.partition("[")
+            out.append((metric, label[:-1], value, self.bootstrap_std.get(name)))
         return out
 
     def to_dict(self) -> dict:
@@ -504,8 +503,12 @@ class MetricReport:
             "eval_scheme": self.config.eval_scheme,
             "n_eval_bins": self.config.n_eval_bins,
             "tie_break": self.config.tie_break,
-            "accuracy": {f"top{k}": v for k, v in self.accuracy.items()},
-            "top1_ece": self.top1,
+            "accuracy": {
+                name.removeprefix("acc_"): value
+                for name, value in self.values.items()
+                if name.startswith("acc_top")
+            },
+            "top1_ece": self.values["top1_ece"],
             "cw_ece": {
                 label: {
                     "mean": res.mean,
@@ -514,8 +517,8 @@ class MetricReport:
                 }
                 for label, res in self.cw.items()
             },
-            "nll": self.nll_value,
-            "brier": self.brier_value,
+            "nll": self.values["nll"],
+            "brier": self.values["brier"],
         }
         if self.bootstrap_std:
             payload["bootstrap"] = {
@@ -573,17 +576,7 @@ def build_report(
     """
     if stats is None:
         stats = RowStats(calibrated, labels, cfg.tie_break, raw_scores)
-    values, cw = _metric_pass(stats, cfg)
-    report = MetricReport(
-        n_samples=stats.n,
-        n_classes=stats.k,
-        config=cfg,
-        accuracy={k: values[f"acc_top{k}"] for k in cfg.top_k},
-        top1=values["top1_ece"],
-        cw=cw,
-        nll_value=values["nll"],
-        brier_value=values["brier"],
-    )
+    report = MetricReport(stats.n, stats.k, cfg, *_metric_pass(stats, cfg))
     if cfg.bootstrap > 0:
         rng = np.random.default_rng(cfg.seed)
         replicates = [

@@ -128,16 +128,23 @@ def fit_temperature(data: PredictionMatrix) -> Scaler:
     raise FitError("temperature fit did not converge")
 
 
-def _platt_objective(a, b, lam, targets):
-    t = a * lam + b
-    return float(np.mean(np.logaddexp(0.0, t) - targets * t))
+def _platt_objective(a, b, lam, targets, t, loss):
+    """Mean binary NLL of sigmoid(a lam + b), formed in the length-N buffers
+    t and loss."""
+    np.multiply(a, lam, out=t)
+    t += b
+    np.logaddexp(0.0, t, out=loss)
+    np.multiply(targets, t, out=t)
+    loss -= t
+    return float(np.mean(loss))
 
 
 def fit_platt(cal_set: BinaryCalibrationSet) -> Scaler:
     """Fit (a, b) by damped Newton on the binary NLL of sigmoid(a lam + b).
 
     The objective is convex; iteration stops when the gradient 2-norm drops
-    below 1e-8.
+    below 1e-8. Every per-sample term is formed in one of three buffers of
+    the set's length, reused across steps.
     """
     lam = cal_set.logits
     targets = cal_set.targets.astype(np.float64)
@@ -145,21 +152,27 @@ def fit_platt(cal_set: BinaryCalibrationSet) -> Scaler:
         raise FitError("platt scaling needs both labels present")
     if np.ptp(lam) == 0.0:
         raise FitError("degenerate calibration set: all logits identical")
+    p, u, v = (np.empty(lam.shape) for _ in range(3))
 
     a, b = 1.0, 0.0
-    obj = _platt_objective(a, b, lam, targets)
+    obj = _platt_objective(a, b, lam, targets, u, v)
     for _ in range(_PLATT_MAX_ITER):
-        t = a * lam + b
-        p = prob_of_logit(t)
-        resid = p - targets
-        grad = np.array([np.mean(resid * lam), np.mean(resid)])
+        np.multiply(a, lam, out=u)
+        u += b
+        prob_of_logit(u, out=p)
+        resid = np.subtract(p, targets, out=v)
+        grad = np.array([np.mean(np.multiply(resid, lam, out=u)), np.mean(resid)])
         if float(np.linalg.norm(grad)) < _PLATT_GRAD_TOL:
             break
-        w = p * (1.0 - p)
+        w = np.subtract(1.0, p, out=v)
+        w *= p
+        # w lam lam is (w lam) lam, so it reuses w lam in place
+        w_lam = np.multiply(w, lam, out=u)
+        mean_w_lam = np.mean(w_lam)
         hess = np.array(
             [
-                [np.mean(w * lam * lam), np.mean(w * lam)],
-                [np.mean(w * lam), np.mean(w)],
+                [np.mean(np.multiply(w_lam, lam, out=u)), mean_w_lam],
+                [mean_w_lam, np.mean(w)],
             ]
         )
         try:
@@ -170,7 +183,7 @@ def fit_platt(cal_set: BinaryCalibrationSet) -> Scaler:
         # Halve the step until the (convex) objective stops increasing.
         scale = 1.0
         for _ in range(40):
-            cand = _platt_objective(a - scale * step[0], b - scale * step[1], lam, targets)
+            cand = _platt_objective(a - scale * step[0], b - scale * step[1], lam, targets, u, v)
             if cand <= obj:
                 break
             scale *= 0.5

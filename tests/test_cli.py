@@ -451,6 +451,7 @@ def test_apply_error_paths(workdir, tmp_path):
         ("iterations", None),
         ("edges", ["a"] * 7),
         ("method", "bogus"),
+        ("reps", None),
     ],
 )
 def test_a_malformed_binner_is_a_data_error(workdir, tmp_path, capsys, field, value):
@@ -467,8 +468,13 @@ def test_a_malformed_binner_is_a_data_error(workdir, tmp_path, capsys, field, va
         ]
     ) == 3
     captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
+    assert "Traceback" not in captured.err and "error=data" in captured.err
     assert "top1_ece" not in captured.out
+    out = tmp_path / "c.csv"
+    assert main(["apply", str(tampered), str(workdir / "mc-scores.csv"), "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error=data" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

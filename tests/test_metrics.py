@@ -129,8 +129,7 @@ def test_ranked_classes_equals_the_label_position_in_a_full_sort(k, tie_break):
     )
     report = build_report(cal, labels, cfg, raw_scores=raw)
     point, cw, std = _oracle_report(cal, labels, cfg, raw)
-    assert report.accuracy == {k_: point[f"acc_top{k_}"] for k_ in cfg.top_k}
-    assert report.top1 == point["top1_ece"]
+    assert list(report.values.items()) == list(point.items())
     per_class = cw[THRESHOLD_CLASS_PRIOR][1]
     assert report.cw[THRESHOLD_CLASS_PRIOR].per_class.tolist() == per_class.tolist()
     assert report.bootstrap_std == std
@@ -151,6 +150,21 @@ def test_ranking_holds_no_matrix_of_class_indices(n, k, tie_break):
         tracemalloc.stop()
     # a full int64 order of every row alone would take 8 bytes per entry
     assert peak <= 6 * n * k
+
+
+def test_row_stats_hold_no_matrix_of_squares():
+    n, k = 5_000, 1000
+    rng = np.random.default_rng(6)
+    cal = rng.random((n, k))
+    labels = rng.integers(0, k, size=n)
+    tracemalloc.start()
+    try:
+        RowStats(cal, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the squares of the whole matrix alone would take 8 bytes per entry
+    assert peak <= n * k
 
 
 def test_accuracy_topk_basics():
@@ -391,7 +405,9 @@ def test_bootstrap_constant_metric_has_zero_std():
             top_k=(1, 2), bootstrap=20,
         )
         report = build_report(cal, labels, cfg)
-        assert report.top1 == 0.25
+        point, _, _ = _oracle_report(cal, labels, cfg)
+        assert list(report.values.items()) == list(point.items())
+        assert report.values["top1_ece"] == 0.25
         assert len(report.bootstrap_std) == 7
         assert set(report.bootstrap_std.values()) == {0.0}
 
@@ -436,7 +452,11 @@ def test_report_dict_layout():
 def test_report_csv_round_trips_values():
     cal, labels = _report_inputs(seed=9)
     cfg = EvalConfig(
-        cw_thresholds=(THRESHOLD_CLASS_PRIOR, THRESHOLD_HALF, THRESHOLD_ONE_OVER_K, THRESHOLD_ZERO)
+        cw_thresholds=(
+            THRESHOLD_CLASS_PRIOR, THRESHOLD_HALF, THRESHOLD_ONE_OVER_K, THRESHOLD_ZERO, 0.25
+        ),
+        top_k=(1, 3, 1),
+        bootstrap=2,
     )
     report = build_report(cal, labels, cfg)
     lines = report.to_csv().strip().splitlines()
@@ -446,7 +466,23 @@ def test_report_csv_round_trips_values():
     # repr-format values parse back to the exact float
     assert float(by_name[("top1_ece", "")]) == report.to_dict()["top1_ece"]
     cw_rows = [r for r in rows if r[0] == "cw_ece"]
-    assert [r[1] for r in cw_rows] == ["class_prior", "half", "one_over_k", "zero"]
+    assert [r[1] for r in cw_rows] == ["class_prior", "half", "one_over_k", "zero", "0.25"]
+
+    # every output lists the report's names once each, in the report's order
+    names = list(report.values)
+    assert names == [
+        "acc_top1", "acc_top3", "top1_ece", "cw_ece[class_prior]", "cw_ece[half]",
+        "cw_ece[one_over_k]", "cw_ece[zero]", "cw_ece[0.25]", "nll", "brier",
+    ]
+
+    def name(metric, thr):
+        return f"{metric}[{thr}]" if thr else metric
+
+    assert [name(r[0], r[1]) for r in rows] == names
+    assert [float(r[2]) for r in rows] == list(report.values.values())
+    text_rows = report.to_text().splitlines()[1:]
+    assert [name(line[:24].strip(), line[24:38].strip()) for line in text_rows] == names
+    assert list(report.to_dict()["bootstrap"]["std"]) == names
 
 
 def test_report_bootstrap_block():
@@ -602,11 +638,7 @@ def test_report_equals_the_per_resample_oracle(inputs, scheme, tie_break, bootst
         warnings.simplefilter("ignore", RuntimeWarning)  # eq_mass collapses tied edges
         report = build_report(cal, labels, cfg, raw_scores=raw)
         point, cw, std = _oracle_report(cal, labels, cfg, raw)
-    assert {f"acc_top{k}": v for k, v in report.accuracy.items()} == {
-        f"acc_top{k}": point[f"acc_top{k}"] for k in cfg.top_k
-    }
-    assert report.top1 == point["top1_ece"]
-    assert report.nll_value == point["nll"] and report.brier_value == point["brier"]
+    assert list(report.values.items()) == list(point.items())
     for label, (mean, per_class, kept_counts) in cw.items():
         assert report.cw[label].mean == mean
         assert report.cw[label].per_class.tolist() == per_class.tolist()

@@ -1,5 +1,7 @@
 """Temperature and Platt scaling, and the scaler-then-bin hybrid."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -235,6 +237,47 @@ def test_platt_preserves_ranking_when_slope_is_positive():
     assert s.a > 0
     order = np.argsort(lam)
     assert np.all(np.diff(apply_scaler(s, lam[order])) > 0)
+
+
+def _reference_platt(lam, y):
+    """The damped Newton of fit_platt, each term a fresh array."""
+    targets = y.astype(np.float64)
+
+    def objective(a, b):
+        t = a * lam + b
+        return float(np.mean(np.logaddexp(0.0, t) - targets * t))
+
+    a, b = 1.0, 0.0
+    obj = objective(a, b)
+    while True:
+        p = 1.0 / (1.0 + np.exp(-(a * lam + b)))
+        resid = p - targets
+        grad = np.array([np.mean(resid * lam), np.mean(resid)])
+        if float(np.linalg.norm(grad)) < 1e-8:
+            return a, b
+        w = p * (1.0 - p)
+        hess = np.array(
+            [[np.mean(w * lam * lam), np.mean(w * lam)], [np.mean(w * lam), np.mean(w)]]
+        )
+        step = np.linalg.solve(hess, grad)
+        scale = 1.0
+        while (cand := objective(a - scale * step[0], b - scale * step[1])) > obj:
+            scale *= 0.5
+        a, b, obj = a - scale * step[0], b - scale * step[1], cand
+
+
+def test_platt_reuses_three_buffers_and_keeps_every_bit():
+    lam, y = _platt_data(n=200_000, seed=7)
+    cal_set = BinaryCalibrationSet(0.5 * lam - 0.3, y)
+    tracemalloc.start()
+    try:
+        s = fit_platt(cal_set)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # float64 targets and three float64 buffers take 32 bytes per sample
+    assert peak <= 40 * lam.size
+    assert (s.a, s.b) == _reference_platt(cal_set.logits, y)
 
 
 def test_platt_rejections():
