@@ -25,6 +25,7 @@ from . import kernels
 from .data import (
     PROB_EPS,
     BinaryCalibrationSet,
+    check_seed,
     json_count,
     json_list,
     json_number,
@@ -47,6 +48,7 @@ _BINNER_JSON_FIELDS = ("method", "edges", "phis", "reps", "seed", "iterations")
 
 MAX_ITERATIONS = 200
 TOLERANCE = 1e-10
+# Not data.BLOCK_ENTRIES: the seeding's sums go chunk by chunk, so its chunk size shapes bundles.
 SEED_CHUNK = 1 << 16
 DRAW_BLOCK = 1 << 12
 CELL_PROBES = 256
@@ -65,6 +67,7 @@ class ImaxConfig:
     def __post_init__(self):
         if self.n_bins < 2:
             raise DataError(f"n_bins must be >= 2, got {self.n_bins}")
+        check_seed(self.seed)
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise DataError(f"scale must be finite and > 0, got {self.scale}")
         if not np.isfinite(self.bias):

@@ -27,7 +27,7 @@ from .binning import (
     fit_binner,
 )
 from .data import (
-    _OVR_BLOCK_ENTRIES,
+    BLOCK_ENTRIES,
     PROBABILITIES,
     RAW_LOGITS,
     ClassGrouping,
@@ -273,7 +273,11 @@ def fit_bundle(
             if scaler_kind == KIND_TEMPERATURE:
                 scaler = fit_temperature(data)
             else:
-                scaler = fit_platt(ovr_set(lam, data.labels, range(data.n_classes)))
+                # a view of the all-class set's values replaces the matrix
+                pooled = ovr_set(lam, data.labels, range(data.n_classes))
+                lam = pooled.logits.reshape(data.n_classes, -1).T
+                scaler = fit_platt(pooled)
+                del pooled
             binning_method = METHOD_IMAX
             rep_strategy = REP_SCALED_PROB_MEAN
         # the merged sets hold every log-odds the fits read, so the N x K
@@ -308,14 +312,14 @@ def apply_bundle(bundle: CalibratorBundle, scores, kind: str) -> np.ndarray:
     """Per-class calibrated probabilities, rows not renormalized: the scores'
     log-odds, each column overwritten with its calibrator's values. Each
     calibrator maps all of its columns at once, in blocks of rows of about
-    _OVR_BLOCK_ENTRIES values."""
+    BLOCK_ENTRIES values."""
     shape = np.shape(scores)
     if len(shape) == 2 and shape[1] != bundle.n_classes:
         raise DataError(f"bundle was fitted for {bundle.n_classes} classes, scores have {shape[1]}")
     lam = ovr_logits(scores, kind)
     for cal in bundle.calibrators:
         columns = list(cal.classes)
-        rows = max(1, _OVR_BLOCK_ENTRIES // len(columns))
+        rows = max(1, BLOCK_ENTRIES // len(columns))
         for start in range(0, len(lam), rows):
             block = (slice(start, start + rows), columns)
             if cal.binner is None:

@@ -31,6 +31,7 @@ from .binning import (
     fit_imax_many,
 )
 from .data import (
+    BLOCK_ENTRIES,
     PROBABILITIES,
     RAW_LOGITS,
     PredictionMatrix,
@@ -91,9 +92,6 @@ def _read_labels(path) -> np.ndarray:
     return arr[:, 0]
 
 
-_WRITE_BLOCK_CELLS = 1 << 16
-
-
 @contextlib.contextmanager
 def _output(path):
     """path opened for writing text; a path that cannot be opened or written
@@ -115,7 +113,7 @@ def _write_matrix(path, matrix):
     the block is written by one join.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    block = max(1, _WRITE_BLOCK_CELLS // max(1, matrix.shape[1]))
+    block = max(1, BLOCK_ENTRIES // max(1, matrix.shape[1]))
     with _output(path) as fh:
         for start in range(0, matrix.shape[0], block):
             bits = np.ascontiguousarray(matrix[start : start + block]).view(np.uint64)
@@ -252,7 +250,7 @@ def cli():
     show_default=True,
     help="Scaler for imax_with_scaler representatives.",
 )
-@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
+@click.option("--seed", default=0, show_default=True)
 @click.option(
     "--input-kind",
     default="logits",
@@ -367,8 +365,6 @@ def _class_balanced_split(labels, frac, seed):
         fit_idx.append(idx[n_hold:])
     fit_idx = np.sort(np.concatenate(fit_idx))
     hold_idx = np.sort(np.concatenate(hold_idx))
-    if fit_idx.size == 0:
-        raise DataError("holdout fraction leaves no fit samples")
     if hold_idx.size == 0:
         raise DataError("holdout fraction leaves no holdout samples")
     return fit_idx, hold_idx
@@ -384,21 +380,13 @@ def _class_balanced_split(labels, frac, seed):
     type=click.Choice(["logits", "probs"]),
     help="Defaults to the kind the bundle was fitted on.",
 )
-@click.option(
-    "--raw-sidecar",
-    default=None,
-    type=click.Path(),
-    help="Also write the raw scores, for raw-logit tie-break evaluation.",
-)
-def cmd_apply(bundle_json, scores_csv, out, input_kind, raw_sidecar):
+def cmd_apply(bundle_json, scores_csv, out, input_kind):
     """Apply a fitted bundle to scores; rows are not renormalized."""
     fitted = _load_bundle(bundle_json)
     scores = _read_matrix(scores_csv)
     kind = fitted.input_kind if input_kind is None else _KIND_BY_FLAG[input_kind]
     calibrated = bundle_mod.apply_bundle(fitted, scores, kind)
     _write_matrix(out, calibrated)
-    if raw_sidecar is not None:
-        _write_matrix(raw_sidecar, scores)
     diag(event="apply", n=calibrated.shape[0], k=calibrated.shape[1], out=out)
 
 
@@ -429,7 +417,7 @@ def _load_bundle(path):
 @click.option("--bootstrap", default=0, show_default=True, help="Resample count B.")
 @click.option("--tie-break", default="class-index",
               type=click.Choice(["class-index", "raw-logit"]), show_default=True)
-@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
+@click.option("--seed", default=0, show_default=True)
 @click.option(
     "--input-kind",
     default=None,
@@ -437,7 +425,7 @@ def _load_bundle(path):
     help="Kind of scores_csv when applying a bundle (defaults to the bundle's).",
 )
 @click.option("--raw-scores", default=None, type=click.Path(),
-              help="Raw score sidecar for raw-logit tie-break without a bundle.")
+              help="The scores file apply read, for --tie-break raw-logit without --bundle.")
 def cmd_eval(
     scores_csv,
     labels_csv,
@@ -550,7 +538,7 @@ def cmd_eval(
 @click.option("--sigma-pos", default=1.0, show_default=True)
 @click.option("--sigma-neg", default=1.0, show_default=True)
 @click.option("--n", default=10_000, show_default=True)
-@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
+@click.option("--seed", default=0, show_default=True)
 @click.option("--out-prefix", required=True, type=click.Path())
 def cmd_synth(
     preset,
@@ -623,7 +611,7 @@ def cmd_synth(
 @click.option("--bins", multiple=True, help="Repeatable bin counts; default 2,4,8,16.")
 @click.option("--method", "methods", multiple=True,
               help="Repeatable: imax | eq_size | eq_mass; default all three.")
-@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
+@click.option("--seed", default=0, show_default=True)
 @click.option(
     "--input-kind",
     default="logits",

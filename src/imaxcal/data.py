@@ -9,7 +9,7 @@ clamped away from {0, 1} before the log-odds transform so every logit is
 finite.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,6 +23,9 @@ RAW_LOGITS = "raw_logits"
 PROBABILITIES = "probabilities"
 
 _ROW_SUM_TOL = 1e-6
+
+# Values per row block of each row-wise N x K pass; no result depends on it.
+BLOCK_ENTRIES = 1 << 16
 
 
 def softmax(scores):
@@ -78,33 +81,6 @@ def xlogy(x, y):
     return np.where((x == 0) & ~np.isnan(y), 0.0, out)
 
 
-def _check_scores(scores, kind):
-    """Validate an N x K score matrix of the given kind; return it as float64.
-
-    The one score check, behind PredictionMatrix and ovr_logits: N >= 1,
-    K >= 2, every value finite, a known kind, and probability rows inside
-    [0, 1] that sum to 1.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise DataError(f"scores must be 2-D, got shape {scores.shape}")
-    n, k = scores.shape
-    if n < 1:
-        raise DataError("need at least one sample")
-    if k < 2:
-        raise DataError(f"need at least two classes, got {k}")
-    if kind not in (RAW_LOGITS, PROBABILITIES):
-        raise DataError(f"unknown score kind {kind!r}")
-    if not np.all(np.isfinite(scores)):
-        raise DataError("scores contain non-finite values")
-    if kind == PROBABILITIES:
-        if scores.min() < 0.0 or scores.max() > 1.0:
-            raise DataError("probability scores outside [0, 1]")
-        if np.max(np.abs(scores.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
-            raise DataError("probability rows do not sum to 1")
-    return scores
-
-
 def integer_labels(labels):
     """Labels as int64. NaN, inf and non-integral values are rejected before
     the cast, which would otherwise truncate them or warn."""
@@ -141,6 +117,33 @@ def json_count(value, what):
     return value
 
 
+def check_scores(scores, kind):
+    """Validate an N x K score matrix of the given kind; return it as float64.
+
+    The one score check, behind PredictionMatrix, ovr_logits and the raw
+    scores of a raw-logit tie break: N >= 1, K >= 2, every value finite, a
+    known kind, and probability rows inside [0, 1] that sum to 1.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2:
+        raise DataError(f"scores must be 2-D, got shape {scores.shape}")
+    n, k = scores.shape
+    if n < 1:
+        raise DataError("need at least one sample")
+    if k < 2:
+        raise DataError(f"need at least two classes, got {k}")
+    if kind not in (RAW_LOGITS, PROBABILITIES):
+        raise DataError(f"unknown score kind {kind!r}")
+    if not np.all(np.isfinite(scores)):
+        raise DataError("scores contain non-finite values")
+    if kind == PROBABILITIES:
+        if scores.min() < 0.0 or scores.max() > 1.0:
+            raise DataError("probability scores outside [0, 1]")
+        if np.max(np.abs(scores.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
+            raise DataError("probability rows do not sum to 1")
+    return scores
+
+
 def check_labels(labels, n, k):
     """n integer labels, one per score row, each in [0, k); returned as
     int64. n is at least 1."""
@@ -150,6 +153,12 @@ def check_labels(labels, n, k):
     if labels.min() < 0 or labels.max() >= k:
         raise DataError(f"labels must lie in [0, {k})")
     return labels
+
+
+def check_seed(seed):
+    """A DataError unless seed is a non-negative integer, as numpy takes."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def json_object(value, fields, what):
@@ -172,17 +181,13 @@ def json_list(value, what):
     return value
 
 
-_OVR_BLOCK_ENTRIES = 1 << 16
-
-
 def ovr_logits(scores, kind):
     """N x K one-vs-rest log-odds of checked scores: logit_of_prob of the
     softmax of raw logits, or of the probabilities. Blocks of rows, about
-    _OVR_BLOCK_ENTRIES values each, are transformed into the one N x K
-    output; rows are independent, so no value depends on the block size."""
-    scores = _check_scores(scores, kind)
+    BLOCK_ENTRIES values each, are transformed into the one N x K output."""
+    scores = check_scores(scores, kind)
     out = np.empty(scores.shape)
-    rows = max(1, _OVR_BLOCK_ENTRIES // scores.shape[1])
+    rows = max(1, BLOCK_ENTRIES // scores.shape[1])
     for start in range(0, len(scores), rows):
         block = scores[start : start + rows]
         out[start : start + rows] = logit_of_prob(softmax(block) if kind == RAW_LOGITS else block)
@@ -202,7 +207,7 @@ class PredictionMatrix:
     kind: str = RAW_LOGITS
 
     def __post_init__(self):
-        self.scores = _check_scores(self.scores, self.kind)
+        self.scores = check_scores(self.scores, self.kind)
         self.labels = check_labels(self.labels, *self.scores.shape)
 
     @property
@@ -240,7 +245,6 @@ class BinaryCalibrationSet:
 
     logits: np.ndarray
     targets: np.ndarray
-    source_classes: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         self.logits = np.asarray(self.logits, dtype=np.float64)
@@ -256,7 +260,6 @@ class BinaryCalibrationSet:
         bad = (self.targets != 0) & (self.targets != 1)
         if np.any(bad):
             raise DataError("targets must be 0 or 1")
-        self.source_classes = frozenset(self.source_classes)
 
     def __len__(self):
         return self.logits.shape[0]
@@ -285,7 +288,6 @@ def ovr_set(lam, labels, classes) -> BinaryCalibrationSet:
     return BinaryCalibrationSet(
         logits=lam[:, classes].T.ravel(),
         targets=(labels[None, :] == classes[:, None]).astype(np.int8).ravel(),
-        source_classes=frozenset(int(c) for c in classes),
     )
 
 
@@ -304,7 +306,6 @@ def merge_sets(sets) -> BinaryCalibrationSet:
     return BinaryCalibrationSet(
         logits=np.concatenate([s.logits for s in sets]),
         targets=np.concatenate([s.targets for s in sets]),
-        source_classes=frozenset().union(*(s.source_classes for s in sets)),
     )
 
 

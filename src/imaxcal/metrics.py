@@ -15,12 +15,13 @@ import numpy as np
 
 from .binning import ImaxConfig, bin_counts, bin_sums, fit_imax
 from .data import (
-    _OVR_BLOCK_ENTRIES,
+    BLOCK_ENTRIES,
     PROB_EPS,
     RAW_LOGITS,
     BinaryCalibrationSet,
-    _check_scores,
     check_labels,
+    check_scores,
+    check_seed,
     logit_of_prob,
     prob_of_logit,
     xlogy,
@@ -80,6 +81,7 @@ class EvalConfig:
             raise DataError("top_k entries must be >= 1")
         if self.bootstrap < 0:
             raise DataError("bootstrap count must be >= 0")
+        check_seed(self.seed)
 
 
 def _check_calibrated(calibrated, labels):
@@ -119,10 +121,9 @@ class RowStats:
         self.rows = np.arange(self.n)
         q_true = self.calibrated[self.rows, self.labels]
         self.nll_terms = -np.log(np.clip(q_true, PROB_EPS, 1.0))
-        # each row's sum of squares, in blocks of rows of about
-        # _OVR_BLOCK_ENTRIES values rather than through an N x K square
+        # each row's sum of squares, block by block rather than as an N x K square
         sq_sums = np.empty(self.n)
-        step = max(1, _OVR_BLOCK_ENTRIES // self.k)
+        step = max(1, BLOCK_ENTRIES // self.k)
         for start in range(0, self.n, step):
             block = self.calibrated[start : start + step]
             np.sum(block * block, axis=1, out=sq_sums[start : start + step])
@@ -210,7 +211,7 @@ def ranked_classes(calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=Non
     if tie_break == TIE_RAW_LOGIT:
         if raw_scores is None:
             raise DataError("tie_break=raw_logit needs the raw score matrix")
-        raw_scores = _check_scores(raw_scores, RAW_LOGITS)
+        raw_scores = check_scores(raw_scores, RAW_LOGITS)
         if raw_scores.shape != calibrated.shape:
             raise DataError("raw score shape does not match calibrated scores")
         raw_own = np.take_along_axis(raw_scores, label, axis=1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, prob_of_logit
+from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, check_seed, prob_of_logit
 from .errors import DataError
 from .info import mi_of_densities
 
@@ -44,6 +44,7 @@ class BinaryMixtureSpec:
             raise DataError("mixture sigmas must be positive")
         if self.n < 1:
             raise DataError("n must be >= 1")
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return {
@@ -112,25 +113,28 @@ def analytic_sigmoid_model(spec: BinaryMixtureSpec) -> tuple:
     return float(scale), float(intercept / scale)
 
 
-def analytic_mi(spec: BinaryMixtureSpec, n_grid: int = 32_769) -> float:
+def analytic_mi(spec: BinaryMixtureSpec) -> float:
     """I(y; lam) in nats by quadrature on the true mixture densities."""
     span = 12.0 * max(spec.sigma_pos, spec.sigma_neg)
     lo = min(spec.mu_pos, spec.mu_neg) - span
     hi = max(spec.mu_pos, spec.mu_neg) + span
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, 32_769)
     p1 = np.exp(_log_normal_pdf(grid, spec.mu_pos, spec.sigma_pos))
     p0 = np.exp(_log_normal_pdf(grid, spec.mu_neg, spec.sigma_neg))
     return mi_of_densities(grid, p1, p0, spec.prior)
+
+
+SEPARATION = 4.0
+NOISE_SIGMA = 2.0
 
 
 @dataclass
 class MulticlassSynthSpec:
     """Label from priors; scores are prior-shifted Gaussians over t_gen.
 
-    The true class's score mean is `separation` above the noise mean and the
-    noise std is `noise_sigma`; with separation / noise_sigma^2 = 1 (the
-    default 4 / 2^2) softmax of the un-tempered scores is the exact
-    posterior, so t_gen = 1 emits calibrated confidences, t_gen < 1
+    The true class's score mean is SEPARATION above the noise mean and the
+    noise std is NOISE_SIGMA, so softmax of the un-tempered scores is the
+    exact posterior: t_gen = 1 emits calibrated confidences, t_gen < 1
     overconfident ones, and temperature scaling should recover 1 / t_gen.
     """
 
@@ -138,8 +142,6 @@ class MulticlassSynthSpec:
     n: int = 10_000
     t_gen: float = 1.0
     priors: np.ndarray | None = None
-    separation: float = 4.0
-    noise_sigma: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -149,8 +151,7 @@ class MulticlassSynthSpec:
             raise DataError("n must be >= 1")
         if self.t_gen <= 0:
             raise DataError("t_gen must be positive")
-        if self.separation <= 0 or self.noise_sigma <= 0:
-            raise DataError("separation and noise_sigma must be positive")
+        check_seed(self.seed)
         if self.priors is None:
             self.priors = np.full(self.n_classes, 1.0 / self.n_classes)
         else:
@@ -167,8 +168,8 @@ class MulticlassSynthSpec:
             "n": self.n,
             "t_gen": self.t_gen,
             "priors": [float(p) for p in self.priors],
-            "separation": self.separation,
-            "noise_sigma": self.noise_sigma,
+            "separation": SEPARATION,
+            "noise_sigma": NOISE_SIGMA,
             "seed": self.seed,
         }
 
@@ -178,11 +179,11 @@ def gen_multiclass(spec: MulticlassSynthSpec) -> PredictionMatrix:
     gens = _streams(spec.seed, spec.n_classes + 1)
     labels = gens[0].choice(spec.n_classes, size=spec.n, p=spec.priors)
 
-    shift = (spec.noise_sigma**2 / spec.separation) * np.log(spec.priors)
+    shift = (NOISE_SIGMA**2 / SEPARATION) * np.log(spec.priors)
     scores = np.empty((spec.n, spec.n_classes))
     for k in range(spec.n_classes):
-        scores[:, k] = shift[k] + spec.noise_sigma * gens[k + 1].standard_normal(spec.n)
-    scores[np.arange(spec.n), labels] += spec.separation
+        scores[:, k] = shift[k] + NOISE_SIGMA * gens[k + 1].standard_normal(spec.n)
+    scores[np.arange(spec.n), labels] += SEPARATION
     return PredictionMatrix(
         scores=scores / spec.t_gen, labels=labels, kind=RAW_LOGITS
     )

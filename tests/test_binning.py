@@ -501,6 +501,12 @@ def test_imax_config_validation():
             ImaxConfig(bias=value)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+def test_imax_config_rejects_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(DataError, match="seed must be a non-negative integer"):
+        ImaxConfig(seed=seed)
+
+
 # --- representatives ----------------------------------------------------
 
 def test_empirical_freq_is_the_in_bin_positive_rate():

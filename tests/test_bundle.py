@@ -198,6 +198,17 @@ def test_scw_imax_fit_peak_memory_per_merged_sample():
     assert peak / (data.n_samples * data.n_classes) <= 56.0
 
 
+def test_imax_with_a_platt_scaler_peaks_about_as_high_as_a_platt_fit():
+    # the all-class set the scaler is fitted on holds the log-odds, so the
+    # fit keeps no N x K matrix beside it (1.04 here, 1.20 with one held)
+    data = _data(n=10_000, k=100, seed=1)
+    platt = _peak_bytes(lambda: fit_bundle(data, METHOD_PLATT))
+    both = _peak_bytes(
+        lambda: fit_bundle(data, METHOD_IMAX_WITH_SCALER, scaler_kind=KIND_PLATT)
+    )
+    assert both <= 1.05 * platt
+
+
 # --- serialization ----------------------------------------------------------------
 
 def test_json_round_trip_preserves_outputs():

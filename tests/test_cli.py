@@ -382,6 +382,26 @@ def test_a_holdout_with_no_samples_is_a_data_error_before_any_file_is_written(tm
     assert not (tmp_path / "small.holdout-labels.csv").exists()
 
 
+def test_a_class_with_one_row_keeps_it_for_the_fit(tmp_path, capsys):
+    # 0.9 of one row rounds to one held-out row, which would leave class 2
+    # with no fit row; the split keeps the row for the fit instead
+    rng = np.random.default_rng(8)
+    labels = np.array([0] * 20 + [1] * 20 + [2])
+    scores = rng.normal(size=(labels.size, 3))
+    np.savetxt(tmp_path / "s.csv", scores, delimiter=",")
+    np.savetxt(tmp_path / "l.csv", labels, fmt="%d")
+    out = tmp_path / "one.json"
+    assert main(
+        ["fit", str(tmp_path / "s.csv"), str(tmp_path / "l.csv"), "-o", str(out),
+         "--method", "eq_size", "--bins", "2", "--holdout-frac", "0.9"]
+    ) == 0
+    assert "fit_n=5 holdout_n=36" in capsys.readouterr().err
+    held_scores = np.loadtxt(tmp_path / "one.holdout-scores.csv", delimiter=",")
+    held_labels = np.loadtxt(tmp_path / "one.holdout-labels.csv", dtype=np.int64)
+    assert 2 not in held_labels
+    assert not np.any(np.all(held_scores == scores[-1], axis=1))
+
+
 def test_a_fit_that_fails_after_the_holdout_split_writes_no_file(tmp_path, capsys):
     # two fit rows over two classes merge into four samples, too few for the
     # default bins: the fit fails (exit 4) after the holdout is split off
@@ -409,20 +429,24 @@ def test_apply_quantizes_each_column(workdir, tmp_path):
         assert np.unique(cal[:, col]).size <= 8
 
 
-def test_apply_raw_sidecar_round_trips(workdir, tmp_path):
-    bundle = _fit_bundle(workdir)
-    out = tmp_path / "cal.csv"
-    sidecar = tmp_path / "raw.csv"
-    assert main(
-        [
-            "apply", str(bundle), str(workdir / "mc-scores.csv"),
-            "-o", str(out), "--raw-sidecar", str(sidecar),
-        ]
-    ) == 0
-    np.testing.assert_array_equal(
-        np.loadtxt(sidecar, delimiter=","),
-        np.loadtxt(workdir / "mc-scores.csv", delimiter=","),
-    )
+def test_the_scores_file_gives_eval_the_raw_scores_of_applied_output(workdir, tmp_path):
+    # eval --raw-scores takes the file apply read: the report on apply's
+    # output equals the report through the bundle, tie breaks included
+    bundle = str(_fit_bundle(workdir))
+    scores, labels = str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")
+    cal = str(tmp_path / "cal.csv")
+    assert main(["apply", bundle, scores, "-o", cal]) == 0
+    flags = ["--tie-break", "raw-logit", "--bootstrap", "3"]
+    reports = [tmp_path / "r1.json", tmp_path / "r2.json", tmp_path / "r3.json"]
+    assert main(["eval", cal, labels, "--raw-scores", scores, "--eval-scheme", "exact",
+                 *flags, "-o", str(reports[0])]) == 0
+    assert main(["eval", scores, labels, "--bundle", bundle, *flags, "-o", str(reports[1])]) == 0
+    assert main(["eval", scores, labels, "--bundle", bundle, "--bootstrap", "3",
+                 "-o", str(reports[2])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    # the raw scores decide some ties here
+    by_raw, by_index = (json.loads(r.read_text())["accuracy"] for r in reports[1:])
+    assert by_raw["top1"] != by_index["top1"]
 
 
 def test_apply_error_paths(workdir, tmp_path):
@@ -1002,7 +1026,7 @@ def test_matrix_writer_matches_the_row_loop(tmp_path, monkeypatch):
         ("tied-last", tied_last, 9),
     ):
         if cells is not None:
-            monkeypatch.setattr(cli, "_WRITE_BLOCK_CELLS", cells)
+            monkeypatch.setattr(cli, "BLOCK_ENTRIES", cells)
         cli._write_matrix(tmp_path / f"{name}.csv", matrix)
         _write_matrix_by_rows(tmp_path / f"{name}-rows.csv", matrix)
         written = (tmp_path / f"{name}.csv").read_bytes()
@@ -1011,16 +1035,13 @@ def test_matrix_writer_matches_the_row_loop(tmp_path, monkeypatch):
     assert (tmp_path / "tricky.csv").read_text().startswith("-0.0,0.0,5e-324\n")
 
 
-def _unwritable_output_commands(workdir, bundle, ok, bad):
+def _unwritable_output_commands(workdir, bundle, bad):
     mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
     binary = [str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv")]
     return {
         "fit": ["fit", *mc, "-o", str(bad / "b.json"), "--bins", "6"],
         "fit-holdout": ["fit", *mc, "-o", str(bad / "b.json"), "--holdout-frac", "0.2"],
         "apply": ["apply", str(bundle), mc[0], "-o", str(bad / "c.csv")],
-        "apply-raw-sidecar": [
-            "apply", str(bundle), mc[0], "-o", str(ok / "c.csv"), "--raw-sidecar", str(bad / "r.csv"),
-        ],
         "eval-json": ["eval", *mc, "--bundle", str(bundle), "-o", str(bad / "r.json")],
         "eval-csv": ["eval", *mc, "--bundle", str(bundle), "--csv", str(bad / "r.csv")],
         "mi-report": ["mi-report", *binary, "--bins", "2", "-o", str(bad / "mi.csv")],
@@ -1030,11 +1051,11 @@ def _unwritable_output_commands(workdir, bundle, ok, bad):
 
 @pytest.mark.parametrize(
     "command",
-    ["fit", "fit-holdout", "apply", "apply-raw-sidecar", "eval-json", "eval-csv", "mi-report", "synth"],
+    ["fit", "fit-holdout", "apply", "eval-json", "eval-csv", "mi-report", "synth"],
 )
 def test_an_output_that_cannot_be_written_is_a_data_error(workdir, tmp_path, capsys, command):
     bad = tmp_path / "missing"
-    argv = _unwritable_output_commands(workdir, _fit_bundle(workdir), tmp_path, bad)[command]
+    argv = _unwritable_output_commands(workdir, _fit_bundle(workdir), bad)[command]
     capsys.readouterr()
     assert main(argv) == 3
     err = capsys.readouterr().err

@@ -16,7 +16,7 @@ from imaxcal import (
     RAW_LOGITS,
 )
 from imaxcal.data import (
-    _OVR_BLOCK_ENTRIES,
+    BLOCK_ENTRIES,
     check_group_spec,
     group_all,
     group_by_prior,
@@ -250,11 +250,11 @@ def test_ovr_logits_come_from_the_normalized_row():
 
 
 @pytest.mark.parametrize("kind", [RAW_LOGITS, PROBABILITIES])
-@pytest.mark.parametrize("k", [10, 2, _OVR_BLOCK_ENTRIES + 7])
+@pytest.mark.parametrize("k", [10, 2, BLOCK_ENTRIES + 7])
 def test_log_odds_in_row_blocks_equal_the_whole_matrix_formula_bit_for_bit(kind, k):
     # three and a half blocks of rows; K above the block size leaves one row
     # per block. A spread of 10 puts some entries on the probability clamp.
-    rows = max(1, _OVR_BLOCK_ENTRIES // k)
+    rows = max(1, BLOCK_ENTRIES // k)
     scores = np.random.default_rng(k).normal(0.0, 10.0, size=(3 * rows + rows // 2 + 1, k))
     if kind == PROBABILITIES:
         scores = softmax(scores)
@@ -278,11 +278,10 @@ def test_ovr_positive_counts_match_label_counts():
 
 
 def test_merge_sets_concatenates():
-    a = BinaryCalibrationSet(np.array([0.0, 1.0]), np.array([0, 1]), source_classes=(0,))
-    b = BinaryCalibrationSet(np.array([2.0]), np.array([1]), source_classes=(1,))
+    a = BinaryCalibrationSet(np.array([0.0, 1.0]), np.array([0, 1]))
+    b = BinaryCalibrationSet(np.array([2.0]), np.array([1]))
     merged = merge_sets([a, b])
     assert len(merged) == 3
-    assert merged.source_classes == frozenset({0, 1})
     np.testing.assert_array_equal(merged.logits, [0.0, 1.0, 2.0])
     with pytest.raises(DataError):
         merge_sets([])

@@ -56,3 +56,15 @@ def test_the_package_imports_exactly_its_declared_dependencies():
                 continue
             third_party |= {n.split(".")[0] for n in names} - set(sys.stdlib_module_names)
     assert third_party == _declared_dependencies() == {"numpy", "click"}
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    private = [
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(INIT_PATH.parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -114,7 +114,6 @@ def _ovr_decompose_oracle(data, class_k):
     return BinaryCalibrationSet(
         logits=logit_of_prob(probs[:, class_k]),
         targets=(data.labels == class_k).astype(np.int8),
-        source_classes=frozenset({class_k}),
     )
 
 
@@ -363,7 +362,6 @@ def test_one_softmax_decomposition_is_bit_identical(kind, strategy, groups):
         np.testing.assert_array_equal(got.logits, want.logits)
         np.testing.assert_array_equal(got.targets, want.targets)
         assert got.targets.dtype == want.targets.dtype
-        assert got.source_classes == want.source_classes
     for k in range(data.n_classes):
         np.testing.assert_array_equal(
             ovr_decompose(data, k).logits, _ovr_decompose_oracle(data, k).logits

@@ -58,6 +58,12 @@ def test_eval_config_validation():
         EvalConfig(bootstrap=-1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+def test_eval_config_rejects_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(DataError, match="seed must be a non-negative integer"):
+        EvalConfig(bootstrap=2, seed=seed)
+
+
 # --- ranking and accuracy -------------------------------------------------
 
 def _lexsort_order(calibrated, tie_break=TIE_CLASS_INDEX, raw_scores=None):
@@ -282,6 +288,18 @@ def test_cw_threshold_strictness():
     cal = np.array([[0.5, 0.5], [0.6, 0.4]])
     res = cw_ece(cal, np.array([0, 0]), EXACT, threshold=0.5)
     assert res.kept_counts.tolist() == [1, 0]
+
+
+def test_a_resample_that_draws_no_row_above_the_threshold_keeps_none():
+    # rows 0 and 1 are class 0's only rows above 0.5: the full pass keeps
+    # both, a resample that draws neither keeps none of class 0
+    cal = np.array([[0.9, 0.1], [0.9, 0.1], [0.2, 0.8], [0.2, 0.8]])
+    stats = RowStats(cal, np.array([0, 1, 1, 0]))
+    assert cw_ece(stats, None, EXACT, threshold=0.5).kept_counts.tolist() == [2, 2]
+    res = cw_ece(stats.take(np.array([2, 3, 3, 2])), None, EXACT, threshold=0.5)
+    assert res.per_class[0] == 0.0
+    assert res.kept_counts.tolist() == [0, 4]
+    assert res.zero_kept_classes == 1
 
 
 def test_cw_ece_threshold_variants_run():

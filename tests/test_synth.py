@@ -96,6 +96,13 @@ def test_binary_spec_validation():
         BinaryMixtureSpec(n=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+@pytest.mark.parametrize("spec", [BinaryMixtureSpec, MulticlassSynthSpec])
+def test_synth_specs_reject_a_seed_numpy_cannot_take(spec, seed):
+    with pytest.raises(DataError, match="seed must be a non-negative integer"):
+        spec(seed=seed)
+
+
 def test_binary_spec_dict_payload():
     spec = BinaryMixtureSpec(n=100, seed=3, **FIG2_IMBALANCED)
     doc = spec.to_dict()
@@ -164,8 +171,6 @@ def test_multiclass_spec_validation():
         MulticlassSynthSpec(n_classes=3, priors=(0.5, 0.5))
     with pytest.raises(DataError):
         MulticlassSynthSpec(n_classes=2, priors=(1.2, -0.2))
-    with pytest.raises(DataError):
-        MulticlassSynthSpec(separation=0.0)
 
 
 def test_multiclass_spec_dict_payload():
@@ -173,3 +178,8 @@ def test_multiclass_spec_dict_payload():
     doc = spec.to_dict()
     assert doc["family"] == "multiclass"
     assert doc["n_classes"] == 4 and doc["t_gen"] == 0.5
+    # the generator's fixed shift and noise, in the sidecar's key order
+    assert list(doc) == [
+        "family", "n_classes", "n", "t_gen", "priors", "separation", "noise_sigma", "seed"
+    ]
+    assert doc["separation"] == 4.0 and doc["noise_sigma"] == 2.0
