@@ -25,10 +25,9 @@ from . import kernels
 from .data import (
     PROB_EPS,
     BinaryCalibrationSet,
-    check_seed,
-    json_count,
+    check_count,
+    check_number,
     json_list,
-    json_number,
     json_object,
     prob_of_logit,
 )
@@ -65,9 +64,10 @@ class ImaxConfig:
     bias: float = 0.0
 
     def __post_init__(self):
-        if self.n_bins < 2:
-            raise DataError(f"n_bins must be >= 2, got {self.n_bins}")
-        check_seed(self.seed)
+        self.n_bins = check_count(self.n_bins, "n_bins", minimum=2)
+        self.seed = check_count(self.seed, "seed")
+        self.scale = check_number(self.scale, "scale")
+        self.bias = check_number(self.bias, "bias")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise DataError(f"scale must be finite and > 0, got {self.scale}")
         if not np.isfinite(self.bias):
@@ -109,6 +109,9 @@ class Binner:
     diagnostics: FitTrace | None = None
 
     def __post_init__(self):
+        self.iterations = check_count(self.iterations, "binner iterations")
+        if self.seed is not None:
+            self.seed = check_count(self.seed, "binner seed")
         self.edges = np.asarray(self.edges, dtype=np.float64)
         self.phis = np.asarray(self.phis, dtype=np.float64)
         if self.edges.ndim != 1 or self.phis.ndim != 1:
@@ -148,7 +151,7 @@ class Binner:
 
         def numbers(name):
             what = f"binner {name}"
-            return [json_number(v, what) for v in json_list(payload[name], what)]
+            return [check_number(v, what) for v in json_list(payload[name], what)]
 
         try:
             return cls(
@@ -156,10 +159,8 @@ class Binner:
                 phis=numbers("phis"),
                 reps=None if payload["reps"] is None else numbers("reps"),
                 method=payload["method"],
-                iterations=json_count(payload["iterations"], "binner iterations"),
-                seed=None
-                if payload["seed"] is None
-                else json_count(payload["seed"], "binner seed"),
+                iterations=payload["iterations"],
+                seed=payload["seed"],
             )
         except FitError as exc:
             raise DataError(f"malformed binner: {exc}") from exc
@@ -214,8 +215,7 @@ def fit_eq_size(n_bins: int):
     Edges sit at logit(i / M), so they are antisymmetric around 0; the
     mirrored construction keeps that antisymmetry exact in floats.
     """
-    if n_bins < 2:
-        raise DataError(f"n_bins must be >= 2, got {n_bins}")
+    n_bins = check_count(n_bins, "n_bins", minimum=2)
     probs = np.arange(1, n_bins) / n_bins
     edges = np.log(probs) - np.log1p(-probs)
     return (edges - edges[::-1]) / 2.0
@@ -229,8 +229,7 @@ def fit_eq_mass(cal_set: BinaryCalibrationSet, n_bins: int):
     sign, in a set holding both -0.0 and 0.0, which no log-odds from
     data.logit_of_prob is.
     """
-    if n_bins < 2:
-        raise DataError(f"n_bins must be >= 2, got {n_bins}")
+    n_bins = check_count(n_bins, "n_bins", minimum=2)
     if len(cal_set) < n_bins:
         raise FitError(f"need at least {n_bins} samples, got {len(cal_set)}")
     edges = np.quantile(cal_set.sorted_logits, np.arange(1, n_bins) / n_bins)

@@ -21,26 +21,28 @@ from .binning import (
     METHOD_IMAX,
     REP_EMPIRICAL_FREQ,
     REP_SCALED_PROB_MEAN,
+    REP_STRATEGIES,
     Binner,
     ImaxConfig,
     apply_binner,
     fit_binner,
 )
 from .data import (
-    BLOCK_ENTRIES,
     PROBABILITIES,
     RAW_LOGITS,
     ClassGrouping,
     PredictionMatrix,
+    check_count,
+    check_group_spec,
     group_all,
     group_by_prior,
     group_singletons,
-    json_count,
     json_list,
     json_object,
     ovr_logits,
     ovr_set,
     prob_of_logit,
+    row_blocks,
 )
 from .errors import DataError
 from .scaling import (
@@ -88,7 +90,8 @@ class GroupCalibrator:
     scaler: Scaler | None = None
 
     def __post_init__(self):
-        self.classes = tuple(int(c) for c in self.classes)
+        # the rules of one group: class indices, at least one, none twice
+        (self.classes,) = check_group_spec((self.classes,))
         if (self.binner is None) == (self.scaler is None):
             raise DataError("group calibrator needs exactly one of binner/scaler")
 
@@ -103,8 +106,10 @@ class CalibratorBundle:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.strategy not in (STRATEGY_CW, STRATEGY_SCW):
-            raise DataError(f"unknown strategy {self.strategy!r}")
+        check_strategy(self.strategy)
+        self.n_classes = check_count(self.n_classes, "bundle n_classes")
+        if not isinstance(self.provenance, dict):
+            raise DataError("bundle provenance must be an object")
         if self.input_kind not in (RAW_LOGITS, PROBABILITIES):
             raise DataError(f"unknown input kind {self.input_kind!r}")
         covered = sorted(c for cal in self.calibrators for c in cal.classes)
@@ -152,14 +157,9 @@ class CalibratorBundle:
                 f"unsupported bundle version {payload['version']!r}"
                 f" (expected {BUNDLE_VERSION!r})"
             )
-        grouping_payload = json_object(payload["grouping"], _GROUPING_FIELDS, "bundle grouping")
-        n_classes = json_count(payload["n_classes"], "bundle n_classes")
         grouping = ClassGrouping(
-            groups=tuple(
-                _classes(g) for g in json_list(grouping_payload["groups"], "bundle grouping groups")
-            ),
-            mode=grouping_payload["mode"],
-            n_classes=n_classes,
+            **json_object(payload["grouping"], _GROUPING_FIELDS, "bundle grouping"),
+            n_classes=payload["n_classes"],
         )
         calibrators = []
         for cal in json_list(payload["calibrators"], "bundle calibrators"):
@@ -169,31 +169,16 @@ class CalibratorBundle:
             # bundle fit writes them, so one without is malformed
             if binner is not None and binner.reps is None:
                 raise DataError("bundle binner has no representatives")
-            calibrators.append(
-                GroupCalibrator(
-                    classes=_classes(cal["classes"]),
-                    binner=binner,
-                    scaler=None
-                    if cal["scaler"] is None
-                    else Scaler.from_dict(cal["scaler"]),
-                )
-            )
-        provenance = payload["provenance"]
-        if not isinstance(provenance, dict):
-            raise DataError("bundle provenance must be an object")
+            scaler = None if cal["scaler"] is None else Scaler.from_dict(cal["scaler"])
+            calibrators.append(GroupCalibrator(cal["classes"], binner, scaler))
         return cls(
             strategy=payload["strategy"],
-            n_classes=n_classes,
+            n_classes=payload["n_classes"],
             input_kind=payload["input_kind"],
             grouping=grouping,
             calibrators=calibrators,
-            provenance=provenance,
+            provenance=payload["provenance"],
         )
-
-
-def _classes(values) -> tuple:
-    """A JSON list of class indices."""
-    return tuple(json_count(c, "class index") for c in json_list(values, "class list"))
 
 
 def check_strategy(
@@ -208,7 +193,10 @@ def check_strategy(
     so it takes no groups and no cw, and it scales raw logits, so it takes
     no probabilities; cw fits one calibrator per class, so it takes no
     groups and no platt; a scaler kind goes with imax_with_scaler, which
-    needs one. fit_bundle and the CLI's flag checks both apply it."""
+    needs one. groups_spec must pass data.check_group_spec. fit_bundle,
+    CalibratorBundle and the CLI's flag checks apply it."""
+    if strategy not in (STRATEGY_CW, STRATEGY_SCW):
+        raise DataError(f"unknown strategy {strategy!r}")
     if method == METHOD_IMAX_WITH_SCALER:
         if scaler_kind not in (KIND_TEMPERATURE, KIND_PLATT):
             raise DataError("imax_with_scaler needs a temperature or platt scaler")
@@ -219,6 +207,7 @@ def check_strategy(
         raise DataError("temperature scaling needs raw logits, not probabilities")
     if method == METHOD_TEMPERATURE and groups_spec is not None:
         raise DataError("temperature scaling fits one scaler on all classes; no groups")
+    check_group_spec(groups_spec)
     if strategy != STRATEGY_CW:
         return
     if groups_spec is not None:
@@ -233,17 +222,15 @@ def resolve_grouping(
     data: PredictionMatrix, strategy: str, groups_spec=None
 ) -> ClassGrouping:
     """Grouping for the fit: cw means singletons; scw defaults to one group,
-    an int selects prior-quantile blocks, a list gives explicit groups."""
+    an integer selects prior-quantile blocks, class lists give explicit ones."""
     check_strategy(strategy, groups_spec)
     if strategy == STRATEGY_CW:
         return group_singletons(data.n_classes)
     if groups_spec is None:
         return group_all(data.n_classes)
-    if isinstance(groups_spec, int):
+    if isinstance(groups_spec, (int, np.integer)):
         return group_by_prior(data, groups_spec)
-    return ClassGrouping(
-        groups=tuple(tuple(g) for g in groups_spec), n_classes=data.n_classes
-    )
+    return ClassGrouping(groups=groups_spec, n_classes=data.n_classes)
 
 
 def fit_bundle(
@@ -258,6 +245,8 @@ def fit_bundle(
     """Fit a complete bundle on a calibration split."""
     if method not in FIT_METHODS:
         raise DataError(f"unknown method {method!r}")
+    if rep_strategy not in REP_STRATEGIES:
+        raise DataError(f"unknown representative strategy {rep_strategy!r}")
     check_strategy(strategy, groups_spec, method, scaler_kind, data.kind)
     cfg = config if config is not None else ImaxConfig()
     grouping = resolve_grouping(data, strategy, groups_spec)
@@ -311,17 +300,16 @@ def fit_bundle(
 def apply_bundle(bundle: CalibratorBundle, scores, kind: str) -> np.ndarray:
     """Per-class calibrated probabilities, rows not renormalized: the scores'
     log-odds, each column overwritten with its calibrator's values. Each
-    calibrator maps all of its columns at once, in blocks of rows of about
-    BLOCK_ENTRIES values."""
+    calibrator maps all of its columns at once, in the row blocks of
+    data.row_blocks."""
     shape = np.shape(scores)
     if len(shape) == 2 and shape[1] != bundle.n_classes:
         raise DataError(f"bundle was fitted for {bundle.n_classes} classes, scores have {shape[1]}")
     lam = ovr_logits(scores, kind)
     for cal in bundle.calibrators:
         columns = list(cal.classes)
-        rows = max(1, BLOCK_ENTRIES // len(columns))
-        for start in range(0, len(lam), rows):
-            block = (slice(start, start + rows), columns)
+        for rows in row_blocks(len(lam), len(columns)):
+            block = (rows, columns)
             if cal.binner is None:
                 lam[block] = prob_of_logit(apply_scaler(cal.scaler, lam[block]))
             else:

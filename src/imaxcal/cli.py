@@ -31,12 +31,11 @@ from .binning import (
     fit_imax_many,
 )
 from .data import (
-    BLOCK_ENTRIES,
     PROBABILITIES,
     RAW_LOGITS,
     PredictionMatrix,
-    check_group_spec,
     ovr_set,
+    row_blocks,
 )
 from .errors import DataError, FitError
 from .metrics import (
@@ -113,10 +112,9 @@ def _write_matrix(path, matrix):
     the block is written by one join.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    block = max(1, BLOCK_ENTRIES // max(1, matrix.shape[1]))
     with _output(path) as fh:
-        for start in range(0, matrix.shape[0], block):
-            bits = np.ascontiguousarray(matrix[start : start + block]).view(np.uint64)
+        for rows in row_blocks(*matrix.shape):
+            bits = np.ascontiguousarray(matrix[rows]).view(np.uint64)
             keys, inverse = np.unique(bits, return_inverse=True)
             at = inverse.reshape(bits.shape)
             last_keys, last_at = np.unique(at[:, -1], return_inverse=True)
@@ -301,7 +299,6 @@ def cmd_fit(
         scaler_kind=scaler_kind,
         input_kind=_KIND_BY_FLAG[input_kind],
     )
-    _flag_config(check_group_spec, groups_spec=groups_spec)
     cfg = _flag_config(ImaxConfig, n_bins=bins, seed=seed)
 
     scores = _read_matrix(scores_csv)

@@ -98,10 +98,10 @@ def integer_labels(labels):
         raise DataError(f"labels must be integers: {exc}") from exc
 
 
-def json_number(value, what):
-    """A number read from JSON, as a float. Text, null, bool, containers and
-    integers beyond the float range are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def check_number(value, what):
+    """value as a Python float: an int, float or numpy real, not a bool, in
+    the float range. Anything else is a DataError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise DataError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
@@ -109,12 +109,13 @@ def json_number(value, what):
         raise DataError(f"{what} is out of the float range") from exc
 
 
-def json_count(value, what):
-    """A non-negative integer read from JSON. Text, bool and any float,
-    even an integral one, are rejected rather than cast."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise DataError(f"{what} must be a non-negative integer, got {value!r}")
-    return value
+def check_count(value, what, minimum=0):
+    """value as a Python int: an int or numpy integer, not a bool, of at
+    least minimum. Anything else, even an integral float, is a DataError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        rule = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise DataError(f"{what} must be {rule}, got {value!r}")
+    return int(value)
 
 
 def check_scores(scores, kind):
@@ -155,12 +156,6 @@ def check_labels(labels, n, k):
     return labels
 
 
-def check_seed(seed):
-    """A DataError unless seed is a non-negative integer, as numpy takes."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 def json_object(value, fields, what):
     """A JSON object with exactly the given fields, returned as it is."""
     if not isinstance(value, dict):
@@ -181,16 +176,23 @@ def json_list(value, what):
     return value
 
 
+def row_blocks(n, width):
+    """Slices covering rows 0..n-1 in order: at width values per row, each
+    holds about BLOCK_ENTRIES values, and at least one row."""
+    rows = max(1, BLOCK_ENTRIES // max(1, width))
+    for start in range(0, n, rows):
+        yield slice(start, start + rows)
+
+
 def ovr_logits(scores, kind):
     """N x K one-vs-rest log-odds of checked scores: logit_of_prob of the
     softmax of raw logits, or of the probabilities. Blocks of rows, about
     BLOCK_ENTRIES values each, are transformed into the one N x K output."""
     scores = check_scores(scores, kind)
     out = np.empty(scores.shape)
-    rows = max(1, BLOCK_ENTRIES // scores.shape[1])
-    for start in range(0, len(scores), rows):
-        block = scores[start : start + rows]
-        out[start : start + rows] = logit_of_prob(softmax(block) if kind == RAW_LOGITS else block)
+    for rows in row_blocks(*scores.shape):
+        block = scores[rows]
+        out[rows] = logit_of_prob(softmax(block) if kind == RAW_LOGITS else block)
     return out
 
 
@@ -293,7 +295,7 @@ def ovr_set(lam, labels, classes) -> BinaryCalibrationSet:
 
 def ovr_decompose(data: PredictionMatrix, class_k: int) -> BinaryCalibrationSet:
     """One-vs-rest binary set for class k on the log-odds scale."""
-    if not 0 <= class_k < data.n_classes:
+    if check_count(class_k, "class index") >= data.n_classes:
         raise DataError(f"class index {class_k} out of range")
     return ovr_set(data.ovr_logits(), data.labels, (class_k,))
 
@@ -310,24 +312,28 @@ def merge_sets(sets) -> BinaryCalibrationSet:
 
 
 def check_group_spec(groups_spec):
-    """A DataError unless groups_spec could group some classes: None, a
-    prior-group count of at least 1, or non-empty groups that do not overlap.
+    """groups_spec, counts as Python ints, if it could group some classes:
+    None, a prior-group count of at least 1, or non-empty class-index tuples
+    that do not overlap. Otherwise a DataError.
 
     These rules need no class count, so the CLI applies them before it reads
-    a file. ClassGrouping and group_by_prior apply them too, and add the
+    a file. ClassGrouping and GroupCalibrator apply them too, and add the
     rules that need K: at most K groups, and groups that cover 0..K-1.
     """
     if groups_spec is None:
-        return
+        return None
     if isinstance(groups_spec, (int, np.integer)):
-        if groups_spec < 1:
-            raise DataError(f"n_groups must be at least 1, got {groups_spec}")
-        return
-    if not groups_spec or any(len(g) == 0 for g in groups_spec):
+        return check_count(groups_spec, "n_groups", minimum=1)
+    try:
+        groups = tuple(tuple(check_count(c, "class index") for c in g) for g in groups_spec)
+    except TypeError as exc:
+        raise DataError(f"groups must be a count or class lists, got {groups_spec!r}") from exc
+    if not groups or any(len(g) == 0 for g in groups):
         raise DataError("grouping needs non-empty groups")
-    flat = [int(c) for g in groups_spec for c in g]
+    flat = [c for g in groups for c in g]
     if len(flat) != len(set(flat)):
         raise DataError("groups overlap")
+    return groups
 
 
 MODE_ONE_FOR_ALL = "one_for_all"
@@ -346,10 +352,12 @@ class ClassGrouping:
     def __post_init__(self):
         if self.mode not in (MODE_ONE_FOR_ALL, MODE_BY_PRIOR, MODE_EXPLICIT):
             raise DataError(f"unknown grouping mode {self.mode!r}")
-        groups = tuple(tuple(sorted(int(c) for c in g)) for g in self.groups)
-        check_group_spec(groups)
+        groups = check_group_spec(self.groups)
+        if not isinstance(groups, tuple):
+            raise DataError(f"groups must be class lists, got {self.groups!r}")
+        groups = tuple(tuple(sorted(g)) for g in groups)
         flat = [c for g in groups for c in g]
-        k = self.n_classes or (max(flat) + 1)
+        k = check_count(self.n_classes, "n_classes") or (max(flat) + 1)
         if len(flat) != k or sorted(flat) != list(range(k)):
             raise DataError(f"groups must cover classes 0..{k - 1} exactly")
         self.groups = groups
@@ -379,7 +387,7 @@ def group_by_prior(data: PredictionMatrix, n_groups: int) -> ClassGrouping:
     class index so the grouping is deterministic.
     """
     k = data.n_classes
-    check_group_spec(n_groups)
+    n_groups = check_count(n_groups, "n_groups", minimum=1)
     if n_groups > k:
         raise DataError(f"n_groups must be in [1, {k}], got {n_groups}")
     priors = data.class_priors()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinaryCalibrationSet
+from .data import BinaryCalibrationSet, check_number
 from .errors import DataError
 from .metrics import mi_of_quantizer
 
@@ -44,6 +44,7 @@ class Kde1D:
             raise DataError("KDE needs at least two samples")
         if not np.all(np.isfinite(self.samples)):
             raise DataError("KDE samples must be finite")
+        self.bandwidth = check_number(self.bandwidth, "KDE bandwidth")
         if not (self.bandwidth > 0 and np.isfinite(self.bandwidth)):
             raise DataError("KDE bandwidth must be positive and finite")
 
@@ -162,6 +163,7 @@ def mi_upper_bound(kde_pos: Kde1D, kde_neg: Kde1D, prior: float) -> float:
     h = max of the two bandwidths, 4096 uniform points, where
     ``_density_on_grid`` evaluates each density for ``mi_of_densities``.
     """
+    prior = check_number(prior, "prior")
     if not 0.0 < prior < 1.0:
         raise DataError("prior must lie strictly inside (0, 1)")
     h = max(kde_pos.bandwidth, kde_neg.bandwidth)

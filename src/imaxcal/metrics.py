@@ -15,15 +15,16 @@ import numpy as np
 
 from .binning import ImaxConfig, bin_counts, bin_sums, fit_imax
 from .data import (
-    BLOCK_ENTRIES,
     PROB_EPS,
     RAW_LOGITS,
     BinaryCalibrationSet,
+    check_count,
     check_labels,
+    check_number,
     check_scores,
-    check_seed,
     logit_of_prob,
     prob_of_logit,
+    row_blocks,
     xlogy,
 )
 from .errors import DataError
@@ -37,6 +38,9 @@ EVAL_SCHEMES = (SCHEME_EQ_SIZE, SCHEME_EQ_MASS, SCHEME_KMEANS, SCHEME_IMAX, SCHE
 
 TIE_CLASS_INDEX = "class_index"
 TIE_RAW_LOGIT = "raw_logit"
+
+_KMEANS_MAX_ITER = 100
+_KMEANS_TOL = 1e-10
 
 THRESHOLD_ZERO = "zero"
 THRESHOLD_ONE_OVER_K = "one_over_k"
@@ -65,23 +69,27 @@ class EvalConfig:
     def __post_init__(self):
         if self.eval_scheme not in EVAL_SCHEMES:
             raise DataError(f"unknown eval scheme {self.eval_scheme!r}")
-        if self.n_eval_bins < 1:
-            raise DataError("n_eval_bins must be >= 1")
+        self.n_eval_bins = check_count(self.n_eval_bins, "n_eval_bins", minimum=1)
         if self.tie_break not in (TIE_CLASS_INDEX, TIE_RAW_LOGIT):
             raise DataError(f"unknown tie break {self.tie_break!r}")
-        self.cw_thresholds = tuple(self.cw_thresholds)
-        for thr in self.cw_thresholds:
-            if isinstance(thr, str):
-                if thr not in NAMED_THRESHOLDS:
-                    raise DataError(f"unknown threshold {thr!r}")
-            elif not 0.0 <= float(thr) < 1.0:
-                raise DataError("custom threshold must lie in [0, 1)")
-        self.top_k = tuple(int(k) for k in self.top_k)
-        if any(k < 1 for k in self.top_k):
-            raise DataError("top_k entries must be >= 1")
-        if self.bootstrap < 0:
-            raise DataError("bootstrap count must be >= 0")
-        check_seed(self.seed)
+        self.cw_thresholds = tuple(_check_threshold(thr) for thr in self.cw_thresholds)
+        if not self.cw_thresholds:
+            raise DataError("cw_thresholds needs at least one threshold")
+        self.top_k = tuple(check_count(k, "top_k entry", minimum=1) for k in self.top_k)
+        self.bootstrap = check_count(self.bootstrap, "bootstrap count")
+        self.seed = check_count(self.seed, "seed")
+
+
+def _check_threshold(thr):
+    """A named threshold, or a number in [0, 1) as a float."""
+    if isinstance(thr, str):
+        if thr not in NAMED_THRESHOLDS:
+            raise DataError(f"unknown threshold {thr!r}")
+        return thr
+    thr = check_number(thr, "custom threshold")
+    if not 0.0 <= thr < 1.0:
+        raise DataError("custom threshold must lie in [0, 1)")
+    return thr
 
 
 def _check_calibrated(calibrated, labels):
@@ -123,10 +131,9 @@ class RowStats:
         self.nll_terms = -np.log(np.clip(q_true, PROB_EPS, 1.0))
         # each row's sum of squares, block by block rather than as an N x K square
         sq_sums = np.empty(self.n)
-        step = max(1, BLOCK_ENTRIES // self.k)
-        for start in range(0, self.n, step):
-            block = self.calibrated[start : start + step]
-            np.sum(block * block, axis=1, out=sq_sums[start : start + step])
+        for rows in row_blocks(self.n, self.k):
+            block = self.calibrated[rows]
+            np.sum(block * block, axis=1, out=sq_sums[rows])
         self.brier_terms = sq_sums - 2.0 * q_true + 1.0
         self._weights = None
         self._shared = {}
@@ -235,11 +242,11 @@ def accuracy_topk(
     """
     stats = _row_stats(calibrated, labels, tie_break, raw_scores)
     label_rank = stats.ranking()[2]
-    hits = np.dot(stats.weights(), label_rank < min(int(k), stats.k))
+    hits = np.dot(stats.weights(), label_rank < min(check_count(k, "k", minimum=1), stats.k))
     return float(hits / stats.rows.size)
 
 
-def _kmeans_1d(values, n_bins, seed, max_iter=100, tol=1e-10):
+def _kmeans_1d(values, n_bins, seed):
     """Plain 1-D Lloyd iteration with squared-distance ++-style seeding."""
     rng = np.random.default_rng(seed)
     centers = np.empty(n_bins)
@@ -255,14 +262,14 @@ def _kmeans_1d(values, n_bins, seed, max_iter=100, tol=1e-10):
     centers = np.unique(centers)
 
     values_sorted = np.sort(values)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         cuts = (centers[:-1] + centers[1:]) / 2.0
         cnts, sums = bin_sums(cuts, values_sorted, values_sorted)
         occupied = cnts > 0
         new_centers = np.where(occupied, sums / np.maximum(cnts, 1), centers)
         movement = float(np.max(np.abs(new_centers - centers)))
         centers = np.unique(new_centers)
-        if movement < tol:
+        if movement < _KMEANS_TOL:
             break
     return centers
 
@@ -369,18 +376,16 @@ def top1_ece(calibrated, labels, cfg: EvalConfig | None = None, raw_scores=None)
 
 
 def resolve_threshold(thr, class_k, n_classes, priors):
-    """Concrete threshold value for class k."""
-    if isinstance(thr, str):
-        if thr == THRESHOLD_ZERO:
-            return 0.0
-        if thr == THRESHOLD_ONE_OVER_K:
-            return 1.0 / n_classes
-        if thr == THRESHOLD_CLASS_PRIOR:
-            return float(priors[class_k])
-        if thr == THRESHOLD_HALF:
-            return 0.5
-        raise DataError(f"unknown threshold {thr!r}")
-    return float(thr)
+    """Value for class k of a threshold that _check_threshold passed."""
+    if thr == THRESHOLD_ZERO:
+        return 0.0
+    if thr == THRESHOLD_ONE_OVER_K:
+        return 1.0 / n_classes
+    if thr == THRESHOLD_CLASS_PRIOR:
+        return float(priors[class_k])
+    if thr == THRESHOLD_HALF:
+        return 0.5
+    return thr
 
 
 @dataclass
@@ -404,8 +409,7 @@ def cw_ece(calibrated, labels, cfg: EvalConfig | None = None, threshold=None) ->
     """
     cfg = cfg if cfg is not None else EvalConfig()
     stats = _row_stats(calibrated, labels)
-    if threshold is None:
-        threshold = cfg.cw_thresholds[0]
+    threshold = cfg.cw_thresholds[0] if threshold is None else _check_threshold(threshold)
     rows = stats.rows
     k = stats.k
     priors = np.bincount(stats.labels, weights=stats.weights(), minlength=k) / rows.size
@@ -545,7 +549,7 @@ class MetricReport:
 
 
 def threshold_label(thr) -> str:
-    return thr if isinstance(thr, str) else repr(float(thr))
+    return thr if isinstance(thr, str) else repr(thr)
 
 
 def _metric_pass(stats, cfg):

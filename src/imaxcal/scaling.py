@@ -15,7 +15,7 @@ from .data import (
     RAW_LOGITS,
     BinaryCalibrationSet,
     PredictionMatrix,
-    json_number,
+    check_number,
     json_object,
     prob_of_logit,
     softmax,
@@ -42,13 +42,14 @@ class Scaler:
 
     def __post_init__(self):
         if self.kind == KIND_TEMPERATURE:
-            if self.temperature is None or not np.isfinite(self.temperature):
+            self.temperature = check_number(self.temperature, "scaler temperature")
+            if not np.isfinite(self.temperature):
                 raise FitError("temperature scaler needs a finite temperature")
             if self.temperature <= 0:
                 raise FitError("temperature must be positive")
         elif self.kind == KIND_PLATT:
-            if self.a is None or self.b is None:
-                raise FitError("platt scaler needs both a and b")
+            self.a = check_number(self.a, "scaler a")
+            self.b = check_number(self.b, "scaler b")
             if not (np.isfinite(self.a) and np.isfinite(self.b)):
                 raise FitError("platt parameters must be finite")
         else:
@@ -56,8 +57,8 @@ class Scaler:
 
     def to_dict(self) -> dict:
         if self.kind == KIND_TEMPERATURE:
-            return {"kind": self.kind, "temperature": float(self.temperature)}
-        return {"kind": self.kind, "a": float(self.a), "b": float(self.b)}
+            return {"kind": self.kind, "temperature": self.temperature}
+        return {"kind": self.kind, "a": self.a, "b": self.b}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Scaler":
@@ -66,9 +67,8 @@ class Scaler:
             raise DataError(f"scaler must be a JSON object with a known kind, got {kind!r}")
         names = ("temperature",) if kind == KIND_TEMPERATURE else ("a", "b")
         json_object(payload, ("kind", *names), f"{kind} scaler")
-        params = {name: json_number(payload[name], f"scaler field {name!r}") for name in names}
         try:
-            return cls(kind=kind, **params)
+            return cls(**payload)
         except FitError as exc:
             raise DataError(f"malformed scaler: {exc}") from exc
 
@@ -194,5 +194,5 @@ def fit_platt(cal_set: BinaryCalibrationSet) -> Scaler:
         obj = cand
     else:
         raise FitError("platt Newton did not converge")
-    return Scaler(kind=KIND_PLATT, a=float(a), b=float(b))
+    return Scaler(kind=KIND_PLATT, a=a, b=b)
 

@@ -11,11 +11,13 @@ labels, stream k+1 draws class k's noise column (the binary mixture uses
 stream 1 for its logit noise).
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, check_seed, prob_of_logit
+from .data import (
+    RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, check_count, check_number, prob_of_logit
+)
 from .errors import DataError
 from .info import mi_of_densities
 
@@ -38,25 +40,17 @@ class BinaryMixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("prior", "mu_pos", "sigma_pos", "mu_neg", "sigma_neg"):
+            setattr(self, name, check_number(getattr(self, name), name))
         if not 0.0 < self.prior < 1.0:
             raise DataError("prior must lie strictly inside (0, 1)")
         if self.sigma_pos <= 0 or self.sigma_neg <= 0:
             raise DataError("mixture sigmas must be positive")
-        if self.n < 1:
-            raise DataError("n must be >= 1")
-        check_seed(self.seed)
+        self.n = check_count(self.n, "n", minimum=1)
+        self.seed = check_count(self.seed, "seed")
 
     def to_dict(self) -> dict:
-        return {
-            "family": "binary_mixture",
-            "prior": self.prior,
-            "mu_pos": self.mu_pos,
-            "sigma_pos": self.sigma_pos,
-            "mu_neg": self.mu_neg,
-            "sigma_neg": self.sigma_neg,
-            "n": self.n,
-            "seed": self.seed,
-        }
+        return {"family": "binary_mixture", **asdict(self)}
 
 
 # The heavily imbalanced two-Gaussian preset used across the test suite:
@@ -145,13 +139,12 @@ class MulticlassSynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise DataError("need at least two classes")
-        if self.n < 1:
-            raise DataError("n must be >= 1")
+        self.n_classes = check_count(self.n_classes, "n_classes", minimum=2)
+        self.n = check_count(self.n, "n", minimum=1)
+        self.t_gen = check_number(self.t_gen, "t_gen")
         if self.t_gen <= 0:
             raise DataError("t_gen must be positive")
-        check_seed(self.seed)
+        self.seed = check_count(self.seed, "seed")
         if self.priors is None:
             self.priors = np.full(self.n_classes, 1.0 / self.n_classes)
         else:
@@ -184,6 +177,6 @@ def gen_multiclass(spec: MulticlassSynthSpec) -> PredictionMatrix:
     for k in range(spec.n_classes):
         scores[:, k] = shift[k] + NOISE_SIGMA * gens[k + 1].standard_normal(spec.n)
     scores[np.arange(spec.n), labels] += SEPARATION
-    return PredictionMatrix(
-        scores=scores / spec.t_gen, labels=labels, kind=RAW_LOGITS
-    )
+    with np.errstate(over="ignore"):  # a score beyond the float range is a DataError below
+        scores /= spec.t_gen
+    return PredictionMatrix(scores=scores, labels=labels, kind=RAW_LOGITS)

@@ -1026,7 +1026,7 @@ def test_matrix_writer_matches_the_row_loop(tmp_path, monkeypatch):
         ("tied-last", tied_last, 9),
     ):
         if cells is not None:
-            monkeypatch.setattr(cli, "BLOCK_ENTRIES", cells)
+            monkeypatch.setattr("imaxcal.data.BLOCK_ENTRIES", cells)
         cli._write_matrix(tmp_path / f"{name}.csv", matrix)
         _write_matrix_by_rows(tmp_path / f"{name}-rows.csv", matrix)
         written = (tmp_path / f"{name}.csv").read_bytes()
