@@ -662,14 +662,3 @@ def fit_edges(cal_set: BinaryCalibrationSet, method: str, cfg: ImaxConfig) -> Bi
         return fit_imax(cal_set, cfg)
     raise DataError(f"unknown binning method {method!r}")
 
-
-def fit_binner(
-    cal_set: BinaryCalibrationSet,
-    method: str,
-    config: ImaxConfig | None = None,
-    strategy: str = REP_EMPIRICAL_FREQ,
-    scaler=None,
-) -> Binner:
-    """Fit edges by method, then attach representatives. Convenience wrapper."""
-    cfg = config if config is not None else ImaxConfig()
-    return set_representatives(fit_edges(cal_set, method, cfg), cal_set, strategy, scaler=scaler)

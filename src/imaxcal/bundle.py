@@ -25,7 +25,8 @@ from .binning import (
     Binner,
     ImaxConfig,
     apply_binner,
-    fit_binner,
+    fit_edges,
+    set_representatives,
 )
 from .data import (
     PROBABILITIES,
@@ -112,9 +113,6 @@ class CalibratorBundle:
             raise DataError("bundle provenance must be an object")
         if self.input_kind not in (RAW_LOGITS, PROBABILITIES):
             raise DataError(f"unknown input kind {self.input_kind!r}")
-        covered = sorted(c for cal in self.calibrators for c in cal.classes)
-        if covered != list(range(self.n_classes)):
-            raise DataError("calibrators must cover every class exactly once")
         if self.grouping.n_classes != self.n_classes or self.grouping.groups != tuple(
             tuple(sorted(cal.classes)) for cal in self.calibrators
         ):
@@ -247,6 +245,8 @@ def fit_bundle(
         raise DataError(f"unknown method {method!r}")
     if rep_strategy not in REP_STRATEGIES:
         raise DataError(f"unknown representative strategy {rep_strategy!r}")
+    if rep_strategy == REP_SCALED_PROB_MEAN and method != METHOD_IMAX_WITH_SCALER:
+        raise DataError("scaled_prob_mean needs the scaler that only imax_with_scaler fits")
     check_strategy(strategy, groups_spec, method, scaler_kind, data.kind)
     cfg = config if config is not None else ImaxConfig()
     grouping = resolve_grouping(data, strategy, groups_spec)
@@ -278,7 +278,9 @@ def fit_bundle(
             if method == METHOD_PLATT:
                 cal = GroupCalibrator(classes=g, scaler=fit_platt(sets.pop()))
             else:
-                binner = fit_binner(sets.pop(), binning_method, cfg, rep_strategy, scaler)
+                cal_set = sets.pop()
+                binner = fit_edges(cal_set, binning_method, cfg)
+                binner = set_representatives(binner, cal_set, rep_strategy, scaler=scaler)
                 cal = GroupCalibrator(classes=g, binner=binner)
             calibrators.append(cal)
         if method != METHOD_PLATT:

@@ -371,18 +371,12 @@ def _class_balanced_split(labels, frac, seed):
 @click.argument("bundle_json", type=click.Path())
 @click.argument("scores_csv", type=click.Path())
 @click.option("-o", "--out", required=True, type=click.Path(), help="Calibrated CSV path.")
-@click.option(
-    "--input-kind",
-    default=None,
-    type=click.Choice(["logits", "probs"]),
-    help="Defaults to the kind the bundle was fitted on.",
-)
-def cmd_apply(bundle_json, scores_csv, out, input_kind):
-    """Apply a fitted bundle to scores; rows are not renormalized."""
+def cmd_apply(bundle_json, scores_csv, out):
+    """Apply a fitted bundle to scores of the kind it was fitted on; rows are
+    not renormalized."""
     fitted = _load_bundle(bundle_json)
     scores = _read_matrix(scores_csv)
-    kind = fitted.input_kind if input_kind is None else _KIND_BY_FLAG[input_kind]
-    calibrated = bundle_mod.apply_bundle(fitted, scores, kind)
+    calibrated = bundle_mod.apply_bundle(fitted, scores, fitted.input_kind)
     _write_matrix(out, calibrated)
     diag(event="apply", n=calibrated.shape[0], k=calibrated.shape[1], out=out)
 
@@ -415,12 +409,6 @@ def _load_bundle(path):
 @click.option("--tie-break", default="class-index",
               type=click.Choice(["class-index", "raw-logit"]), show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option(
-    "--input-kind",
-    default=None,
-    type=click.Choice(["logits", "probs"]),
-    help="Kind of scores_csv when applying a bundle (defaults to the bundle's).",
-)
 @click.option("--raw-scores", default=None, type=click.Path(),
               help="The scores file apply read, for --tie-break raw-logit without --bundle.")
 def cmd_eval(
@@ -436,7 +424,6 @@ def cmd_eval(
     bootstrap,
     tie_break,
     seed,
-    input_kind,
     raw_scores,
 ):
     """Evaluate calibrated scores (or scores through a bundle)."""
@@ -444,8 +431,6 @@ def cmd_eval(
         eval_scheme, EVAL_SCHEMES, "eval scheme", {"imax": SCHEME_IMAX, "exact": SCHEME_EXACT}
     )
     tie = _TIE_BY_FLAG[tie_break]
-    if bundle_json is None and input_kind is not None:
-        raise click.UsageError("--input-kind applies only with --bundle")
     if bundle_json is not None and raw_scores is not None:
         raise click.UsageError(
             "--raw-scores applies only without --bundle; with it, scores_csv is the raw scores"
@@ -478,8 +463,7 @@ def cmd_eval(
         raw = None if raw_scores is None else _read_matrix(raw_scores)
     else:
         fitted = _load_bundle(bundle_json)
-        kind = fitted.input_kind if input_kind is None else _KIND_BY_FLAG[input_kind]
-        calibrated = bundle_mod.apply_bundle(fitted, scores, kind)
+        calibrated = bundle_mod.apply_bundle(fitted, scores, fitted.input_kind)
         raw = scores
         if scheme is None and fitted.has_binners():
             configs = [replace(cfg, eval_scheme=SCHEME_EXACT) for cfg in configs]

@@ -284,9 +284,13 @@ def ovr_set(lam, labels, classes) -> BinaryCalibrationSet:
 
     lam is the N x K matrix of ovr_logits and labels the N integer labels.
     The result equals merge_sets of the per-class ovr_decompose sets,
-    without a softmax or a copy per class.
+    without a softmax or a copy per class. classes must pass
+    check_group_spec as one group of columns of lam.
     """
-    classes = np.asarray(tuple(classes), dtype=np.int64)
+    (classes,) = check_group_spec((classes,))
+    if max(classes) >= lam.shape[1]:
+        raise DataError(f"class index {max(classes)} out of range for {lam.shape[1]} classes")
+    classes = np.asarray(classes, dtype=np.int64)
     return BinaryCalibrationSet(
         logits=lam[:, classes].T.ravel(),
         targets=(labels[None, :] == classes[:, None]).astype(np.int8).ravel(),
@@ -295,8 +299,6 @@ def ovr_set(lam, labels, classes) -> BinaryCalibrationSet:
 
 def ovr_decompose(data: PredictionMatrix, class_k: int) -> BinaryCalibrationSet:
     """One-vs-rest binary set for class k on the log-odds scale."""
-    if check_count(class_k, "class index") >= data.n_classes:
-        raise DataError(f"class index {class_k} out of range")
     return ovr_set(data.ovr_logits(), data.labels, (class_k,))
 
 

@@ -282,6 +282,7 @@ def eval_bin_edges(values, scheme, n_bins, seed=0, targets=None):
     and imax_eval give each value its own bin when no more than n_bins differ.
     """
     values = np.asarray(values, dtype=np.float64)
+    n_bins = check_count(n_bins, "n_bins", minimum=1)
     if scheme == SCHEME_EQ_SIZE:
         return np.arange(1, n_bins) / n_bins
     if scheme == SCHEME_EQ_MASS:
@@ -576,11 +577,15 @@ def build_report(
     (ddof=1), and 0 for a single resample, where it is undefined.
 
     stats, when given, is the RowStats of calibrated and labels under cfg's
-    tie break; reports that differ only in other settings can share it, and
-    with it one ranking.
+    tie break, else a DataError; reports that differ only in other settings
+    can share it, and with it one ranking.
     """
     if stats is None:
         stats = RowStats(calibrated, labels, cfg.tie_break, raw_scores)
+    elif stats.tie_break != cfg.tie_break:
+        raise DataError(
+            f"stats rank by tie break {stats.tie_break!r}, cfg names {cfg.tie_break!r}"
+        )
     report = MetricReport(stats.n, stats.k, cfg, *_metric_pass(stats, cfg))
     if cfg.bootstrap > 0:
         rng = np.random.default_rng(cfg.seed)

@@ -34,7 +34,7 @@ from imaxcal.binning import (
     bin_counts,
     bin_sums,
     binner_from_edges,
-    fit_binner,
+    fit_edges,
     fit_eq_mass,
     fit_eq_size,
     fit_imax,
@@ -91,14 +91,14 @@ def test_apply_binner_single_bin_is_constant():
 
 def test_apply_binner_image_has_at_most_m_values():
     cal = _mixture(n=4000, seed=1)
-    b = fit_binner(cal, METHOD_IMAX, ImaxConfig(n_bins=8, seed=0))
+    b = set_representatives(fit_edges(cal, METHOD_IMAX, ImaxConfig(n_bins=8, seed=0)), cal)
     out = apply_binner(b, np.random.default_rng(0).normal(scale=4.0, size=100_000))
     assert np.unique(out).size <= 8
 
 
 def test_apply_binner_monotone_when_reps_are():
     cal = _mixture(n=3000, seed=2)
-    b = fit_binner(cal, METHOD_IMAX, ImaxConfig(n_bins=6, seed=0))
+    b = set_representatives(fit_edges(cal, METHOD_IMAX, ImaxConfig(n_bins=6, seed=0)), cal)
     assert np.all(np.diff(b.reps) >= 0)
     lam = np.sort(np.random.default_rng(1).normal(size=500))
     assert np.all(np.diff(apply_binner(b, lam)) >= 0)
@@ -163,7 +163,7 @@ def _through_json(binner):
 
 def test_binner_json_round_trip_is_exact():
     cal = _mixture(n=1000, seed=3)
-    b = fit_binner(cal, METHOD_IMAX, ImaxConfig(n_bins=5, seed=0))
+    b = set_representatives(fit_edges(cal, METHOD_IMAX, ImaxConfig(n_bins=5, seed=0)), cal)
     back = _through_json(b)
     np.testing.assert_array_equal(back.edges, b.edges)
     np.testing.assert_array_equal(back.phis, b.phis)
@@ -655,11 +655,11 @@ def test_counts_on_the_sorted_copy_match_the_bin_sums_pass_bit_for_bit(m):
             assert mi_of_quantizer(binner, cal).hex() == _bin_sums_mi(edges, cal).hex()
 
 
-def test_fit_binner_dispatch():
+def test_fit_edges_dispatch():
     cal = _mixture(n=500, seed=10)
     for method in (METHOD_EQ_SIZE, METHOD_EQ_MASS, METHOD_IMAX):
-        b = fit_binner(cal, method, ImaxConfig(n_bins=4, seed=0))
+        b = fit_edges(cal, method, ImaxConfig(n_bins=4, seed=0))
         assert b.method == method
-        assert b.reps is not None and b.reps.size == 4
+        assert b.n_bins == 4 and b.reps is None
     with pytest.raises(DataError):
-        fit_binner(cal, "kmeans", ImaxConfig(n_bins=4))
+        fit_edges(cal, "kmeans", ImaxConfig(n_bins=4))

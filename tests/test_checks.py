@@ -24,7 +24,7 @@ from imaxcal.bundle import CalibratorBundle, GroupCalibrator, fit_bundle
 from imaxcal.data import ClassGrouping, PredictionMatrix, check_count, check_number, ovr_set
 from imaxcal.errors import DataError, ImaxcalError
 from imaxcal.info import Kde1D, mi_upper_bound
-from imaxcal.metrics import EvalConfig, build_report, cw_ece
+from imaxcal.metrics import EvalConfig, build_report, cw_ece, eval_bin_edges
 from imaxcal.scaling import Scaler
 from imaxcal.synth import (
     BinaryMixtureSpec,
@@ -242,6 +242,10 @@ def test_group_counts_and_class_indices_are_checked(value):
     cal = _attempt(lambda: GroupCalibrator(classes=(0, value), scaler=scaler))
     if cal is not None:
         assert all(_stored(c, int) for c in cal.classes)
+    pooled = _attempt(lambda: ovr_set(DATA.ovr_logits(), DATA.labels, (0, value)))
+    if pooled is not None:
+        rows = slice(int(value) * DATA.n_samples, (int(value) + 1) * DATA.n_samples)
+        np.testing.assert_array_equal(pooled.logits[DATA.n_samples:], POOLED.logits[rows])
     fitted = TEMPERATURE_BUNDLE
     made = _attempt(lambda: CalibratorBundle(
         "scw", value, fitted.input_kind, fitted.grouping, fitted.calibrators
@@ -306,6 +310,9 @@ _BAD_CALLS = {
         classes=(0, 1.5), scaler=Scaler("temperature", temperature=1.0)
     ),
     "no thresholds": lambda: EvalConfig(cw_thresholds=()),
+    "ovr_set float class": lambda: ovr_set(DATA.ovr_logits(), DATA.labels, (1.7,)),
+    "ovr_set class out of range": lambda: ovr_set(DATA.ovr_logits(), DATA.labels, (7,)),
+    "eval_bin_edges float": lambda: eval_bin_edges(np.linspace(0.0, 1.0, 5), "eq_size", 2.5),
 }
 
 
@@ -351,13 +358,14 @@ def test_an_explicit_threshold_is_checked_like_a_config_one():
     [
         ({"strategy": "bogus"}, "unknown strategy"),
         ({"rep_strategy": "bogus"}, "unknown representative strategy"),
+        ({"rep_strategy": "scaled_prob_mean"}, "scaled_prob_mean needs the scaler"),
     ],
 )
 def test_an_unknown_strategy_fails_before_any_fit(monkeypatch, kwargs, message):
     def no_fit(*args, **kw):
         raise AssertionError("a fit ran before the check")
 
-    monkeypatch.setattr(bundle_mod, "fit_binner", no_fit)
+    monkeypatch.setattr(bundle_mod, "fit_edges", no_fit)
     monkeypatch.setattr(bundle_mod, "ovr_set", no_fit)
     monkeypatch.setattr(PredictionMatrix, "ovr_logits", no_fit)
     with pytest.raises(DataError, match=message):

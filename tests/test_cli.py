@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imaxcal.binning import ImaxConfig
-from imaxcal.bundle import fit_bundle
+from imaxcal.binning import ImaxConfig, fit_edges
+from imaxcal.bundle import apply_bundle, fit_bundle
 from imaxcal.cli import main
-from imaxcal.data import RAW_LOGITS, PredictionMatrix
+from imaxcal.data import PROBABILITIES, RAW_LOGITS, PredictionMatrix, ovr_set, softmax
+from imaxcal.info import mi_bound_of_set, mi_report, mi_report_csv
+from imaxcal.metrics import SCHEME_EXACT, EvalConfig, build_report
 from imaxcal.synth import BinaryMixtureSpec, analytic_mi
 
 
@@ -449,6 +451,40 @@ def test_the_scores_file_gives_eval_the_raw_scores_of_applied_output(workdir, tm
     assert by_raw["top1"] != by_index["top1"]
 
 
+def test_the_probability_path_equals_the_library_bit_for_bit(workdir, tmp_path):
+    # fit --input-kind probs records the kind in the bundle, and apply and
+    # eval --bundle read it from there
+    probs = softmax(np.loadtxt(workdir / "mc-scores.csv", delimiter=","))
+    labels = np.loadtxt(workdir / "mc-labels.csv", dtype=np.int64)
+    scores, bundle, cal, report, mi = (
+        tmp_path / name for name in ("probs.csv", "b.json", "c.csv", "r.json", "m.csv")
+    )
+    scores.write_text("".join(",".join(map(repr, row)) + "\n" for row in probs.tolist()))
+    fit_on = [str(scores), str(workdir / "mc-labels.csv")]
+    assert main(["fit", *fit_on, "-o", str(bundle), "--input-kind", "probs",
+                 "--groups", "2", "--bins", "8"]) == 0
+    assert main(["apply", str(bundle), str(scores), "-o", str(cal)]) == 0
+    assert main(["eval", *fit_on, "--bundle", str(bundle), "-o", str(report)]) == 0
+    assert main(["mi-report", *fit_on, "--input-kind", "probs", "--bins", "4", "--bins", "8",
+                 "-o", str(mi)]) == 0
+
+    data = PredictionMatrix(probs, labels, PROBABILITIES)
+    fitted = fit_bundle(data, "imax", groups_spec=2, config=ImaxConfig(n_bins=8, seed=0))
+    assert bundle.read_text() == fitted.to_json()
+    calibrated = apply_bundle(fitted, probs, PROBABILITIES)
+    got = np.loadtxt(cal, delimiter=",")
+    np.testing.assert_array_equal(got.view(np.uint64), calibrated.view(np.uint64))
+    want = build_report(calibrated, labels, EvalConfig(eval_scheme=SCHEME_EXACT), raw_scores=probs)
+    assert report.read_text() == json.dumps(want.to_dict(), indent=2) + "\n"
+    pooled = ovr_set(data.ovr_logits(), labels, range(data.n_classes))
+    named = [
+        (method, fit_edges(pooled, method, ImaxConfig(n_bins=m, seed=0)))
+        for m in (4, 8)
+        for method in ("imax", "eq_size", "eq_mass")
+    ]
+    assert mi.read_text() == mi_report_csv(mi_report(pooled, named, mi_bound_of_set(pooled)))
+
+
 def test_apply_error_paths(workdir, tmp_path):
     bundle = _fit_bundle(workdir)
     out = str(tmp_path / "cal.csv")
@@ -460,12 +496,6 @@ def test_apply_error_paths(workdir, tmp_path):
     doc["version"] = "2"
     tampered.write_text(json.dumps(doc))
     assert main(["apply", str(tampered), str(workdir / "mc-scores.csv"), "-o", out]) == 3
-    assert main(
-        [
-            "apply", str(bundle), str(workdir / "mc-scores.csv"),
-            "-o", out, "--input-kind", "probs",
-        ]
-    ) == 3
 
 
 @pytest.mark.parametrize(
@@ -839,7 +869,6 @@ def test_eval_usage_errors(workdir, tmp_path):
     bundle = str(_fit_bundle(workdir))
     assert main(["eval", cal, labels, "--bundle", bundle, "--bootstrap", "2", "--seed", "-1"]) == 2
     # flags eval would ignore
-    assert main(["eval", cal, labels, "--input-kind", "probs"]) == 2
     missing = str(tmp_path / "missing.csv")
     assert main(["eval", cal, labels, "--bundle", bundle, "--raw-scores", missing]) == 2
     # flag values are checked before any file is read

@@ -17,6 +17,9 @@ A change that moves an output on purpose regenerates the manifest, and says
 which entries moved and why:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints one line per entry that differs from the manifest it replaces,
+before it writes the new one.
 """
 
 import hashlib
@@ -135,6 +138,17 @@ def run_matrix(root, read_stdout):
     return {"exit": exits, "stdout": stdout, "files": files}
 
 
+def moved_entries(expected, got):
+    """Each "part name" whose exit code or hash differs between two
+    manifests, or that only one of them has."""
+    return [
+        f"{part} {name}"
+        for part in ("exit", "stdout", "files")
+        for name in sorted(set(expected.get(part, {})) | set(got[part]))
+        if expected.get(part, {}).get(name) != got[part].get(name)
+    ]
+
+
 def test_every_output_matches_the_manifest(tmp_path, capsys):
     expected = json.loads(MANIFEST.read_text())
     if expected["build"] != build():
@@ -144,12 +158,7 @@ def test_every_output_matches_the_manifest(tmp_path, capsys):
             " then compare this change against that manifest"
         )
     got = run_matrix(tmp_path, lambda: capsys.readouterr().out)
-    moved = [
-        f"{part} {name}"
-        for part in ("exit", "stdout", "files")
-        for name in sorted(set(expected[part]) | set(got[part]))
-        if expected[part].get(name) != got[part].get(name)
-    ]
+    moved = moved_entries(expected, got)
     assert not moved, f"outputs differ from {MANIFEST.name}: {moved}; if on purpose, {REGENERATE}"
 
 
@@ -167,6 +176,9 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as root, contextlib.redirect_stdout(buffer):
         manifest = {"build": build(), **run_matrix(root, read_stdout)}
+    previous = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    for entry in moved_entries(previous, manifest):
+        print(f"moved {entry}")
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST}: {len(manifest['files'])} files, {len(manifest['exit'])} commands")
     sys.exit(0)

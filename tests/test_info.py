@@ -11,7 +11,7 @@ from imaxcal.binning import (
     METHOD_EQ_MASS,
     METHOD_EQ_SIZE,
     METHOD_IMAX,
-    fit_binner,
+    fit_edges,
 )
 from imaxcal.info import (
     Kde1D,
@@ -149,7 +149,7 @@ def test_no_quantizer_beats_the_kde_bound_on_imbalanced_data():
     bound = mi_bound_of_set(cal)
     for method in (METHOD_IMAX, METHOD_EQ_SIZE, METHOD_EQ_MASS):
         for m in (2, 8, 16):
-            mi = mi_of_quantizer(fit_binner(cal, method, ImaxConfig(n_bins=m, seed=0)), cal)
+            mi = mi_of_quantizer(fit_edges(cal, method, ImaxConfig(n_bins=m, seed=0)), cal)
             assert mi <= bound + 5e-4
 
 
@@ -160,7 +160,7 @@ def test_no_quantizer_beats_the_analytic_information():
     ceiling = analytic_mi(spec)
     for method in (METHOD_IMAX, METHOD_EQ_MASS):
         for m in (2, 16):
-            mi = mi_of_quantizer(fit_binner(cal, method, ImaxConfig(n_bins=m, seed=0)), cal)
+            mi = mi_of_quantizer(fit_edges(cal, method, ImaxConfig(n_bins=m, seed=0)), cal)
             assert mi <= ceiling + 5e-4
 
 
@@ -233,7 +233,7 @@ def _fig2_report(n=10_000, m=15):
         BinaryMixtureSpec(n=n, seed=0, **PRESETS["fig2-imbalanced"])
     )
     named = [
-        (method, fit_binner(cal, method, ImaxConfig(n_bins=m, seed=0)))
+        (method, fit_edges(cal, method, ImaxConfig(n_bins=m, seed=0)))
         for method in (METHOD_IMAX, METHOD_EQ_SIZE, METHOD_EQ_MASS)
     ]
     return cal, mi_report(cal, named, mi_bound_of_set(cal))
@@ -257,7 +257,7 @@ def test_imax_mi_never_drops_as_bins_double():
     cal, _ = gen_binary_mixture(spec)
     mis = [
         mi_of_quantizer(
-            fit_binner(
+            fit_edges(
                 cal, METHOD_IMAX, ImaxConfig(n_bins=m, seed=0, scale=scale, bias=bias)
             ),
             cal,
@@ -272,7 +272,7 @@ def test_report_on_label_independent_logits():
     lam = rng.normal(size=4000)
     y = rng.integers(0, 2, size=4000)
     cal = BinaryCalibrationSet(lam, y)
-    named = [("imax", fit_binner(cal, METHOD_IMAX, ImaxConfig(n_bins=8, seed=0)))]
+    named = [("imax", fit_edges(cal, METHOD_IMAX, ImaxConfig(n_bins=8, seed=0)))]
     rows = mi_report(cal, named, mi_bound_of_set(cal))
     assert rows[0][2] < 0.01
     assert rows[0][3] < 0.01

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from imaxcal import BinaryCalibrationSet, DataError, EvalConfig
-from imaxcal.binning import METHOD_EQ_SIZE, binner_from_edges, fit_binner, ImaxConfig, METHOD_IMAX
+from imaxcal.binning import METHOD_EQ_SIZE, binner_from_edges, fit_edges, ImaxConfig, METHOD_IMAX
 from imaxcal.metrics import (
     SCHEME_EQ_MASS,
     SCHEME_EQ_SIZE,
@@ -367,7 +367,7 @@ def test_mi_perfect_separation_reaches_log2():
 
 def test_mi_is_invariant_to_bin_relabeling():
     cal, _ = gen_binary_mixture(BinaryMixtureSpec(n=2000, seed=0))
-    b = fit_binner(cal, METHOD_IMAX, ImaxConfig(n_bins=4, seed=0))
+    b = fit_edges(cal, METHOD_IMAX, ImaxConfig(n_bins=4, seed=0))
     mirrored = binner_from_edges(-b.edges[::-1], METHOD_EQ_SIZE)
     flipped = BinaryCalibrationSet(-cal.logits, cal.targets)
     assert mi_of_quantizer(mirrored, flipped) == pytest.approx(
@@ -683,6 +683,15 @@ def test_one_ranking_serves_every_report(monkeypatch):
         build_report(cal, labels, EvalConfig(n_eval_bins=n_bins, bootstrap=5), stats=stats)
     build_report(cal, labels, EvalConfig(eval_scheme=SCHEME_EXACT, bootstrap=5), stats=stats)
     assert ranked_rows == [len(labels)]
+
+
+def test_stats_ranked_under_another_tie_break_are_a_data_error():
+    # a report names cfg's tie break, so its stats must rank by that one
+    cal, labels, raw = _oracle_inputs("tied")
+    stats = RowStats(cal, labels, TIE_CLASS_INDEX, raw)
+    cfg = EvalConfig(tie_break=TIE_RAW_LOGIT)
+    with pytest.raises(DataError, match="tie break"):
+        build_report(cal, labels, cfg, raw_scores=raw, stats=stats)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])

@@ -23,7 +23,7 @@ from imaxcal.binning import (
     METHOD_IMAX,
     REP_RAW_PROB_MEAN,
     REP_SCALED_PROB_MEAN,
-    fit_binner,
+    fit_edges,
     set_representatives,
 )
 from imaxcal.scaling import apply_scaler, fit_platt, fit_temperature
@@ -298,11 +298,8 @@ def test_identity_scaler_reproduces_raw_prob_means():
     cal = BinaryCalibrationSet(lam, y)
     cfg = ImaxConfig(n_bins=6, seed=0)
     ident = Scaler(kind=KIND_TEMPERATURE, temperature=1.0)
-    hybrid = fit_binner(cal, METHOD_IMAX, cfg, REP_SCALED_PROB_MEAN, ident)
-    plain = set_representatives(
-        fit_binner(cal, METHOD_IMAX, cfg, strategy=REP_RAW_PROB_MEAN), cal,
-        strategy=REP_RAW_PROB_MEAN,
-    )
+    hybrid = set_representatives(fit_edges(cal, METHOD_IMAX, cfg), cal, REP_SCALED_PROB_MEAN, ident)
+    plain = set_representatives(fit_edges(cal, METHOD_IMAX, cfg), cal, REP_RAW_PROB_MEAN)
     np.testing.assert_array_equal(hybrid.edges, plain.edges)
     np.testing.assert_array_equal(hybrid.reps, plain.reps)
 
@@ -313,11 +310,13 @@ def test_edges_do_not_depend_on_the_scaler():
     y = (rng.random(1500) < expit(lam)).astype(np.int64)
     cal = BinaryCalibrationSet(lam, y)
     cfg = ImaxConfig(n_bins=6, seed=0)
-    sharp = fit_binner(
-        cal, METHOD_IMAX, cfg, REP_SCALED_PROB_MEAN, Scaler(kind=KIND_TEMPERATURE, temperature=3.0)
+    sharp = set_representatives(
+        fit_edges(cal, METHOD_IMAX, cfg), cal, REP_SCALED_PROB_MEAN,
+        Scaler(kind=KIND_TEMPERATURE, temperature=3.0),
     )
-    soft = fit_binner(
-        cal, METHOD_IMAX, cfg, REP_SCALED_PROB_MEAN, Scaler(kind=KIND_PLATT, a=0.2, b=0.4)
+    soft = set_representatives(
+        fit_edges(cal, METHOD_IMAX, cfg), cal, REP_SCALED_PROB_MEAN,
+        Scaler(kind=KIND_PLATT, a=0.2, b=0.4),
     )
     np.testing.assert_array_equal(sharp.edges, soft.edges)
     assert not np.array_equal(sharp.reps, soft.reps)
