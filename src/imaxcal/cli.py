@@ -50,6 +50,7 @@ from .metrics import (
     TIE_RAW_LOGIT,
     RowStats,
     build_report,
+    reports_csv,
 )
 
 _KIND_BY_FLAG = {"logits": RAW_LOGITS, "probs": PROBABILITIES}
@@ -449,7 +450,6 @@ def cmd_eval(
             n_eval_bins=nb,
             cw_thresholds=tuple(thresholds),
             top_k=tuple(ks),
-            tie_break=tie,
             bootstrap=bootstrap,
             seed=seed,
         )
@@ -472,9 +472,7 @@ def cmd_eval(
     stats = RowStats(calibrated, labels, tie, raw)
     stats.ranking()  # once, for every report below
     ranked = time.perf_counter()
-    reports = [
-        build_report(calibrated, labels, cfg, raw_scores=raw, stats=stats) for cfg in configs
-    ]
+    reports = [build_report(stats, None, cfg) for cfg in configs]
     diag(
         event="eval",
         n=stats.n,
@@ -496,8 +494,7 @@ def cmd_eval(
             fh.write("\n")
     if csv_out is not None:
         with _output(csv_out) as fh:
-            for rep in reports:
-                fh.write(rep.to_csv())
+            fh.write(reports_csv(reports))
     for rep in reports:
         for label, res in rep.cw.items():
             if res.zero_kept_classes:

@@ -111,10 +111,13 @@ def check_number(value, what):
 
 def check_count(value, what, minimum=0):
     """value as a Python int: an int or numpy integer, not a bool, of at
-    least minimum. Anything else, even an integral float, is a DataError."""
+    least minimum and below 2**63, so numpy's int64 holds it. Anything else,
+    even an integral float, is a DataError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         rule = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
         raise DataError(f"{what} must be {rule}, got {value!r}")
+    if value >= 2**63:
+        raise DataError(f"{what} must be below 2**63, got {value!r}")
     return int(value)
 
 

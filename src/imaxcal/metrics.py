@@ -56,13 +56,12 @@ NAMED_THRESHOLDS = (
 
 @dataclass
 class EvalConfig:
-    """Evaluation-side knobs; fitting knobs live in ImaxConfig."""
+    """Estimator knobs; what a report ranks is a RowStats, fitting knobs an ImaxConfig."""
 
     eval_scheme: str = SCHEME_EQ_SIZE
     n_eval_bins: int = 100
     cw_thresholds: tuple = (THRESHOLD_CLASS_PRIOR,)
     top_k: tuple = (1, 5)
-    tie_break: str = TIE_CLASS_INDEX
     bootstrap: int = 0
     seed: int = 0
 
@@ -70,8 +69,6 @@ class EvalConfig:
         if self.eval_scheme not in EVAL_SCHEMES:
             raise DataError(f"unknown eval scheme {self.eval_scheme!r}")
         self.n_eval_bins = check_count(self.n_eval_bins, "n_eval_bins", minimum=1)
-        if self.tie_break not in (TIE_CLASS_INDEX, TIE_RAW_LOGIT):
-            raise DataError(f"unknown tie break {self.tie_break!r}")
         self.cw_thresholds = tuple(_check_threshold(thr) for thr in self.cw_thresholds)
         if not self.cw_thresholds:
             raise DataError("cw_thresholds needs at least one threshold")
@@ -124,6 +121,8 @@ class RowStats:
     def __init__(self, calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
         self.calibrated, self.labels = _check_calibrated(calibrated, labels)
         self.n, self.k = self.calibrated.shape
+        if tie_break not in (TIE_CLASS_INDEX, TIE_RAW_LOGIT):
+            raise DataError(f"unknown tie break {tie_break!r}")
         self.tie_break = tie_break
         self.raw_scores = raw_scores
         self.rows = np.arange(self.n)
@@ -137,6 +136,9 @@ class RowStats:
         self.brier_terms = sq_sums - 2.0 * q_true + 1.0
         self._weights = None
         self._shared = {}
+
+    def __len__(self):
+        return self.rows.size
 
     def take(self, rows):
         """The same statistics over rows, indices into the full matrix."""
@@ -197,10 +199,15 @@ class ExactGroups:
         self.hit = hit[self.order]
 
 
-def _row_stats(calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
-    if isinstance(calibrated, RowStats):
-        return calibrated
-    return RowStats(calibrated, labels, tie_break, raw_scores)
+def _row_stats(calibrated, labels, tie_break=None, raw_scores=None):
+    """calibrated if it is a RowStats, which holds the other three, so they
+    must be None; else the RowStats of them all, class_index if tie_break is None."""
+    if not isinstance(calibrated, RowStats):
+        tie_break = TIE_CLASS_INDEX if tie_break is None else tie_break
+        return RowStats(calibrated, labels, tie_break, raw_scores)
+    if labels is not None or tie_break is not None or raw_scores is not None:
+        raise DataError("a RowStats holds its labels, tie break and raw scores; pass None")
+    return calibrated
 
 
 def ranked_classes(calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
@@ -232,13 +239,11 @@ def ranked_classes(calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=Non
     return np.count_nonzero(wins, axis=1)
 
 
-def accuracy_topk(
-    calibrated, labels, k=1, tie_break=TIE_CLASS_INDEX, raw_scores=None
-) -> float:
+def accuracy_topk(calibrated, labels, k=1, tie_break=None, raw_scores=None) -> float:
     """Fraction of samples whose label ranks in the top k classes.
 
     calibrated may also be a RowStats, which carries its labels and ranking
-    and scores its own rows.
+    and scores its own rows; labels, tie_break and raw_scores are then None.
     """
     stats = _row_stats(calibrated, labels, tie_break, raw_scores)
     label_rank = stats.ranking()[2]
@@ -363,13 +368,13 @@ def _exact_gap(stats, key, threshold=None):
     return _gap(counts, hits, conf_sums)
 
 
-def top1_ece(calibrated, labels, cfg: EvalConfig | None = None, raw_scores=None) -> float:
+def top1_ece(calibrated, labels, cfg: EvalConfig | None = None) -> float:
     """ECE of the top-label confidence under the configured scheme.
 
     calibrated may also be a RowStats, as in accuracy_topk.
     """
     cfg = cfg if cfg is not None else EvalConfig()
-    stats = _row_stats(calibrated, labels, cfg.tie_break, raw_scores)
+    stats = _row_stats(calibrated, labels)
     if cfg.eval_scheme == SCHEME_EXACT:
         return _exact_gap(stats, "top1")[0]
     conf, correct, _ = stats.ranking()
@@ -489,6 +494,7 @@ class MetricReport:
     n_samples: int
     n_classes: int
     config: EvalConfig
+    tie_break: str
     values: dict = field(default_factory=dict)
     cw: dict = field(default_factory=dict)
     bootstrap_std: dict = field(default_factory=dict)
@@ -508,7 +514,7 @@ class MetricReport:
             "n_classes": self.n_classes,
             "eval_scheme": self.config.eval_scheme,
             "n_eval_bins": self.config.n_eval_bins,
-            "tie_break": self.config.tie_break,
+            "tie_break": self.tie_break,
             "accuracy": {
                 name.removeprefix("acc_"): value
                 for name, value in self.values.items()
@@ -541,12 +547,17 @@ class MetricReport:
             lines.append(f"{name:<24}{str(thr):<14}{val:>12.6f}{std_s:>12}")
         return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        lines = ["metric,threshold,value,std"]
-        for name, thr, val, std in self.rows():
+
+def reports_csv(reports) -> str:
+    """One CSV table of the reports' rows under one header; each row's
+    eval_bins is its report's n_eval_bins, which tells apart the reports
+    of one eval command."""
+    lines = ["eval_bins,metric,threshold,value,std"]
+    for rep in reports:
+        for name, thr, val, std in rep.rows():
             std_s = "" if std is None else repr(float(std))
-            lines.append(f"{name},{thr},{repr(float(val))},{std_s}")
-        return "\n".join(lines) + "\n"
+            lines.append(f"{rep.config.n_eval_bins},{name},{thr},{repr(float(val))},{std_s}")
+    return "\n".join(lines) + "\n"
 
 
 def threshold_label(thr) -> str:
@@ -566,27 +577,19 @@ def _metric_pass(stats, cfg):
     return values, cw
 
 
-def build_report(
-    calibrated, labels, cfg: EvalConfig, raw_scores=None, stats: RowStats | None = None
-) -> MetricReport:
+def build_report(calibrated, labels, cfg: EvalConfig) -> MetricReport:
     """Compute the full metric set, with optional bootstrap dispersion.
+
+    calibrated may also be a RowStats, as in accuracy_topk: reports that
+    differ only in cfg can share it, and with it one ranking.
 
     The bootstrap draws cfg.bootstrap resamples of the rows with
     replacement: resample i is the i-th rng.integers(0, n, size=n) of
     default_rng(cfg.seed). Each metric's std is over the resamples
     (ddof=1), and 0 for a single resample, where it is undefined.
-
-    stats, when given, is the RowStats of calibrated and labels under cfg's
-    tie break, else a DataError; reports that differ only in other settings
-    can share it, and with it one ranking.
     """
-    if stats is None:
-        stats = RowStats(calibrated, labels, cfg.tie_break, raw_scores)
-    elif stats.tie_break != cfg.tie_break:
-        raise DataError(
-            f"stats rank by tie break {stats.tie_break!r}, cfg names {cfg.tie_break!r}"
-        )
-    report = MetricReport(stats.n, stats.k, cfg, *_metric_pass(stats, cfg))
+    stats = _row_stats(calibrated, labels)
+    report = MetricReport(stats.n, stats.k, cfg, stats.tie_break, *_metric_pass(stats, cfg))
     if cfg.bootstrap > 0:
         rng = np.random.default_rng(cfg.seed)
         replicates = [

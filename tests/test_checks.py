@@ -79,16 +79,32 @@ def _attempt(call):
 # --- the rules themselves ---------------------------------------------------
 
 
-@given(VALUES, st.integers(0, 3))
+# integers at and beyond the int64 range, as Python and numpy values
+BEYOND_INT64 = st.sampled_from([
+    2**63 - 1, 2**63, 10**23, 10**400,
+    np.int64(2**63 - 1), np.uint64(2**63), np.uint64(2**64 - 1),
+])
+
+
+@given(st.one_of(VALUES, BEYOND_INT64), st.integers(0, 3))
 def test_check_count_returns_a_python_int_or_raises_a_data_error(value, minimum):
     try:
         got = check_count(value, "x", minimum)
     except DataError as exc:
         assert "x must be" in str(exc)
         integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        assert not integral or value < minimum
+        assert not integral or value < minimum or value >= 2**63
         return
-    assert _stored(got, int) and got == value and got >= minimum
+    assert _stored(got, int) and got == value and minimum <= got < 2**63
+
+
+def test_a_count_beyond_int64_is_a_data_error_before_numpy_sees_it():
+    # numpy would raise a bare ValueError sizing an array by it
+    with pytest.raises(DataError, match=r"n_bins must be below 2\*\*63"):
+        fit_bundle(DATA, "eq_size", config=ImaxConfig(n_bins=10**400))
+    assert check_count(np.int64(2**63 - 1), "n") == 2**63 - 1
+    with pytest.raises(DataError, match=r"seed must be below 2\*\*63"):
+        check_count(np.uint64(2**63), "seed")
 
 
 @given(st.one_of(VALUES, st.sampled_from([10**400, -(10**400)])))

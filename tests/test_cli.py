@@ -14,7 +14,7 @@ from imaxcal.bundle import apply_bundle, fit_bundle
 from imaxcal.cli import main
 from imaxcal.data import PROBABILITIES, RAW_LOGITS, PredictionMatrix, ovr_set, softmax
 from imaxcal.info import mi_bound_of_set, mi_report, mi_report_csv
-from imaxcal.metrics import SCHEME_EXACT, EvalConfig, build_report
+from imaxcal.metrics import SCHEME_EXACT, TIE_RAW_LOGIT, EvalConfig, accuracy_topk, build_report
 from imaxcal.synth import BinaryMixtureSpec, analytic_mi
 
 
@@ -474,7 +474,7 @@ def test_the_probability_path_equals_the_library_bit_for_bit(workdir, tmp_path):
     calibrated = apply_bundle(fitted, probs, PROBABILITIES)
     got = np.loadtxt(cal, delimiter=",")
     np.testing.assert_array_equal(got.view(np.uint64), calibrated.view(np.uint64))
-    want = build_report(calibrated, labels, EvalConfig(eval_scheme=SCHEME_EXACT), raw_scores=probs)
+    want = build_report(calibrated, labels, EvalConfig(eval_scheme=SCHEME_EXACT))
     assert report.read_text() == json.dumps(want.to_dict(), indent=2) + "\n"
     pooled = ovr_set(data.ovr_logits(), labels, range(data.n_classes))
     named = [
@@ -736,7 +736,7 @@ def test_eval_threshold_and_topk_flags(workdir, tmp_path, capsys):
         ]
     ) == 0
     lines = csv_out.read_text().strip().splitlines()
-    cw_rows = [l for l in lines if l.startswith("cw_ece,")]
+    cw_rows = [l for l in lines if l.startswith("100,cw_ece,")]
     assert len(cw_rows) == 4
     doc = json.loads(report.read_text())
     assert set(doc["accuracy"]) == {"top1", "top3"}
@@ -877,6 +877,79 @@ def test_eval_usage_errors(workdir, tmp_path):
     ]:
         assert main(["eval", missing, labels, "--bundle", bundle, flag, value]) == 2
     assert main(["eval", missing, labels, "--raw-scores", missing]) == 2  # class-index tie break
+
+
+@pytest.mark.parametrize("command", ["fit", "synth", "eval"])
+def test_a_count_beyond_int64_is_one_usage_line(workdir, tmp_path, capsys, command):
+    # each sizes an array by the count, which numpy would refuse with a bare ValueError
+    huge = str(10**23)
+    mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
+    argv = {
+        "fit": ["fit", *mc, "-o", str(tmp_path / "b.json"), "--method", "eq_size", "--bins", huge],
+        "synth": ["synth", "--n", huge, "--out-prefix", str(tmp_path / "s")],
+        "eval": ["eval", *mc, "--bundle", str(_fit_bundle(workdir)), "--eval-scheme", "eq_size",
+                 "--eval-bins", huge],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error=usage ") and "below 2**63" in err[0], err
+
+
+def _csv_value(doc, metric, threshold):
+    """The JSON report's entry for one (metric, threshold) row of the CSV."""
+    if metric.startswith("acc_"):
+        return doc["accuracy"][metric.removeprefix("acc_")]
+    if metric == "cw_ece":
+        return doc["cw_ece"][threshold]["mean"]
+    return doc[metric]
+
+
+def test_eval_csv_of_several_bin_counts_is_one_table(workdir, tmp_path):
+    bundle = _fit_bundle(workdir)
+    cal = tmp_path / "cal.csv"
+    assert main(["apply", str(bundle), str(workdir / "mc-scores.csv"), "-o", str(cal)]) == 0
+    csv_out, report = tmp_path / "r.csv", tmp_path / "r.json"
+    assert main(
+        [
+            "eval", str(cal), str(workdir / "mc-labels.csv"), "--eval-bins", "10",
+            "--eval-bins", "100", "--csv", str(csv_out), "-o", str(report),
+        ]
+    ) == 0
+    header, *lines = csv_out.read_text().splitlines()
+    assert header == "eval_bins,metric,threshold,value,std"
+    rows = [line.split(",") for line in lines]
+    assert len(rows) == 12 and all(len(row) == 5 for row in rows)
+    docs = {str(doc["n_eval_bins"]): doc for doc in json.loads(report.read_text())}
+    assert sorted(docs) == ["10", "100"]
+    for bins, metric, threshold, value, _ in rows:
+        assert float(value) == _csv_value(docs[bins], metric, threshold)
+    # the two reports' top1_ece differ, so only eval_bins tells their rows apart
+    assert docs["10"]["top1_ece"] != docs["100"]["top1_ece"]
+
+
+def test_each_report_states_the_tie_break_it_ranked_by(workdir, tmp_path):
+    bundle = _fit_bundle(workdir)
+    report = tmp_path / "r.json"
+    scores_csv, labels_csv = workdir / "mc-scores.csv", workdir / "mc-labels.csv"
+    assert main(
+        [
+            "eval", str(scores_csv), str(labels_csv), "--bundle", str(bundle),
+            "--tie-break", "raw-logit", "--eval-bins", "10", "--eval-bins", "100",
+            "-o", str(report),
+        ]
+    ) == 0
+    scores = np.loadtxt(scores_csv, delimiter=",")
+    labels = np.loadtxt(labels_csv, dtype=np.int64)
+    cal = tmp_path / "cal.csv"
+    assert main(["apply", str(bundle), str(scores_csv), "-o", str(cal)]) == 0
+    calibrated = np.loadtxt(cal, delimiter=",")
+    want = accuracy_topk(calibrated, labels, 1, tie_break=TIE_RAW_LOGIT, raw_scores=scores)
+    docs = json.loads(report.read_text())
+    assert [doc["tie_break"] for doc in docs] == [TIE_RAW_LOGIT] * 2
+    assert [doc["accuracy"]["top1"] for doc in docs] == [want] * 2
+    # the raw scores decide some ties here, so a class-index ranking would differ
+    assert accuracy_topk(calibrated, labels, 1) != want
 
 
 # --- mi-report ----------------------------------------------------------------

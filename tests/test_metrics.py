@@ -31,6 +31,7 @@ from imaxcal.metrics import (
     mi_of_quantizer,
     nll,
     ranked_classes,
+    reports_csv,
     resolve_threshold,
     threshold_label,
     top1_ece,
@@ -48,8 +49,6 @@ def test_eval_config_validation():
         EvalConfig(eval_scheme="histogram")
     with pytest.raises(DataError):
         EvalConfig(n_eval_bins=0)
-    with pytest.raises(DataError):
-        EvalConfig(tie_break="random")
     with pytest.raises(DataError):
         EvalConfig(cw_thresholds=("quartile",))
     with pytest.raises(DataError):
@@ -94,6 +93,8 @@ def test_raw_logit_tie_break_consults_the_raw_scores():
     assert stats.ranking()[1].tolist() == [0.0, 1.0, 0.0]
     with pytest.raises(DataError):
         ranked_classes(cal, [0, 1, 2], tie_break=TIE_RAW_LOGIT)
+    with pytest.raises(DataError, match="unknown tie break"):
+        RowStats(cal, [0, 1, 2], "random", raw)
 
 
 def _ranking_inputs(k, seed):
@@ -130,11 +131,9 @@ def test_ranked_classes_equals_the_label_position_in_a_full_sort(k, tie_break):
     assert conf.tolist() == top_conf.tolist()
     assert np.all((conf.view(np.uint64) == top_conf.view(np.uint64)) | (conf == 0.0))
 
-    cfg = EvalConfig(
-        eval_scheme=SCHEME_EXACT, top_k=(1, 5), tie_break=tie_break, bootstrap=2, seed=1
-    )
-    report = build_report(cal, labels, cfg, raw_scores=raw)
-    point, cw, std = _oracle_report(cal, labels, cfg, raw)
+    cfg = EvalConfig(eval_scheme=SCHEME_EXACT, top_k=(1, 5), bootstrap=2, seed=1)
+    report = build_report(RowStats(cal, labels, tie_break, raw), None, cfg)
+    point, cw, std = _oracle_report(cal, labels, cfg, raw, tie_break)
     assert list(report.values.items()) == list(point.items())
     per_class = cw[THRESHOLD_CLASS_PRIOR][1]
     assert report.cw[THRESHOLD_CLASS_PRIOR].per_class.tolist() == per_class.tolist()
@@ -477,9 +476,10 @@ def test_report_csv_round_trips_values():
         bootstrap=2,
     )
     report = build_report(cal, labels, cfg)
-    lines = report.to_csv().strip().splitlines()
-    assert lines[0] == "metric,threshold,value,std"
-    rows = [line.split(",") for line in lines[1:]]
+    lines = reports_csv([report]).strip().splitlines()
+    assert lines[0] == "eval_bins,metric,threshold,value,std"
+    assert all(line.startswith("100,") for line in lines[1:])
+    rows = [line.split(",")[1:] for line in lines[1:]]
     by_name = {(r[0], r[1]): r[2] for r in rows}
     # repr-format values parse back to the exact float
     assert float(by_name[("top1_ece", "")]) == report.to_dict()["top1_ece"]
@@ -510,9 +510,9 @@ def test_report_bootstrap_block():
     assert doc["bootstrap"]["n_resamples"] == 8
     assert doc["bootstrap"]["std"]["top1_ece"] >= 0.0
     # std column shows up in the CSV when resampling ran
-    csv_lines = build_report(cal, labels, cfg).to_csv().strip().splitlines()
-    top1_row = next(line for line in csv_lines if line.startswith("top1_ece"))
-    assert top1_row.split(",")[3] != ""
+    csv_lines = reports_csv([build_report(cal, labels, cfg)]).strip().splitlines()
+    top1_row = next(line for line in csv_lines if line.startswith("100,top1_ece"))
+    assert top1_row.split(",")[4] != ""
 
 
 def test_report_text_mentions_the_headline_metrics():
@@ -557,9 +557,9 @@ def _oracle_grouped_gap(conf, correct, cfg):
     return float(np.sum(counts / n * np.abs(acc - avg_conf)))
 
 
-def _oracle_top1(calibrated, labels, cfg, raw_scores):
+def _oracle_top1(calibrated, labels, cfg, tie_break, raw_scores):
     calibrated, labels = _oracle_check(calibrated, labels)
-    top = _lexsort_order(calibrated, cfg.tie_break, raw_scores)[:, 0]
+    top = _lexsort_order(calibrated, tie_break, raw_scores)[:, 0]
     conf = calibrated[np.arange(calibrated.shape[0]), top]
     return _oracle_grouped_gap(conf, (top == labels).astype(np.float64), cfg)
 
@@ -580,7 +580,7 @@ def _oracle_cw(calibrated, labels, cfg, threshold):
     return float(per_class.mean()), per_class, kept_counts
 
 
-def _oracle_report(calibrated, labels, cfg, raw=None):
+def _oracle_report(calibrated, labels, cfg, raw=None, tie_break=TIE_CLASS_INDEX):
     """Every point value and bootstrap std, each resample ranked afresh."""
 
     def compute(idx):
@@ -588,8 +588,8 @@ def _oracle_report(calibrated, labels, cfg, raw=None):
         rw = None if raw is None else raw[idx]
         rep = {}
         for k in cfg.top_k:
-            rep[f"acc_top{k}"] = _oracle_accuracy(cal, lab, k, cfg.tie_break, rw)
-        rep["top1_ece"] = _oracle_top1(cal, lab, cfg, rw)
+            rep[f"acc_top{k}"] = _oracle_accuracy(cal, lab, k, tie_break, rw)
+        rep["top1_ece"] = _oracle_top1(cal, lab, cfg, tie_break, rw)
         for thr in cfg.cw_thresholds:
             rep[f"cw_ece[{threshold_label(thr)}]"] = _oracle_cw(cal, lab, cfg, thr)[0]
         q_true = cal[np.arange(len(lab)), lab]
@@ -648,14 +648,13 @@ def test_report_equals_the_per_resample_oracle(inputs, scheme, tie_break, bootst
         n_eval_bins=7,
         cw_thresholds=(THRESHOLD_CLASS_PRIOR, THRESHOLD_ONE_OVER_K, THRESHOLD_ZERO, 0.3),
         top_k=(1, 5, 9),
-        tie_break=tie_break,
         bootstrap=bootstrap,
         seed=3,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # eq_mass collapses tied edges
-        report = build_report(cal, labels, cfg, raw_scores=raw)
-        point, cw, std = _oracle_report(cal, labels, cfg, raw)
+        report = build_report(RowStats(cal, labels, tie_break, raw), None, cfg)
+        point, cw, std = _oracle_report(cal, labels, cfg, raw, tie_break)
     assert list(report.values.items()) == list(point.items())
     for label, (mean, per_class, kept_counts) in cw.items():
         assert report.cw[label].mean == mean
@@ -680,18 +679,30 @@ def test_one_ranking_serves_every_report(monkeypatch):
     monkeypatch.setattr(metrics_mod, "ranked_classes", counting)
     stats = RowStats(cal, labels)
     for n_bins in (10, 100):
-        build_report(cal, labels, EvalConfig(n_eval_bins=n_bins, bootstrap=5), stats=stats)
-    build_report(cal, labels, EvalConfig(eval_scheme=SCHEME_EXACT, bootstrap=5), stats=stats)
+        build_report(stats, None, EvalConfig(n_eval_bins=n_bins, bootstrap=5))
+    build_report(stats, None, EvalConfig(eval_scheme=SCHEME_EXACT, bootstrap=5))
     assert ranked_rows == [len(labels)]
 
 
-def test_stats_ranked_under_another_tie_break_are_a_data_error():
-    # a report names cfg's tie break, so its stats must rank by that one
+def test_a_row_stats_passed_with_labels_a_tie_break_or_raw_scores_is_a_data_error():
+    # a RowStats holds its labels, tie break and raw scores: a second source
+    # of any of them would be read or ignored, so it is refused
     cal, labels, raw = _oracle_inputs("tied")
-    stats = RowStats(cal, labels, TIE_CLASS_INDEX, raw)
-    cfg = EvalConfig(tie_break=TIE_RAW_LOGIT)
-    with pytest.raises(DataError, match="tie break"):
-        build_report(cal, labels, cfg, raw_scores=raw, stats=stats)
+    stats = RowStats(cal, labels, TIE_RAW_LOGIT, raw)
+    with pytest.raises(DataError, match="RowStats holds"):
+        build_report(stats, labels, EvalConfig())
+    with pytest.raises(DataError, match="RowStats holds"):
+        top1_ece(stats, labels)
+    with pytest.raises(DataError, match="RowStats holds"):
+        accuracy_topk(stats, None, 1, tie_break=TIE_RAW_LOGIT)
+    with pytest.raises(DataError, match="RowStats holds"):
+        accuracy_topk(stats, None, 1, raw_scores=raw)
+    for metric in (cw_ece, nll, brier):
+        with pytest.raises(DataError, match="RowStats holds"):
+            metric(stats, labels)
+    report = build_report(stats, None, EvalConfig())
+    assert report.to_dict()["tie_break"] == TIE_RAW_LOGIT
+    assert report.values["acc_top1"] == accuracy_topk(cal, labels, 1, TIE_RAW_LOGIT, raw)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
