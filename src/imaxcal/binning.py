@@ -655,6 +655,9 @@ def set_representatives(
 def fit_edges(cal_set: BinaryCalibrationSet, method: str, cfg: ImaxConfig) -> Binner:
     """Edges and phi levels by method, with no representatives yet."""
     if method == METHOD_EQ_SIZE:
+        # as fit_eq_mass and fit_imax do, before fit_eq_size sizes an array by n_bins
+        if len(cal_set) < cfg.n_bins:
+            raise FitError(f"need at least {cfg.n_bins} samples, got {len(cal_set)}")
         return binner_from_edges(fit_eq_size(cfg.n_bins), method, seed=cfg.seed)
     if method == METHOD_EQ_MASS:
         return binner_from_edges(fit_eq_mass(cal_set, cfg.n_bins), method, seed=cfg.seed)

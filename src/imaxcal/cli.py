@@ -46,15 +46,12 @@ from .metrics import (
     SCHEME_EXACT,
     SCHEME_IMAX,
     THRESHOLD_CLASS_PRIOR,
-    TIE_CLASS_INDEX,
-    TIE_RAW_LOGIT,
     RowStats,
     build_report,
     reports_csv,
 )
 
 _KIND_BY_FLAG = {"logits": RAW_LOGITS, "probs": PROBABILITIES}
-_TIE_BY_FLAG = {"class-index": TIE_CLASS_INDEX, "raw-logit": TIE_RAW_LOGIT}
 
 
 def diag(**kv):
@@ -431,14 +428,13 @@ def cmd_eval(
     scheme = None if eval_scheme == "auto" else _name(
         eval_scheme, EVAL_SCHEMES, "eval scheme", {"imax": SCHEME_IMAX, "exact": SCHEME_EXACT}
     )
-    tie = _TIE_BY_FLAG[tie_break]
     if bundle_json is not None and raw_scores is not None:
         raise click.UsageError(
             "--raw-scores applies only without --bundle; with it, scores_csv is the raw scores"
         )
-    if raw_scores is not None and tie != TIE_RAW_LOGIT:
+    if raw_scores is not None and tie_break != "raw-logit":
         raise click.UsageError("--raw-scores applies only with --tie-break raw-logit")
-    if tie == TIE_RAW_LOGIT and bundle_json is None and raw_scores is None:
+    if tie_break == "raw-logit" and bundle_json is None and raw_scores is None:
         raise DataError("raw-logit tie break needs --bundle or --raw-scores")
     bins_list = _parse_multi(eval_bins, int, "--eval-bins") or [100]
     thresholds = _parse_thresholds(cw_threshold)
@@ -464,12 +460,12 @@ def cmd_eval(
     else:
         fitted = _load_bundle(bundle_json)
         calibrated = bundle_mod.apply_bundle(fitted, scores, fitted.input_kind)
-        raw = scores
+        raw = scores if tie_break == "raw-logit" else None
         if scheme is None and fitted.has_binners():
             configs = [replace(cfg, eval_scheme=SCHEME_EXACT) for cfg in configs]
 
     started = time.perf_counter()
-    stats = RowStats(calibrated, labels, tie, raw)
+    stats = RowStats(calibrated, labels, raw)
     stats.ranking()  # once, for every report below
     ranked = time.perf_counter()
     reports = [build_report(stats, None, cfg) for cfg in configs]

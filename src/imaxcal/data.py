@@ -128,7 +128,10 @@ def check_scores(scores, kind):
     scores of a raw-logit tie break: N >= 1, K >= 2, every value finite, a
     known kind, and probability rows inside [0, 1] that sum to 1.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    try:
+        scores = np.asarray(scores, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"scores must be numbers: {exc}") from exc
     if scores.ndim != 2:
         raise DataError(f"scores must be 2-D, got shape {scores.shape}")
     n, k = scores.shape

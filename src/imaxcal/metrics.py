@@ -89,7 +89,8 @@ def _check_threshold(thr):
     return thr
 
 
-def _check_calibrated(calibrated, labels):
+def _checked(calibrated, labels, raw_scores):
+    """The inputs of a RowStats or ranked_classes, checked; raw_scores may be None."""
     calibrated = np.ascontiguousarray(calibrated, dtype=np.float64)
     if calibrated.ndim != 2:
         raise DataError("calibrated scores must be 2-D")
@@ -101,7 +102,11 @@ def _check_calibrated(calibrated, labels):
             "calibrated scores must be finite and lie in [0, 1];"
             " raw scores need a bundle applied first"
         )
-    return calibrated, check_labels(labels, *calibrated.shape)
+    if raw_scores is not None:
+        raw_scores = check_scores(raw_scores, RAW_LOGITS)
+        if raw_scores.shape != calibrated.shape:
+            raise DataError("raw score shape does not match calibrated scores")
+    return calibrated, check_labels(labels, *calibrated.shape), raw_scores
 
 
 class RowStats:
@@ -115,16 +120,14 @@ class RowStats:
     ranking does not depend on which rows are drawn, so the matrix is ranked
     at most once, on first use, and each column is sorted into its distinct
     values at most once (see ExactGroups); every RowStats made by take
-    shares those results.
+    shares those results. Ties rank by raw logit exactly when raw_scores are
+    given (see ranked_classes); tie_break names the rule.
     """
 
-    def __init__(self, calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
-        self.calibrated, self.labels = _check_calibrated(calibrated, labels)
+    def __init__(self, calibrated, labels, raw_scores=None):
+        self.calibrated, self.labels, self.raw_scores = _checked(calibrated, labels, raw_scores)
         self.n, self.k = self.calibrated.shape
-        if tie_break not in (TIE_CLASS_INDEX, TIE_RAW_LOGIT):
-            raise DataError(f"unknown tie break {tie_break!r}")
-        self.tie_break = tie_break
-        self.raw_scores = raw_scores
+        self.tie_break = TIE_CLASS_INDEX if raw_scores is None else TIE_RAW_LOGIT
         self.rows = np.arange(self.n)
         q_true = self.calibrated[self.rows, self.labels]
         self.nll_terms = -np.log(np.clip(q_true, PROB_EPS, 1.0))
@@ -158,7 +161,7 @@ class RowStats:
         """(top-1 confidence, top-1 correct as 0/1, rank of the true label)
         for every row of the full matrix."""
         if "ranking" not in self._shared:
-            rank = ranked_classes(self.calibrated, self.labels, self.tie_break, self.raw_scores)
+            rank = ranked_classes(self.calibrated, self.labels, self.raw_scores)
             top = self.calibrated.max(axis=1)
             self._shared["ranking"] = (top, (rank == 0).astype(np.float64), rank)
         return self._shared["ranking"]
@@ -199,40 +202,30 @@ class ExactGroups:
         self.hit = hit[self.order]
 
 
-def _row_stats(calibrated, labels, tie_break=None, raw_scores=None):
-    """calibrated if it is a RowStats, which holds the other three, so they
-    must be None; else the RowStats of them all, class_index if tie_break is None."""
+def _row_stats(calibrated, labels, raw_scores=None):
+    """calibrated if it is a RowStats, which holds the other two, so they
+    must be None; else the RowStats of them all."""
     if not isinstance(calibrated, RowStats):
-        tie_break = TIE_CLASS_INDEX if tie_break is None else tie_break
-        return RowStats(calibrated, labels, tie_break, raw_scores)
-    if labels is not None or tie_break is not None or raw_scores is not None:
-        raise DataError("a RowStats holds its labels, tie break and raw scores; pass None")
+        return RowStats(calibrated, labels, raw_scores)
+    if labels is not None or raw_scores is not None:
+        raise DataError("a RowStats holds its labels and raw scores; pass None")
     return calibrated
 
 
-def ranked_classes(calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=None):
+def ranked_classes(calibrated, labels, raw_scores=None):
     """Each row's rank of its label by calibrated probability, descending:
     the count of classes above the label's probability, or level with it and
-    winning the tie by a lower class index or, under raw_logit, by a higher
-    raw score and then a lower index. The raw-score rule needs the original
-    score matrix. O(N·K) comparisons; no row is sorted.
+    winning the tie by a higher raw score if raw_scores are given, then by a
+    lower class index. O(N·K) comparisons; no row is sorted.
     """
-    calibrated = np.asarray(calibrated, dtype=np.float64)
-    n, k = calibrated.shape
-    label = check_labels(labels, n, k)[:, None]
+    calibrated, labels, raw_scores = _checked(calibrated, labels, raw_scores)
+    label = labels[:, None]
     # the classes that win a tie in calibrated probability against the label
-    wins = np.arange(k) < label
-    if tie_break == TIE_RAW_LOGIT:
-        if raw_scores is None:
-            raise DataError("tie_break=raw_logit needs the raw score matrix")
-        raw_scores = check_scores(raw_scores, RAW_LOGITS)
-        if raw_scores.shape != calibrated.shape:
-            raise DataError("raw score shape does not match calibrated scores")
+    wins = np.arange(calibrated.shape[1]) < label
+    if raw_scores is not None:
         raw_own = np.take_along_axis(raw_scores, label, axis=1)
         wins &= raw_scores == raw_own
         wins |= raw_scores > raw_own
-    elif tie_break != TIE_CLASS_INDEX:
-        raise DataError(f"unknown tie break {tie_break!r}")
     own = np.take_along_axis(calibrated, label, axis=1)
     wins &= calibrated == own
     wins |= calibrated > own
@@ -242,10 +235,14 @@ def ranked_classes(calibrated, labels, tie_break=TIE_CLASS_INDEX, raw_scores=Non
 def accuracy_topk(calibrated, labels, k=1, tie_break=None, raw_scores=None) -> float:
     """Fraction of samples whose label ranks in the top k classes.
 
-    calibrated may also be a RowStats, which carries its labels and ranking
-    and scores its own rows; labels, tie_break and raw_scores are then None.
+    Ties rank by raw logit exactly when raw_scores are given, as in a
+    RowStats; tie_break, if not None, must name that rule. calibrated may
+    also be a RowStats, which carries its labels and ranking and scores its
+    own rows; labels, tie_break and raw_scores are then None.
     """
-    stats = _row_stats(calibrated, labels, tie_break, raw_scores)
+    stats = _row_stats(calibrated, labels, raw_scores)
+    if tie_break not in (None, stats.tie_break) or tie_break is not None and stats is calibrated:
+        raise DataError(f"tie_break {tie_break!r}: raw_logit iff raw scores; None with a RowStats")
     label_rank = stats.ranking()[2]
     hits = np.dot(stats.weights(), label_rank < min(check_count(k, "k", minimum=1), stats.k))
     return float(hits / stats.rows.size)

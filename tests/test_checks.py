@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imaxcal import bundle as bundle_mod
+from imaxcal import binning as binning_mod, bundle as bundle_mod
 from imaxcal.binning import (
     Binner,
     ImaxConfig,
@@ -22,7 +22,7 @@ from imaxcal.binning import (
 )
 from imaxcal.bundle import CalibratorBundle, GroupCalibrator, fit_bundle
 from imaxcal.data import ClassGrouping, PredictionMatrix, check_count, check_number, ovr_set
-from imaxcal.errors import DataError, ImaxcalError
+from imaxcal.errors import DataError, FitError, ImaxcalError
 from imaxcal.info import Kde1D, mi_upper_bound
 from imaxcal.metrics import EvalConfig, build_report, cw_ece, eval_bin_edges
 from imaxcal.scaling import Scaler
@@ -105,6 +105,17 @@ def test_a_count_beyond_int64_is_a_data_error_before_numpy_sees_it():
     assert check_count(np.int64(2**63 - 1), "n") == 2**63 - 1
     with pytest.raises(DataError, match=r"seed must be below 2\*\*63"):
         check_count(np.uint64(2**63), "seed")
+
+
+def test_an_eq_size_fit_with_more_bins_than_samples_fails_before_it_sizes_an_array(monkeypatch):
+    # 2**40 bins would ask numpy for 8 TiB of edges; the sample count stops
+    # the fit first, as it does imax and eq_mass
+    def no_edges(n_bins):
+        raise AssertionError("fit_eq_size ran")
+
+    monkeypatch.setattr(binning_mod, "fit_eq_size", no_edges)
+    with pytest.raises(FitError, match="need at least 1099511627776 samples"):
+        fit_bundle(DATA, "eq_size", config=ImaxConfig(n_bins=2**40))
 
 
 @given(st.one_of(VALUES, st.sampled_from([10**400, -(10**400)])))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from imaxcal import binning as binning_mod, metrics as metrics_mod
 from imaxcal.binning import ImaxConfig, fit_edges
 from imaxcal.bundle import apply_bundle, fit_bundle
 from imaxcal.cli import main
@@ -894,6 +895,45 @@ def test_a_count_beyond_int64_is_one_usage_line(workdir, tmp_path, capsys, comma
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error=usage ") and "below 2**63" in err[0], err
+
+
+def test_an_eq_size_fit_with_more_bins_than_samples_is_one_fit_line(
+    workdir, tmp_path, capsys, monkeypatch
+):
+    # 2**40 bins would ask numpy for 8 TiB of edges; the sample count stops
+    # the fit before fit_eq_size runs
+    def no_edges(n_bins):
+        raise AssertionError("fit_eq_size ran")
+
+    monkeypatch.setattr(binning_mod, "fit_eq_size", no_edges)
+    capsys.readouterr()
+    assert main(["fit", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
+                 "-o", str(tmp_path / "b.json"), "--method", "eq_size",
+                 "--bins", "1099511627776"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error=fit "), err
+    assert not (tmp_path / "b.json").exists()
+
+
+def test_eval_bundle_hands_the_ranking_raw_scores_only_under_raw_logit(workdir, monkeypatch):
+    # a positional spy on the ranking, which RowStats calls by position
+    calls = []
+    original = metrics_mod.ranked_classes
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_mod, "ranked_classes", spy)
+    scores_csv, labels_csv = workdir / "mc-scores.csv", workdir / "mc-labels.csv"
+    through = ["eval", str(scores_csv), str(labels_csv), "--bundle", str(_fit_bundle(workdir))]
+    assert main(through) == 0
+    assert main([*through, "--tie-break", "raw-logit"]) == 0
+    (by_index, kw_index), (by_raw, kw_raw) = calls
+    assert kw_index == kw_raw == {}
+    assert [a for a in by_index[2:] if a is not None] == []
+    (raw,) = [a for a in by_raw[2:] if a is not None]
+    np.testing.assert_array_equal(raw, np.loadtxt(scores_csv, delimiter=","))
 
 
 def _csv_value(doc, metric, threshold):

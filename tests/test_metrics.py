@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from imaxcal import BinaryCalibrationSet, DataError, EvalConfig
 from imaxcal.binning import METHOD_EQ_SIZE, binner_from_edges, fit_edges, ImaxConfig, METHOD_IMAX
@@ -77,6 +78,12 @@ def _lexsort_order(calibrated, tie_break=TIE_CLASS_INDEX, raw_scores=None):
     return np.lexsort(keys, axis=-1)
 
 
+def _raw_under(tie_break, raw_scores):
+    """The raw scores a RowStats takes to rank ties by tie_break: None for
+    class_index."""
+    return raw_scores if tie_break == TIE_RAW_LOGIT else None
+
+
 def test_ranked_classes_tie_goes_to_the_lower_index():
     cal = np.array([[0.4, 0.4, 0.2]] * 3)
     assert ranked_classes(cal, [0, 1, 2]).tolist() == [0, 1, 2]
@@ -87,14 +94,15 @@ def test_ranked_classes_tie_goes_to_the_lower_index():
 def test_raw_logit_tie_break_consults_the_raw_scores():
     cal = np.array([[0.4, 0.4, 0.2]] * 3)
     raw = np.array([[1.0, 3.0, 0.0]] * 3)
-    rank = ranked_classes(cal, [0, 1, 2], tie_break=TIE_RAW_LOGIT, raw_scores=raw)
+    rank = ranked_classes(cal, [0, 1, 2], raw)
     assert rank.tolist() == [1, 0, 2]
-    stats = RowStats(cal, [0, 1, 2], TIE_RAW_LOGIT, raw)
+    stats = RowStats(cal, [0, 1, 2], raw)
+    assert stats.tie_break == TIE_RAW_LOGIT
     assert stats.ranking()[1].tolist() == [0.0, 1.0, 0.0]
-    with pytest.raises(DataError):
-        ranked_classes(cal, [0, 1, 2], tie_break=TIE_RAW_LOGIT)
-    with pytest.raises(DataError, match="unknown tie break"):
-        RowStats(cal, [0, 1, 2], "random", raw)
+    with pytest.raises(DataError, match="iff raw scores"):
+        accuracy_topk(cal, [0, 1, 2], 1, tie_break=TIE_RAW_LOGIT)
+    with pytest.raises(DataError, match="tie_break 'random'"):
+        accuracy_topk(cal, [0, 1, 2], 1, "random", raw)
 
 
 def _ranking_inputs(k, seed):
@@ -120,10 +128,10 @@ def _ranking_inputs(k, seed):
 def test_ranked_classes_equals_the_label_position_in_a_full_sort(k, tie_break):
     cal, labels, raw = _ranking_inputs(k, seed=k)
     order = _lexsort_order(cal, tie_break, raw)
-    rank = ranked_classes(cal, labels, tie_break, raw)
+    rank = ranked_classes(cal, labels, _raw_under(tie_break, raw))
     assert rank.tolist() == np.argmax(order == labels[:, None], axis=1).tolist()
 
-    conf, correct, stats_rank = RowStats(cal, labels, tie_break, raw).ranking()
+    conf, correct, stats_rank = RowStats(cal, labels, _raw_under(tie_break, raw)).ranking()
     top_conf = cal[np.arange(len(labels)), order[:, 0]]
     assert stats_rank.tolist() == rank.tolist()
     assert correct.tolist() == (order[:, 0] == labels).astype(np.float64).tolist()
@@ -132,7 +140,7 @@ def test_ranked_classes_equals_the_label_position_in_a_full_sort(k, tie_break):
     assert np.all((conf.view(np.uint64) == top_conf.view(np.uint64)) | (conf == 0.0))
 
     cfg = EvalConfig(eval_scheme=SCHEME_EXACT, top_k=(1, 5), bootstrap=2, seed=1)
-    report = build_report(RowStats(cal, labels, tie_break, raw), None, cfg)
+    report = build_report(RowStats(cal, labels, _raw_under(tie_break, raw)), None, cfg)
     point, cw, std = _oracle_report(cal, labels, cfg, raw, tie_break)
     assert list(report.values.items()) == list(point.items())
     per_class = cw[THRESHOLD_CLASS_PRIOR][1]
@@ -146,7 +154,7 @@ def test_ranking_holds_no_matrix_of_class_indices(n, k, tie_break):
     rng = np.random.default_rng(5)
     cal = rng.random(7)[rng.integers(0, 7, size=(n, k))]
     raw = rng.normal(size=(n, k))
-    stats = RowStats(cal, rng.integers(0, k, size=n), tie_break, raw)
+    stats = RowStats(cal, rng.integers(0, k, size=n), _raw_under(tie_break, raw))
     tracemalloc.start()
     try:
         stats.ranking()
@@ -653,7 +661,7 @@ def test_report_equals_the_per_resample_oracle(inputs, scheme, tie_break, bootst
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # eq_mass collapses tied edges
-        report = build_report(RowStats(cal, labels, tie_break, raw), None, cfg)
+        report = build_report(RowStats(cal, labels, _raw_under(tie_break, raw)), None, cfg)
         point, cw, std = _oracle_report(cal, labels, cfg, raw, tie_break)
     assert list(report.values.items()) == list(point.items())
     for label, (mean, per_class, kept_counts) in cw.items():
@@ -688,12 +696,12 @@ def test_a_row_stats_passed_with_labels_a_tie_break_or_raw_scores_is_a_data_erro
     # a RowStats holds its labels, tie break and raw scores: a second source
     # of any of them would be read or ignored, so it is refused
     cal, labels, raw = _oracle_inputs("tied")
-    stats = RowStats(cal, labels, TIE_RAW_LOGIT, raw)
+    stats = RowStats(cal, labels, raw)
     with pytest.raises(DataError, match="RowStats holds"):
         build_report(stats, labels, EvalConfig())
     with pytest.raises(DataError, match="RowStats holds"):
         top1_ece(stats, labels)
-    with pytest.raises(DataError, match="RowStats holds"):
+    with pytest.raises(DataError, match="None with a RowStats"):
         accuracy_topk(stats, None, 1, tie_break=TIE_RAW_LOGIT)
     with pytest.raises(DataError, match="RowStats holds"):
         accuracy_topk(stats, None, 1, raw_scores=raw)
@@ -703,6 +711,62 @@ def test_a_row_stats_passed_with_labels_a_tie_break_or_raw_scores_is_a_data_erro
     report = build_report(stats, None, EvalConfig())
     assert report.to_dict()["tie_break"] == TIE_RAW_LOGIT
     assert report.values["acc_top1"] == accuracy_topk(cal, labels, 1, TIE_RAW_LOGIT, raw)
+
+
+_RAW_CASES = ("none", "valid", "nan", "inf", "wrong shape", "1-D", "text")
+
+
+@example(tie_break=TIE_CLASS_INDEX, raw_case="nan", seed=0, at=0)
+@example(tie_break=None, raw_case="text", seed=0, at=0)
+@example(tie_break=TIE_CLASS_INDEX, raw_case="valid", seed=0, at=0)
+@given(
+    tie_break=st.sampled_from([None, TIE_CLASS_INDEX, TIE_RAW_LOGIT, "random"]),
+    raw_case=st.sampled_from(_RAW_CASES),
+    seed=st.integers(0, 2**16),
+    at=st.integers(0, 12 * 4 - 1),
+)
+def test_raw_scores_are_given_exactly_when_the_tie_break_is_raw_logit(
+    tie_break, raw_case, seed, at
+):
+    # ties rank by raw logit exactly when raw scores are given; malformed
+    # raw scores are a DataError, never silently ignored
+    rng = np.random.default_rng(seed)
+    n, k = 12, 4
+    cal = np.array([0.1, 0.4])[rng.integers(0, 2, size=(n, k))]
+    labels = rng.integers(0, k, size=n)
+    raw = rng.integers(-2, 3, size=(n, k)).astype(np.float64)
+    bad = raw.copy()
+    bad.flat[at] = np.nan if raw_case == "nan" else np.inf
+    raw_scores = {
+        "none": None,
+        "valid": raw,
+        "nan": bad,
+        "inf": bad,
+        "wrong shape": raw[:, :-1],
+        "1-D": raw[0],
+        "text": "nonsense",
+    }[raw_case]
+    calls = (
+        lambda: RowStats(cal, labels, raw_scores),
+        lambda: ranked_classes(cal, labels, raw_scores),
+        lambda: accuracy_topk(cal, labels, 1, tie_break, raw_scores),
+    )
+    if raw_case not in ("none", "valid"):
+        for call in calls:
+            with pytest.raises(DataError):
+                call()
+        return
+    rule = TIE_CLASS_INDEX if raw_scores is None else TIE_RAW_LOGIT
+    assert RowStats(cal, labels, raw_scores).tie_break == rule
+    order = _lexsort_order(cal, rule, raw_scores)
+    want = np.argmax(order == labels[:, None], axis=1)
+    assert ranked_classes(cal, labels, raw_scores).tolist() == want.tolist()
+    if tie_break not in (None, rule):
+        with pytest.raises(DataError, match="iff raw scores"):
+            accuracy_topk(cal, labels, 1, tie_break, raw_scores)
+    else:
+        got = accuracy_topk(cal, labels, 1, tie_break, raw_scores)
+        assert got == _oracle_accuracy(cal, labels, 1, rule, raw_scores)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
