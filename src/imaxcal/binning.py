@@ -68,10 +68,8 @@ class ImaxConfig:
         self.seed = check_count(self.seed, "seed")
         self.scale = check_number(self.scale, "scale")
         self.bias = check_number(self.bias, "bias")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise DataError(f"scale must be finite and > 0, got {self.scale}")
-        if not np.isfinite(self.bias):
-            raise DataError(f"bias must be finite, got {self.bias}")
+        if self.scale <= 0:
+            raise DataError(f"scale must be > 0, got {self.scale}")
 
 
 @dataclass

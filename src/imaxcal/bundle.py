@@ -20,6 +20,7 @@ from .binning import (
     METHOD_EQ_SIZE,
     METHOD_IMAX,
     REP_EMPIRICAL_FREQ,
+    REP_RAW_PROB_MEAN,
     REP_SCALED_PROB_MEAN,
     REP_STRATEGIES,
     Binner,
@@ -245,8 +246,12 @@ def fit_bundle(
         raise DataError(f"unknown method {method!r}")
     if rep_strategy not in REP_STRATEGIES:
         raise DataError(f"unknown representative strategy {rep_strategy!r}")
-    if rep_strategy == REP_SCALED_PROB_MEAN and method != METHOD_IMAX_WITH_SCALER:
-        raise DataError("scaled_prob_mean needs the scaler that only imax_with_scaler fits")
+    binned = method in (METHOD_EQ_SIZE, METHOD_EQ_MASS, METHOD_IMAX)
+    if rep_strategy != REP_EMPIRICAL_FREQ and not (binned and rep_strategy == REP_RAW_PROB_MEAN):
+        raise DataError(
+            f"rep_strategy {rep_strategy} does not apply to {method}: raw_prob_mean needs eq_size,"
+            " eq_mass or imax, and scaled_prob_mean needs the scaler that imax_with_scaler fits"
+        )
     check_strategy(strategy, groups_spec, method, scaler_kind, data.kind)
     cfg = config if config is not None else ImaxConfig()
     grouping = resolve_grouping(data, strategy, groups_spec)

@@ -99,14 +99,17 @@ def integer_labels(labels):
 
 
 def check_number(value, what):
-    """value as a Python float: an int, float or numpy real, not a bool, in
-    the float range. Anything else is a DataError."""
+    """value as a finite Python float: an int, float or numpy real, not a
+    bool, NaN or inf, in the float range. Anything else is a DataError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise DataError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError as exc:
         raise DataError(f"{what} is out of the float range") from exc
+    if not np.isfinite(number):
+        raise DataError(f"{what} must be finite, got {number!r}")
+    return number
 
 
 def check_count(value, what, minimum=0):
@@ -141,10 +144,12 @@ def check_scores(scores, kind):
         raise DataError(f"need at least two classes, got {k}")
     if kind not in (RAW_LOGITS, PROBABILITIES):
         raise DataError(f"unknown score kind {kind!r}")
-    if not np.all(np.isfinite(scores)):
+    # a NaN makes both NaN, so no N x K mask is needed to find it or an inf
+    lo, hi = scores.min(), scores.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise DataError("scores contain non-finite values")
     if kind == PROBABILITIES:
-        if scores.min() < 0.0 or scores.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise DataError("probability scores outside [0, 1]")
         if np.max(np.abs(scores.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
             raise DataError("probability rows do not sum to 1")

@@ -45,8 +45,8 @@ class Kde1D:
         if not np.all(np.isfinite(self.samples)):
             raise DataError("KDE samples must be finite")
         self.bandwidth = check_number(self.bandwidth, "KDE bandwidth")
-        if not (self.bandwidth > 0 and np.isfinite(self.bandwidth)):
-            raise DataError("KDE bandwidth must be positive and finite")
+        if self.bandwidth <= 0:
+            raise DataError("KDE bandwidth must be positive")
 
 
 def kde_fit(samples) -> Kde1D:

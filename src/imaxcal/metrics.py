@@ -91,17 +91,9 @@ def _check_threshold(thr):
 
 def _checked(calibrated, labels, raw_scores):
     """The inputs of a RowStats or ranked_classes, checked; raw_scores may be None."""
-    calibrated = np.ascontiguousarray(calibrated, dtype=np.float64)
-    if calibrated.ndim != 2:
-        raise DataError("calibrated scores must be 2-D")
-    if calibrated.size == 0:
-        raise DataError("empty evaluation set")
-    # a NaN makes min() NaN, so it fails the comparison as a value out of range does
-    if not (calibrated.min() >= 0.0 and calibrated.max() <= 1.0):
-        raise DataError(
-            "calibrated scores must be finite and lie in [0, 1];"
-            " raw scores need a bundle applied first"
-        )
+    calibrated = np.ascontiguousarray(check_scores(calibrated, RAW_LOGITS))
+    if calibrated.min() < 0.0 or calibrated.max() > 1.0:
+        raise DataError("calibrated scores outside [0, 1]; raw scores need a bundle applied first")
     if raw_scores is not None:
         raw_scores = check_scores(raw_scores, RAW_LOGITS)
         if raw_scores.shape != calibrated.shape:

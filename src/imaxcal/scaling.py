@@ -43,15 +43,11 @@ class Scaler:
     def __post_init__(self):
         if self.kind == KIND_TEMPERATURE:
             self.temperature = check_number(self.temperature, "scaler temperature")
-            if not np.isfinite(self.temperature):
-                raise FitError("temperature scaler needs a finite temperature")
             if self.temperature <= 0:
                 raise FitError("temperature must be positive")
         elif self.kind == KIND_PLATT:
             self.a = check_number(self.a, "scaler a")
             self.b = check_number(self.b, "scaler b")
-            if not (np.isfinite(self.a) and np.isfinite(self.b)):
-                raise FitError("platt parameters must be finite")
         else:
             raise DataError(f"unknown scaler kind {self.kind!r}")
 

@@ -148,7 +148,10 @@ class MulticlassSynthSpec:
         if self.priors is None:
             self.priors = np.full(self.n_classes, 1.0 / self.n_classes)
         else:
-            self.priors = np.asarray(self.priors, dtype=np.float64)
+            try:
+                self.priors = np.array([check_number(p, "prior") for p in self.priors])
+            except TypeError as exc:
+                raise DataError(f"priors must be a list of numbers, got {self.priors!r}") from exc
             if self.priors.shape != (self.n_classes,):
                 raise DataError("priors length must equal n_classes")
             if self.priors.min() <= 0 or abs(self.priors.sum() - 1.0) > 1e-9:

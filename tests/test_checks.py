@@ -1,12 +1,16 @@
-"""The integer and number rules: data.check_count and data.check_number.
+"""The integer and number rules, data.check_count and data.check_number, and
+the score rule, data.check_scores.
 
 Every count, seed, class index and real that a caller hands the library is
-checked by the type that holds it. A value of the wrong type or range is an
-ImaxcalError, never another exception and never a silent cast; a value that
-passes is stored as a Python int or float, so the object serializes.
+checked by the type that holds it. A value of the wrong type or range, NaN
+and inf included, is an ImaxcalError, never another exception and never a
+silent cast; a value that passes is stored as a Python int or float, so the
+object serializes. A calibrated matrix passes the score rule before its
+[0, 1] check.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +25,29 @@ from imaxcal.binning import (
     fit_eq_size,
 )
 from imaxcal.bundle import CalibratorBundle, GroupCalibrator, fit_bundle
-from imaxcal.data import ClassGrouping, PredictionMatrix, check_count, check_number, ovr_set
+from imaxcal.data import (
+    RAW_LOGITS,
+    ClassGrouping,
+    PredictionMatrix,
+    check_count,
+    check_number,
+    check_scores,
+    ovr_set,
+)
 from imaxcal.errors import DataError, FitError, ImaxcalError
 from imaxcal.info import Kde1D, mi_upper_bound
-from imaxcal.metrics import EvalConfig, build_report, cw_ece, eval_bin_edges
+from imaxcal.metrics import (
+    EvalConfig,
+    RowStats,
+    accuracy_topk,
+    brier,
+    build_report,
+    cw_ece,
+    eval_bin_edges,
+    nll,
+    ranked_classes,
+    top1_ece,
+)
 from imaxcal.scaling import Scaler
 from imaxcal.synth import (
     BinaryMixtureSpec,
@@ -125,10 +148,9 @@ def test_check_number_returns_a_python_float_or_raises_a_data_error(value):
     except DataError:
         numeric = isinstance(value, (int, float, np.integer, np.floating))
         beyond_float = type(value) is int and abs(value) > 2**1100
-        assert not numeric or isinstance(value, bool) or beyond_float
+        assert not numeric or isinstance(value, bool) or beyond_float or not np.isfinite(value)
         return
-    assert _stored(got, float)
-    assert got == value or (np.isnan(got) and np.isnan(value))
+    assert _stored(got, float) and np.isfinite(got) and got == value
 
 
 @pytest.mark.parametrize("value", [True, 2.0, 2.5, "2", None, np.float64(2.0), -1])
@@ -144,6 +166,84 @@ def test_the_messages_name_the_rule():
         check_count(1, "n_bins", minimum=2)
     with pytest.raises(DataError, match=r"t_gen must be a number, got '1'"):
         check_number("1", "t_gen")
+
+
+# --- NaN and inf are never a real ------------------------------------------
+
+_KDE = Kde1D(np.arange(4.0), 1.0)
+
+# every holder of a real, as a call that hands it the value
+_REAL_HOLDERS = {
+    "ImaxConfig scale": lambda v: ImaxConfig(scale=v),
+    "ImaxConfig bias": lambda v: ImaxConfig(bias=v),
+    "EvalConfig threshold": lambda v: EvalConfig(cw_thresholds=(v,)),
+    "Scaler temperature": lambda v: Scaler("temperature", temperature=v),
+    "Scaler a": lambda v: Scaler("platt", a=v, b=0.0),
+    "Scaler b": lambda v: Scaler("platt", a=1.0, b=v),
+    "BinaryMixtureSpec prior": lambda v: BinaryMixtureSpec(prior=v),
+    "BinaryMixtureSpec mu_pos": lambda v: BinaryMixtureSpec(mu_pos=v),
+    "BinaryMixtureSpec sigma_pos": lambda v: BinaryMixtureSpec(sigma_pos=v),
+    "BinaryMixtureSpec mu_neg": lambda v: BinaryMixtureSpec(mu_neg=v),
+    "BinaryMixtureSpec sigma_neg": lambda v: BinaryMixtureSpec(sigma_neg=v),
+    "MulticlassSynthSpec t_gen": lambda v: MulticlassSynthSpec(t_gen=v),
+    "MulticlassSynthSpec priors": lambda v: MulticlassSynthSpec(n_classes=3, priors=(v, 0.5, 0.5)),
+    "Kde1D bandwidth": lambda v: Kde1D(np.arange(4.0), v),
+    "mi_upper_bound prior": lambda v: mi_upper_bound(_KDE, _KDE, v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("holder", sorted(_REAL_HOLDERS))
+def test_a_non_finite_real_is_a_data_error_in_every_holder(holder, value):
+    # one rule, data.check_number, names it for each holder
+    with pytest.raises(DataError, match="must be finite, got"):
+        _REAL_HOLDERS[holder](value)
+
+
+# --- the calibrated-matrix rule ---------------------------------------------
+
+# each way into a metric, as a call on a calibrated matrix and its labels
+_CALIBRATED_ENTRIES = {
+    "RowStats": RowStats,
+    "ranked_classes": ranked_classes,
+    "accuracy_topk": accuracy_topk,
+    "top1_ece": top1_ece,
+    "cw_ece": cw_ece,
+    "nll": nll,
+    "brier": brier,
+    "build_report": lambda cal, labels: build_report(cal, labels, EvalConfig()),
+}
+
+_BAD_CALIBRATED = {
+    "text": ("x", [0, 1]),
+    "text matrix": ([["a", "b"], ["c", "d"]], [0, 1]),
+    "NaN": ([[np.nan, 1.0], [0.5, 0.5]], [0, 1]),
+    "1-D": ([0.5, 0.5], [0, 1]),
+    "one column": ([[1.0], [1.0]], [0, 0]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_CALIBRATED))
+@pytest.mark.parametrize("entry", sorted(_CALIBRATED_ENTRIES))
+def test_a_malformed_calibrated_matrix_is_a_data_error_at_every_entry(entry, bad):
+    # text raised numpy's bare ValueError, and one column passed
+    with pytest.raises(DataError):
+        _CALIBRATED_ENTRIES[entry](*_BAD_CALIBRATED[bad])
+
+
+def test_check_scores_finds_a_nan_without_a_mask_of_the_matrix():
+    # a bool mask of the matrix would take 1 B per entry
+    scores = np.random.default_rng(0).normal(size=(5_000, 1_000))
+    scores[-1, -1] = np.nan
+    tracemalloc.start()
+    try:
+        check_scores(scores[:-1], RAW_LOGITS)
+        with pytest.raises(DataError, match="non-finite"):
+            check_scores(scores, RAW_LOGITS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * scores.size, peak
 
 
 # --- every type that holds a count or a real --------------------------------
@@ -323,6 +423,10 @@ _BAD_CALLS = {
     "n_classes float": lambda: MulticlassSynthSpec(n_classes=3.5),
     "t_gen text": lambda: MulticlassSynthSpec(t_gen="1"),
     "t_gen subnormal": lambda: gen_multiclass(MulticlassSynthSpec(n=5, t_gen=5e-324)),
+    # priors were cast by numpy, so a NaN one built and failed in gen_multiclass
+    "priors NaN": lambda: MulticlassSynthSpec(n_classes=3, priors=(np.nan, 0.5, 0.5)),
+    "priors text": lambda: MulticlassSynthSpec(n_classes=3, priors=("0.2", "0.3", "0.5")),
+    "priors no list": lambda: MulticlassSynthSpec(n_classes=3, priors=object()),
     "n float binary": lambda: BinaryMixtureSpec(n=10.5),
     "prior text": lambda: BinaryMixtureSpec(prior="0.5"),
     "scale text": lambda: ImaxConfig(scale="2"),
@@ -386,14 +490,27 @@ def test_an_explicit_threshold_is_checked_like_a_config_one():
         ({"strategy": "bogus"}, "unknown strategy"),
         ({"rep_strategy": "bogus"}, "unknown representative strategy"),
         ({"rep_strategy": "scaled_prob_mean"}, "scaled_prob_mean needs the scaler"),
+        # a strategy the method would ignore or replace is no longer silent
+        ({"method": "platt", "rep_strategy": "raw_prob_mean"}, "does not apply to platt"),
+        ({"method": "temperature", "rep_strategy": "raw_prob_mean"}, "to temperature"),
+        (
+            {"method": "imax_with_scaler", "scaler_kind": "temperature",
+             "rep_strategy": "raw_prob_mean"},
+            "raw_prob_mean does not apply to imax_with_scaler",
+        ),
+        (
+            {"method": "imax_with_scaler", "scaler_kind": "platt",
+             "rep_strategy": "scaled_prob_mean"},
+            "scaled_prob_mean does not apply to imax_with_scaler",
+        ),
     ],
 )
 def test_an_unknown_strategy_fails_before_any_fit(monkeypatch, kwargs, message):
     def no_fit(*args, **kw):
         raise AssertionError("a fit ran before the check")
 
-    monkeypatch.setattr(bundle_mod, "fit_edges", no_fit)
-    monkeypatch.setattr(bundle_mod, "ovr_set", no_fit)
+    for name in ("fit_edges", "ovr_set", "fit_temperature", "fit_platt"):
+        monkeypatch.setattr(bundle_mod, name, no_fit)
     monkeypatch.setattr(PredictionMatrix, "ovr_logits", no_fit)
     with pytest.raises(DataError, match=message):
-        fit_bundle(DATA, "imax", **kwargs)
+        fit_bundle(DATA, **{"method": "imax", **kwargs})

@@ -114,6 +114,16 @@ def test_synth_flag_errors(tmp_path):
     assert not (tmp_path / "x-scores.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--multiclass", "--tgen", "inf"], ["--mu-pos", "nan"]])
+def test_a_non_finite_synth_value_is_one_usage_line(tmp_path, capsys, flags):
+    # --tgen inf wrote a matrix of +-0.0, and --mu-pos nan failed once drawn
+    capsys.readouterr()
+    assert main(["synth", *flags, "--n", "20", "--out-prefix", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error=usage ") and "must be finite" in err[0], err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- fit -------------------------------------------------------------------
 
 def test_fit_writes_a_versioned_bundle(workdir, capsys):

@@ -42,9 +42,10 @@ def _platt_data(n=100_000, seed=42):
 def test_scaler_validation():
     with pytest.raises(FitError):
         Scaler(kind=KIND_TEMPERATURE, temperature=0.0)
-    with pytest.raises(FitError):
+    # the number rule: a NaN or inf parameter is a DataError, as in any holder of a real
+    with pytest.raises(DataError, match="scaler temperature must be finite"):
         Scaler(kind=KIND_TEMPERATURE, temperature=np.inf)
-    with pytest.raises(FitError):
+    with pytest.raises(DataError, match="scaler b must be finite"):
         Scaler(kind=KIND_PLATT, a=1.0, b=np.nan)
     with pytest.raises(DataError):
         Scaler(kind="beta", temperature=1.0)
