@@ -268,10 +268,10 @@ class BinaryCalibrationSet:
             raise DataError("logits and targets length mismatch")
         if self.logits.shape[0] < 1:
             raise DataError("empty calibration set")
-        if not np.all(np.isfinite(self.logits)):
+        # by min and max, as check_scores does, so no sample-length mask is made
+        if not (np.isfinite(self.logits.min()) and np.isfinite(self.logits.max())):
             raise DataError("logits contain non-finite values")
-        bad = (self.targets != 0) & (self.targets != 1)
-        if np.any(bad):
+        if self.targets.min() < 0 or self.targets.max() > 1:
             raise DataError("targets must be 0 or 1")
 
     def __len__(self):

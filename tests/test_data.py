@@ -1,5 +1,6 @@
 """Containers, score conversions, and one-vs-rest plumbing."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -213,6 +214,26 @@ def test_binary_set_validation():
         BinaryCalibrationSet(np.array([0.1, 0.2]), np.array([1, 2]))
     with pytest.raises(DataError):
         BinaryCalibrationSet(np.array([np.nan, 0.2]), np.array([1, 0]))
+
+
+def test_binary_set_checks_its_values_without_a_sample_length_mask():
+    # the merged set of a K=100, N=20k shared fit; a bool mask of it is 2 MB
+    n = 2_000_000
+    logits = np.random.default_rng(0).normal(size=n)
+    targets = (logits > 1.0).astype(np.int8)
+    tracemalloc.start()
+    try:
+        BinaryCalibrationSet(logits, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n // 100
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="non-finite"):
+            BinaryCalibrationSet(np.where(np.arange(n) == n - 1, bad, logits), targets)
+    for bad in (-1, 2):
+        with pytest.raises(DataError, match="0 or 1"):
+            BinaryCalibrationSet(logits, np.where(np.arange(n) == n - 1, bad, targets))
 
 
 def test_sorted_copies_are_made_once_and_read_only():

@@ -24,6 +24,7 @@ before it writes the new one.
 
 import hashlib
 import json
+import os
 import pathlib
 import sys
 import tempfile
@@ -31,6 +32,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from imaxcal import cli
 from imaxcal.cli import main
 
 MANIFEST = pathlib.Path(__file__).with_name("golden.json")
@@ -149,7 +151,7 @@ def moved_entries(expected, got):
     ]
 
 
-def test_every_output_matches_the_manifest(tmp_path, capsys):
+def _check_matrix(root, capsys):
     expected = json.loads(MANIFEST.read_text())
     if expected["build"] != build():
         pytest.fail(
@@ -157,9 +159,32 @@ def test_every_output_matches_the_manifest(tmp_path, capsys):
             f" they say nothing here. Regenerate at the parent commit with {REGENERATE},"
             " then compare this change against that manifest"
         )
-    got = run_matrix(tmp_path, lambda: capsys.readouterr().out)
+    got = run_matrix(root, lambda: capsys.readouterr().out)
     moved = moved_entries(expected, got)
     assert not moved, f"outputs differ from {MANIFEST.name}: {moved}; if on purpose, {REGENERATE}"
+
+
+def test_every_output_matches_the_manifest(tmp_path, capsys):
+    _check_matrix(tmp_path, capsys)
+
+
+def test_every_output_matches_the_manifest_under_the_split_reader(tmp_path, capsys, monkeypatch):
+    # every input file of more than one line is parsed in two parts, one of
+    # them in a forked process
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted_fork)
+    _check_matrix(tmp_path, capsys)
+    assert len(forks) > len(commands())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 if __name__ == "__main__":
