@@ -26,13 +26,13 @@ from .data import (
     PROB_EPS,
     BinaryCalibrationSet,
     check_count,
+    check_finite,
     check_number,
     json_list,
     json_object,
     prob_of_logit,
 )
 from .errors import DataError, FitError
-from .scaling import apply_scaler
 
 METHOD_EQ_SIZE = "eq_size"
 METHOD_EQ_MASS = "eq_mass"
@@ -607,17 +607,19 @@ def set_representatives(
     binner: Binner,
     cal_set: BinaryCalibrationSet,
     strategy: str = REP_EMPIRICAL_FREQ,
-    scaler=None,
+    weights=None,
     clamp: bool = True,
 ) -> Binner:
     """Assign per-bin probability representatives from a calibration set.
 
     empirical_freq uses the in-bin positive fraction, counted by bin_counts
     on the set's sorted copies; raw_prob_mean the in-bin mean of
-    sigmoid(lam) and scaled_prob_mean that of sigmoid(scaler(lam)), each
-    summed by bin_sums in the set's row order, since a float sum depends on
-    its order. Empty interior bins fall back to the sigmoid of the bin
-    midpoint, empty outer bins to the sigmoid of their phi level. By default
+    sigmoid(lam), and scaled_prob_mean that of weights, one probability per
+    sample of the set (a bundle passes its scaler's probabilities). Both
+    means are summed by bin_sums in the set's row order, since a float sum
+    depends on its order; weights with another strategy are a DataError.
+    Empty interior bins fall back to the sigmoid of the bin midpoint, empty
+    outer bins to the sigmoid of their phi level. By default
     representatives are clamped to [PROB_EPS, 1 - PROB_EPS] so downstream
     NLL stays finite; clamp=False keeps pure-bin frequencies at exactly 0 or
     1, which is what makes training-split calibration error vanish
@@ -625,15 +627,15 @@ def set_representatives(
     """
     if strategy not in REP_STRATEGIES:
         raise DataError(f"unknown representative strategy {strategy!r}")
+    if strategy != REP_SCALED_PROB_MEAN and weights is not None:
+        raise DataError(f"weights apply only to {REP_SCALED_PROB_MEAN}, not {strategy}")
     if strategy == REP_EMPIRICAL_FREQ:
         counts, mass = bin_counts(binner.edges, cal_set)
     else:
         if strategy == REP_RAW_PROB_MEAN:
             weights = prob_of_logit(cal_set.logits)
-        elif scaler is None:
-            raise DataError("scaled_prob_mean needs a fitted scaler")
         else:
-            weights = prob_of_logit(apply_scaler(scaler, cal_set.logits))
+            weights = _checked_weights(weights, len(cal_set))
         counts, mass = bin_sums(binner.edges, cal_set.logits, weights)
 
     occupied = counts > 0
@@ -648,6 +650,22 @@ def set_representatives(
         reps = np.clip(reps, PROB_EPS, 1.0 - PROB_EPS)
 
     return replace(binner, reps=reps)
+
+
+def _checked_weights(weights, n):
+    """scaled_prob_mean's weights as float64: n probabilities in [0, 1]."""
+    if weights is None:
+        raise DataError(f"{REP_SCALED_PROB_MEAN} needs weights, one probability per sample")
+    try:
+        weights = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"weights must be numbers: {exc}") from exc
+    if weights.shape != (n,):
+        raise DataError(f"weights shape {weights.shape} does not match {n} samples")
+    lo, hi = check_finite(weights, "weights")
+    if lo < 0.0 or hi > 1.0:
+        raise DataError("weights outside [0, 1]")
+    return weights
 
 
 def fit_edges(cal_set: BinaryCalibrationSet, method: str, cfg: ImaxConfig) -> Binner:

@@ -285,7 +285,10 @@ def fit_bundle(
             else:
                 cal_set = sets.pop()
                 binner = fit_edges(cal_set, binning_method, cfg)
-                binner = set_representatives(binner, cal_set, rep_strategy, scaler=scaler)
+                weights = None
+                if scaler is not None:
+                    weights = prob_of_logit(apply_scaler(scaler, cal_set.logits))
+                binner = set_representatives(binner, cal_set, rep_strategy, weights=weights)
                 cal = GroupCalibrator(classes=g, binner=binner)
             calibrators.append(cal)
         if method != METHOD_PLATT:

@@ -875,6 +875,9 @@ def main(argv=None):
     except DataError as exc:
         _error_line("data", exc)
         return 3
+    except MemoryError as exc:
+        _error_line("data", f"out of memory: {exc}")
+        return 3
     except FitError as exc:
         _error_line("fit", exc)
         return 4

@@ -32,11 +32,11 @@ def softmax(scores):
     """Row-wise softmax, shift-invariant and safe for large scores.
 
     Accepts a single score vector or an (N, K) matrix; rejects non-finite
-    input rather than propagating NaN into downstream transforms.
+    input (check_finite) rather than propagating NaN into downstream
+    transforms.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise DataError("softmax input contains non-finite values")
+    check_finite(scores, "softmax scores")
     shifted = scores - np.max(scores, axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / np.sum(ex, axis=-1, keepdims=True)
@@ -81,21 +81,19 @@ def xlogy(x, y):
     return np.where((x == 0) & ~np.isnan(y), 0.0, out)
 
 
-def integer_labels(labels):
-    """Labels as int64. NaN, inf and non-integral values are rejected before
-    the cast, which would otherwise truncate them or warn."""
-    labels = np.asarray(labels)
-    if labels.dtype.kind == "f":
-        if not np.all(np.isfinite(labels)):
-            raise DataError("labels contain non-finite values")
-        if np.any(np.floor(labels) != labels):
-            raise DataError("labels must be integers")
-        if np.any(np.abs(labels) >= 2.0**63):
-            raise DataError("labels out of the int64 range")
-    try:
-        return np.asarray(labels, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"labels must be integers: {exc}") from exc
+def check_finite(values, what):
+    """The min and max of a float array; any NaN or inf in it is a DataError.
+
+    The package's one finiteness test of an array. A NaN makes both extremes
+    NaN, so no mask of the array is made; an empty array passes, as
+    (inf, -inf).
+    """
+    if values.size == 0:
+        return np.inf, -np.inf
+    lo, hi = values.min(), values.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DataError(f"{what} contain non-finite values")
+    return lo, hi
 
 
 def check_number(value, what):
@@ -124,6 +122,14 @@ def check_count(value, what, minimum=0):
     return int(value)
 
 
+def check_float64_entries(entries, what):
+    """A DataError if a float64 array of entries values would take 2**63
+    bytes or more, the size numpy cannot describe; a count that passes may
+    still ask for more memory than there is."""
+    if entries >= 2**60:
+        raise DataError(f"{what} asks for a float64 array of 2**63 bytes or more")
+
+
 def check_scores(scores, kind):
     """Validate an N x K score matrix of the given kind; return it as float64.
 
@@ -144,10 +150,7 @@ def check_scores(scores, kind):
         raise DataError(f"need at least two classes, got {k}")
     if kind not in (RAW_LOGITS, PROBABILITIES):
         raise DataError(f"unknown score kind {kind!r}")
-    # a NaN makes both NaN, so no N x K mask is needed to find it or an inf
-    lo, hi = scores.min(), scores.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise DataError("scores contain non-finite values")
+    lo, hi = check_finite(scores, "scores")
     if kind == PROBABILITIES:
         if lo < 0.0 or hi > 1.0:
             raise DataError("probability scores outside [0, 1]")
@@ -158,8 +161,20 @@ def check_scores(scores, kind):
 
 def check_labels(labels, n, k):
     """n integer labels, one per score row, each in [0, k); returned as
-    int64. n is at least 1."""
-    labels = integer_labels(labels)
+    int64. n is at least 1. Float labels that are not finite or not
+    integral, or lie beyond the int64 range, are rejected before the cast,
+    which would otherwise truncate them or warn."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":
+        lo, hi = check_finite(labels, "labels")
+        if np.any(np.floor(labels) != labels):
+            raise DataError("labels must be integers")
+        if lo <= -(2.0**63) or hi >= 2.0**63:
+            raise DataError("labels out of the int64 range")
+    try:
+        labels = np.asarray(labels, dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"labels must be integers: {exc}") from exc
     if labels.shape != (n,):
         raise DataError(f"labels shape {labels.shape} does not match {n} score rows")
     if labels.min() < 0 or labels.max() >= k:
@@ -268,9 +283,7 @@ class BinaryCalibrationSet:
             raise DataError("logits and targets length mismatch")
         if self.logits.shape[0] < 1:
             raise DataError("empty calibration set")
-        # by min and max, as check_scores does, so no sample-length mask is made
-        if not (np.isfinite(self.logits.min()) and np.isfinite(self.logits.max())):
-            raise DataError("logits contain non-finite values")
+        check_finite(self.logits, "logits")
         if self.targets.min() < 0 or self.targets.max() > 1:
             raise DataError("targets must be 0 or 1")
 

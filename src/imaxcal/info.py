@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinaryCalibrationSet, check_number
+from .data import BinaryCalibrationSet, check_finite, check_number
 from .errors import DataError
 from .metrics import mi_of_quantizer
 
@@ -42,8 +42,7 @@ class Kde1D:
         self.samples = np.sort(np.asarray(self.samples, dtype=np.float64))
         if self.samples.ndim != 1 or self.samples.size < 2:
             raise DataError("KDE needs at least two samples")
-        if not np.all(np.isfinite(self.samples)):
-            raise DataError("KDE samples must be finite")
+        check_finite(self.samples, "KDE samples")
         self.bandwidth = check_number(self.bandwidth, "KDE bandwidth")
         if self.bandwidth <= 0:
             raise DataError("KDE bandwidth must be positive")

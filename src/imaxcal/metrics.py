@@ -19,6 +19,7 @@ from .data import (
     RAW_LOGITS,
     BinaryCalibrationSet,
     check_count,
+    check_float64_entries,
     check_labels,
     check_number,
     check_scores,
@@ -69,6 +70,7 @@ class EvalConfig:
         if self.eval_scheme not in EVAL_SCHEMES:
             raise DataError(f"unknown eval scheme {self.eval_scheme!r}")
         self.n_eval_bins = check_count(self.n_eval_bins, "n_eval_bins", minimum=1)
+        check_float64_entries(self.n_eval_bins, f"n_eval_bins = {self.n_eval_bins}")
         self.cw_thresholds = tuple(_check_threshold(thr) for thr in self.cw_thresholds)
         if not self.cw_thresholds:
             raise DataError("cw_thresholds needs at least one threshold")
@@ -208,20 +210,28 @@ def ranked_classes(calibrated, labels, raw_scores=None):
     """Each row's rank of its label by calibrated probability, descending:
     the count of classes above the label's probability, or level with it and
     winning the tie by a higher raw score if raw_scores are given, then by a
-    lower class index. O(N·K) comparisons; no row is sorted.
+    lower class index. O(N·K) comparisons, in the row blocks of
+    data.row_blocks; no row is sorted.
     """
     calibrated, labels, raw_scores = _checked(calibrated, labels, raw_scores)
-    label = labels[:, None]
-    # the classes that win a tie in calibrated probability against the label
-    wins = np.arange(calibrated.shape[1]) < label
-    if raw_scores is not None:
-        raw_own = np.take_along_axis(raw_scores, label, axis=1)
-        wins &= raw_scores == raw_own
-        wins |= raw_scores > raw_own
-    own = np.take_along_axis(calibrated, label, axis=1)
-    wins &= calibrated == own
-    wins |= calibrated > own
-    return np.count_nonzero(wins, axis=1)
+    n, k = calibrated.shape
+    classes = np.arange(k)
+    rank = np.empty(n, dtype=np.intp)
+    for rows in row_blocks(n, k):
+        label = labels[rows, None]
+        # the classes that win a tie in calibrated probability against the label
+        wins = classes < label
+        if raw_scores is not None:
+            raw = raw_scores[rows]
+            raw_own = np.take_along_axis(raw, label, axis=1)
+            wins &= raw == raw_own
+            wins |= raw > raw_own
+        block = calibrated[rows]
+        own = np.take_along_axis(block, label, axis=1)
+        wins &= block == own
+        wins |= block > own
+        rank[rows] = np.count_nonzero(wins, axis=1)
+    return rank
 
 
 def accuracy_topk(calibrated, labels, k=1, tie_break=None, raw_scores=None) -> float:

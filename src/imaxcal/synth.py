@@ -16,7 +16,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import (
-    RAW_LOGITS, BinaryCalibrationSet, PredictionMatrix, check_count, check_number, prob_of_logit
+    RAW_LOGITS,
+    BinaryCalibrationSet,
+    PredictionMatrix,
+    check_count,
+    check_float64_entries,
+    check_number,
+    prob_of_logit,
 )
 from .errors import DataError
 from .info import mi_of_densities
@@ -47,6 +53,7 @@ class BinaryMixtureSpec:
         if self.sigma_pos <= 0 or self.sigma_neg <= 0:
             raise DataError("mixture sigmas must be positive")
         self.n = check_count(self.n, "n", minimum=1)
+        check_float64_entries(self.n, f"n = {self.n}")
         self.seed = check_count(self.seed, "seed")
 
     def to_dict(self) -> dict:
@@ -141,6 +148,9 @@ class MulticlassSynthSpec:
     def __post_init__(self):
         self.n_classes = check_count(self.n_classes, "n_classes", minimum=2)
         self.n = check_count(self.n, "n", minimum=1)
+        check_float64_entries(
+            self.n * self.n_classes, f"n x n_classes = {self.n} x {self.n_classes}"
+        )
         self.t_gen = check_number(self.t_gen, "t_gen")
         if self.t_gen <= 0:
             raise DataError("t_gen must be positive")

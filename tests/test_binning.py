@@ -46,6 +46,7 @@ from imaxcal.binning import (
 )
 from imaxcal.data import PROB_EPS, prob_of_logit
 from imaxcal.metrics import mi_from_joint, mi_of_quantizer
+from imaxcal.scaling import apply_scaler
 from imaxcal.synth import BinaryMixtureSpec, PRESETS, gen_binary_mixture
 
 
@@ -537,15 +538,34 @@ def test_raw_prob_mean_strategy():
     )
 
 
-def test_scaled_prob_mean_needs_a_scaler():
+def test_scaled_prob_mean_needs_weights():
     cal = _mixture(n=200, seed=8)
     b = binner_from_edges(np.array([0.0]), METHOD_EQ_SIZE)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="scaled_prob_mean needs weights"):
         set_representatives(b, cal, strategy=REP_SCALED_PROB_MEAN)
     ident = Scaler(kind=KIND_TEMPERATURE, temperature=1.0)
-    scaled = set_representatives(b, cal, strategy=REP_SCALED_PROB_MEAN, scaler=ident)
+    weights = prob_of_logit(apply_scaler(ident, cal.logits))
+    scaled = set_representatives(b, cal, strategy=REP_SCALED_PROB_MEAN, weights=weights)
     plain = set_representatives(b, cal, strategy=REP_RAW_PROB_MEAN)
     np.testing.assert_array_equal(scaled.reps, plain.reps)
+
+
+@pytest.mark.parametrize(
+    "strategy,weights,message",
+    [
+        (REP_SCALED_PROB_MEAN, np.full(199, 0.5), r"weights shape \(199,\) does not match 200"),
+        (REP_SCALED_PROB_MEAN, np.full((200, 1), 0.5), "does not match 200 samples"),
+        (REP_SCALED_PROB_MEAN, np.full(200, 1.5), r"weights outside \[0, 1\]"),
+        (REP_SCALED_PROB_MEAN, ["x"] * 200, "weights must be numbers"),
+        (REP_RAW_PROB_MEAN, np.full(200, 0.5), "weights apply only to scaled_prob_mean"),
+        (REP_EMPIRICAL_FREQ, np.full(200, 0.5), "weights apply only to scaled_prob_mean"),
+    ],
+)
+def test_weights_are_one_probability_per_sample_for_scaled_prob_mean(strategy, weights, message):
+    cal = _mixture(n=200, seed=8)
+    b = binner_from_edges(np.array([0.0]), METHOD_EQ_SIZE)
+    with pytest.raises(DataError, match=message):
+        set_representatives(b, cal, strategy=strategy, weights=weights)
 
 
 def test_unknown_strategy_is_rejected():

@@ -1,5 +1,6 @@
-"""The integer and number rules, data.check_count and data.check_number, and
-the score rule, data.check_scores.
+"""The integer and number rules, data.check_count and data.check_number, the
+array finiteness rule, data.check_finite, and the score rule,
+data.check_scores.
 
 Every count, seed, class index and real that a caller hands the library is
 checked by the type that holds it. A value of the wrong type or range, NaN
@@ -18,21 +19,27 @@ from hypothesis import given, settings, strategies as st
 
 from imaxcal import binning as binning_mod, bundle as bundle_mod
 from imaxcal.binning import (
+    REP_SCALED_PROB_MEAN,
     Binner,
     ImaxConfig,
     binner_from_edges,
     fit_eq_mass,
     fit_eq_size,
+    set_representatives,
 )
 from imaxcal.bundle import CalibratorBundle, GroupCalibrator, fit_bundle
 from imaxcal.data import (
     RAW_LOGITS,
+    BinaryCalibrationSet,
     ClassGrouping,
     PredictionMatrix,
     check_count,
+    check_finite,
+    check_labels,
     check_number,
     check_scores,
     ovr_set,
+    softmax,
 )
 from imaxcal.errors import DataError, FitError, ImaxcalError
 from imaxcal.info import Kde1D, mi_upper_bound
@@ -141,6 +148,22 @@ def test_an_eq_size_fit_with_more_bins_than_samples_fails_before_it_sizes_an_arr
         fit_bundle(DATA, "eq_size", config=ImaxConfig(n_bins=2**40))
 
 
+def test_a_count_whose_float64_array_numpy_cannot_describe_is_a_data_error():
+    # 2**60 float64 values take 2**63 bytes; numpy raised a bare ValueError
+    message = r"asks for a float64 array of 2\*\*63 bytes or more"
+    for build in (
+        lambda: BinaryMixtureSpec(n=2**60),
+        lambda: MulticlassSynthSpec(n_classes=2**30, n=2**30),
+        lambda: MulticlassSynthSpec(n_classes=2**62),
+        lambda: EvalConfig(n_eval_bins=2**60),
+    ):
+        with pytest.raises(DataError, match=message):
+            build()
+    assert BinaryMixtureSpec(n=2**60 - 1).n == 2**60 - 1
+    assert MulticlassSynthSpec(n_classes=2, n=2**59 - 1).n == 2**59 - 1
+    assert EvalConfig(n_eval_bins=2**60 - 1).n_eval_bins == 2**60 - 1
+
+
 @given(st.one_of(VALUES, st.sampled_from([10**400, -(10**400)])))
 def test_check_number_returns_a_python_float_or_raises_a_data_error(value):
     try:
@@ -198,6 +221,56 @@ def test_a_non_finite_real_is_a_data_error_in_every_holder(holder, value):
     # one rule, data.check_number, names it for each holder
     with pytest.raises(DataError, match="must be finite, got"):
         _REAL_HOLDERS[holder](value)
+
+
+# --- NaN and inf are never in an array ---------------------------------------
+
+_TWO_SAMPLES = BinaryCalibrationSet([-1.0, 1.0], [0, 1])
+
+# each array a caller hands the library, as a call with one value in it
+_ARRAY_HOLDERS = {
+    "check_finite": lambda v: check_finite(np.array([0.0, v]), "values"),
+    "softmax": lambda v: softmax(np.array([[0.0, 1.0], [v, 0.0]])),
+    "check_scores": lambda v: check_scores([[0.0, 1.0], [0.0, v]], RAW_LOGITS),
+    "check_labels": lambda v: check_labels(np.array([0.0, v]), 2, 2),
+    "PredictionMatrix labels": lambda v: PredictionMatrix(np.zeros((2, 2)), [v, 1.0]),
+    "BinaryCalibrationSet logits": lambda v: BinaryCalibrationSet([0.0, v], [0, 1]),
+    "Kde1D samples": lambda v: Kde1D(np.array([0.0, v, 1.0]), 1.0),
+    "set_representatives weights": lambda v: set_representatives(
+        binner_from_edges([0.0], "eq_size"), _TWO_SAMPLES, REP_SCALED_PROB_MEAN, [0.5, v]
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("holder", sorted(_ARRAY_HOLDERS))
+def test_a_non_finite_array_value_is_a_data_error_in_every_holder(holder, value):
+    # one rule, data.check_finite, names it for each holder
+    with pytest.raises(DataError, match="contain non-finite values"):
+        _ARRAY_HOLDERS[holder](value)
+
+
+def test_check_finite_returns_the_extremes_and_passes_an_empty_array():
+    lo, hi = check_finite(np.array([[3.0, -2.0], [0.5, 7.0]]), "x")
+    assert (lo, hi) == (-2.0, 7.0)
+    assert check_finite(np.empty((0, 3)), "x") == (np.inf, -np.inf)
+    with pytest.raises(DataError, match="^x contain non-finite values$"):
+        check_finite(np.array([1.0, np.nan, -np.inf]), "x")
+
+
+def test_check_finite_makes_no_mask():
+    # a bool mask would take 1 B per value; the extremes take a constant
+    values = np.random.default_rng(0).normal(size=2_000_000)
+    values[-1] = np.nan
+    tracemalloc.start()
+    try:
+        check_finite(values[:-1], "values")
+        with pytest.raises(DataError, match="non-finite"):
+            check_finite(values, "values")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
 
 
 # --- the calibrated-matrix rule ---------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imaxcal import binning as binning_mod, metrics as metrics_mod
+from imaxcal import binning as binning_mod, metrics as metrics_mod, synth as synth_mod
 from imaxcal.binning import ImaxConfig, fit_edges
 from imaxcal.bundle import apply_bundle, fit_bundle
 from imaxcal.cli import main
@@ -923,6 +923,44 @@ def test_an_eq_size_fit_with_more_bins_than_samples_is_one_fit_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error=fit "), err
     assert not (tmp_path / "b.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "synth --multiclass", "eval"])
+def test_a_count_numpy_cannot_size_an_array_by_is_one_usage_line(
+    command, workdir, tmp_path, capsys
+):
+    # 2**62 float64 values take 2**65 bytes; numpy raised "array is too big"
+    huge = str(2**62)
+    prefix = str(tmp_path / "s")
+    argv = {
+        "synth": ["synth", "--n", huge, "--out-prefix", prefix],
+        "synth --multiclass": ["synth", "--multiclass", "--k", huge, "--out-prefix", prefix],
+        "eval": ["eval", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
+                 "-o", str(tmp_path / "r.json"), "--eval-scheme", "eq_size", "--eval-bins", huge],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error=usage "), err
+    assert "asks for a float64 array of 2**63 bytes or more" in err[0]
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_running_out_of_memory_is_one_data_line(tmp_path, capsys, monkeypatch):
+    # synth --n 2**40 asks numpy for 8 TiB, which it refuses with a MemoryError
+    def no_memory(spec):
+        raise MemoryError(f"Unable to allocate 8.00 TiB for an array with shape ({spec.n},)")
+
+    monkeypatch.setattr(synth_mod, "gen_binary_mixture", no_memory)
+    capsys.readouterr()
+    assert main(["synth", "--n", str(2**40), "--out-prefix", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        'error=data msg="out of memory: Unable to allocate 8.00 TiB for an array with shape'
+        ' (1099511627776,)"'
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_bundle_hands_the_ranking_raw_scores_only_under_raw_logit(workdir, monkeypatch):

@@ -68,3 +68,20 @@ def test_no_module_imports_a_private_name_from_a_sibling():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _sibling_imports(module):
+    """The sibling modules module.py imports from, by relative import."""
+    tree = ast.parse((INIT_PATH.parent / f"{module}.py").read_text())
+    return {
+        (node.module or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def test_binning_and_scaling_import_neither_each_other_nor_the_bundle():
+    # the bundle owns the map from a scaler to the probabilities binning averages
+    assert not _sibling_imports("binning") & {"scaling", "bundle"}
+    assert not _sibling_imports("scaling") & {"binning", "bundle"}

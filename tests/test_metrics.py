@@ -165,6 +165,23 @@ def test_ranking_holds_no_matrix_of_class_indices(n, k, tie_break):
     assert peak <= 6 * n * k
 
 
+@pytest.mark.parametrize("tie_break", [TIE_CLASS_INDEX, TIE_RAW_LOGIT])
+def test_ranked_classes_compares_one_row_block_at_a_time(tie_break):
+    n, k = 2_000, 1000
+    rng = np.random.default_rng(7)
+    cal = rng.random(7)[rng.integers(0, 7, size=(n, k))]
+    raw = rng.normal(size=(n, k))
+    labels = rng.integers(0, k, size=n)
+    tracemalloc.start()
+    try:
+        ranked_classes(cal, labels, _raw_under(tie_break, raw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one N x K bool mask of the whole matrix alone would take 1 byte per entry
+    assert peak < 0.5 * n * k, peak
+
+
 def test_row_stats_hold_no_matrix_of_squares():
     n, k = 5_000, 1000
     rng = np.random.default_rng(6)

@@ -18,6 +18,7 @@ from imaxcal import (
     RAW_LOGITS,
     PredictionMatrix,
     Scaler,
+    prob_of_logit,
 )
 from imaxcal.binning import (
     METHOD_IMAX,
@@ -292,13 +293,19 @@ def test_platt_rejections():
 
 # --- scaler-then-bin ----------------------------------------------------
 
+def _probs(scaler, cal):
+    """The scaler's probabilities of the set's logits, the weights a bundle
+    hands scaled_prob_mean."""
+    return prob_of_logit(apply_scaler(scaler, cal.logits))
+
+
 def test_identity_scaler_reproduces_raw_prob_means():
     rng = np.random.default_rng(11)
     lam = rng.normal(size=1500)
     y = (rng.random(1500) < expit(lam)).astype(np.int64)
     cal = BinaryCalibrationSet(lam, y)
     cfg = ImaxConfig(n_bins=6, seed=0)
-    ident = Scaler(kind=KIND_TEMPERATURE, temperature=1.0)
+    ident = _probs(Scaler(kind=KIND_TEMPERATURE, temperature=1.0), cal)
     hybrid = set_representatives(fit_edges(cal, METHOD_IMAX, cfg), cal, REP_SCALED_PROB_MEAN, ident)
     plain = set_representatives(fit_edges(cal, METHOD_IMAX, cfg), cal, REP_RAW_PROB_MEAN)
     np.testing.assert_array_equal(hybrid.edges, plain.edges)
@@ -313,11 +320,11 @@ def test_edges_do_not_depend_on_the_scaler():
     cfg = ImaxConfig(n_bins=6, seed=0)
     sharp = set_representatives(
         fit_edges(cal, METHOD_IMAX, cfg), cal, REP_SCALED_PROB_MEAN,
-        Scaler(kind=KIND_TEMPERATURE, temperature=3.0),
+        weights=_probs(Scaler(kind=KIND_TEMPERATURE, temperature=3.0), cal),
     )
     soft = set_representatives(
         fit_edges(cal, METHOD_IMAX, cfg), cal, REP_SCALED_PROB_MEAN,
-        Scaler(kind=KIND_PLATT, a=0.2, b=0.4),
+        weights=_probs(Scaler(kind=KIND_PLATT, a=0.2, b=0.4), cal),
     )
     np.testing.assert_array_equal(sharp.edges, soft.edges)
     assert not np.array_equal(sharp.reps, soft.reps)
