@@ -71,18 +71,16 @@ def _load(source) -> np.ndarray:
     return np.loadtxt(source, delimiter=",", dtype=np.float64, ndmin=2)
 
 
-# A file is split into P = min(usable CPUs, _MAX_PARTS, size // _SPLIT_BYTES)
-# parts, each parsed by its own process, where P is at least 2: so only a
-# file of at least 2 * _SPLIT_BYTES = 4 MiB splits, into parts of about
-# 2 MiB or more. Parsing 17-digit values costs 15-25 ms per MiB; the fork, the pipe
+# A regular file of at least 2 * _SPLIT_BYTES = 4 MiB is cut in two at a
+# line break, and each half is parsed by its own process, where two CPUs are
+# usable. Parsing 17-digit values costs 15-25 ms per MiB; the fork, the pipe
 # back and the reaping add a few ms. On a shared 2-vCPU machine (median of
 # 15 pairs, K = 10 and 100) two parts took 0.8-1.5x the serial time at
 # 1 MiB, 0.9-1.2x at 2-3 MiB and 0.63-0.69x from 4 MiB on. More than two
-# parts were never measured, so P stops at two; the CPU count is the
-# affinity mask, which does not see a cgroup's CPU quota, and the cap also
-# bounds how many processes such a quota's CPUs are shared by.
+# parts were never measured; the CPU count is the affinity mask, which does
+# not see a cgroup's CPU quota, so one child also bounds how many processes
+# such a quota's CPUs are shared by.
 _SPLIT_BYTES = 2 << 20
-_MAX_PARTS = 2
 # numpy opens these through a decompressor, so their bytes are not the text
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -116,31 +114,27 @@ def _parse_range(fd, start, stop) -> np.ndarray:
         return _load(text)
 
 
-def _cuts(fd, size, parts):
-    """Offsets [0, ..., size] that split a file of size bytes into up to
-    `parts` ranges of about equal length, each after the first starting
-    right after a b"\\n". Every encoding open() takes by default encodes
-    "\\n" as that one byte and no other character with it, so the ranges
-    decode to the file's text, cut between lines."""
-    cuts = [0]
-    for i in range(1, parts):
-        at = max(size * i // parts, cuts[-1])
-        while at < size and (chunk := os.pread(fd, 1 << 16, at)):
-            newline = chunk.find(b"\n")
-            if newline >= 0:
-                at += newline + 1
-                break
-            at += len(chunk)
-        if at < size:
-            cuts.append(at)
-    return cuts + [size]
+def _cut(fd, size):
+    """The offset just after the first b"\\n" at or past the middle of a file
+    of size bytes, or None where no such offset lies before the end. Every
+    encoding open() takes by default encodes "\\n" as that one byte and no
+    other character with it, so the two ranges decode to the file's text,
+    cut between lines."""
+    at = size // 2
+    while at < size and (chunk := os.pread(fd, 1 << 16, at)):
+        newline = chunk.find(b"\n")
+        if newline >= 0:
+            at += newline + 1
+            return at if at < size else None
+        at += len(chunk)
+    return None
 
 
-def _fork_part(fd, start, stop, readers):
+def _fork_part(fd, start, stop):
     """(pid, read end of a pipe) of a forked process that parses bytes
     [start, stop) of fd and writes the part's shape as two int64s, then its
     float64 values. It exits non-zero, having written less, if the part
-    fails. readers are the read ends of earlier parts, which it closes."""
+    fails."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -155,8 +149,7 @@ def _fork_part(fd, start, stop, readers):
     if pid == 0:
         code = 1
         try:
-            for other in (*readers, r):
-                os.close(other)
+            os.close(r)
             part = _parse_range(fd, start, stop)
             with open(w, "wb") as pipe:
                 pipe.write(np.array(part.shape, dtype=np.int64).tobytes())
@@ -178,30 +171,25 @@ def _read_into(fd, array):
         view = view[got:]
 
 
-def _gather(fd, cuts, readers):
-    """Part 0 parsed here, then each forked part's rows read in order into
-    one matrix; None if a part has no rows or the column counts differ."""
-    first = _parse_range(fd, cuts[0], cuts[1])
-    shapes = [first.shape]
-    for r in readers:
-        shape = np.empty(2, dtype=np.int64)
-        _read_into(r, shape)
-        shapes.append(tuple(shape))
-    k = first.shape[1]
-    if any(n < 1 or cols != k for n, cols in shapes):
+def _gather(fd, cut, r):
+    """Bytes [0, cut) parsed here, then the forked part's rows read from r
+    after them into one matrix; None if a part has no rows or the column
+    counts differ."""
+    first = _parse_range(fd, 0, cut)
+    shape = np.empty(2, dtype=np.int64)
+    _read_into(r, shape)
+    n, k = shape.tolist()
+    if min(len(first), n) < 1 or k != first.shape[1]:
         return None
-    out = np.empty((sum(n for n, _ in shapes), k))
+    out = np.empty((len(first) + n, k))
     out[: len(first)] = first
-    at = len(first)
-    for r, (n, _) in zip(readers, shapes[1:]):
-        _read_into(r, out[at : at + n])
-        at += n
+    _read_into(r, out[len(first) :])
     return out
 
 
 def _split_read(path):
-    """The matrix of path parsed in parts (see _SPLIT_BYTES), or None where
-    the file is not split or the parts disagree with each other.
+    """The matrix of path parsed in two parts (see _SPLIT_BYTES), or None
+    where the file is not split or the parts disagree with each other.
 
     Only a regular, uncompressed file is split, and only where os.fork
     exists, more than one CPU is usable and this process runs no other
@@ -211,11 +199,11 @@ def _split_read(path):
     but np.loadtxt, which calls no BLAS, before os._exit. So the warning
     of those threads that os.fork gives from Python 3.12 on is ignored;
     under -W error it would otherwise raise in the parent after the child
-    was made, and leave that child unreaped. Part 0
-    is parsed here while P - 1 forked processes each stream one range and
-    send back its shape and bytes, so no process holds more than a part's
-    text and values. Every forked process is reaped before this returns,
-    and killed first if its part is not read in full.
+    was made, and leave that child unreaped. The first part is parsed here
+    while one forked process streams the second and sends back its shape
+    and bytes, so no process holds more than a part's text and values. The
+    forked process is reaped before this returns, and killed first if its
+    part is not read in full.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return None
@@ -225,39 +213,41 @@ def _split_read(path):
         info = os.stat(path)
     except (OSError, ValueError):
         return None
-    parts = min(len(os.sched_getaffinity(0)), _MAX_PARTS, info.st_size // _SPLIT_BYTES)
-    if parts < 2 or not stat.S_ISREG(info.st_mode) or str(path).endswith(_COMPRESSED):
+    if len(os.sched_getaffinity(0)) < 2 or info.st_size < 2 * _SPLIT_BYTES:
+        return None
+    if not stat.S_ISREG(info.st_mode) or str(path).endswith(_COMPRESSED):
         return None
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:
         return None
-    workers, matrix, failed = [], None, False
+    child, matrix = None, None
     try:
-        cuts = _cuts(fd, info.st_size, parts)
-        if len(cuts) < 3:
+        cut = _cut(fd, info.st_size)
+        if cut is None:
             return None
-        for start, stop in zip(cuts[1:-1], cuts[2:]):
-            workers.append(_fork_part(fd, start, stop, [r for _, r in workers]))
-        matrix = _gather(fd, cuts, [r for _, r in workers])
+        child = _fork_part(fd, cut, info.st_size)
+        matrix = _gather(fd, cut, child[1])
     except Exception:
         # whatever failed, the serial parse reports it, or reads the file
         return None
     finally:
-        for pid, r in workers:
+        if child is not None:
+            pid, r = child
             os.close(r)
             if matrix is None:
                 os.kill(pid, 9)  # SIGKILL, without adding signal to the start-up imports
-            failed |= os.waitpid(pid, 0)[1] != 0
+            if os.waitpid(pid, 0)[1] != 0:
+                matrix = None
         os.close(fd)
-    return None if failed else matrix
+    return matrix
 
 
 def _read_matrix(path) -> np.ndarray:
     """The float64 matrix np.loadtxt reads from path, or a DataError.
 
-    A large regular file is parsed in parts on every usable CPU (see
-    _split_read); any part that fails or disagrees sends the whole file
+    A large regular file is parsed in two parts where two CPUs are usable
+    (see _split_read); a part that fails or disagrees sends the whole file
     through the serial parse, so every input gets the serial result or the
     serial error.
     """
@@ -292,9 +282,15 @@ def _read_labels(path) -> np.ndarray:
 @contextlib.contextmanager
 def _output(path):
     """path opened for writing text; a path that cannot be opened or written
-    is a DataError."""
+    is a DataError. A path that did not exist joins the list of created
+    files that main passes to the command as its context's obj."""
+    ctx = click.get_current_context(silent=True)
+    created = [] if ctx is None or ctx.obj is None else ctx.obj
+    existed = os.path.lexists(path)
     try:
         with open(path, "w") as fh:
+            if not existed:
+                created.append(path)
             yield fh
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
@@ -858,31 +854,39 @@ def _warning_line(message, category, filename, lineno, file=None, line=None):
 
 def main(argv=None):
     """Console entry point with the documented exit-code mapping; Python
-    warnings that pass the warning filters show as event=warning lines."""
+    warnings that pass the warning filters show as event=warning lines. A
+    command that fails removes the output files it created."""
     shown = warnings.showwarning
     warnings.showwarning = _warning_line
+    created = []  # the output files the command creates (see _output)
+    code = 1  # an exception that none of the clauses below maps
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return 0
+        cli.main(args=argv, standalone_mode=False, obj=created)
+        code = 0
     except click.exceptions.Exit as exc:
-        return exc.exit_code
+        code = exc.exit_code
     except click.UsageError as exc:
         _error_line("usage", exc.format_message() if hasattr(exc, "format_message") else exc)
-        return 2
+        code = 2
     except click.Abort:
         _error_line("usage", "aborted")
-        return 2
+        code = 2
     except DataError as exc:
         _error_line("data", exc)
-        return 3
+        code = 3
     except MemoryError as exc:
         _error_line("data", f"out of memory: {exc}")
-        return 3
+        code = 3
     except FitError as exc:
         _error_line("fit", exc)
-        return 4
+        code = 4
     finally:
         warnings.showwarning = shown
+        if code != 0:
+            for path in created:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -69,7 +69,9 @@ class EvalConfig:
     def __post_init__(self):
         if self.eval_scheme not in EVAL_SCHEMES:
             raise DataError(f"unknown eval scheme {self.eval_scheme!r}")
-        self.n_eval_bins = check_count(self.n_eval_bins, "n_eval_bins", minimum=1)
+        # imax_eval fits its edges by an ImaxConfig, which needs two bins
+        minimum = 2 if self.eval_scheme == SCHEME_IMAX else 1
+        self.n_eval_bins = check_count(self.n_eval_bins, "n_eval_bins", minimum=minimum)
         check_float64_entries(self.n_eval_bins, f"n_eval_bins = {self.n_eval_bins}")
         self.cw_thresholds = tuple(_check_threshold(thr) for thr in self.cw_thresholds)
         if not self.cw_thresholds:

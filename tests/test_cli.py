@@ -429,6 +429,46 @@ def test_a_fit_that_fails_after_the_holdout_split_writes_no_file(tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "s.csv"]
 
 
+@pytest.mark.parametrize("command", ["fit --holdout-frac", "synth", "eval"])
+def test_a_command_that_fails_removes_the_outputs_it_created(workdir, tmp_path, capsys, command):
+    # the last path each command writes is a directory, so it fails after
+    # writing the others
+    mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
+    blocked, argv = {
+        "fit --holdout-frac": (
+            tmp_path / "b",
+            ["fit", *mc, "-o", str(tmp_path / "b"), "--bins", "4", "--holdout-frac", "0.2"],
+        ),
+        "synth": (
+            tmp_path / "x-spec.json", ["synth", "--n", "50", "--out-prefix", str(tmp_path / "x")]
+        ),
+        "eval": (
+            tmp_path / "r.csv",
+            ["eval", *mc, "--bundle", str(_fit_bundle(workdir)), "-o", str(tmp_path / "r.json"),
+             "--csv", str(tmp_path / "r.csv")],
+        ),
+    }[command]
+    blocked.mkdir()
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f'error=data msg="cannot write {blocked}: '
+    )
+    assert list(tmp_path.iterdir()) == [blocked]
+
+
+def test_a_command_that_fails_keeps_an_output_file_that_existed(workdir, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    report.write_text("{}\n")
+    (tmp_path / "r.csv").mkdir()
+    assert main(
+        ["eval", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
+         "--bundle", str(_fit_bundle(workdir)), "-o", str(report), "--csv", str(tmp_path / "r.csv")]
+    ) == 3
+    assert "cannot write" in capsys.readouterr().err
+    assert report.is_file()
+
+
 # --- apply -----------------------------------------------------------------
 
 def test_apply_quantizes_each_column(workdir, tmp_path):
@@ -888,6 +928,14 @@ def test_eval_usage_errors(workdir, tmp_path):
     ]:
         assert main(["eval", missing, labels, "--bundle", bundle, flag, value]) == 2
     assert main(["eval", missing, labels, "--raw-scores", missing]) == 2  # class-index tie break
+
+
+def test_one_imax_eval_bin_is_a_usage_error_before_any_file_is_read(tmp_path, capsys):
+    missing = [str(tmp_path / "scores.csv"), str(tmp_path / "labels.csv")]
+    capsys.readouterr()
+    assert main(["eval", *missing, "--eval-scheme", "imax", "--eval-bins", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ['error=usage msg="n_eval_bins must be an integer >= 2, got 1"']
 
 
 @pytest.mark.parametrize("command", ["fit", "synth", "eval"])

@@ -58,6 +58,14 @@ def test_eval_config_validation():
         EvalConfig(bootstrap=-1)
 
 
+def test_imax_eval_needs_two_bins_and_the_other_binned_schemes_one():
+    with pytest.raises(DataError, match="n_eval_bins must be an integer >= 2, got 1"):
+        EvalConfig(eval_scheme="imax_eval", n_eval_bins=1)
+    assert EvalConfig(eval_scheme="imax_eval", n_eval_bins=2).n_eval_bins == 2
+    for scheme in ("eq_size", "eq_mass", "kmeans"):
+        assert EvalConfig(eval_scheme=scheme, n_eval_bins=1).n_eval_bins == 1
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "1"])
 def test_eval_config_rejects_a_seed_numpy_cannot_take(seed):
     with pytest.raises(DataError, match="seed must be a non-negative integer"):

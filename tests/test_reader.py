@@ -2,11 +2,11 @@
 every input must give the serial parse's matrix or its DataError.
 
 The property tests set cli._SPLIT_BYTES to 1 and two or three usable CPUs,
-with cli._MAX_PARTS raised to the CPU count, so files of a few lines split
-too, into two or three parts, and compare each result with the serial parse
-of the same bytes.
+so files of a few lines split too, always into two parts, and compare each
+result with the serial parse of the same bytes.
 """
 
+import contextlib
 import os
 import threading
 import warnings
@@ -23,11 +23,10 @@ SERIAL = 1 << 62
 
 
 def _read(path, split_bytes=SERIAL, cpus=2):
-    """What cli._read_matrix gives for path, split into up to cpus parts:
-    (shape, bytes) of the matrix, or the DataError message."""
+    """What cli._read_matrix gives for path with cpus usable CPUs: (shape,
+    bytes) of the matrix, or the DataError message."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_SPLIT_BYTES", split_bytes)
-        mp.setattr(cli, "_MAX_PARTS", cpus)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         try:
             arr = cli._read_matrix(path)
@@ -35,6 +34,21 @@ def _read(path, split_bytes=SERIAL, cpus=2):
             return str(exc)
     assert arr.dtype == np.float64
     return arr.shape, arr.tobytes()
+
+
+@contextlib.contextmanager
+def _counted_forks():
+    """A list that gets one entry for each os.fork call made in the block."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", counting_fork)
+        yield forks
 
 
 def _assert_no_child_left():
@@ -85,8 +99,11 @@ def _csv_bytes(draw):
 def test_the_split_reader_gives_the_serial_result_or_error(tmp_path_factory, data, cpus):
     path = tmp_path_factory.getbasetemp() / "split.csv"
     path.write_bytes(data)
-    assert _read(path, 1, cpus) == _read(path)
+    with _counted_forks() as forks:
+        split = _read(path, 1, cpus)
+    assert len(forks) <= 1
     _assert_no_child_left()
+    assert split == _read(path)
 
 
 def _fixed_width_rows(n, cols, width, seed):
@@ -112,7 +129,7 @@ def test_each_named_input_reads_as_the_serial_parse(tmp_path, case, cpus):
     path.write_text(text)
     fd = os.open(path, os.O_RDONLY)
     try:
-        cut = cli._cuts(fd, len(text), cpus)[1] // 41  # the first row of part 1
+        cut = cli._cut(fd, len(text)) // 41  # the first row of part 1
     finally:
         os.close(fd)
     wide = _fixed_width_rows(12, 4, 40, seed=8)
@@ -140,15 +157,7 @@ def test_a_split_file_reads_as_the_serial_parse(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text(_csv(np.random.default_rng(3).normal(size=(6000, 40))))
     assert os.path.getsize(path) >= 2 * cli._SPLIT_BYTES
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "fork", counting_fork)
+    with _counted_forks() as forks:
         split = _read(path, cli._SPLIT_BYTES, 2)
     assert forks == [1]
     assert split == _read(path)
@@ -227,20 +236,33 @@ def test_a_failure_in_the_parents_own_part_still_reaps_every_child(tmp_path, rai
 def test_a_file_splits_in_at_most_two_parts(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text(_csv(np.random.default_rng(6).normal(size=(200, 3))))
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, _counted_forks() as forks:
         mp.setattr(cli, "_SPLIT_BYTES", 1)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        mp.setattr(os, "fork", counting_fork)
         got = cli._read_matrix(path)
     assert forks == [1]
     assert (got.shape, got.tobytes()) == _read(path)
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_split_serial_and_failed_reads_leave_no_descriptor_open(tmp_path):
+    text = _csv(np.random.default_rng(9).normal(size=(40, 3)))
+    good, bad, one_row = tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "one.csv"
+    good.write_text(text)
+    bad.write_text(text[: text.rindex(",") + 1] + "x\n")  # a bad cell in the second part
+    one_row.write_text(text[: text.index("\n") + 1])  # its one line break ends the file
+    paths = (good, bad, one_row)
+    forks, results = [], []
+    before = len(os.listdir("/proc/self/fd"))
+    for path in paths:
+        with _counted_forks() as counted:
+            results.append(_read(path, 1, 2))
+        forks.append(len(counted))
+    after = len(os.listdir("/proc/self/fd"))
+    assert after == before
+    assert forks == [1, 1, 0]
+    assert results == [_read(path) for path in paths]
     _assert_no_child_left()
 
 
