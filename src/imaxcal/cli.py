@@ -161,29 +161,23 @@ def _fork_part(fd, start, stop):
     return pid, r
 
 
-def _read_into(fd, array):
-    """Fill a C-contiguous array with bytes from fd; EOFError if they end first."""
-    view = memoryview(array).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            raise EOFError("a part ended early")
-        view = view[got:]
-
-
 def _gather(fd, cut, r):
     """Bytes [0, cut) parsed here, then the forked part's rows read from r
     after them into one matrix; None if a part has no rows or the column
-    counts differ."""
+    counts differ, EOFError if the rows end early. A shape cut short reads
+    as zeros in its missing bytes."""
     first = _parse_range(fd, 0, cut)
-    shape = np.empty(2, dtype=np.int64)
-    _read_into(r, shape)
-    n, k = shape.tolist()
-    if min(len(first), n) < 1 or k != first.shape[1]:
-        return None
-    out = np.empty((len(first) + n, k))
-    out[: len(first)] = first
-    _read_into(r, out[len(first) :])
+    with open(r, "rb", closefd=False) as pipe:
+        shape = np.zeros(2, dtype=np.int64)
+        pipe.readinto(shape)
+        n, k = shape.tolist()
+        if min(len(first), n) < 1 or k != first.shape[1]:
+            return None
+        out = np.empty((len(first) + n, k))
+        out[: len(first)] = first
+        rest = out[len(first) :]
+        if pipe.readinto(rest) < rest.nbytes:
+            raise EOFError("a part ended early")
     return out
 
 
@@ -280,15 +274,15 @@ def _read_labels(path) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _output(path):
-    """path opened for writing text; a path that cannot be opened or written
+def _output(path, mode="w"):
+    """path opened as text in mode; a path that cannot be opened or written
     is a DataError. A path that did not exist joins the list of created
     files that main passes to the command as its context's obj."""
     ctx = click.get_current_context(silent=True)
     created = [] if ctx is None or ctx.obj is None else ctx.obj
     existed = os.path.lexists(path)
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             if not existed:
                 created.append(path)
             yield fh
@@ -296,8 +290,20 @@ def _output(path):
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_outputs(*paths):
+    """Each output path that is not None opened for appending and closed,
+    before any input is read: a path that cannot be written fails the
+    command before it does any work, and no byte of a file that existed
+    changes."""
+    for path in paths:
+        if path is not None:
+            with _output(path, "a"):
+                pass
+
+
 def _write_matrix(path, matrix):
-    """Headerless CSV with every value written by repr, so it round-trips.
+    """Headerless CSV with every value written by repr, so it round-trips:
+    an integer matrix as int64 digits, any other as float64.
 
     Each block of rows formats each distinct value once: calibrated
     matrices hold few distinct values. Values are told apart by their bits,
@@ -305,7 +311,9 @@ def _write_matrix(path, matrix):
     separator that follows it, a comma or, in the last column, a newline, so
     the block is written by one join.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = np.asarray(matrix)
+    dtype = np.int64 if np.issubdtype(matrix.dtype, np.integer) else np.float64
+    matrix = matrix.astype(dtype, copy=False)
     with _output(path) as fh:
         for rows in row_blocks(*matrix.shape):
             bits = np.ascontiguousarray(matrix[rows]).view(np.uint64)
@@ -313,15 +321,9 @@ def _write_matrix(path, matrix):
             at = inverse.reshape(bits.shape)
             last_keys, last_at = np.unique(at[:, -1], return_inverse=True)
             at[:, -1] = keys.size + last_at
-            text = list(map(repr, keys.view(np.float64).tolist()))
+            text = list(map(repr, keys.view(dtype).tolist()))
             tokens = [t + "," for t in text] + [text[i] + "\n" for i in last_keys.tolist()]
             fh.write("".join(np.array(tokens, dtype=object)[at].ravel().tolist()))
-
-
-def _write_labels(path, labels):
-    with _output(path) as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
 
 
 def _parse_multi(values, cast, what):
@@ -494,6 +496,9 @@ def cmd_fit(
         input_kind=_KIND_BY_FLAG[input_kind],
     )
     cfg = _flag_config(ImaxConfig, n_bins=bins, seed=seed)
+    stem = out[:-5] if out.endswith(".json") else out
+    held_scores, held_labels = f"{stem}.holdout-scores.csv", f"{stem}.holdout-labels.csv"
+    _check_outputs(out, *((held_scores, held_labels) if holdout_frac > 0.0 else ()))
 
     scores = _read_matrix(scores_csv)
     data = PredictionMatrix(scores, _read_labels(labels_csv), _KIND_BY_FLAG[input_kind])
@@ -513,10 +518,8 @@ def cmd_fit(
         scaler_kind=scaler_kind,
     )
     if holdout_frac > 0.0:  # written only once the fit has succeeded
-        stem = out[:-5] if out.endswith(".json") else out
-        held_scores, held_labels = f"{stem}.holdout-scores.csv", f"{stem}.holdout-labels.csv"
         _write_matrix(held_scores, scores[hold_idx])
-        _write_labels(held_labels, labels[hold_idx])
+        _write_matrix(held_labels, labels[hold_idx, None])
         diag(event="holdout_split", fit_n=len(fit_idx), holdout_n=len(hold_idx),
              holdout_scores=held_scores, holdout_labels=held_labels)
     for i, cal in enumerate(fitted.calibrators):
@@ -568,6 +571,7 @@ def _class_balanced_split(labels, frac, seed):
 def cmd_apply(bundle_json, scores_csv, out):
     """Apply a fitted bundle to scores of the kind it was fitted on; rows are
     not renormalized."""
+    _check_outputs(out)
     fitted = _load_bundle(bundle_json)
     scores = _read_matrix(scores_csv)
     calibrated = bundle_mod.apply_bundle(fitted, scores, fitted.input_kind)
@@ -647,6 +651,7 @@ def cmd_eval(
         )
         for nb in bins_list
     ]
+    _check_outputs(out, csv_out)
 
     scores = _read_matrix(scores_csv)
     labels = _read_labels(labels_csv)
@@ -744,6 +749,10 @@ def cmd_synth(
             prior=prior, mu_pos=mu_pos, sigma_pos=sigma_pos, mu_neg=mu_neg, sigma_neg=sigma_neg
         )
     spec = _flag_config(build, n=n, seed=seed, **flags)
+    scores_out, labels_out, spec_out = (
+        f"{out_prefix}-{name}" for name in ("scores.csv", "labels.csv", "spec.json")
+    )
+    _check_outputs(scores_out, labels_out, spec_out)
 
     if family == "binary":
         cal_set, _ = synth_mod.gen_binary_mixture(spec)
@@ -767,9 +776,9 @@ def cmd_synth(
             "analytic": {"posterior": "softmax(t_gen * scores)"},
         }
 
-    _write_matrix(f"{out_prefix}-scores.csv", scores)
-    _write_labels(f"{out_prefix}-labels.csv", labels)
-    with _output(f"{out_prefix}-spec.json") as fh:
+    _write_matrix(scores_out, scores)
+    _write_matrix(labels_out, labels[:, None])
+    with _output(spec_out) as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
     diag(event="synth", family=family, n=len(labels), out_prefix=out_prefix)
@@ -799,6 +808,7 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     method_list = [
         _name(m, binning_methods, "method") for m in _parse_multi(methods, str, "--method")
     ] or list(binning_methods)
+    _check_outputs(out)
 
     data = PredictionMatrix(
         _read_matrix(scores_csv), _read_labels(labels_csv), _KIND_BY_FLAG[input_kind]

@@ -1,6 +1,7 @@
 """Command-line interface: flows, flags, exit codes, artifacts."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -451,9 +452,10 @@ def test_a_command_that_fails_removes_the_outputs_it_created(workdir, tmp_path, 
     blocked.mkdir()
     capsys.readouterr()
     assert main(argv) == 3
-    assert capsys.readouterr().err.splitlines()[-1].startswith(
-        f'error=data msg="cannot write {blocked}: '
-    )
+    # every output path is opened before any input is read, so the command
+    # fails before it reports any work
+    [error] = capsys.readouterr().err.splitlines()
+    assert error.startswith(f'error=data msg="cannot write {blocked}: ')
     assert list(tmp_path.iterdir()) == [blocked]
 
 
@@ -466,7 +468,7 @@ def test_a_command_that_fails_keeps_an_output_file_that_existed(workdir, tmp_pat
          "--bundle", str(_fit_bundle(workdir)), "-o", str(report), "--csv", str(tmp_path / "r.csv")]
     ) == 3
     assert "cannot write" in capsys.readouterr().err
-    assert report.is_file()
+    assert report.read_text() == "{}\n"
 
 
 # --- apply -----------------------------------------------------------------
@@ -1273,6 +1275,49 @@ def test_matrix_writer_matches_the_row_loop(tmp_path, monkeypatch):
     assert (tmp_path / "tricky.csv").read_text().startswith("-0.0,0.0,5e-324\n")
 
 
+def test_matrix_writer_writes_integers_as_their_digits(tmp_path):
+    from imaxcal import cli
+
+    edge = np.array([0, -1, 7, -(2**63), 2**63 - 1, 0, -1])
+    # 200k labels span several blocks of rows
+    labels = np.random.default_rng(2).integers(-3, 100, size=200_000)
+    for name, values in (("edge", edge), ("labels", labels)):
+        cli._write_matrix(tmp_path / f"{name}.csv", values[:, None])
+        expected = "".join(f"{int(v)}\n" for v in values)  # the per-label loop it replaced
+        assert (tmp_path / f"{name}.csv").read_text() == expected
+
+
+def test_a_forked_part_cut_short_is_not_gathered(tmp_path):
+    from imaxcal import cli
+
+    path = tmp_path / "m.csv"
+    path.write_text("1.0,2.0\n3.0,4.0\n")
+    cut = len("1.0,2.0\n")
+    shape, rows = np.array([1, 2]).tobytes(), np.array([3.0, 4.0]).tobytes()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        # a shape cut short reads as zeros in its missing bytes: no rows or no
+        # columns
+        for sent, gathered in (
+            (b"", None), (shape[:8], None), (shape + rows[:-1], EOFError),
+            (shape + rows, [[1.0, 2.0], [3.0, 4.0]]),
+        ):
+            r, w = os.pipe()
+            os.write(w, sent)
+            os.close(w)
+            try:
+                if gathered is EOFError:
+                    with pytest.raises(EOFError):
+                        cli._gather(fd, cut, r)
+                else:
+                    got = cli._gather(fd, cut, r)
+                    assert (got if got is None else got.tolist()) == gathered
+            finally:
+                os.close(r)
+    finally:
+        os.close(fd)
+
+
 def _unwritable_output_commands(workdir, bundle, bad):
     mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
     binary = [str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv")]
@@ -1296,11 +1341,9 @@ def test_an_output_that_cannot_be_written_is_a_data_error(workdir, tmp_path, cap
     argv = _unwritable_output_commands(workdir, _fit_bundle(workdir), bad)[command]
     capsys.readouterr()
     assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    errors = [line for line in err.splitlines() if line.startswith("error=")]
-    assert len(errors) == 1 and errors[0].startswith("error=data")
-    assert f"cannot write {bad}" in errors[0]
+    # the one line on stderr: no traceback, and no work reported before it
+    [error] = capsys.readouterr().err.splitlines()
+    assert error.startswith(f'error=data msg="cannot write {bad}')
 
 
 def test_stderr_stays_machine_readable(workdir, tmp_path, capsys):
