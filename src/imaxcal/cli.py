@@ -276,15 +276,9 @@ def _read_labels(path) -> np.ndarray:
 @contextlib.contextmanager
 def _output(path, mode="w"):
     """path opened as text in mode; a path that cannot be opened or written
-    is a DataError. A path that did not exist joins the list of created
-    files that main passes to the command as its context's obj."""
-    ctx = click.get_current_context(silent=True)
-    created = [] if ctx is None or ctx.obj is None else ctx.obj
-    existed = os.path.lexists(path)
+    is a DataError."""
     try:
         with open(path, mode) as fh:
-            if not existed:
-                created.append(path)
             yield fh
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
@@ -294,11 +288,16 @@ def _check_outputs(*paths):
     """Each output path that is not None opened for appending and closed,
     before any input is read: a path that cannot be written fails the
     command before it does any work, and no byte of a file that existed
-    changes."""
+    changes. A path that did not exist joins the list of created files that
+    main passes to the command as its context's obj."""
+    ctx = click.get_current_context(silent=True)
+    created = [] if ctx is None or ctx.obj is None else ctx.obj
     for path in paths:
         if path is not None:
+            existed = os.path.lexists(path)
             with _output(path, "a"):
-                pass
+                if not existed:
+                    created.append(path)
 
 
 def _write_matrix(path, matrix):
@@ -868,7 +867,7 @@ def main(argv=None):
     command that fails removes the output files it created."""
     shown = warnings.showwarning
     warnings.showwarning = _warning_line
-    created = []  # the output files the command creates (see _output)
+    created = []  # the output files the command creates (see _check_outputs)
     code = 1  # an exception that none of the clauses below maps
     try:
         cli.main(args=argv, standalone_mode=False, obj=created)

@@ -307,9 +307,7 @@ def ovr_set(lam, labels, classes) -> BinaryCalibrationSet:
     """Merged one-vs-rest set of the given classes, class after class.
 
     lam is the N x K matrix of ovr_logits and labels the N integer labels.
-    The result equals merge_sets of the per-class ovr_decompose sets,
-    without a softmax or a copy per class. classes must pass
-    check_group_spec as one group of columns of lam.
+    classes must pass check_group_spec as one group of columns of lam.
     """
     (classes,) = check_group_spec((classes,))
     if max(classes) >= lam.shape[1]:
@@ -318,22 +316,6 @@ def ovr_set(lam, labels, classes) -> BinaryCalibrationSet:
     return BinaryCalibrationSet(
         logits=lam[:, classes].T.ravel(),
         targets=(labels[None, :] == classes[:, None]).astype(np.int8).ravel(),
-    )
-
-
-def ovr_decompose(data: PredictionMatrix, class_k: int) -> BinaryCalibrationSet:
-    """One-vs-rest binary set for class k on the log-odds scale."""
-    return ovr_set(data.ovr_logits(), data.labels, (class_k,))
-
-
-def merge_sets(sets) -> BinaryCalibrationSet:
-    """Concatenate binary sets into one shared pool (order preserved)."""
-    sets = list(sets)
-    if not sets:
-        raise DataError("merge_sets needs at least one set")
-    return BinaryCalibrationSet(
-        logits=np.concatenate([s.logits for s in sets]),
-        targets=np.concatenate([s.targets for s in sets]),
     )
 
 

@@ -8,7 +8,7 @@ how much of the available information a binner's empirical MI captures.
 The bound evaluates each density on its quadrature grid by linear binning
 onto a 16 times finer grid and one FFT convolution with the sampled kernel
 (Silverman 1982, AS 176; Wand 1994), within 1e-8 nats of the exact sum.
-``kde_density`` stays the exact evaluator at arbitrary points.
+The sampled kernel is cut at +/- 39 bandwidths, where it underflows to 0.
 """
 
 from dataclasses import dataclass
@@ -20,8 +20,8 @@ from .errors import DataError
 from .metrics import mi_of_quantizer
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
-# exp(-0.5 t^2) underflows to exactly 0.0 past |t| ~ 38.6, so a +/- 39 h
-# window around each query point reproduces the full sum bit-for-bit.
+# exp(-0.5 t^2) underflows to exactly 0.0 past |t| ~ 38.6, so the FFT
+# kernel cut at +/- 39 h drops no term of the full sum.
 _KERNEL_WINDOW = 39.0
 _GRID_POINTS = 4096
 _GRID_MARGIN = 5.0
@@ -61,44 +61,6 @@ def kde_fit(samples) -> Kde1D:
     if sigma <= 0:
         raise DataError("KDE needs at least two distinct samples")
     return Kde1D(samples=samples, bandwidth=sigma * samples.size ** (-0.2))
-
-
-def kde_density(kde: Kde1D, x):
-    """Exact mixture-of-Gaussians density at the query points.
-
-    Queries are processed in sorted chunks against the sample window within
-    +/- 39 bandwidths, where the kernel is representable; outside it the
-    kernel underflows to zero, so the windowing loses nothing.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    out = np.zeros_like(xs)
-    h = kde.bandwidth
-    samples = kde.samples
-    norm = 1.0 / (samples.size * h * _SQRT_2PI)
-
-    chunk = 256
-    for start in range(0, xs.size, chunk):
-        q = xs[start : start + chunk]
-        lo = np.searchsorted(samples, q[0] - _KERNEL_WINDOW * h, side="left")
-        hi = np.searchsorted(samples, q[-1] + _KERNEL_WINDOW * h, side="right")
-        if lo >= hi:
-            continue
-        window = samples[lo:hi]
-        # Keep the (chunk x window) temporaries bounded.
-        block = max(1, int(4_000_000 / max(q.size, 1)))
-        acc = np.zeros(q.size)
-        for wstart in range(0, window.size, block):
-            z = (q[:, None] - window[None, wstart : wstart + block]) / h
-            acc += np.exp(-0.5 * z * z).sum(axis=1)
-        out[start : start + chunk] = acc * norm
-
-    result = np.empty_like(out)
-    result[order] = out
-    return float(result[0]) if scalar else result
 
 
 def _linear_bins(samples, lo, step, size):

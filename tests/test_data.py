@@ -23,9 +23,8 @@ from imaxcal.data import (
     group_by_prior,
     group_singletons,
     logit_of_prob,
-    merge_sets,
-    ovr_decompose,
     ovr_logits,
+    ovr_set,
     prob_of_logit,
     softmax,
     xlogy,
@@ -257,17 +256,18 @@ def test_ovr_targets_follow_the_labels():
     scores = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0], [0.0, 0.0, 5.0]])
     labels = np.array([2, 0, 2])
     data = PredictionMatrix(scores, labels, kind=RAW_LOGITS)
-    two = ovr_decompose(data, 2)
+    two = ovr_set(data.ovr_logits(), data.labels, (2,))
     np.testing.assert_array_equal(two.targets, [1, 0, 1])
     # a class that never occurs gets all-zero targets
-    one = ovr_decompose(data, 1)
+    one = ovr_set(data.ovr_logits(), data.labels, (1,))
     assert one.targets.sum() == 0
 
 
 def test_ovr_logits_come_from_the_normalized_row():
     q = np.array([[0.5, 0.5]])
     data = PredictionMatrix(q, np.array([0]), kind=PROBABILITIES)
-    assert ovr_decompose(data, 0).logits[0] == pytest.approx(0.0, abs=1e-12)
+    lam0 = ovr_set(data.ovr_logits(), data.labels, (0,)).logits[0]
+    assert lam0 == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", [RAW_LOGITS, PROBABILITIES])
@@ -294,30 +294,32 @@ def test_ovr_positive_counts_match_label_counts():
     data = PredictionMatrix(
         rng.normal(size=(60, 5)), rng.integers(0, 5, size=60), kind=RAW_LOGITS
     )
+    lam = data.ovr_logits()
     for k in range(5):
-        assert ovr_decompose(data, k).targets.sum() == np.sum(data.labels == k)
+        assert ovr_set(lam, data.labels, (k,)).targets.sum() == np.sum(data.labels == k)
 
 
-def test_merge_sets_concatenates():
-    a = BinaryCalibrationSet(np.array([0.0, 1.0]), np.array([0, 1]))
-    b = BinaryCalibrationSet(np.array([2.0]), np.array([1]))
-    merged = merge_sets([a, b])
-    assert len(merged) == 3
-    np.testing.assert_array_equal(merged.logits, [0.0, 1.0, 2.0])
+def test_ovr_set_concatenates_class_after_class():
+    lam = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    labels = np.array([2, 0])
+    merged = ovr_set(lam, labels, (2, 0))
+    assert len(merged) == 4
+    np.testing.assert_array_equal(merged.logits, [2.0, 5.0, 0.0, 3.0])
+    np.testing.assert_array_equal(merged.targets, [1, 0, 0, 1])
     with pytest.raises(DataError):
-        merge_sets([])
+        ovr_set(lam, labels, ())
 
 
-def test_merge_sets_order_only_permutes():
+def test_ovr_set_class_order_only_permutes():
     rng = np.random.default_rng(7)
-    parts = [
-        BinaryCalibrationSet(rng.normal(size=5), rng.integers(0, 2, size=5))
-        for _ in range(3)
-    ]
-    ab = merge_sets([parts[0], parts[1], parts[2]])
-    ba = merge_sets([parts[2], parts[0], parts[1]])
+    lam = rng.normal(size=(5, 3))
+    labels = rng.integers(0, 3, size=5)
+    ab = ovr_set(lam, labels, (0, 1, 2))
+    ba = ovr_set(lam, labels, (2, 0, 1))
     np.testing.assert_array_equal(np.sort(ab.logits), np.sort(ba.logits))
     assert ab.targets.sum() == ba.targets.sum()
+    np.testing.assert_array_equal(np.sort(ab.logits[ab.targets == 1]),
+                                  np.sort(ba.logits[ba.targets == 1]))
 
 
 # --- class groupings ----------------------------------------------------

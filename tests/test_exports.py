@@ -1,5 +1,6 @@
-"""The package's public names: __all__ lists exactly what __init__ imports;
-and the third-party modules the package imports: exactly its dependencies."""
+"""The package's public names: __all__ lists exactly what __init__ imports,
+and each has a caller; and the third-party modules the package imports:
+exactly its dependencies."""
 
 import ast
 import re
@@ -10,6 +11,7 @@ import imaxcal
 
 INIT_PATH = Path(imaxcal.__file__)
 PYPROJECT = INIT_PATH.parents[2] / "pyproject.toml"
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 
 def _imported_public_names():
@@ -36,6 +38,30 @@ def test_all_is_exactly_the_public_names_init_imports():
     imported = _imported_public_names()
     assert imported, "no relative imports found in __init__"
     assert set(imaxcal.__all__) == imported
+
+
+def _referenced_names(path):
+    """The names path's code reads, bare or as an attribute; not strings."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that no module reads and no acceptance criterion imports
+    # is a second path that nothing runs
+    used = {
+        alias.name
+        for node in ast.walk(ast.parse(ACCEPTANCE.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("imaxcal")
+        for alias in node.names
+    }
+    for path in INIT_PATH.parent.glob("*.py"):
+        if path != INIT_PATH:
+            used |= _referenced_names(path)
+    assert sorted(set(imaxcal.__all__) - used) == []
 
 
 def _declared_dependencies():

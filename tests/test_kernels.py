@@ -24,8 +24,6 @@ from imaxcal.data import (
     BinaryCalibrationSet,
     PredictionMatrix,
     logit_of_prob,
-    merge_sets,
-    ovr_decompose,
     ovr_set,
     prob_of_logit,
     softmax,
@@ -108,12 +106,15 @@ def _seed_oracle(t_sorted, n_bins, rng):
     return np.sort(chosen)
 
 
-def _ovr_decompose_oracle(data, class_k):
-    """Class k's one-vs-rest set from its own softmax column."""
+def _ovr_set_oracle(data, classes):
+    """The merged one-vs-rest set of classes: each class's logits from its
+    own softmax column, and the classes' sets concatenated in order.
+    ovr_set gives the same set from one ovr_logits matrix, without a softmax
+    or a copy per class."""
     probs = data.scores if data.kind == PROBABILITIES else softmax(data.scores)
     return BinaryCalibrationSet(
-        logits=logit_of_prob(probs[:, class_k]),
-        targets=(data.labels == class_k).astype(np.int8),
+        logits=np.concatenate([logit_of_prob(probs[:, k]) for k in classes]),
+        targets=np.concatenate([(data.labels == k).astype(np.int8) for k in classes]),
     )
 
 
@@ -358,11 +359,7 @@ def test_one_softmax_decomposition_is_bit_identical(kind, strategy, groups):
     lam = data.ovr_logits()
     for g in resolve_grouping(data, strategy, groups).groups:
         got = ovr_set(lam, data.labels, g)
-        want = merge_sets([_ovr_decompose_oracle(data, k) for k in g])
+        want = _ovr_set_oracle(data, g)
         np.testing.assert_array_equal(got.logits, want.logits)
         np.testing.assert_array_equal(got.targets, want.targets)
         assert got.targets.dtype == want.targets.dtype
-    for k in range(data.n_classes):
-        np.testing.assert_array_equal(
-            ovr_decompose(data, k).logits, _ovr_decompose_oracle(data, k).logits
-        )

@@ -27,11 +27,22 @@ def tracer():
     return module
 
 
+# Spans whose functions are deleted: no command called them, so their figures
+# (data.decompose_s, info.kde_density_s) read 0 before the deletion as after,
+# and the tracer lists them as absent.
+RETIRED = {"data.ovr_decompose", "data.merge_sets", "info.kde_density"}
+
+
 def test_every_traced_boundary_resolves(tracer):
     assert tracer.BOUNDARIES
+    assert RETIRED <= {span for _, _, span in tracer.BOUNDARIES}
     for module_name, attr, span in tracer.BOUNDARIES:
         module = importlib.import_module(module_name)
-        assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr} is gone"
+        resolves = callable(getattr(module, attr, None))
+        if span in RETIRED:
+            assert not resolves, f"{span}: {module_name}.{attr} is retired but still there"
+        else:
+            assert resolves, f"{span}: {module_name}.{attr} is gone"
 
 
 def test_the_tracer_reads_the_kernel_by_position(tracer, monkeypatch):
