@@ -14,7 +14,6 @@ phis (and hence of the closed-form edges between them) is preserved by
 every update.
 """
 
-import bisect
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -47,10 +46,8 @@ _BINNER_JSON_FIELDS = ("method", "edges", "phis", "reps", "seed", "iterations")
 
 MAX_ITERATIONS = 200
 TOLERANCE = 1e-10
-# Not data.BLOCK_ENTRIES: the seeding's sums go chunk by chunk, so its chunk size shapes bundles.
-SEED_CHUNK = 1 << 16
-DRAW_BLOCK = 1 << 12
-CELL_PROBES = 256
+# The most points a seeding scores: larger sets are seeded on a weighted sketch.
+SKETCH = 1 << 15
 _SMALLEST_SUBNORMAL = 5e-324
 
 
@@ -325,168 +322,62 @@ def _jsd_into(p, h, pc, hc, bufs):
     return np.maximum(out, 0.0, out=out)
 
 
-def _chunks(lo, hi):
-    """[a, b) pieces of [lo, hi), each at most SEED_CHUNK long."""
-    return ((a, min(a + SEED_CHUNK, hi)) for a in range(lo, hi, SEED_CHUNK))
-
-
-def _voronoi_cell(p, h, dist, c, lo, hi, bufs):
-    """The samples of [lo, hi) that center c would take over: [L, R).
-
-    A sample i joins c's cell when JSD(p[i], p[c]) < dist[i]. For p below
-    and above p[c] the difference JSD(p, p[c]) - JSD(p, z) to any other
-    center z is monotone in p, because the binary entropy is strictly
-    concave, so on sorted p the cell is one contiguous run around c. Each
-    side's edge is bracketed between a sample known to be inside and one
-    known to be outside (or the segment end), and the bracket is narrowed
-    by probing at most CELL_PROBES evenly spaced samples at a time. A sample
-    with dist[c] == 0 (a center, or tied with one) takes over nothing.
-    """
-    if not dist[c] > 0.0:
-        return c, c
-    pc, hc = p[c], h[c]
-    ends = []
-    for step, stop in ((-1, lo - 1), (1, hi)):
-        inside, outside = c, stop
-        while abs(outside - inside) > 1:
-            stride = -(-(abs(outside - inside) - 1) // CELL_PROBES)
-            idx = inside + step * stride * np.arange(1, (abs(outside - inside) - 1) // stride + 1)
-            taken = _jsd_into(p[idx], h[idx], pc, hc, bufs) < dist[idx]
-            if taken.all():
-                inside = int(idx[-1])
-            else:
-                first = int(np.argmin(taken))
-                outside = int(idx[first])
-                if first:
-                    inside = int(idx[first - 1])
-        ends.append(outside)
-    return ends[0] + 1, ends[1]
-
-
-def _block_sums(dist, lo, hi, blocks):
-    """Write the sums of dist over every DRAW_BLOCK block that meets [lo, hi)
-    into blocks."""
-    j = lo // DRAW_BLOCK
-    a, b = j * DRAW_BLOCK, min(-(-hi // DRAW_BLOCK) * DRAW_BLOCK, dist.shape[0])
-    if a < b:
-        sums = np.add.reduceat(dist[a:b], np.arange(0, b - a, DRAW_BLOCK))
-        blocks[j : j + sums.shape[0]] = sums
-
-
-def _drawn_sample(draw, dist, block_cum, buf):
-    """The first sample whose cumulative dist reaches draw, clipped to the
-    last one: block_cum is the cumulative sum of dist's DRAW_BLOCK block
-    sums, so only the block it points into is summed sample by sample, in
-    buf."""
-    n = dist.shape[0]
-    j = int(np.searchsorted(block_cum, draw))
-    a = j * DRAW_BLOCK
-    if a >= n:
-        return n - 1
-    b = min(a + DRAW_BLOCK, n)
-    cum = np.cumsum(dist[a:b], out=buf[: b - a])
-    rest = draw - block_cum[j - 1] if j else draw
-    return min(a + int(np.searchsorted(cum, rest)), n - 1)
-
-
-def _sigmoid_entropy(t_sorted):
-    """sigmoid(t) and the binary entropy of each sigmoid, the two length-N
-    arrays every seeding on t reads; the entropy is written chunk by chunk."""
-    n = t_sorted.shape[0]
-    p = prob_of_logit(t_sorted, out=np.empty(n))
-    h = np.empty(n)
-    scratch = np.empty(min(n, SEED_CHUNK))
-    for a, b in _chunks(0, n):
-        _entropy_into(p[a:b], h[a:b], scratch[: b - a])
-    return p, h
-
-
-def _seed_phis(t_sorted, n_bins, rng, sigmoid_entropy):
+def _seed_phis(t_sorted, n_bins, rng):
     """Greedy k-means++-style seeding of phi levels on the transformed logits.
 
     Distances are Jensen-Shannon divergences between Bernoulli(sigmoid(t))
     and Bernoulli(sigmoid(center)) in place of squared Euclidean ones.
     Each step draws 2 + floor(log M) candidates proportional to the current
-    divergence-to-nearest-center potential and keeps the candidate that
-    shrinks the total potential the most. Returns the chosen t values sorted
-    ascending. sigmoid_entropy is _sigmoid_entropy(t_sorted), which
-    seedings on one t share.
+    weighted divergence-to-nearest-center potential, scores each against
+    every point and keeps the one that leaves the least potential (the
+    earlier draw on a tie). Returns the chosen t values sorted ascending.
 
-    A candidate lowers the divergence only of the samples in its Voronoi
-    cell (_voronoi_cell), a contiguous run of sorted samples between its
-    nearest chosen centers. Each candidate is scored by its gain
-    sum(dist - jsd) over that cell, and only the winner's cell is written
-    into dist, with every divergence from the in-place kernel _jsd_into.
-    Candidates are scored in decreasing order of their cell's dist sum,
-    which bounds the gain, and scoring stops once that bound falls below
-    the best gain; ties go to the earlier draw, so no pick changes. Draws
-    search the sums of dist over DRAW_BLOCK-sample blocks, then the
-    cumulative sum of one block, so no step takes a full-length cumsum. The
-    potential is summed over all of dist after each step, as a full
-    evaluation does.
-
-    Tolerance to a full evaluation: dist and every divergence are the same
-    bit for bit except where a sample sits at a cell edge with its
-    divergence and dist equal to rounding; a draw can differ only within
-    rounding of the cumulative sum, because block sums and the full cumsum
-    add in another order; and candidates compare by gain, so a pick can
-    differ only where two distinct candidates' potentials agree to about
-    1e-15 relative.
+    A set of up to SKETCH samples is seeded on its samples, each of weight
+    1. A larger one is cut into SKETCH contiguous runs of equal count (to
+    within one), each run's point being its middle sample weighted by its
+    count, as k-means|| reclusters its weighted candidates; so a step costs
+    O(SKETCH) however large the set. The first center is drawn as a sample
+    and taken from that sample's run. A distinct value too rare to be any
+    run's middle sample is not a point and cannot be picked.
     """
     n = t_sorted.shape[0]
-    p, h = sigmoid_entropy
-    dist = np.empty(n)
-    bufs = np.empty((3, min(n, SEED_CHUNK)))
+    m = min(n, SKETCH)
+    bounds = np.arange(m + 1) * n // m
+    t = t_sorted[(bounds[:-1] + bounds[1:]) // 2]
+    weights = np.diff(bounds).astype(np.float64)
+    p = prob_of_logit(t)
+    h = _entropy_into(p, np.empty(m), np.empty(m))
+    bufs = np.empty((3, m))
+    dist, trial, kept = np.empty((3, m))
 
-    def jsd_chunks(c, lo, hi):
-        for a, b in _chunks(lo, hi):
-            yield a, b, _jsd_into(p[a:b], h[a:b], p[c], h[c], bufs)
+    def weighted(d):
+        return np.multiply(d, weights, out=bufs[0])
 
     n_trials = 2 + int(np.log(n_bins))
-    first = int(rng.integers(n))
-    centers = [first]  # sorted sample positions of the chosen centers
-    for a, b, jsd in jsd_chunks(first, 0, n):
-        dist[a:b] = jsd
-    blocks = np.empty(-(-n // DRAW_BLOCK))
-    _block_sums(dist, 0, n, blocks)
-    pot = float(dist.sum())
-
+    first = int(np.searchsorted(bounds, rng.integers(n), side="right")) - 1
+    centers = [first]
+    dist[:] = _jsd_into(p, h, p[first], h[first], bufs)
+    pot = float(weighted(dist).sum())
     for _ in range(1, n_bins):
         if not pot > 0.0:
             raise FitError(
-                f"fewer than {n_bins} distinct values of sigmoid(scale * (logit + bias));"
-                " cannot seed bins"
+                f"fewer than {n_bins} distinct values of sigmoid(scale * (logit + bias))"
+                f" among the {m} seeding points; cannot seed bins"
             )
         draws = rng.random(n_trials) * pot
-        block_cum = np.cumsum(blocks)
-        scored = []
-        for i, draw in enumerate(draws):
-            c = _drawn_sample(draw, dist, block_cum, bufs[0])
-            k = bisect.bisect_left(centers, c)
-            lo = centers[k - 1] + 1 if k > 0 else 0
-            hi = centers[k] if k < len(centers) else n
-            cell = _voronoi_cell(p, h, dist, c, lo, hi, bufs)
-            bound = sum(float(dist[a:b].sum()) for a, b in _chunks(*cell))
-            scored.append((-bound, i, c, cell))
-        # a gain never exceeds its cell's dist sum, so in decreasing order of
-        # that bound the rest cannot win once it falls below the best gain
-        best_gain = -np.inf
-        for neg_bound, i, c, cell in sorted(scored):
-            if -neg_bound < best_gain:
-                break
-            gain = 0.0
-            for a, b, jsd in jsd_chunks(c, *cell):
-                np.subtract(dist[a:b], jsd, out=jsd)
-                gain += float(np.maximum(jsd, 0.0, out=jsd).sum())
-            if gain > best_gain or (gain == best_gain and i < best_draw):
-                best_id, best_cell, best_gain, best_draw = c, cell, gain, i
-        for a, b, jsd in jsd_chunks(best_id, *best_cell):
-            np.minimum(dist[a:b], jsd, out=dist[a:b])
-        _block_sums(dist, *best_cell, blocks)
-        bisect.insort(centers, best_id)
-        pot = float(dist.sum())
+        cum = np.cumsum(weighted(dist), out=bufs[0])
+        candidates = np.minimum(np.searchsorted(cum, draws), m - 1)
+        pot = np.inf
+        for c in candidates:
+            np.minimum(dist, _jsd_into(p, h, p[c], h[c], bufs), out=trial)
+            trial_pot = float(weighted(trial).sum())
+            if trial_pot < pot:
+                pot, best = trial_pot, int(c)
+                trial, kept = kept, trial
+        dist, kept = kept, dist
+        centers.append(best)
 
-    phis = np.sort(t_sorted[centers])
+    phis = np.sort(t[centers])
     if np.any(np.diff(phis) <= 0):
         raise FitError("seeding produced duplicate phi levels")
     return phis
@@ -503,10 +394,9 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     config.
 
     Memory: the fit reads the set's sorted logits (data.BinaryCalibrationSet),
-    which stay with the set. Besides those it holds at most three length-N
-    float64 arrays: while seeding the sigmoid, entropy and divergence
-    arrays, then the two prefix sums. t adds one when scale != 1 or
-    bias != 0; the seeding's three SEED_CHUNK buffers add 1.5 MB.
+    which stay with the set. Besides those its only length-N float64 arrays
+    are the two prefix sums, and t when scale != 1 or bias != 0; the
+    seeding's arrays hold at most SKETCH points each, 2.9 MB at their peak.
 
     The seeding's wall time goes into the trace's seed_s; it is reported,
     never serialized, so a refit stays byte-identical.
@@ -518,12 +408,11 @@ def fit_imax_many(cal_set: BinaryCalibrationSet, configs) -> list:
     """fit_imax of cal_set with each config, in order, from one preparation.
 
     The configs may differ in n_bins and seed but must share scale and
-    bias. Every seeding reads one pair of sigmoid and entropy arrays, and
-    every alternation one pair of prefix sums, built after the last seeding
-    has freed its arrays, so the call's peak memory is that of one fit.
-    Each result equals fit_imax's bit for bit: every seeding and every
-    alternation reads the same values. The sigmoid and entropy arrays are
-    timed in the first config's seed_s.
+    bias. Each seeding builds and frees its own arrays of at most SKETCH
+    points, and every alternation reads one pair of prefix sums, built after
+    the last seeding, so the call's peak memory is that of one fit. Each
+    result equals fit_imax's bit for bit: every seeding and every
+    alternation reads the same values.
     """
     configs = list(configs)
     if not configs:
@@ -545,15 +434,11 @@ def fit_imax_many(cal_set: BinaryCalibrationSet, configs) -> list:
         t = lam if scale == 1.0 and bias == 0.0 else scale * (lam + bias)
     if not (np.isfinite(t[0]) and np.isfinite(t[-1])):
         raise FitError("scale * (logit + bias) is not finite for every logit")
-    started = time.perf_counter()
-    sigmoid_entropy = _sigmoid_entropy(t)
     seeded = []
     for cfg in configs:
-        phis0 = _seed_phis(t, cfg.n_bins, np.random.default_rng(cfg.seed), sigmoid_entropy)
-        done = time.perf_counter()
-        seeded.append((phis0, done - started))
-        started = done
-    del sigmoid_entropy
+        started = time.perf_counter()
+        phis0 = _seed_phis(t, cfg.n_bins, np.random.default_rng(cfg.seed))
+        seeded.append((phis0, time.perf_counter() - started))
     cum_pos, tail_neg = kernels.prefix_sums(t)
     del t
 

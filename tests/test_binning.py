@@ -27,9 +27,9 @@ from imaxcal import (
 from imaxcal import kernels
 from imaxcal.binning import (
     MAX_ITERATIONS,
+    SKETCH,
     TOLERANCE,
     _seed_phis,
-    _sigmoid_entropy,
     apply_binner,
     bin_counts,
     bin_sums,
@@ -44,10 +44,16 @@ from imaxcal.binning import (
     quantize,
     set_representatives,
 )
-from imaxcal.data import PROB_EPS, prob_of_logit
+from imaxcal.data import PROB_EPS, ovr_set, prob_of_logit
 from imaxcal.metrics import mi_from_joint, mi_of_quantizer
 from imaxcal.scaling import apply_scaler
-from imaxcal.synth import BinaryMixtureSpec, PRESETS, gen_binary_mixture
+from imaxcal.synth import (
+    PRESETS,
+    BinaryMixtureSpec,
+    MulticlassSynthSpec,
+    gen_binary_mixture,
+    gen_multiclass,
+)
 
 
 def _mixture(n=2000, seed=0, **params):
@@ -396,10 +402,23 @@ def test_fit_imax_peak_memory_per_merged_sample():
     assert peak / n <= 40.0
 
 
+def test_fit_imax_above_the_sketch_size_holds_only_its_prefix_sums():
+    # with the set's sorted copies made, a fit's length-N arrays are its two
+    # prefix sums, 16 B per merged sample: the seeding scores at most SKETCH
+    # points, whatever the set's size
+    data = gen_multiclass(MulticlassSynthSpec(n_classes=100, n=2000, t_gen=0.5, seed=0))
+    cal = ovr_set(data.ovr_logits(), data.labels, range(100))
+    assert len(cal) > SKETCH
+    cal.sorted_logits, cal.sorted_pos_logits
+    peak = _peak_bytes(lambda c: fit_imax(c, ImaxConfig(n_bins=15, seed=0)), cal)
+    assert peak / len(cal) <= 17.0
+
+
 def test_fitting_many_configs_peaks_no_higher_than_one_fit():
     # mi-report fits 2, 4, 8 and 16 bins in one call; it holds one set of
     # seeding arrays at a time and one pair of prefix sums, so its peak is
-    # that of one fit (holding them for every config would add 4 MB here).
+    # that of one fit (holding the seeding arrays of every config would add
+    # megabytes here).
     # Two identical fits differ by a few kB of allocator bookkeeping.
     n = 1 << 18
     single = _peak_bytes(lambda c: fit_imax(c, ImaxConfig(n_bins=16, seed=0)), _fresh_set(n))
@@ -479,9 +498,15 @@ def test_fit_imax_rejections():
         setattr(cfg, field, value)
         with pytest.raises(FitError):
             fit_imax(spread, cfg)
+    # above SKETCH samples a value too rare to be a run's middle sample is no
+    # seeding point: 2^18 logits at 0 leave 3 distinct points for 8 bins
+    rare = np.concatenate([np.linspace(-6.0, -1.0, 8), np.zeros(1 << 18), np.linspace(1.0, 6.0, 8)])
+    sketched = BinaryCalibrationSet(rare, np.arange(rare.size) % 2)
+    with pytest.raises(FitError, match="fewer than 8 distinct values .* cannot seed bins"):
+        fit_imax(sketched, ImaxConfig(n_bins=8))
     t = np.full(20, np.nan)
     with pytest.raises(FitError, match="cannot seed"):
-        _seed_phis(t, 3, np.random.default_rng(0), _sigmoid_entropy(t))
+        _seed_phis(t, 3, np.random.default_rng(0))
 
 
 def test_fit_imax_warns_on_single_label():

@@ -192,7 +192,7 @@ def test_refit_is_byte_identical():
 def test_scw_imax_fit_peak_memory_per_merged_sample():
     # the N x K log-odds matrix is dropped once the merged set is built, so
     # the fit's peak is the merged set plus fit_imax's working arrays (about
-    # 49 B per merged sample here; 76 B while the matrix stayed alive)
+    # 33 B per merged sample here; 76 B while the matrix stayed alive)
     data = _data(n=2000, k=100, seed=0)
     peak = _peak_bytes(lambda: fit_bundle(data, METHOD_IMAX, config=ImaxConfig(n_bins=15, seed=0)))
     assert peak / (data.n_samples * data.n_classes) <= 56.0
@@ -200,7 +200,7 @@ def test_scw_imax_fit_peak_memory_per_merged_sample():
 
 def test_imax_with_a_platt_scaler_peaks_about_as_high_as_a_platt_fit():
     # the all-class set the scaler is fitted on holds the log-odds, so the
-    # fit keeps no N x K matrix beside it (1.04 here, 1.20 with one held)
+    # fit keeps no N x K matrix beside it (1.00 here, 1.20 with one held)
     data = _data(n=10_000, k=100, seed=1)
     platt = _peak_bytes(lambda: fit_bundle(data, METHOD_PLATT))
     both = _peak_bytes(

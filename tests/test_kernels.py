@@ -1,6 +1,6 @@
-"""The prefix-sum alternation kernel and the cell-local seeding, each
-against its direct O(N)-per-step reference, and the one-softmax decomposition
-against the per-class one."""
+"""The prefix-sum alternation kernel and the seeding, each against its
+direct reference, and the one-softmax decomposition against the per-class
+one."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,10 @@ from scipy.special import expit
 from imaxcal import kernels
 from imaxcal.binning import (
     MAX_ITERATIONS,
-    SEED_CHUNK,
+    SKETCH,
     TOLERANCE,
     ImaxConfig,
     _seed_phis,
-    _sigmoid_entropy,
-    _voronoi_cell,
     _xlogx,
     fit_imax,
 )
@@ -82,23 +80,30 @@ def _jsd_to(p, h, q, hq):
     return np.maximum(out, 0.0)
 
 
-def _seed_oracle(t_sorted, n_bins, rng):
-    """k-means++ seeding that evaluates every candidate against all samples."""
+def _seed_oracle(t_sorted, n_bins, rng, weights=None, first=None):
+    """k-means++ seeding that evaluates every candidate against all points.
+
+    weights, one per point, scale each point's divergence in the potential
+    and in the draw's cumulative sum. first, when given, is the first
+    center in place of a draw of rng.integers(n).
+    """
     p = expit(t_sorted)
     h = _binary_entropy(p)
     n = t_sorted.shape[0]
+    w = np.ones(n) if weights is None else weights
     n_trials = 2 + int(np.log(n_bins))
     chosen = np.empty(n_bins)
-    first = int(rng.integers(n))
+    if first is None:
+        first = int(rng.integers(n))
     chosen[0] = t_sorted[first]
     dist = _jsd_to(p, h, p[first : first + 1], h[first : first + 1])[0]
-    pot = float(dist.sum())
+    pot = float((w * dist).sum())
     for j in range(1, n_bins):
         draws = rng.random(n_trials) * pot
-        cand_ids = np.searchsorted(np.cumsum(dist), draws)
+        cand_ids = np.searchsorted(np.cumsum(w * dist), draws)
         np.clip(cand_ids, None, n - 1, out=cand_ids)
         cand_dist = np.minimum(dist, _jsd_to(p, h, p[cand_ids], h[cand_ids]))
-        cand_pot = cand_dist.sum(axis=1)
+        cand_pot = (w * cand_dist).sum(axis=1)
         best = int(np.argmin(cand_pot))
         chosen[j] = t_sorted[cand_ids[best]]
         dist = cand_dist[best]
@@ -236,7 +241,7 @@ def test_empty_bin_keeps_its_phi():
 def test_seeding_picks_what_a_full_evaluation_picks(seed, m):
     data = gen_multiclass(MulticlassSynthSpec(n_classes=6, n=800, t_gen=0.5, seed=seed))
     t = np.sort(ovr_set(data.ovr_logits(), data.labels, range(6)).logits)
-    got = _seed_phis(t, m, np.random.default_rng(seed), _sigmoid_entropy(t))
+    got = _seed_phis(t, m, np.random.default_rng(seed))
     want = _seed_oracle(t, m, np.random.default_rng(seed))
     np.testing.assert_array_equal(got, want)
 
@@ -246,19 +251,29 @@ def test_seeding_with_tied_logits_matches_the_oracle():
     rng = np.random.default_rng(5)
     t = np.sort(np.concatenate([np.full(300, -27.6), rng.normal(0.0, 2.0, 700)]))
     for seed in range(3):
-        got = _seed_phis(t, 8, np.random.default_rng(seed), _sigmoid_entropy(t))
+        got = _seed_phis(t, 8, np.random.default_rng(seed))
         want = _seed_oracle(t, 8, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_seeding_matches_the_oracle_across_chunks(seed):
-    # cells run across SEED_CHUNK boundaries and draws go through dozens of
-    # DRAW_BLOCK block sums
+def test_seeding_above_the_sketch_size_is_the_weighted_oracle_on_the_sketch(seed):
+    # SKETCH runs of 6 or 7 samples: each run's middle sample is its point,
+    # weighted by the run's count, and the first drawn sample picks its run
     rng = np.random.default_rng(seed)
-    t = np.sort(rng.normal(0.0, 3.0, 3 * SEED_CHUNK + 4321))
-    got = _seed_phis(t, 15, np.random.default_rng(seed), _sigmoid_entropy(t))
-    want = _seed_oracle(t, 15, np.random.default_rng(seed))
+    n = 6 * SKETCH + 4321
+    t = np.sort(rng.normal(0.0, 3.0, n))
+    starts = np.arange(SKETCH + 1) * n // SKETCH
+    counts = np.diff(starts)
+    assert set(counts) == {6, 7}
+    points = t[starts[:-1] + counts // 2]
+
+    oracle_rng = np.random.default_rng(seed)
+    drawn = oracle_rng.integers(n)
+    first = int(np.searchsorted(starts, drawn, side="right")) - 1
+    assert starts[first] <= drawn < starts[first + 1]
+    want = _seed_oracle(points, 15, oracle_rng, weights=counts.astype(np.float64), first=first)
+    got = _seed_phis(t, 15, np.random.default_rng(seed))
     np.testing.assert_array_equal(got, want)
 
 
@@ -270,7 +285,7 @@ def test_seeding_with_saturated_probabilities_matches_the_oracle():
         rng.uniform(40.0, 60.0, 200), np.full(40, 50.0),
     ]))
     for seed in range(3):
-        got = _seed_phis(t, 8, np.random.default_rng(seed), _sigmoid_entropy(t))
+        got = _seed_phis(t, 8, np.random.default_rng(seed))
         want = _seed_oracle(t, 8, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, want)
 
@@ -278,7 +293,7 @@ def test_seeding_with_saturated_probabilities_matches_the_oracle():
 def test_seeding_with_one_sample_per_bin_picks_every_sample():
     t = np.array([-3.0, -1.0, -0.5, 0.25, 2.0, 7.0])
     for seed in range(3):
-        got = _seed_phis(t, t.size, np.random.default_rng(seed), _sigmoid_entropy(t))
+        got = _seed_phis(t, t.size, np.random.default_rng(seed))
         np.testing.assert_array_equal(got, t)
         np.testing.assert_array_equal(got, _seed_oracle(t, t.size, np.random.default_rng(seed)))
 
@@ -295,32 +310,12 @@ def test_xlogx_equals_xlogy():
     np.testing.assert_array_equal(got[nonzero].view(np.int64), want[nonzero].view(np.int64))
 
 
-def test_voronoi_cell_is_exactly_the_samples_a_candidate_takes():
-    rng = np.random.default_rng(6)
-    t = np.sort(rng.normal(0.0, 3.0, 50_000))
-    p = expit(t)
-    h = _binary_entropy(p)
-    centers = [9_000, 31_000]
-    dist = np.min(_jsd_to(p, h, p[centers], h[centers]), axis=0)
-    bufs = np.empty((3, SEED_CHUNK))
-    segments = [(0, centers[0]), (centers[0] + 1, centers[1]), (centers[1] + 1, t.size)]
-    for lo, hi in segments:
-        for c in [lo, hi - 1, *rng.integers(lo, hi, 5)]:
-            cell = _voronoi_cell(p, h, dist, int(c), lo, hi, bufs)
-            taken = _jsd_to(p[lo:hi], h[lo:hi], p[c : c + 1], h[c : c + 1])[0] < dist[lo:hi]
-            want = np.flatnonzero(taken) + lo
-            assert want.size > 0 and cell == (want[0], want[-1] + 1)
-            assert want.size == want[-1] + 1 - want[0]
-    for c in centers:
-        assert _voronoi_cell(p, h, dist, c, 0, t.size, bufs) == (c, c)
-
-
 # --- the whole fit -----------------------------------------------------------
 
 @pytest.mark.parametrize("scale,bias", [(1.0, 0.0), (1.7, -0.4)])
 def test_fit_imax_matches_the_oracles(scale, bias):
-    # the fit sorts without a permutation, seeds cell by cell and sums bins
-    # by prefix sums; the oracles evaluate every sample in every step
+    # the fit sorts without a permutation, seeds in preallocated buffers and
+    # sums bins by prefix sums; the oracles evaluate every sample in every step
     data = gen_multiclass(MulticlassSynthSpec(n_classes=6, n=800, t_gen=0.5, seed=2))
     cal = ovr_set(data.ovr_logits(), data.labels, range(6))
     got = fit_imax(cal, ImaxConfig(n_bins=8, seed=5, scale=scale, bias=bias))
