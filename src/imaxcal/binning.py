@@ -390,8 +390,7 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     adjacent phi levels) with the closed-form phi update (per-bin log-ratio
     of sigmoid sums), starting from seeded phi levels. Stops after the phi
     update of the first pair whose maximum edge movement falls below
-    TOLERANCE, or after MAX_ITERATIONS pairs. This is fit_imax_many with one
-    config.
+    TOLERANCE, or after MAX_ITERATIONS pairs.
 
     Memory: the fit reads the set's sorted logits (data.BinaryCalibrationSet),
     which stay with the set. Besides those its only length-N float64 arrays
@@ -401,73 +400,48 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     The seeding's wall time goes into the trace's seed_s; it is reported,
     never serialized, so a refit stays byte-identical.
     """
-    return fit_imax_many(cal_set, [config if config is not None else ImaxConfig()])[0]
-
-
-def fit_imax_many(cal_set: BinaryCalibrationSet, configs) -> list:
-    """fit_imax of cal_set with each config, in order, from one preparation.
-
-    The configs may differ in n_bins and seed but must share scale and
-    bias. Each seeding builds and frees its own arrays of at most SKETCH
-    points, and every alternation reads one pair of prefix sums, built after
-    the last seeding, so the call's peak memory is that of one fit. Each
-    result equals fit_imax's bit for bit: every seeding and every
-    alternation reads the same values.
-    """
-    configs = list(configs)
-    if not configs:
-        raise DataError("need at least one imax config")
-    scale, bias = configs[0].scale, configs[0].bias
-    if any((cfg.scale, cfg.bias) != (scale, bias) for cfg in configs):
-        raise DataError("imax configs fitted together must share scale and bias")
+    cfg = config if config is not None else ImaxConfig()
     n = len(cal_set)
-    for cfg in configs:
-        if n < cfg.n_bins:
-            raise FitError(f"need at least {cfg.n_bins} samples, got {n}")
+    if n < cfg.n_bins:
+        raise FitError(f"need at least {cfg.n_bins} samples, got {n}")
     lam = cal_set.sorted_logits
     if lam[0] == lam[-1]:
         raise FitError("degenerate calibration set: all logits identical")
     if cal_set.targets.min() == cal_set.targets.max():
         warnings.warn("calibration set contains a single label", stacklevel=2)
 
+    scale, bias = cfg.scale, cfg.bias
     with np.errstate(over="ignore"):  # an overflow is reported just below
         t = lam if scale == 1.0 and bias == 0.0 else scale * (lam + bias)
     if not (np.isfinite(t[0]) and np.isfinite(t[-1])):
         raise FitError("scale * (logit + bias) is not finite for every logit")
-    seeded = []
-    for cfg in configs:
-        started = time.perf_counter()
-        phis0 = _seed_phis(t, cfg.n_bins, np.random.default_rng(cfg.seed))
-        seeded.append((phis0, time.perf_counter() - started))
+    started = time.perf_counter()
+    phis0 = _seed_phis(t, cfg.n_bins, np.random.default_rng(cfg.seed))
+    seed_s = time.perf_counter() - started
     cum_pos, tail_neg = kernels.prefix_sums(t)
     del t
 
-    binners = []
-    for cfg, (phis0, seed_s) in zip(configs, seeded):
-        try:
-            edges, phis, loss, movement, n_pairs, empties = kernels.alternate(
-                lam, cum_pos, tail_neg, phis0, scale, bias, TOLERANCE, MAX_ITERATIONS
-            )
-        except ValueError as exc:
-            raise FitError(str(exc)) from exc
-        binners.append(
-            Binner(
-                edges=edges,
-                phis=phis,
-                reps=None,
-                method=METHOD_IMAX,
-                iterations=n_pairs,
-                seed=cfg.seed,
-                diagnostics=FitTrace(
-                    loss=loss,
-                    empty_bin_events=empties,
-                    final_movement=movement,
-                    converged=movement < TOLERANCE,
-                    seed_s=seed_s,
-                ),
-            )
+    try:
+        edges, phis, loss, movement, n_pairs, empties = kernels.alternate(
+            lam, cum_pos, tail_neg, phis0, scale, bias, TOLERANCE, MAX_ITERATIONS
         )
-    return binners
+    except ValueError as exc:
+        raise FitError(str(exc)) from exc
+    return Binner(
+        edges=edges,
+        phis=phis,
+        reps=None,
+        method=METHOD_IMAX,
+        iterations=n_pairs,
+        seed=cfg.seed,
+        diagnostics=FitTrace(
+            loss=loss,
+            empty_bin_events=empties,
+            final_movement=movement,
+            converged=movement < TOLERANCE,
+            seed_s=seed_s,
+        ),
+    )
 
 
 def binner_from_edges(edges, method: str, seed=None) -> Binner:

@@ -32,7 +32,6 @@ from .binning import (
     REP_RAW_PROB_MEAN,
     ImaxConfig,
     fit_edges,
-    fit_imax_many,
 )
 from .data import (
     PROBABILITIES,
@@ -821,15 +820,11 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     bounded = time.perf_counter()
     if not bound > 0:
         diag(event="zero_bound", msg="the KDE bound is 0 nats, so every ratio is left empty")
-    imax_fits = fit_imax_many(cal_set, configs) if METHOD_IMAX in method_list else None
     named = []
-    for i, cfg in enumerate(configs):
+    for cfg in configs:
         for method in method_list:
-            if method == METHOD_IMAX:
-                binner = imax_fits[i]
-                _diag_fit_group(binner, bins=cfg.n_bins, n=len(cal_set))
-            else:
-                binner = fit_edges(cal_set, method, cfg)
+            binner = fit_edges(cal_set, method, cfg)
+            _diag_fit_group(binner, bins=cfg.n_bins, n=len(cal_set))
             named.append((method, binner))
     fitted = time.perf_counter()
     rows = info_mod.mi_report(cal_set, named, bound=bound)

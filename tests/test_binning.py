@@ -38,7 +38,6 @@ from imaxcal.binning import (
     fit_eq_mass,
     fit_eq_size,
     fit_imax,
-    fit_imax_many,
     imax_update_edges,
     imax_update_phis,
     quantize,
@@ -414,50 +413,6 @@ def test_fit_imax_above_the_sketch_size_holds_only_its_prefix_sums():
     assert peak / len(cal) <= 17.0
 
 
-def test_fitting_many_configs_peaks_no_higher_than_one_fit():
-    # mi-report fits 2, 4, 8 and 16 bins in one call; it holds one set of
-    # seeding arrays at a time and one pair of prefix sums, so its peak is
-    # that of one fit (holding the seeding arrays of every config would add
-    # megabytes here).
-    # Two identical fits differ by a few kB of allocator bookkeeping.
-    n = 1 << 18
-    single = _peak_bytes(lambda c: fit_imax(c, ImaxConfig(n_bins=16, seed=0)), _fresh_set(n))
-    many = _peak_bytes(
-        lambda c: fit_imax_many(c, [ImaxConfig(n_bins=m, seed=0) for m in (2, 4, 8, 16)]),
-        _fresh_set(n),
-    )
-    assert many <= single + 16 * 1024
-
-
-@pytest.mark.parametrize("scale,bias", [(1.0, 0.0), (1.3, -0.2)])
-def test_fitting_many_configs_equals_separate_fits(scale, bias):
-    cal = _mixture(n=20_000, seed=11)
-    configs = [ImaxConfig(n_bins=m, seed=m % 3, scale=scale, bias=bias) for m in (2, 4, 8, 16)]
-    together = fit_imax_many(cal, configs)
-    for cfg, got in zip(configs, together):
-        # a set of its own, so the fit also makes its own sorted copies
-        alone = fit_imax(BinaryCalibrationSet(cal.logits.copy(), cal.targets.copy()), cfg)
-        assert got.n_bins == cfg.n_bins and got.seed == cfg.seed
-        assert got.iterations == alone.iterations
-        for a, b in (
-            (got.edges, alone.edges),
-            (got.phis, alone.phis),
-            (got.diagnostics.loss, alone.diagnostics.loss),
-            (set_representatives(got, cal).reps, set_representatives(alone, cal).reps),
-        ):
-            assert a.tobytes() == b.tobytes()
-
-
-def test_fitting_many_configs_rejections():
-    cal = _mixture(n=200, seed=12)
-    with pytest.raises(DataError):
-        fit_imax_many(cal, [])
-    with pytest.raises(DataError, match="share scale and bias"):
-        fit_imax_many(cal, [ImaxConfig(n_bins=2), ImaxConfig(n_bins=4, scale=2.0)])
-    with pytest.raises(FitError, match="at least 300 samples"):
-        fit_imax_many(cal, [ImaxConfig(n_bins=2), ImaxConfig(n_bins=300)])
-
-
 def test_fit_imax_symmetric_mixture_splits_near_zero():
     cal = _mixture(n=100_000, seed=0)
     b = fit_imax(cal, ImaxConfig(n_bins=2, seed=0))
@@ -476,7 +431,7 @@ def test_fit_imax_separates_well_spread_distinct_values():
 
 def test_fit_imax_rejections():
     small = BinaryCalibrationSet(np.array([0.0, 1.0]), np.array([0, 1]))
-    with pytest.raises(FitError):
+    with pytest.raises(FitError, match="need at least 3 samples, got 2"):
         fit_imax(small, ImaxConfig(n_bins=3))
     flat = BinaryCalibrationSet(np.zeros(50), np.r_[np.ones(25), np.zeros(25)].astype(np.int64))
     with pytest.raises(FitError):

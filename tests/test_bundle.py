@@ -26,6 +26,7 @@ from imaxcal import (
 )
 from imaxcal.binning import (
     METHOD_EQ_MASS,
+    METHOD_EQ_SIZE,
     METHOD_IMAX,
     REP_RAW_PROB_MEAN,
     apply_binner,
@@ -405,6 +406,36 @@ def test_scaled_representatives_beat_raw_means_on_sharpened_scores():
         e_raw = top1_ece(apply_bundle(raw, d.scores, RAW_LOGITS), d.labels, exact)
         wins += e_hybrid < e_raw
     assert wins >= 16
+
+
+@pytest.mark.parametrize(
+    "method,kwargs",
+    [
+        (METHOD_IMAX, {"strategy": STRATEGY_SCW}),
+        (METHOD_IMAX, {"strategy": STRATEGY_CW}),
+        (METHOD_EQ_MASS, {"strategy": STRATEGY_SCW}),
+        (METHOD_EQ_MASS, {"strategy": STRATEGY_CW}),
+        (METHOD_EQ_SIZE, {"strategy": STRATEGY_SCW}),
+        (METHOD_IMAX, {"strategy": STRATEGY_SCW, "groups_spec": 3}),
+    ],
+)
+def test_relabelling_the_classes_permutes_the_output_columns(method, kwargs):
+    # new class j is old class perm[j]: its score column moves to j and its
+    # labels become j. Distinct class counts leave group_by_prior no ties to
+    # break by class index, so a fit sees the same sets under other names.
+    # The scalers and sample-order sums (raw_prob_mean, imax_with_scaler)
+    # add their values in row order and match only to within ulps.
+    spec = MulticlassSynthSpec(n_classes=10, n=3000, t_gen=0.5, priors=np.arange(1.0, 11.0) / 55.0)
+    data = gen_multiclass(spec)
+    assert len(set(np.bincount(data.labels, minlength=10).tolist())) == 10
+    perm = np.random.default_rng(1).permutation(10)
+    relabelled = PredictionMatrix(data.scores[:, perm], np.argsort(perm)[data.labels], RAW_LOGITS)
+    cfg = ImaxConfig(n_bins=15, seed=0)
+    before = apply_bundle(_quiet_fit(data, method, config=cfg, **kwargs), data.scores, RAW_LOGITS)
+    after = apply_bundle(
+        _quiet_fit(relabelled, method, config=cfg, **kwargs), relabelled.scores, RAW_LOGITS
+    )
+    assert after.tobytes() == np.ascontiguousarray(before[:, perm]).tobytes()
 
 
 # --- mutated bundle JSON ------------------------------------------------------------

@@ -1130,6 +1130,22 @@ def test_mi_report_usage_errors(workdir, tmp_path):
     assert main(missing + ["--bins", "1"]) == 2
 
 
+def test_mi_report_fit_failure_leaves_no_csv(workdir, tmp_path, capsys):
+    # the fits run in (config, method) order: the 2-bin ones finish and
+    # report, then the first fit that needs 2^40 samples stops the command
+    out = tmp_path / "mi.csv"
+    args = [
+        "mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
+        "--bins", "2,1099511627776", "-o", str(out),
+    ]
+    capsys.readouterr()
+    assert main(args) == 4
+    *before, last = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r'error=fit msg="need at least 1099511627776 samples, got \d+"', last)
+    assert all(line.startswith("event=fit_group ") for line in before), before
+    assert not out.exists()
+
+
 def test_mi_report_diagnostics_leave_the_csv_alone(workdir, tmp_path, capsys):
     from imaxcal import info
     from imaxcal.binning import ImaxConfig, fit_imax
