@@ -48,7 +48,6 @@ MAX_ITERATIONS = 200
 TOLERANCE = 1e-10
 # The most points a seeding scores: larger sets are seeded on a weighted sketch.
 SKETCH = 1 << 15
-_SMALLEST_SUBNORMAL = 5e-324
 
 
 @dataclass
@@ -279,47 +278,15 @@ def imax_update_phis(
     return kernels.phis_from_sums(counts, sum_pos, sum_neg, fallback)
 
 
-def _xlogx(x, out):
-    """x * log(x) of each x >= 0 into out (not x itself), with 0 * log(0) = 0.
+def _entropy(x):
+    """Binary entropy -(x log x + (1-x) log(1-x)) of each x in [0, 1], nats.
 
-    max(x, 5e-324) is x itself for every x > 0, subnormals included, so the
-    result equals xlogy(x, x) bit for bit there; at x == 0 it is -0.0, which
-    equals 0.0 and vanishes in the entropy sums below. It allocates nothing.
+    max(x, 5e-324) is x itself for every x > 0, subnormals included, so each
+    term equals xlogy(x, x) bit for bit there; at x == 0 it is -0.0, which
+    equals xlogy's 0.0 and vanishes in the sum.
     """
-    np.maximum(x, _SMALLEST_SUBNORMAL, out=out)
-    np.log(out, out=out)
-    return np.multiply(out, x, out=out)
-
-
-def _entropy_into(x, out, scratch):
-    """Binary entropy -(x log x + (1-x) log(1-x)) of each x into out, nats.
-
-    scratch has x's length; x is left intact. The value is that of
-    -(xlogy(x, x) + xlogy(1 - x, 1 - x)) bit for bit.
-    """
-    np.subtract(1.0, x, out=scratch)
-    _xlogx(scratch, out)
-    _xlogx(x, scratch)
-    out += scratch
-    return np.negative(out, out=out)
-
-
-def _jsd_into(p, h, pc, hc, bufs):
-    """Jensen-Shannon divergence between each Bernoulli(p[i]) and
-    Bernoulli(pc), H((p+pc)/2) - (h + hc)/2 clamped at 0, in nats.
-
-    h are the entropies of p and hc that of pc. bufs are three buffers at
-    least as long as p; the result is a view of the third. Each value equals
-    the direct formula evaluated with xlogy bit for bit.
-    """
-    mid, scratch, out = (buf[: p.shape[0]] for buf in bufs)
-    np.add(p, pc, out=mid)
-    mid *= 0.5
-    _entropy_into(mid, out, scratch)
-    np.add(h, hc, out=mid)
-    mid *= 0.5
-    out -= mid
-    return np.maximum(out, 0.0, out=out)
+    q = 1.0 - x
+    return -(np.log(np.maximum(q, 5e-324)) * q + np.log(np.maximum(x, 5e-324)) * x)
 
 
 def _seed_phis(t_sorted, n_bins, rng):
@@ -345,19 +312,18 @@ def _seed_phis(t_sorted, n_bins, rng):
     bounds = np.arange(m + 1) * n // m
     t = t_sorted[(bounds[:-1] + bounds[1:]) // 2]
     weights = np.diff(bounds).astype(np.float64)
+    first = int(np.searchsorted(bounds, rng.integers(n), side="right")) - 1
+    del bounds  # scoring needs only the weights; kept, it lifts the fit above its prefix sums
     p = prob_of_logit(t)
-    h = _entropy_into(p, np.empty(m), np.empty(m))
-    bufs = np.empty((3, m))
-    dist, trial, kept = np.empty((3, m))
+    h = _entropy(p)
 
-    def weighted(d):
-        return np.multiply(d, weights, out=bufs[0])
+    def divergence(c):
+        return np.maximum(_entropy((p + p[c]) * 0.5) - (h + h[c]) * 0.5, 0.0)
 
     n_trials = 2 + int(np.log(n_bins))
-    first = int(np.searchsorted(bounds, rng.integers(n), side="right")) - 1
     centers = [first]
-    dist[:] = _jsd_into(p, h, p[first], h[first], bufs)
-    pot = float(weighted(dist).sum())
+    dist = divergence(first)
+    pot = float((dist * weights).sum())
     for _ in range(1, n_bins):
         if not pot > 0.0:
             raise FitError(
@@ -365,16 +331,14 @@ def _seed_phis(t_sorted, n_bins, rng):
                 f" among the {m} seeding points; cannot seed bins"
             )
         draws = rng.random(n_trials) * pot
-        cum = np.cumsum(weighted(dist), out=bufs[0])
-        candidates = np.minimum(np.searchsorted(cum, draws), m - 1)
+        candidates = np.minimum(np.searchsorted(np.cumsum(dist * weights), draws), m - 1)
         pot = np.inf
         for c in candidates:
-            np.minimum(dist, _jsd_into(p, h, p[c], h[c], bufs), out=trial)
-            trial_pot = float(weighted(trial).sum())
+            trial = np.minimum(dist, divergence(c))
+            trial_pot = float((trial * weights).sum())
             if trial_pot < pot:
-                pot, best = trial_pot, int(c)
-                trial, kept = kept, trial
-        dist, kept = kept, dist
+                pot, best, kept = trial_pot, int(c), trial
+        dist = kept
         centers.append(best)
 
     phis = np.sort(t[centers])
@@ -395,7 +359,7 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     Memory: the fit reads the set's sorted logits (data.BinaryCalibrationSet),
     which stay with the set. Besides those its only length-N float64 arrays
     are the two prefix sums, and t when scale != 1 or bias != 0; the
-    seeding's arrays hold at most SKETCH points each, 2.9 MB at their peak.
+    seeding's arrays hold at most SKETCH points each, 3.2 MB at their peak.
 
     The seeding's wall time goes into the trace's seed_s; it is reported,
     never serialized, so a refit stays byte-identical.

@@ -870,7 +870,7 @@ def main(argv=None):
     except click.exceptions.Exit as exc:
         code = exc.exit_code
     except click.UsageError as exc:
-        _error_line("usage", exc.format_message() if hasattr(exc, "format_message") else exc)
+        _error_line("usage", exc.format_message())
         code = 2
     except click.Abort:
         _error_line("usage", "aborted")

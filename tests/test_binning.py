@@ -413,6 +413,18 @@ def test_fit_imax_above_the_sketch_size_holds_only_its_prefix_sums():
     assert peak / len(cal) <= 17.0
 
 
+def test_seeding_peak_does_not_grow_with_the_set():
+    # the seeding holds a fixed number of SKETCH-length arrays, whatever the
+    # set's size; one more than that (say, the runs' bounds kept alive while
+    # it scores) reads 13 arrays
+    peaks = []
+    for n in (1 << 16, 1 << 20):
+        t = np.sort(np.random.default_rng(0).normal(0.0, 2.0, n))
+        peaks.append(_peak_bytes(lambda s: _seed_phis(s, 15, np.random.default_rng(0)), t))
+    assert max(peaks) <= 12.5 * SKETCH * 8
+    assert abs(peaks[1] - peaks[0]) < 0.01 * peaks[0]
+
+
 def test_fit_imax_symmetric_mixture_splits_near_zero():
     cal = _mixture(n=100_000, seed=0)
     b = fit_imax(cal, ImaxConfig(n_bins=2, seed=0))
