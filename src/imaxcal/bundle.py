@@ -1,13 +1,14 @@
 """Persistable multi-class calibrator: grouping plus per-group calibrators.
 
-A bundle records how the K classes were grouped and, per group, either a
-Binner (discrete calibrator) or a Scaler (parametric one). Applying a
-bundle maps each class's one-vs-rest logit through its group's calibrator
-and never renormalizes the resulting rows.
+A bundle holds one calibrator per group of classes, either a Binner
+(discrete calibrator) or a Scaler (parametric one), and the mode that chose
+the groups. Applying a bundle maps each class's one-vs-rest logit through
+its group's calibrator and never renormalizes the resulting rows.
 
 The JSON format is strict: version "1", unknown fields rejected, floats
 serialized with shortest round-trip formatting so a refit with the same
-seed is byte-identical.
+seed is byte-identical. Its "grouping" lists each calibrator's classes,
+ascending, in calibrator order; loading checks that it does.
 """
 
 import json
@@ -32,13 +33,9 @@ from .binning import (
 from .data import (
     PROBABILITIES,
     RAW_LOGITS,
-    ClassGrouping,
     PredictionMatrix,
     check_count,
     check_group_spec,
-    group_all,
-    group_by_prior,
-    group_singletons,
     json_list,
     json_object,
     ovr_logits,
@@ -82,6 +79,9 @@ _BUNDLE_FIELDS = (
     "provenance",
 )
 _GROUPING_FIELDS = ("mode", "groups")
+MODE_ONE_FOR_ALL = "one_for_all"
+MODE_BY_PRIOR = "by_prior_quantile"
+MODE_EXPLICIT = "explicit"
 _CALIBRATOR_FIELDS = ("classes", "binner", "scaler")
 
 
@@ -103,21 +103,25 @@ class CalibratorBundle:
     strategy: str
     n_classes: int
     input_kind: str
-    grouping: ClassGrouping
+    grouping_mode: str
     calibrators: list
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         check_strategy(self.strategy)
-        self.n_classes = check_count(self.n_classes, "bundle n_classes")
+        self.n_classes = check_count(self.n_classes, "bundle n_classes", minimum=1)
         if not isinstance(self.provenance, dict):
             raise DataError("bundle provenance must be an object")
         if self.input_kind not in (RAW_LOGITS, PROBABILITIES):
             raise DataError(f"unknown input kind {self.input_kind!r}")
-        if self.grouping.n_classes != self.n_classes or self.grouping.groups != tuple(
-            tuple(sorted(cal.classes)) for cal in self.calibrators
-        ):
-            raise DataError("grouping must list the calibrators' classes, in order")
+        if self.grouping_mode not in (MODE_ONE_FOR_ALL, MODE_BY_PRIOR, MODE_EXPLICIT):
+            raise DataError(f"unknown grouping mode {self.grouping_mode!r}")
+        _cover(self.groups, self.n_classes)
+
+    @property
+    def groups(self) -> tuple:
+        """Each calibrator's classes, ascending, in calibrator order."""
+        return _ascending(cal.classes for cal in self.calibrators)
 
     def has_binners(self) -> bool:
         return any(cal.binner is not None for cal in self.calibrators)
@@ -129,8 +133,8 @@ class CalibratorBundle:
             "n_classes": self.n_classes,
             "input_kind": self.input_kind,
             "grouping": {
-                "mode": self.grouping.mode,
-                "groups": [list(g) for g in self.grouping.groups],
+                "mode": self.grouping_mode,
+                "groups": [list(g) for g in self.groups],
             },
             "calibrators": [
                 {
@@ -156,10 +160,8 @@ class CalibratorBundle:
                 f"unsupported bundle version {payload['version']!r}"
                 f" (expected {BUNDLE_VERSION!r})"
             )
-        grouping = ClassGrouping(
-            **json_object(payload["grouping"], _GROUPING_FIELDS, "bundle grouping"),
-            n_classes=payload["n_classes"],
-        )
+        grouping = json_object(payload["grouping"], _GROUPING_FIELDS, "bundle grouping")
+        groups = check_group_spec(json_list(grouping["groups"], "bundle grouping groups"))
         calibrators = []
         for cal in json_list(payload["calibrators"], "bundle calibrators"):
             cal = json_object(cal, _CALIBRATOR_FIELDS, "calibrator")
@@ -170,14 +172,44 @@ class CalibratorBundle:
                 raise DataError("bundle binner has no representatives")
             scaler = None if cal["scaler"] is None else Scaler.from_dict(cal["scaler"])
             calibrators.append(GroupCalibrator(cal["classes"], binner, scaler))
+        if _ascending(groups) != _ascending(cal.classes for cal in calibrators):
+            raise DataError("grouping must list the calibrators' classes, in order")
         return cls(
             strategy=payload["strategy"],
             n_classes=payload["n_classes"],
             input_kind=payload["input_kind"],
-            grouping=grouping,
+            grouping_mode=grouping["mode"],
             calibrators=calibrators,
             provenance=payload["provenance"],
         )
+
+
+def _ascending(groups) -> tuple:
+    """groups as tuples, each sorted ascending, in the order given."""
+    return tuple(tuple(sorted(g)) for g in groups)
+
+
+def _cover(groups, n_classes):
+    """A DataError unless groups hold classes 0..n_classes-1 once each. The
+    count is compared first, so n_classes read from a file sizes no list."""
+    flat = sorted(c for g in groups for c in g)
+    if len(flat) != n_classes or flat != list(range(n_classes)):
+        raise DataError(f"groups must cover classes 0..{n_classes - 1} exactly")
+
+
+def group_by_prior(data: PredictionMatrix, n_groups: int) -> tuple:
+    """Cut classes into n_groups contiguous blocks of the empirical-prior order.
+
+    Priors come from the calibration split handed in here. Ties are broken by
+    class index so the grouping is deterministic. Each block is ascending.
+    """
+    k = data.n_classes
+    n_groups = check_count(n_groups, "n_groups", minimum=1)
+    if n_groups > k:
+        raise DataError(f"n_groups must be in [1, {k}], got {n_groups}")
+    order = np.lexsort((np.arange(k), data.class_priors())).tolist()
+    bounds = [round(i * k / n_groups) for i in range(n_groups + 1)]
+    return _ascending(order[bounds[i] : bounds[i + 1]] for i in range(n_groups))
 
 
 def check_strategy(
@@ -192,8 +224,8 @@ def check_strategy(
     so it takes no groups and no cw, and it scales raw logits, so it takes
     no probabilities; cw fits one calibrator per class, so it takes no
     groups and no platt; a scaler kind goes with imax_with_scaler, which
-    needs one. groups_spec must pass data.check_group_spec. fit_bundle,
-    CalibratorBundle and the CLI's flag checks apply it."""
+    needs one. Returns groups_spec as data.check_group_spec returns it.
+    fit_bundle, CalibratorBundle and the CLI's flag checks apply it."""
     if strategy not in (STRATEGY_CW, STRATEGY_SCW):
         raise DataError(f"unknown strategy {strategy!r}")
     if method == METHOD_IMAX_WITH_SCALER:
@@ -206,30 +238,31 @@ def check_strategy(
         raise DataError("temperature scaling needs raw logits, not probabilities")
     if method == METHOD_TEMPERATURE and groups_spec is not None:
         raise DataError("temperature scaling fits one scaler on all classes; no groups")
-    check_group_spec(groups_spec)
-    if strategy != STRATEGY_CW:
-        return
-    if groups_spec is not None:
-        raise DataError("cw strategy fits one calibrator per class; no groups")
-    if method == METHOD_TEMPERATURE:
-        raise DataError("temperature scaling is fitted on all classes jointly")
-    if method == METHOD_PLATT:
-        raise DataError("platt scaling is fitted on the merged shared set only")
-
-
-def resolve_grouping(
-    data: PredictionMatrix, strategy: str, groups_spec=None
-) -> ClassGrouping:
-    """Grouping for the fit: cw means singletons; scw defaults to one group,
-    an integer selects prior-quantile blocks, class lists give explicit ones."""
-    check_strategy(strategy, groups_spec)
+    groups_spec = check_group_spec(groups_spec)
     if strategy == STRATEGY_CW:
-        return group_singletons(data.n_classes)
+        if groups_spec is not None:
+            raise DataError("cw strategy fits one calibrator per class; no groups")
+        if method == METHOD_TEMPERATURE:
+            raise DataError("temperature scaling is fitted on all classes jointly")
+        if method == METHOD_PLATT:
+            raise DataError("platt scaling is fitted on the merged shared set only")
+    return groups_spec
+
+
+def resolve_grouping(data: PredictionMatrix, strategy: str, groups_spec=None) -> tuple:
+    """(mode, groups) for the fit, each group ascending: cw means singletons;
+    scw defaults to one group, an integer selects prior-quantile blocks, and
+    class lists give explicit ones, which must cover every class once."""
+    groups_spec = check_strategy(strategy, groups_spec)
+    if strategy == STRATEGY_CW:
+        return MODE_EXPLICIT, tuple((c,) for c in range(data.n_classes))
     if groups_spec is None:
-        return group_all(data.n_classes)
-    if isinstance(groups_spec, (int, np.integer)):
-        return group_by_prior(data, groups_spec)
-    return ClassGrouping(groups=groups_spec, n_classes=data.n_classes)
+        return MODE_ONE_FOR_ALL, (tuple(range(data.n_classes)),)
+    if isinstance(groups_spec, int):
+        return MODE_BY_PRIOR, group_by_prior(data, groups_spec)
+    groups = _ascending(groups_spec)
+    _cover(groups, data.n_classes)
+    return MODE_EXPLICIT, groups
 
 
 def fit_bundle(
@@ -254,12 +287,12 @@ def fit_bundle(
         )
     check_strategy(strategy, groups_spec, method, scaler_kind, data.kind)
     cfg = config if config is not None else ImaxConfig()
-    grouping = resolve_grouping(data, strategy, groups_spec)
+    mode, groups = resolve_grouping(data, strategy, groups_spec)
     provenance = {"seed": cfg.seed, "method": method}
     scaler = None
 
     if method == METHOD_TEMPERATURE:
-        calibrators = [GroupCalibrator(classes=grouping.groups[0], scaler=fit_temperature(data))]
+        calibrators = [GroupCalibrator(classes=groups[0], scaler=fit_temperature(data))]
     else:
         lam = data.ovr_logits()
         binning_method = method
@@ -276,10 +309,10 @@ def fit_bundle(
             rep_strategy = REP_SCALED_PROB_MEAN
         # the merged sets hold every log-odds the fits read, so the N x K
         # matrix goes before the first fit and each set once it is fitted
-        sets = [ovr_set(lam, data.labels, g) for g in reversed(grouping.groups)]
+        sets = [ovr_set(lam, data.labels, g) for g in reversed(groups)]
         del lam
         calibrators = []
-        for g in grouping.groups:
+        for g in groups:
             if method == METHOD_PLATT:
                 cal = GroupCalibrator(classes=g, scaler=fit_platt(sets.pop()))
             else:
@@ -301,7 +334,7 @@ def fit_bundle(
         strategy=strategy,
         n_classes=data.n_classes,
         input_kind=data.kind,
-        grouping=grouping,
+        grouping_mode=mode,
         calibrators=calibrators,
         provenance=provenance,
     )

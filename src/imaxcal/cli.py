@@ -57,11 +57,16 @@ from .metrics import (
 _KIND_BY_FLAG = {"logits": RAW_LOGITS, "probs": PROBABILITIES}
 
 
+def _one_line(value):
+    """str(value) on one line, with its double quotes made single."""
+    return str(value).replace("\n", "; ").replace('"', "'")
+
+
 def diag(**kv):
     """Single-line key=value diagnostic on stderr."""
     parts = []
     for key, value in kv.items():
-        text = str(value).replace("\n", "; ").replace('"', "'")
+        text = _one_line(value)
         parts.append(f'{key}="{text}"' if " " in text or text == "" else f"{key}={text}")
     print(" ".join(parts), file=sys.stderr)
 
@@ -847,8 +852,7 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
 
 
 def _error_line(kind, exc):
-    msg = str(exc).replace("\n", "; ").replace('"', "'")
-    print(f'error={kind} msg="{msg}"', file=sys.stderr)
+    print(f'error={kind} msg="{_one_line(exc)}"', file=sys.stderr)
 
 
 def _warning_line(message, category, filename, lineno, file=None, line=None):

@@ -325,8 +325,8 @@ def check_group_spec(groups_spec):
     that do not overlap. Otherwise a DataError.
 
     These rules need no class count, so the CLI applies them before it reads
-    a file. ClassGrouping and GroupCalibrator apply them too, and add the
-    rules that need K: at most K groups, and groups that cover 0..K-1.
+    a file. GroupCalibrator applies them too, and bundle.resolve_grouping and
+    CalibratorBundle add the rule that needs K: groups cover 0..K-1 exactly.
     """
     if groups_spec is None:
         return None
@@ -342,64 +342,3 @@ def check_group_spec(groups_spec):
     if len(flat) != len(set(flat)):
         raise DataError("groups overlap")
     return groups
-
-
-MODE_ONE_FOR_ALL = "one_for_all"
-MODE_BY_PRIOR = "by_prior_quantile"
-MODE_EXPLICIT = "explicit"
-
-
-@dataclass
-class ClassGrouping:
-    """Partition of the K class indices into calibrator-sharing groups."""
-
-    groups: tuple
-    mode: str = MODE_EXPLICIT
-    n_classes: int = 0
-
-    def __post_init__(self):
-        if self.mode not in (MODE_ONE_FOR_ALL, MODE_BY_PRIOR, MODE_EXPLICIT):
-            raise DataError(f"unknown grouping mode {self.mode!r}")
-        groups = check_group_spec(self.groups)
-        if not isinstance(groups, tuple):
-            raise DataError(f"groups must be class lists, got {self.groups!r}")
-        groups = tuple(tuple(sorted(g)) for g in groups)
-        flat = [c for g in groups for c in g]
-        k = check_count(self.n_classes, "n_classes") or (max(flat) + 1)
-        if len(flat) != k or sorted(flat) != list(range(k)):
-            raise DataError(f"groups must cover classes 0..{k - 1} exactly")
-        self.groups = groups
-        self.n_classes = k
-
-
-def group_all(n_classes: int) -> ClassGrouping:
-    """Single shared group over every class."""
-    return ClassGrouping(
-        groups=(tuple(range(n_classes)),), mode=MODE_ONE_FOR_ALL, n_classes=n_classes
-    )
-
-
-def group_singletons(n_classes: int) -> ClassGrouping:
-    """Every class its own group (the class-wise strategy)."""
-    return ClassGrouping(
-        groups=tuple((k,) for k in range(n_classes)),
-        mode=MODE_EXPLICIT,
-        n_classes=n_classes,
-    )
-
-
-def group_by_prior(data: PredictionMatrix, n_groups: int) -> ClassGrouping:
-    """Cut classes into n_groups contiguous blocks of the empirical-prior order.
-
-    Priors come from the calibration split handed in here. Ties are broken by
-    class index so the grouping is deterministic.
-    """
-    k = data.n_classes
-    n_groups = check_count(n_groups, "n_groups", minimum=1)
-    if n_groups > k:
-        raise DataError(f"n_groups must be in [1, {k}], got {n_groups}")
-    priors = data.class_priors()
-    order = np.lexsort((np.arange(k), priors))
-    bounds = [round(i * k / n_groups) for i in range(n_groups + 1)]
-    groups = tuple(tuple(order[bounds[i] : bounds[i + 1]]) for i in range(n_groups))
-    return ClassGrouping(groups=groups, mode=MODE_BY_PRIOR, n_classes=k)

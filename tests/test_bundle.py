@@ -37,13 +37,16 @@ from imaxcal.bundle import (
     METHOD_IMAX_WITH_SCALER,
     METHOD_PLATT,
     METHOD_TEMPERATURE,
+    MODE_BY_PRIOR,
+    MODE_EXPLICIT,
+    MODE_ONE_FOR_ALL,
     STRATEGY_CW,
     STRATEGY_SCW,
     apply_bundle,
     fit_bundle,
     resolve_grouping,
 )
-from imaxcal.data import group_all, logit_of_prob, prob_of_logit, softmax
+from imaxcal.data import logit_of_prob, prob_of_logit, softmax
 from imaxcal.metrics import SCHEME_EXACT, THRESHOLD_ZERO, cw_ece, top1_ece
 from imaxcal.scaling import apply_scaler
 from imaxcal.synth import MulticlassSynthSpec, gen_multiclass
@@ -74,14 +77,29 @@ def _quiet_fit(*args, **kwargs):
 
 def test_resolve_grouping_variants():
     data = _data(k=6)
-    assert resolve_grouping(data, STRATEGY_SCW).groups == ((0, 1, 2, 3, 4, 5),)
-    assert len(resolve_grouping(data, STRATEGY_CW).groups) == 6
-    by_prior = resolve_grouping(data, STRATEGY_SCW, groups_spec=3)
-    assert len(by_prior.groups) == 3
-    explicit = resolve_grouping(data, STRATEGY_SCW, groups_spec=[(0, 1, 2), (3, 4, 5)])
-    assert explicit.groups == ((0, 1, 2), (3, 4, 5))
+    assert resolve_grouping(data, STRATEGY_SCW) == (MODE_ONE_FOR_ALL, ((0, 1, 2, 3, 4, 5),))
+    singletons = ((0,), (1,), (2,), (3,), (4,), (5,))
+    assert resolve_grouping(data, STRATEGY_CW) == (MODE_EXPLICIT, singletons)
+    mode, by_prior = resolve_grouping(data, STRATEGY_SCW, groups_spec=3)
+    assert mode == MODE_BY_PRIOR and len(by_prior) == 3
+    explicit = resolve_grouping(data, STRATEGY_SCW, groups_spec=[(2, 1, 0), (3, 4, 5)])
+    assert explicit == (MODE_EXPLICIT, ((0, 1, 2), (3, 4, 5)))
     with pytest.raises(DataError):
         resolve_grouping(data, STRATEGY_CW, groups_spec=2)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([(0, 1, 2), (2, 3, 4, 5)], "groups overlap"),
+        ([(0, 1, 2), (4, 5)], "cover classes 0..5 exactly"),  # a gap at 3
+        ([(0, 1, 2), (3, 4, 5, 6)], "cover classes 0..5 exactly"),  # class 6 >= K
+        ([(0, 1, 2.0), (3, 4, 5)], "class index must be a non-negative integer"),
+    ],
+)
+def test_explicit_groups_must_partition_the_classes(spec, message):
+    with pytest.raises(DataError, match=message):
+        resolve_grouping(_data(k=6), STRATEGY_SCW, groups_spec=spec)
 
 
 # --- fitting ------------------------------------------------------------------
@@ -251,6 +269,39 @@ def test_bundle_json_is_strict():
         CalibratorBundle.from_json("{broken")
 
 
+def test_a_bundle_records_its_groups_once():
+    # the JSON grouping is the calibrators' classes, each group ascending, in
+    # the order the groups were given
+    b = fit_bundle(_data(n=500, k=5), METHOD_EQ_SIZE, groups_spec=[(4, 3), (0, 1, 2)],
+                   config=ImaxConfig(n_bins=3))
+    assert b.grouping_mode == MODE_EXPLICIT
+    assert [cal.classes for cal in b.calibrators] == [(3, 4), (0, 1, 2)]
+    doc = json.loads(b.to_json())
+    assert doc["grouping"] == {"mode": MODE_EXPLICIT, "groups": [[3, 4], [0, 1, 2]]}
+
+    # a hand-edited group listed as [1, 0] loads; the grouping is written
+    # ascending again and the calibrator's classes as they were given
+    doc["grouping"]["groups"][1] = doc["calibrators"][1]["classes"] = [1, 0, 2]
+    loaded = CalibratorBundle.from_json(json.dumps(doc))
+    doc["grouping"]["groups"][1] = [0, 1, 2]
+    assert loaded.to_json() == json.dumps(doc, indent=2) + "\n"
+
+    for groups in ([[0, 1, 2], [3, 4]], [[3, 4], [0, 1]], [[3, 4], [0, 1], [2]]):
+        doc["grouping"]["groups"] = groups
+        with pytest.raises(DataError, match="grouping must list the calibrators' classes"):
+            CalibratorBundle.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("n_classes", [10**9, 10**12])
+def test_a_huge_class_count_fails_the_cover_rule_at_once(n_classes):
+    # the count comes from the file; the cover rule compares it with the
+    # listed classes before it builds anything of that size
+    doc = json.loads(fit_bundle(_data(k=5), METHOD_TEMPERATURE).to_json())
+    doc["n_classes"] = n_classes
+    with pytest.raises(DataError, match=r"groups must cover classes 0\.\.\d+ exactly"):
+        CalibratorBundle.from_json(json.dumps(doc))
+
+
 def test_bundle_json_ends_with_newline():
     assert fit_bundle(_data(), METHOD_TEMPERATURE).to_json().endswith("\n")
 
@@ -273,7 +324,9 @@ def test_calibrators_cover_every_class_once():
     assert len(b.calibrators) == 2
     assert sorted(c for cal in b.calibrators for c in cal.classes) == [0, 1, 2, 3]
     with pytest.raises(DataError):  # class 4 would have no calibrator
-        CalibratorBundle(b.strategy, 5, b.input_kind, b.grouping, b.calibrators)
+        CalibratorBundle(b.strategy, 5, b.input_kind, b.grouping_mode, b.calibrators)
+    with pytest.raises(DataError):  # no classes and no calibrators
+        CalibratorBundle(b.strategy, 0, b.input_kind, b.grouping_mode, [])
 
 
 # --- application ----------------------------------------------------------------------
@@ -292,7 +345,7 @@ def test_identity_temperature_bundle_reproduces_probabilities():
         strategy=STRATEGY_SCW,
         n_classes=4,
         input_kind=PROBABILITIES,
-        grouping=group_all(4),
+        grouping_mode=MODE_ONE_FOR_ALL,
         calibrators=[
             GroupCalibrator(
                 classes=(0, 1, 2, 3),
@@ -371,7 +424,7 @@ def test_binner_without_reps_cannot_be_applied():
         strategy=STRATEGY_SCW,
         n_classes=2,
         input_kind=RAW_LOGITS,
-        grouping=group_all(2),
+        grouping_mode=MODE_ONE_FOR_ALL,
         calibrators=[
             GroupCalibrator(classes=(0, 1), binner=binner_from_edges(np.array([0.0]), METHOD_EQ_MASS))
         ],

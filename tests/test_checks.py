@@ -27,11 +27,10 @@ from imaxcal.binning import (
     fit_eq_size,
     set_representatives,
 )
-from imaxcal.bundle import CalibratorBundle, GroupCalibrator, fit_bundle
+from imaxcal.bundle import CalibratorBundle, GroupCalibrator, fit_bundle, resolve_grouping
 from imaxcal.data import (
     RAW_LOGITS,
     BinaryCalibrationSet,
-    ClassGrouping,
     PredictionMatrix,
     check_count,
     check_finite,
@@ -432,12 +431,10 @@ def test_group_counts_and_class_indices_are_checked(value):
             for cal in fitted.calibrators:
                 assert all(_stored(c, int) for c in cal.classes)
             CalibratorBundle.from_json(fitted.to_json())
-    grouping = _attempt(lambda: ClassGrouping(groups=((0, 1), (2, value)), n_classes=4))
+    grouping = _attempt(lambda: resolve_grouping(DATA, "scw", ((0, 1), (value, 2))))
     if grouping is not None:
-        assert grouping.groups == ((0, 1), (2, 3))
-    grouping = _attempt(lambda: ClassGrouping(groups=((0, 1), (2, 3)), n_classes=value))
-    if grouping is not None:
-        assert _stored(grouping.n_classes, int)
+        assert grouping == ("explicit", ((0, 1), (2, 3)))
+        assert all(_stored(c, int) for g in grouping[1] for c in g)
     scaler = Scaler("temperature", temperature=1.0)
     cal = _attempt(lambda: GroupCalibrator(classes=(0, value), scaler=scaler))
     if cal is not None:
@@ -448,7 +445,7 @@ def test_group_counts_and_class_indices_are_checked(value):
         np.testing.assert_array_equal(pooled.logits[DATA.n_samples:], POOLED.logits[rows])
     fitted = TEMPERATURE_BUNDLE
     made = _attempt(lambda: CalibratorBundle(
-        "scw", value, fitted.input_kind, fitted.grouping, fitted.calibrators
+        "scw", value, fitted.input_kind, fitted.grouping_mode, fitted.calibrators
     ))
     if made is not None:
         assert _stored(made.n_classes, int)
@@ -537,7 +534,8 @@ def test_numpy_values_are_stored_as_python_values():
     fitted = fit_bundle(DATA, "eq_size", groups_spec=np.int64(2))
     assert len(fitted.calibrators) == 2
     explicit = fit_bundle(DATA, "eq_size", groups_spec=np.array([[0, 3], [1, 2]]))
-    assert explicit.grouping.groups == ((0, 3), (1, 2))
+    assert explicit.groups == ((0, 3), (1, 2))
+    assert [cal.classes for cal in explicit.calibrators] == [(0, 3), (1, 2)]
     assert fit_bundle(DATA, "eq_size", groups_spec=[range(2), (2, 3)]).to_json()
 
 
@@ -576,6 +574,11 @@ def test_an_explicit_threshold_is_checked_like_a_config_one():
              "rep_strategy": "scaled_prob_mean"},
             "scaled_prob_mean does not apply to imax_with_scaler",
         ),
+        # the cover rule needs K, and is checked before any fit too
+        ({"groups_spec": [(0, 1), (1, 2)]}, "groups overlap"),
+        ({"groups_spec": [(0,), (2,)]}, "cover classes 0..3 exactly"),
+        ({"groups_spec": [(0, 1), (2, 3, 4)]}, "cover classes 0..3 exactly"),
+        ({"groups_spec": 5}, r"n_groups must be in \[1, 4\]"),
     ],
 )
 def test_an_unknown_strategy_fails_before_any_fit(monkeypatch, kwargs, message):

@@ -10,18 +10,15 @@ from scipy import special
 
 from imaxcal import (
     BinaryCalibrationSet,
-    ClassGrouping,
     DataError,
     PROBABILITIES,
     PredictionMatrix,
     RAW_LOGITS,
 )
+from imaxcal.bundle import group_by_prior, resolve_grouping
 from imaxcal.data import (
     BLOCK_ENTRIES,
     check_group_spec,
-    group_all,
-    group_by_prior,
-    group_singletons,
     logit_of_prob,
     ovr_logits,
     ovr_set,
@@ -324,33 +321,20 @@ def test_ovr_set_class_order_only_permutes():
 
 # --- class groupings ----------------------------------------------------
 
-def test_group_helpers():
-    g = group_all(4)
-    assert g.groups == ((0, 1, 2, 3),)
-    assert group_singletons(4).groups == ((0,), (1,), (2,), (3,))
-
-
-def test_grouping_must_partition():
-    with pytest.raises(DataError):
-        ClassGrouping(groups=((0, 1), (1, 2)), n_classes=3)  # overlap
-    with pytest.raises(DataError):
-        ClassGrouping(groups=((0,), (2,)), n_classes=3)  # gap
-
-
 def test_group_by_prior_orders_by_frequency():
-    # class 2 is rare, class 0 common; ascending prior order decides membership
+    # class 2 is rare, class 0 common; ascending prior order decides
+    # membership, and each block lists its classes ascending
     labels = np.array([0] * 6 + [1] * 3 + [2] * 1)
     data = PredictionMatrix(np.zeros((10, 3)), labels, kind=RAW_LOGITS)
-    g = group_by_prior(data, 2)
-    assert 2 in g.groups[0]
-    assert 0 in g.groups[1]
+    groups = group_by_prior(data, 2)
+    assert groups == ((1, 2), (0,))
+    assert all(type(c) is int for g in groups for c in g)
 
 
 def test_group_by_prior_uniform_falls_back_to_index_order():
     labels = np.array([0, 1, 2, 3])
     data = PredictionMatrix(np.zeros((4, 4)), labels, kind=RAW_LOGITS)
-    g = group_by_prior(data, 2)
-    assert g.groups == ((0, 1), (2, 3))
+    assert group_by_prior(data, 2) == ((0, 1), (2, 3))
 
 
 @pytest.mark.parametrize(
@@ -364,7 +348,7 @@ def test_group_specs_are_checked_without_a_class_count(spec):
         if isinstance(spec, (int, np.integer)):
             group_by_prior(data, spec)
         else:
-            ClassGrouping(groups=spec, n_classes=4)
+            resolve_grouping(data, "scw", spec)
 
 
 @pytest.mark.parametrize("spec", [None, 1, 7, [(0, 1), (2,)], [(5,)]])
