@@ -27,8 +27,6 @@ from .data import (
     check_count,
     check_finite,
     check_number,
-    json_list,
-    json_object,
     prob_of_logit,
 )
 from .errors import DataError, FitError
@@ -41,8 +39,6 @@ REP_EMPIRICAL_FREQ = "empirical_freq"
 REP_RAW_PROB_MEAN = "raw_prob_mean"
 REP_SCALED_PROB_MEAN = "scaled_prob_mean"
 REP_STRATEGIES = (REP_EMPIRICAL_FREQ, REP_RAW_PROB_MEAN, REP_SCALED_PROB_MEAN)
-
-_BINNER_JSON_FIELDS = ("method", "edges", "phis", "reps", "seed", "iterations")
 
 MAX_ITERATIONS = 200
 TOLERANCE = 1e-10
@@ -78,8 +74,7 @@ class FitTrace:
     to compute any other loss. final_movement is the largest edge movement
     of the last pair; the fit converged when it fell below TOLERANCE, and
     otherwise stopped at MAX_ITERATIONS. seed_s is the wall time of the
-    seeding in seconds, a timing for diagnostics that Binner.to_dict leaves
-    out.
+    seeding in seconds, a timing for diagnostics that no bundle records.
     """
 
     loss: np.ndarray
@@ -126,38 +121,6 @@ class Binner:
     @property
     def n_bins(self):
         return self.phis.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "edges": [float(v) for v in self.edges],
-            "phis": [float(v) for v in self.phis],
-            "reps": None if self.reps is None else [float(v) for v in self.reps],
-            "seed": self.seed,
-            "iterations": self.iterations,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Binner":
-        payload = json_object(payload, _BINNER_JSON_FIELDS, "binner")
-        if payload["method"] not in (METHOD_EQ_SIZE, METHOD_EQ_MASS, METHOD_IMAX):
-            raise DataError(f"unknown binning method {payload['method']!r}")
-
-        def numbers(name):
-            what = f"binner {name}"
-            return [check_number(v, what) for v in json_list(payload[name], what)]
-
-        try:
-            return cls(
-                edges=numbers("edges"),
-                phis=numbers("phis"),
-                reps=None if payload["reps"] is None else numbers("reps"),
-                method=payload["method"],
-                iterations=payload["iterations"],
-                seed=payload["seed"],
-            )
-        except FitError as exc:
-            raise DataError(f"malformed binner: {exc}") from exc
 
 
 def quantize(binner, lam):

@@ -5,10 +5,15 @@ A bundle holds one calibrator per group of classes, either a Binner
 the groups. Applying a bundle maps each class's one-vs-rest logit through
 its group's calibrator and never renormalizes the resulting rows.
 
-The JSON format is strict: version "1", unknown fields rejected, floats
-serialized with shortest round-trip formatting so a refit with the same
-seed is byte-identical. Its "grouping" lists each calibrator's classes,
-ascending, in calibrator order; loading checks that it does.
+This module is the one reader and writer of the bundle format. The JSON
+format is strict: version "1", unknown fields rejected, floats serialized
+with shortest round-trip formatting so a refit with the same seed is
+byte-identical. Its "grouping" lists each calibrator's classes, ascending,
+in calibrator order; loading checks that it does. A binner is written as
+method, edges, phis, reps, seed and iterations; a scaler as its kind and
+then temperature, or a and b. A field named twice at any level, nesting
+deeper than json recurses, and an integer too long for int() are each a
+DataError.
 """
 
 import json
@@ -36,14 +41,13 @@ from .data import (
     PredictionMatrix,
     check_count,
     check_group_spec,
-    json_list,
-    json_object,
+    check_number,
     ovr_logits,
     ovr_set,
     prob_of_logit,
     row_blocks,
 )
-from .errors import DataError
+from .errors import DataError, FitError
 from .scaling import (
     KIND_PLATT,
     KIND_TEMPERATURE,
@@ -83,6 +87,8 @@ MODE_ONE_FOR_ALL = "one_for_all"
 MODE_BY_PRIOR = "by_prior_quantile"
 MODE_EXPLICIT = "explicit"
 _CALIBRATOR_FIELDS = ("classes", "binner", "scaler")
+_BINNER_FIELDS = ("method", "edges", "phis", "reps", "seed", "iterations")
+_SCALER_FIELDS = {KIND_TEMPERATURE: ("temperature",), KIND_PLATT: ("a", "b")}
 
 
 @dataclass
@@ -139,8 +145,8 @@ class CalibratorBundle:
             "calibrators": [
                 {
                     "classes": list(cal.classes),
-                    "binner": None if cal.binner is None else cal.binner.to_dict(),
-                    "scaler": None if cal.scaler is None else cal.scaler.to_dict(),
+                    "binner": None if cal.binner is None else _binner_json(cal.binner),
+                    "scaler": None if cal.scaler is None else _scaler_json(cal.scaler),
                 }
                 for cal in self.calibrators
             ],
@@ -151,26 +157,24 @@ class CalibratorBundle:
     @classmethod
     def from_json(cls, text: str) -> "CalibratorBundle":
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(text, object_pairs_hook=_unique_fields)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers a JSONDecodeError and an integer of more digits
+            # than int() converts; json recurses once per level of nesting
             raise DataError(f"bundle is not valid JSON: {exc}") from exc
-        payload = json_object(payload, _BUNDLE_FIELDS, "bundle")
+        payload = _json_object(payload, _BUNDLE_FIELDS, "bundle")
         if payload["version"] != BUNDLE_VERSION:
             raise DataError(
                 f"unsupported bundle version {payload['version']!r}"
                 f" (expected {BUNDLE_VERSION!r})"
             )
-        grouping = json_object(payload["grouping"], _GROUPING_FIELDS, "bundle grouping")
-        groups = check_group_spec(json_list(grouping["groups"], "bundle grouping groups"))
+        grouping = _json_object(payload["grouping"], _GROUPING_FIELDS, "bundle grouping")
+        groups = check_group_spec(_json_list(grouping["groups"], "bundle grouping groups"))
         calibrators = []
-        for cal in json_list(payload["calibrators"], "bundle calibrators"):
-            cal = json_object(cal, _CALIBRATOR_FIELDS, "calibrator")
-            binner = None if cal["binner"] is None else Binner.from_dict(cal["binner"])
-            # applying a binner maps each bin to its representative, and every
-            # bundle fit writes them, so one without is malformed
-            if binner is not None and binner.reps is None:
-                raise DataError("bundle binner has no representatives")
-            scaler = None if cal["scaler"] is None else Scaler.from_dict(cal["scaler"])
+        for cal in _json_list(payload["calibrators"], "bundle calibrators"):
+            cal = _json_object(cal, _CALIBRATOR_FIELDS, "calibrator")
+            binner = None if cal["binner"] is None else _read_binner(cal["binner"])
+            scaler = None if cal["scaler"] is None else _read_scaler(cal["scaler"])
             calibrators.append(GroupCalibrator(cal["classes"], binner, scaler))
         if _ascending(groups) != _ascending(cal.classes for cal in calibrators):
             raise DataError("grouping must list the calibrators' classes, in order")
@@ -182,6 +186,92 @@ class CalibratorBundle:
             calibrators=calibrators,
             provenance=payload["provenance"],
         )
+
+
+def _unique_fields(pairs) -> dict:
+    """A JSON object's fields as a dict; a field named twice is a DataError."""
+    fields = {}
+    for name, value in pairs:
+        if name in fields:
+            raise DataError(f"bundle repeats the field {name!r}")
+        fields[name] = value
+    return fields
+
+
+def _json_object(value, fields, what):
+    """A JSON object with exactly the given fields, returned as it is."""
+    if not isinstance(value, dict):
+        raise DataError(f"{what} must be a JSON object")
+    unknown = set(value) - set(fields)
+    if unknown:
+        raise DataError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = set(fields) - set(value)
+    if missing:
+        raise DataError(f"missing {what} fields: {sorted(missing)}")
+    return value
+
+
+def _json_list(value, what):
+    """A JSON list, returned as it is."""
+    if not isinstance(value, list):
+        raise DataError(f"{what} must be a list")
+    return value
+
+
+def _malformed(what, build):
+    """build(), with a FitError from a model type's own checks made a
+    DataError: a value read from a bundle, not a fit, broke the rule."""
+    try:
+        return build()
+    except FitError as exc:
+        raise DataError(f"malformed {what}: {exc}") from exc
+
+
+def _binner_json(binner: Binner) -> dict:
+    return {
+        "method": binner.method,
+        "edges": [float(v) for v in binner.edges],
+        "phis": [float(v) for v in binner.phis],
+        "reps": None if binner.reps is None else [float(v) for v in binner.reps],
+        "seed": binner.seed,
+        "iterations": binner.iterations,
+    }
+
+
+def _read_binner(payload) -> Binner:
+    payload = _json_object(payload, _BINNER_FIELDS, "binner")
+    if payload["method"] not in (METHOD_EQ_SIZE, METHOD_EQ_MASS, METHOD_IMAX):
+        raise DataError(f"unknown binning method {payload['method']!r}")
+
+    def numbers(name):
+        what = f"binner {name}"
+        return [check_number(v, what) for v in _json_list(payload[name], what)]
+
+    binner = _malformed("binner", lambda: Binner(
+        edges=numbers("edges"),
+        phis=numbers("phis"),
+        reps=None if payload["reps"] is None else numbers("reps"),
+        method=payload["method"],
+        iterations=payload["iterations"],
+        seed=payload["seed"],
+    ))
+    # applying a binner maps each bin to its representative, and every
+    # bundle fit writes them, so one without is malformed
+    if binner.reps is None:
+        raise DataError("bundle binner has no representatives")
+    return binner
+
+
+def _scaler_json(scaler: Scaler) -> dict:
+    return {"kind": scaler.kind, **{f: getattr(scaler, f) for f in _SCALER_FIELDS[scaler.kind]}}
+
+
+def _read_scaler(payload) -> Scaler:
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind not in (KIND_TEMPERATURE, KIND_PLATT):
+        raise DataError(f"scaler must be a JSON object with a known kind, got {kind!r}")
+    _json_object(payload, ("kind", *_SCALER_FIELDS[kind]), f"{kind} scaler")
+    return _malformed("scaler", lambda: Scaler(**payload))
 
 
 def _ascending(groups) -> tuple:
@@ -329,7 +419,7 @@ def fit_bundle(
 
     provenance["n_fit_samples"] = data.n_samples
     if scaler is not None:
-        provenance["scaler"] = scaler.to_dict()
+        provenance["scaler"] = _scaler_json(scaler)
     return CalibratorBundle(
         strategy=strategy,
         n_classes=data.n_classes,

@@ -182,26 +182,6 @@ def check_labels(labels, n, k):
     return labels
 
 
-def json_object(value, fields, what):
-    """A JSON object with exactly the given fields, returned as it is."""
-    if not isinstance(value, dict):
-        raise DataError(f"{what} must be a JSON object")
-    unknown = set(value) - set(fields)
-    if unknown:
-        raise DataError(f"unknown {what} fields: {sorted(unknown)}")
-    missing = set(fields) - set(value)
-    if missing:
-        raise DataError(f"missing {what} fields: {sorted(missing)}")
-    return value
-
-
-def json_list(value, what):
-    """A JSON list, returned as it is."""
-    if not isinstance(value, list):
-        raise DataError(f"{what} must be a list")
-    return value
-
-
 def row_blocks(n, width):
     """Slices covering rows 0..n-1 in order: at width values per row, each
     holds about BLOCK_ENTRIES values, and at least one row."""

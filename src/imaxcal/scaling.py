@@ -16,7 +16,6 @@ from .data import (
     BinaryCalibrationSet,
     PredictionMatrix,
     check_number,
-    json_object,
     prob_of_logit,
     softmax,
 )
@@ -50,23 +49,6 @@ class Scaler:
             self.b = check_number(self.b, "scaler b")
         else:
             raise DataError(f"unknown scaler kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        if self.kind == KIND_TEMPERATURE:
-            return {"kind": self.kind, "temperature": self.temperature}
-        return {"kind": self.kind, "a": self.a, "b": self.b}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Scaler":
-        kind = payload.get("kind") if isinstance(payload, dict) else None
-        if kind not in (KIND_TEMPERATURE, KIND_PLATT):
-            raise DataError(f"scaler must be a JSON object with a known kind, got {kind!r}")
-        names = ("temperature",) if kind == KIND_TEMPERATURE else ("a", "b")
-        json_object(payload, ("kind", *names), f"{kind} scaler")
-        try:
-            return cls(**payload)
-        except FitError as exc:
-            raise DataError(f"malformed scaler: {exc}") from exc
 
 
 def apply_scaler(scaler: Scaler, lam):

@@ -1,6 +1,5 @@
 """Bin-edge fitting: baselines, the alternating optimizer, representatives."""
 
-import json
 import math
 import tracemalloc
 
@@ -53,6 +52,7 @@ from imaxcal.synth import (
     gen_binary_mixture,
     gen_multiclass,
 )
+from test_bundle import _load_one, _one_calibrator_doc
 
 
 def _mixture(n=2000, seed=0, **params):
@@ -144,14 +144,20 @@ def test_binner_rejects_nan_reps():
 
 
 @pytest.mark.parametrize(
-    "field,value", [("iterations", None), ("edges", ["a"]), ("reps", [0.2, 1.5])]
+    "field,value,message",
+    [
+        ("iterations", None, "binner iterations must be a non-negative integer"),
+        ("edges", ["a"], "binner edges must be a number"),
+        ("reps", [0.2, 1.5], r"malformed binner: representatives must lie in \[0, 1\]"),
+    ],
 )
-def test_binner_from_dict_raises_data_errors(field, value):
-    payload = binner_from_edges(np.array([0.0]), METHOD_EQ_SIZE).to_dict()
+def test_a_malformed_bundle_binner_is_a_data_error(field, value, message):
+    doc = _one_calibrator_doc(binner=binner_from_edges(np.array([0.0]), METHOD_EQ_SIZE))
+    payload = doc["calibrators"][0]["binner"]
     payload["reps"] = [0.2, 0.8]
     payload[field] = value
-    with pytest.raises(DataError):
-        Binner.from_dict(payload)
+    with pytest.raises(DataError, match=message):
+        _load_one(doc)
 
 
 def test_binner_reps_bounds_are_inclusive():
@@ -163,14 +169,10 @@ def test_binner_reps_bounds_are_inclusive():
     )
 
 
-def _through_json(binner):
-    return Binner.from_dict(json.loads(json.dumps(binner.to_dict())))
-
-
 def test_binner_json_round_trip_is_exact():
     cal = _mixture(n=1000, seed=3)
     b = set_representatives(fit_edges(cal, METHOD_IMAX, ImaxConfig(n_bins=5, seed=0)), cal)
-    back = _through_json(b)
+    back = _load_one(_one_calibrator_doc(binner=b)).binner
     np.testing.assert_array_equal(back.edges, b.edges)
     np.testing.assert_array_equal(back.phis, b.phis)
     np.testing.assert_array_equal(back.reps, b.reps)
@@ -179,23 +181,19 @@ def test_binner_json_round_trip_is_exact():
     assert back.iterations == b.iterations
 
 
-def test_binner_json_none_reps_survive():
-    b = binner_from_edges(np.array([-0.5, 0.5]), METHOD_EQ_SIZE)
-    assert _through_json(b).reps is None
-
-
 def test_binner_json_is_strict():
-    b = binner_from_edges(np.array([0.0]), METHOD_EQ_SIZE)
-    doc = b.to_dict()
-    doc["extra"] = 1
-    with pytest.raises(DataError):
-        Binner.from_dict(doc)
-    del doc["extra"]
-    del doc["phis"]
-    with pytest.raises(DataError):
-        Binner.from_dict(doc)
-    with pytest.raises(DataError):
-        Binner.from_dict(["not", "an", "object"])
+    doc = _one_calibrator_doc(binner=binner_from_edges(np.array([0.0]), METHOD_EQ_SIZE))
+    payload = doc["calibrators"][0]["binner"]
+    payload["extra"] = 1
+    with pytest.raises(DataError, match="unknown binner fields"):
+        _load_one(doc)
+    del payload["extra"]
+    del payload["phis"]
+    with pytest.raises(DataError, match="missing binner fields"):
+        _load_one(doc)
+    doc["calibrators"][0]["binner"] = ["not", "an", "object"]
+    with pytest.raises(DataError, match="binner must be a JSON object"):
+        _load_one(doc)
 
 
 # --- baseline edges -----------------------------------------------------

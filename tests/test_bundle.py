@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -302,6 +303,53 @@ def test_a_huge_class_count_fails_the_cover_rule_at_once(n_classes):
         CalibratorBundle.from_json(json.dumps(doc))
 
 
+def _one_calibrator_doc(**payload):
+    """The JSON of a two-class bundle whose one calibrator holds payload, as
+    a dict."""
+    calibrator = GroupCalibrator((0, 1), **payload)
+    bundle = CalibratorBundle(STRATEGY_SCW, 2, RAW_LOGITS, MODE_ONE_FOR_ALL, [calibrator])
+    return json.loads(bundle.to_json())
+
+
+def _load_one(doc):
+    """The one calibrator of bundle doc, loaded from its JSON text."""
+    return CalibratorBundle.from_json(json.dumps(doc)).calibrators[0]
+
+
+# Faults that json itself meets, each made by replacing the first occurrence
+# of a piece of a fitted bundle's text, and the DataError each must raise
+_FAULTY_TEXTS = {
+    "repeated binner reps": (
+        '"reps": [', '"reps": [0.5, 0.5, 0.5],\n"reps": [', "bundle repeats the field 'reps'"
+    ),
+    "repeated version": (
+        '"version": "1",', '"version": "1",\n"version": "1",', "bundle repeats the field 'version'"
+    ),
+    "5000-digit integer in provenance": (
+        '"provenance": {', '"provenance": {"n": ' + "7" * 5000 + ",", "not valid JSON: Exceeds"
+    ),
+    "5000-digit seed": ('"seed": 0', '"seed": ' + "1" * 5000, "not valid JSON: Exceeds"),
+    "200000-deep array in provenance": (
+        '"provenance": {',
+        '"provenance": {"n": ' + "[" * 200_000 + "]" * 200_000 + ",",
+        "not valid JSON: maximum recursion depth",
+    ),
+}
+
+
+def _faulty_text(text, fault):
+    old, new, _ = _FAULTY_TEXTS[fault]
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTY_TEXTS))
+def test_a_bundle_text_the_parser_rejects_is_a_data_error(fault):
+    text = fit_bundle(_data(n=300, k=3), METHOD_IMAX, config=ImaxConfig(n_bins=3)).to_json()
+    with pytest.raises(DataError, match=_FAULTY_TEXTS[fault][2]):
+        CalibratorBundle.from_json(_faulty_text(text, fault))
+
+
 def test_bundle_json_ends_with_newline():
     assert fit_bundle(_data(), METHOD_TEMPERATURE).to_json().endswith("\n")
 
@@ -419,7 +467,7 @@ def test_binned_outputs_take_few_values_and_skip_renormalization():
     assert np.max(np.abs(row_sums - 1.0)) > 1e-6
 
 
-def test_binner_without_reps_cannot_be_applied():
+def test_a_binner_without_reps_is_written_but_neither_loads_nor_applies():
     b = CalibratorBundle(
         strategy=STRATEGY_SCW,
         n_classes=2,
@@ -431,6 +479,10 @@ def test_binner_without_reps_cannot_be_applied():
     )
     with pytest.raises(FitError):
         apply_bundle(b, np.zeros((2, 2)), RAW_LOGITS)
+    text = b.to_json()
+    assert json.loads(text)["calibrators"][0]["binner"]["reps"] is None
+    with pytest.raises(DataError, match="bundle binner has no representatives"):
+        CalibratorBundle.from_json(text)
 
 
 # --- end-to-end behavior ------------------------------------------------------------------
@@ -569,3 +621,34 @@ def test_a_mutated_bundle_loads_or_is_a_data_error(valid_bundle_docs, data):
     except ImaxcalError:
         return
     assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+# a line that names a field, as json.dumps(..., indent=2) writes it
+_FIELD_LINE = re.compile(r'^\s*"[^"]*": ')
+_NUMBER = re.compile(r"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_a_mutated_bundle_text_loads_or_is_a_data_error(valid_bundle_docs, data):
+    # the faults json itself meets: a repeated field, deep nesting and an
+    # integer too long for int()
+    lines = json.dumps(data.draw(st.sampled_from(valid_bundle_docs)), indent=2).splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    action = data.draw(st.sampled_from(["repeat", "wrap", "digits"]))
+    size = data.draw(st.integers(1, 5000))
+    if action == "repeat":
+        lines.insert(i, line)
+    elif action == "wrap":
+        head, sep, value = line.rpartition(": ")
+        body = value.rstrip(",")
+        lines[i] = head + sep + "[" * size + body + "]" * size + value[len(body):]
+    elif (number := _NUMBER.search(line)) is not None:
+        lines[i] = line[: number.start()] + "9" * size + line[number.end():]
+    try:
+        CalibratorBundle.from_json("\n".join(lines))
+    except DataError:
+        return
+    # a field named twice is never read as one of its two values
+    assert not (action == "repeat" and _FIELD_LINE.match(line))

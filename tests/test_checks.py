@@ -61,6 +61,7 @@ from imaxcal.synth import (
     gen_binary_mixture,
     gen_multiclass,
 )
+from test_bundle import _one_calibrator_doc
 
 # Every kind of value a caller might pass for a count or a real. Counts stay
 # small: a count too large for memory fails in numpy, which no type check
@@ -393,17 +394,17 @@ def test_binners_and_scalers_store_checked_values(value):
     binner = _attempt(lambda: binner_from_edges(edges, "eq_size", seed=value))
     if binner is not None:
         assert binner.seed is None or _stored(binner.seed, int)
-        json.dumps(binner.to_dict())
+        _one_calibrator_doc(binner=binner)
     binner = _attempt(lambda: Binner(edges, np.array([-2.0, 0.0, 2.0]), iterations=value))
     if binner is not None:
         assert _stored(binner.iterations, int)
-        json.dumps(binner.to_dict())
+        _one_calibrator_doc(binner=binner)
     for fields in ({"temperature": value}, {"a": value, "b": 0.5}, {"a": 1.0, "b": value}):
         kind = "temperature" if "temperature" in fields else "platt"
         scaler = _attempt(lambda: Scaler(kind, **fields))
         if scaler is not None:
             assert all(_stored(getattr(scaler, f), float) for f in fields)
-            json.dumps(scaler.to_dict())
+            _one_calibrator_doc(scaler=scaler)
 
 
 @settings(max_examples=60)
@@ -530,7 +531,8 @@ def test_numpy_values_are_stored_as_python_values():
                           top_k=(np.int64(2),), cw_thresholds=(np.float64(0.25),))
     json.dumps(build_report(np.full((8, 4), 0.25), np.arange(8) % 4, eval_cfg).to_dict())
     assert MulticlassSynthSpec(n=np.int64(10)).to_dict()["n"] == 10
-    assert binner_from_edges(np.array([0.0]), "eq_size", seed=np.int64(1)).to_dict()["seed"] == 1
+    binner = binner_from_edges(np.array([0.0]), "eq_size", seed=np.int64(1))
+    assert _one_calibrator_doc(binner=binner)["calibrators"][0]["binner"]["seed"] == 1
     fitted = fit_bundle(DATA, "eq_size", groups_spec=np.int64(2))
     assert len(fitted.calibrators) == 2
     explicit = fit_bundle(DATA, "eq_size", groups_spec=np.array([[0, 3], [1, 2]]))

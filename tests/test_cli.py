@@ -18,6 +18,7 @@ from imaxcal.data import PROBABILITIES, RAW_LOGITS, PredictionMatrix, ovr_set, s
 from imaxcal.info import mi_bound_of_set, mi_report, mi_report_csv
 from imaxcal.metrics import SCHEME_EXACT, TIE_RAW_LOGIT, EvalConfig, accuracy_topk, build_report
 from imaxcal.synth import BinaryMixtureSpec, analytic_mi
+from test_bundle import _FAULTY_TEXTS, _faulty_text
 
 
 DIAG_TOKEN = r'[a-z0-9_]+=("[^"]*"|\S+)'
@@ -672,6 +673,20 @@ def test_a_bundle_that_is_not_utf8_is_a_data_error(workdir, tmp_path, capsys):
     ) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err and "error=data" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTY_TEXTS))
+def test_a_bundle_text_the_parser_rejects_is_a_data_error(workdir, tmp_path, capsys, fault):
+    raw = tmp_path / "raw.json"
+    raw.write_text(_faulty_text(_fit_bundle(workdir).read_text(), fault))
+    capsys.readouterr()
+    assert main(
+        ["apply", str(raw), str(workdir / "mc-scores.csv"), "-o", str(tmp_path / "c.csv")]
+    ) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error=data" in line for line in err.splitlines()) == 1
     assert not (tmp_path / "c.csv").exists()
 
 

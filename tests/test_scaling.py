@@ -29,6 +29,7 @@ from imaxcal.binning import (
 )
 from imaxcal.scaling import apply_scaler, fit_platt, fit_temperature
 from imaxcal.synth import MulticlassSynthSpec, gen_multiclass
+from test_bundle import _load_one, _one_calibrator_doc
 
 
 def _platt_data(n=100_000, seed=42):
@@ -52,22 +53,29 @@ def test_scaler_validation():
         Scaler(kind="beta", temperature=1.0)
 
 
-def test_scaler_dict_round_trip():
+def _load_scaler(doc, payload):
+    doc["calibrators"][0]["scaler"] = payload
+    return _load_one(doc).scaler
+
+
+def test_scaler_json_round_trip():
     for s in (
         Scaler(kind=KIND_TEMPERATURE, temperature=2.5),
         Scaler(kind=KIND_PLATT, a=1.5, b=-0.25),
     ):
-        back = Scaler.from_dict(s.to_dict())
-        assert back == s
-    with pytest.raises(DataError):
-        Scaler.from_dict({"kind": KIND_TEMPERATURE, "temperature": 1.0, "junk": 0})
-    with pytest.raises(DataError):
-        Scaler.from_dict({"kind": KIND_TEMPERATURE})
+        doc = _one_calibrator_doc(scaler=s)
+        assert _load_scaler(doc, doc["calibrators"][0]["scaler"]) == s
+    with pytest.raises(DataError, match="unknown temperature scaler fields"):
+        _load_scaler(doc, {"kind": KIND_TEMPERATURE, "temperature": 1.0, "junk": 0})
+    with pytest.raises(DataError, match="missing temperature scaler fields"):
+        _load_scaler(doc, {"kind": KIND_TEMPERATURE})
     for kind in ([1], {"a": 1}, None, "logistic"):
-        with pytest.raises(DataError):
-            Scaler.from_dict({"kind": kind, "temperature": 1.0})
-    with pytest.raises(DataError):
-        Scaler.from_dict([KIND_TEMPERATURE, 1.0])
+        with pytest.raises(DataError, match="known kind"):
+            _load_scaler(doc, {"kind": kind, "temperature": 1.0})
+    with pytest.raises(DataError, match="known kind"):
+        _load_scaler(doc, [KIND_TEMPERATURE, 1.0])
+    with pytest.raises(DataError, match="malformed scaler: temperature must be positive"):
+        _load_scaler(doc, {"kind": KIND_TEMPERATURE, "temperature": 0.0})
 
 
 def test_apply_scaler_formulas():
