@@ -1,10 +1,11 @@
 """Histogram binning calibrators.
 
-A Binner carries M-1 interior edges on the logit axis plus per-bin phi
-levels and (once assigned) per-bin probability representatives. Edges can
-come from fixed rules (eq_size, eq_mass) or from the iterative
-mutual-information-maximizing fit, which alternates closed-form edge and
-phi updates until the edges stop moving.
+A Binner carries M-1 interior edges on the logit axis and one probability
+representative per bin. Edges can come from fixed rules (eq_size, eq_mass)
+or from the iterative mutual-information-maximizing fit, which alternates
+closed-form edge and phi updates until the edges stop moving; the phi
+levels belong to that fit, and a fitted binner starts with their sigmoids
+as representatives until set_representatives assigns them from data.
 
 The iterative updates assume the sigmoid model P(y=1 | lam) ~ sigmoid(t)
 with t = scale * (lam + bias); the default scale=1, bias=0 uses the logit
@@ -73,11 +74,14 @@ class FitTrace:
     non-increasing by construction, and the loop keeps no positive counts
     to compute any other loss. final_movement is the largest edge movement
     of the last pair; the fit converged when it fell below TOLERANCE, and
-    otherwise stopped at MAX_ITERATIONS. seed_s is the wall time of the
-    seeding in seconds, a timing for diagnostics that no bundle records.
+    otherwise stopped at MAX_ITERATIONS. phis are the fit's final phi
+    levels, the t values the loss was taken at. seed_s is the wall time of
+    the seeding in seconds. Nothing here goes into a bundle, so a refit
+    stays byte-identical.
     """
 
     loss: np.ndarray
+    phis: np.ndarray
     empty_bin_events: int = 0
     final_movement: float = np.inf
     converged: bool = False
@@ -86,41 +90,34 @@ class FitTrace:
 
 @dataclass
 class Binner:
-    """Step-function calibrator over logit bins: one representative per bin,
-    not forced to increase with the logit."""
+    """Step-function calibrator over logit bins: M-1 strictly increasing
+    interior edges and one representative in [0, 1] per bin, not forced to
+    increase with the logit."""
 
     edges: np.ndarray
-    phis: np.ndarray
-    reps: np.ndarray | None = None
+    reps: np.ndarray
     method: str = METHOD_IMAX
     iterations: int = 0
-    seed: int | None = None
     diagnostics: FitTrace | None = None
 
     def __post_init__(self):
         self.iterations = check_count(self.iterations, "binner iterations")
-        if self.seed is not None:
-            self.seed = check_count(self.seed, "binner seed")
         self.edges = np.asarray(self.edges, dtype=np.float64)
-        self.phis = np.asarray(self.phis, dtype=np.float64)
-        if self.edges.ndim != 1 or self.phis.ndim != 1:
-            raise FitError("edges and phis must be 1-D")
-        if self.phis.shape[0] != self.edges.shape[0] + 1:
-            raise FitError("need exactly one phi level per bin")
+        self.reps = np.asarray(self.reps, dtype=np.float64)
+        if self.edges.ndim != 1 or self.reps.ndim != 1:
+            raise FitError("edges and representatives must be 1-D")
+        if self.reps.shape[0] != self.edges.shape[0] + 1:
+            raise FitError("need exactly one representative per bin")
         if self.edges.size and np.any(np.diff(self.edges) <= 0):
             raise FitError("edges must be strictly increasing")
-        if not np.all(np.isfinite(self.edges)) or not np.all(np.isfinite(self.phis)):
-            raise FitError("edges and phis must be finite")
-        if self.reps is not None:
-            self.reps = np.asarray(self.reps, dtype=np.float64)
-            if self.reps.shape != self.phis.shape:
-                raise FitError("need exactly one representative per bin")
-            if not np.all((self.reps >= 0.0) & (self.reps <= 1.0)):
-                raise FitError("representatives must lie in [0, 1]")
+        if not np.all(np.isfinite(self.edges)):
+            raise FitError("edges must be finite")
+        if not np.all((self.reps >= 0.0) & (self.reps <= 1.0)):
+            raise FitError("representatives must lie in [0, 1]")
 
     @property
     def n_bins(self):
-        return self.phis.shape[0]
+        return self.reps.shape[0]
 
 
 def quantize(binner, lam):
@@ -161,8 +158,6 @@ def bin_counts(edges, cal_set: BinaryCalibrationSet):
 
 def apply_binner(binner: Binner, lam):
     """Map logits to their bin's probability representative."""
-    if binner.reps is None:
-        raise FitError("binner has no representatives; call set_representatives")
     return binner.reps[quantize(binner, lam)]
 
 
@@ -356,13 +351,12 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
         raise FitError(str(exc)) from exc
     return Binner(
         edges=edges,
-        phis=phis,
-        reps=None,
+        reps=prob_of_logit(phis),
         method=METHOD_IMAX,
         iterations=n_pairs,
-        seed=cfg.seed,
         diagnostics=FitTrace(
             loss=loss,
+            phis=phis,
             empty_bin_events=empties,
             final_movement=movement,
             converged=movement < TOLERANCE,
@@ -371,22 +365,14 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     )
 
 
-def binner_from_edges(edges, method: str, seed=None) -> Binner:
+def binner_from_edges(edges, method: str) -> Binner:
     """Wrap fixed edges (eq_size / eq_mass) into a Binner.
 
-    Baseline binners carry midpoint-proxy phi levels: only the empty-bin
-    representative fallback ever reads them, and midpoints keep the
-    strictly-increasing invariant without depending on the data.
+    Its representatives are the sigmoids of midpoint-proxy phi levels: they
+    increase strictly without depending on the data, and an empty outer bin
+    keeps its one when set_representatives assigns the rest.
     """
-    edges = np.asarray(edges, dtype=np.float64)
-    return Binner(
-        edges=edges,
-        phis=_midpoint_phis(edges, 1.0, 0.0),
-        reps=None,
-        method=method,
-        iterations=0,
-        seed=seed,
-    )
+    return Binner(edges=edges, reps=prob_of_logit(_midpoint_phis(edges, 1.0, 0.0)), method=method)
 
 
 def set_representatives(
@@ -404,8 +390,9 @@ def set_representatives(
     sample of the set (a bundle passes its scaler's probabilities). Both
     means are summed by bin_sums in the set's row order, since a float sum
     depends on its order; weights with another strategy are a DataError.
-    Empty interior bins fall back to the sigmoid of the bin midpoint, empty
-    outer bins to the sigmoid of their phi level. By default
+    Empty interior bins fall back to the sigmoid of the bin midpoint; an
+    empty outer bin keeps the binner's current representative, the sigmoid
+    of its phi level on a binner fresh from a fit. By default
     representatives are clamped to [PROB_EPS, 1 - PROB_EPS] so downstream
     NLL stays finite; clamp=False keeps pure-bin frequencies at exactly 0 or
     1, which is what makes training-split calibration error vanish
@@ -427,7 +414,7 @@ def set_representatives(
     occupied = counts > 0
     reps = np.where(occupied, mass / np.where(occupied, counts, 1.0), np.nan)
     if not np.all(occupied):
-        fallback = prob_of_logit(binner.phis)
+        fallback = binner.reps.copy()
         if binner.n_bins > 2:
             interior_mid = (binner.edges[:-1] + binner.edges[1:]) / 2.0
             fallback[1:-1] = prob_of_logit(interior_mid)
@@ -455,14 +442,14 @@ def _checked_weights(weights, n):
 
 
 def fit_edges(cal_set: BinaryCalibrationSet, method: str, cfg: ImaxConfig) -> Binner:
-    """Edges and phi levels by method, with no representatives yet."""
+    """A binner by method, its representatives the sigmoids of its phi levels."""
     if method == METHOD_EQ_SIZE:
         # as fit_eq_mass and fit_imax do, before fit_eq_size sizes an array by n_bins
         if len(cal_set) < cfg.n_bins:
             raise FitError(f"need at least {cfg.n_bins} samples, got {len(cal_set)}")
-        return binner_from_edges(fit_eq_size(cfg.n_bins), method, seed=cfg.seed)
+        return binner_from_edges(fit_eq_size(cfg.n_bins), method)
     if method == METHOD_EQ_MASS:
-        return binner_from_edges(fit_eq_mass(cal_set, cfg.n_bins), method, seed=cfg.seed)
+        return binner_from_edges(fit_eq_mass(cal_set, cfg.n_bins), method)
     if method == METHOD_IMAX:
         return fit_imax(cal_set, cfg)
     raise DataError(f"unknown binning method {method!r}")

@@ -6,14 +6,16 @@ the groups. Applying a bundle maps each class's one-vs-rest logit through
 its group's calibrator and never renormalizes the resulting rows.
 
 This module is the one reader and writer of the bundle format. The JSON
-format is strict: version "1", unknown fields rejected, floats serialized
+format is strict: version "2", unknown fields rejected, floats serialized
 with shortest round-trip formatting so a refit with the same seed is
-byte-identical. Its "grouping" lists each calibrator's classes, ascending,
-in calibrator order; loading checks that it does. A binner is written as
-method, edges, phis, reps, seed and iterations; a scaler as its kind and
-then temperature, or a and b. A field named twice at any level, nesting
-deeper than json recurses, and an integer too long for int() are each a
-DataError.
+byte-identical. Each fact is recorded once: "grouping" is the mode string,
+and the groups are the calibrators' classes. A binner is written as
+method, edges, reps and iterations; a scaler as its kind and then
+temperature, or a and b; the seed is in the provenance only. A field named
+twice at any level, nesting deeper than json recurses, an integer too long
+for int() and the non-JSON constants NaN, Infinity and -Infinity are each a
+DataError. A version "1" bundle, which also listed the groups and each
+binner's phi levels and seed, is not read: refit it.
 """
 
 import json
@@ -57,7 +59,7 @@ from .scaling import (
     fit_temperature,
 )
 
-BUNDLE_VERSION = "1"
+BUNDLE_VERSION = "2"
 STRATEGY_CW = "cw"
 STRATEGY_SCW = "scw"
 
@@ -82,12 +84,11 @@ _BUNDLE_FIELDS = (
     "calibrators",
     "provenance",
 )
-_GROUPING_FIELDS = ("mode", "groups")
 MODE_ONE_FOR_ALL = "one_for_all"
 MODE_BY_PRIOR = "by_prior_quantile"
 MODE_EXPLICIT = "explicit"
 _CALIBRATOR_FIELDS = ("classes", "binner", "scaler")
-_BINNER_FIELDS = ("method", "edges", "phis", "reps", "seed", "iterations")
+_BINNER_FIELDS = ("method", "edges", "reps", "iterations")
 _SCALER_FIELDS = {KIND_TEMPERATURE: ("temperature",), KIND_PLATT: ("a", "b")}
 
 
@@ -138,10 +139,7 @@ class CalibratorBundle:
             "strategy": self.strategy,
             "n_classes": self.n_classes,
             "input_kind": self.input_kind,
-            "grouping": {
-                "mode": self.grouping_mode,
-                "groups": [list(g) for g in self.groups],
-            },
+            "grouping": self.grouping_mode,
             "calibrators": [
                 {
                     "classes": list(cal.classes),
@@ -157,10 +155,13 @@ class CalibratorBundle:
     @classmethod
     def from_json(cls, text: str) -> "CalibratorBundle":
         try:
-            payload = json.loads(text, object_pairs_hook=_unique_fields)
+            payload = json.loads(
+                text, object_pairs_hook=_unique_fields, parse_constant=_no_constant
+            )
         except (ValueError, RecursionError) as exc:
-            # ValueError covers a JSONDecodeError and an integer of more digits
-            # than int() converts; json recurses once per level of nesting
+            # ValueError covers a JSONDecodeError, an integer of more digits
+            # than int() converts and a NaN or Infinity; json recurses once
+            # per level of nesting
             raise DataError(f"bundle is not valid JSON: {exc}") from exc
         payload = _json_object(payload, _BUNDLE_FIELDS, "bundle")
         if payload["version"] != BUNDLE_VERSION:
@@ -168,21 +169,17 @@ class CalibratorBundle:
                 f"unsupported bundle version {payload['version']!r}"
                 f" (expected {BUNDLE_VERSION!r})"
             )
-        grouping = _json_object(payload["grouping"], _GROUPING_FIELDS, "bundle grouping")
-        groups = check_group_spec(_json_list(grouping["groups"], "bundle grouping groups"))
         calibrators = []
         for cal in _json_list(payload["calibrators"], "bundle calibrators"):
             cal = _json_object(cal, _CALIBRATOR_FIELDS, "calibrator")
             binner = None if cal["binner"] is None else _read_binner(cal["binner"])
             scaler = None if cal["scaler"] is None else _read_scaler(cal["scaler"])
             calibrators.append(GroupCalibrator(cal["classes"], binner, scaler))
-        if _ascending(groups) != _ascending(cal.classes for cal in calibrators):
-            raise DataError("grouping must list the calibrators' classes, in order")
         return cls(
             strategy=payload["strategy"],
             n_classes=payload["n_classes"],
             input_kind=payload["input_kind"],
-            grouping_mode=grouping["mode"],
+            grouping_mode=payload["grouping"],
             calibrators=calibrators,
             provenance=payload["provenance"],
         )
@@ -196,6 +193,11 @@ def _unique_fields(pairs) -> dict:
             raise DataError(f"bundle repeats the field {name!r}")
         fields[name] = value
     return fields
+
+
+def _no_constant(name):
+    """json's hook for NaN, Infinity and -Infinity, which JSON lacks."""
+    raise ValueError(f"{name} is not a JSON value")
 
 
 def _json_object(value, fields, what):
@@ -231,9 +233,7 @@ def _binner_json(binner: Binner) -> dict:
     return {
         "method": binner.method,
         "edges": [float(v) for v in binner.edges],
-        "phis": [float(v) for v in binner.phis],
-        "reps": None if binner.reps is None else [float(v) for v in binner.reps],
-        "seed": binner.seed,
+        "reps": [float(v) for v in binner.reps],
         "iterations": binner.iterations,
     }
 
@@ -247,19 +247,12 @@ def _read_binner(payload) -> Binner:
         what = f"binner {name}"
         return [check_number(v, what) for v in _json_list(payload[name], what)]
 
-    binner = _malformed("binner", lambda: Binner(
+    return _malformed("binner", lambda: Binner(
         edges=numbers("edges"),
-        phis=numbers("phis"),
-        reps=None if payload["reps"] is None else numbers("reps"),
+        reps=numbers("reps"),
         method=payload["method"],
         iterations=payload["iterations"],
-        seed=payload["seed"],
     ))
-    # applying a binner maps each bin to its representative, and every
-    # bundle fit writes them, so one without is malformed
-    if binner.reps is None:
-        raise DataError("bundle binner has no representatives")
-    return binner
 
 
 def _scaler_json(scaler: Scaler) -> dict:

@@ -28,6 +28,7 @@ from imaxcal.binning import (
     MAX_ITERATIONS,
     SKETCH,
     TOLERANCE,
+    _midpoint_phis,
     _seed_phis,
     apply_binner,
     bin_counts,
@@ -84,14 +85,8 @@ def test_quantize_is_monotone(values):
     assert np.all(np.diff(idx) >= 0)
 
 
-def test_apply_binner_needs_reps():
-    b = binner_from_edges(np.array([0.0]), METHOD_EQ_SIZE)
-    with pytest.raises(FitError):
-        apply_binner(b, np.array([1.0]))
-
-
 def test_apply_binner_single_bin_is_constant():
-    b = Binner(edges=np.array([]), phis=np.array([0.3]), reps=np.array([0.42]), method=METHOD_IMAX)
+    b = Binner(edges=np.array([]), reps=np.array([0.42]), method=METHOD_IMAX)
     np.testing.assert_array_equal(apply_binner(b, np.array([-5.0, 0.0, 7.0])), 0.42)
 
 
@@ -112,35 +107,25 @@ def test_apply_binner_monotone_when_reps_are():
 
 # --- Binner container ---------------------------------------------------
 
-def test_binner_validation():
-    with pytest.raises(FitError):
-        Binner(edges=np.array([1.0, 0.5]), phis=np.zeros(3), reps=None, method=METHOD_IMAX)
-    with pytest.raises(FitError):
-        Binner(edges=np.array([0.0]), phis=np.zeros(3), reps=None, method=METHOD_IMAX)
-    with pytest.raises(FitError):
-        Binner(
-            edges=np.array([0.0]),
-            phis=np.array([0.0, 1.0]),
-            reps=np.array([0.5, 1.1]),
-            method=METHOD_IMAX,
-        )
-    with pytest.raises(FitError):
-        Binner(
-            edges=np.array([0.0]),
-            phis=np.array([0.0, 1.0]),
-            reps=np.array([0.5]),
-            method=METHOD_IMAX,
-        )
+@pytest.mark.parametrize(
+    "edges,reps,message",
+    [
+        ([1.0, 0.5], [0.1, 0.5, 0.9], "edges must be strictly increasing"),
+        ([0.0, np.inf], [0.1, 0.5, 0.9], "edges must be finite"),
+        ([0.0], [0.1, 0.5, 0.9], "one representative per bin"),
+        ([0.0], [0.5], "one representative per bin"),
+        ([0.0], [[0.5, 0.5]], "must be 1-D"),
+        ([0.0], [0.5, 1.1], r"representatives must lie in \[0, 1\]"),
+    ],
+)
+def test_binner_validation(edges, reps, message):
+    with pytest.raises(FitError, match=message):
+        Binner(edges=np.array(edges), reps=np.array(reps), method=METHOD_IMAX)
 
 
 def test_binner_rejects_nan_reps():
     with pytest.raises(FitError):
-        Binner(
-            edges=np.array([0.0]),
-            phis=np.array([-1.0, 1.0]),
-            reps=np.array([np.nan, np.nan]),
-            method=METHOD_IMAX,
-        )
+        Binner(edges=np.array([0.0]), reps=np.array([np.nan, np.nan]), method=METHOD_IMAX)
 
 
 @pytest.mark.parametrize(
@@ -153,20 +138,13 @@ def test_binner_rejects_nan_reps():
 )
 def test_a_malformed_bundle_binner_is_a_data_error(field, value, message):
     doc = _one_calibrator_doc(binner=binner_from_edges(np.array([0.0]), METHOD_EQ_SIZE))
-    payload = doc["calibrators"][0]["binner"]
-    payload["reps"] = [0.2, 0.8]
-    payload[field] = value
+    doc["calibrators"][0]["binner"][field] = value
     with pytest.raises(DataError, match=message):
         _load_one(doc)
 
 
 def test_binner_reps_bounds_are_inclusive():
-    Binner(
-        edges=np.array([0.0]),
-        phis=np.array([-1.0, 1.0]),
-        reps=np.array([0.0, 1.0]),
-        method=METHOD_IMAX,
-    )
+    Binner(edges=np.array([0.0]), reps=np.array([0.0, 1.0]), method=METHOD_IMAX)
 
 
 def test_binner_json_round_trip_is_exact():
@@ -174,10 +152,8 @@ def test_binner_json_round_trip_is_exact():
     b = set_representatives(fit_edges(cal, METHOD_IMAX, ImaxConfig(n_bins=5, seed=0)), cal)
     back = _load_one(_one_calibrator_doc(binner=b)).binner
     np.testing.assert_array_equal(back.edges, b.edges)
-    np.testing.assert_array_equal(back.phis, b.phis)
     np.testing.assert_array_equal(back.reps, b.reps)
     assert back.method == b.method
-    assert back.seed == b.seed
     assert back.iterations == b.iterations
 
 
@@ -188,7 +164,7 @@ def test_binner_json_is_strict():
     with pytest.raises(DataError, match="unknown binner fields"):
         _load_one(doc)
     del payload["extra"]
-    del payload["phis"]
+    del payload["reps"]
     with pytest.raises(DataError, match="missing binner fields"):
         _load_one(doc)
     doc["calibrators"][0]["binner"] = ["not", "an", "object"]
@@ -332,7 +308,7 @@ def test_the_reported_loss_is_the_weighted_nll_at_the_returned_fit(scale, bias):
     # edges and phis the fit returns
     cal = _mixture(n=5000, seed=9)
     b = fit_imax(cal, ImaxConfig(n_bins=10, seed=1, scale=scale, bias=bias))
-    want = weighted_surrogate_loss(cal, b.edges, b.phis, scale, bias)
+    want = weighted_surrogate_loss(cal, b.edges, b.diagnostics.phis, scale, bias)
     assert b.diagnostics.loss[-1] == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -344,7 +320,8 @@ def test_fit_imax_is_deterministic():
     a = fit_imax(cal, cfg)
     b = fit_imax(cal, cfg)
     np.testing.assert_array_equal(a.edges, b.edges)
-    np.testing.assert_array_equal(a.phis, b.phis)
+    np.testing.assert_array_equal(a.diagnostics.phis, b.diagnostics.phis)
+    np.testing.assert_array_equal(a.reps, b.reps)
     assert a.iterations == b.iterations
 
 
@@ -565,27 +542,18 @@ def test_unknown_strategy_is_rejected():
         set_representatives(b, cal, strategy="mode")
 
 
-def test_empty_outer_bins_fall_back_to_their_phi():
+def test_empty_outer_bins_keep_their_representative():
     cal = BinaryCalibrationSet(
         np.array([0.0, 0.1, -0.1, 0.05]), np.array([1, 1, 0, 0])
     )
-    b = Binner(
-        edges=np.array([-1.0, 1.0]),
-        phis=np.array([-2.0, 0.0, 2.0]),
-        reps=None,
-        method=METHOD_IMAX,
-    )
-    reps = set_representatives(b, cal).reps
-    np.testing.assert_allclose(reps, [expit(-2.0), 0.5, expit(2.0)], atol=1e-15)
+    b = Binner(edges=np.array([-1.0, 1.0]), reps=np.array([0.1, 0.3, 0.9]), method=METHOD_IMAX)
+    np.testing.assert_array_equal(set_representatives(b, cal).reps, [0.1, 0.5, 0.9])
 
 
 def test_empty_interior_bins_fall_back_to_the_midpoint():
     cal = BinaryCalibrationSet(np.array([-5.0, 0.0, 5.0]), np.array([0, 1, 1]))
     b = Binner(
-        edges=np.array([-3.0, -1.0, 1.0, 3.0]),
-        phis=np.array([-4.0, -2.0, 0.0, 2.0, 4.0]),
-        reps=None,
-        method=METHOD_IMAX,
+        edges=np.array([-3.0, -1.0, 1.0, 3.0]), reps=np.full(5, 0.5), method=METHOD_IMAX
     )
     reps = set_representatives(b, cal).reps
     assert reps[1] == pytest.approx(expit(-2.0), abs=1e-15)
@@ -631,7 +599,7 @@ def _bin_sums_reps(binner, cal, clamp):
     occupied = counts > 0
     reps = np.where(occupied, mass / np.where(occupied, counts, 1.0), np.nan)
     if not np.all(occupied):
-        fallback = prob_of_logit(binner.phis)
+        fallback = binner.reps.copy()
         if binner.n_bins > 2:
             fallback[1:-1] = prob_of_logit((binner.edges[:-1] + binner.edges[1:]) / 2.0)
         reps = np.where(occupied, reps, fallback)
@@ -670,6 +638,10 @@ def test_fit_edges_dispatch():
     for method in (METHOD_EQ_SIZE, METHOD_EQ_MASS, METHOD_IMAX):
         b = fit_edges(cal, method, ImaxConfig(n_bins=4, seed=0))
         assert b.method == method
-        assert b.n_bins == 4 and b.reps is None
+        assert b.n_bins == 4
+        # a fitted binner's representatives are the sigmoids of its phi
+        # levels: the fitted ones for imax, midpoint proxies for the rest
+        phis = b.diagnostics.phis if method == METHOD_IMAX else _midpoint_phis(b.edges, 1.0, 0.0)
+        assert b.reps.tobytes() == prob_of_logit(phis).tobytes()
     with pytest.raises(DataError):
         fit_edges(cal, "kmeans", ImaxConfig(n_bins=4))

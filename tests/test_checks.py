@@ -391,11 +391,7 @@ def test_an_eval_config_entry_is_checked_stored_and_serializable(name, value):
 @given(value=VALUES)
 def test_binners_and_scalers_store_checked_values(value):
     edges = np.array([-1.0, 1.0])
-    binner = _attempt(lambda: binner_from_edges(edges, "eq_size", seed=value))
-    if binner is not None:
-        assert binner.seed is None or _stored(binner.seed, int)
-        _one_calibrator_doc(binner=binner)
-    binner = _attempt(lambda: Binner(edges, np.array([-2.0, 0.0, 2.0]), iterations=value))
+    binner = _attempt(lambda: Binner(edges, np.array([0.1, 0.5, 0.9]), iterations=value))
     if binner is not None:
         assert _stored(binner.iterations, int)
         _one_calibrator_doc(binner=binner)
@@ -462,9 +458,9 @@ _JSON_VALUES = st.one_of(
 @settings(max_examples=60)
 @given(
     path=st.sampled_from([
-        ("n_classes",), ("grouping", "groups", 0, 0), ("grouping", "groups"),
+        ("n_classes",), ("grouping",),
         ("calibrators", 0, "classes", 1), ("calibrators", 0, "classes"),
-        ("calibrators", 0, "binner", "seed"), ("calibrators", 0, "binner", "iterations"),
+        ("calibrators", 0, "binner", "method"), ("calibrators", 0, "binner", "iterations"),
         ("calibrators", 0, "binner", "edges", 0), ("calibrators", 0, "binner", "reps", 1),
     ]),
     value=_JSON_VALUES,
@@ -531,8 +527,8 @@ def test_numpy_values_are_stored_as_python_values():
                           top_k=(np.int64(2),), cw_thresholds=(np.float64(0.25),))
     json.dumps(build_report(np.full((8, 4), 0.25), np.arange(8) % 4, eval_cfg).to_dict())
     assert MulticlassSynthSpec(n=np.int64(10)).to_dict()["n"] == 10
-    binner = binner_from_edges(np.array([0.0]), "eq_size", seed=np.int64(1))
-    assert _one_calibrator_doc(binner=binner)["calibrators"][0]["binner"]["seed"] == 1
+    binner = Binner(np.array([0.0]), np.array([0.2, 0.8]), iterations=np.int64(1))
+    assert _one_calibrator_doc(binner=binner)["calibrators"][0]["binner"]["iterations"] == 1
     fitted = fit_bundle(DATA, "eq_size", groups_spec=np.int64(2))
     assert len(fitted.calibrators) == 2
     explicit = fit_bundle(DATA, "eq_size", groups_spec=np.array([[0, 3], [1, 2]]))

@@ -131,7 +131,7 @@ def test_a_non_finite_synth_value_is_one_usage_line(tmp_path, capsys, flags):
 def test_fit_writes_a_versioned_bundle(workdir, capsys):
     out = _fit_bundle(workdir)
     doc = json.loads(out.read_text())
-    assert doc["version"] == "1"
+    assert doc["version"] == "2"
     assert doc["strategy"] == "scw"
     assert len(doc["calibrators"]) == 1
     err = capsys.readouterr().err
@@ -214,7 +214,8 @@ def test_fit_grouping_flags(workdir, tmp_path):
         ]
     ) == 0
     doc = json.loads(out.read_text())
-    assert doc["grouping"]["groups"] == [[0, 1], [2, 3, 4]]
+    assert doc["grouping"] == "explicit"
+    assert [cal["classes"] for cal in doc["calibrators"]] == [[0, 1], [2, 3, 4]]
     assert len(doc["calibrators"]) == 2
     # a group count picks prior quantiles instead
     assert main(
@@ -547,7 +548,7 @@ def test_apply_error_paths(workdir, tmp_path):
     assert main(["apply", str(tmp_path / "nope.json"), str(workdir / "mc-scores.csv"), "-o", out]) == 3
     tampered = tmp_path / "tampered.json"
     doc = json.loads(bundle.read_text())
-    doc["version"] = "2"
+    doc["version"] = "3"
     tampered.write_text(json.dumps(doc))
     assert main(["apply", str(tampered), str(workdir / "mc-scores.csv"), "-o", out]) == 3
 
@@ -596,9 +597,11 @@ def test_a_malformed_binner_is_a_data_error(workdir, tmp_path, capsys, field, va
                      id="class-float"),
         pytest.param(lambda doc: doc["calibrators"][0]["classes"].__setitem__(2, "2"),
                      id="class-text"),
-        pytest.param(lambda doc: doc["grouping"]["groups"][0].__setitem__(1, 1.9),
-                     id="group-class-float"),
-        pytest.param(lambda doc: doc["grouping"].update(mode="bogus"), id="grouping-mode"),
+        pytest.param(lambda doc: doc.update(grouping="bogus"), id="grouping-mode"),
+        pytest.param(
+            lambda doc: doc.update(grouping={"mode": "one_for_all", "groups": [[0, 1, 2, 3, 4]]}),
+            id="grouping-object",
+        ),
         *(
             pytest.param(
                 lambda doc, field=field, value=value: doc["calibrators"][0]["binner"].update(
@@ -610,23 +613,12 @@ def test_a_malformed_binner_is_a_data_error(workdir, tmp_path, capsys, field, va
                 ("iterations-text", "iterations", str),
                 ("iterations-float", "iterations", lambda n: n + 0.9),
                 ("iterations-negative", "iterations", lambda n: -3),
-                ("seed-object", "seed", lambda s: {"x": [1]}),
+                ("method-object", "method", lambda s: {"x": [1]}),
                 ("edges-text", "edges", lambda edges: [repr(v) for v in edges]),
             ]
         ),
         pytest.param(lambda doc: doc.update(calibrators=None), id="calibrators"),
-        pytest.param(lambda doc: doc["grouping"].update(groups=3), id="groups"),
         pytest.param(lambda doc: doc["calibrators"][0].update(classes=3), id="classes"),
-        pytest.param(
-            lambda doc: doc.update(
-                calibrators=[dict(doc["calibrators"][0], classes=[c]) for c in range(5)]
-            ),
-            id="per-class-calibrators-one-group",
-        ),
-        pytest.param(
-            lambda doc: doc["grouping"].update(groups=[[0, 1], [2, 3, 4]]),
-            id="two-groups-one-calibrator",
-        ),
         *(
             pytest.param(
                 lambda doc, scaler=scaler: doc["calibrators"][0].update(
@@ -662,6 +654,37 @@ def test_a_malformed_bundle_is_a_data_error(workdir, tmp_path, capsys, mutate):
     ) == 3
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+
+
+# a version "1" bundle, as that format's writer wrote it for eq_size with
+# two bins on the mc pair: it also listed the groups, and each binner's phi
+# levels and seed
+_VERSION_1_BUNDLE = (
+    '{"version": "1", "strategy": "scw", "n_classes": 5, "input_kind": "raw_logits",'
+    ' "grouping": {"mode": "one_for_all", "groups": [[0, 1, 2, 3, 4]]},'
+    ' "calibrators": [{"classes": [0, 1, 2, 3, 4], "binner": {"method": "eq_size",'
+    ' "edges": [0.0], "phis": [-0.5, 0.5], "reps": [0.05772811918063315, 0.7892030848329049],'
+    ' "seed": 0, "iterations": 0}, "scaler": null}],'
+    ' "provenance": {"seed": 0, "method": "eq_size", "n_bins": 2,'
+    ' "rep_strategy": "empirical_freq", "n_fit_samples": 400}}\n'
+)
+
+
+@pytest.mark.parametrize("command", ["apply", "eval"])
+def test_a_version_1_bundle_must_be_refit(workdir, tmp_path, capsys, command):
+    old = tmp_path / "v1.json"
+    old.write_text(_VERSION_1_BUNDLE)
+    scores, labels = str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")
+    out = tmp_path / "out"
+    args = {
+        "apply": ["apply", str(old), scores, "-o", str(out)],
+        "eval": ["eval", scores, labels, "--bundle", str(old), "-o", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "unsupported bundle version '1'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_a_bundle_that_is_not_utf8_is_a_data_error(workdir, tmp_path, capsys):

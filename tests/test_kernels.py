@@ -329,7 +329,7 @@ def test_fit_imax_matches_the_oracles(scale, bias):
     assert got.iterations == n_pairs
     assert got.diagnostics.empty_bin_events == empties
     np.testing.assert_allclose(got.edges, edges, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got.phis, phis, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.diagnostics.phis, phis, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.diagnostics.loss, loss, rtol=1e-12, atol=0)
 
 
