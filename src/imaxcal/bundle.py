@@ -1,21 +1,23 @@
-"""Persistable multi-class calibrator: grouping plus per-group calibrators.
+"""Persistable multi-class calibrator: one calibrator per group of classes.
 
-A bundle holds one calibrator per group of classes, either a Binner
-(discrete calibrator) or a Scaler (parametric one), and the mode that chose
-the groups. Applying a bundle maps each class's one-vs-rest logit through
-its group's calibrator and never renormalizes the resulting rows.
+A bundle is its calibrators, each a Binner (discrete calibrator) or a
+Scaler (parametric one) for one group of classes, and the fit's provenance.
+Applying a bundle maps each class's one-vs-rest logit through its group's
+calibrator and never renormalizes the resulting rows.
 
 This module is the one reader and writer of the bundle format. The JSON
-format is strict: version "2", unknown fields rejected, floats serialized
+format is strict: version "3", unknown fields rejected, floats serialized
 with shortest round-trip formatting so a refit with the same seed is
-byte-identical. Each fact is recorded once: "grouping" is the mode string,
-and the groups are the calibrators' classes. A binner is written as
-method, edges, reps and iterations; a scaler as its kind and then
-temperature, or a and b; the seed is in the provenance only. A field named
-twice at any level, nesting deeper than json recurses, an integer too long
-for int() and the non-JSON constants NaN, Infinity and -Infinity are each a
-DataError. A version "1" bundle, which also listed the groups and each
-binner's phi levels and seed, is not read: refit it.
+byte-identical. Its top level is version, n_classes, input_kind,
+calibrators and provenance. Each fact is recorded once: the groups are the
+calibrators' classes; the "strategy" and "groups" spec that chose them, and
+the seed, are provenance. A binner is written as method, edges, reps and
+iterations; a scaler as its kind and then temperature, or a and b. A field
+named twice at any level, nesting deeper than json recurses, an integer too
+long for int() and the non-JSON constants NaN, Infinity and -Infinity are
+each a DataError, as is a provenance that is not finite JSON. Version "1"
+and "2" bundles, which kept the strategy and grouping mode at the top
+level, are not read: refit them.
 """
 
 import json
@@ -59,7 +61,7 @@ from .scaling import (
     fit_temperature,
 )
 
-BUNDLE_VERSION = "2"
+BUNDLE_VERSION = "3"
 STRATEGY_CW = "cw"
 STRATEGY_SCW = "scw"
 
@@ -75,18 +77,7 @@ FIT_METHODS = (
     METHOD_IMAX_WITH_SCALER,
 )
 
-_BUNDLE_FIELDS = (
-    "version",
-    "strategy",
-    "n_classes",
-    "input_kind",
-    "grouping",
-    "calibrators",
-    "provenance",
-)
-MODE_ONE_FOR_ALL = "one_for_all"
-MODE_BY_PRIOR = "by_prior_quantile"
-MODE_EXPLICIT = "explicit"
+_BUNDLE_FIELDS = ("version", "n_classes", "input_kind", "calibrators", "provenance")
 _CALIBRATOR_FIELDS = ("classes", "binner", "scaler")
 _BINNER_FIELDS = ("method", "edges", "reps", "iterations")
 _SCALER_FIELDS = {KIND_TEMPERATURE: ("temperature",), KIND_PLATT: ("a", "b")}
@@ -107,22 +98,26 @@ class GroupCalibrator:
 
 @dataclass
 class CalibratorBundle:
-    strategy: str
+    """Calibrators whose classes cover 0..n_classes-1 once each, and a
+    provenance that is any finite JSON object; fit_bundle's records the
+    seed, method, strategy and groups spec, then the fit's settings."""
+
     n_classes: int
     input_kind: str
-    grouping_mode: str
     calibrators: list
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        check_strategy(self.strategy)
         self.n_classes = check_count(self.n_classes, "bundle n_classes", minimum=1)
         if not isinstance(self.provenance, dict):
             raise DataError("bundle provenance must be an object")
+        try:
+            json.dumps(self.provenance, allow_nan=False)
+        except (TypeError, ValueError, RecursionError) as exc:
+            # so to_json writes only text that from_json reads
+            raise DataError(f"bundle provenance must be finite JSON: {exc}") from exc
         if self.input_kind not in (RAW_LOGITS, PROBABILITIES):
             raise DataError(f"unknown input kind {self.input_kind!r}")
-        if self.grouping_mode not in (MODE_ONE_FOR_ALL, MODE_BY_PRIOR, MODE_EXPLICIT):
-            raise DataError(f"unknown grouping mode {self.grouping_mode!r}")
         _cover(self.groups, self.n_classes)
 
     @property
@@ -136,10 +131,8 @@ class CalibratorBundle:
     def to_json(self) -> str:
         payload = {
             "version": BUNDLE_VERSION,
-            "strategy": self.strategy,
             "n_classes": self.n_classes,
             "input_kind": self.input_kind,
-            "grouping": self.grouping_mode,
             "calibrators": [
                 {
                     "classes": list(cal.classes),
@@ -163,12 +156,13 @@ class CalibratorBundle:
             # than int() converts and a NaN or Infinity; json recurses once
             # per level of nesting
             raise DataError(f"bundle is not valid JSON: {exc}") from exc
-        payload = _json_object(payload, _BUNDLE_FIELDS, "bundle")
-        if payload["version"] != BUNDLE_VERSION:
+        # the version first, since an older format has other fields
+        if isinstance(payload, dict) and payload.get("version", BUNDLE_VERSION) != BUNDLE_VERSION:
             raise DataError(
                 f"unsupported bundle version {payload['version']!r}"
                 f" (expected {BUNDLE_VERSION!r})"
             )
+        payload = _json_object(payload, _BUNDLE_FIELDS, "bundle")
         calibrators = []
         for cal in _json_list(payload["calibrators"], "bundle calibrators"):
             cal = _json_object(cal, _CALIBRATOR_FIELDS, "calibrator")
@@ -176,10 +170,8 @@ class CalibratorBundle:
             scaler = None if cal["scaler"] is None else _read_scaler(cal["scaler"])
             calibrators.append(GroupCalibrator(cal["classes"], binner, scaler))
         return cls(
-            strategy=payload["strategy"],
             n_classes=payload["n_classes"],
             input_kind=payload["input_kind"],
-            grouping_mode=payload["grouping"],
             calibrators=calibrators,
             provenance=payload["provenance"],
         )
@@ -308,7 +300,7 @@ def check_strategy(
     no probabilities; cw fits one calibrator per class, so it takes no
     groups and no platt; a scaler kind goes with imax_with_scaler, which
     needs one. Returns groups_spec as data.check_group_spec returns it.
-    fit_bundle, CalibratorBundle and the CLI's flag checks apply it."""
+    fit_bundle, resolve_grouping and the CLI's flag checks apply it."""
     if strategy not in (STRATEGY_CW, STRATEGY_SCW):
         raise DataError(f"unknown strategy {strategy!r}")
     if method == METHOD_IMAX_WITH_SCALER:
@@ -333,19 +325,21 @@ def check_strategy(
 
 
 def resolve_grouping(data: PredictionMatrix, strategy: str, groups_spec=None) -> tuple:
-    """(mode, groups) for the fit, each group ascending: cw means singletons;
-    scw defaults to one group, an integer selects prior-quantile blocks, and
-    class lists give explicit ones, which must cover every class once."""
+    """The fit's groups, each ascending: cw means singletons; scw defaults
+    to one group, an integer selects prior-quantile blocks, and class lists
+    give explicit ones, which must cover every class once. A bundle keeps
+    these as its calibrators' classes, and strategy and groups_spec in its
+    provenance."""
     groups_spec = check_strategy(strategy, groups_spec)
     if strategy == STRATEGY_CW:
-        return MODE_EXPLICIT, tuple((c,) for c in range(data.n_classes))
+        return tuple((c,) for c in range(data.n_classes))
     if groups_spec is None:
-        return MODE_ONE_FOR_ALL, (tuple(range(data.n_classes)),)
+        return (tuple(range(data.n_classes)),)
     if isinstance(groups_spec, int):
-        return MODE_BY_PRIOR, group_by_prior(data, groups_spec)
+        return group_by_prior(data, groups_spec)
     groups = _ascending(groups_spec)
     _cover(groups, data.n_classes)
-    return MODE_EXPLICIT, groups
+    return groups
 
 
 def fit_bundle(
@@ -368,10 +362,10 @@ def fit_bundle(
             f"rep_strategy {rep_strategy} does not apply to {method}: raw_prob_mean needs eq_size,"
             " eq_mass or imax, and scaled_prob_mean needs the scaler that imax_with_scaler fits"
         )
-    check_strategy(strategy, groups_spec, method, scaler_kind, data.kind)
+    groups_spec = check_strategy(strategy, groups_spec, method, scaler_kind, data.kind)
     cfg = config if config is not None else ImaxConfig()
-    mode, groups = resolve_grouping(data, strategy, groups_spec)
-    provenance = {"seed": cfg.seed, "method": method}
+    groups = resolve_grouping(data, strategy, groups_spec)
+    provenance = {"seed": cfg.seed, "method": method, "strategy": strategy, "groups": groups_spec}
     scaler = None
 
     if method == METHOD_TEMPERATURE:
@@ -414,10 +408,8 @@ def fit_bundle(
     if scaler is not None:
         provenance["scaler"] = _scaler_json(scaler)
     return CalibratorBundle(
-        strategy=strategy,
         n_classes=data.n_classes,
         input_kind=data.kind,
-        grouping_mode=mode,
         calibrators=calibrators,
         provenance=provenance,
     )

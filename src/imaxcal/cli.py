@@ -530,7 +530,7 @@ def cmd_fit(
             _diag_fit_group(cal.binner, group=i, n=data.n_samples * len(cal.classes))
     with _output(out) as fh:
         fh.write(fitted.to_json())
-    diag(event="fit", method=method, strategy=fitted.strategy, out=out)
+    diag(event="fit", method=method, strategy=strategy, out=out)
 
 
 def _diag_fit_group(binner, **where):

@@ -157,7 +157,7 @@ class RowStats:
         """(top-1 confidence, top-1 correct as 0/1, rank of the true label)
         for every row of the full matrix."""
         if "ranking" not in self._shared:
-            rank = ranked_classes(self.calibrated, self.labels, self.raw_scores)
+            rank = ranked_classes(self)
             top = self.calibrated.max(axis=1)
             self._shared["ranking"] = (top, (rank == 0).astype(np.float64), rank)
         return self._shared["ranking"]
@@ -208,14 +208,20 @@ def _row_stats(calibrated, labels, raw_scores=None):
     return calibrated
 
 
-def ranked_classes(calibrated, labels, raw_scores=None):
+def ranked_classes(calibrated, labels=None, raw_scores=None):
     """Each row's rank of its label by calibrated probability, descending:
     the count of classes above the label's probability, or level with it and
     winning the tie by a higher raw score if raw_scores are given, then by a
     lower class index. O(N·K) comparisons, in the row blocks of
-    data.row_blocks; no row is sorted.
+    data.row_blocks; no row is sorted. calibrated may also be a RowStats,
+    whose checked inputs are ranked over every row; labels and raw_scores
+    are then None.
     """
-    calibrated, labels, raw_scores = _checked(calibrated, labels, raw_scores)
+    if isinstance(calibrated, RowStats):
+        stats = _row_stats(calibrated, labels, raw_scores)
+        calibrated, labels, raw_scores = stats.calibrated, stats.labels, stats.raw_scores
+    else:
+        calibrated, labels, raw_scores = _checked(calibrated, labels, raw_scores)
     n, k = calibrated.shape
     classes = np.arange(k)
     rank = np.empty(n, dtype=np.intp)

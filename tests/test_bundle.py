@@ -37,9 +37,6 @@ from imaxcal.bundle import (
     METHOD_IMAX_WITH_SCALER,
     METHOD_PLATT,
     METHOD_TEMPERATURE,
-    MODE_BY_PRIOR,
-    MODE_EXPLICIT,
-    MODE_ONE_FOR_ALL,
     STRATEGY_CW,
     STRATEGY_SCW,
     apply_bundle,
@@ -77,13 +74,12 @@ def _quiet_fit(*args, **kwargs):
 
 def test_resolve_grouping_variants():
     data = _data(k=6)
-    assert resolve_grouping(data, STRATEGY_SCW) == (MODE_ONE_FOR_ALL, ((0, 1, 2, 3, 4, 5),))
+    assert resolve_grouping(data, STRATEGY_SCW) == ((0, 1, 2, 3, 4, 5),)
     singletons = ((0,), (1,), (2,), (3,), (4,), (5,))
-    assert resolve_grouping(data, STRATEGY_CW) == (MODE_EXPLICIT, singletons)
-    mode, by_prior = resolve_grouping(data, STRATEGY_SCW, groups_spec=3)
-    assert mode == MODE_BY_PRIOR and len(by_prior) == 3
+    assert resolve_grouping(data, STRATEGY_CW) == singletons
+    assert len(resolve_grouping(data, STRATEGY_SCW, groups_spec=3)) == 3
     explicit = resolve_grouping(data, STRATEGY_SCW, groups_spec=[(2, 1, 0), (3, 4, 5)])
-    assert explicit == (MODE_EXPLICIT, ((0, 1, 2), (3, 4, 5)))
+    assert explicit == ((0, 1, 2), (3, 4, 5))
     with pytest.raises(DataError):
         resolve_grouping(data, STRATEGY_CW, groups_spec=2)
 
@@ -107,7 +103,7 @@ def test_explicit_groups_must_partition_the_classes(spec, message):
 def test_scw_imax_bundle_shape():
     data = _data()
     b = fit_bundle(data, METHOD_IMAX, config=ImaxConfig(n_bins=8, seed=0))
-    assert b.strategy == STRATEGY_SCW
+    assert b.provenance["strategy"] == STRATEGY_SCW
     assert len(b.calibrators) == 1
     assert b.calibrators[0].classes == (0, 1, 2, 3, 4, 5)
     assert b.calibrators[0].binner.reps.size == 8
@@ -160,8 +156,10 @@ def test_hybrid_needs_a_scaler_kind():
     assert b.provenance["scaler"]["kind"] == KIND_TEMPERATURE
 
 
-_BINNER_PROVENANCE = ["seed", "method", "n_bins", "rep_strategy", "n_fit_samples"]
-_SCALER_PROVENANCE = ["seed", "method", "n_fit_samples"]
+_BINNER_PROVENANCE = [
+    "seed", "method", "strategy", "groups", "n_bins", "rep_strategy", "n_fit_samples"
+]
+_SCALER_PROVENANCE = ["seed", "method", "strategy", "groups", "n_fit_samples"]
 
 
 @pytest.mark.parametrize(
@@ -191,7 +189,8 @@ def test_provenance_keys_and_strategy_per_method(method, kwargs, strategy, keys)
     # the bundle bytes follow the provenance key order
     b = _quiet_fit(_data(), method, config=ImaxConfig(n_bins=5, seed=2), **kwargs)
     assert list(b.provenance) == keys
-    assert b.strategy == strategy
+    assert b.provenance["strategy"] == strategy
+    assert b.provenance["groups"] == kwargs.get("groups_spec")
     assert b.provenance["method"] == method
 
 
@@ -246,7 +245,7 @@ def test_bundle_json_is_strict():
     doc = json.loads(b.to_json())
     assert doc["version"] == BUNDLE_VERSION
 
-    tampered = dict(doc, version="3")
+    tampered = dict(doc, version="2")
     with pytest.raises(DataError):
         CalibratorBundle.from_json(json.dumps(tampered))
 
@@ -254,7 +253,7 @@ def test_bundle_json_is_strict():
     with pytest.raises(DataError):
         CalibratorBundle.from_json(json.dumps(extra))
 
-    missing = {k: v for k, v in doc.items() if k != "grouping"}
+    missing = {k: v for k, v in doc.items() if k != "input_kind"}
     with pytest.raises(DataError):
         CalibratorBundle.from_json(json.dumps(missing))
 
@@ -270,15 +269,17 @@ def test_bundle_json_is_strict():
 
 
 def test_a_bundle_records_its_groups_once():
-    # the JSON grouping is the mode alone; the groups are the calibrators'
-    # classes, each group ascending, in the order the groups were given
+    # the groups are the calibrators' classes, each group ascending, in the
+    # order the groups were given; the provenance keeps the spec as given
     b = fit_bundle(_data(n=500, k=5), METHOD_EQ_SIZE, groups_spec=[(4, 3), (0, 1, 2)],
                    config=ImaxConfig(n_bins=3))
-    assert b.grouping_mode == MODE_EXPLICIT
     assert b.groups == ((3, 4), (0, 1, 2))
     doc = json.loads(b.to_json())
-    assert doc["grouping"] == MODE_EXPLICIT
+    assert list(doc) == ["version", "n_classes", "input_kind", "calibrators", "provenance"]
     assert [cal["classes"] for cal in doc["calibrators"]] == [[3, 4], [0, 1, 2]]
+    assert (doc["provenance"]["strategy"], doc["provenance"]["groups"]) == (
+        STRATEGY_SCW, [[4, 3], [0, 1, 2]]
+    )
 
     # a hand-edited group listed as [1, 0, 2] loads and is written as given
     doc["calibrators"][1]["classes"] = [1, 0, 2]
@@ -311,7 +312,7 @@ def _one_calibrator_doc(**payload):
     """The JSON of a two-class bundle whose one calibrator holds payload, as
     a dict."""
     calibrator = GroupCalibrator((0, 1), **payload)
-    bundle = CalibratorBundle(STRATEGY_SCW, 2, RAW_LOGITS, MODE_ONE_FOR_ALL, [calibrator])
+    bundle = CalibratorBundle(2, RAW_LOGITS, [calibrator])
     return json.loads(bundle.to_json())
 
 
@@ -327,7 +328,18 @@ _FAULTY_TEXTS = {
         '"reps": [', '"reps": [0.5, 0.5, 0.5],\n"reps": [', "bundle repeats the field 'reps'"
     ),
     "repeated version": (
-        '"version": "2",', '"version": "2",\n"version": "2",', "bundle repeats the field 'version'"
+        '"version": "3",', '"version": "3",\n"version": "3",', "bundle repeats the field 'version'"
+    ),
+    # format 2 kept these two at the top level; format 3 keeps them in provenance
+    "strategy at the top level": (
+        '"n_classes":',
+        '"strategy": "scw",\n"n_classes":',
+        r"unknown bundle fields: \['strategy'\]",
+    ),
+    "grouping at the top level": (
+        '"calibrators":',
+        '"grouping": "one_for_all",\n"calibrators":',
+        r"unknown bundle fields: \['grouping'\]",
     ),
     "5000-digit integer in provenance": (
         '"provenance": {', '"provenance": {"n": ' + "7" * 5000 + ",", "not valid JSON: Exceeds"
@@ -384,9 +396,23 @@ def test_calibrators_cover_every_class_once():
     assert len(b.calibrators) == 2
     assert sorted(c for cal in b.calibrators for c in cal.classes) == [0, 1, 2, 3]
     with pytest.raises(DataError):  # class 4 would have no calibrator
-        CalibratorBundle(b.strategy, 5, b.input_kind, b.grouping_mode, b.calibrators)
+        CalibratorBundle(5, b.input_kind, b.calibrators)
     with pytest.raises(DataError):  # no classes and no calibrators
-        CalibratorBundle(b.strategy, 0, b.input_kind, b.grouping_mode, [])
+        CalibratorBundle(0, b.input_kind, [])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), [float("inf")], {"y": -float("inf")}, object(), np.arange(2)],
+    ids=["nan", "inf", "minus-inf", "object", "array"],
+)
+def test_a_provenance_that_is_not_finite_json_is_a_data_error(value):
+    # to_json would write NaN or Infinity, which from_json rejects, or fail
+    calibrator = GroupCalibrator((0, 1), scaler=Scaler(kind=KIND_TEMPERATURE, temperature=1.0))
+    with pytest.raises(DataError, match="bundle provenance must be finite JSON"):
+        CalibratorBundle(2, RAW_LOGITS, [calibrator], provenance={"x": value})
+    bundle = CalibratorBundle(2, RAW_LOGITS, [calibrator], provenance={"x": [1.5, None, "a"]})
+    assert CalibratorBundle.from_json(bundle.to_json()).provenance == {"x": [1.5, None, "a"]}
 
 
 # --- application ----------------------------------------------------------------------
@@ -402,10 +428,8 @@ def test_identity_temperature_bundle_reproduces_probabilities():
     data = _data(k=4, seed=7)
     probs = softmax(data.scores)
     b = CalibratorBundle(
-        strategy=STRATEGY_SCW,
         n_classes=4,
         input_kind=PROBABILITIES,
-        grouping_mode=MODE_ONE_FOR_ALL,
         calibrators=[
             GroupCalibrator(
                 classes=(0, 1, 2, 3),

@@ -428,10 +428,10 @@ def test_group_counts_and_class_indices_are_checked(value):
             for cal in fitted.calibrators:
                 assert all(_stored(c, int) for c in cal.classes)
             CalibratorBundle.from_json(fitted.to_json())
-    grouping = _attempt(lambda: resolve_grouping(DATA, "scw", ((0, 1), (value, 2))))
-    if grouping is not None:
-        assert grouping == ("explicit", ((0, 1), (2, 3)))
-        assert all(_stored(c, int) for g in grouping[1] for c in g)
+    groups = _attempt(lambda: resolve_grouping(DATA, "scw", ((0, 1), (value, 2))))
+    if groups is not None:
+        assert groups == ((0, 1), (2, 3))
+        assert all(_stored(c, int) for g in groups for c in g)
     scaler = Scaler("temperature", temperature=1.0)
     cal = _attempt(lambda: GroupCalibrator(classes=(0, value), scaler=scaler))
     if cal is not None:
@@ -441,9 +441,7 @@ def test_group_counts_and_class_indices_are_checked(value):
         rows = slice(int(value) * DATA.n_samples, (int(value) + 1) * DATA.n_samples)
         np.testing.assert_array_equal(pooled.logits[DATA.n_samples:], POOLED.logits[rows])
     fitted = TEMPERATURE_BUNDLE
-    made = _attempt(lambda: CalibratorBundle(
-        "scw", value, fitted.input_kind, fitted.grouping_mode, fitted.calibrators
-    ))
+    made = _attempt(lambda: CalibratorBundle(value, fitted.input_kind, fitted.calibrators))
     if made is not None:
         assert _stored(made.n_classes, int)
         CalibratorBundle.from_json(made.to_json())
@@ -458,7 +456,7 @@ _JSON_VALUES = st.one_of(
 @settings(max_examples=60)
 @given(
     path=st.sampled_from([
-        ("n_classes",), ("grouping",),
+        ("n_classes",), ("input_kind",), ("provenance",),
         ("calibrators", 0, "classes", 1), ("calibrators", 0, "classes"),
         ("calibrators", 0, "binner", "method"), ("calibrators", 0, "binner", "iterations"),
         ("calibrators", 0, "binner", "edges", 0), ("calibrators", 0, "binner", "reps", 1),

@@ -131,8 +131,9 @@ def test_a_non_finite_synth_value_is_one_usage_line(tmp_path, capsys, flags):
 def test_fit_writes_a_versioned_bundle(workdir, capsys):
     out = _fit_bundle(workdir)
     doc = json.loads(out.read_text())
-    assert doc["version"] == "2"
-    assert doc["strategy"] == "scw"
+    assert doc["version"] == "3"
+    assert list(doc) == ["version", "n_classes", "input_kind", "calibrators", "provenance"]
+    assert (doc["provenance"]["strategy"], doc["provenance"]["groups"]) == ("scw", None)
     assert len(doc["calibrators"]) == 1
     err = capsys.readouterr().err
     assert any(line.startswith("event=fit") for line in err.splitlines())
@@ -214,7 +215,7 @@ def test_fit_grouping_flags(workdir, tmp_path):
         ]
     ) == 0
     doc = json.loads(out.read_text())
-    assert doc["grouping"] == "explicit"
+    assert doc["provenance"]["groups"] == [[0, 1], [2, 3, 4]]
     assert [cal["classes"] for cal in doc["calibrators"]] == [[0, 1], [2, 3, 4]]
     assert len(doc["calibrators"]) == 2
     # a group count picks prior quantiles instead
@@ -548,7 +549,7 @@ def test_apply_error_paths(workdir, tmp_path):
     assert main(["apply", str(tmp_path / "nope.json"), str(workdir / "mc-scores.csv"), "-o", out]) == 3
     tampered = tmp_path / "tampered.json"
     doc = json.loads(bundle.read_text())
-    doc["version"] = "3"
+    doc["version"] = "4"
     tampered.write_text(json.dumps(doc))
     assert main(["apply", str(tampered), str(workdir / "mc-scores.csv"), "-o", out]) == 3
 
@@ -597,11 +598,6 @@ def test_a_malformed_binner_is_a_data_error(workdir, tmp_path, capsys, field, va
                      id="class-float"),
         pytest.param(lambda doc: doc["calibrators"][0]["classes"].__setitem__(2, "2"),
                      id="class-text"),
-        pytest.param(lambda doc: doc.update(grouping="bogus"), id="grouping-mode"),
-        pytest.param(
-            lambda doc: doc.update(grouping={"mode": "one_for_all", "groups": [[0, 1, 2, 3, 4]]}),
-            id="grouping-object",
-        ),
         *(
             pytest.param(
                 lambda doc, field=field, value=value: doc["calibrators"][0]["binner"].update(
@@ -668,23 +664,36 @@ _VERSION_1_BUNDLE = (
     ' "provenance": {"seed": 0, "method": "eq_size", "n_bins": 2,'
     ' "rep_strategy": "empirical_freq", "n_fit_samples": 400}}\n'
 )
+# the same fit as format 2 wrote it: it also kept the strategy and the
+# grouping mode at the top level
+_VERSION_2_BUNDLE = (
+    '{"version": "2", "strategy": "scw", "n_classes": 5, "input_kind": "raw_logits",'
+    ' "grouping": "one_for_all",'
+    ' "calibrators": [{"classes": [0, 1, 2, 3, 4], "binner": {"method": "eq_size",'
+    ' "edges": [0.0], "reps": [0.05772811918063315, 0.7892030848329049],'
+    ' "iterations": 0}, "scaler": null}],'
+    ' "provenance": {"seed": 0, "method": "eq_size", "n_bins": 2,'
+    ' "rep_strategy": "empirical_freq", "n_fit_samples": 400}}\n'
+)
 
 
 @pytest.mark.parametrize("command", ["apply", "eval"])
 def test_a_version_1_bundle_must_be_refit(workdir, tmp_path, capsys, command):
-    old = tmp_path / "v1.json"
-    old.write_text(_VERSION_1_BUNDLE)
-    scores, labels = str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")
-    out = tmp_path / "out"
-    args = {
-        "apply": ["apply", str(old), scores, "-o", str(out)],
-        "eval": ["eval", scores, labels, "--bundle", str(old), "-o", str(out)],
-    }[command]
-    capsys.readouterr()
-    assert main(args) == 3
-    err = capsys.readouterr().err
-    assert "unsupported bundle version '1'" in err and "Traceback" not in err
-    assert not out.exists()
+    # and so must a version "2" one
+    for version, text in [("1", _VERSION_1_BUNDLE), ("2", _VERSION_2_BUNDLE)]:
+        old = tmp_path / f"v{version}.json"
+        old.write_text(text)
+        scores, labels = str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")
+        out = tmp_path / "out"
+        args = {
+            "apply": ["apply", str(old), scores, "-o", str(out)],
+            "eval": ["eval", scores, labels, "--bundle", str(old), "-o", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert f"unsupported bundle version '{version}'" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_a_bundle_that_is_not_utf8_is_a_data_error(workdir, tmp_path, capsys):
@@ -710,6 +719,7 @@ def test_a_bundle_text_the_parser_rejects_is_a_data_error(workdir, tmp_path, cap
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert sum("error=data" in line for line in err.splitlines()) == 1
+    assert re.search(_FAULTY_TEXTS[fault][2], err), err
     assert not (tmp_path / "c.csv").exists()
 
 
@@ -1065,11 +1075,10 @@ def test_eval_bundle_hands_the_ranking_raw_scores_only_under_raw_logit(workdir, 
     through = ["eval", str(scores_csv), str(labels_csv), "--bundle", str(_fit_bundle(workdir))]
     assert main(through) == 0
     assert main([*through, "--tie-break", "raw-logit"]) == 0
-    (by_index, kw_index), (by_raw, kw_raw) = calls
+    ((by_index,), kw_index), ((by_raw,), kw_raw) = calls
     assert kw_index == kw_raw == {}
-    assert [a for a in by_index[2:] if a is not None] == []
-    (raw,) = [a for a in by_raw[2:] if a is not None]
-    np.testing.assert_array_equal(raw, np.loadtxt(scores_csv, delimiter=","))
+    assert by_index.raw_scores is None
+    np.testing.assert_array_equal(by_raw.raw_scores, np.loadtxt(scores_csv, delimiter=","))
 
 
 def _csv_value(doc, metric, threshold):

@@ -352,7 +352,7 @@ def test_one_softmax_decomposition_is_bit_identical(kind, strategy, groups):
     if kind == "probs":
         data = PredictionMatrix(softmax(data.scores), data.labels, PROBABILITIES)
     lam = data.ovr_logits()
-    for g in resolve_grouping(data, strategy, groups)[1]:
+    for g in resolve_grouping(data, strategy, groups):
         got = ovr_set(lam, data.labels, g)
         want = _ovr_set_oracle(data, g)
         np.testing.assert_array_equal(got.logits, want.logits)

@@ -717,6 +717,28 @@ def test_one_ranking_serves_every_report(monkeypatch):
     assert ranked_rows == [len(labels)]
 
 
+def test_a_row_stats_ranking_checks_the_matrix_once(monkeypatch):
+    # the ranking reads the inputs the RowStats checked when it was built,
+    # so eval checks each matrix once
+    import imaxcal.metrics as metrics_mod
+
+    cal, labels, raw = _oracle_inputs("tied")
+    checked = []
+    real = metrics_mod.check_scores
+
+    def counting(scores, *args):
+        checked.append(len(scores))
+        return real(scores, *args)
+
+    monkeypatch.setattr(metrics_mod, "check_scores", counting)
+    rank = RowStats(cal, labels).ranking()[2]
+    assert checked == [len(labels)]
+    monkeypatch.undo()
+    np.testing.assert_array_equal(rank, ranked_classes(cal, labels))
+    with_raw = RowStats(cal, labels, raw)
+    np.testing.assert_array_equal(ranked_classes(with_raw), ranked_classes(cal, labels, raw))
+
+
 def test_a_row_stats_passed_with_labels_a_tie_break_or_raw_scores_is_a_data_error():
     # a RowStats holds its labels, tie break and raw scores: a second source
     # of any of them would be read or ignored, so it is refused
@@ -730,7 +752,7 @@ def test_a_row_stats_passed_with_labels_a_tie_break_or_raw_scores_is_a_data_erro
         accuracy_topk(stats, None, 1, tie_break=TIE_RAW_LOGIT)
     with pytest.raises(DataError, match="RowStats holds"):
         accuracy_topk(stats, None, 1, raw_scores=raw)
-    for metric in (cw_ece, nll, brier):
+    for metric in (cw_ece, nll, brier, ranked_classes):
         with pytest.raises(DataError, match="RowStats holds"):
             metric(stats, labels)
     report = build_report(stats, None, EvalConfig())

@@ -1,7 +1,9 @@
 """The benchmark's output checks (perfbench/checks.py) read a bundle's JSON
 by field name, and the benchmark reads each binner's iterations. A bundle
 format that drops or renames one of those fields would show only as a
-failed benchmark run; this test fails instead."""
+failed benchmark run; this test fails instead. The checks read only
+n_classes and calibrators of the format-3 top level, so the test also pins
+that top level and where the provenance keeps the strategy and groups."""
 
 import importlib.util
 from pathlib import Path
@@ -35,6 +37,8 @@ def test_the_benchmark_checks_pass_a_fitted_and_applied_scw_bundle(checks, tmp_p
 
     fitted, problems = checks.check_bundle(bundle.read_text(), 5, 6)
     assert problems == []
+    assert list(fitted) == ["version", "n_classes", "input_kind", "calibrators", "provenance"]
+    assert (fitted["provenance"]["strategy"], fitted["provenance"]["groups"]) == ("scw", None)
     matrix = np.loadtxt(scores, delimiter=",", ndmin=2)
     assert checks.check_calibrated(str(calibrated), fitted, matrix) == []
     (iterations,) = [cal["binner"]["iterations"] for cal in fitted["calibrators"]]

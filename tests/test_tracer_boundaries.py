@@ -99,5 +99,5 @@ def test_the_tracer_counts_the_ranked_rows(tracer, monkeypatch):
     stats.ranking()
     ((args, kwargs),) = calls
     assert kwargs == {}, "the ranking must pass ranked_classes its arguments by position"
-    assert args[0] is stats.calibrated
+    assert args == (stats,)
     assert tracer._counts_before("metrics.ranked_classes", args) == {"rows": 37}
