@@ -18,6 +18,11 @@ long for int() and the non-JSON constants NaN, Infinity and -Infinity are
 each a DataError, as is a provenance that is not finite JSON. Version "1"
 and "2" bundles, which kept the strategy and grouping mode at the top
 level, are not read: refit them.
+
+A bundle in memory holds the same facts as its JSON, and once each. Its
+input_kind is the kind of scores apply_bundle reads. Its provenance is kept
+as the JSON value it is written as, so a groups spec reads as lists, as on
+disk, and a bundle loaded back equals the one written.
 """
 
 import json
@@ -99,8 +104,9 @@ class GroupCalibrator:
 @dataclass
 class CalibratorBundle:
     """Calibrators whose classes cover 0..n_classes-1 once each, and a
-    provenance that is any finite JSON object; fit_bundle's records the
-    seed, method, strategy and groups spec, then the fit's settings."""
+    provenance that is any finite JSON object, kept as its JSON value;
+    fit_bundle's records the seed, method, strategy and groups spec, then
+    the fit's settings."""
 
     n_classes: int
     input_kind: str
@@ -111,11 +117,7 @@ class CalibratorBundle:
         self.n_classes = check_count(self.n_classes, "bundle n_classes", minimum=1)
         if not isinstance(self.provenance, dict):
             raise DataError("bundle provenance must be an object")
-        try:
-            json.dumps(self.provenance, allow_nan=False)
-        except (TypeError, ValueError, RecursionError) as exc:
-            # so to_json writes only text that from_json reads
-            raise DataError(f"bundle provenance must be finite JSON: {exc}") from exc
+        self.provenance = _json_value(self.provenance)
         if self.input_kind not in (RAW_LOGITS, PROBABILITIES):
             raise DataError(f"unknown input kind {self.input_kind!r}")
         _cover(self.groups, self.n_classes)
@@ -141,7 +143,8 @@ class CalibratorBundle:
                 }
                 for cal in self.calibrators
             ],
-            "provenance": self.provenance,
+            # checked again, since the dict may have changed since the build
+            "provenance": _json_value(self.provenance),
         }
         return json.dumps(payload, indent=2) + "\n"
 
@@ -175,6 +178,18 @@ class CalibratorBundle:
             calibrators=calibrators,
             provenance=payload["provenance"],
         )
+
+
+def _json_value(provenance):
+    """provenance as the JSON value to_json writes and from_json reads back,
+    so tuples become lists and keys strings. A value that is not finite JSON,
+    or keys that become one field twice, are a DataError: to_json writes
+    only text that from_json reads."""
+    try:
+        text = json.dumps(provenance, allow_nan=False)
+        return json.loads(text, object_pairs_hook=_unique_fields)
+    except (TypeError, ValueError, RecursionError, DataError) as exc:
+        raise DataError(f"bundle provenance must be finite JSON: {exc}") from exc
 
 
 def _unique_fields(pairs) -> dict:
@@ -415,15 +430,18 @@ def fit_bundle(
     )
 
 
-def apply_bundle(bundle: CalibratorBundle, scores, kind: str) -> np.ndarray:
-    """Per-class calibrated probabilities, rows not renormalized: the scores'
-    log-odds, each column overwritten with its calibrator's values. Each
-    calibrator maps all of its columns at once, in the row blocks of
-    data.row_blocks."""
+def apply_bundle(bundle: CalibratorBundle, scores, kind: str | None = None) -> np.ndarray:
+    """Per-class calibrated probabilities, rows not renormalized: the log-odds
+    of scores of the bundle's input_kind, each column overwritten with its
+    calibrator's values. Each calibrator maps all of its columns at once, in
+    the row blocks of data.row_blocks. The bundle is the record of its input
+    kind: a kind passed must repeat it, and any other is a DataError."""
     shape = np.shape(scores)
     if len(shape) == 2 and shape[1] != bundle.n_classes:
         raise DataError(f"bundle was fitted for {bundle.n_classes} classes, scores have {shape[1]}")
-    lam = ovr_logits(scores, kind)
+    if kind is not None and kind != bundle.input_kind:
+        raise DataError(f"bundle was fitted on {bundle.input_kind} scores, not {kind}")
+    lam = ovr_logits(scores, bundle.input_kind)
     for cal in bundle.calibrators:
         columns = list(cal.classes)
         for rows in row_blocks(len(lam), len(columns)):

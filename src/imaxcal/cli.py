@@ -577,7 +577,7 @@ def cmd_apply(bundle_json, scores_csv, out):
     _check_outputs(out)
     fitted = _load_bundle(bundle_json)
     scores = _read_matrix(scores_csv)
-    calibrated = bundle_mod.apply_bundle(fitted, scores, fitted.input_kind)
+    calibrated = bundle_mod.apply_bundle(fitted, scores)
     _write_matrix(out, calibrated)
     diag(event="apply", n=calibrated.shape[0], k=calibrated.shape[1], out=out)
 
@@ -663,7 +663,7 @@ def cmd_eval(
         raw = None if raw_scores is None else _read_matrix(raw_scores)
     else:
         fitted = _load_bundle(bundle_json)
-        calibrated = bundle_mod.apply_bundle(fitted, scores, fitted.input_kind)
+        calibrated = bundle_mod.apply_bundle(fitted, scores)
         raw = scores if tie_break == "raw-logit" else None
         if scheme is None and fitted.has_binners():
             configs = [replace(cfg, eval_scheme=SCHEME_EXACT) for cfg in configs]

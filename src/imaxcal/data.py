@@ -135,7 +135,9 @@ def check_scores(scores, kind):
 
     The one score check, behind PredictionMatrix, ovr_logits and the raw
     scores of a raw-logit tie break: N >= 1, K >= 2, every value finite, a
-    known kind, and probability rows inside [0, 1] that sum to 1.
+    known kind, and probability rows inside [0, 1] that sum to 1. A
+    PredictionMatrix's own ovr_logits transforms the scores it checked
+    without this check.
     """
     try:
         scores = np.asarray(scores, dtype=np.float64)
@@ -191,10 +193,15 @@ def row_blocks(n, width):
 
 
 def ovr_logits(scores, kind):
-    """N x K one-vs-rest log-odds of checked scores: logit_of_prob of the
-    softmax of raw logits, or of the probabilities. Blocks of rows, about
-    BLOCK_ENTRIES values each, are transformed into the one N x K output."""
-    scores = check_scores(scores, kind)
+    """N x K one-vs-rest log-odds of the scores, checked first: logit_of_prob
+    of the softmax of raw logits, or of the probabilities. Blocks of rows,
+    about BLOCK_ENTRIES values each, are transformed into the one N x K
+    output."""
+    return _ovr_logits_of_checked(check_scores(scores, kind), kind)
+
+
+def _ovr_logits_of_checked(scores, kind):
+    """ovr_logits of scores that check_scores has returned."""
     out = np.empty(scores.shape)
     for rows in row_blocks(*scores.shape):
         block = scores[rows]
@@ -227,8 +234,9 @@ class PredictionMatrix:
         return self.scores.shape[1]
 
     def ovr_logits(self):
-        """N x K one-vs-rest log-odds of the scores (data.ovr_logits)."""
-        return ovr_logits(self.scores, self.kind)
+        """N x K one-vs-rest log-odds of the scores (data.ovr_logits), which
+        the matrix checked when it was built and are not checked again."""
+        return _ovr_logits_of_checked(self.scores, self.kind)
 
     def class_priors(self):
         """Empirical label frequencies, shape (K,)."""

@@ -34,12 +34,14 @@ from imaxcal.binning import (
 )
 from imaxcal.bundle import (
     BUNDLE_VERSION,
+    FIT_METHODS,
     METHOD_IMAX_WITH_SCALER,
     METHOD_PLATT,
     METHOD_TEMPERATURE,
     STRATEGY_CW,
     STRATEGY_SCW,
     apply_bundle,
+    check_strategy,
     fit_bundle,
     resolve_grouping,
 )
@@ -68,6 +70,38 @@ def _quiet_fit(*args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return fit_bundle(*args, **kwargs)
+
+
+_GROUP_FORMS = {"none": None, "count": 2, "lists": [(4, 3), (0, 1, 2)]}
+
+
+def _fit_cases():
+    """Every fit method (imax_with_scaler with each scaler kind), strategy,
+    groups form and input kind that check_strategy lets combine, at K=5."""
+    methods = [(m, None) for m in FIT_METHODS if m != METHOD_IMAX_WITH_SCALER]
+    methods += [(METHOD_IMAX_WITH_SCALER, KIND_TEMPERATURE), (METHOD_IMAX_WITH_SCALER, KIND_PLATT)]
+    cases = []
+    for method, scaler_kind in methods:
+        for strategy in (STRATEGY_SCW, STRATEGY_CW):
+            for form, groups in _GROUP_FORMS.items():
+                for kind in (RAW_LOGITS, PROBABILITIES):
+                    try:
+                        check_strategy(strategy, groups, method, scaler_kind, kind)
+                    except DataError:
+                        continue
+                    name = "-".join(filter(None, (method, scaler_kind, strategy, form, kind)))
+                    cases.append(pytest.param(method, scaler_kind, strategy, groups, kind, id=name))
+    return cases
+
+
+def _fit_case(method, scaler_kind, strategy, groups, kind):
+    """A bundle of one _fit_cases case, fitted on 600 rows, with its scores."""
+    data = _data(n=600, k=5, seed=2)
+    if kind == PROBABILITIES:
+        data = PredictionMatrix(softmax(data.scores), data.labels, kind=PROBABILITIES)
+    bundle = _quiet_fit(data, method, strategy=strategy, groups_spec=groups,
+                        config=ImaxConfig(n_bins=3, seed=0), scaler_kind=scaler_kind)
+    return bundle, data.scores
 
 
 # --- grouping resolution ----------------------------------------------------
@@ -270,7 +304,8 @@ def test_bundle_json_is_strict():
 
 def test_a_bundle_records_its_groups_once():
     # the groups are the calibrators' classes, each group ascending, in the
-    # order the groups were given; the provenance keeps the spec as given
+    # order the groups were given; the provenance keeps the spec as given,
+    # as JSON lists
     b = fit_bundle(_data(n=500, k=5), METHOD_EQ_SIZE, groups_spec=[(4, 3), (0, 1, 2)],
                    config=ImaxConfig(n_bins=3))
     assert b.groups == ((3, 4), (0, 1, 2))
@@ -296,6 +331,28 @@ def test_a_bundle_binner_records_edges_and_representatives():
     assert list(binner) == ["method", "edges", "reps", "iterations"]
     assert (len(binner["edges"]), len(binner["reps"])) == (3, 4)
     assert doc["provenance"]["seed"] == 3
+
+
+@pytest.mark.parametrize("method, scaler_kind, strategy, groups, kind", _fit_cases())
+def test_a_bundle_loaded_back_equals_the_bundle_written(method, scaler_kind, strategy, groups,
+                                                        kind):
+    b, _ = _fit_case(method, scaler_kind, strategy, groups, kind)
+    text = b.to_json()
+    back = CalibratorBundle.from_json(text)
+    assert (back.n_classes, back.input_kind, back.provenance) == (
+        b.n_classes, b.input_kind, b.provenance
+    )
+    assert len(back.calibrators) == len(b.calibrators)
+    for got, want in zip(back.calibrators, b.calibrators):
+        assert (got.classes, got.scaler) == (want.classes, want.scaler)
+        assert (got.binner is None) == (want.binner is None)
+        if want.binner is not None:
+            assert (got.binner.method, got.binner.iterations) == (
+                want.binner.method, want.binner.iterations
+            )
+            np.testing.assert_array_equal(got.binner.edges, want.binner.edges)
+            np.testing.assert_array_equal(got.binner.reps, want.binner.reps)
+    assert back.to_json() == text
 
 
 @pytest.mark.parametrize("n_classes", [10**9, 10**12])
@@ -415,13 +472,41 @@ def test_a_provenance_that_is_not_finite_json_is_a_data_error(value):
     assert CalibratorBundle.from_json(bundle.to_json()).provenance == {"x": [1.5, None, "a"]}
 
 
+def test_a_provenance_is_kept_as_the_json_value_it_is_written_as():
+    calibrator = GroupCalibrator((0, 1), scaler=Scaler(kind=KIND_TEMPERATURE, temperature=1.0))
+    b = CalibratorBundle(2, RAW_LOGITS, [calibrator], provenance={"g": ((1,), (0,)), 3: "k"})
+    assert b.provenance == {"g": [[1], [0]], "3": "k"}
+    # keys that json writes as one field are a DataError, not a file that
+    # from_json rejects
+    with pytest.raises(DataError, match="bundle provenance must be finite JSON"):
+        CalibratorBundle(2, RAW_LOGITS, [calibrator], provenance={1: "a", "1": "b"})
+
+
+def test_a_provenance_changed_after_the_build_is_checked_when_written():
+    b = fit_bundle(_data(n=300, k=3), METHOD_TEMPERATURE)
+    b.provenance["x"] = float("nan")
+    with pytest.raises(DataError, match="bundle provenance must be finite JSON"):
+        b.to_json()
+    b.provenance["x"] = (1, 2)
+    assert json.loads(b.to_json())["provenance"]["x"] == [1, 2]
+
+
 # --- application ----------------------------------------------------------------------
 
 def test_apply_checks_the_class_count():
     b = fit_bundle(_data(k=6), METHOD_TEMPERATURE)
     wrong = np.zeros((3, 4))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="bundle was fitted for 6 classes, scores have 4"):
         apply_bundle(b, wrong, RAW_LOGITS)
+
+
+@pytest.mark.parametrize("method, scaler_kind, strategy, groups, kind", _fit_cases())
+def test_apply_reads_the_input_kind_from_the_bundle(method, scaler_kind, strategy, groups, kind):
+    b, scores = _fit_case(method, scaler_kind, strategy, groups, kind)
+    np.testing.assert_array_equal(apply_bundle(b, scores), apply_bundle(b, scores, kind))
+    other = PROBABILITIES if kind == RAW_LOGITS else RAW_LOGITS
+    with pytest.raises(DataError, match=f"fitted on {kind} scores, not {other}"):
+        apply_bundle(b, scores, other)
 
 
 def test_identity_temperature_bundle_reproduces_probabilities():
@@ -647,7 +732,7 @@ def test_a_mutated_bundle_loads_or_is_a_data_error(valid_bundle_docs, data):
     logits = np.random.default_rng(0).normal(0.0, 20.0, size=(50, max(bundle.n_classes, 1)))
     scores = logits if bundle.input_kind == RAW_LOGITS else softmax(logits)
     try:
-        out = apply_bundle(bundle, scores, bundle.input_kind)
+        out = apply_bundle(bundle, scores)
     except ImaxcalError:
         return
     assert np.all((out >= 0.0) & (out <= 1.0))

@@ -1259,6 +1259,32 @@ def test_mi_report_leaves_the_ratio_empty_when_the_bound_is_0(tmp_path, capsys):
     assert len([l for l in lines if l.startswith("event=zero_bound ")]) == 1
 
 
+def test_each_command_reads_the_scores_for_non_finite_values_once_per_pass(
+    workdir, tmp_path, finite_scans
+):
+    # per N x K matrix: fit checks the scores as it builds the matrix, softmax
+    # checks each block, and the merged set checks its log-odds; apply checks
+    # the scores and softmax each block; eval --bundle adds the calibrated
+    # matrix's check; mi-report also checks the merged set's log-odds again,
+    # split into the two class-conditional KDE sample sets. Each label file
+    # adds N values.
+    mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
+    bundle = str(tmp_path / "b.json")
+    mc_entries, bin_rows = 400 * 5, 600
+    commands = [
+        (["fit", *mc, "-o", bundle, "--bins", "6", "--seed", "0"], 3 * mc_entries + 400),
+        (["apply", bundle, mc[0], "-o", str(tmp_path / "cal.csv")], 2 * mc_entries),
+        (["eval", *mc, "--bundle", bundle, "-o", str(tmp_path / "r.json")],
+         3 * mc_entries + 400),
+        (["mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
+          "--bins", "2,4", "-o", str(tmp_path / "mi.csv")], 4 * 2 * bin_rows + bin_rows),
+    ]
+    for argv, entries in commands:
+        finite_scans.clear()
+        assert main(argv) == 0, argv
+        assert sum(finite_scans) == entries, argv[0]
+
+
 def _scipy_modules_after(argvs):
     """Names of the scipy modules a fresh interpreter holds after importing
     the CLI and running argvs through main; each command must exit 0."""

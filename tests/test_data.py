@@ -181,6 +181,25 @@ def test_scores_are_checked_the_same_way_with_and_without_labels(scores, kind):
     assert str(bare.value) == str(labelled.value)
 
 
+@pytest.mark.parametrize("kind", [RAW_LOGITS, PROBABILITIES])
+def test_a_matrix_transforms_the_scores_it_checked_without_checking_them_again(
+    kind, finite_scans
+):
+    # the module function checks its scores; the matrix checked its own when
+    # it was built, so only softmax's check of each block of raw logits reads
+    # them again; both give the same log-odds
+    logits = np.random.default_rng(3).normal(size=(3000, 7))
+    data = PredictionMatrix(logits if kind == RAW_LOGITS else softmax(logits),
+                            np.zeros(3000, dtype=np.int64), kind=kind)
+    softmax_reads = data.scores.size if kind == RAW_LOGITS else 0
+    finite_scans.clear()
+    from_matrix = data.ovr_logits()
+    assert sum(finite_scans) == softmax_reads
+    finite_scans.clear()
+    np.testing.assert_array_equal(ovr_logits(data.scores, kind), from_matrix)
+    assert sum(finite_scans) == data.scores.size + softmax_reads
+
+
 def test_non_integral_labels_are_rejected_not_truncated():
     good = np.array([[0.5, 0.5], [0.1, 0.9]])
     with pytest.raises(DataError, match="integers"):
