@@ -35,6 +35,7 @@ from .errors import DataError, FitError
 METHOD_EQ_SIZE = "eq_size"
 METHOD_EQ_MASS = "eq_mass"
 METHOD_IMAX = "imax"
+BINNING_METHODS = (METHOD_IMAX, METHOD_EQ_SIZE, METHOD_EQ_MASS)
 
 REP_EMPIRICAL_FREQ = "empirical_freq"
 REP_RAW_PROB_MEAN = "raw_prob_mean"

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binning import (
+    BINNING_METHODS,
     METHOD_EQ_MASS,
     METHOD_EQ_SIZE,
     METHOD_IMAX,
@@ -247,7 +248,7 @@ def _binner_json(binner: Binner) -> dict:
 
 def _read_binner(payload) -> Binner:
     payload = _json_object(payload, _BINNER_FIELDS, "binner")
-    if payload["method"] not in (METHOD_EQ_SIZE, METHOD_EQ_MASS, METHOD_IMAX):
+    if payload["method"] not in BINNING_METHODS:
         raise DataError(f"unknown binning method {payload['method']!r}")
 
     def numbers(name):
@@ -371,7 +372,7 @@ def fit_bundle(
         raise DataError(f"unknown method {method!r}")
     if rep_strategy not in REP_STRATEGIES:
         raise DataError(f"unknown representative strategy {rep_strategy!r}")
-    binned = method in (METHOD_EQ_SIZE, METHOD_EQ_MASS, METHOD_IMAX)
+    binned = method in BINNING_METHODS
     if rep_strategy != REP_EMPIRICAL_FREQ and not (binned and rep_strategy == REP_RAW_PROB_MEAN):
         raise DataError(
             f"rep_strategy {rep_strategy} does not apply to {method}: raw_prob_mean needs eq_size,"

@@ -7,6 +7,7 @@ failure. Diagnostics go to stderr as single-line key=value records.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -25,8 +26,7 @@ from . import bundle as bundle_mod
 from . import info as info_mod
 from . import synth as synth_mod
 from .binning import (
-    METHOD_EQ_MASS,
-    METHOD_EQ_SIZE,
+    BINNING_METHODS,
     METHOD_IMAX,
     REP_EMPIRICAL_FREQ,
     REP_RAW_PROB_MEAN,
@@ -53,8 +53,12 @@ from .metrics import (
     build_report,
     reports_csv,
 )
+from .scaling import KIND_PLATT, KIND_TEMPERATURE
 
 _KIND_BY_FLAG = {"logits": RAW_LOGITS, "probs": PROBABILITIES}
+_REP_FLAGS = (REP_EMPIRICAL_FREQ, REP_RAW_PROB_MEAN)
+# fit's --strategy and --rep-strategy default to these keywords' defaults
+_FIT_KEYWORDS = inspect.signature(bundle_mod.fit_bundle).parameters
 
 
 def _one_line(value):
@@ -330,7 +334,8 @@ def _write_matrix(path, matrix):
 
 
 def _parse_multi(values, cast, what):
-    """Flatten repeatable, comma-separated flag values."""
+    """Flatten repeatable, comma-separated flag values; a flag given only
+    empty values is a usage error."""
     out = []
     for value in values:
         for token in str(value).split(","):
@@ -341,6 +346,8 @@ def _parse_multi(values, cast, what):
                 out.append(cast(token))
             except ValueError as exc:
                 raise click.UsageError(f"bad {what} value {token!r}") from exc
+    if not out:
+        raise click.UsageError(f"no {what} value in {list(values)!r}")
     return out
 
 
@@ -379,7 +386,7 @@ def _parse_thresholds(values):
             out.append(
                 _name(token, NAMED_THRESHOLDS, "threshold", {"prior": THRESHOLD_CLASS_PRIOR})
             )
-    return out or [THRESHOLD_CLASS_PRIOR]
+    return out
 
 
 def _parse_groups(text):
@@ -413,7 +420,7 @@ def _parse_groups(text):
     return groups
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def cli():
     """Post-hoc confidence calibration: binning, scaling, evaluation."""
 
@@ -422,19 +429,11 @@ def cli():
 @click.argument("scores_csv", type=click.Path())
 @click.argument("labels_csv", type=click.Path())
 @click.option("-o", "--out", required=True, type=click.Path(), help="Bundle JSON path.")
-@click.option(
-    "--method",
-    default="imax",
-    help="eq_size | eq_mass | imax | temperature | platt | imax_with_scaler",
-)
-@click.option("--bins", default=15, show_default=True, help="Number of bins M.")
-@click.option(
-    "--strategy",
-    default="scw",
-    type=click.Choice(["cw", "scw"]),
-    show_default=True,
-    help="Per-class (cw) or shared (scw) calibrators.",
-)
+@click.option("--method", default=METHOD_IMAX, help=" | ".join(bundle_mod.FIT_METHODS))
+@click.option("--bins", default=ImaxConfig.n_bins, help="Number of bins M.")
+@click.option("--strategy", default=_FIT_KEYWORDS["strategy"].default,
+              type=click.Choice([bundle_mod.STRATEGY_CW, bundle_mod.STRATEGY_SCW]),
+              help="Per-class (cw) or shared (scw) calibrators.")
 @click.option(
     "--groups",
     default=None,
@@ -443,25 +442,15 @@ def cli():
 @click.option(
     "--scaler",
     default="none",
-    type=click.Choice(["none", "temperature", "platt"]),
-    show_default=True,
+    type=click.Choice(["none", KIND_TEMPERATURE, KIND_PLATT]),
     help="Scaler for imax_with_scaler representatives.",
 )
-@click.option("--seed", default=0, show_default=True)
-@click.option(
-    "--input-kind",
-    default="logits",
-    type=click.Choice(["logits", "probs"]),
-    show_default=True,
-)
-@click.option(
-    "--holdout-frac",
-    default=0.0,
-    show_default=True,
-    help="Class-balanced holdout fraction, written next to the bundle.",
-)
-@click.option("--rep-strategy", default="empirical-freq", show_default=True,
-              help="empirical-freq | raw-prob-mean for binning methods.")
+@click.option("--seed", default=ImaxConfig.seed)
+@click.option("--input-kind", default="logits", type=click.Choice(list(_KIND_BY_FLAG)))
+@click.option("--holdout-frac", default=0.0,
+              help="Class-balanced holdout fraction, written next to the bundle.")
+@click.option("--rep-strategy", default=_FIT_KEYWORDS["rep_strategy"].default,
+              help=f"{' | '.join(_REP_FLAGS)} for binning methods.")
 def cmd_fit(
     scores_csv,
     labels_csv,
@@ -478,10 +467,10 @@ def cmd_fit(
 ):
     """Fit a calibrator bundle from scores and labels."""
     method = _name(method, bundle_mod.FIT_METHODS, "method")
-    rep = _name(rep_strategy, (REP_EMPIRICAL_FREQ, REP_RAW_PROB_MEAN), "rep strategy")
+    rep = _name(rep_strategy, _REP_FLAGS, "rep strategy")
     if not 0.0 <= holdout_frac < 1.0:
         raise click.UsageError("--holdout-frac must lie in [0, 1)")
-    if method == "imax" and scaler != "none":
+    if method == METHOD_IMAX and scaler != "none":
         method = bundle_mod.METHOD_IMAX_WITH_SCALER
     scalers = (bundle_mod.METHOD_TEMPERATURE, bundle_mod.METHOD_PLATT)
     if method in scalers and _given("bins"):
@@ -600,16 +589,17 @@ def _load_bundle(path):
               help="Apply this bundle first; scores_csv is then raw scores.")
 @click.option("-o", "--out", default=None, type=click.Path(), help="Report JSON path.")
 @click.option("--csv", "csv_out", default=None, type=click.Path(), help="Report CSV path.")
-@click.option("--eval-scheme", default="auto", show_default=True,
-              help="auto | eq_size | eq_mass | kmeans | imax_eval | exact_grouping")
-@click.option("--eval-bins", multiple=True, help="Repeatable; default 100.")
-@click.option("--cw-threshold", multiple=True,
+@click.option("--eval-scheme", default="auto", help=" | ".join(("auto", *EVAL_SCHEMES)))
+# a repeatable flag's type is that of its default's entries unless given
+@click.option("--eval-bins", default=(EvalConfig.n_eval_bins,), type=str, multiple=True,
+              help="Repeatable.")
+@click.option("--cw-threshold", default=EvalConfig.cw_thresholds, multiple=True,
               help="zero | one-over-k | prior | half | float; repeatable.")
-@click.option("--top-k", multiple=True, help="Repeatable; default 1,5.")
-@click.option("--bootstrap", default=0, show_default=True, help="Resample count B.")
+@click.option("--top-k", default=EvalConfig.top_k, type=str, multiple=True, help="Repeatable.")
+@click.option("--bootstrap", default=EvalConfig.bootstrap, help="Resample count B.")
 @click.option("--tie-break", default="class-index",
-              type=click.Choice(["class-index", "raw-logit"]), show_default=True)
-@click.option("--seed", default=0, show_default=True)
+              type=click.Choice(["class-index", "raw-logit"]))
+@click.option("--seed", default=EvalConfig.seed)
 @click.option("--raw-scores", default=None, type=click.Path(),
               help="The scores file apply read, for --tie-break raw-logit without --bundle.")
 def cmd_eval(
@@ -639,9 +629,9 @@ def cmd_eval(
         raise click.UsageError("--raw-scores applies only with --tie-break raw-logit")
     if tie_break == "raw-logit" and bundle_json is None and raw_scores is None:
         raise DataError("raw-logit tie break needs --bundle or --raw-scores")
-    bins_list = _parse_multi(eval_bins, int, "--eval-bins") or [100]
+    bins_list = _parse_multi(eval_bins, int, "--eval-bins")
     thresholds = _parse_thresholds(cw_threshold)
-    ks = _parse_multi(top_k, int, "--top-k") or [1, 5]
+    ks = _parse_multi(top_k, int, "--top-k")
     configs = [
         _flag_config(
             EvalConfig,
@@ -655,14 +645,14 @@ def cmd_eval(
         for nb in bins_list
     ]
     _check_outputs(out, csv_out)
+    fitted = None if bundle_json is None else _load_bundle(bundle_json)
 
     scores = _read_matrix(scores_csv)
     labels = _read_labels(labels_csv)
-    if bundle_json is None:
+    if fitted is None:
         calibrated = scores
         raw = None if raw_scores is None else _read_matrix(raw_scores)
     else:
-        fitted = _load_bundle(bundle_json)
         calibrated = bundle_mod.apply_bundle(fitted, scores)
         raw = scores if tie_break == "raw-logit" else None
         if scheme is None and fitted.has_binners():
@@ -708,15 +698,18 @@ def cmd_eval(
 @cli.command("synth")
 @click.option("--preset", default=None, type=click.Choice(sorted(synth_mod.PRESETS)))
 @click.option("--multiclass", is_flag=True, help="Multiclass generator (default: binary mixture).")
-@click.option("--k", default=10, show_default=True, help="Multiclass class count.")
-@click.option("--tgen", default=1.0, show_default=True, help="Generation temperature.")
-@click.option("--prior", default=0.5, show_default=True, help="Binary positive prior.")
-@click.option("--mu-pos", default=1.0, show_default=True)
-@click.option("--mu-neg", default=-1.0, show_default=True)
-@click.option("--sigma-pos", default=1.0, show_default=True)
-@click.option("--sigma-neg", default=1.0, show_default=True)
-@click.option("--n", default=10_000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option(
+    "--k", default=synth_mod.MulticlassSynthSpec.n_classes, help="Multiclass class count."
+)
+@click.option("--tgen", default=synth_mod.MulticlassSynthSpec.t_gen, help="Generation temperature.")
+@click.option("--prior", default=synth_mod.BinaryMixtureSpec.prior, help="Binary positive prior.")
+@click.option("--mu-pos", default=synth_mod.BinaryMixtureSpec.mu_pos)
+@click.option("--mu-neg", default=synth_mod.BinaryMixtureSpec.mu_neg)
+@click.option("--sigma-pos", default=synth_mod.BinaryMixtureSpec.sigma_pos)
+@click.option("--sigma-neg", default=synth_mod.BinaryMixtureSpec.sigma_neg)
+# the two specs share their n and seed defaults
+@click.option("--n", default=synth_mod.BinaryMixtureSpec.n)
+@click.option("--seed", default=synth_mod.BinaryMixtureSpec.seed)
 @click.option("--out-prefix", required=True, type=click.Path())
 def cmd_synth(
     preset,
@@ -790,27 +783,21 @@ def cmd_synth(
 @cli.command("mi-report")
 @click.argument("scores_csv", type=click.Path())
 @click.argument("labels_csv", type=click.Path())
-@click.option("--bins", multiple=True, help="Repeatable bin counts; default 2,4,8,16.")
-@click.option("--method", "methods", multiple=True,
-              help="Repeatable: imax | eq_size | eq_mass; default all three.")
-@click.option("--seed", default=0, show_default=True)
-@click.option(
-    "--input-kind",
-    default="logits",
-    type=click.Choice(["logits", "probs"]),
-    show_default=True,
-)
+@click.option("--bins", default=(2, 4, 8, 16), type=str, multiple=True,
+              help="Repeatable bin counts.")
+@click.option("--method", "methods", default=BINNING_METHODS, multiple=True,
+              help=f"Repeatable: {' | '.join(BINNING_METHODS)}.")
+@click.option("--seed", default=ImaxConfig.seed)
+@click.option("--input-kind", default="logits", type=click.Choice(list(_KIND_BY_FLAG)))
 @click.option("-o", "--out", default=None, type=click.Path(), help="CSV path (default stdout).")
 def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     """Empirical binner MI against the KDE upper bound, on the fit set."""
     configs = [
-        _flag_config(ImaxConfig, n_bins=m, seed=seed)
-        for m in _parse_multi(bins, int, "--bins") or [2, 4, 8, 16]
+        _flag_config(ImaxConfig, n_bins=m, seed=seed) for m in _parse_multi(bins, int, "--bins")
     ]
-    binning_methods = (METHOD_IMAX, METHOD_EQ_SIZE, METHOD_EQ_MASS)
     method_list = [
-        _name(m, binning_methods, "method") for m in _parse_multi(methods, str, "--method")
-    ] or list(binning_methods)
+        _name(m, BINNING_METHODS, "method") for m in _parse_multi(methods, str, "--method")
+    ]
     _check_outputs(out)
 
     data = PredictionMatrix(

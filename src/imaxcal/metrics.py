@@ -93,18 +93,6 @@ def _check_threshold(thr):
     return thr
 
 
-def _checked(calibrated, labels, raw_scores):
-    """The inputs of a RowStats or ranked_classes, checked; raw_scores may be None."""
-    calibrated = np.ascontiguousarray(check_scores(calibrated, RAW_LOGITS))
-    if calibrated.min() < 0.0 or calibrated.max() > 1.0:
-        raise DataError("calibrated scores outside [0, 1]; raw scores need a bundle applied first")
-    if raw_scores is not None:
-        raw_scores = check_scores(raw_scores, RAW_LOGITS)
-        if raw_scores.shape != calibrated.shape:
-            raise DataError("raw score shape does not match calibrated scores")
-    return calibrated, check_labels(labels, *calibrated.shape), raw_scores
-
-
 class RowStats:
     """Per-row statistics of one calibrated matrix, computed once.
 
@@ -121,8 +109,18 @@ class RowStats:
     """
 
     def __init__(self, calibrated, labels, raw_scores=None):
-        self.calibrated, self.labels, self.raw_scores = _checked(calibrated, labels, raw_scores)
-        self.n, self.k = self.calibrated.shape
+        calibrated = np.ascontiguousarray(check_scores(calibrated, RAW_LOGITS))
+        if calibrated.min() < 0.0 or calibrated.max() > 1.0:
+            raise DataError(
+                "calibrated scores outside [0, 1]; raw scores need a bundle applied first"
+            )
+        if raw_scores is not None:
+            raw_scores = check_scores(raw_scores, RAW_LOGITS)
+            if raw_scores.shape != calibrated.shape:
+                raise DataError("raw score shape does not match calibrated scores")
+        self.calibrated, self.raw_scores = calibrated, raw_scores
+        self.labels = check_labels(labels, *calibrated.shape)
+        self.n, self.k = calibrated.shape
         self.tie_break = TIE_CLASS_INDEX if raw_scores is None else TIE_RAW_LOGIT
         self.rows = np.arange(self.n)
         q_true = self.calibrated[self.rows, self.labels]
@@ -217,11 +215,8 @@ def ranked_classes(calibrated, labels=None, raw_scores=None):
     whose checked inputs are ranked over every row; labels and raw_scores
     are then None.
     """
-    if isinstance(calibrated, RowStats):
-        stats = _row_stats(calibrated, labels, raw_scores)
-        calibrated, labels, raw_scores = stats.calibrated, stats.labels, stats.raw_scores
-    else:
-        calibrated, labels, raw_scores = _checked(calibrated, labels, raw_scores)
+    stats = _row_stats(calibrated, labels, raw_scores)
+    calibrated, labels, raw_scores = stats.calibrated, stats.labels, stats.raw_scores
     n, k = calibrated.shape
     classes = np.arange(k)
     rank = np.empty(n, dtype=np.intp)

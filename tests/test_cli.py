@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imaxcal import binning as binning_mod, metrics as metrics_mod, synth as synth_mod
+from imaxcal import (
+    binning as binning_mod,
+    cli as cli_mod,
+    metrics as metrics_mod,
+    synth as synth_mod,
+)
 from imaxcal.binning import ImaxConfig, fit_edges
 from imaxcal.bundle import apply_bundle, fit_bundle
 from imaxcal.cli import main
@@ -978,6 +983,47 @@ def test_eval_usage_errors(workdir, tmp_path):
     ]:
         assert main(["eval", missing, labels, "--bundle", bundle, flag, value]) == 2
     assert main(["eval", missing, labels, "--raw-scores", missing]) == 2  # class-index tie break
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("eval", "--eval-bins", ""),
+        ("eval", "--top-k", " , "),
+        ("eval", "--cw-threshold", ","),
+        ("mi-report", "--bins", ""),
+        ("mi-report", "--method", ""),
+    ],
+)
+def test_a_repeatable_flag_of_only_empty_values_is_a_usage_error(
+    tmp_path, capsys, command, flag, value
+):
+    # not its default, nor a run with no reports, bins or methods
+    missing = [str(tmp_path / "scores.csv"), str(tmp_path / "labels.csv")]
+    capsys.readouterr()
+    assert main([command, *missing, flag, value]) == 2
+    assert capsys.readouterr().err.startswith('error=usage msg="no ')
+
+
+def test_eval_reads_its_bundle_before_its_csvs(workdir, tmp_path, capsys, monkeypatch):
+    # as apply does: a bundle that does not load costs no parse of a scores file
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(_fit_bundle(workdir).read_text()[:-20])
+    scores, labels = str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")
+    capsys.readouterr()
+    assert main(["apply", str(truncated), scores, "-o", str(tmp_path / "c.csv")]) == 3
+    applied = capsys.readouterr().err
+    reads = []
+    read_matrix = cli_mod._read_matrix
+
+    def counted(path):
+        reads.append(path)
+        return read_matrix(path)
+
+    monkeypatch.setattr(cli_mod, "_read_matrix", counted)
+    assert main(["eval", scores, labels, "--bundle", str(truncated)]) == 3
+    assert reads == []
+    assert capsys.readouterr().err == applied
 
 
 def test_one_imax_eval_bin_is_a_usage_error_before_any_file_is_read(tmp_path, capsys):
