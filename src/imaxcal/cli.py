@@ -49,6 +49,8 @@ from .metrics import (
     SCHEME_EXACT,
     SCHEME_IMAX,
     THRESHOLD_CLASS_PRIOR,
+    TIE_CLASS_INDEX,
+    TIE_RAW_LOGIT,
     RowStats,
     build_report,
     reports_csv,
@@ -57,6 +59,7 @@ from .scaling import KIND_PLATT, KIND_TEMPERATURE
 
 _KIND_BY_FLAG = {"logits": RAW_LOGITS, "probs": PROBABILITIES}
 _REP_FLAGS = (REP_EMPIRICAL_FREQ, REP_RAW_PROB_MEAN)
+_TIE_BREAKS = (TIE_CLASS_INDEX, TIE_RAW_LOGIT)
 # fit's --strategy and --rep-strategy default to these keywords' defaults
 _FIT_KEYWORDS = inspect.signature(bundle_mod.fit_bundle).parameters
 
@@ -296,8 +299,14 @@ def _check_outputs(*paths):
     """Each output path that is not None opened for appending and closed,
     before any input is read: a path that cannot be written fails the
     command before it does any work, and no byte of a file that existed
-    changes. A path that did not exist joins the list of created files that
-    main passes to the command as its context's obj."""
+    changes. Two paths that resolve to one file are a usage error before
+    any file is made, unless it exists and is not a regular file, such as
+    /dev/null. A path that did not exist joins the list of created files
+    that main passes to the command as its context's obj."""
+    files = [p for p in paths if p is not None and (os.path.isfile(p) or not os.path.exists(p))]
+    real = [os.path.realpath(p) for p in files]
+    if len(set(real)) < len(real):
+        raise click.UsageError(f"two of the outputs {files} are one file")
     ctx = click.get_current_context(silent=True)
     created = [] if ctx is None or ctx.obj is None else ctx.obj
     for path in paths:
@@ -333,9 +342,11 @@ def _write_matrix(path, matrix):
             fh.write("".join(np.array(tokens, dtype=object)[at].ravel().tolist()))
 
 
-def _parse_multi(values, cast, what):
-    """Flatten repeatable, comma-separated flag values; a flag given only
-    empty values is a usage error."""
+def _parse_multi(values, parse, what, once=True):
+    """The comma-separated tokens of a repeatable flag's values, each read by
+    parse, whose ValueError is a usage error. With once, a value repeated
+    after names and aliases resolve counts once. A flag given only empty
+    values is a usage error."""
     out = []
     for value in values:
         for token in str(value).split(","):
@@ -343,12 +354,12 @@ def _parse_multi(values, cast, what):
             if not token:
                 continue
             try:
-                out.append(cast(token))
+                out.append(parse(token))
             except ValueError as exc:
                 raise click.UsageError(f"bad {what} value {token!r}") from exc
     if not out:
         raise click.UsageError(f"no {what} value in {list(values)!r}")
-    return out
+    return list(dict.fromkeys(out)) if once else out
 
 
 def _flag_config(build, **flags):
@@ -377,47 +388,33 @@ def _name(token, allowed, what, aliases=None):
     return name
 
 
-def _parse_thresholds(values):
-    out = []
-    for token in _parse_multi(values, str, "threshold"):
-        try:
-            out.append(float(token))
-        except ValueError:
-            out.append(
-                _name(token, NAMED_THRESHOLDS, "threshold", {"prior": THRESHOLD_CLASS_PRIOR})
-            )
-    return out
+def _threshold(token):
+    """A --cw-threshold token: a number, else a named threshold."""
+    try:
+        return float(token)
+    except ValueError:
+        return _name(token, NAMED_THRESHOLDS, "threshold", {"prior": THRESHOLD_CLASS_PRIOR})
+
+
+def _group(token):
+    """The classes of one --groups token: an index, or lo-hi for lo to hi."""
+    if "-" not in token:
+        return (int(token),)
+    lo, _, hi = token.partition("-")
+    group = tuple(range(int(lo), int(hi) + 1))
+    if not group:
+        raise ValueError(token)
+    return group
 
 
 def _parse_groups(text):
+    """A --groups value as fit's groups_spec; explicit groups keep repeats, which overlap."""
     if text is None:
         return None
     try:
         return int(text)
     except ValueError:
-        pass
-    groups = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            try:
-                group = tuple(range(int(lo), int(hi) + 1))
-            except ValueError:
-                group = ()
-            if not group:
-                raise click.UsageError(f"bad group range {part!r}")
-            groups.append(group)
-        else:
-            try:
-                groups.append((int(part),))
-            except ValueError:
-                raise click.UsageError(f"bad group index {part!r}") from None
-    if not groups:
-        raise click.UsageError(f"empty group spec {text!r}")
-    return groups
+        return _parse_multi([text], _group, "--groups", once=False)
 
 
 @click.group(context_settings={"show_default": True})
@@ -597,8 +594,7 @@ def _load_bundle(path):
               help="zero | one-over-k | prior | half | float; repeatable.")
 @click.option("--top-k", default=EvalConfig.top_k, type=str, multiple=True, help="Repeatable.")
 @click.option("--bootstrap", default=EvalConfig.bootstrap, help="Resample count B.")
-@click.option("--tie-break", default="class-index",
-              type=click.Choice(["class-index", "raw-logit"]))
+@click.option("--tie-break", default=TIE_CLASS_INDEX, help=" | ".join(_TIE_BREAKS))
 @click.option("--seed", default=EvalConfig.seed)
 @click.option("--raw-scores", default=None, type=click.Path(),
               help="The scores file apply read, for --tie-break raw-logit without --bundle.")
@@ -625,12 +621,13 @@ def cmd_eval(
         raise click.UsageError(
             "--raw-scores applies only without --bundle; with it, scores_csv is the raw scores"
         )
-    if raw_scores is not None and tie_break != "raw-logit":
+    tie_break = _name(tie_break, _TIE_BREAKS, "tie break")
+    if raw_scores is not None and tie_break != TIE_RAW_LOGIT:
         raise click.UsageError("--raw-scores applies only with --tie-break raw-logit")
-    if tie_break == "raw-logit" and bundle_json is None and raw_scores is None:
-        raise DataError("raw-logit tie break needs --bundle or --raw-scores")
+    if tie_break == TIE_RAW_LOGIT and bundle_json is None and raw_scores is None:
+        raise click.UsageError("raw-logit tie break needs --bundle or --raw-scores")
     bins_list = _parse_multi(eval_bins, int, "--eval-bins")
-    thresholds = _parse_thresholds(cw_threshold)
+    thresholds = _parse_multi(cw_threshold, _threshold, "threshold")
     ks = _parse_multi(top_k, int, "--top-k")
     configs = [
         _flag_config(
@@ -654,7 +651,7 @@ def cmd_eval(
         raw = None if raw_scores is None else _read_matrix(raw_scores)
     else:
         calibrated = bundle_mod.apply_bundle(fitted, scores)
-        raw = scores if tie_break == "raw-logit" else None
+        raw = scores if tie_break == TIE_RAW_LOGIT else None
         if scheme is None and fitted.has_binners():
             configs = [replace(cfg, eval_scheme=SCHEME_EXACT) for cfg in configs]
 
@@ -795,9 +792,7 @@ def cmd_mi_report(scores_csv, labels_csv, bins, methods, seed, input_kind, out):
     configs = [
         _flag_config(ImaxConfig, n_bins=m, seed=seed) for m in _parse_multi(bins, int, "--bins")
     ]
-    method_list = [
-        _name(m, BINNING_METHODS, "method") for m in _parse_multi(methods, str, "--method")
-    ]
+    method_list = _parse_multi(methods, lambda m: _name(m, BINNING_METHODS, "method"), "--method")
     _check_outputs(out)
 
     data = PredictionMatrix(

@@ -101,11 +101,11 @@ class RowStats:
     Sums whose order matters gather per-row arrays at the rows, in draw
     order. Counts need only how often each row is drawn: the accuracies, the
     class priors and exact grouping read the pass's draw counts. A row's
-    ranking does not depend on which rows are drawn, so the matrix is ranked
-    at most once, on first use, and each column is sorted into its distinct
-    values at most once (see ExactGroups); every RowStats made by take
-    shares those results. Ties rank by raw logit exactly when raw_scores are
-    given (see ranked_classes); tie_break names the rule.
+    ranking and loss terms do not depend on which rows are drawn, so each is
+    made at most once, on first use, and each column is sorted into its
+    distinct values at most once (see ExactGroups); every RowStats made by
+    take shares those results. Ties rank by raw logit exactly when
+    raw_scores are given (see ranked_classes); tie_break names the rule.
     """
 
     def __init__(self, calibrated, labels, raw_scores=None):
@@ -123,14 +123,6 @@ class RowStats:
         self.n, self.k = calibrated.shape
         self.tie_break = TIE_CLASS_INDEX if raw_scores is None else TIE_RAW_LOGIT
         self.rows = np.arange(self.n)
-        q_true = self.calibrated[self.rows, self.labels]
-        self.nll_terms = -np.log(np.clip(q_true, PROB_EPS, 1.0))
-        # each row's sum of squares, block by block rather than as an N x K square
-        sq_sums = np.empty(self.n)
-        for rows in row_blocks(self.n, self.k):
-            block = self.calibrated[rows]
-            np.sum(block * block, axis=1, out=sq_sums[rows])
-        self.brier_terms = sq_sums - 2.0 * q_true + 1.0
         self._weights = None
         self._shared = {}
 
@@ -159,6 +151,19 @@ class RowStats:
             top = self.calibrated.max(axis=1)
             self._shared["ranking"] = (top, (rank == 0).astype(np.float64), rank)
         return self._shared["ranking"]
+
+    def losses(self):
+        """(NLL term, Brier term) of every row of the full matrix."""
+        if "losses" not in self._shared:
+            q_true = self.calibrated[np.arange(self.n), self.labels]
+            # each row's sum of squares, block by block rather than as an N x K square
+            sq_sums = np.empty(self.n)
+            for rows in row_blocks(self.n, self.k):
+                block = self.calibrated[rows]
+                np.sum(block * block, axis=1, out=sq_sums[rows])
+            nll_terms = -np.log(np.clip(q_true, PROB_EPS, 1.0))
+            self._shared["losses"] = (nll_terms, sq_sums - 2.0 * q_true + 1.0)
+        return self._shared["losses"]
 
     def exact_groups(self, key):
         """ExactGroups of class key's column against the label being key, or
@@ -448,7 +453,7 @@ def nll(calibrated, labels) -> float:
     calibrated may also be a RowStats, as in accuracy_topk.
     """
     stats = _row_stats(calibrated, labels)
-    return float(np.mean(stats.nll_terms[stats.rows]))
+    return float(np.mean(stats.losses()[0][stats.rows]))
 
 
 def brier(calibrated, labels) -> float:
@@ -457,7 +462,7 @@ def brier(calibrated, labels) -> float:
     calibrated may also be a RowStats, as in accuracy_topk.
     """
     stats = _row_stats(calibrated, labels)
-    return float(np.mean(stats.brier_terms[stats.rows]))
+    return float(np.mean(stats.losses()[1][stats.rows]))
 
 
 def mi_from_joint(joint) -> float:

@@ -301,8 +301,8 @@ def test_fit_usage_errors(workdir, tmp_path, capsys):
     ):
         assert main(missing + extra) == 2, extra
     for extra, message in (
-        (["--groups", "a"], "bad group index"),
-        (["--groups", ","], "empty group spec"),
+        (["--groups", "a"], "bad --groups value 'a'"),
+        (["--groups", ","], "no --groups value in [',']"),
     ):
         capsys.readouterr()
         assert main(missing + extra) == 2, extra
@@ -865,7 +865,7 @@ def test_eval_tie_break_needs_raw_scores(workdir, tmp_path):
     assert main(["apply", str(bundle), str(workdir / "mc-scores.csv"), "-o", str(cal)]) == 0
     assert main(
         ["eval", str(cal), str(workdir / "mc-labels.csv"), "--tie-break", "raw-logit"]
-    ) == 3
+    ) == 2
     assert main(
         [
             "eval", str(cal), str(workdir / "mc-labels.csv"),
@@ -942,6 +942,8 @@ def test_imax_eval_scheme_scores_a_binning_bundle(workdir, tmp_path, eval_bins):
         ("fit", [], "--rep-strategy", "raw-prob-mean", "raw_prob_mean"),
         ("mi-report", [], "--method", "eq-size", "eq_size"),
         ("mi-report", [], "--method", "eq-mass", "eq_mass"),
+        ("eval", [], "--tie-break", "class-index", "class_index"),
+        ("eval", [], "--tie-break", "raw-logit", "raw_logit"),
     ],
 )
 def test_every_flag_spelling_gives_what_its_name_gives(
@@ -1003,6 +1005,45 @@ def test_a_repeatable_flag_of_only_empty_values_is_a_usage_error(
     capsys.readouterr()
     assert main([command, *missing, flag, value]) == 2
     assert capsys.readouterr().err.startswith('error=usage msg="no ')
+
+
+@pytest.mark.parametrize(
+    "command, flag, repeated, once",
+    [
+        ("eval", "--eval-bins", "5,5", "5"),
+        ("eval", "--top-k", "1,1", "1"),
+        ("eval", "--cw-threshold", "prior,class_prior", "prior"),
+        ("mi-report", "--bins", "4,4", "4"),
+        ("mi-report", "--method", "imax,eq-mass,imax", "imax,eq-mass"),
+    ],
+)
+def test_a_repeated_value_counts_once(workdir, tmp_path, command, flag, repeated, once):
+    if command == "eval":
+        head = ["eval", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
+                "--bundle", str(_fit_bundle(workdir))]
+    else:
+        head = ["mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
+                *(["--method", "imax,eq-size"] if flag == "--bins" else ["--bins", "2"])]
+    outputs = []
+    for i, value in enumerate((repeated, once)):
+        out = tmp_path / f"{i}.out"
+        assert main([*head, flag, value, "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_two_outputs_cannot_name_one_file(workdir, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    head = ["eval", str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv"),
+            "--bundle", str(_fit_bundle(workdir))]
+    capsys.readouterr()
+    for csv_out in ("r.out", str(tmp_path / "r.out")):
+        # the JSON report would be written, then lost under the CSV
+        assert main([*head, "-o", "r.out", "--csv", csv_out]) == 2, csv_out
+        assert "are one file" in capsys.readouterr().err
+    assert not (tmp_path / "r.out").exists()
+    # a path that is not a regular file, such as the null device, may repeat
+    assert main([*head, "-o", os.devnull, "--csv", os.devnull]) == 0
 
 
 def test_eval_reads_its_bundle_before_its_csvs(workdir, tmp_path, capsys, monkeypatch):

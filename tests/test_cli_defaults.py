@@ -15,7 +15,7 @@ from imaxcal import cli as cli_mod
 from imaxcal.binning import BINNING_METHODS, ImaxConfig
 from imaxcal.bundle import FIT_METHODS, fit_bundle
 from imaxcal.cli import cli, main
-from imaxcal.metrics import EVAL_SCHEMES, EvalConfig
+from imaxcal.metrics import EVAL_SCHEMES, TIE_CLASS_INDEX, TIE_RAW_LOGIT, EvalConfig
 from imaxcal.synth import BinaryMixtureSpec, MulticlassSynthSpec
 
 CLI_PATH = Path(cli_mod.__file__)
@@ -33,6 +33,7 @@ LIBRARY_DEFAULTS = {
     ("eval", "--cw-threshold"): EvalConfig.cw_thresholds,
     ("eval", "--bootstrap"): EvalConfig.bootstrap,
     ("eval", "--seed"): EvalConfig.seed,
+    ("eval", "--tie-break"): TIE_CLASS_INDEX,
     ("synth", "--k"): MulticlassSynthSpec.n_classes,
     ("synth", "--tgen"): MulticlassSynthSpec.t_gen,
     ("synth", "--prior"): BinaryMixtureSpec.prior,
@@ -49,6 +50,7 @@ LIBRARY_DEFAULTS = {
 NAME_LISTS = {
     ("fit", "--method"): FIT_METHODS,
     ("eval", "--eval-scheme"): ("auto", *EVAL_SCHEMES),
+    ("eval", "--tie-break"): (TIE_CLASS_INDEX, TIE_RAW_LOGIT),
     ("mi-report", "--method"): BINNING_METHODS,
 }
 
@@ -73,7 +75,7 @@ def _help_texts(command):
 
 
 def test_the_table_names_every_library_owned_flag_once():
-    assert len(LIBRARY_DEFAULTS) == 19
+    assert len(LIBRARY_DEFAULTS) == 20
     # synth --n and --seed feed either spec, and the specs agree on them
     assert MulticlassSynthSpec.n == BinaryMixtureSpec.n
     assert MulticlassSynthSpec.seed == BinaryMixtureSpec.seed
@@ -159,6 +161,17 @@ def test_no_string_in_the_cli_spells_a_method_or_scheme_list():
         and len(names.intersection(re.findall(r"[\w-]+", node.value))) >= 2
     ]
     assert spelled == []
+
+
+def test_no_choice_in_the_cli_lists_only_literals():
+    # a literal list of names would be a second record of a library list
+    literal = [
+        ast.unparse(node)
+        for node in ast.walk(_cli_tree())
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "Choice"
+        and any(_is_literal(arg) for arg in node.args)
+    ]
+    assert literal == []
 
 
 def test_the_binning_method_tuple_is_written_once():

@@ -197,12 +197,29 @@ def test_row_stats_hold_no_matrix_of_squares():
     labels = rng.integers(0, k, size=n)
     tracemalloc.start()
     try:
-        RowStats(cal, labels)
+        RowStats(cal, labels).losses()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the squares of the whole matrix alone would take 8 bytes per entry
     assert peak <= n * k
+
+
+def test_row_stats_make_their_loss_terms_on_first_use():
+    n, k = 200_000, 10
+    rng = np.random.default_rng(6)
+    cal = rng.random((n, k))
+    labels = rng.integers(0, k, size=n)
+    tracemalloc.start()
+    try:
+        stats = RowStats(cal, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the row indices take 8 bytes per row, as would each per-row term
+    assert peak <= 1.5 * 8 * n, peak / (8 * n)
+    # every pass over drawn rows reads the one copy
+    assert stats.take(labels).losses() is stats.losses()
 
 
 def test_accuracy_topk_basics():
