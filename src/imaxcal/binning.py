@@ -102,6 +102,8 @@ class Binner:
     diagnostics: FitTrace | None = None
 
     def __post_init__(self):
+        if self.method not in BINNING_METHODS:
+            raise DataError(f"unknown binning method {self.method!r}")
         self.iterations = check_count(self.iterations, "binner iterations")
         self.edges = np.asarray(self.edges, dtype=np.float64)
         self.reps = np.asarray(self.reps, dtype=np.float64)
@@ -344,12 +346,9 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     cum_pos, tail_neg = kernels.prefix_sums(t)
     del t
 
-    try:
-        edges, phis, loss, movement, n_pairs, empties = kernels.alternate(
-            lam, cum_pos, tail_neg, phis0, scale, bias, TOLERANCE, MAX_ITERATIONS
-        )
-    except ValueError as exc:
-        raise FitError(str(exc)) from exc
+    edges, phis, loss, movement, n_pairs, empties = kernels.alternate(
+        lam, cum_pos, tail_neg, phis0, scale, bias, TOLERANCE, MAX_ITERATIONS
+    )
     return Binner(
         edges=edges,
         reps=prob_of_logit(phis),

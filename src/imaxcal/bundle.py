@@ -248,8 +248,6 @@ def _binner_json(binner: Binner) -> dict:
 
 def _read_binner(payload) -> Binner:
     payload = _json_object(payload, _BINNER_FIELDS, "binner")
-    if payload["method"] not in BINNING_METHODS:
-        raise DataError(f"unknown binning method {payload['method']!r}")
 
     def numbers(name):
         what = f"binner {name}"

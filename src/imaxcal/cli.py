@@ -92,7 +92,8 @@ def _load(source) -> np.ndarray:
 # not see a cgroup's CPU quota, so one child also bounds how many processes
 # such a quota's CPUs are shared by.
 _SPLIT_BYTES = 2 << 20
-# numpy opens these through a decompressor, so their bytes are not the text
+# numpy opens these through a decompressor, so their bytes are not the text;
+# _write_matrix writes plain text, so apply -o refuses them too
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
@@ -560,6 +561,8 @@ def _class_balanced_split(labels, frac, seed):
 def cmd_apply(bundle_json, scores_csv, out):
     """Apply a fitted bundle to scores of the kind it was fitted on; rows are
     not renormalized."""
+    if out.endswith(_COMPRESSED):
+        raise click.UsageError(f"-o {out} names a compressed file; apply writes plain text")
     _check_outputs(out)
     fitted = _load_bundle(bundle_json)
     scores = _read_matrix(scores_csv)

@@ -2,7 +2,8 @@
 
 Domain conventions: logits lam are sorted ascending; t = scale * (lam + bias)
 is the transformed logit the sigmoid model operates on; phis live in the t
-domain while edges live in the lam domain.
+domain while edges live in the lam domain. The kernel checks neither input
+its caller binning.fit_imax vouches for: sorted lam and increasing phis0.
 
 Because lam is sorted, every bin is a contiguous run of samples, so the
 per-bin sums the phi update needs are differences of prefix sums built once
@@ -15,6 +16,7 @@ loop keeps no positive counts and no per-sample label array.
 import numpy as np
 
 from .data import prob_of_logit
+from .errors import FitError
 
 
 def _softplus(x):
@@ -30,9 +32,8 @@ def edges_from_phis(phis, scale, bias):
         g_m = (1/scale) * log( (sp(phi_m) - sp(phi_{m-1}))
                              / (sp(-phi_{m-1}) - sp(-phi_m)) ) - bias
 
-    with sp the softplus. Requires strictly increasing phis.
+    with sp the softplus. Requires strictly increasing float64 phis.
     """
-    phis = np.asarray(phis, dtype=np.float64)
     sp_pos = _softplus(phis)
     sp_neg = _softplus(-phis)
     num = sp_pos[1:] - sp_pos[:-1]
@@ -86,9 +87,9 @@ def alternate(lam, cum_pos, tail_neg, phis0, scale, bias, tol, max_iter):
 
     Parameters
     ----------
-    lam : float64 (N,), sorted ascending
+    lam : float64 (N,), sorted ascending: fit_imax passes the set's sorted logits
     cum_pos, tail_neg : prefix_sums(t) for t = scale*(lam+bias)
-    phis0 : float64 (M,), strictly increasing initial phi levels
+    phis0 : float64 (M,), strictly increasing: fit_imax's seeded phi levels
     scale, bias : sigmoid-model transform parameters
     tol : early stop once the largest edge movement drops below this
     max_iter : maximum number of (edge update, phi update) pairs
@@ -101,14 +102,10 @@ def alternate(lam, cum_pos, tail_neg, phis0, scale, bias, tol, max_iter):
         it keeps no positive counts; movement is the largest edge movement
         of the last pair (inf when only one pair ran), so the fit converged
         iff movement < tol; empty_events counts phi updates skipped on empty
-        bins.
+        bins. A phi update that loses strict order raises FitError.
     """
-    lam = np.ascontiguousarray(lam, dtype=np.float64)
-    phis = np.array(phis0, dtype=np.float64, copy=True)
+    phis = phis0
     n = lam.shape[0]
-    m = phis.shape[0]
-    if np.any(np.diff(phis) <= 0.0):
-        raise ValueError("initial phis not strictly increasing")
 
     loss = np.empty(max_iter)
     edges = None
@@ -122,19 +119,16 @@ def alternate(lam, cum_pos, tail_neg, phis0, scale, bias, tol, max_iter):
         edges = new_edges
 
         # Half-open bins [g_m, g_{m+1}); a sample exactly on an edge goes right.
-        bounds = np.empty(m + 1, dtype=np.intp)
-        bounds[0] = 0
-        bounds[1:m] = np.searchsorted(lam, edges, side="left")
-        bounds[m] = n
+        bounds = np.concatenate(([0], np.searchsorted(lam, edges, side="left"), [n]))
         lo, hi = bounds[:-1], bounds[1:]
         counts = hi - lo
         sum_pos = cum_pos[hi] - cum_pos[lo]
         sum_neg = tail_neg[lo] - tail_neg[hi]
 
-        empty_events += int(m - np.count_nonzero(counts))
+        empty_events += int(counts.size - np.count_nonzero(counts))
         phis = phis_from_sums(counts, sum_pos, sum_neg, phis)
         if np.any(np.diff(phis) <= 0.0):
-            raise ValueError("phi levels lost strict monotonicity mid-iteration")
+            raise FitError("phi levels lost strict monotonicity mid-iteration")
 
         sp_pos = _softplus(phis)
         sp_neg = _softplus(-phis)

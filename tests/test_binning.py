@@ -123,6 +123,12 @@ def test_binner_validation(edges, reps, message):
         Binner(edges=np.array(edges), reps=np.array(reps), method=METHOD_IMAX)
 
 
+def test_a_binner_with_an_unknown_method_is_a_data_error():
+    # the rule is the type's, so no Binner can be written that cannot be read
+    with pytest.raises(DataError, match="unknown binning method 'foo'"):
+        Binner(edges=[0.0], reps=[0.2, 0.8], method="foo")
+
+
 def test_binner_rejects_nan_reps():
     with pytest.raises(FitError):
         Binner(edges=np.array([0.0]), reps=np.array([np.nan, np.nan]), method=METHOD_IMAX)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imaxcal import (
+    Binner,
     CalibratorBundle,
     DataError,
     EvalConfig,
@@ -353,6 +354,54 @@ def test_a_bundle_loaded_back_equals_the_bundle_written(method, scaler_kind, str
             np.testing.assert_array_equal(got.binner.edges, want.binner.edges)
             np.testing.assert_array_equal(got.binner.reps, want.binner.reps)
     assert back.to_json() == text
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _payloads(draw):
+    """A Binner's or a Scaler's constructor arguments, as (type, kwargs)."""
+    if draw(st.booleans()):
+        edges = sorted(draw(st.lists(_FINITE, unique=True, max_size=4)))
+        reps = st.lists(st.floats(0.0, 1.0), min_size=len(edges) + 1, max_size=len(edges) + 1)
+        return Binner, dict(
+            method=draw(st.sampled_from([METHOD_IMAX, METHOD_EQ_SIZE, METHOD_EQ_MASS, "isotonic"])),
+            edges=edges,
+            reps=draw(reps),
+            iterations=draw(st.integers(0, 2**63 - 1)),
+        )
+    if draw(st.booleans()):
+        return Scaler, dict(kind=KIND_TEMPERATURE, temperature=draw(_FINITE))
+    return Scaler, dict(kind=KIND_PLATT, a=draw(_FINITE), b=draw(_FINITE))
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_a_constructed_bundle_round_trips(data):
+    # what the constructors accept, to_json writes and from_json reads back
+    n_classes = data.draw(st.integers(1, 4))
+    owner = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n_classes,
+                               max_size=n_classes))
+    groups = [data.draw(st.permutations([c for c, o in enumerate(owner) if o == g]))
+              for g in data.draw(st.permutations(sorted(set(owner))))]
+    provenance = data.draw(st.dictionaries(
+        st.text(max_size=3), st.integers() | _FINITE | st.text(max_size=3), max_size=3
+    ))
+    try:
+        calibrators = []
+        for classes in groups:
+            build, kwargs = data.draw(_payloads())
+            model = build(**kwargs)
+            calibrators.append(GroupCalibrator(tuple(classes), **{
+                "binner" if build is Binner else "scaler": model
+            }))
+        b = CalibratorBundle(n_classes, data.draw(st.sampled_from([RAW_LOGITS, PROBABILITIES])),
+                             calibrators, provenance)
+    except ImaxcalError:
+        return
+    text = b.to_json()
+    assert CalibratorBundle.from_json(text).to_json() == text
 
 
 @pytest.mark.parametrize("n_classes", [10**9, 10**12])

@@ -559,6 +559,16 @@ def test_apply_error_paths(workdir, tmp_path):
     assert main(["apply", str(tampered), str(workdir / "mc-scores.csv"), "-o", out]) == 3
 
 
+@pytest.mark.parametrize("suffix", cli_mod._COMPRESSED)
+def test_apply_refuses_an_output_name_the_reader_would_decompress(tmp_path, capsys, suffix):
+    # refused before the missing inputs are read, and no file is made
+    out = tmp_path / f"cal.csv{suffix}"
+    args = ["apply", str(tmp_path / "b.json"), str(tmp_path / "s.csv"), "-o", str(out)]
+    assert main(args) == 2
+    assert "error=usage" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

@@ -111,3 +111,8 @@ def test_binning_and_scaling_import_neither_each_other_nor_the_bundle():
     # the bundle owns the map from a scaler to the probabilities binning averages
     assert not _sibling_imports("binning") & {"scaling", "bundle"}
     assert not _sibling_imports("scaling") & {"binning", "bundle"}
+
+
+def test_the_kernel_imports_no_sibling_but_data_and_errors():
+    # binning drives the kernel, never the reverse
+    assert _sibling_imports("kernels") <= {"data", "errors"}

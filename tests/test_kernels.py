@@ -27,6 +27,7 @@ from imaxcal.data import (
     softmax,
     xlogy,
 )
+from imaxcal.errors import FitError
 from imaxcal.synth import (
     BinaryMixtureSpec,
     MulticlassSynthSpec,
@@ -193,10 +194,14 @@ def test_edges_scale_and_bias_transform():
     np.testing.assert_allclose(moved, base / 2.0 - 0.3, atol=1e-14)
 
 
-def test_alternate_rejects_unsorted_phis():
-    lam, cum_pos, tail_neg, _ = _kernel_args(*_problem(0))
-    with pytest.raises(ValueError):
-        kernels.alternate(lam, cum_pos, tail_neg, np.array([0.5, 0.5, 1.0]), 1.0, 0.0, 1e-10, 10)
+def test_a_phi_update_that_loses_order_is_a_fit_error(monkeypatch):
+    # the kernel raises the package's error itself, and fit_imax passes it on
+    monkeypatch.setattr(kernels, "phis_from_sums", lambda counts, pos, neg, phis: phis[::-1])
+    with pytest.raises(FitError, match="lost strict monotonicity"):
+        kernels.alternate(*_kernel_args(*_problem(0)), 1.0, 0.0, 1e-10, 10)
+    cal, _ = gen_binary_mixture(BinaryMixtureSpec(n=400, seed=3))
+    with pytest.raises(FitError, match="lost strict monotonicity"):
+        fit_imax(cal, ImaxConfig(n_bins=4, seed=0))
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
