@@ -415,9 +415,7 @@ def set_representatives(
     reps = np.where(occupied, mass / np.where(occupied, counts, 1.0), np.nan)
     if not np.all(occupied):
         fallback = binner.reps.copy()
-        if binner.n_bins > 2:
-            interior_mid = (binner.edges[:-1] + binner.edges[1:]) / 2.0
-            fallback[1:-1] = prob_of_logit(interior_mid)
+        fallback[1:-1] = prob_of_logit(_midpoint_phis(binner.edges, 1.0, 0.0)[1:-1])
         reps = np.where(occupied, reps, fallback)
     if clamp:
         reps = np.clip(reps, PROB_EPS, 1.0 - PROB_EPS)

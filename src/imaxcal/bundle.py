@@ -22,7 +22,8 @@ level, are not read: refit them.
 A bundle in memory holds the same facts as its JSON, and once each. Its
 input_kind is the kind of scores apply_bundle reads. Its provenance is kept
 as the JSON value it is written as, so a groups spec reads as lists, as on
-disk, and a bundle loaded back equals the one written.
+disk. Two bundles are equal when their JSON records are, so a bundle loaded
+back equals the one written.
 """
 
 import json
@@ -61,6 +62,7 @@ from .errors import DataError, FitError
 from .scaling import (
     KIND_PLATT,
     KIND_TEMPERATURE,
+    SCALER_FIELDS,
     Scaler,
     apply_scaler,
     fit_platt,
@@ -86,7 +88,6 @@ FIT_METHODS = (
 _BUNDLE_FIELDS = ("version", "n_classes", "input_kind", "calibrators", "provenance")
 _CALIBRATOR_FIELDS = ("classes", "binner", "scaler")
 _BINNER_FIELDS = ("method", "edges", "reps", "iterations")
-_SCALER_FIELDS = {KIND_TEMPERATURE: ("temperature",), KIND_PLATT: ("a", "b")}
 
 
 @dataclass
@@ -127,6 +128,10 @@ class CalibratorBundle:
     def groups(self) -> tuple:
         """Each calibrator's classes, ascending, in calibrator order."""
         return _ascending(cal.classes for cal in self.calibrators)
+
+    def __eq__(self, other):
+        """Equal bundles have one record, the same JSON; diagnostics are not bundle facts."""
+        return isinstance(other, CalibratorBundle) and self.to_json() == other.to_json()
 
     def has_binners(self) -> bool:
         return any(cal.binner is not None for cal in self.calibrators)
@@ -262,14 +267,14 @@ def _read_binner(payload) -> Binner:
 
 
 def _scaler_json(scaler: Scaler) -> dict:
-    return {"kind": scaler.kind, **{f: getattr(scaler, f) for f in _SCALER_FIELDS[scaler.kind]}}
+    return {"kind": scaler.kind, **{f: getattr(scaler, f) for f in SCALER_FIELDS[scaler.kind]}}
 
 
 def _read_scaler(payload) -> Scaler:
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if kind not in (KIND_TEMPERATURE, KIND_PLATT):
         raise DataError(f"scaler must be a JSON object with a known kind, got {kind!r}")
-    _json_object(payload, ("kind", *_SCALER_FIELDS[kind]), f"{kind} scaler")
+    _json_object(payload, ("kind", *SCALER_FIELDS[kind]), f"{kind} scaler")
     return _malformed("scaler", lambda: Scaler(**payload))
 
 

@@ -1,10 +1,10 @@
 """Calibration and ranking metrics with verifiable binning schemes.
 
-Every ECE here is an explicit estimator: confidences are grouped either by
-a named binning scheme over [0, 1] or by exact value (exact_grouping, the
-right choice for discrete calibrators whose output takes few values), and
-the reported number is the kept-count-weighted mean absolute gap between
-group accuracy and group confidence.
+Every ECE here takes one path per grouping key: the key's (confidence, hit)
+pair (RowStats.pair) is grouped either by exact value (exact_grouping, the
+right choice for discrete calibrators whose output takes few values) or by
+a named binning scheme over [0, 1], and the ECE is the kept-count-weighted
+mean absolute gap between group accuracy and group confidence.
 """
 
 import copy
@@ -165,15 +165,18 @@ class RowStats:
             self._shared["losses"] = (nll_terms, sq_sums - 2.0 * q_true + 1.0)
         return self._shared["losses"]
 
+    def pair(self, key):
+        """(values, hit) of every row: class key's column against the label
+        being key, or for key "top1" the top-1 confidence and correctness."""
+        if key == "top1":
+            conf, correct, _ = self.ranking()
+            return conf, correct > 0.0
+        return self.calibrated[:, key], self.labels == key
+
     def exact_groups(self, key):
-        """ExactGroups of class key's column against the label being key, or
-        of the top-1 confidence against top-1 correctness for key "top1"."""
+        """ExactGroups of key's pair (see pair)."""
         if key not in self._shared:
-            if key == "top1":
-                conf, correct, _ = self.ranking()
-                self._shared[key] = ExactGroups(conf, correct > 0.0)
-            else:
-                self._shared[key] = ExactGroups(self.calibrated[:, key], self.labels == key)
+            self._shared[key] = ExactGroups(*self.pair(key))
         return self._shared[key]
 
 
@@ -338,12 +341,19 @@ def _gap(counts, hits, conf_sums):
     return float(gap), int(n_kept)
 
 
-def _binned_gap(conf, correct, cfg):
-    """Gap of conf against 0/1 correct between cfg's edges, and conf's size."""
-    edges = eval_bin_edges(
-        conf, cfg.eval_scheme, cfg.n_eval_bins, seed=cfg.seed, targets=correct
-    )
-    return _gap(*bin_sums(edges, conf, correct, conf))
+def _key_gap(stats, key, cfg, threshold=None):
+    """_gap of key's pair (RowStats.pair) in stats' pass, its values strictly
+    above threshold if one is given, grouped under cfg's scheme."""
+    if cfg.eval_scheme == SCHEME_EXACT:
+        return _exact_gap(stats, key, threshold)
+    values, hit = (column[stats.rows] for column in stats.pair(key))
+    if threshold is not None:
+        kept = values > threshold
+        values, hit = values[kept], hit[kept]
+    if values.size == 0:
+        return 0.0, 0
+    edges = eval_bin_edges(values, cfg.eval_scheme, cfg.n_eval_bins, seed=cfg.seed, targets=hit)
+    return _gap(*bin_sums(edges, values, hit, values))
 
 
 def _exact_gap(stats, key, threshold=None):
@@ -381,11 +391,7 @@ def top1_ece(calibrated, labels, cfg: EvalConfig | None = None) -> float:
     calibrated may also be a RowStats, as in accuracy_topk.
     """
     cfg = cfg if cfg is not None else EvalConfig()
-    stats = _row_stats(calibrated, labels)
-    if cfg.eval_scheme == SCHEME_EXACT:
-        return _exact_gap(stats, "top1")[0]
-    conf, correct, _ = stats.ranking()
-    return _binned_gap(conf[stats.rows], correct[stats.rows], cfg)[0]
+    return _key_gap(_row_stats(calibrated, labels), "top1", cfg)[0]
 
 
 def resolve_threshold(thr, class_k, n_classes, priors):
@@ -423,22 +429,14 @@ def cw_ece(calibrated, labels, cfg: EvalConfig | None = None, threshold=None) ->
     cfg = cfg if cfg is not None else EvalConfig()
     stats = _row_stats(calibrated, labels)
     threshold = cfg.cw_thresholds[0] if threshold is None else _check_threshold(threshold)
-    rows = stats.rows
     k = stats.k
-    priors = np.bincount(stats.labels, weights=stats.weights(), minlength=k) / rows.size
-    labels = None if cfg.eval_scheme == SCHEME_EXACT else stats.labels[rows]
+    priors = np.bincount(stats.labels, weights=stats.weights(), minlength=k) / len(stats)
 
     per_class = np.zeros(k)
     kept_counts = np.zeros(k, dtype=np.int64)
     for c in range(k):
         thr = resolve_threshold(threshold, c, k, priors)
-        if cfg.eval_scheme == SCHEME_EXACT:
-            per_class[c], kept_counts[c] = _exact_gap(stats, c, thr)
-            continue
-        conf = stats.calibrated[:, c][rows]
-        kept = conf > thr
-        if np.any(kept):
-            per_class[c], kept_counts[c] = _binned_gap(conf[kept], labels[kept] == c, cfg)
+        per_class[c], kept_counts[c] = _key_gap(stats, c, cfg, thr)
     return CwEceResult(
         mean=float(per_class.mean()),
         per_class=per_class,

@@ -23,6 +23,7 @@ from .errors import DataError, FitError
 
 KIND_TEMPERATURE = "temperature"
 KIND_PLATT = "platt"
+SCALER_FIELDS = {KIND_TEMPERATURE: ("temperature",), KIND_PLATT: ("a", "b")}
 
 TEMPERATURE_BOUNDS = (1e-2, 1e2)
 _TEMPERATURE_MAX_ITER = 100
@@ -32,7 +33,8 @@ _PLATT_MAX_ITER = 200
 
 @dataclass
 class Scaler:
-    """Fitted scaler parameters; kind selects the transform."""
+    """Fitted scaler parameters; kind selects the transform and its fields
+    (SCALER_FIELDS), and a field of another kind is None."""
 
     kind: str
     temperature: float | None = None
@@ -40,15 +42,16 @@ class Scaler:
     b: float | None = None
 
     def __post_init__(self):
-        if self.kind == KIND_TEMPERATURE:
-            self.temperature = check_number(self.temperature, "scaler temperature")
-            if self.temperature <= 0:
-                raise FitError("temperature must be positive")
-        elif self.kind == KIND_PLATT:
-            self.a = check_number(self.a, "scaler a")
-            self.b = check_number(self.b, "scaler b")
-        else:
+        # a tuple of the kinds, since a kind read from JSON may be an unhashable list
+        if self.kind not in tuple(SCALER_FIELDS):
             raise DataError(f"unknown scaler kind {self.kind!r}")
+        for name in ("temperature", "a", "b"):
+            if name in SCALER_FIELDS[self.kind]:
+                setattr(self, name, check_number(getattr(self, name), f"scaler {name}"))
+            elif getattr(self, name) is not None:
+                raise DataError(f"a {self.kind} scaler has no {name}")
+        if self.kind == KIND_TEMPERATURE and self.temperature <= 0:
+            raise FitError("temperature must be positive")
 
 
 def apply_scaler(scaler: Scaler, lam):

@@ -1,10 +1,12 @@
 """Multi-class calibrator bundles: fitting, serialization, application."""
 
+import ast
 import copy
 import json
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +356,33 @@ def test_a_bundle_loaded_back_equals_the_bundle_written(method, scaler_kind, str
             np.testing.assert_array_equal(got.binner.edges, want.binner.edges)
             np.testing.assert_array_equal(got.binner.reps, want.binner.reps)
     assert back.to_json() == text
+    assert back == b
+
+
+def test_bundles_are_equal_when_their_json_is():
+    # == compares the one record, the JSON, not a binner's arrays field by field
+    imax = _quiet_fit(_data(n=300, k=3), METHOD_IMAX, config=ImaxConfig(n_bins=3, seed=0))
+    scaler = fit_bundle(_data(n=300, k=3), METHOD_TEMPERATURE)
+    changed = copy.deepcopy(imax)
+    reps = changed.calibrators[0].binner.reps
+    reps[0] = np.nextafter(reps[0], 0.0)
+    assert changed != imax
+    assert imax != scaler
+    assert imax != imax.to_json()
+
+
+def test_the_bundle_module_keys_no_mapping_by_scaler_kind():
+    # a scaler kind's fields are scaling.SCALER_FIELDS; the bundle reads them
+    import imaxcal.bundle as bundle_mod
+
+    kinds = {"KIND_TEMPERATURE", "KIND_PLATT", repr(KIND_TEMPERATURE), repr(KIND_PLATT)}
+    keyed = [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(Path(bundle_mod.__file__).read_text()))
+        if isinstance(node, ast.Dict)
+        and any(key is not None and ast.unparse(key) in kinds for key in node.keys)
+    ]
+    assert keyed == []
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,8 +1,10 @@
 """ECE variants, ranking metrics, mutual information, and the report object."""
 
+import ast
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, strategies as st
 from imaxcal import BinaryCalibrationSet, DataError, EvalConfig
 from imaxcal.binning import METHOD_EQ_SIZE, binner_from_edges, fit_edges, ImaxConfig, METHOD_IMAX
 from imaxcal.metrics import (
+    EVAL_SCHEMES,
     SCHEME_EQ_MASS,
     SCHEME_EQ_SIZE,
     SCHEME_EXACT,
@@ -361,16 +364,39 @@ def test_cw_ece_threshold_variants_run():
         assert res.per_class.size == 4
 
 
-def test_cw_class0_gap_matches_top1_when_class0_always_wins():
+@pytest.mark.parametrize("scheme", EVAL_SCHEMES)
+def test_cw_class0_gap_matches_top1_when_class0_always_wins(scheme):
     # rows [q, 1-q] with q > 1/2: class 0 is always the argmax, so its
-    # thresholded-at-zero class gap is exactly the top-1 gap
+    # thresholded-at-zero class gap is the top-1 gap, bit for bit
     rng = np.random.default_rng(6)
     q = rng.uniform(0.5 + 1e-6, 1.0, size=400)
     hit = rng.random(400) < q
     pair = np.stack([q, 1.0 - q], axis=1)
     pair_labels = np.where(hit, 0, 1)
-    res = cw_ece(pair, pair_labels, EXACT, threshold=THRESHOLD_ZERO)
-    assert res.per_class[0] == pytest.approx(top1_ece(pair, pair_labels, EXACT), abs=1e-12)
+    cfg = EvalConfig(eval_scheme=scheme)
+    res = cw_ece(pair, pair_labels, cfg, threshold=THRESHOLD_ZERO)
+    assert res.per_class[0] == top1_ece(pair, pair_labels, cfg)
+
+
+def test_one_function_dispatches_between_exact_grouping_and_binning():
+    # every gap takes one path from its key: the source compares a config's
+    # eval_scheme with exact_grouping in a single function
+    import imaxcal.metrics as metrics_mod
+
+    tree = ast.parse(Path(metrics_mod.__file__).read_text())
+    dispatching = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Compare)
+            and {"eval_scheme", "SCHEME_EXACT"} <= {
+                getattr(part, "attr", getattr(part, "id", None)) for part in ast.walk(node)
+            }
+            for node in ast.walk(func)
+        )
+    ]
+    assert dispatching == ["_key_gap"]
 
 
 # --- proper scores ------------------------------------------------------------
@@ -688,7 +714,7 @@ def _oracle_inputs(inputs):
 
 
 @pytest.mark.parametrize("inputs", ["distinct", "tied", "levels"])
-@pytest.mark.parametrize("scheme", [SCHEME_EQ_SIZE, SCHEME_EQ_MASS, SCHEME_KMEANS, SCHEME_EXACT])
+@pytest.mark.parametrize("scheme", EVAL_SCHEMES)
 @pytest.mark.parametrize("tie_break", [TIE_CLASS_INDEX, TIE_RAW_LOGIT])
 @pytest.mark.parametrize("bootstrap", [1, 2, 7])
 def test_report_equals_the_per_resample_oracle(inputs, scheme, tie_break, bootstrap):

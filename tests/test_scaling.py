@@ -53,6 +53,14 @@ def test_scaler_validation():
         Scaler(kind="beta", temperature=1.0)
 
 
+def test_a_scaler_holds_only_its_kinds_fields():
+    # the JSON of either would drop the foreign field, and load back another Scaler
+    with pytest.raises(DataError, match="a platt scaler has no temperature"):
+        Scaler(kind=KIND_PLATT, a=1.0, b=0.0, temperature="x")
+    with pytest.raises(DataError, match="a temperature scaler has no a"):
+        Scaler(KIND_TEMPERATURE, temperature=2.0, a=float("nan"))
+
+
 def _load_scaler(doc, payload):
     doc["calibrators"][0]["scaler"] = payload
     return _load_one(doc).scaler
