@@ -302,8 +302,9 @@ def _check_outputs(*paths):
     command before it does any work, and no byte of a file that existed
     changes. Two paths that resolve to one file are a usage error before
     any file is made, unless it exists and is not a regular file, such as
-    /dev/null. A path that did not exist joins the list of created files
-    that main passes to the command as its context's obj."""
+    /dev/null. The real path of each path that did not exist, the target of
+    a dangling link included, joins the list of created files that main
+    passes to the command as its context's obj."""
     files = [p for p in paths if p is not None and (os.path.isfile(p) or not os.path.exists(p))]
     real = [os.path.realpath(p) for p in files]
     if len(set(real)) < len(real):
@@ -312,10 +313,10 @@ def _check_outputs(*paths):
     created = [] if ctx is None or ctx.obj is None else ctx.obj
     for path in paths:
         if path is not None:
-            existed = os.path.lexists(path)
+            made = None if os.path.exists(path) else os.path.realpath(path)
             with _output(path, "a"):
-                if not existed:
-                    created.append(path)
+                if made is not None:
+                    created.append(made)
 
 
 def _write_matrix(path, matrix):

@@ -4,6 +4,8 @@ The bound is I(y; lam) computed from Gaussian kernel density estimates of
 the two class-conditional logit densities: no quantizer can carry more
 label information than the continuous logit does, so the bound calibrates
 how much of the available information a binner's empirical MI captures.
+``mi_bound_of_set`` is the bound's one entry point: it takes a calibration
+set, fits both KDEs and integrates.
 
 The bound evaluates each density on its quadrature grid by linear binning
 onto a 16 times finer grid and one FFT convolution with the sampled kernel
@@ -11,11 +13,9 @@ onto a 16 times finer grid and one FFT convolution with the sampled kernel
 The sampled kernel is cut at +/- 39 bandwidths, where it underflows to 0.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import BinaryCalibrationSet, check_finite, check_number
+from .data import BinaryCalibrationSet, check_number
 from .errors import DataError
 from .metrics import mi_of_quantizer
 
@@ -31,38 +31,6 @@ _DENSITY_FLOOR = 1e-300
 _REFINE = 16
 
 
-@dataclass
-class Kde1D:
-    """Gaussian KDE with a fixed bandwidth; samples kept sorted."""
-
-    samples: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        self.samples = np.sort(np.asarray(self.samples, dtype=np.float64))
-        if self.samples.ndim != 1 or self.samples.size < 2:
-            raise DataError("KDE needs at least two samples")
-        check_finite(self.samples, "KDE samples")
-        self.bandwidth = check_number(self.bandwidth, "KDE bandwidth")
-        if self.bandwidth <= 0:
-            raise DataError("KDE bandwidth must be positive")
-
-
-def kde_fit(samples) -> Kde1D:
-    """Fit a Gaussian KDE with Scott's rule bandwidth sigma * n^(-1/5).
-
-    The sample standard deviation uses ddof=1. All-identical samples have
-    no scale and are rejected; Kde1D takes a fixed bandwidth directly.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size < 2:
-        raise DataError("KDE needs at least two samples")
-    sigma = float(np.std(samples, ddof=1))
-    if sigma <= 0:
-        raise DataError("KDE needs at least two distinct samples")
-    return Kde1D(samples=samples, bandwidth=sigma * samples.size ** (-0.2))
-
-
 def _linear_bins(samples, lo, step, size):
     """Linear-binning weights of the samples on the grid lo + step * i.
 
@@ -76,8 +44,9 @@ def _linear_bins(samples, lo, step, size):
     return np.bincount(left, 1.0 - frac, size) + np.bincount(left + 1, frac, size)
 
 
-def _density_on_grid(kde: Kde1D, lo: float, hi: float) -> np.ndarray:
-    """The KDE at the _GRID_POINTS uniform points of [lo, hi].
+def _density_on_grid(samples, h: float, lo: float, hi: float) -> np.ndarray:
+    """The Gaussian KDE of the sorted samples with bandwidth h at the
+    _GRID_POINTS uniform points of [lo, hi].
 
     The samples are linearly binned onto a grid _REFINE times finer and
     convolved with the Gaussian kernel sampled on it, truncated at +/- 39
@@ -87,8 +56,7 @@ def _density_on_grid(kde: Kde1D, lo: float, hi: float) -> np.ndarray:
     """
     size = (_GRID_POINTS - 1) * _REFINE + 1
     step = (hi - lo) / (size - 1)
-    h = kde.bandwidth
-    weights = _linear_bins(kde.samples, lo, step, size)
+    weights = _linear_bins(samples, lo, step, size)
     half = min(int(_KERNEL_WINDOW * h / step), size - 1)
     offsets = np.arange(half + 1) * (step / h)
     kernel = np.exp(-0.5 * offsets * offsets)
@@ -97,7 +65,7 @@ def _density_on_grid(kde: Kde1D, lo: float, hi: float) -> np.ndarray:
     padded[: half + 1] = kernel
     padded[nfft - half :] = kernel[:0:-1]
     conv = np.fft.irfft(np.fft.rfft(weights, nfft) * np.fft.rfft(padded), nfft)
-    density = conv[: size : _REFINE] / (kde.samples.size * h * _SQRT_2PI)
+    density = conv[: size : _REFINE] / (samples.size * h * _SQRT_2PI)
     return np.maximum(density, 0.0)
 
 
@@ -117,35 +85,39 @@ def mi_of_densities(grid, p1, p0, prior: float) -> float:
     return max(float(np.trapezoid(integrand, grid)), 0.0)
 
 
-def mi_upper_bound(kde_pos: Kde1D, kde_neg: Kde1D, prior: float) -> float:
-    """I(y; lam) from the two class-conditional KDEs, by trapezoid quadrature.
+def mi_bound_of_set(cal_set: BinaryCalibrationSet) -> float:
+    """I(y; lam) in nats of the set's logits, by trapezoid quadrature.
 
-    The grid spans [min - 5h, max + 5h] of the pooled samples with
-    h = max of the two bandwidths, 4096 uniform points, where
-    ``_density_on_grid`` evaluates each density for ``mi_of_densities``.
+    Each label's logits get a Gaussian KDE with Scott's bandwidth
+    sigma * n^(-1/5), sigma their standard deviation with ddof=1. The grid
+    spans [min - 5h, max + 5h] of the pooled logits with h the larger
+    bandwidth, 4096 uniform points, where ``_density_on_grid`` evaluates
+    each density for ``mi_of_densities``; the prior is the set's share of
+    positives. Each label needs two distinct samples, and a spread that
+    overflows float64 leaves no finite bandwidth.
     """
-    prior = check_number(prior, "prior")
-    if not 0.0 < prior < 1.0:
-        raise DataError("prior must lie strictly inside (0, 1)")
-    h = max(kde_pos.bandwidth, kde_neg.bandwidth)
-    lo = min(kde_pos.samples[0], kde_neg.samples[0]) - _GRID_MARGIN * h
-    hi = max(kde_pos.samples[-1], kde_neg.samples[-1]) + _GRID_MARGIN * h
+    by_label = [cal_set.logits[cal_set.targets == label] for label in (1, 0)]
+    if min(samples.size for samples in by_label) < 2:
+        raise DataError("MI bound needs at least two samples of each label")
+    kdes = []
+    for samples in by_label:
+        sigma = float(np.std(samples, ddof=1))
+        if sigma <= 0:
+            raise DataError("KDE needs at least two distinct samples")
+        # sigma > 0 keeps the bandwidth positive; an overflow makes it inf
+        h = check_number(sigma * samples.size ** (-0.2), "KDE bandwidth")
+        samples.sort()  # the mask made a copy, so the set keeps its order
+        kdes.append((samples, h))
+    (pos, h_pos), (neg, h_neg) = kdes
+    h = max(h_pos, h_neg)
+    lo = min(pos[0], neg[0]) - _GRID_MARGIN * h
+    hi = max(pos[-1], neg[-1]) + _GRID_MARGIN * h
     return mi_of_densities(
         np.linspace(lo, hi, _GRID_POINTS),
-        _density_on_grid(kde_pos, lo, hi),
-        _density_on_grid(kde_neg, lo, hi),
-        prior,
+        _density_on_grid(pos, h_pos, lo, hi),
+        _density_on_grid(neg, h_neg, lo, hi),
+        float(cal_set.targets.mean()),
     )
-
-
-def mi_bound_of_set(cal_set: BinaryCalibrationSet) -> float:
-    """Convenience wrapper: split a set by target, fit the two KDEs, bound."""
-    pos = cal_set.logits[cal_set.targets == 1]
-    neg = cal_set.logits[cal_set.targets == 0]
-    if pos.size < 2 or neg.size < 2:
-        raise DataError("MI bound needs at least two samples of each label")
-    prior = float(cal_set.targets.mean())
-    return mi_upper_bound(kde_fit(pos), kde_fit(neg), prior)
 
 
 def mi_report(cal_set: BinaryCalibrationSet, named_binners, bound):

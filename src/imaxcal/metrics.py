@@ -477,12 +477,12 @@ def mi_from_joint(joint) -> float:
 
 
 def mi_of_quantizer(binner, cal_set) -> float:
-    """Empirical MI (nats) between bin index and binary target.
+    """Empirical MI (nats) between a Binner's bin index and binary target.
 
-    binner is a Binner or its bare interior edges. The joint counts come from
-    bin_counts, binary searches into the set's sorted copies.
+    The joint counts come from bin_counts, binary searches into the set's
+    sorted copies.
     """
-    counts, n_pos = bin_counts(getattr(binner, "edges", binner), cal_set)
+    counts, n_pos = bin_counts(binner.edges, cal_set)
     return mi_from_joint(np.column_stack([counts - n_pos, n_pos]))
 
 

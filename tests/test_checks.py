@@ -41,7 +41,7 @@ from imaxcal.data import (
     softmax,
 )
 from imaxcal.errors import DataError, FitError, ImaxcalError
-from imaxcal.info import Kde1D, mi_upper_bound
+from imaxcal.info import mi_bound_of_set
 from imaxcal.metrics import (
     EvalConfig,
     RowStats,
@@ -193,8 +193,6 @@ def test_the_messages_name_the_rule():
 
 # --- NaN and inf are never a real ------------------------------------------
 
-_KDE = Kde1D(np.arange(4.0), 1.0)
-
 # every holder of a real, as a call that hands it the value
 _REAL_HOLDERS = {
     "ImaxConfig scale": lambda v: ImaxConfig(scale=v),
@@ -210,8 +208,6 @@ _REAL_HOLDERS = {
     "BinaryMixtureSpec sigma_neg": lambda v: BinaryMixtureSpec(sigma_neg=v),
     "MulticlassSynthSpec t_gen": lambda v: MulticlassSynthSpec(t_gen=v),
     "MulticlassSynthSpec priors": lambda v: MulticlassSynthSpec(n_classes=3, priors=(v, 0.5, 0.5)),
-    "Kde1D bandwidth": lambda v: Kde1D(np.arange(4.0), v),
-    "mi_upper_bound prior": lambda v: mi_upper_bound(_KDE, _KDE, v),
 }
 
 
@@ -221,6 +217,15 @@ def test_a_non_finite_real_is_a_data_error_in_every_holder(holder, value):
     # one rule, data.check_number, names it for each holder
     with pytest.raises(DataError, match="must be finite, got"):
         _REAL_HOLDERS[holder](value)
+
+
+def test_a_spread_that_overflows_leaves_no_bandwidth():
+    # the positives' standard deviation overflows to inf, and so would the
+    # FFT kernel's width
+    cal = BinaryCalibrationSet([-1e308, 1e308, 0.0, 1.0], [1, 1, 0, 0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DataError, match="KDE bandwidth must be finite, got inf"):
+            mi_bound_of_set(cal)
 
 
 # --- NaN and inf are never in an array ---------------------------------------
@@ -235,7 +240,6 @@ _ARRAY_HOLDERS = {
     "check_labels": lambda v: check_labels(np.array([0.0, v]), 2, 2),
     "PredictionMatrix labels": lambda v: PredictionMatrix(np.zeros((2, 2)), [v, 1.0]),
     "BinaryCalibrationSet logits": lambda v: BinaryCalibrationSet([0.0, v], [0, 1]),
-    "Kde1D samples": lambda v: Kde1D(np.array([0.0, v, 1.0]), 1.0),
     "set_representatives weights": lambda v: set_representatives(
         binner_from_edges([0.0], "eq_size"), _TWO_SAMPLES, REP_SCALED_PROB_MEAN, [0.5, v]
     ),
@@ -405,18 +409,11 @@ def test_binners_and_scalers_store_checked_values(value):
 
 @settings(max_examples=60)
 @given(value=VALUES)
-def test_edge_rules_kde_and_bound_take_only_checked_values(value):
+def test_edge_rules_take_only_checked_values(value):
     for fit in (fit_eq_size, lambda m: fit_eq_mass(POOLED, m)):
         edges = _attempt(lambda: fit(value))
         if edges is not None:
             assert len(edges) == value - 1
-    samples = np.linspace(-1.0, 1.0, 9)
-    kde = _attempt(lambda: Kde1D(samples, value))
-    if kde is not None:
-        assert _stored(kde.bandwidth, float)
-    kde = Kde1D(samples, 0.5)
-    bound = _attempt(lambda: mi_upper_bound(kde, kde, value))
-    assert bound is None or _stored(bound, float)
 
 
 @settings(max_examples=60)
@@ -497,8 +494,6 @@ _BAD_CALLS = {
     "scale text": lambda: ImaxConfig(scale="2"),
     "temperature text": lambda: Scaler("temperature", temperature="2"),
     "threshold None": lambda: EvalConfig(cw_thresholds=(None,)),
-    "bandwidth text": lambda: Kde1D(np.arange(4.0), bandwidth="1"),
-    "prior text bound": lambda: mi_upper_bound(*[Kde1D(np.arange(4.0), 1.0)] * 2, "0.5"),
     "n_eval_bins float": lambda: EvalConfig(n_eval_bins=2.5),
     "top_k float": lambda: EvalConfig(top_k=(2.5,)),
     "eq_size float": lambda: fit_eq_size(2.5),

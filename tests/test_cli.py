@@ -438,11 +438,14 @@ def test_a_fit_that_fails_after_the_holdout_split_writes_no_file(tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "s.csv"]
 
 
-@pytest.mark.parametrize("command", ["fit --holdout-frac", "synth", "eval"])
+@pytest.mark.parametrize("command", ["fit --holdout-frac", "synth", "eval", "mi-report link"])
 def test_a_command_that_fails_removes_the_outputs_it_created(workdir, tmp_path, capsys, command):
     # the last path each command writes is a directory, so it fails after
-    # writing the others
+    # writing the others; mi-report writes through a dangling link into that
+    # directory and fails on its scores, so the file it created is the link's
+    # target, and the link is left dangling
     mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
+    bad, link = tmp_path / "bad.csv", tmp_path / "link.csv"
     blocked, argv = {
         "fit --holdout-frac": (
             tmp_path / "b",
@@ -456,15 +459,27 @@ def test_a_command_that_fails_removes_the_outputs_it_created(workdir, tmp_path, 
             ["eval", *mc, "--bundle", str(_fit_bundle(workdir)), "-o", str(tmp_path / "r.json"),
              "--csv", str(tmp_path / "r.csv")],
         ),
+        "mi-report link": (
+            tmp_path / "target",
+            ["mi-report", str(bad), str(workdir / "bin-labels.csv"), "-o", str(link)],
+        ),
     }[command]
     blocked.mkdir()
+    if command == "mi-report link":
+        bad.write_text("a,b\n")
+        link.symlink_to(blocked / "new.csv")
+    before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert main(argv) == 3
-    # every output path is opened before any input is read, so the command
-    # fails before it reports any work
     [error] = capsys.readouterr().err.splitlines()
-    assert error.startswith(f'error=data msg="cannot write {blocked}: ')
-    assert list(tmp_path.iterdir()) == [blocked]
+    if command == "mi-report link":
+        assert error.startswith(f'error=data msg="parse failure in {bad}: ')
+        assert link.is_symlink()
+    else:
+        # every output path is opened before any input is read, so the
+        # command fails before it reports any work
+        assert error.startswith(f'error=data msg="cannot write {blocked}: ')
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_a_command_that_fails_keeps_an_output_file_that_existed(workdir, tmp_path, capsys):
@@ -1362,9 +1377,8 @@ def test_each_command_reads_the_scores_for_non_finite_values_once_per_pass(
     # per N x K matrix: fit checks the scores as it builds the matrix, softmax
     # checks each block, and the merged set checks its log-odds; apply checks
     # the scores and softmax each block; eval --bundle adds the calibrated
-    # matrix's check; mi-report also checks the merged set's log-odds again,
-    # split into the two class-conditional KDE sample sets. Each label file
-    # adds N values.
+    # matrix's check; mi-report reads as fit does, since the KDE bound takes
+    # the merged set's checked log-odds. Each label file adds N values.
     mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
     bundle = str(tmp_path / "b.json")
     mc_entries, bin_rows = 400 * 5, 600
@@ -1374,7 +1388,7 @@ def test_each_command_reads_the_scores_for_non_finite_values_once_per_pass(
         (["eval", *mc, "--bundle", bundle, "-o", str(tmp_path / "r.json")],
          3 * mc_entries + 400),
         (["mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
-          "--bins", "2,4", "-o", str(tmp_path / "mi.csv")], 4 * 2 * bin_rows + bin_rows),
+          "--bins", "2,4", "-o", str(tmp_path / "mi.csv")], 3 * 2 * bin_rows + bin_rows),
     ]
     for argv, entries in commands:
         finite_scans.clear()

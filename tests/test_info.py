@@ -13,14 +13,7 @@ from imaxcal.binning import (
     METHOD_IMAX,
     fit_edges,
 )
-from imaxcal.info import (
-    Kde1D,
-    kde_fit,
-    mi_bound_of_set,
-    mi_report,
-    mi_report_csv,
-    mi_upper_bound,
-)
+from imaxcal.info import mi_bound_of_set, mi_of_densities, mi_report, mi_report_csv
 from imaxcal.metrics import mi_of_quantizer
 from imaxcal.synth import (
     BinaryMixtureSpec,
@@ -37,9 +30,10 @@ def _entropy(p):
 
 # --- density estimation ---------------------------------------------------
 
-def kde_density(kde: Kde1D, x):
-    """Exact mixture-of-Gaussians density at the query points: the oracle of
-    the FFT densities that the bound evaluates.
+def kde_density(samples, h, x):
+    """Exact mixture-of-Gaussians density of the sorted samples with
+    bandwidth h at the query points: the oracle of the FFT densities that
+    the bound evaluates.
 
     Queries are processed in sorted chunks against the sample window within
     +/- 39 bandwidths, where the kernel is representable; outside it the
@@ -49,8 +43,6 @@ def kde_density(kde: Kde1D, x):
     order = np.argsort(x, kind="stable")
     xs = x[order]
     out = np.zeros_like(xs)
-    h = kde.bandwidth
-    samples = kde.samples
     norm = 1.0 / (samples.size * h * info._SQRT_2PI)
 
     chunk = 256
@@ -74,94 +66,98 @@ def kde_density(kde: Kde1D, x):
     return result
 
 
-def test_scott_bandwidth():
+def _set(pos, neg):
+    """The calibration set of the positives' and the negatives' logits."""
+    return BinaryCalibrationSet(
+        np.concatenate([pos, neg]), np.repeat([1, 0], [len(pos), len(neg)])
+    )
+
+
+def test_each_label_gets_scotts_bandwidth_on_one_grid(monkeypatch):
     rng = np.random.default_rng(0)
-    x = rng.normal(size=400)
-    k = kde_fit(x)
-    assert k.bandwidth == np.std(x, ddof=1) * 400 ** -0.2
+    pos, neg = rng.normal(1.0, 1.0, size=400), rng.normal(-1.0, 2.0, size=300)
+    seen = []
+
+    def record(samples, h, lo, hi):
+        seen.append((samples, h, lo, hi))
+        return np.ones(info._GRID_POINTS)
+
+    monkeypatch.setattr(info, "_density_on_grid", record)
+    mi_bound_of_set(_set(pos, neg))
+    scott = [np.std(x, ddof=1) * x.size ** -0.2 for x in (pos, neg)]
+    assert [h for _, h, _, _ in seen] == scott
+    for (samples, _, _, _), x in zip(seen, (pos, neg)):
+        np.testing.assert_array_equal(samples, np.sort(x))
+    h = max(scott)
+    grids = {(lo, hi) for _, _, lo, hi in seen}
+    assert grids == {(min(pos.min(), neg.min()) - 5 * h, max(pos.max(), neg.max()) + 5 * h)}
 
 
-def test_kde_fit_rejections():
-    with pytest.raises(DataError):
-        kde_fit(np.array([1.0]))
-    with pytest.raises(DataError):
-        kde_fit(np.full(10, 2.0))  # zero spread needs an explicit bandwidth
-    Kde1D(np.full(10, 2.0), 0.3)
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(DataError):
-            Kde1D(np.array([0.0, 1.0]), bad)
+def test_set_bound_rejections():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=10)
+    with pytest.raises(DataError, match="two samples of each label"):
+        mi_bound_of_set(_set(x[:1], x))
+    # zero spread has no Scott bandwidth
+    with pytest.raises(DataError, match="two distinct samples"):
+        mi_bound_of_set(_set(x, np.full(10, 2.0)))
 
 
 def test_kde_density_matches_the_direct_sum():
     rng = np.random.default_rng(0)
     x = rng.normal(size=400)
-    k = kde_fit(x)
+    h = np.std(x, ddof=1) * 400 ** -0.2
     q = rng.uniform(-3, 3, size=50)
     naive = np.zeros(50)
     for xi in x:
-        naive += np.exp(-0.5 * ((q - xi) / k.bandwidth) ** 2)
-    naive /= x.size * k.bandwidth * math.sqrt(2.0 * math.pi)
-    np.testing.assert_allclose(kde_density(k, q), naive, atol=1e-12)
+        naive += np.exp(-0.5 * ((q - xi) / h) ** 2)
+    naive /= x.size * h * math.sqrt(2.0 * math.pi)
+    np.testing.assert_allclose(kde_density(np.sort(x), h, q), naive, atol=1e-12)
 
 
 def test_kde_density_symmetry_and_positivity():
-    k = Kde1D(np.array([-1.0, 1.0]), 0.5)
-    assert kde_density(k, np.array([-0.3]))[0] == kde_density(k, np.array([0.3]))[0]
+    samples = np.array([-1.0, 1.0])
+    assert kde_density(samples, 0.5, [-0.3])[0] == kde_density(samples, 0.5, [0.3])[0]
     rng = np.random.default_rng(1)
-    vals = kde_density(k, rng.uniform(-30, 30, size=200))
+    vals = kde_density(samples, 0.5, rng.uniform(-30, 30, size=200))
     assert np.all(vals >= 0.0)
 
 
 def test_kde_mass_is_close_to_one():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=500)
-    k = kde_fit(x)
-    h = k.bandwidth
-    grid = np.linspace(x.min() - 5 * h, x.max() + 5 * h, 4096)
-    mass = np.trapezoid(kde_density(k, grid), grid)
+    x = np.sort(rng.normal(size=500))
+    h = np.std(x, ddof=1) * 500 ** -0.2
+    grid = np.linspace(x[0] - 5 * h, x[-1] + 5 * h, 4096)
+    mass = np.trapezoid(kde_density(x, h, grid), grid)
     assert mass == pytest.approx(1.0, abs=1e-3)
 
 
 # --- the information bound --------------------------------------------------
 
 def test_identical_densities_carry_no_information():
-    rng = np.random.default_rng(3)
-    k = kde_fit(rng.normal(size=500))
-    assert mi_upper_bound(k, k, 0.3) < 1e-12
+    # each logit listed once per label
+    x = np.random.default_rng(3).normal(size=500)
+    assert mi_bound_of_set(_set(x, x)) < 1e-12
 
 
 def test_far_separated_classes_reach_the_label_entropy():
     rng = np.random.default_rng(1)
-    kp = kde_fit(rng.normal(20.0, 1.0, size=2000))
-    kn = kde_fit(rng.normal(-20.0, 1.0, size=2000))
-    assert mi_upper_bound(kp, kn, 0.5) == pytest.approx(math.log(2.0), abs=1e-4)
+    cal = _set(rng.normal(20.0, 1.0, size=2000), rng.normal(-20.0, 1.0, size=2000))
+    assert mi_bound_of_set(cal) == pytest.approx(math.log(2.0), abs=1e-4)
 
 
 def test_bound_never_exceeds_the_prior_entropy():
     rng = np.random.default_rng(1)
-    kp = kde_fit(rng.normal(2.0, 1.0, size=3000))
-    kn = kde_fit(rng.normal(-6.0, 1.0, size=3000))
-    for prior in (0.01, 0.1, 0.5, 0.9):
-        assert mi_upper_bound(kp, kn, prior) <= _entropy(prior) + 1e-9
+    for n_pos, n_neg in ((30, 2970), (300, 2700), (1500, 1500), (2700, 300)):
+        cal = _set(rng.normal(2.0, 1.0, size=n_pos), rng.normal(-6.0, 1.0, size=n_neg))
+        assert mi_bound_of_set(cal) <= _entropy(n_pos / (n_pos + n_neg)) + 1e-9
 
 
-def test_bound_is_swap_symmetric():
+def test_flipping_the_targets_leaves_the_bound():
     rng = np.random.default_rng(4)
-    kp = kde_fit(rng.normal(1.0, 1.0, size=800))
-    kn = kde_fit(rng.normal(-0.5, 1.3, size=800))
-    a = mi_upper_bound(kp, kn, 0.25)
-    b = mi_upper_bound(kn, kp, 0.75)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_bound_units_and_validation():
-    rng = np.random.default_rng(5)
-    kp = kde_fit(rng.normal(1.0, 1.0, size=500))
-    kn = kde_fit(rng.normal(-1.0, 1.0, size=500))
-    with pytest.raises(DataError):
-        mi_upper_bound(kp, kn, 0.0)
-    with pytest.raises(DataError):
-        mi_upper_bound(kp, kn, 1.0)
+    cal = _set(rng.normal(1.0, 1.0, size=200), rng.normal(-0.5, 1.3, size=600))
+    flipped = BinaryCalibrationSet(cal.logits, 1 - cal.targets)
+    assert mi_bound_of_set(cal) == pytest.approx(mi_bound_of_set(flipped), rel=1e-12)
 
 
 def test_set_bound_needs_both_labels():
@@ -209,15 +205,9 @@ def test_kde_bound_agrees_with_quadrature_at_scale():
 
 # --- the binned FFT densities against the exact sum ---------------------------
 
-def _exact_bound(monkeypatch, kde_pos, kde_neg, prior):
-    """The same quadrature with every density from the exact kde_density."""
-    with monkeypatch.context() as m:
-        m.setattr(
-            info,
-            "_density_on_grid",
-            lambda kde, lo, hi: kde_density(kde, np.linspace(lo, hi, info._GRID_POINTS)),
-        )
-        return mi_upper_bound(kde_pos, kde_neg, prior)
+def _exact_density(samples, h, lo, hi):
+    """_density_on_grid's densities from the exact kde_density."""
+    return kde_density(samples, h, np.linspace(lo, hi, info._GRID_POINTS))
 
 
 @pytest.mark.parametrize("prior", [0.01, 0.5])
@@ -227,12 +217,23 @@ def test_fft_bound_matches_the_exact_sum(monkeypatch, seed, n, prior):
     rng = np.random.default_rng(seed)
     y = rng.random(n) < prior
     lam = rng.normal(np.where(y, 1.0, -1.0), 1.0)
-    for bandwidth in (None, 0.05, 5.0, 50.0):
-        kp, kn = (
-            kde_fit(s) if bandwidth is None else Kde1D(s, bandwidth) for s in (lam[y], lam[~y])
+    # Scott's bandwidths, through the bound itself
+    cal = BinaryCalibrationSet(lam, y)
+    fast = mi_bound_of_set(cal)
+    with monkeypatch.context() as m:
+        m.setattr(info, "_density_on_grid", _exact_density)
+        assert fast == pytest.approx(mi_bound_of_set(cal), abs=1e-8)
+    # fixed bandwidths, on the grid the bound spans for them
+    pos, neg = np.sort(lam[y]), np.sort(lam[~y])
+    for h in (0.05, 5.0, 50.0):
+        lo = min(pos[0], neg[0]) - info._GRID_MARGIN * h
+        hi = max(pos[-1], neg[-1]) + info._GRID_MARGIN * h
+        grid = np.linspace(lo, hi, info._GRID_POINTS)
+        fast, exact = (
+            mi_of_densities(grid, density(pos, h, lo, hi), density(neg, h, lo, hi), prior)
+            for density in (info._density_on_grid, _exact_density)
         )
-        fast = mi_upper_bound(kp, kn, prior)
-        assert fast == pytest.approx(_exact_bound(monkeypatch, kp, kn, prior), abs=1e-8)
+        assert fast == pytest.approx(exact, abs=1e-8)
 
 
 def test_linear_binning_keeps_every_sample():
@@ -254,10 +255,10 @@ def test_a_kernel_wider_than_the_grid_does_not_wrap_around():
     # h = 50 on samples spanning 1: the +/- 39h kernel window is about four
     # times the grid's width, so a circular convolution would fold mass
     # back in at the ends and flatten the density there
-    k = Kde1D(np.linspace(-0.5, 0.5, 200), 50.0)
+    samples = np.linspace(-0.5, 0.5, 200)
     lo, hi = -0.5 - 250.0, 0.5 + 250.0
-    fast = info._density_on_grid(k, lo, hi)
-    exact = kde_density(k, np.linspace(lo, hi, info._GRID_POINTS))
+    fast = info._density_on_grid(samples, 50.0, lo, hi)
+    exact = _exact_density(samples, 50.0, lo, hi)
     np.testing.assert_allclose(fast, exact, rtol=1e-6)
     assert fast[0] < 0.5 * fast[info._GRID_POINTS // 2]
 

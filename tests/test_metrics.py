@@ -451,13 +451,9 @@ def test_mi_is_invariant_to_bin_relabeling():
 
 
 def _add_at_joint_mi(binner, cal):
-    """The former joint table: one np.add.at per sample, with a row per bin
-    of a Binner, or as many rows as the highest occupied bin needs for bare
-    edges."""
-    edges = getattr(binner, "edges", binner)
-    idx = np.searchsorted(edges, cal.logits, side="right")
-    rows = binner.n_bins if hasattr(binner, "n_bins") else int(idx.max()) + 1
-    joint = np.zeros((rows, 2))
+    """The former joint table: one np.add.at per sample, a row per bin."""
+    idx = np.searchsorted(binner.edges, cal.logits, side="right")
+    joint = np.zeros((binner.n_bins, 2))
     np.add.at(joint, (idx, cal.targets.astype(np.int64)), 1.0)
     return mi_from_joint(joint)
 
@@ -479,10 +475,6 @@ def test_mi_of_quantizer_matches_the_add_at_joint_table():
         edges, cal = _random_quantizer_case(rng)
         binner = binner_from_edges(edges, METHOD_EQ_SIZE)
         assert mi_of_quantizer(binner, cal) == _add_at_joint_mi(binner, cal)
-        # bare edges now get every bin's row; the trailing empty rows change
-        # only the order of the summation
-        oracle = _add_at_joint_mi(edges, cal)
-        assert mi_of_quantizer(edges, cal) == pytest.approx(oracle, rel=5e-16, abs=1e-300)
 
 
 # --- bootstrap -------------------------------------------------------------------
