@@ -219,10 +219,11 @@ def test_a_non_finite_real_is_a_data_error_in_every_holder(holder, value):
         _REAL_HOLDERS[holder](value)
 
 
-def test_a_spread_that_overflows_leaves_no_bandwidth():
-    # the positives' standard deviation overflows to inf, and so would the
+@pytest.mark.parametrize("wide", [1, 0], ids=["positives", "negatives"])
+def test_a_spread_that_overflows_leaves_no_bandwidth(wide):
+    # the wide label's standard deviation overflows to inf, and so would the
     # FFT kernel's width
-    cal = BinaryCalibrationSet([-1e308, 1e308, 0.0, 1.0], [1, 1, 0, 0])
+    cal = BinaryCalibrationSet([-1e308, 1e308, 0.0, 1.0], [wide, wide, 1 - wide, 1 - wide])
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(DataError, match="KDE bandwidth must be finite, got inf"):
             mi_bound_of_set(cal)

@@ -93,14 +93,35 @@ def test_each_label_gets_scotts_bandwidth_on_one_grid(monkeypatch):
     assert grids == {(min(pos.min(), neg.min()) - 5 * h, max(pos.max(), neg.max()) + 5 * h)}
 
 
-def test_set_bound_rejections():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=10)
-    with pytest.raises(DataError, match="two samples of each label"):
-        mi_bound_of_set(_set(x[:1], x))
-    # zero spread has no Scott bandwidth
-    with pytest.raises(DataError, match="two distinct samples"):
-        mi_bound_of_set(_set(x, np.full(10, 2.0)))
+_X = np.random.default_rng(0).normal(size=10)
+_FLAT = np.full(10, 2.0)
+
+
+# (positives, negatives, message); both labels' counts are checked before
+# either spread, so a lone sample wins over a flat class of the other label
+@pytest.mark.parametrize(
+    "pos, neg, message",
+    [
+        (_X[:1], _X, "two samples of each label"),
+        (_X, _X[:1], "two samples of each label"),
+        (_FLAT, _X[:1], "two samples of each label"),
+        (_X[:1], _FLAT, "two samples of each label"),
+        # zero spread has no Scott bandwidth
+        (_FLAT, _X, "two distinct samples"),
+        (_X, _FLAT, "two distinct samples"),
+    ],
+    ids=[
+        "one positive",
+        "one negative",
+        "flat positives and one negative",
+        "one positive and flat negatives",
+        "flat positives",
+        "flat negatives",
+    ],
+)
+def test_set_bound_rejections(pos, neg, message):
+    with pytest.raises(DataError, match=message):
+        mi_bound_of_set(_set(pos, neg))
 
 
 def test_kde_density_matches_the_direct_sum():
@@ -146,23 +167,25 @@ def test_far_separated_classes_reach_the_label_entropy():
     assert mi_bound_of_set(cal) == pytest.approx(math.log(2.0), abs=1e-4)
 
 
-def test_bound_never_exceeds_the_prior_entropy():
+@pytest.mark.parametrize("n_pos, n_neg", [(30, 2970), (300, 2700), (1500, 1500), (2700, 300)])
+def test_bound_never_exceeds_the_prior_entropy(n_pos, n_neg):
     rng = np.random.default_rng(1)
-    for n_pos, n_neg in ((30, 2970), (300, 2700), (1500, 1500), (2700, 300)):
-        cal = _set(rng.normal(2.0, 1.0, size=n_pos), rng.normal(-6.0, 1.0, size=n_neg))
-        assert mi_bound_of_set(cal) <= _entropy(n_pos / (n_pos + n_neg)) + 1e-9
+    cal = _set(rng.normal(2.0, 1.0, size=n_pos), rng.normal(-6.0, 1.0, size=n_neg))
+    assert mi_bound_of_set(cal) <= _entropy(n_pos / (n_pos + n_neg)) + 1e-9
 
 
-def test_flipping_the_targets_leaves_the_bound():
+@pytest.mark.parametrize("n_pos, n_neg", [(200, 600), (500, 500)])
+def test_flipping_the_targets_leaves_the_bound(n_pos, n_neg):
     rng = np.random.default_rng(4)
-    cal = _set(rng.normal(1.0, 1.0, size=200), rng.normal(-0.5, 1.3, size=600))
+    cal = _set(rng.normal(1.0, 1.0, size=n_pos), rng.normal(-0.5, 1.3, size=n_neg))
     flipped = BinaryCalibrationSet(cal.logits, 1 - cal.targets)
     assert mi_bound_of_set(cal) == pytest.approx(mi_bound_of_set(flipped), rel=1e-12)
 
 
-def test_set_bound_needs_both_labels():
-    lone = BinaryCalibrationSet(np.linspace(-1, 1, 20), np.ones(20, dtype=np.int64))
-    with pytest.raises(DataError):
+@pytest.mark.parametrize("label", [0, 1])
+def test_set_bound_needs_both_labels(label):
+    lone = BinaryCalibrationSet(np.linspace(-1, 1, 20), np.full(20, label, dtype=np.int64))
+    with pytest.raises(DataError, match="two samples of each label"):
         mi_bound_of_set(lone)
 
 
