@@ -149,13 +149,13 @@ def bin_counts(edges, cal_set: BinaryCalibrationSet):
     edge go right, as in quantize and bin_sums.
 
     Each count is a difference of M - 1 binary searches into the set's
-    sorted copies, so after the set's one sort it costs O(M log N) instead of
-    a pass over all N samples. Returns (counts, positives), as integers.
+    sorted logits and positives' logits, so it costs O(M log N) instead of a
+    pass over all N samples. Returns (counts, positives), as integers.
     """
     edges = np.asarray(edges, dtype=np.float64)
     return tuple(
         np.diff(np.searchsorted(values, edges, side="left"), prepend=0, append=len(values))
-        for values in (cal_set.sorted_logits, cal_set.sorted_pos_logits)
+        for values in (cal_set.logits, cal_set.pos_logits)
     )
 
 
@@ -179,15 +179,14 @@ def fit_eq_size(n_bins: int):
 def fit_eq_mass(cal_set: BinaryCalibrationSet, n_bins: int):
     """Interior edges at the empirical logit quantiles i / M.
 
-    They are taken on the set's sorted copy: the same order statistics as on
-    the set itself, so the same edges. Only a zero edge could differ, in its
-    sign, in a set holding both -0.0 and 0.0, which no log-odds from
-    data.logit_of_prob is.
+    They are read from the set's ascending logits with no copy. Only a zero
+    edge could depend on the rows' order, in its sign, in a set holding both
+    -0.0 and 0.0, which no log-odds from data.logit_of_prob is.
     """
     n_bins = check_count(n_bins, "n_bins", minimum=2)
     if len(cal_set) < n_bins:
         raise FitError(f"need at least {n_bins} samples, got {len(cal_set)}")
-    edges = np.quantile(cal_set.sorted_logits, np.arange(1, n_bins) / n_bins)
+    edges = np.quantile(cal_set.logits, np.arange(1, n_bins) / n_bins)
     if np.any(np.diff(edges) <= 0):
         raise FitError(
             "degenerate quantile edges (too many tied logits for eq_mass)"
@@ -225,7 +224,8 @@ def _midpoint_phis(edges, scale, bias):
 def imax_update_phis(
     cal_set: BinaryCalibrationSet, edges, scale: float = 1.0, bias: float = 0.0
 ):
-    """Closed-form phi update: per-bin log-ratio of sigmoid sums.
+    """Closed-form phi update: per-bin log-ratio of sigmoid sums, summed in
+    the set's ascending order.
 
     Empty bins fall back to the bin's midpoint proxy, so the result is still
     strictly increasing.
@@ -317,10 +317,10 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     update of the first pair whose maximum edge movement falls below
     TOLERANCE, or after MAX_ITERATIONS pairs.
 
-    Memory: the fit reads the set's sorted logits (data.BinaryCalibrationSet),
-    which stay with the set. Besides those its only length-N float64 arrays
-    are the two prefix sums, and t when scale != 1 or bias != 0; the
-    seeding's arrays hold at most SKETCH points each, 3.2 MB at their peak.
+    Memory: the fit reads the set's ascending logits as they are
+    (data.BinaryCalibrationSet). Its only length-N float64 arrays are the two
+    prefix sums, and t when scale != 1 or bias != 0; the seeding's arrays
+    hold at most SKETCH points each, 3.2 MB at their peak.
 
     The seeding's wall time goes into the trace's seed_s; it is reported,
     never serialized, so a refit stays byte-identical.
@@ -329,10 +329,10 @@ def fit_imax(cal_set: BinaryCalibrationSet, config: ImaxConfig | None = None) ->
     n = len(cal_set)
     if n < cfg.n_bins:
         raise FitError(f"need at least {cfg.n_bins} samples, got {n}")
-    lam = cal_set.sorted_logits
+    lam = cal_set.logits
     if lam[0] == lam[-1]:
         raise FitError("degenerate calibration set: all logits identical")
-    if cal_set.targets.min() == cal_set.targets.max():
+    if len(cal_set.pos_logits) in (0, n):
         warnings.warn("calibration set contains a single label", stacklevel=2)
 
     scale, bias = cfg.scale, cfg.bias
@@ -384,12 +384,13 @@ def set_representatives(
 ) -> Binner:
     """Assign per-bin probability representatives from a calibration set.
 
-    empirical_freq uses the in-bin positive fraction, counted by bin_counts
-    on the set's sorted copies; raw_prob_mean the in-bin mean of
-    sigmoid(lam), and scaled_prob_mean that of weights, one probability per
-    sample of the set (a bundle passes its scaler's probabilities). Both
-    means are summed by bin_sums in the set's row order, since a float sum
-    depends on its order; weights with another strategy are a DataError.
+    empirical_freq uses the in-bin positive fraction, counted by bin_counts;
+    raw_prob_mean the in-bin mean of sigmoid(lam), and scaled_prob_mean that
+    of weights, one probability per sample of the set, aligned with its
+    ascending logits (a bundle passes its scaler's probabilities of them).
+    Both means are summed by bin_sums in that ascending order, so they do not
+    depend on the order of the calibration rows; weights with another
+    strategy are a DataError.
     Empty interior bins fall back to the sigmoid of the bin midpoint; an
     empty outer bin keeps the binner's current representative, the sigmoid
     of its phi level on a binner fresh from a fit. By default

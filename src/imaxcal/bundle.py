@@ -393,26 +393,31 @@ def fit_bundle(
         lam = data.ovr_logits()
         binning_method = method
         if method == METHOD_IMAX_WITH_SCALER:
+            binning_method, rep_strategy = METHOD_IMAX, REP_SCALED_PROB_MEAN
             if scaler_kind == KIND_TEMPERATURE:
                 scaler = fit_temperature(data)
-            else:
-                # a view of the all-class set's values replaces the matrix
+            elif len(groups) > 1:
+                # platt is fitted on the all-class set, which holds every
+                # log-odds: the matrix goes while the scaler is fitted and is
+                # made again for the groups' sets
                 pooled = ovr_set(lam, data.labels, range(data.n_classes))
-                lam = pooled.logits.reshape(data.n_classes, -1).T
+                del lam
                 scaler = fit_platt(pooled)
                 del pooled
-            binning_method = METHOD_IMAX
-            rep_strategy = REP_SCALED_PROB_MEAN
+                lam = data.ovr_logits()
         # the merged sets hold every log-odds the fits read, so the N x K
         # matrix goes before the first fit and each set once it is fitted
         sets = [ovr_set(lam, data.labels, g) for g in reversed(groups)]
         del lam
+        if method == METHOD_IMAX_WITH_SCALER and scaler is None:
+            # one group: its set is the all-class set
+            scaler = fit_platt(sets[0])
         calibrators = []
         for g in groups:
+            cal_set = sets.pop()
             if method == METHOD_PLATT:
-                cal = GroupCalibrator(classes=g, scaler=fit_platt(sets.pop()))
+                cal = GroupCalibrator(classes=g, scaler=fit_platt(cal_set))
             else:
-                cal_set = sets.pop()
                 binner = fit_edges(cal_set, binning_method, cfg)
                 weights = None
                 if scaler is not None:

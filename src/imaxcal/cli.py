@@ -752,11 +752,12 @@ def cmd_synth(
     _check_outputs(scores_out, labels_out, spec_out)
 
     if family == "binary":
-        cal_set, _ = synth_mod.gen_binary_mixture(spec)
-        # Two-column raw logits [0, lam]: softmax gives (1-sigma(lam), sigma(lam)),
-        # so class 1's one-vs-rest logit round-trips to lam exactly.
-        scores = np.column_stack([np.zeros(len(cal_set)), cal_set.logits])
-        labels = cal_set.targets.astype(np.int64)
+        logits, targets = synth_mod.draw_binary_mixture(spec)
+        # Two-column raw logits [0, lam] in draw order: softmax gives
+        # (1-sigma(lam), sigma(lam)), so class 1's one-vs-rest logit
+        # round-trips to lam exactly.
+        scores = np.column_stack([np.zeros(len(logits)), logits])
+        labels = targets.astype(np.int64)
         sidecar = {
             "spec": spec.to_dict(),
             "analytic": {

@@ -10,7 +10,6 @@ finite.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -131,13 +130,13 @@ def check_float64_entries(entries, what):
 
 
 def check_scores(scores, kind):
-    """Validate an N x K score matrix of the given kind; return it as float64.
+    """Validate an N x K score matrix of the given kind; return it as float64
+    with its min and max, read once by check_finite.
 
-    The one score check, behind PredictionMatrix, ovr_logits and the raw
-    scores of a raw-logit tie break: N >= 1, K >= 2, every value finite, a
-    known kind, and probability rows inside [0, 1] that sum to 1. A
-    PredictionMatrix's own ovr_logits transforms the scores it checked
-    without this check.
+    The one score check, behind PredictionMatrix, ovr_logits and
+    metrics.RowStats: N >= 1, K >= 2, every value finite, a known kind, and
+    probability rows inside [0, 1] that sum to 1. A PredictionMatrix's own
+    ovr_logits transforms the scores it checked without this check.
     """
     try:
         scores = np.asarray(scores, dtype=np.float64)
@@ -158,7 +157,7 @@ def check_scores(scores, kind):
             raise DataError("probability scores outside [0, 1]")
         if np.max(np.abs(scores.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
             raise DataError("probability rows do not sum to 1")
-    return scores
+    return scores, lo, hi
 
 
 def check_labels(labels, n, k):
@@ -197,7 +196,7 @@ def ovr_logits(scores, kind):
     of the softmax of raw logits, or of the probabilities. Blocks of rows,
     about BLOCK_ENTRIES values each, are transformed into the one N x K
     output."""
-    return _ovr_logits_of_checked(check_scores(scores, kind), kind)
+    return _ovr_logits_of_checked(check_scores(scores, kind)[0], kind)
 
 
 def _ovr_logits_of_checked(scores, kind):
@@ -222,7 +221,7 @@ class PredictionMatrix:
     kind: str = RAW_LOGITS
 
     def __post_init__(self):
-        self.scores = check_scores(self.scores, self.kind)
+        self.scores = check_scores(self.scores, self.kind)[0]
         self.labels = check_labels(self.labels, *self.scores.shape)
 
     @property
@@ -248,51 +247,83 @@ def _read_only(values):
     return values
 
 
-@dataclass
 class BinaryCalibrationSet:
-    """One-vs-rest view of one or more classes: logits plus 0/1 targets.
+    """One-vs-rest samples of one or more classes, held in one order.
 
-    sorted_logits and sorted_pos_logits are sorted copies, each made on its
-    first use, read-only, and kept as long as the set is: the iterative fit
-    reads sorted_logits, and binning.bin_counts counts any bins of the set
-    by binary searches into both. The set's arrays are not to be changed in place once
-    a sorted copy exists.
+    logits are the samples' log-odds ascending, targets their 0/1 labels
+    (int8) aligned with them, and pos_logits the positive samples' logits
+    ascending; all three are read-only and set up once, when the set is
+    made. Every consumer reads them as they are: the fits, binning.bin_counts'
+    binary searches, the sums of the phi update, of the mean representatives
+    and of Platt's objective, and the KDE bound. A run of equal logits holds
+    its positives first, so the arrays, and each sum taken over them, depend
+    only on the multiset of (logit, target) samples, never on their order.
+
+    A set made from a caller's logits and targets sorts a copy and leaves
+    the caller's arrays as they were: the logits must be 1-D and finite, the
+    targets 1-D, of the same length, and each exactly 0 or 1 (bools too);
+    anything else is a DataError. ovr_set sorts the merged buffer it builds
+    in place. Finiteness is read on the two ends of the sorted logits.
     """
 
-    logits: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.int8)
-        if self.logits.ndim != 1 or self.targets.ndim != 1:
+    def __init__(self, logits, targets):
+        logits = np.array(logits, dtype=np.float64)
+        targets = np.asarray(targets)
+        if logits.ndim != 1 or targets.ndim != 1:
             raise DataError("logits and targets must be 1-D")
-        if self.logits.shape[0] != self.targets.shape[0]:
+        if logits.shape[0] != targets.shape[0]:
             raise DataError("logits and targets length mismatch")
-        if self.logits.shape[0] < 1:
+        if logits.shape[0] < 1:
             raise DataError("empty calibration set")
-        check_finite(self.logits, "logits")
-        if self.targets.min() < 0 or self.targets.max() > 1:
-            raise DataError("targets must be 0 or 1")
+        _check_targets(targets)
+        self._hold_sorted(logits, logits[targets == 1])
+
+    @classmethod
+    def _sorting_in_place(cls, logits, pos_logits):
+        """The set of the float64 buffers logits and pos_logits, its
+        positives' logits, which it sorts in place and keeps."""
+        cal_set = cls.__new__(cls)
+        cal_set._hold_sorted(logits, pos_logits)
+        return cal_set
+
+    def _hold_sorted(self, logits, pos_logits):
+        logits.sort()
+        check_finite(logits[[0, -1]], "logits")
+        pos_logits.sort()
+        # the j-th of a run of equal positives sits j places after the
+        # run's first sample, which searchsorted finds in both arrays
+        first = np.searchsorted(logits, pos_logits)
+        first += np.arange(pos_logits.shape[0]) - np.searchsorted(pos_logits, pos_logits)
+        targets = np.zeros(logits.shape[0], dtype=np.int8)
+        targets[first] = 1
+        self.logits = _read_only(logits)
+        self.targets = _read_only(targets)
+        self.pos_logits = _read_only(pos_logits)
 
     def __len__(self):
         return self.logits.shape[0]
 
-    @cached_property
-    def sorted_logits(self):
-        """The logits sorted ascending, read-only."""
-        return _read_only(np.sort(self.logits))
 
-    @cached_property
-    def sorted_pos_logits(self):
-        """The logits of the positive samples sorted ascending, read-only."""
-        pos = self.logits[self.targets == 1]
-        pos.sort()
-        return _read_only(pos)
+def _check_targets(targets):
+    """A DataError unless every target is exactly 0 or 1, checked before
+    any cast, which would map 0.5 or 256 to 0 and 257 to 1. Integer and
+    bool targets are read through their extremes; a float target needs
+    each value compared, since 0.5 and NaN lie within extremes of 0 and 1."""
+    if targets.dtype.kind == "f":
+        bad = not np.all((targets == 0.0) | (targets == 1.0))
+    elif targets.dtype.kind in "biu":
+        bad = targets.min() < 0 or targets.max() > 1
+    else:
+        bad = True
+    if bad:
+        raise DataError("targets must be 0 or 1")
 
 
 def ovr_set(lam, labels, classes) -> BinaryCalibrationSet:
-    """Merged one-vs-rest set of the given classes, class after class.
+    """Merged one-vs-rest set of the given classes: every log-odds of their
+    columns of lam, the positives those of the rows labelled with one of
+    them. The set sorts the merged buffer this builds in place, so no
+    row-order copy outlives the call.
 
     lam is the N x K matrix of ovr_logits and labels the N integer labels.
     classes must pass check_group_spec as one group of columns of lam.
@@ -301,9 +332,9 @@ def ovr_set(lam, labels, classes) -> BinaryCalibrationSet:
     if max(classes) >= lam.shape[1]:
         raise DataError(f"class index {max(classes)} out of range for {lam.shape[1]} classes")
     classes = np.asarray(classes, dtype=np.int64)
-    return BinaryCalibrationSet(
-        logits=lam[:, classes].T.ravel(),
-        targets=(labels[None, :] == classes[:, None]).astype(np.int8).ravel(),
+    rows = np.flatnonzero(np.isin(labels, classes))
+    return BinaryCalibrationSet._sorting_in_place(
+        np.take(lam, classes, axis=1).ravel(), lam[rows, labels[rows]]
     )
 
 

@@ -94,9 +94,11 @@ def mi_bound_of_set(cal_set: BinaryCalibrationSet) -> float:
     bandwidth, 4096 uniform points, where ``_density_on_grid`` evaluates
     each density for ``mi_of_densities``; the prior is the set's share of
     positives. Each label needs two distinct samples, and a spread that
-    overflows float64 leaves no finite bandwidth.
+    overflows float64 leaves no finite bandwidth. Both labels' logits are
+    read ascending, as the set holds them, so the bound does not depend on
+    the order of the calibration rows.
     """
-    by_label = [cal_set.logits[cal_set.targets == label] for label in (1, 0)]
+    by_label = [cal_set.pos_logits, cal_set.logits[cal_set.targets == 0]]
     if min(samples.size for samples in by_label) < 2:
         raise DataError("MI bound needs at least two samples of each label")
     kdes = []
@@ -106,7 +108,6 @@ def mi_bound_of_set(cal_set: BinaryCalibrationSet) -> float:
             raise DataError("KDE needs at least two distinct samples")
         # sigma > 0 keeps the bandwidth positive; an overflow makes it inf
         h = check_number(sigma * samples.size ** (-0.2), "KDE bandwidth")
-        samples.sort()  # the mask made a copy, so the set keeps its order
         kdes.append((samples, h))
     (pos, h_pos), (neg, h_neg) = kdes
     h = max(h_pos, h_neg)
@@ -116,7 +117,7 @@ def mi_bound_of_set(cal_set: BinaryCalibrationSet) -> float:
         np.linspace(lo, hi, _GRID_POINTS),
         _density_on_grid(pos, h_pos, lo, hi),
         _density_on_grid(neg, h_neg, lo, hi),
-        float(cal_set.targets.mean()),
+        pos.size / len(cal_set),
     )
 
 

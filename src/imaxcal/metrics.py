@@ -109,13 +109,14 @@ class RowStats:
     """
 
     def __init__(self, calibrated, labels, raw_scores=None):
-        calibrated = np.ascontiguousarray(check_scores(calibrated, RAW_LOGITS))
-        if calibrated.min() < 0.0 or calibrated.max() > 1.0:
+        calibrated, lo, hi = check_scores(calibrated, RAW_LOGITS)
+        calibrated = np.ascontiguousarray(calibrated)
+        if lo < 0.0 or hi > 1.0:
             raise DataError(
                 "calibrated scores outside [0, 1]; raw scores need a bundle applied first"
             )
         if raw_scores is not None:
-            raw_scores = check_scores(raw_scores, RAW_LOGITS)
+            raw_scores = check_scores(raw_scores, RAW_LOGITS)[0]
             if raw_scores.shape != calibrated.shape:
                 raise DataError("raw score shape does not match calibrated scores")
         self.calibrated, self.raw_scores = calibrated, raw_scores
@@ -279,7 +280,12 @@ def _kmeans_1d(values, n_bins, seed):
     values_sorted = np.sort(values)
     for _ in range(_KMEANS_MAX_ITER):
         cuts = (centers[:-1] + centers[1:]) / 2.0
-        cnts, sums = bin_sums(cuts, values_sorted, values_sorted)
+        # the values are sorted, so each cell is a run of them: M - 1 binary
+        # searches of the cuts give the cells bin_sums would give, a value
+        # on a cut going right
+        cnts = np.diff(np.searchsorted(values_sorted, cuts), prepend=0, append=values.size)
+        cell = np.repeat(np.arange(cnts.size), cnts)
+        sums = np.bincount(cell, weights=values_sorted, minlength=cnts.size)
         occupied = cnts > 0
         new_centers = np.where(occupied, sums / np.maximum(cnts, 1), centers)
         movement = float(np.max(np.abs(new_centers - centers)))
@@ -317,9 +323,7 @@ def eval_bin_edges(values, scheme, n_bins, seed=0, targets=None):
         centers = np.unique(values)
         if centers.size > n_bins:
             if scheme == SCHEME_IMAX:
-                cal = BinaryCalibrationSet(
-                    logits=logit_of_prob(values), targets=np.asarray(targets, dtype=np.int8)
-                )
+                cal = BinaryCalibrationSet(logit_of_prob(values), targets)
                 return prob_of_logit(fit_imax(cal, ImaxConfig(n_bins=n_bins, seed=seed)).edges)
             centers = _kmeans_1d(values, n_bins, seed)
         return (centers[:-1] + centers[1:]) / 2.0

@@ -125,14 +125,15 @@ def fit_platt(cal_set: BinaryCalibrationSet) -> Scaler:
 
     The objective is convex; iteration stops when the gradient 2-norm drops
     below 1e-8. Every per-sample term is formed in one of three buffers of
-    the set's length, reused across steps.
+    the set's length, reused across steps, and each mean is taken in the
+    set's ascending order, over its aligned targets.
     """
     lam = cal_set.logits
-    targets = cal_set.targets.astype(np.float64)
-    if cal_set.targets.min() == cal_set.targets.max():
+    if len(cal_set.pos_logits) in (0, len(lam)):
         raise FitError("platt scaling needs both labels present")
-    if np.ptp(lam) == 0.0:
+    if lam[0] == lam[-1]:
         raise FitError("degenerate calibration set: all logits identical")
+    targets = cal_set.targets.astype(np.float64)
     p, u, v = (np.empty(lam.shape) for _ in range(3))
 
     a, b = 1.0, 0.0

@@ -80,16 +80,20 @@ def analytic_posterior(spec: BinaryMixtureSpec, lam):
     return prob_of_logit(log_pos - log_neg)
 
 
-def gen_binary_mixture(spec: BinaryMixtureSpec):
-    """Draw the mixture; returns (BinaryCalibrationSet, posterior closure)."""
+def draw_binary_mixture(spec: BinaryMixtureSpec):
+    """The mixture's draws in draw order: (logits, int8 targets)."""
     labels_rng, noise_rng = _streams(spec.seed, 2)
     targets = (labels_rng.random(spec.n) < spec.prior).astype(np.int8)
     eps = noise_rng.standard_normal(spec.n)
     mu = np.where(targets == 1, spec.mu_pos, spec.mu_neg)
     sigma = np.where(targets == 1, spec.sigma_pos, spec.sigma_neg)
-    logits = mu + sigma * eps
+    return mu + sigma * eps, targets
 
-    cal_set = BinaryCalibrationSet(logits=logits, targets=targets)
+
+def gen_binary_mixture(spec: BinaryMixtureSpec):
+    """Draw the mixture; returns (BinaryCalibrationSet, posterior closure).
+    The set holds the draws in its own ascending order."""
+    cal_set = BinaryCalibrationSet(*draw_binary_mixture(spec))
     return cal_set, lambda lam: analytic_posterior(spec, lam)
 
 

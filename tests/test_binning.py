@@ -383,13 +383,12 @@ def test_fit_imax_peak_memory_per_merged_sample():
 
 
 def test_fit_imax_above_the_sketch_size_holds_only_its_prefix_sums():
-    # with the set's sorted copies made, a fit's length-N arrays are its two
-    # prefix sums, 16 B per merged sample: the seeding scores at most SKETCH
-    # points, whatever the set's size
+    # the fit reads the set's sorted logits as they are, so its length-N
+    # arrays are its two prefix sums, 16 B per merged sample: the seeding
+    # scores at most SKETCH points, whatever the set's size
     data = gen_multiclass(MulticlassSynthSpec(n_classes=100, n=2000, t_gen=0.5, seed=0))
     cal = ovr_set(data.ovr_logits(), data.labels, range(100))
     assert len(cal) > SKETCH
-    cal.sorted_logits, cal.sorted_pos_logits
     peak = _peak_bytes(lambda c: fit_imax(c, ImaxConfig(n_bins=15, seed=0)), cal)
     assert peak / len(cal) <= 17.0
 

@@ -245,12 +245,14 @@ def test_refit_is_byte_identical():
 
 
 def test_scw_imax_fit_peak_memory_per_merged_sample():
-    # the N x K log-odds matrix is dropped once the merged set is built, so
-    # the fit's peak is the merged set plus fit_imax's working arrays (about
-    # 33 B per merged sample here; 76 B while the matrix stayed alive)
+    # the N x K log-odds matrix is dropped once the merged set is built, and
+    # the set holds one sorted order, so the fit's peak is the set (9.1 B per
+    # merged sample) plus fit_imax's prefix sums (16 B): about 25.2 B here.
+    # It was 33 B while the set kept its row order beside a sorted copy, and
+    # 76 B while the matrix stayed alive.
     data = _data(n=2000, k=100, seed=0)
     peak = _peak_bytes(lambda: fit_bundle(data, METHOD_IMAX, config=ImaxConfig(n_bins=15, seed=0)))
-    assert peak / (data.n_samples * data.n_classes) <= 56.0
+    assert peak / (data.n_samples * data.n_classes) <= 26.0
 
 
 def test_imax_with_a_platt_scaler_peaks_about_as_high_as_a_platt_fit():
@@ -258,10 +260,13 @@ def test_imax_with_a_platt_scaler_peaks_about_as_high_as_a_platt_fit():
     # fit keeps no N x K matrix beside it (1.00 here, 1.20 with one held)
     data = _data(n=10_000, k=100, seed=1)
     platt = _peak_bytes(lambda: fit_bundle(data, METHOD_PLATT))
-    both = _peak_bytes(
-        lambda: fit_bundle(data, METHOD_IMAX_WITH_SCALER, scaler_kind=KIND_PLATT)
-    )
-    assert both <= 1.05 * platt
+    for groups_spec in (None, 4):
+        # one group's set is the all-class set; with more, the matrix is made
+        # again once the all-class set is gone
+        both = _peak_bytes(lambda: fit_bundle(
+            data, METHOD_IMAX_WITH_SCALER, groups_spec=groups_spec, scaler_kind=KIND_PLATT
+        ))
+        assert both <= 1.05 * platt, groups_spec
 
 
 # --- serialization ----------------------------------------------------------------
@@ -714,8 +719,9 @@ def test_relabelling_the_classes_permutes_the_output_columns(method, kwargs, bou
     # new class j is old class perm[j]: its score column moves to j and its
     # labels become j. Distinct class counts leave group_by_prior no ties to
     # break by class index, so a fit sees the same sets under other names.
-    # The scalers and sample-order sums (raw_prob_mean, imax_with_scaler)
-    # add their values in row order, which a relabelling reorders, so they
+    # The scalers and the representative means (raw_prob_mean,
+    # imax_with_scaler) read the last bits of the log-odds, which softmax
+    # takes from a row sum in column order, so a relabelling moves them; they
     # match within a bound: up to 5.1e-13 for platt, 2.7e-13 for temperature
     # and 1.2e-15 for the representative means. Every other case is
     # byte-identical.
@@ -734,6 +740,41 @@ def test_relabelling_the_classes_permutes_the_output_columns(method, kwargs, bou
         np.testing.assert_allclose(after, want, rtol=0, atol=bound)
     else:
         assert after.tobytes() == want.tobytes()
+
+
+# Every method whose fit reads only calibration sets: each set holds one
+# sorted order, so every sum it takes is over the multiset of rows.
+# fit_temperature averages over score rows in row order, so temperature and
+# imax_with_scaler with a temperature scaler are outside this property.
+_ROW_ORDER_FITS = [
+    (METHOD_EQ_SIZE, {}),
+    (METHOD_EQ_MASS, {}),
+    (METHOD_IMAX, {}),
+    (METHOD_IMAX, {"strategy": STRATEGY_CW}),
+    (METHOD_IMAX, {"groups_spec": 2}),
+    (METHOD_IMAX, {"rep_strategy": REP_RAW_PROB_MEAN}),
+    (METHOD_PLATT, {}),
+    (METHOD_IMAX_WITH_SCALER, {"scaler_kind": KIND_PLATT}),
+    (METHOD_IMAX_WITH_SCALER, {"scaler_kind": KIND_PLATT, "groups_spec": 2}),
+]
+
+
+@settings(max_examples=20)
+@given(
+    k=st.integers(3, 5),
+    n=st.integers(80, 200),
+    seed=st.integers(0, 2**16),
+    order=st.randoms(use_true_random=False),
+)
+def test_a_refit_on_permuted_rows_is_byte_identical(k, n, seed, order):
+    data = _data(n=n, k=k, seed=seed)
+    rows = list(range(n))
+    order.shuffle(rows)
+    permuted = PredictionMatrix(data.scores[rows], data.labels[rows], RAW_LOGITS)
+    cfg = ImaxConfig(n_bins=4, seed=seed)
+    for method, kwargs in _ROW_ORDER_FITS:
+        want = _quiet_fit(data, method, config=cfg, **kwargs).to_json()
+        assert _quiet_fit(permuted, method, config=cfg, **kwargs).to_json() == want, method
 
 
 # --- mutated bundle JSON ------------------------------------------------------------

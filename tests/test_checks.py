@@ -434,10 +434,11 @@ def test_group_counts_and_class_indices_are_checked(value):
     cal = _attempt(lambda: GroupCalibrator(classes=(0, value), scaler=scaler))
     if cal is not None:
         assert all(_stored(c, int) for c in cal.classes)
-    pooled = _attempt(lambda: ovr_set(DATA.ovr_logits(), DATA.labels, (0, value)))
+    lam = DATA.ovr_logits()
+    pooled = _attempt(lambda: ovr_set(lam, DATA.labels, (0, value)))
     if pooled is not None:
-        rows = slice(int(value) * DATA.n_samples, (int(value) + 1) * DATA.n_samples)
-        np.testing.assert_array_equal(pooled.logits[DATA.n_samples:], POOLED.logits[rows])
+        # the set holds the log-odds of columns 0 and value, ascending
+        np.testing.assert_array_equal(pooled.logits, np.sort(lam[:, [0, int(value)]], axis=None))
     fitted = TEMPERATURE_BUNDLE
     made = _attempt(lambda: CalibratorBundle(value, fitted.input_kind, fitted.calibrators))
     if made is not None:

@@ -1162,7 +1162,7 @@ def test_running_out_of_memory_is_one_data_line(tmp_path, capsys, monkeypatch):
     def no_memory(spec):
         raise MemoryError(f"Unable to allocate 8.00 TiB for an array with shape ({spec.n},)")
 
-    monkeypatch.setattr(synth_mod, "gen_binary_mixture", no_memory)
+    monkeypatch.setattr(synth_mod, "draw_binary_mixture", no_memory)
     capsys.readouterr()
     assert main(["synth", "--n", str(2**40), "--out-prefix", str(tmp_path / "s")]) == 3
     err = capsys.readouterr().err.splitlines()
@@ -1374,21 +1374,22 @@ def test_mi_report_leaves_the_ratio_empty_when_the_bound_is_0(tmp_path, capsys):
 def test_each_command_reads_the_scores_for_non_finite_values_once_per_pass(
     workdir, tmp_path, finite_scans
 ):
-    # per N x K matrix: fit checks the scores as it builds the matrix, softmax
-    # checks each block, and the merged set checks its log-odds; apply checks
-    # the scores and softmax each block; eval --bundle adds the calibrated
-    # matrix's check; mi-report reads as fit does, since the KDE bound takes
-    # the merged set's checked log-odds. Each label file adds N values.
+    # per N x K matrix: fit checks the scores as it builds the matrix and
+    # softmax checks each block, and the merged set reads the two ends of its
+    # sorted log-odds; apply checks the scores and softmax each block; eval
+    # --bundle adds the calibrated matrix's check; mi-report reads as fit
+    # does, since the KDE bound takes the merged set's checked log-odds. Each
+    # label file adds N values.
     mc = [str(workdir / "mc-scores.csv"), str(workdir / "mc-labels.csv")]
     bundle = str(tmp_path / "b.json")
     mc_entries, bin_rows = 400 * 5, 600
     commands = [
-        (["fit", *mc, "-o", bundle, "--bins", "6", "--seed", "0"], 3 * mc_entries + 400),
+        (["fit", *mc, "-o", bundle, "--bins", "6", "--seed", "0"], 2 * mc_entries + 2 + 400),
         (["apply", bundle, mc[0], "-o", str(tmp_path / "cal.csv")], 2 * mc_entries),
         (["eval", *mc, "--bundle", bundle, "-o", str(tmp_path / "r.json")],
          3 * mc_entries + 400),
         (["mi-report", str(workdir / "bin-scores.csv"), str(workdir / "bin-labels.csv"),
-          "--bins", "2,4", "-o", str(tmp_path / "mi.csv")], 3 * 2 * bin_rows + bin_rows),
+          "--bins", "2,4", "-o", str(tmp_path / "mi.csv")], 2 * 2 * bin_rows + 2 + bin_rows),
     ]
     for argv, entries in commands:
         finite_scans.clear()

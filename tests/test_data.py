@@ -231,18 +231,22 @@ def test_binary_set_validation():
         BinaryCalibrationSet(np.array([np.nan, 0.2]), np.array([1, 0]))
 
 
-def test_binary_set_checks_its_values_without_a_sample_length_mask():
-    # the merged set of a K=100, N=20k shared fit; a bool mask of it is 2 MB
+def test_a_set_holds_one_sorted_order_in_about_9_bytes_a_sample():
+    # the merged set of a K=100, N=20k shared fit, 1 % positives: its sorted
+    # logits (8 B), aligned int8 targets (1 B) and positives' logits (8 B per
+    # positive) exist from construction, and the sort of the copy needs no
+    # second buffer; the set used to keep its row order too, 17 B a sample
     n = 2_000_000
     logits = np.random.default_rng(0).normal(size=n)
-    targets = (logits > 1.0).astype(np.int8)
+    targets = (logits > 2.33).astype(np.int8)
     tracemalloc.start()
     try:
-        BinaryCalibrationSet(logits, targets)
-        peak = tracemalloc.get_traced_memory()[1]
+        cal_set = BinaryCalibrationSet(logits, targets)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n // 100
+    assert held / n <= 9.1 and peak / n <= 9.2, (held / n, peak / n)
+    assert len(cal_set.pos_logits) == targets.sum()
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DataError, match="non-finite"):
             BinaryCalibrationSet(np.where(np.arange(n) == n - 1, bad, logits), targets)
@@ -251,32 +255,75 @@ def test_binary_set_checks_its_values_without_a_sample_length_mask():
             BinaryCalibrationSet(logits, np.where(np.arange(n) == n - 1, bad, targets))
 
 
-def test_sorted_copies_are_made_once_and_read_only():
+def test_a_set_holds_one_sorted_order_read_only():
     logits = np.array([0.5, -1.0, 2.0, -1.0, 0.0])
-    s = BinaryCalibrationSet(logits, np.array([1, 0, 1, 1, 0]))
-    lam, pos = s.sorted_logits, s.sorted_pos_logits
-    assert s.sorted_logits is lam and s.sorted_pos_logits is pos
-    np.testing.assert_array_equal(lam, [-1.0, -1.0, 0.0, 0.5, 2.0])
-    np.testing.assert_array_equal(pos, [-1.0, 0.5, 2.0])
-    for values in (lam, pos):
+    targets = np.array([1, 0, 1, 1, 0])
+    s = BinaryCalibrationSet(logits, targets)
+    np.testing.assert_array_equal(s.logits, [-1.0, -1.0, 0.0, 0.5, 2.0])
+    # a run of equal logits holds its positives first
+    np.testing.assert_array_equal(s.targets, [1, 0, 0, 1, 1])
+    np.testing.assert_array_equal(s.pos_logits, [-1.0, 0.5, 2.0])
+    assert s.targets.dtype == np.int8
+    for values in (s.logits, s.targets, s.pos_logits):
         with pytest.raises(ValueError):
-            values[0] = 3.0
-    # the set itself keeps its row order and stays writable
-    np.testing.assert_array_equal(s.logits, logits)
-    s.logits[0] = 0.5
-    empty = BinaryCalibrationSet(np.array([1.0, 2.0]), np.array([0, 0])).sorted_pos_logits
+            values[0] = 1
+    # the caller's arrays keep their order and stay writable
+    np.testing.assert_array_equal(logits, [0.5, -1.0, 2.0, -1.0, 0.0])
+    np.testing.assert_array_equal(targets, [1, 0, 1, 1, 0])
+    logits[0] = 3.0
+    assert s.logits[-1] == 2.0
+    empty = BinaryCalibrationSet(np.array([1.0, 2.0]), np.array([0, 0])).pos_logits
     assert empty.shape == (0,) and not empty.flags.writeable
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=1, max_size=30),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_a_set_depends_only_on_the_multiset_of_its_samples(samples, rnd):
+    shuffled = list(samples)
+    rnd.shuffle(shuffled)
+    a, b = (BinaryCalibrationSet([0.5 * v for v, _ in rows], [y for _, y in rows])
+            for rows in (samples, shuffled))
+    for name in ("logits", "targets", "pos_logits"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    np.testing.assert_array_equal(a.logits[a.targets == 1], a.pos_logits)
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.9, 256, 257, -255, np.nan, 2.0, -1.0])
+def test_targets_are_checked_before_the_cast(bad):
+    # an int8 cast made 0.5 and 0.9 into 0, 256 into 0 and 257 and -255
+    # into 1, and NaN into a bare RuntimeWarning
+    targets = np.array([0, 1, bad], dtype=np.float64 if isinstance(bad, float) else np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="targets must be 0 or 1"):
+            BinaryCalibrationSet([0.0, 1.0, 2.0], targets)
+
+
+@pytest.mark.parametrize("targets", [[False, True, True], [0.0, 1.0, 1.0], np.array([0, 1, 1], np.uint8)])
+def test_bool_and_exact_float_targets_pass(targets):
+    s = BinaryCalibrationSet([2.0, 0.0, 1.0], targets)
+    np.testing.assert_array_equal(s.targets, [1, 1, 0])
+    np.testing.assert_array_equal(s.pos_logits, [0.0, 1.0])
+
+
+def test_text_targets_are_a_data_error():
+    with pytest.raises(DataError, match="targets must be 0 or 1"):
+        BinaryCalibrationSet([0.0, 1.0], np.array(["0", "1"]))
 
 
 def test_ovr_targets_follow_the_labels():
     scores = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0], [0.0, 0.0, 5.0]])
     labels = np.array([2, 0, 2])
     data = PredictionMatrix(scores, labels, kind=RAW_LOGITS)
-    two = ovr_set(data.ovr_logits(), data.labels, (2,))
-    np.testing.assert_array_equal(two.targets, [1, 0, 1])
+    lam = data.ovr_logits()
+    two = ovr_set(lam, data.labels, (2,))
+    np.testing.assert_array_equal(two.logits, np.sort(lam[:, 2]))
+    np.testing.assert_array_equal(two.pos_logits, np.sort(lam[[0, 2], 2]))
+    np.testing.assert_array_equal(two.logits[two.targets == 1], two.pos_logits)
     # a class that never occurs gets all-zero targets
-    one = ovr_set(data.ovr_logits(), data.labels, (1,))
-    assert one.targets.sum() == 0
+    one = ovr_set(lam, data.labels, (1,))
+    assert one.targets.sum() == 0 and one.pos_logits.size == 0
 
 
 def test_ovr_logits_come_from_the_normalized_row():
@@ -315,27 +362,28 @@ def test_ovr_positive_counts_match_label_counts():
         assert ovr_set(lam, data.labels, (k,)).targets.sum() == np.sum(data.labels == k)
 
 
-def test_ovr_set_concatenates_class_after_class():
+def test_ovr_set_sorts_the_merged_columns_and_leaves_the_matrix():
     lam = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
     labels = np.array([2, 0])
     merged = ovr_set(lam, labels, (2, 0))
     assert len(merged) == 4
-    np.testing.assert_array_equal(merged.logits, [2.0, 5.0, 0.0, 3.0])
-    np.testing.assert_array_equal(merged.targets, [1, 0, 0, 1])
+    np.testing.assert_array_equal(merged.logits, [0.0, 2.0, 3.0, 5.0])
+    np.testing.assert_array_equal(merged.targets, [0, 1, 1, 0])
+    np.testing.assert_array_equal(merged.pos_logits, [2.0, 3.0])
+    np.testing.assert_array_equal(lam, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
     with pytest.raises(DataError):
         ovr_set(lam, labels, ())
 
 
 def test_ovr_set_class_order_only_permutes():
+    # the classes' order permutes the merged samples, and the sort undoes it
     rng = np.random.default_rng(7)
     lam = rng.normal(size=(5, 3))
     labels = rng.integers(0, 3, size=5)
     ab = ovr_set(lam, labels, (0, 1, 2))
     ba = ovr_set(lam, labels, (2, 0, 1))
-    np.testing.assert_array_equal(np.sort(ab.logits), np.sort(ba.logits))
-    assert ab.targets.sum() == ba.targets.sum()
-    np.testing.assert_array_equal(np.sort(ab.logits[ab.targets == 1]),
-                                  np.sort(ba.logits[ba.targets == 1]))
+    for name in ("logits", "targets", "pos_logits"):
+        np.testing.assert_array_equal(getattr(ab, name), getattr(ba, name))
 
 
 # --- class groupings ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -772,6 +773,26 @@ def test_a_row_stats_ranking_checks_the_matrix_once(monkeypatch):
     np.testing.assert_array_equal(rank, ranked_classes(cal, labels))
     with_raw = RowStats(cal, labels, raw)
     np.testing.assert_array_equal(ranked_classes(with_raw), ranked_classes(cal, labels, raw))
+
+
+def test_a_row_stats_reads_the_extremes_of_its_matrix_once():
+    # check_scores returns the min and max check_finite read, and the [0, 1]
+    # test uses them; it read the whole matrix again for both. A profiler
+    # sees each ndarray.min or ndarray.max call on the N x K matrix.
+    cal, labels, _ = _oracle_inputs("distinct")
+    reads = []
+
+    def profile(frame, event, arg):
+        owner = getattr(arg, "__self__", None)
+        if event == "c_call" and isinstance(owner, np.ndarray) and owner.size == cal.size:
+            reads.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        RowStats(cal, labels)
+    finally:
+        sys.setprofile(None)
+    assert sorted(reads) == ["max", "min"]
 
 
 def test_a_row_stats_passed_with_labels_a_tie_break_or_raw_scores_is_a_data_error():

@@ -295,7 +295,7 @@ def test_platt_reuses_three_buffers_and_keeps_every_bit():
         tracemalloc.stop()
     # float64 targets and three float64 buffers take 32 bytes per sample
     assert peak <= 40 * lam.size
-    assert (s.a, s.b) == _reference_platt(cal_set.logits, y)
+    assert (s.a, s.b) == _reference_platt(cal_set.logits, cal_set.targets)
 
 
 def test_platt_rejections():
