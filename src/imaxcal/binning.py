@@ -143,20 +143,28 @@ def bin_sums(edges, x, *weights):
     )
 
 
+def sorted_bin_counts(sorted_values, edges):
+    """Per-bin count of ascending sorted_values, for the len(edges) + 1 bins
+    between increasing edges; values exactly on an edge go right, as in
+    quantize and bin_sums.
+
+    Each count is a difference of M - 1 binary searches into the values, so
+    it costs O(M log N) instead of a pass over all N of them. Returns the
+    counts as integers.
+    """
+    return np.diff(
+        np.searchsorted(sorted_values, edges, side="left"), prepend=0, append=len(sorted_values)
+    )
+
+
 def bin_counts(edges, cal_set: BinaryCalibrationSet):
     """Per-bin count of cal_set's samples and of its positive samples, for
-    the len(edges) + 1 bins between increasing edges; values exactly on an
-    edge go right, as in quantize and bin_sums.
-
-    Each count is a difference of M - 1 binary searches into the set's
-    sorted logits and positives' logits, so it costs O(M log N) instead of a
-    pass over all N samples. Returns (counts, positives), as integers.
+    the len(edges) + 1 bins between increasing edges, from sorted_bin_counts
+    of the set's sorted logits and positives' logits. Returns (counts,
+    positives), as integers.
     """
     edges = np.asarray(edges, dtype=np.float64)
-    return tuple(
-        np.diff(np.searchsorted(values, edges, side="left"), prepend=0, append=len(values))
-        for values in (cal_set.logits, cal_set.pos_logits)
-    )
+    return sorted_bin_counts(cal_set.logits, edges), sorted_bin_counts(cal_set.pos_logits, edges)
 
 
 def apply_binner(binner: Binner, lam):

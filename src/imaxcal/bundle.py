@@ -396,7 +396,7 @@ def fit_bundle(
             binning_method, rep_strategy = METHOD_IMAX, REP_SCALED_PROB_MEAN
             if scaler_kind == KIND_TEMPERATURE:
                 scaler = fit_temperature(data)
-            elif len(groups) > 1:
+            else:
                 # platt is fitted on the all-class set, which holds every
                 # log-odds: the matrix goes while the scaler is fitted and is
                 # made again for the groups' sets
@@ -409,9 +409,6 @@ def fit_bundle(
         # matrix goes before the first fit and each set once it is fitted
         sets = [ovr_set(lam, data.labels, g) for g in reversed(groups)]
         del lam
-        if method == METHOD_IMAX_WITH_SCALER and scaler is None:
-            # one group: its set is the all-class set
-            scaler = fit_platt(sets[0])
         calibrators = []
         for g in groups:
             cal_set = sets.pop()

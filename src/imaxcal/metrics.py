@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import ImaxConfig, bin_counts, bin_sums, fit_imax
+from .binning import ImaxConfig, bin_counts, bin_sums, fit_imax, sorted_bin_counts
 from .data import (
     PROB_EPS,
     RAW_LOGITS,
@@ -280,10 +280,8 @@ def _kmeans_1d(values, n_bins, seed):
     values_sorted = np.sort(values)
     for _ in range(_KMEANS_MAX_ITER):
         cuts = (centers[:-1] + centers[1:]) / 2.0
-        # the values are sorted, so each cell is a run of them: M - 1 binary
-        # searches of the cuts give the cells bin_sums would give, a value
-        # on a cut going right
-        cnts = np.diff(np.searchsorted(values_sorted, cuts), prepend=0, append=values.size)
+        # the values are sorted, so each cell is a run of them
+        cnts = sorted_bin_counts(values_sorted, cuts)
         cell = np.repeat(np.arange(cnts.size), cnts)
         sums = np.bincount(cell, weights=values_sorted, minlength=cnts.size)
         occupied = cnts > 0
