@@ -261,8 +261,8 @@ def test_imax_with_a_platt_scaler_peaks_about_as_high_as_a_platt_fit():
     data = _data(n=10_000, k=100, seed=1)
     platt = _peak_bytes(lambda: fit_bundle(data, METHOD_PLATT))
     for groups_spec in (None, 4):
-        # one group's set is the all-class set; with more, the matrix is made
-        # again once the all-class set is gone
+        # the matrix is made again for the groups' sets once the all-class
+        # set is gone, whatever the number of groups
         both = _peak_bytes(lambda: fit_bundle(
             data, METHOD_IMAX_WITH_SCALER, groups_spec=groups_spec, scaler_kind=KIND_PLATT
         ))
